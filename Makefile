@@ -2,14 +2,13 @@
 
 PYTHON ?= python
 
-.PHONY: install test bench chaos sanitize coverage trace planner rebalance market live profile examples outputs clean
+.PHONY: install test bench ablations chaos sanitize coverage trace planner rebalance market live profile examples outputs clean
 
-# Hot-path profile gate: run the deterministic profiling harness on the
-# small canonical spec and fail if events/sec regressed more than 10%
-# below the floor checked into benchmarks/results/scale.json (refresh an
-# intentional change with `python tools/profile_core.py --write-floor`).
+# Hot-path profile: run the deterministic profiling harness on the small
+# canonical spec and print per-stage wall-clock attribution (speed itself
+# is gated by `make bench`).
 profile:
-	$(PYTHON) tools/profile_core.py --check-floor
+	PYTHONPATH=src $(PYTHON) -m repro.cli profile
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -17,7 +16,13 @@ install:
 test:
 	$(PYTHON) -m pytest tests/
 
+# The RBAY benchmark (BENCHMARK.json, bench/README.md): four pinned
+# workloads, end-to-end and per-layer metrics, output checks.
 bench:
+	python3 bench/run.py
+
+# The paper-figure and ablation tables (pytest-benchmark suite).
+ablations:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only -s
 
 # Chaos property suite: randomized fault schedules over many seeds, plus
@@ -47,7 +52,7 @@ sanitize:
 # Line-coverage floor for the caching subsystem.  When pytest-cov is
 # installed, also print a full term-missing report; the gate itself uses
 # a stdlib tracer (tools/check_coverage.py) so it runs anywhere and
-# fails if cache.py or counters.py drop below 85%.  The public-API lint
+# fails if any watched module drops below 85%.  The public-API lint
 # (tools/check_api.py) rides along: it fails if repro.__all__, the lazy
 # exports, or the docs table drift.
 coverage:
@@ -127,7 +132,8 @@ examples:
 
 outputs:
 	$(PYTHON) -m pytest tests/ 2>&1 | tee test_output.txt
-	$(PYTHON) -m pytest benchmarks/ --benchmark-only 2>&1 | tee bench_output.txt
+	python3 bench/run.py 2>&1 | tee bench_output.txt
+	$(PYTHON) -m pytest benchmarks/ --benchmark-only 2>&1 | tee ablations_output.txt
 
 clean:
 	rm -rf .pytest_cache .hypothesis build dist src/repro.egg-info

@@ -8,7 +8,7 @@ bucket concentrates every probe on one rendezvous root:
 
 * **rebalance off** — every read routes to the hot root; its per-window
   message load is the per-node maximum of the whole federation;
-* **rebalance on** — ``RBayConfig(rebalance=True)``: the load-triggered
+* **rebalance on** — ``RBayConfig(rebalance=RebalanceConfig(...))``: the load-triggered
   balancer (docs/architecture.md §15) notices the hot windows, promotes
   the two leaf-set neighbors nearest the topic key to root replicas,
   re-partitions the root's children across them, and diverted readers
@@ -35,6 +35,7 @@ from benchmarks.conftest import print_banner
 from repro.core.naming import site_tree
 from repro.core.plane import RBay, RBayConfig
 from repro.metrics.stats import format_table, mean, percentile
+from repro.scribe.rebalance import RebalanceConfig
 from repro.scribe.topic import topic_id
 from repro.workloads.skewed import SkewedSpec, assign_skewed_values
 
@@ -84,11 +85,12 @@ def run_arm(rebalance: bool):
         seed=SEED, synthetic_sites=1, nodes_per_site=NODES,
         jitter=False, processing_delay_ms=2.0, probe_cache_ms=0.0,
         maintenance_interval_ms=WINDOW_MS, sanitize=True,
-        rebalance=rebalance,
-        rebalance_window_ms=WINDOW_MS,
-        rebalance_hot_threshold=12, rebalance_hot_windows=2,
-        rebalance_cool_threshold=2, rebalance_cool_windows=8,
-        rebalance_max_replicas=2, rebalance_min_children=2,
+        rebalance=RebalanceConfig(
+            window_ms=WINDOW_MS,
+            hot_threshold=12, hot_windows=2,
+            cool_threshold=2, cool_windows=8,
+            max_replicas=2, min_children=2,
+        ) if rebalance else None,
     )).build()
     plane.sim.run()
     assign_skewed_values(plane, random.Random(SEED * 31 + 7), SPEC)

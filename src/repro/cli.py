@@ -47,6 +47,11 @@ def _load_fault_schedule(args):
 def _build_plane(args) -> tuple:
     tracing = bool(getattr(args, "trace_out", None)) or bool(
         getattr(args, "force_tracing", False))
+    rebalance = None
+    if getattr(args, "rebalance", False):
+        from repro.scribe.rebalance import RebalanceConfig
+
+        rebalance = RebalanceConfig()
     config = RBayConfig(
         seed=args.seed,
         nodes_per_site=args.nodes,
@@ -58,11 +63,10 @@ def _build_plane(args) -> tuple:
         site_retries=getattr(args, "site_retries", 2),
         fault_schedule=_load_fault_schedule(args),
         tracing=tracing,
-        batching=not getattr(args, "no_batching", False),
         sanitize=getattr(args, "sanitize", False),
         sanitize_sweep_events=getattr(args, "sanitize_sweep", 5_000),
         sanitize_fail_fast=getattr(args, "sanitize_fail_fast", False),
-        rebalance=getattr(args, "rebalance", False),
+        rebalance=rebalance,
         transport=getattr(args, "transport", "sim"),
         wire_check=getattr(args, "wire_check", False),
         time_scale=getattr(args, "time_scale", 1.0),
@@ -132,10 +136,6 @@ def _common_parser() -> argparse.ArgumentParser:
                              "queries flood the whole bucket family)")
     common.add_argument("--no-aggregate-cache", action="store_true",
                         help="disable subtree-accumulator memoization")
-    common.add_argument("--no-batching", action="store_true",
-                        help="run the unbatched engine ablation (no event "
-                             "batching, delivery coalescing, or roll-up "
-                             "debounce)")
     common.add_argument("--fault-schedule", default=None, metavar="PATH",
                         help="JSON fault schedule (see repro.faults) installed "
                              "at build time")
@@ -309,7 +309,6 @@ def cmd_scale(args) -> int:
         seed=args.seed,
         duration_ms=args.duration,
         queries=args.queries,
-        batching=not args.no_batching,
         sanitize=args.sanitize,
         sanitize_sweep_events=args.sanitize_sweep,
         sanitize_fail_fast=args.sanitize_fail_fast,
@@ -317,7 +316,6 @@ def cmd_scale(args) -> int:
     metrics = run_scale(spec)
     print(f"scale: {metrics['total_nodes']} nodes "
           f"({spec.sites} sites x {spec.nodes_per_site}), "
-          f"{'batched' if spec.batching else 'unbatched'} engine, "
           f"seed {spec.seed}")
     lat = metrics["query_latency_ms"]
     print(format_table(
@@ -433,14 +431,11 @@ def cmd_profile(args) -> int:
         overrides["seed"] = args.seed
     if args.duration is not None:
         overrides["duration_ms"] = args.duration
-    if args.no_batching:
-        overrides["batching"] = False
     if overrides:
         spec = replace(spec, **overrides)
     metrics = profile_scale(spec)
     print(f"profile: {metrics['total_nodes']} nodes "
           f"({spec.sites} sites x {spec.nodes_per_site}), "
-          f"{'batched' if spec.batching else 'unbatched'} engine, "
           f"seed {spec.seed}")
     print(format_profile(metrics, top=args.top))
     if args.json_out:
@@ -636,7 +631,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scale", parents=[common],
                        help="scale benchmark: publish storm + concurrent "
-                            "queries (use --no-batching for the ablation)")
+                            "queries")
     p.add_argument("--duration", type=float, default=5_000.0,
                    help="measured window of simulated time (ms)")
     p.add_argument("--queries", type=int, default=96,

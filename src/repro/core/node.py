@@ -31,9 +31,11 @@ GATE_ATTRIBUTE = "access"
 class SubscriptionSpec:
     """How a node decides membership of one tree.
 
-    Membership is re-evaluated on every maintenance tick: the attribute's
-    ``onSubscribe`` / ``onUnsubscribe`` handlers decide if present, else the
-    ``default_predicate`` on the current value, else static membership.
+    Membership is re-evaluated on every maintenance tick: the spec's own
+    ``default_predicate`` on the current value decides if given (a bucket
+    tree's interval is the rule for that tree, whatever policy the
+    attribute carries for its threshold trees), else the attribute's
+    ``onSubscribe`` / ``onUnsubscribe`` handlers, else static membership.
 
     ``eager`` subscriptions are additionally re-evaluated the moment their
     attribute's value changes (bucketed range indices need re-bucketing to
@@ -146,19 +148,19 @@ class RBayNode(PastryNode):
 
     def _evaluate_subscription(self, spec: SubscriptionSpec) -> None:
         member = self.scribe.is_member(spec.topic)
-        attribute = self.aa.get(spec.attribute) if spec.attribute else None
-        if attribute is not None and (
-            attribute.has_handler("onSubscribe") or attribute.has_handler("onUnsubscribe")
-        ):
-            if not member and self.aa.should_subscribe(spec.attribute, self.address, spec.topic):
-                self.scribe.join(self, spec.topic, scope=spec.scope)
-            elif member and self.aa.should_unsubscribe(spec.attribute, self.address, spec.topic):
-                self.scribe.leave(self, spec.topic)
-            return
         if spec.default_predicate is not None:
             value = self.attribute_value(spec.attribute) if spec.attribute else None
             want = bool(spec.default_predicate(value))
         else:
+            attribute = self.aa.get(spec.attribute) if spec.attribute else None
+            if attribute is not None and (
+                attribute.has_handler("onSubscribe") or attribute.has_handler("onUnsubscribe")
+            ):
+                if not member and self.aa.should_subscribe(spec.attribute, self.address, spec.topic):
+                    self.scribe.join(self, spec.topic, scope=spec.scope)
+                elif member and self.aa.should_unsubscribe(spec.attribute, self.address, spec.topic):
+                    self.scribe.leave(self, spec.topic)
+                return
             want = True
         if want and not member:
             self.scribe.join(self, spec.topic, scope=spec.scope)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional
 
 from repro.core.admin import SiteAdmin
 from repro.core.client import Customer
@@ -20,15 +20,14 @@ from repro.core.naming import AttributeHierarchy
 from repro.ext.churn import ChurnTracker
 from repro.faults.injector import FaultInjector
 from repro.core.node import RBayNode
-from repro.metrics.counters import CounterRegistry
 from repro.net.latency import (
     LatencyModel,
     SyntheticLatencyModel,
     TableIILatencyModel,
     make_ec2_registry,
 )
+from repro.net.network import Network
 from repro.net.site import Site, SiteRegistry
-from repro.transport.sim import SimTransport
 from repro.obs import Observability
 from repro.pastry.leafset import DEFAULT_LEAF_SET_SIZE
 from repro.pastry.nodeid import NodeId
@@ -43,6 +42,9 @@ from repro.sim import EngineProtocol
 from repro.sim.engine import Simulator
 from repro.sim.futures import Future
 from repro.sim.random_streams import RandomStreams
+
+if TYPE_CHECKING:  # annotation only: not imported unless a caller enables it
+    from repro.scribe.rebalance import RebalanceConfig
 
 
 @dataclass
@@ -105,14 +107,9 @@ class RBayConfig:
     #: Span-store bound when tracing is on (oldest runs keep everything;
     #: past the bound new spans are counted in ``recorder.dropped``).
     trace_max_spans: int = 200_000
-    #: Master switch for the high-throughput core: batched event-loop
-    #: drain + Event free-list, same-destination delivery coalescing, and
-    #: debounced ``agg_push`` roll-ups.  False is the unbatched ablation
-    #: baseline the scale benchmark compares against.
-    batching: bool = True
-    #: Debounce window (ms) for aggregation roll-ups when batching is on:
-    #: a burst of leaf updates produces one batched parent update per
-    #: interval per node instead of one message per change.
+    #: Debounce window (ms) for aggregation roll-ups: a burst of leaf
+    #: updates produces one batched parent update per interval per node
+    #: instead of one message per change.
     agg_flush_ms: float = 50.0
     #: Bound on concurrently admitted queries through the facade; further
     #: submissions wait FIFO in the admission queue.
@@ -132,30 +129,14 @@ class RBayConfig:
     #: invariants only report findings that persist this long past the
     #: last fault activity.
     sanitize_grace_ms: float = 2_500.0
-    #: Load-triggered hot-tree balancing (docs/architecture.md §15): roots
+    #: Load-triggered hot-tree balancing (docs/architecture.md §15): a
+    #: :class:`repro.scribe.rebalance.RebalanceConfig` turns it on — roots
     #: whose per-window message load stays hot spawn replicas and
     #: re-partition their children across them; replicas serve diverted
     #: reads from a root-coherent snapshot and are demoted when load
-    #: subsides.  Off by default — with it off the replication protocol is
-    #: inert and the wire behaviour is byte-identical.
-    rebalance: bool = False
-    #: Messages per window at (or above) which a root's window counts as
-    #: hot toward promotion.
-    rebalance_hot_threshold: int = 200
-    #: Messages per window at (or below) which a window counts as cool
-    #: toward demotion (the gap between the thresholds is the hysteresis
-    #: dead band).
-    rebalance_cool_threshold: int = 50
-    #: Load-accounting window (ms); windows close on maintenance ticks.
-    rebalance_window_ms: float = 1_000.0
-    #: Consecutive hot windows required before a root is replicated.
-    rebalance_hot_windows: int = 2
-    #: Consecutive cool windows required before replicas are demoted.
-    rebalance_cool_windows: int = 3
-    #: Root replicas spawned per promotion.
-    rebalance_max_replicas: int = 2
-    #: Minimum root children for replication to be worthwhile.
-    rebalance_min_children: int = 2
+    #: subsides.  ``None`` (the default) leaves the replication protocol
+    #: inert and the wire behaviour byte-identical.
+    rebalance: Optional[RebalanceConfig] = None
     #: Message transport backing the plane: ``"sim"`` (the DES network —
     #: deterministic, the validation oracle) or ``"asyncio"`` (every node
     #: a real TCP endpoint on a wall-clock scheduler; see
@@ -181,37 +162,6 @@ class RBayConfig:
     #: the federation's sites across OS processes (``rbay serve``).
     #: ``None`` serves every host in-process.
     transport_peers: Optional[Any] = None
-    #: Elastic federation marketplace (docs/architecture.md §18) — read
-    #: by :mod:`repro.workloads.market`, which builds one DEPAS
-    #: autoscaler and one spot pricer per site from these knobs.  DEPAS
-    #: auto-scaling of per-site instance pools; False is the
-    #: autoscaling-off ablation arm (utilization is still published, but
-    #: capacity never moves).
-    market_autoscale: bool = True
-    #: Floor of posted instances per site (scale-in never goes below).
-    market_min_instances: int = 1
-    #: Cap of posted instances per site; 0 = every node in the pool.
-    market_max_instances: int = 0
-    #: Utilization at/above which a site's scaler considers scale-out.
-    market_scale_high: float = 0.75
-    #: Utilization at/below which idle postings become retire candidates.
-    market_scale_low: float = 0.25
-    #: Probability gain of the DEPAS rule (actuation chance scales with
-    #: how far utilization sits past a threshold, times this gain).
-    market_scale_gain: float = 1.0
-    #: Autoscaler evaluation period per site (ms).
-    market_scale_interval_ms: float = 500.0
-    #: Utilization-driven spot repricing via admin multicasts; False
-    #: freezes every site at its initial asking price.
-    market_reprice: bool = True
-    #: Repricing evaluation period per site (ms).
-    market_reprice_interval_ms: float = 1_000.0
-    #: Price clamp for the spot pricer (floor must stay > 0).
-    market_price_floor: float = 1.0
-    #: Upper price clamp for the spot pricer.
-    market_price_ceiling: float = 64.0
-    #: Multiplicative step per repricing decision (0.25 = ±25%).
-    market_price_gain: float = 0.25
 
 
 class RBay:
@@ -230,14 +180,13 @@ class RBay:
         #: DES Simulator and the wall-clock RealtimeScheduler interchange.
         self.sim: EngineProtocol
         if cfg.transport == "sim":
-            self.sim = Simulator(batched=cfg.batching)
-            self.network = SimTransport(
+            self.sim = Simulator()
+            self.network = Network(
                 self.sim,
                 self.latency,
                 loss_rate=cfg.loss_rate,
                 loss_rng=loss_rng,
                 processing_ms=cfg.processing_delay_ms,
-                coalesce_delivery=cfg.batching,
                 wire_check=cfg.wire_check,
             )
         elif cfg.transport == "asyncio":
@@ -260,14 +209,13 @@ class RBay:
             raise ValueError(f"unknown transport {cfg.transport!r} "
                              f"(expected 'sim' or 'asyncio')")
         self.hierarchy = AttributeHierarchy()
-        #: Federation-wide cache/protocol counters (hit/miss/invalidation).
-        self.counters = CounterRegistry()
-        #: The causal observability plane: span recorder + labeled metrics
-        #: (mirroring into ``self.counters``).  Null recorder when
-        #: ``cfg.tracing`` is off.
-        self.obs = Observability(self.sim, counters=self.counters,
-                                 enabled=cfg.tracing,
+        #: The causal observability plane: span recorder (null when
+        #: ``cfg.tracing`` is off) + the metrics registry.
+        self.obs = Observability(self.sim, enabled=cfg.tracing,
                                  max_spans=cfg.trace_max_spans)
+        #: Federation-wide cache/protocol counters (hit/miss/invalidation):
+        #: the flat face of ``self.obs.metrics``.
+        self.counters = self.obs.metrics
         if self.obs.enabled:
             self.network.recorder = self.obs.recorder
         self.context = _QueryContext(
@@ -403,27 +351,12 @@ class RBay:
 
     def _wire_node(self, node: RBayNode) -> None:
         recorder = self.obs.recorder if self.obs.enabled else None
-        rebalance_cfg = None
-        if self.config.rebalance:
-            from repro.scribe.rebalance import RebalanceConfig
-
-            rebalance_cfg = RebalanceConfig(
-                hot_threshold=self.config.rebalance_hot_threshold,
-                cool_threshold=self.config.rebalance_cool_threshold,
-                window_ms=self.config.rebalance_window_ms,
-                hot_windows=self.config.rebalance_hot_windows,
-                cool_windows=self.config.rebalance_cool_windows,
-                max_replicas=self.config.rebalance_max_replicas,
-                min_children=self.config.rebalance_min_children,
-            )
         scribe = ScribeApplication(self.sim,
-                                   agg_flush_ms=(self.config.agg_flush_ms
-                                                 if self.config.batching else 0.0),
+                                   agg_flush_ms=self.config.agg_flush_ms,
                                    cache_enabled=self.config.aggregate_cache,
                                    counters=self.counters,
                                    recorder=recorder,
-                                   rebalance=rebalance_cfg,
-                                   metrics=self.obs.metrics)
+                                   rebalance=self.config.rebalance)
         query_app = QueryApplication(self.context, counters=self.counters,
                                      obs=self.obs)
         if recorder is not None:

@@ -18,9 +18,9 @@ import random
 from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Set
 
 from repro.faults.schedule import FaultEvent, FaultSchedule, MessageRule
-from repro.metrics.counters import CounterRegistry
 from repro.net.message import Message
 from repro.net.network import FaultDecision, Host, Network
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import NULL_RECORDER
 from repro.sim.engine import Simulator
 
@@ -68,7 +68,7 @@ class FaultInjector:
         network: Network,
         nodes: Sequence[Any],
         rng: Optional[random.Random] = None,
-        counters: Optional[CounterRegistry] = None,
+        counters: Optional[MetricsRegistry] = None,
         churn: Optional[Any] = None,
         recorder=None,
     ):

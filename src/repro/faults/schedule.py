@@ -38,7 +38,7 @@ class MessageRule:
 
     ``None`` site fields match any site; an empty ``kind_prefix`` matches
     every message.  Kinds are the injector's protocol-kind strings, e.g.
-    ``"direct/scribe/agg_push"`` or ``"route/query"`` — prefix-matched so
+    ``"direct/scribe/agg_push_batch"`` or ``"route/query"`` — prefix-matched so
     ``"direct/query"`` covers every direct query-protocol message.
     """
 

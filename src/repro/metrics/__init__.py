@@ -1,6 +1,5 @@
-"""Measurement utilities: latency recorders, counters, CDFs, memory."""
+"""Measurement utilities: latency recorders, CDFs, memory."""
 
-from repro.metrics.counters import CounterRegistry
 from repro.metrics.memory import deep_sizeof
 from repro.metrics.stats import (
     LatencyRecorder,
@@ -13,7 +12,6 @@ from repro.metrics.stats import (
 )
 
 __all__ = [
-    "CounterRegistry",
     "LatencyRecorder",
     "cdf_points",
     "coefficient_of_variation",

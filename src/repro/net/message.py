@@ -10,9 +10,9 @@ constructs one per send on the hot path, and slotted construction is about
 twice as cheap as a dataclass with ``field(default_factory=...)`` defaults.
 The size estimator is likewise hot (one call per network send) and was the
 single most expensive function in the pre-rewrite profile; it dispatches on
-exact ``type()`` with a memo of string byte lengths, falling back to the
-original ``isinstance`` chain only for subclassed or exotic values so the
-reported byte counts are bit-identical to the old implementation.
+exact ``type()`` with a memo of string byte lengths.  Payloads are plain
+builtins (the wire codec rejects everything else), so any other value is
+an opaque 16 bytes.
 """
 
 from __future__ import annotations
@@ -29,30 +29,12 @@ _str_sizes: Dict[str, int] = {}
 _STR_MEMO_LIMIT = 65_536
 
 
-def _estimate_size_slow(value: Any) -> int:
-    """The original isinstance-chain estimator; exact fallback for values
-    whose concrete type is not one of the fast-path builtins (subclasses,
-    user objects).  Must stay value-identical to :func:`_estimate_size`."""
-    if value is None or isinstance(value, bool):
-        return 1
-    if isinstance(value, (int, float)):
-        return 8
-    if isinstance(value, str):
-        return len(value.encode("utf-8"))
-    if isinstance(value, bytes):
-        return len(value)
-    if isinstance(value, dict):
-        return sum(_estimate_size(k) + _estimate_size(v) for k, v in value.items())
-    if isinstance(value, (list, tuple, set, frozenset)):
-        return sum(_estimate_size(v) for v in value)
-    return 16
-
-
 def _estimate_size(value: Any) -> int:
     """Rough serialized size in bytes (protocol framing ignored).
 
     Deliberately simple and deterministic: strings count their UTF-8 bytes,
-    numbers a fixed 8, containers recurse.  Good enough for comparing
+    numbers a fixed 8, containers recurse, anything that is not exactly a
+    builtin payload type is an opaque 16.  Good enough for comparing
     bandwidth *ratios* between designs, which is all the ablations need.
     """
     t = type(value)
@@ -86,7 +68,7 @@ def _estimate_size(value: Any) -> int:
         for v in value:
             total += _estimate_size(v)
         return total
-    return _estimate_size_slow(value)
+    return 16
 
 
 class Message:

@@ -5,7 +5,8 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from functools import partial
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.net.latency import LatencyModel, UniformLatencyModel
 from repro.net.message import Message
@@ -81,24 +82,32 @@ class Network(Transport):
         loss_rate: float = 0.0,
         loss_rng: Optional[random.Random] = None,
         processing_ms: float = 0.0,
-        coalesce_delivery: bool = False,
+        wire_check: bool = False,
     ):
         if loss_rate and loss_rng is None:
             raise NetworkError("loss_rate requires a loss_rng for determinism")
         self.sim = sim
-        #: When set, messages bound for the same destination at the exact
-        #: same delivery time share one scheduled event: a burst of N
-        #: same-time sends to a host costs one heap operation instead of N.
+        #: Messages bound for the same destination at the exact same
+        #: delivery time share one scheduled event: a burst of N same-time
+        #: sends to a host costs one heap operation instead of N.
         #: Per-message accounting (counters, hooks, trace contexts) is
         #: unchanged — only the scheduling is shared.
-        self.coalesce_delivery = coalesce_delivery
         self._pending_batches: Dict[Tuple[int, float], List[Tuple[Message, int]]] = {}
-        #: Batched deliveries may bypass the per-message ``_deliver`` call
-        #: only when no subclass customizes delivery (the codec shadow in
-        #: :class:`repro.transport.sim.SimTransport` re-enables it).
-        cls = type(self)
-        self._per_message_deliver = (cls._deliver is not Network._deliver
-                                     or cls._dispatch is not Network._dispatch)
+        #: Codec shadow mode: every delivered message is pushed through the
+        #: wire codec (encode → decode → re-encode, asserting byte identity)
+        #: and the *decoded copy* is handed to the receiver, exactly as a
+        #: real socket would.  A deterministic run then doubles as a
+        #: wire-safety lint: a payload carrying unserializable state raises
+        #: :class:`~repro.transport.codec.CodecError` at the precise
+        #: delivery, and a protocol that relied on sender and receiver
+        #: sharing one Python object diverges from the sim-as-oracle run.
+        self.wire_check = wire_check
+        #: Protocol kinds observed crossing the (shadow) wire, labeled as
+        #: ``route/<app>/<op>`` / ``direct/<app>/<kind>`` — the universe
+        #: the wire-safety suite checks for coverage.
+        self.wire_kinds_seen: Set[str] = set()
+        #: Messages round-tripped through the codec so far.
+        self.wire_checked = 0
         self.latency = latency if latency is not None else UniformLatencyModel()
         self.loss_rate = loss_rate
         self._loss_rng = loss_rng
@@ -257,43 +266,36 @@ class Network(Transport):
                 delay = (self._latency.one_way_delay_ms(src.site, dst_host.site)
                          + self.processing_ms + extra_delay)
             self.messages_in_flight += 1
-            if self.coalesce_delivery:
-                # Exact float equality on the delivery instant is intended:
-                # post() stamps the event with sim.now + delay, so two sends
-                # coalesce iff they would have fired at the identical time.
-                key = (dst_address, self.sim.now + delay)
-                batch = self._pending_batches.get(key)
-                if batch is None:
-                    self._pending_batches[key] = [(msg, size)]
-                    self.sim.post(delay, self._deliver_batch, key)
-                else:
-                    batch.append((msg, size))
+            # Exact float equality on the delivery instant is intended:
+            # post() stamps the event with sim.now + delay, so two sends
+            # coalesce iff they would have fired at the identical time.
+            key = (dst_address, self.sim.now + delay)
+            batch = self._pending_batches.get(key)
+            if batch is None:
+                self._pending_batches[key] = [(msg, size)]
+                self.sim.post(delay, self._deliver_batch, key)
             else:
-                self.sim.post(delay, self._deliver, dst_address, msg, size)
+                batch.append((msg, size))
 
     def _deliver_batch(self, key: Tuple[int, float]) -> None:
         """Deliver every message coalesced under ``key``, in send order.
 
-        Each message still gets its own full delivery bookkeeping — the
-        batch only shares the heap event.  When no subclass customizes
-        ``_deliver``/``_dispatch``, the per-message bookkeeping is inlined
-        here: counter updates stay exact per message (a handler may crash
-        the destination mid-batch, and the sanitizer's conservation
-        invariant must hold at every instant), but the call overhead of
-        ``_deliver`` → ``_dispatch`` is paid once per batch instead of
-        once per message.
+        The batch only shares the heap event: counter updates stay exact
+        per message (a handler may crash the destination mid-batch, and
+        the sanitizer's conservation invariant must hold at every instant).
         """
         dst_address = key[0]
-        batch = self._pending_batches.pop(key)
-        if self._per_message_deliver:
-            for msg, size in batch:
-                self._deliver(dst_address, msg, size)
-            return
         hosts = self._hosts
-        for msg, size in batch:
+        wire_check = self.wire_check
+        for msg, size in self._pending_batches.pop(key):
+            if wire_check:
+                msg = self._wire_copy(msg)
             self.messages_in_flight -= 1
             host = hosts.get(dst_address)
             if host is None or not host.alive:
+                # In-flight to a host that crashed mid-transit: dropped
+                # exactly once here, mirroring the send-time
+                # unknown-destination path.
                 self.messages_dropped += 1
                 continue
             self.messages_delivered += 1
@@ -301,6 +303,11 @@ class Network(Transport):
             self.per_host_bytes_in[dst_address] += size
             if msg.trace is not None:
                 msg.trace.append(dst_address)
+            # Restore the sender's causal context for the duration of the
+            # handler, so spans it opens parent under the causing span.
+            # The shared helper keeps the push/pop balanced identically
+            # for sim and wire deliveries; the tracing-off hot path is
+            # ``_dispatch`` inlined, saving a call frame per message.
             recorder = self.recorder
             if recorder is None or not recorder.enabled or msg.trace_ctx is None:
                 hook = self._delivery_hook
@@ -308,36 +315,27 @@ class Network(Transport):
                     hook(msg)
                 host.on_message(msg)
             else:
-                deliver_traced(recorder, msg,
-                               lambda h=host, m=msg: self._dispatch(h, m))
-
-    def _deliver(self, dst_address: int, msg: Message, size: int) -> None:
-        self.messages_in_flight -= 1
-        host = self._hosts.get(dst_address)
-        if host is None or not host.alive:
-            # In-flight to a host that crashed mid-transit: dropped exactly
-            # once here, mirroring the send-time unknown-destination path.
-            self.messages_dropped += 1
-            return
-        self.messages_delivered += 1
-        self.per_host_received[dst_address] += 1
-        self.per_host_bytes_in[dst_address] += size
-        if msg.trace is not None:
-            msg.trace.append(dst_address)
-        # Restore the sender's causal context for the duration of the
-        # handler, so spans it opens parent under the causing span.  The
-        # shared helper keeps the push/pop balanced identically for sim
-        # and wire deliveries; the tracing-off hot path skips the closure.
-        recorder = self.recorder
-        if recorder is None or not recorder.enabled or msg.trace_ctx is None:
-            self._dispatch(host, msg)
-        else:
-            deliver_traced(recorder, msg, lambda: self._dispatch(host, msg))
+                deliver_traced(recorder, msg, partial(self._dispatch, host, msg))
 
     def _dispatch(self, host: Host, msg: Message) -> None:
         if self._delivery_hook is not None:
             self._delivery_hook(msg)
         host.on_message(msg)
+
+    def _wire_copy(self, msg: Message) -> Message:
+        """``wire_check``: round-trip ``msg`` through the codec and return
+        the decoded copy — receivers see what a socket would give them."""
+        from repro.faults.injector import protocol_kind
+        from repro.transport.codec import roundtrip_check
+
+        decoded, _body = roundtrip_check(msg)
+        self.wire_kinds_seen.add(protocol_kind(msg))
+        self.wire_checked += 1
+        # The trace list is shared mutable state *by design* in the sim
+        # (the sender observes appended hops); keep that contract while
+        # still type-checking it through the codec.
+        decoded.trace = msg.trace
+        return decoded
 
     def set_delivery_hook(self, hook: Optional[Callable[[Message], None]]) -> None:
         """Install an observer invoked on every delivery (tests/metrics)."""

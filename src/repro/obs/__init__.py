@@ -6,9 +6,9 @@ of the subsystem:
 * ``obs.recorder`` — a :class:`~repro.obs.spans.SpanRecorder` (or the
   shared :data:`~repro.obs.spans.NULL_RECORDER` when tracing is off)
   collecting cross-node span trees on the simulation clock;
-* ``obs.metrics`` — a :class:`~repro.obs.metrics.MetricsRegistry` of
-  labeled counters/gauges/histograms mirroring into the plane's flat
-  :class:`~repro.metrics.counters.CounterRegistry`;
+* ``obs.metrics`` — the plane's :class:`~repro.obs.metrics.MetricsRegistry`:
+  flat counters plus labeled counters/gauges/histograms (``plane.counters``
+  is the same object);
 * analysis/export helpers re-exported from
   :mod:`~repro.obs.critical_path` and :mod:`~repro.obs.export`.
 
@@ -19,9 +19,8 @@ every emit site reduces to one ``if recorder.enabled:`` branch.
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any
 
-from repro.metrics.counters import CounterRegistry
 from repro.obs.critical_path import (
     PathSegment,
     critical_path,
@@ -77,13 +76,12 @@ class Observability:
 
     #: Histogram fed by :meth:`end_step` for every finished protocol step.
     STEP_HISTOGRAM = "query.step.duration_ms"
-    #: Labeled counter (mirrored flat as ``query.step.<step>``).
+    #: Labeled counter (also counted flat as ``query.step.<step>``).
     STEP_COUNTER = "query.step"
 
     def __init__(
         self,
         sim=None,
-        counters: Optional[CounterRegistry] = None,
         enabled: bool = False,
         max_spans: int = 200_000,
     ):
@@ -92,7 +90,7 @@ class Observability:
             self.recorder = SpanRecorder(sim, max_spans=max_spans)
         else:
             self.recorder = NULL_RECORDER
-        self.metrics = MetricsRegistry(counters)
+        self.metrics = MetricsRegistry()
 
     # ------------------------------------------------------------------
     def end_step(self, span: Span, status: str = "ok", **labels: Any) -> Span:
@@ -101,7 +99,7 @@ class Observability:
         Centralizes the pattern every instrumented step uses: end the
         span, observe its duration into the ``query.step.duration_ms``
         histogram keyed by ``{step, site}``, and bump the labeled step
-        counter (which mirrors flat as ``query.step.<step>``).
+        counter (also counted flat as ``query.step.<step>``).
         """
         self.recorder.end(span, status=status, **labels)
         step = str(span.labels.get("step", span.name))

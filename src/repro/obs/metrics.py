@@ -1,19 +1,30 @@
-"""Labeled metrics layered over the flat :class:`CounterRegistry`.
+"""The plane-wide metrics registry: flat counters plus labeled instruments.
 
-Three instrument kinds, all addressed by ``(name, labels)`` where labels
-is a small dict like ``{"site": "Virginia", "step": "probe"}``:
+:class:`MetricsRegistry` is one object shared by every node of a plane
+(``plane.counters`` and ``plane.obs.metrics`` are the same registry), so
+experiments read federation-wide totals from a single place.
 
-* :class:`LabeledCounter` — monotonic; every increment also mirrors into
-  the plane-wide flat :class:`~repro.metrics.counters.CounterRegistry`
-  under ``<name>.<primary-label-value>`` (e.g. ``query.step.probe``), so
-  existing counter consumers (``--show-counters``, benchmark tables) see
-  the new families for free.
+Flat counters are plain monotonically-increasing integers addressed by
+dotted names; unknown names read as zero, so callers never pre-register.
+Established families include ``scribe.*`` (tree caches),
+``query.probe_cache.*``, ``query.retry.*`` (probe / anycast / site
+protocol-step retries), ``query.degraded`` and ``query.orphan_release``
+(failure-path settlements), ``faults.*`` (injected crashes, partitions,
+and message-rule hits), and — when span tracing is on — ``query.step.*``,
+one counter per finished protocol-step span.
+
+Three labeled instrument kinds sit beside them, all addressed by
+``(name, labels)`` where labels is a small dict like
+``{"site": "Virginia", "step": "probe"}``:
+
+* :class:`LabeledCounter` — monotonic; every increment also lands in the
+  flat counter ``<name>.<primary-label-value>`` (e.g.
+  ``query.step.probe``), so flat consumers (``--show-counters``,
+  benchmark tables) see the labeled families too.
 * :class:`LabeledGauge` — a settable last-value instrument.
 * :class:`LabeledHistogram` — latency samples with
   count/mean/min/p50/p90/p99/max summaries (via ``repro.metrics.stats``).
 
-The layering is additive: the flat registry stays the source of truth for
-all pre-existing families, and this module never rewrites or renames them.
 Label sets are normalized to sorted tuples so lookup order never depends
 on call-site kwargs order — a determinism requirement for exports.
 """
@@ -22,7 +33,6 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.metrics.counters import CounterRegistry
 from repro.metrics.stats import format_table, mean, percentile
 
 LabelKey = Tuple[Tuple[str, str], ...]
@@ -45,7 +55,8 @@ class LabeledCounter:
         key = _label_key(labels)
         value = self._values.get(key, 0) + amount
         self._values[key] = value
-        self._registry._mirror(self.name, amount, labels)
+        self._registry.increment(self._registry.flat_name(self.name, labels),
+                                 amount)
         return value
 
     def get(self, **labels: Any) -> int:
@@ -116,22 +127,57 @@ class LabeledHistogram:
 
 
 class MetricsRegistry:
-    """One plane-wide home for labeled instruments.
+    """One plane-wide home for flat counters and labeled instruments.
 
-    Wraps (and mirrors counters into) the flat ``CounterRegistry`` passed
-    by the plane; creating instruments is idempotent by name.
+    Creating labeled instruments is idempotent by name; flat counters
+    spring into existence on their first ``increment``.
     """
 
-    #: Labels mirrored into the flat registry, in preference order — the
-    #: first one present names the flat counter (``query.step.probe``).
-    MIRROR_LABELS: Sequence[str] = ("step", "kind", "action")
+    #: Labels that name a labeled increment's flat counter, in preference
+    #: order — the first one present wins (``query.step.probe``).
+    FLAT_LABELS: Sequence[str] = ("step", "kind", "action")
 
-    def __init__(self, counters: Optional[CounterRegistry] = None):
-        self.counters = counters if counters is not None else CounterRegistry()
+    def __init__(self) -> None:
+        self._flat: Dict[str, int] = {}
         self._counters: Dict[str, LabeledCounter] = {}
         self._gauges: Dict[str, LabeledGauge] = {}
         self._histograms: Dict[str, LabeledHistogram] = {}
 
+    # ------------------------------------------------------------------
+    # Flat counters
+    # ------------------------------------------------------------------
+    def increment(self, name: str, amount: int = 1) -> int:
+        """Add ``amount`` to flat counter ``name`` and return the new value."""
+        value = self._flat.get(name, 0) + amount
+        self._flat[name] = value
+        return value
+
+    def get(self, name: str) -> int:
+        """Current value of ``name`` (0 when never incremented)."""
+        return self._flat.get(name, 0)
+
+    def names(self, prefix: Optional[str] = None) -> List[str]:
+        """Sorted flat-counter names, optionally filtered by dotted prefix."""
+        return sorted(n for n in self._flat if prefix is None or n.startswith(prefix))
+
+    def snapshot(self, prefix: Optional[str] = None) -> Dict[str, int]:
+        """A point-in-time copy of the flat counters (mutations don't leak back)."""
+        return {n: self._flat[n] for n in self.names(prefix)}
+
+    def format(self, prefix: Optional[str] = None) -> str:
+        """An aligned two-column table of (counter, value), for CLI output."""
+        rows = [[name, self._flat[name]] for name in self.names(prefix)]
+        return format_table(["counter", "value"], rows)
+
+    def flat_name(self, name: str, labels: Dict[str, Any]) -> str:
+        """The flat counter a labeled increment of ``name`` also lands in."""
+        for label in self.FLAT_LABELS:
+            if label in labels:
+                return f"{name}.{labels[label]}"
+        return name
+
+    # ------------------------------------------------------------------
+    # Labeled instruments
     # ------------------------------------------------------------------
     def counter(self, name: str) -> LabeledCounter:
         inst = self._counters.get(name)
@@ -151,17 +197,8 @@ class MetricsRegistry:
             inst = self._histograms[name] = LabeledHistogram(name)
         return inst
 
-    def _mirror(self, name: str, amount: int, labels: Dict[str, Any]) -> None:
-        """Mirror a labeled increment into the flat registry."""
-        for label in self.MIRROR_LABELS:
-            if label in labels:
-                self.counters.increment(f"{name}.{labels[label]}", amount)
-                return
-        self.counters.increment(name, amount)
-
-    # ------------------------------------------------------------------
-    def snapshot(self) -> Dict[str, Any]:
-        """A deterministic plain-data dump of every instrument."""
+    def labeled_snapshot(self) -> Dict[str, Any]:
+        """A deterministic plain-data dump of every labeled instrument."""
         return {
             "counters": {
                 name: [[list(map(list, key)), value] for key, value in inst.series()]

@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Callable, Deque, Dict, Optional, Tuple
 
-from repro.metrics.counters import CounterRegistry
+from repro.obs.metrics import MetricsRegistry
 from repro.sim.engine import Simulator
 from repro.sim.futures import Future
 
@@ -24,7 +24,7 @@ class AdmissionController:
     """FIFO admission valve keeping at most ``window`` queries in flight."""
 
     def __init__(self, sim: Simulator, window: int = 64,
-                 counters: Optional[CounterRegistry] = None):
+                 counters: Optional[MetricsRegistry] = None):
         if window < 1:
             raise ValueError(f"admission window must be >= 1 (got {window})")
         self.sim = sim

@@ -25,8 +25,8 @@ from repro.net.message import Message
 if TYPE_CHECKING:  # avoid the core <-> query.executor import cycle
     from repro.core.naming import AttributeHierarchy
     from repro.core.node import RBayNode
-from repro.metrics.counters import CounterRegistry
 from repro.obs import Observability
+from repro.obs.metrics import MetricsRegistry
 from repro.pastry.node import Application
 from repro.query.backoff import TruncatedExponentialBackoff
 from repro.query.errors import QueryTimeout
@@ -198,7 +198,7 @@ class QueryApplication(Application):
     name = "query"
 
     def __init__(self, context: _QueryContext,
-                 counters: Optional[CounterRegistry] = None,
+                 counters: Optional[MetricsRegistry] = None,
                  obs: Optional[Observability] = None):
         self.context = context
         self._pending: Dict[int, Future] = {}
@@ -1031,13 +1031,17 @@ class QueryApplication(Application):
                 # the same query may have succeeded through a retried
                 # attempt and committed some of these nodes, and a blanket
                 # release would revoke the customer's active lease.
+                # GROUP BY rows ({"group", "count"}) name no node and hold
+                # no reservation: only rows carrying an address are released.
                 query_id = data.get("query_id")
-                if query_id is not None:
-                    for entry in data["entries"]:
-                        node.send_app(entry["address"], self.name, "release",
+                reserved = [entry["address"] for entry in data["entries"]
+                            if "address" in entry]
+                if query_id is not None and reserved:
+                    for address in reserved:
+                        node.send_app(address, self.name, "release",
                                       {"query_id": query_id,
                                        "uncommitted_only": True})
-                    if self.counters is not None and data["entries"]:
+                    if self.counters is not None:
                         self.counters.increment("query.orphan_release")
         elif kind == "commit":
             node.reservation.commit(data["query_id"], data["lease_ms"])

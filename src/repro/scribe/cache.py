@@ -21,7 +21,7 @@ memoization primitives that amortize that cost:
   zero (or omit it), which bypasses the cache entirely.
 
 Both caches optionally report hit/miss/invalidation counts into a
-:class:`repro.metrics.counters.CounterRegistry` under a dotted prefix.
+:class:`repro.obs.metrics.MetricsRegistry` under a dotted prefix.
 
 Hot-path note: these caches sit directly on the publish path — every
 ``set_local`` invalidates, every flush recomputes — so storage is nested
@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, Hashable, Optional, Tuple
 
-from repro.metrics.counters import CounterRegistry
+from repro.obs.metrics import MetricsRegistry
 
 #: Sentinel distinguishing "no cached entry" from a cached None.
 _MISS = object()
@@ -50,7 +50,7 @@ class SubtreeAggregateCache:
     returning the stored object is safe.
     """
 
-    def __init__(self, counters: Optional[CounterRegistry] = None,
+    def __init__(self, counters: Optional[MetricsRegistry] = None,
                  prefix: str = "scribe.acc_cache"):
         # topic -> {agg_name -> accumulator}
         self._entries: Dict[str, Dict[str, Any]] = {}
@@ -146,7 +146,7 @@ class TTLCache:
     and those must come from the authoritative path.
     """
 
-    def __init__(self, counters: Optional[CounterRegistry] = None,
+    def __init__(self, counters: Optional[MetricsRegistry] = None,
                  prefix: str = "ttl_cache"):
         self._entries: Dict[Hashable, Tuple[Any, float]] = {}
         # topic -> set of live keys for that topic (invalidation index).

@@ -6,7 +6,7 @@ and ``agg_get`` through a single root node.  This module holds the
 decision side of the balancer:
 
 * :class:`RebalanceConfig` — thresholds, window, and hysteresis knobs
-  (surfaced as the ``RBayConfig.rebalance*`` fields);
+  (handed to the plane as ``RBayConfig.rebalance``);
 * :class:`Rebalancer` — one per :class:`~repro.scribe.scribe.ScribeApplication`,
   counting the messages each topic handles at this node per fixed window
   (mirrored into the ``scribe.topic_load`` labeled metric of the obs
@@ -32,12 +32,13 @@ from typing import Any, Dict, Optional
 
 @dataclass(frozen=True)
 class RebalanceConfig:
-    """Tuning knobs of the hot-tree balancer (one shared config per plane)."""
+    """Tuning knobs of the hot-tree balancer (one shared config per plane).
 
-    #: Master switch; a scribe built without a config (or with
-    #: ``enabled=False``) carries no rebalancer and behaves byte-identically
-    #: to the pre-rebalance protocol.
-    enabled: bool = True
+    Passing one (``RBayConfig(rebalance=RebalanceConfig(...))``) is the
+    switch: a scribe built without a config carries no rebalancer and
+    behaves byte-identically to the pre-rebalance protocol.
+    """
+
     #: Messages handled for a topic within one window at its root at or
     #: above which the window counts as *hot*.
     hot_threshold: int = 200

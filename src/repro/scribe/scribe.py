@@ -13,8 +13,8 @@ import itertools
 from sys import intern as _intern
 from typing import Any, Callable, Dict, List, Optional
 
-from repro.metrics.counters import CounterRegistry
 from repro.net.message import Message
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import NULL_RECORDER
 from repro.pastry.node import Application, PastryNode
 from repro.pastry.nodeid import NodeId
@@ -97,10 +97,9 @@ class ScribeApplication(Application):
         creator: str = "rbay",
         agg_flush_ms: float = 50.0,
         cache_enabled: bool = True,
-        counters: Optional[CounterRegistry] = None,
+        counters: Optional[MetricsRegistry] = None,
         recorder=None,
         rebalance=None,
-        metrics=None,
     ):
         self.sim = sim
         #: Span recorder for the causal observability plane (NULL = off).
@@ -113,9 +112,8 @@ class ScribeApplication(Application):
         self.functions = dict(AGGREGATE_FUNCTIONS if functions is None else functions)
         self._topics: Dict[str, TopicState] = {}
         # Debounce bookkeeping: topics with dirty aggregates awaiting the
-        # node-level flush timer.  One timer and one "agg_push_batch"
-        # message per parent per flush interval replaces the old
-        # per-(topic, aggregate) "agg_push" storm.
+        # node-level flush timer — one timer and one "agg_push_batch"
+        # message per parent per flush interval.
         self._dirty_topics: Dict[str, TopicState] = {}
         self._flush_event = None
         self._pending: Dict[int, Future] = {}
@@ -138,9 +136,9 @@ class ScribeApplication(Application):
         self.tree_change_listeners: List[Callable[[str], None]] = []
         #: Hot-tree balancer (None = rebalancing off; the protocol below is
         #: then fully inert and the wire behaviour is byte-identical).
-        if rebalance is not None and rebalance.enabled:
+        if rebalance is not None:
             from repro.scribe.rebalance import Rebalancer
-            self.rebalancer: Optional[Any] = Rebalancer(sim, rebalance, metrics)
+            self.rebalancer: Optional[Any] = Rebalancer(sim, rebalance, counters)
         else:
             self.rebalancer = None
         #: Replica hints learned from ``agg_value`` replies: topic -> live
@@ -567,12 +565,9 @@ class ScribeApplication(Application):
                 for update in data["updates"]:
                     self.rebalancer.record(update["topic"])
         # Dispatch chain ordered hottest-first: the publish storm makes
-        # roll-up batches (and, on the unbatched arm, single pushes) the
-        # overwhelming majority of direct traffic.
+        # roll-up batches the overwhelming majority of direct traffic.
         if kind == "agg_push_batch":
             self._on_agg_push_batch(node, data, msg.payload["origin"])
-        elif kind == "agg_push":
-            self._on_agg_push(node, data, msg.payload["origin"])
         elif kind == "parent_set":
             self._on_parent_set(node, data["topic"], msg.payload["origin"])
         elif kind == "mcast_down":
@@ -906,11 +901,6 @@ class ScribeApplication(Application):
             state.dirty.update(names)
             if not state.dirty:
                 return
-        if self.agg_flush_ms <= 0:
-            # Undebounced ablation path: every change cascades immediately
-            # as an individual "agg_push" (the pre-batching behaviour).
-            self._flush_topic(node, state)
-            return
         self._dirty_topics[state.topic] = state
         flush_event = self._flush_event
         if flush_event is None or flush_event.cancelled:
@@ -933,20 +923,6 @@ class ScribeApplication(Application):
             changed.append((agg_name, acc))
         return changed
 
-    def _flush_topic(self, node: PastryNode, state: TopicState) -> None:
-        """Push one ``agg_push`` per changed aggregate of one topic."""
-        for agg_name, acc in self._changed_accs(state):
-            if node.network.has_host(state.parent):
-                node.send_app(state.parent, self.name, "agg_push", {
-                    "topic": state.topic, "agg": agg_name, "acc": acc,
-                    "child": self._packed_self(node),
-                })
-        if state.replicas:
-            # Root snapshot coherence: dirty aggregates at a replicated
-            # root re-sync the replicas on the same debounce cadence as
-            # upward pushes (maintain() adds the anti-entropy backstop).
-            self._sync_replicas(node, state)
-
     def _flush_all(self, node: PastryNode) -> None:
         """Node-level debounced flush: roll every dirty topic's changed
         accumulators into one ``agg_push_batch`` message per parent.
@@ -966,6 +942,9 @@ class ScribeApplication(Application):
                         "topic": state.topic, "agg": agg_name, "acc": acc,
                     })
             if state.replicas:
+                # Root snapshot coherence: dirty aggregates at a replicated
+                # root re-sync the replicas on the same debounce cadence as
+                # upward pushes (maintain() adds the anti-entropy backstop).
                 self._sync_replicas(node, state)
         packed = self._packed_self(node)
         for parent, updates in batches.items():
@@ -977,13 +956,9 @@ class ScribeApplication(Application):
         state.last_pushed.clear()
         self._recompute_and_push(node, state)
 
-    def _on_agg_push(self, node: PastryNode, data: Dict[str, Any], child_addr: int) -> None:
-        self._apply_push(node, data["topic"], data["agg"], data["acc"],
-                         data.get("child"), child_addr)
-
     def _apply_push(self, node: PastryNode, topic: str, agg_name: str,
-                    acc: Any, child: Optional[Any], child_addr: int) -> None:
-        """One child accumulator install (single pushes and batch entries)."""
+                    acc: Any, child: Any, child_addr: int) -> None:
+        """Install one child accumulator (one entry of a roll-up batch)."""
         state = self.topic_state(topic)
         if isinstance(acc, list):
             acc = tuple(acc)  # tuples survive payload round-trips as lists
@@ -998,14 +973,13 @@ class ScribeApplication(Application):
                 node.send_app(child_addr, self.name, "parent_gone",
                               {"topic": state.topic})
                 return
-            if child is not None:
-                # A pusher we do not list as a child: it kept its parent
-                # pointer across our crash-recovery (or we pruned it while
-                # it was down).  Re-adopt it so pruning and child probes
-                # see it again.
-                child_id, _, child_site = child
-                self._add_child(node, state,
-                                NodeRef(NodeId(child_id), child_addr, child_site))
+            # A pusher we do not list as a child: it kept its parent
+            # pointer across our crash-recovery (or we pruned it while it
+            # was down).  Re-adopt it so pruning and child probes see it
+            # again.
+            child_id, _, child_site = child
+            self._add_child(node, state,
+                            NodeRef(NodeId(child_id), child_addr, child_site))
         per_child = state.child_acc.get(agg_name)
         if per_child is None:
             per_child = state.child_acc[agg_name] = {}
@@ -1015,8 +989,8 @@ class ScribeApplication(Application):
 
     def _on_agg_push_batch(self, node: PastryNode, data: Dict[str, Any],
                            child_addr: int) -> None:
-        """Unpack a debounced batch: each update gets the full single-push
-        treatment (re-adoption, accumulator install, upward re-dirtying)."""
+        """Unpack a debounced batch: each update gets the full treatment
+        (re-adoption, accumulator install, upward re-dirtying)."""
         child = data["child"]
         apply_push = self._apply_push
         for update in data["updates"]:
@@ -1083,7 +1057,7 @@ class ScribeApplication(Application):
         (the D3-Tree split).
 
         Replicas stay *interior nodes of the same tree* — children of the
-        root — so every existing mechanism (agg_push merge, anycast DFS,
+        root — so every existing mechanism (roll-up merge, anycast DFS,
         child probes, pull aggregation, the single-root invariant) applies
         unchanged; the win is that diverted readers are answered one hop
         away from a root-coherent snapshot.

@@ -6,13 +6,9 @@ threads; they schedule callbacks at future virtual times and the single
 event loop executes them in time order.  Ties are broken by insertion
 order, which keeps runs deterministic.
 
-Two execution cores share those semantics.  The default *batched* core
-drains every callback sharing a timestamp in one tight pass and recycles
-fire-and-forget :class:`Event` objects through a free-list; the *legacy*
-core (``Simulator(batched=False)``) re-evaluates its stop conditions
-before every single pop.  Both execute the identical (time, seq) order,
-so a seed replays byte-identically on either — the flag exists for the
-scale benchmark's batching ablation.
+The run loop drains every callback sharing a timestamp in one tight pass
+and recycles fire-and-forget :class:`Event` objects (:meth:`Simulator.post`)
+through a free-list.
 """
 
 from __future__ import annotations
@@ -74,14 +70,9 @@ class Simulator:
     ----------
     start_time:
         Initial virtual time in milliseconds.
-    batched:
-        Select the batched execution core (timestamp batch-drain + Event
-        free-list).  ``False`` runs the legacy per-event loop — the
-        unbatched ablation baseline.  Scheduling semantics and execution
-        order are identical either way.
     """
 
-    def __init__(self, start_time: float = 0.0, batched: bool = True):
+    def __init__(self, start_time: float = 0.0):
         self._now = float(start_time)
         self._heap: list[Event] = []
         self._seq = itertools.count()
@@ -90,7 +81,6 @@ class Simulator:
         self._step_hook: Optional[Callable[[float, int], None]] = None
         self._idle_hook: Optional[Callable[[], None]] = None
         self._idle_sources: list[Callable[[], bool]] = []
-        self.batched = batched
         self._pool: list[Event] = []
 
     def set_step_hook(self, hook: Optional[Callable[[float, int], None]]) -> None:
@@ -161,10 +151,6 @@ class Simulator:
         """
         if delay < 0:
             raise SimulationError(f"cannot schedule in the past (delay={delay})")
-        if not self.batched:
-            # Ablation baseline: no free-list, identical to schedule().
-            self.schedule(delay, callback, *args)
-            return
         pool = self._pool
         if pool:
             event = pool.pop()
@@ -243,22 +229,17 @@ class Simulator:
             raise SimulationError("Simulator.run is not reentrant")
         self._running = True
         try:
-            if self.batched:
-                self._run_batched(until, max_events)
-            else:
-                self._run_legacy(until, max_events)
+            self._drain(until, max_events)
         finally:
             self._running = False
         if (self._idle_hook is not None and not self._heap
                 and all(source() for source in self._idle_sources)):
             self._idle_hook()
 
-    def _run_batched(self, until: Optional[float], max_events: Optional[int]) -> None:
-        """Batched core: drain every runnable event sharing a timestamp in
-        one inner pass, so the stop conditions and heap-head inspection are
-        paid once per distinct virtual time instead of once per event.
-        Execution order is the identical (time, seq) order the legacy loop
-        produces."""
+    def _drain(self, until: Optional[float], max_events: Optional[int]) -> None:
+        """Drain every runnable event sharing a timestamp in one inner
+        pass, so the stop conditions and heap-head inspection are paid once
+        per distinct virtual time instead of once per event."""
         executed = 0
         heap = self._heap
         pop = heapq.heappop
@@ -293,30 +274,6 @@ class Simulator:
                 if event.pooled:
                     recycle(event)
                 callback(*args)
-        if until is not None:
-            self._now = max(self._now, until)
-
-    def _run_legacy(self, until: Optional[float], max_events: Optional[int]) -> None:
-        """Per-event core: re-checks every stop condition before each pop.
-        Kept as the unbatched ablation baseline for the scale benchmark."""
-        executed = 0
-        while self._heap:
-            event = self._heap[0]
-            if event.cancelled:
-                heapq.heappop(self._heap)
-                continue
-            if until is not None and event.time > until:
-                self._now = max(self._now, until)
-                return
-            if max_events is not None and executed >= max_events:
-                return
-            heapq.heappop(self._heap)
-            self._now = event.time
-            self._events_executed += 1
-            executed += 1
-            if self._step_hook is not None:
-                self._step_hook(event.time, event.seq)
-            event.callback(*event.args)
         if until is not None:
             self._now = max(self._now, until)
 

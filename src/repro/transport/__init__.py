@@ -3,9 +3,9 @@
 ``repro.transport`` provides the :class:`Transport` contract plus two
 interchangeable backends —
 
-* :class:`SimTransport` — the discrete-event network (the deterministic
-  oracle), optionally shadow-checking every delivery through the wire
-  codec;
+* :class:`repro.net.network.Network` — the discrete-event network (the
+  deterministic oracle), optionally shadow-checking every delivery
+  through the wire codec (``wire_check``);
 * :class:`AsyncioTransport` — real TCP sockets on an asyncio loop,
   driven by :class:`RealtimeScheduler` (a wall-clock implementation of
   the simulator's scheduling API), in-process for tests or partitioned
@@ -20,7 +20,6 @@ from typing import Any
 
 __all__ = [
     "Transport",
-    "SimTransport",
     "AsyncioTransport",
     "RealtimeScheduler",
     "CodecError",
@@ -31,7 +30,6 @@ __all__ = [
 
 _EXPORTS = {
     "Transport": "repro.transport.base",
-    "SimTransport": "repro.transport.sim",
     "AsyncioTransport": "repro.transport.asyncio_transport",
     "RealtimeScheduler": "repro.transport.realtime",
     "CodecError": "repro.transport.codec",

@@ -4,7 +4,7 @@ Every protocol layer (pastry / scribe / query) talks to the network
 through the same small surface — attach hosts, send messages, look
 peers up — and never cares whether delivery is a simulated heap event
 or a real TCP write.  :class:`Transport` names that contract explicitly
-so the DES network (:class:`repro.transport.sim.SimTransport`) and the
+so the DES network (:class:`repro.net.network.Network`) and the
 live socket backend (:class:`repro.transport.asyncio_transport.
 AsyncioTransport`) are interchangeable behind it, with the simulator
 acting as the deterministic oracle for the live runs.

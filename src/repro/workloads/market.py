@@ -9,7 +9,7 @@ subcommand:
 * an **open-loop, heavy-tailed arrival process** — Poisson arrivals
   (with a configurable demand-spike window) drawn from a zipf-weighted
   population of up to millions of synthetic users, compressed through
-  the batched DES core; only users that actually arrive materialize
+  the DES core; only users that actually arrive materialize
   state, so the population costs memory proportional to the *active*
   head, not the census;
 * **per-site price/credit AA gates** — every posted instance carries the
@@ -52,6 +52,11 @@ MARKET_ATTRIBUTE = "instance_ready"
 
 #: The per-site market tree name (queries and repricing multicasts share it).
 MARKET_TREE = predicate_tree_name(MARKET_ATTRIBUTE, "=", True)
+
+#: Autoscaler evaluation period per site (ms).
+SCALE_INTERVAL_MS = 500.0
+#: Repricing evaluation period per site (ms).
+REPRICE_INTERVAL_MS = 1_000.0
 
 #: Memoized zipf cumulative weights per (population, exponent): building
 #: the table is O(population) and the 20-seed sweeps reuse it.
@@ -159,8 +164,6 @@ def _build_plane(spec: MarketSpec) -> RBay:
         sanitize=spec.sanitize,
         sanitize_sweep_events=spec.sanitize_sweep_events,
         fault_schedule=spec.fault_schedule,
-        market_autoscale=spec.autoscale,
-        market_reprice=spec.reprice,
     )).build()
 
 
@@ -175,7 +178,6 @@ def run_market(spec: Optional[MarketSpec] = None) -> Dict[str, Any]:
     """
     spec = spec if spec is not None else MarketSpec()
     plane = _build_plane(spec)
-    cfg = plane.config
     sim = plane.sim
     ledger = MarketLedger()
     site_names = [site.name for site in plane.registry]
@@ -186,34 +188,24 @@ def run_market(spec: Optional[MarketSpec] = None) -> Dict[str, Any]:
     # the multicast `via`), so elasticity never retires the coordinator.
     pricers: Dict[str, SpotPricer] = {}
     scalers: Dict[str, SiteAutoscaler] = {}
+    autoscale_config = AutoscaleConfig()
     for name in site_names:
         nodes = plane.site_nodes(name)
         gateway, pool = nodes[0], nodes[1:]
         pricer = SpotPricer(
             plane.admin(name), gateway, MARKET_TREE, plane.obs.metrics,
             price=spec.initial_price,
-            floor=cfg.market_price_floor,
-            ceiling=cfg.market_price_ceiling,
-            gain=cfg.market_price_gain,
-            high=cfg.market_scale_high,
-            low=cfg.market_scale_low,
         )
         scaler = SiteAutoscaler(
             plane.admin(name), pool,
-            AutoscaleConfig(
-                high=cfg.market_scale_high,
-                low=cfg.market_scale_low,
-                gain=cfg.market_scale_gain,
-                min_instances=cfg.market_min_instances,
-                max_instances=cfg.market_max_instances,
-            ),
+            autoscale_config,
             rng=plane.streams.stream(f"market-scale-{name}"),
             metrics=plane.obs.metrics,
             attribute=MARKET_ATTRIBUTE,
             value=True,
             price_of=lambda p=pricer: p.price,
             min_credit=spec.min_credit,
-            enabled=cfg.market_autoscale,
+            enabled=spec.autoscale,
         )
         scaler.start(spec.initial_instances)
         pricers[name] = pricer
@@ -230,15 +222,15 @@ def run_market(spec: Optional[MarketSpec] = None) -> Dict[str, Any]:
     def scale_tick() -> None:
         for name in site_names:
             scalers[name].tick()
-        if sim.now + cfg.market_scale_interval_ms <= window_end:
-            sim.schedule(cfg.market_scale_interval_ms, scale_tick)
+        if sim.now + SCALE_INTERVAL_MS <= window_end:
+            sim.schedule(SCALE_INTERVAL_MS, scale_tick)
 
     def price_tick() -> None:
-        if cfg.market_reprice:
+        if spec.reprice:
             for name in site_names:
                 pricers[name].tick()
-        if sim.now + cfg.market_reprice_interval_ms <= window_end:
-            sim.schedule(cfg.market_reprice_interval_ms, price_tick)
+        if sim.now + REPRICE_INTERVAL_MS <= window_end:
+            sim.schedule(REPRICE_INTERVAL_MS, price_tick)
 
     # ------------------------------------------------------------------
     # Open-loop heavy-tailed arrivals.
@@ -325,7 +317,7 @@ def run_market(spec: Optional[MarketSpec] = None) -> Dict[str, Any]:
     # ------------------------------------------------------------------
     # Measured window.
     sim.schedule(0.0, scale_tick)
-    sim.schedule(cfg.market_reprice_interval_ms / 2.0, price_tick)
+    sim.schedule(REPRICE_INTERVAL_MS / 2.0, price_tick)
     schedule_next()
     sim.run(until=window_end)
     guard = window_end + spec.drain_ms

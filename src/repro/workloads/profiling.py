@@ -9,11 +9,8 @@ it attacked and by how much.
 
 The workload itself is the deterministic scale driver: same spec + same
 seed → identical simulated behaviour (and an identical run ``signature``),
-so two profiles differ only in where wall-clock went.  Entry points:
-
-* ``tools/profile_core.py`` — standalone CLI (also the ``make profile``
-  regression gate);
-* ``rbay profile`` — the CLI subcommand.
+so two profiles differ only in where wall-clock went.  Entry point:
+``rbay profile`` (also ``make profile``).
 """
 
 from __future__ import annotations
@@ -35,18 +32,17 @@ _STAGES: List[Tuple[str, Tuple[str, ...]]] = [
     ("routing", ("pastry/routing_table.py", "pastry/nodeid.py",
                  "pastry/leafset.py", "pastry/node.py")),
     ("message_construction", ("net/message.py",)),
-    ("dispatch", ("net/network.py", "transport/sim.py", "net/latency.py",
-                  "transport/base.py")),
+    ("dispatch", ("net/network.py", "net/latency.py", "transport/base.py")),
     ("aggregation", ("scribe/scribe.py", "scribe/aggregate.py",
                      "scribe/topic.py", "scribe/buckets.py",
                      "scribe/rebalance.py")),
     ("caching", ("scribe/cache.py",)),
     ("query_protocol", ("query/", "sim/futures.py")),
-    ("observability", ("obs/", "metrics/counters.py", "sim/trace.py")),
+    ("observability", ("obs/",)),
     ("workload_driver", ("workloads/", "core/")),
 ]
 
-#: Default spec for the profile gate: small enough to run in seconds,
+#: Default spec for ``rbay profile``: small enough to run in seconds,
 #: big enough that the publish storm dominates like the 1,024-node run.
 PROFILE_SPEC = ScaleSpec(sites=8, nodes_per_site=16, duration_ms=3_000.0,
                          queries=24, query_burst=8, query_window=8)
@@ -74,7 +70,7 @@ def _stage_for(func: Tuple[str, int, str]) -> str:
 
 
 def profile_scale(spec: Optional[ScaleSpec] = None) -> Dict[str, Any]:
-    """Profile one scale arm; returns metrics + per-stage attribution.
+    """Profile one scale run; returns metrics + per-stage attribution.
 
     The returned dict extends :func:`repro.workloads.scale.run_scale`'s
     metrics with ``profile``: a list of stage dicts (exclusive seconds,

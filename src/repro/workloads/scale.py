@@ -19,9 +19,8 @@ Throughput metric
 -----------------
 ``events_per_sec`` is the number of *workload* events (publishes plus
 completed queries) divided by host wall-clock seconds.  The numerator is
-fixed by the spec — the same schedule is replayed under every engine
-configuration — so the batched/unbatched ratio is a pure wall-clock
-speedup, immune to the batched engine simply *doing* fewer internal
+fixed by the spec, so two commits' figures on the same spec compare as a
+pure wall-clock ratio, immune to an engine simply *doing* fewer internal
 events.  The raw simulator event count is reported separately as
 ``sim_events_executed``.
 """
@@ -45,7 +44,7 @@ LOAD_TREE = "load"
 
 @dataclass(frozen=True)
 class ScaleSpec:
-    """Parameters for one scale-benchmark arm.
+    """Parameters for one scale-benchmark run.
 
     The defaults describe the 1,024-node acceptance configuration:
     32 synthetic sites x 32 nodes, ~8 simulated seconds of measured load.
@@ -62,9 +61,8 @@ class ScaleSpec:
     duration_ms: float = 5_000.0
     #: Publish-storm tick: every node re-publishes each tick (ms).
     publish_interval_ms: float = 50.0
-    #: Aggregates each node refreshes per tick (1..3 of sum/max/min) —
-    #: the unbatched engine pays one ``agg_push`` per refresh, the
-    #: batched engine folds a tick's refreshes into one roll-up.
+    #: Aggregates each node refreshes per tick (1..3 of sum/max/min); a
+    #: tick's refreshes fold into one roll-up.
     publish_aggregates: int = 3
     #: Total composite queries submitted inside the window.
     queries: int = 96
@@ -77,13 +75,11 @@ class ScaleSpec:
     #: Admission window (``RBayConfig.query_window``) — smaller than a
     #: burst so the FIFO queue is actually exercised.
     query_window: int = 16
-    #: Roll-up debounce (``RBayConfig.agg_flush_ms``) for the batched arm:
-    #: two publish ticks per flush at the defaults.
+    #: Roll-up debounce (``RBayConfig.agg_flush_ms``): two publish ticks
+    #: per flush at the defaults.
     agg_flush_ms: float = 100.0
     #: Drain budget after the window for still-in-flight queries (ms).
     drain_ms: float = 20_000.0
-    #: Batched engine (True) or the unbatched ablation baseline (False).
-    batching: bool = True
     #: Attach the runtime invariant sanitizer (:mod:`repro.check`).  The
     #: metrics dict gains a ``"sanitizer"`` entry; the run ``signature``
     #: is computed before the sanitizer's quiescent drain, so it stays
@@ -107,7 +103,6 @@ def _build_plane(spec: ScaleSpec) -> RBay:
         nodes_per_site=spec.nodes_per_site,
         synthetic_sites=spec.sites,
         jitter=False,  # deterministic latencies -> coalescible deliveries
-        batching=spec.batching,
         query_window=spec.query_window,
         agg_flush_ms=spec.agg_flush_ms,
         sanitize=spec.sanitize,
@@ -129,7 +124,7 @@ def _build_plane(spec: ScaleSpec) -> RBay:
 
 
 def run_scale(spec: Optional[ScaleSpec] = None) -> Dict[str, Any]:
-    """Run one scale arm and return its metrics dict (JSON-serializable).
+    """Run the scale workload and return its metrics dict (JSON-serializable).
 
     Wall-clock is measured with ``time.perf_counter`` around the whole
     measured window (publish storm + query stream + drain); the plane
@@ -265,7 +260,6 @@ def run_scale(spec: Optional[ScaleSpec] = None) -> Dict[str, Any]:
 
     return {
         "spec": asdict(spec),
-        "batching": spec.batching,
         "total_nodes": spec.total_nodes,
         "wall_seconds": wall_seconds,
         "sim_ms": sim.now - window_start,

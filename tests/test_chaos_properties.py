@@ -28,6 +28,7 @@ from repro.core.plane import RBay, RBayConfig
 from repro.faults import FaultSchedule
 from repro.query.errors import QueryError
 from repro.query.executor import QueryResult
+from repro.scribe.rebalance import RebalanceConfig
 from repro.sim.futures import FutureTimeout
 from repro.workloads.generator import FederationWorkload, WorkloadSpec
 
@@ -58,17 +59,18 @@ def run_chaos(seed, crash_fraction=0.3, drop_prob=0.1, partitions=1,
         maintenance_interval_ms=500.0,
         reservation_hold_ms=1_000.0,
         sanitize=sanitize,
-        # Chaos runs execute only a few thousand events (batched delivery
+        # Chaos runs execute only a few thousand events (delivery
         # coalescing), so sweep well below the default cadence.
         sanitize_sweep_events=250,
-        rebalance=rebalance,
-        rebalance_hot_threshold=6,
-        rebalance_cool_threshold=2,
-        rebalance_window_ms=500.0,
-        rebalance_hot_windows=2,
-        rebalance_cool_windows=4,
-        rebalance_max_replicas=2,
-        rebalance_min_children=2,
+        rebalance=RebalanceConfig(
+            hot_threshold=6,
+            cool_threshold=2,
+            window_ms=500.0,
+            hot_windows=2,
+            cool_windows=4,
+            max_replicas=2,
+            min_children=2,
+        ) if rebalance else None,
     )).build()
     workload = FederationWorkload(plane, WorkloadSpec(
         gate_policies=False, utilization_thresholds=())).apply()

@@ -6,7 +6,9 @@ from repro.core.naming import site_tree
 from repro.core.node import GATE_ATTRIBUTE, SubscriptionSpec
 from repro.core.plane import RBay, RBayConfig
 from repro.core.policies import password_policy
+from repro.query.options import QueryOptions
 from repro.query.predicates import Predicate
+from repro.workloads.generator import FederationWorkload, WorkloadSpec
 
 
 class TestPlaneConstruction:
@@ -152,6 +154,37 @@ class TestSubscriptionLifecycle:
             node.maintenance_tick()
         plane.sim.run()
         assert plane.tree_size(topic, via=nodes[1], scope="site") == 3
+
+    def test_bucket_trees_ignore_the_threshold_handler(self):
+        """Regression: with the default dressing ``CPU_utilization`` carries
+        the ``utilization_subscription`` handlers, which used to answer for
+        the attribute's *bucket* trees too — every node under 10 % joined
+        all buckets and no other node joined any.  A bucket tree's
+        membership is its interval, whatever policy the attribute carries
+        for its threshold trees."""
+        plane = RBay(RBayConfig(seed=11, synthetic_sites=2, nodes_per_site=6,
+                                jitter=False)).build()
+        FederationWorkload(plane, WorkloadSpec()).apply()  # active_subscriptions on
+        spec = plane.register_buckets("CPU_utilization", 0.0, 100.0, 4)
+        plane.sim.run()
+
+        truth = {}
+        for node in plane.nodes:
+            value = node.attribute_value("CPU_utilization")
+            bucket = spec.bucket_of(value)
+            truth[bucket.label] = truth.get(bucket.label, 0) + 1
+            for candidate in spec.buckets:
+                topic = site_tree(node.site.name, candidate.tree)
+                assert node.scribe.is_member(topic) == (candidate == bucket)
+        result = plane.query("SELECT * FROM * GROUP BY CPU_utilization;",
+                             options=QueryOptions(origin="Site000",
+                                                  payload={"password": "rbay"}))
+        assert {row["group"]: row["count"] for row in result.entries} == truth
+        # The threshold tree is still the handler's: only nodes under 10 %.
+        low = site_tree("Site000", "CPU_utilization<10")
+        assert [n.scribe.is_member(low) for n in plane.site_nodes("Site000")] == [
+            n.attribute_value("CPU_utilization") < 10.0
+            for n in plane.site_nodes("Site000")]
 
     def test_unsubscribe_leaves_tree(self, plane):
         topic = site_tree("Oregon", "static")

@@ -1,4 +1,4 @@
-"""Determinism regression: the rewritten core replays pinned signatures.
+"""Determinism regression: the core replays pinned signatures.
 
 The hot-path rewrite (slotted messages, Event free-list, hop caches,
 latency memoization, delivery coalescing) is only admissible because it
@@ -9,15 +9,14 @@ byte that moves.
 
 Two tiers:
 
-* **small spec** (4x8 nodes, sub-second per arm) — both arms, two
-  seeds; runs in every tier-1 pass and catches nearly any ordering or
-  RNG drift within seconds.
+* **small spec** (4x8 nodes, sub-second) — two seeds; runs in every
+  tier-1 pass and catches nearly any ordering or RNG drift within
+  seconds.
 * **full spec** (the checked-in 1,024-node acceptance configuration) —
-  both arms, two seeds; slower (the unbatched ablation is the cost),
-  but it is the exact artifact ``benchmarks/results/scale.json`` pins,
-  so the acceptance numbers and this suite can never drift apart.
-  Set ``RBAY_SKIP_FULL_DETERMINISM=1`` to keep only the small tier when
-  iterating locally.
+  two seeds; slower, but it is the exact artifact
+  ``benchmarks/results/scale.json`` pins, so the acceptance numbers and
+  this suite can never drift apart.  Set ``RBAY_SKIP_FULL_DETERMINISM=1``
+  to keep only the small tier when iterating locally.
 
 Regenerating (after a *deliberate* semantic change): run this module as
 a script — ``PYTHONPATH=src python -m tests.test_determinism_regression``
@@ -39,23 +38,17 @@ PINS_PATH = (Path(__file__).resolve().parent.parent
 PINS = json.loads(PINS_PATH.read_text())
 
 SEEDS = (2017, 4242)
-ARMS = ("batched", "unbatched")
 
 SMALL_SPEC = ScaleSpec(sites=4, nodes_per_site=8, duration_ms=2_000.0,
                        queries=16, query_burst=8, query_window=4)
 
 
-def _spec(base: ScaleSpec, seed: int, arm: str) -> ScaleSpec:
-    return dataclasses.replace(base, seed=seed, batching=(arm == "batched"))
-
-
 @pytest.mark.parametrize("seed", SEEDS)
-@pytest.mark.parametrize("arm", ARMS)
-def test_small_spec_signature_is_pinned(seed, arm):
-    metrics = run_scale(_spec(SMALL_SPEC, seed, arm))
-    want = PINS["small_spec"]["seeds"][str(seed)][arm]
+def test_small_spec_signature_is_pinned(seed):
+    metrics = run_scale(dataclasses.replace(SMALL_SPEC, seed=seed))
+    want = PINS["small_spec"]["seeds"][str(seed)]
     assert metrics["signature"] == want, (
-        f"small-spec {arm} seed={seed} signature drifted: simulated history "
+        f"small-spec seed={seed} signature drifted: simulated history "
         f"changed (got {metrics['signature'][:16]}..., "
         f"pinned {want[:16]}...)")
 
@@ -64,13 +57,12 @@ def test_small_spec_signature_is_pinned(seed, arm):
                     reason="full 1,024-node determinism matrix skipped "
                            "(RBAY_SKIP_FULL_DETERMINISM=1)")
 @pytest.mark.parametrize("seed", SEEDS)
-@pytest.mark.parametrize("arm", ARMS)
-def test_full_spec_signature_is_pinned(seed, arm):
-    metrics = run_scale(_spec(ScaleSpec(), seed, arm))
-    want = PINS["full_spec"]["seeds"][str(seed)][arm]
+def test_full_spec_signature_is_pinned(seed):
+    metrics = run_scale(ScaleSpec(seed=seed))
+    want = PINS["full_spec"]["seeds"][str(seed)]
     assert metrics["signature"] == want, (
-        f"1,024-node {arm} seed={seed} signature drifted: the optimized "
-        f"core no longer replays the pinned history (got "
+        f"1,024-node seed={seed} signature drifted: the core no longer "
+        f"replays the pinned history (got "
         f"{metrics['signature'][:16]}..., pinned {want[:16]}...)")
 
 
@@ -79,10 +71,9 @@ def _print_matrix() -> None:
     for label, base in (("small_spec", SMALL_SPEC), ("full_spec", ScaleSpec())):
         print(f"{label}:")
         for seed in SEEDS:
-            for arm in ARMS:
-                m = run_scale(_spec(base, seed, arm))
-                print(f'  "{seed}" {arm}: "{m["signature"]}"'
-                      f'  ({m["events_per_sec"]:,.0f} ev/s)')
+            m = run_scale(dataclasses.replace(base, seed=seed))
+            print(f'  "{seed}": "{m["signature"]}"'
+                  f'  ({m["events_per_sec"]:,.0f} ev/s)')
 
 
 if __name__ == "__main__":

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.metrics.counters import CounterRegistry
 from repro.metrics.memory import deep_sizeof, deep_sizeof_many
 from repro.metrics.stats import (
     LatencyRecorder,
@@ -14,6 +13,7 @@ from repro.metrics.stats import (
     percentile,
     stddev,
 )
+from repro.obs.metrics import MetricsRegistry
 
 
 class TestStats:
@@ -125,57 +125,52 @@ class TestLatencyRecorder:
         assert recorder.count("x") == 1
 
 
-class TestCounterRegistry:
+class TestFlatCounters:
+    """Flat-counter semantics of the plane's one ``MetricsRegistry``."""
+
     def test_unknown_name_reads_zero(self):
-        assert CounterRegistry().get("never.touched") == 0
+        assert MetricsRegistry().get("never.touched") == 0
 
     def test_increment_returns_new_value(self):
-        counters = CounterRegistry()
+        counters = MetricsRegistry()
         assert counters.increment("a.hit") == 1
         assert counters.increment("a.hit", 4) == 5
         assert counters.get("a.hit") == 5
 
     def test_snapshot_is_a_copy(self):
-        counters = CounterRegistry()
+        counters = MetricsRegistry()
         counters.increment("a.hit")
         snap = counters.snapshot()
         snap["a.hit"] = 99
         assert counters.get("a.hit") == 1
 
     def test_snapshot_prefix_filter(self):
-        counters = CounterRegistry()
+        counters = MetricsRegistry()
         counters.increment("scribe.acc_cache.hit")
         counters.increment("query.probe_cache.hit")
         assert counters.snapshot("scribe") == {"scribe.acc_cache.hit": 1}
 
-    def test_reset_all_and_prefix(self):
-        counters = CounterRegistry()
-        counters.increment("a.x")
-        counters.increment("b.y")
-        counters.reset("a")
-        assert counters.get("a.x") == 0 and counters.get("b.y") == 1
-        counters.reset()
-        assert len(counters) == 0
-
     def test_names_sorted(self):
-        counters = CounterRegistry()
+        counters = MetricsRegistry()
         counters.increment("z.last")
         counters.increment("a.first")
         assert counters.names() == ["a.first", "z.last"]
 
-    def test_merge_sums_per_name(self):
-        a, b = CounterRegistry(), CounterRegistry()
-        a.increment("x", 2)
-        b.increment("x", 3)
-        b.increment("y")
-        a.merge(b)
-        assert a.get("x") == 5 and a.get("y") == 1
-
     def test_format_is_a_table(self):
-        counters = CounterRegistry()
+        counters = MetricsRegistry()
         counters.increment("cache.hit", 7)
         text = counters.format()
         assert "cache.hit" in text and "7" in text
+
+    def test_labeled_and_flat_increments_share_one_cell(self):
+        """A labeled increment and a flat increment of the same dotted name
+        land in the same counter — there is no second registry to mirror."""
+        registry = MetricsRegistry()
+        registry.increment("query.step.probe", 2)
+        registry.counter("query.step").increment(step="probe", site="A")
+        assert registry.get("query.step.probe") == 3
+        assert registry.snapshot("query.step") == {"query.step.probe": 3}
+        assert registry.counter("query.step").get(step="probe", site="A") == 1
 
 
 class TestDeepSizeof:

@@ -310,56 +310,70 @@ class TestMessage:
 class TestDeliveryCoalescing:
     """Same-destination same-time deliveries share one simulator event."""
 
-    @pytest.fixture
-    def cnet(self, sim):
-        return Network(sim, UniformLatencyModel(1.5), coalesce_delivery=True)
-
-    @pytest.fixture
-    def chosts(self, cnet, registry):
-        pair = [Recorder(registry[0]), Recorder(registry[1])]
-        for host in pair:
-            cnet.attach(host)
-        return pair
-
-    def test_burst_collapses_to_one_event_same_deliveries(self, sim, cnet, chosts):
-        a, b = chosts
+    def test_burst_collapses_to_one_event_same_deliveries(self, sim, net, hosts):
+        a, b = hosts
         for i in range(5):
             a.send(b.address, Message(kind="ping", payload={"i": i}))
-        assert len(cnet._pending_batches) == 1  # one (dst, time) batch
+        assert len(net._pending_batches) == 1  # one (dst, time) batch
         events_before = sim.events_executed
         sim.run()
         # One delivery event carried all five messages, individually.
         assert sim.events_executed == events_before + 1
         assert [m.payload["i"] for m, _ in b.received] == [0, 1, 2, 3, 4]
         assert len({t for _, t in b.received}) == 1
-        assert cnet.messages_delivered == 5
-        assert not cnet._pending_batches
+        assert net.messages_delivered == 5
+        assert not net._pending_batches
 
-    def test_counters_conserved_under_coalescing(self, sim, cnet, chosts):
-        a, b = chosts
+    def test_counters_conserved_under_coalescing(self, sim, net, hosts):
+        a, b = hosts
         for _ in range(3):
             a.send(b.address, Message(kind="ping"))
-        assert cnet.messages_in_flight == 3
-        assert cnet.messages_sent == (cnet.messages_delivered
-                                      + cnet.messages_dropped
-                                      + cnet.messages_in_flight)
+        assert net.messages_in_flight == 3
+        assert net.messages_sent == (net.messages_delivered
+                                     + net.messages_dropped
+                                     + net.messages_in_flight)
         sim.run()
-        assert cnet.messages_in_flight == 0
-        assert cnet.messages_delivered == 3
-        assert cnet.messages_sent == cnet.messages_delivered
+        assert net.messages_in_flight == 0
+        assert net.messages_delivered == 3
+        assert net.messages_sent == net.messages_delivered
 
-    def test_coalesced_matches_uncoalesced_deliveries(self, sim, registry):
-        def run(coalesce):
-            local_sim = type(sim)()
-            net = Network(local_sim, UniformLatencyModel(2.0),
-                          coalesce_delivery=coalesce)
-            src, dst = Recorder(registry[0]), Recorder(registry[1])
-            net.attach(src), net.attach(dst)
-            for i in range(4):
-                src.send(dst.address, Message(kind="ping", payload={"i": i}))
-            local_sim.schedule(1.0, lambda: src.send(
-                dst.address, Message(kind="late")))
-            local_sim.run()
-            return [(m.kind, m.payload, t) for m, t in dst.received]
+    def test_one_heap_event_per_burst_conserves_per_message(self, sim, net, registry):
+        """Five same-instant sends to one host cost one heap event, yet the
+        conservation identity holds at *every* message of the batch — even
+        when a handler crashes the destination mid-batch."""
+        src = Recorder(registry[0])
+        seen = []
 
-        assert run(coalesce=True) == run(coalesce=False)
+        class CrashesOnSecond(Host):
+            def on_message(self, msg):
+                seen.append((net.messages_delivered, net.messages_dropped,
+                             net.messages_in_flight))
+                assert net.messages_sent == (net.messages_delivered
+                                             + net.messages_dropped
+                                             + net.messages_in_flight)
+                if len(seen) == 2:
+                    net.detach(self)
+
+        dst = CrashesOnSecond(registry[1])
+        net.attach(src), net.attach(dst)
+        for _ in range(5):
+            src.send(dst.address, Message(kind="ping"))
+        assert len(sim._heap) == 1
+        events_before = sim.events_executed
+        sim.run()
+        assert sim.events_executed == events_before + 1
+        assert seen == [(1, 0, 4), (2, 0, 3)]
+        assert (net.messages_delivered, net.messages_dropped,
+                net.messages_in_flight) == (2, 3, 0)
+        assert net.messages_sent == 5
+
+    def test_distinct_instants_do_not_coalesce(self, sim, net, hosts):
+        a, b = hosts
+        for i in range(4):
+            a.send(b.address, Message(kind="ping", payload={"i": i}))
+        sim.schedule(1.0, lambda: a.send(b.address, Message(kind="late")))
+        sim.run()
+        assert [(m.kind, m.payload, t) for m, t in b.received] == [
+            ("ping", {"i": 0}, 1.5), ("ping", {"i": 1}, 1.5),
+            ("ping", {"i": 2}, 1.5), ("ping", {"i": 3}, 1.5),
+            ("late", {}, 2.5)]

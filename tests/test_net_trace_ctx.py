@@ -20,16 +20,15 @@ from repro.net.site import SiteRegistry
 from repro.obs.spans import NullRecorder, SpanRecorder
 from repro.sim.engine import Simulator
 from repro.transport.base import deliver_traced, stamp_trace_ctx
-from repro.transport.sim import SimTransport
 
 
-def make_net(transport_cls=Network, **kwargs):
+def make_net(**kwargs):
     sim = Simulator()
     registry = SiteRegistry()
     registry.add("A", "r")
     registry.add("B", "r")
     sites = list(registry)
-    net = transport_cls(sim, **kwargs)
+    net = Network(sim, **kwargs)
     return sim, sites, net
 
 
@@ -52,7 +51,7 @@ class Probe(Host):
 
 @pytest.mark.parametrize("wire", [False, True])
 def test_ctx_restored_identically_with_and_without_codec(wire):
-    sim, sites, net = make_net(SimTransport, wire_check=wire)
+    sim, sites, net = make_net(wire_check=wire)
     recorder = SpanRecorder(sim)
     net.recorder = recorder
     a = Probe(sites[0], recorder)
@@ -73,7 +72,7 @@ def test_ctx_restored_identically_with_and_without_codec(wire):
 
 @pytest.mark.parametrize("wire", [False, True])
 def test_disabled_recorder_never_stamps_or_pushes(wire):
-    sim, sites, net = make_net(SimTransport, wire_check=wire)
+    sim, sites, net = make_net(wire_check=wire)
     net.recorder = NullRecorder()
     a = Probe(sites[0])
     b = Probe(sites[1])

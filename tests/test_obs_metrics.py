@@ -1,10 +1,9 @@
-"""Labeled metrics: instruments, flat-registry mirroring, determinism."""
+"""Labeled metrics: instruments, their flat counters, determinism."""
 
 import json
 
 import pytest
 
-from repro.metrics.counters import CounterRegistry
 from repro.obs.metrics import (
     LabeledCounter,
     LabeledGauge,
@@ -16,7 +15,7 @@ from repro.obs.metrics import (
 
 @pytest.fixture
 def registry():
-    return MetricsRegistry(CounterRegistry())
+    return MetricsRegistry()
 
 
 class TestLabelNormalization:
@@ -42,25 +41,23 @@ class TestLabeledCounter:
     def test_increment_mirrors_flat_under_mirror_label(self, registry):
         registry.counter("query.step").increment(step="probe", site="A")
         registry.counter("query.step").increment(step="probe", site="B")
-        # The flat family collapses labels onto the first MIRROR_LABEL.
-        assert registry.counters.get("query.step.probe") == 2
+        # The flat family collapses labels onto the first FLAT_LABEL.
+        assert registry.get("query.step.probe") == 2
 
     def test_mirror_falls_back_to_bare_name(self, registry):
         registry.counter("obs.events").increment(site="A")
-        assert registry.counters.get("obs.events") == 1
+        assert registry.get("obs.events") == 1
 
     def test_mirror_prefers_step_over_kind(self, registry):
         registry.counter("f").increment(step="s", kind="k")
-        assert registry.counters.get("f.s") == 1
-        assert registry.counters.get("f.k") == 0
+        assert registry.get("f.s") == 1
+        assert registry.get("f.k") == 0
 
-    def test_existing_flat_families_are_untouched(self):
-        flat = CounterRegistry()
-        flat.increment("scribe.acc_cache.hit", 5)
-        registry = MetricsRegistry(flat)
+    def test_existing_flat_families_are_untouched(self, registry):
+        registry.increment("scribe.acc_cache.hit", 5)
         registry.counter("query.step").increment(step="probe")
-        assert flat.get("scribe.acc_cache.hit") == 5
-        assert flat.get("query.step.probe") == 1
+        assert registry.get("scribe.acc_cache.hit") == 5
+        assert registry.get("query.step.probe") == 1
 
 
 class TestLabeledGauge:
@@ -126,10 +123,10 @@ class TestMetricsRegistry:
                 counter.increment(step="probe", site="A")
                 hist.observe(5.0, step="probe", site="A")
                 gauge.set(2.0, site="A", tree="t")
-            return registry.snapshot()
+            return registry.labeled_snapshot()
 
-        a = populate(MetricsRegistry(CounterRegistry()), flipped=False)
-        b = populate(MetricsRegistry(CounterRegistry()), flipped=True)
+        a = populate(MetricsRegistry(), flipped=False)
+        b = populate(MetricsRegistry(), flipped=True)
         assert a == b
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
@@ -137,4 +134,4 @@ class TestMetricsRegistry:
         registry.counter("c").increment(step="s")
         registry.gauge("g").set(1.5, site="A")
         registry.histogram("h").observe(3.0)
-        json.dumps(registry.snapshot())  # must not raise
+        json.dumps(registry.labeled_snapshot())  # must not raise

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.metrics.counters import CounterRegistry
+from repro.obs.metrics import MetricsRegistry
 from repro.query.admission import AdmissionController
 from repro.sim.futures import Future
 
@@ -90,7 +90,7 @@ class TestAdmissionWindow:
         assert admission.wait_stats()[""]["count"] == 2.0
 
     def test_admitted_counter_and_registry(self, sim):
-        counters = CounterRegistry()
+        counters = MetricsRegistry()
         admission = AdmissionController(sim, window=4, counters=counters)
         started = []
         for tag in range(3):

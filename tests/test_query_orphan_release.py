@@ -8,14 +8,19 @@ must release each named reservation explicitly — but only the
 *uncommitted* ones, because the same query may have succeeded through a
 retried attempt and committed some of those very nodes.
 
-These tests drive the branch directly by handing the coordinator a
-crafted ``site_result`` message for a request id it is not waiting on.
+Most tests drive the branch directly by handing the coordinator a
+crafted ``site_result`` message for a request id it is not waiting on;
+the GROUP BY regression duplicates a real reply with a fault rule.
 """
+
+import random
 
 import pytest
 
 from repro.core.plane import RBay, RBayConfig
+from repro.faults.schedule import MessageRule
 from repro.net.network import Message
+from repro.query.options import QueryOptions
 
 
 @pytest.fixture
@@ -113,3 +118,41 @@ def test_empty_orphan_reply_releases_nothing(plane):
     home.apps["query"].host_message(home, orphan_result([]))
     plane.sim.run()
     assert plane.counters.get("query.orphan_release") == 0
+
+
+def test_duplicate_group_by_site_result_releases_nothing():
+    """Regression: GROUP BY rows are ``{"group", "count"}`` — they name no
+    node and hold no reservation.  A duplicated ``site_result`` carrying
+    them used to raise ``KeyError: 'address'`` in the orphan-release loop;
+    it must be ignored."""
+    plane = RBay(RBayConfig(seed=7, synthetic_sites=2, nodes_per_site=4,
+                            jitter=False)).build()
+    rng = random.Random(5)
+    for node in plane.nodes:
+        node.define_attribute("CPU_utilization", rng.uniform(0.0, 100.0))
+    plane.register_buckets("CPU_utilization", 0.0, 100.0, 4)
+    plane.sim.run()
+    plane.install_faults().start_rule(MessageRule(
+        name="dup", duplicate_prob=1.0, kind_prefix="direct/query/site_result"))
+
+    result = plane.query("SELECT * FROM * GROUP BY CPU_utilization;",
+                         options=QueryOptions(origin="Site000"))
+    plane.sim.run()  # the duplicate lands after the query resolved
+
+    assert plane.counters.get("faults.msg_duplicated") >= 1
+    assert sum(row["count"] for row in result.entries) == len(plane.nodes)
+    assert plane.counters.get("query.orphan_release") == 0
+    assert all(node.reservation.is_free() for node in plane.nodes)
+
+
+def test_orphan_reply_mixing_group_rows_releases_only_addressed_rows(plane):
+    home, held = plane.nodes[0], plane.nodes[1]
+    held.reservation.try_reserve(42)
+    reply = orphan_result([held.address])
+    reply.payload["data"]["entries"].append({"group": "u[0,25)", "count": 3})
+
+    home.apps["query"].host_message(home, reply)
+    plane.sim.run()
+
+    assert held.reservation.is_free()
+    assert plane.counters.get("query.orphan_release") == 1

@@ -23,10 +23,10 @@ visibly stale parent.
 import os
 import random
 
-from repro.metrics.counters import CounterRegistry
 from repro.net.latency import UniformLatencyModel
 from repro.net.network import Network
 from repro.net.site import SiteRegistry
+from repro.obs.metrics import MetricsRegistry
 from repro.pastry.overlay import Overlay
 from repro.scribe.aggregate import make_aggregate
 from repro.scribe.scribe import ScribeApplication
@@ -90,7 +90,7 @@ def build_cached_overlay(cache_enabled=True):
     site = registry.add("S", "X")
     network = Network(sim, UniformLatencyModel(0.3))
     overlay = Overlay(sim, network, streams, registry)
-    counters = CounterRegistry()
+    counters = MetricsRegistry()
     for _ in range(N_NODES):
         overlay.create_node(site)
     overlay.bootstrap()

@@ -190,12 +190,12 @@ class TestPeriodicTask:
 
 
 class TestBatchedCore:
-    """The batch-drain fast path: order parity, pooling, run helpers."""
+    """The batch-drain run loop: execution order, pooling, run helpers."""
 
-    @staticmethod
-    def _trace_run(batched):
-        """Run an identical mixed workload, recording (time, seq) steps."""
-        sim = Simulator(batched=batched)
+    def test_mixed_post_schedule_cancel_order(self):
+        """Pooled posts, handle-returning schedules, a same-time join and a
+        cancellation interleave in strict (time, seq) order."""
+        sim = Simulator()
         trace = []
         sim.set_step_hook(lambda t, seq: trace.append((t, seq)))
         fired = []
@@ -212,16 +212,14 @@ class TestBatchedCore:
         doomed = sim.schedule(3.0, fired.append, ("cancelled", 0))
         doomed.cancel()
         sim.run()
-        return trace, fired
-
-    def test_batched_order_matches_legacy(self):
-        batched_trace, batched_fired = self._trace_run(batched=True)
-        legacy_trace, legacy_fired = self._trace_run(batched=False)
-        assert batched_trace == legacy_trace
-        assert batched_fired == legacy_fired
+        assert fired == [("early", 0), ("burst", 0), ("burst", 1), ("burst", 2),
+                         ("burst", 3), ("mid", 5.0), ("joined", 5.0),
+                         ("later", 5.0)]
+        assert trace == sorted(trace)
+        assert [t for t, _ in trace] == [1.0, 5.0, 5.0, 5.0, 5.0, 5.0, 5.0, 7.0]
 
     def test_post_recycles_events_through_the_pool(self):
-        sim = Simulator(batched=True)
+        sim = Simulator()
         sim.post(1.0, lambda: None)
         sim.run()
         assert len(sim._pool) == 1
@@ -231,14 +229,8 @@ class TestBatchedCore:
         assert sim._heap[0] is pooled
         sim.run()
 
-    def test_unbatched_post_does_not_pool(self):
-        sim = Simulator(batched=False)
-        sim.post(1.0, lambda: None)
-        sim.run()
-        assert not sim._pool
-
     def test_same_time_posts_join_the_running_batch(self):
-        sim = Simulator(batched=True)
+        sim = Simulator()
         order = []
 
         def first():
@@ -251,7 +243,7 @@ class TestBatchedCore:
         assert order == ["first", "second", "joined"]
 
     def test_run_for(self):
-        sim = Simulator(batched=True)
+        sim = Simulator()
         fired = []
         sim.post(10.0, fired.append, 1)
         sim.post(30.0, fired.append, 2)
@@ -261,7 +253,7 @@ class TestBatchedCore:
             sim.run_for(-1.0)
 
     def test_run_until_idle_respects_max_events(self):
-        sim = Simulator(batched=True)
+        sim = Simulator()
         fired = []
         for _ in range(5):
             sim.post(1.0, fired.append, 1)  # one batch of five
@@ -272,4 +264,4 @@ class TestBatchedCore:
 
     def test_post_negative_delay_rejected(self):
         with pytest.raises(SimulationError):
-            Simulator(batched=True).post(-0.1, lambda: None)
+            Simulator().post(-0.1, lambda: None)

@@ -1,8 +1,6 @@
-"""Tests for tracing, ASCII plotting, query plans, the CLI, and tools/."""
+"""Tests for ASCII plotting, query plans, the CLI, and tools/."""
 
-import gc
 import importlib.util
-import subprocess
 import sys
 from pathlib import Path
 
@@ -12,120 +10,6 @@ from repro.core.plane import RBay, RBayConfig
 from repro.metrics.ascii_plot import ascii_bars, ascii_cdf
 from repro.query.plan import plan_query
 from repro.query.sql import parse_query
-from repro.sim.trace import NULL_TRACER, Tracer, hook_network
-
-
-class TestTracer:
-    def test_emit_and_query(self, sim):
-        tracer = Tracer(sim)
-        tracer.emit("route", "hop", src=1, dst=2)
-        sim.schedule(10.0, tracer.emit, "route", "hop2")
-        sim.run()
-        assert tracer.count() == 2
-        assert tracer.count("route") == 2
-        assert tracer.events("route")[1].time == 10.0
-
-    def test_category_filter(self, sim):
-        tracer = Tracer(sim, categories=["keep"])
-        tracer.emit("keep", "a")
-        tracer.emit("drop", "b")
-        assert tracer.count() == 1
-
-    def test_bounded_memory(self, sim):
-        tracer = Tracer(sim, max_events=3)
-        for i in range(10):
-            tracer.emit("x", str(i))
-        assert len(tracer) == 3
-        assert tracer.dropped == 7
-
-    def test_between(self, sim):
-        tracer = Tracer(sim)
-        for t in (1.0, 5.0, 9.0):
-            sim.schedule(t, tracer.emit, "x", "e")
-        sim.run()
-        assert len(tracer.between(2.0, 8.0)) == 1
-
-    def test_disable(self, sim):
-        tracer = Tracer(sim)
-        tracer.enabled = False
-        tracer.emit("x", "e")
-        assert len(tracer) == 0
-
-    def test_clear_and_categories(self, sim):
-        tracer = Tracer(sim)
-        tracer.emit("b", "x")
-        tracer.emit("a", "y")
-        assert tracer.categories() == ["a", "b"]
-        tracer.clear()
-        assert len(tracer) == 0
-
-    def test_format_output(self, sim):
-        tracer = Tracer(sim)
-        tracer.emit("route", "hop", src=1)
-        text = tracer.format()
-        assert "route" in text and "src=1" in text
-
-    def test_null_tracer_is_silent(self):
-        NULL_TRACER.emit("anything", "goes", x=1)  # no crash, no state
-
-    def test_import_does_not_pull_in_span_machinery(self):
-        """``repro.sim.trace`` must stay importable without the obs plane.
-
-        The span recorder is only needed once a real ``Tracer`` is built;
-        hot-path modules that merely import this module (directly or via
-        ``repro.sim``) must not pay the ``repro.obs`` import cost.  Checked
-        in a fresh interpreter so this test is immune to import order in
-        the suite.
-        """
-        code = (
-            "import sys\n"
-            "import repro.sim.trace\n"
-            "assert 'repro.obs.spans' not in sys.modules, 'eager import'\n"
-            "from repro.sim.trace import Tracer\n"
-            "from repro.sim.engine import Simulator\n"
-            "Tracer(Simulator())\n"
-            "assert 'repro.obs.spans' in sys.modules, 'lazy import broken'\n"
-        )
-        proc = subprocess.run(
-            [sys.executable, "-c", code],
-            capture_output=True, text=True,
-            cwd=str(Path(__file__).resolve().parent.parent),
-            env={"PYTHONPATH": "src", "PATH": ""},
-        )
-        assert proc.returncode == 0, proc.stderr
-
-    def test_disabled_tracer_emit_allocates_nothing(self):
-        """The disabled flat-trace path must be free, like NULL_RECORDER's."""
-        tracer = NULL_TRACER
-
-        def emit():
-            if tracer.enabled:
-                tracer.emit("pastry.hop", "hop", src=1, dst=2)
-
-        emit()  # warm any lazy interpreter state
-        gc.collect()
-        before = sys.getallocatedblocks()
-        for _ in range(10_000):
-            emit()
-        gc.collect()
-        after = sys.getallocatedblocks()
-        assert after - before < 10
-
-    def test_network_hook(self, sim, network, registry):
-        from repro.net.message import Message
-        from repro.net.network import Host
-
-        class Echo(Host):
-            def on_message(self, msg):
-                pass
-
-        a, b = Echo(registry[0]), Echo(registry[1])
-        network.attach(a), network.attach(b)
-        tracer = Tracer(sim)
-        hook_network(tracer, network)
-        a.send(b.address, Message(kind="ping"))
-        sim.run()
-        assert tracer.count("net.deliver") == 1
 
 
 class TestAsciiPlots:

@@ -86,8 +86,16 @@ def test_live_protocol_join_over_sockets(live_plane):
     plane.settle(1_000.0)
     node.update_attribute("CPU_utilization", 31.0)
     plane.settle(2_000.0)
+    # The newcomer's id is the closest in its site to its bucket tree's
+    # key, so it is that tree's new rendezvous; the previous root hands
+    # over on its next maintenance tick (the root re-anchor of
+    # ``ScribeApplication.maintain``), also over the wire.
+    for peer in plane.site_nodes("Site002"):
+        peer.maintenance_tick()
+    plane.settle(2_000.0)
     result = q(plane, "SELECT * FROM * GROUP BY CPU_utilization;")
     assert sum(groups(result).values()) == len(plane.nodes)
+    assert groups(result)["CPU_utilization[25,50)"] == 2
 
 
 def test_live_attribute_update_rebuckets(live_plane):

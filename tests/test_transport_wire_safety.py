@@ -1,7 +1,7 @@
 """Wire-safety audit: every message the protocol stack sends must
 survive the codec.
 
-``SimTransport(wire_check=True)`` round-trips every delivery through the
+``Network(wire_check=True)`` round-trips every delivery through the
 wire codec, so a dressed DES run doubles as an exhaustive serializability
 audit of the real protocol traffic.  The REQUIRED set below enumerates
 the message kinds a dressed federation is known to put on the wire; if a
@@ -14,11 +14,10 @@ import pytest
 
 from repro.core.plane import RBay, RBayConfig
 from repro.net.message import Message
-from repro.net.network import Host
+from repro.net.network import Host, Network
 from repro.net.site import SiteRegistry
 from repro.sim.engine import Simulator
 from repro.transport.codec import CodecError
-from repro.transport.sim import SimTransport
 from repro.workloads.generator import FederationWorkload, WorkloadSpec
 
 # Message kinds a dressed 4-site federation demonstrably sends.  Keep in
@@ -79,7 +78,7 @@ def test_unserializable_payload_fails_loudly_under_wire_check():
     registry.add("A", "r")
     registry.add("B", "r")
     sites = list(registry)
-    net = SimTransport(sim, wire_check=True)
+    net = Network(sim, wire_check=True)
 
     class Silent(Host):
         def on_message(self, msg):

@@ -29,7 +29,6 @@ REPO = Path(__file__).resolve().parent.parent
 #: Modules whose coverage this gate protects.
 DEFAULT_TARGETS = [
     REPO / "src" / "repro" / "scribe" / "cache.py",
-    REPO / "src" / "repro" / "metrics" / "counters.py",
     REPO / "src" / "repro" / "faults" / "schedule.py",
     REPO / "src" / "repro" / "faults" / "injector.py",
     REPO / "src" / "repro" / "query" / "backoff.py",
@@ -46,9 +45,9 @@ DEFAULT_TARGETS = [
     REPO / "src" / "repro" / "query" / "planner.py",
     REPO / "src" / "repro" / "scribe" / "buckets.py",
     REPO / "src" / "repro" / "scribe" / "rebalance.py",
+    REPO / "src" / "repro" / "net" / "network.py",
     REPO / "src" / "repro" / "transport" / "base.py",
     REPO / "src" / "repro" / "transport" / "codec.py",
-    REPO / "src" / "repro" / "transport" / "sim.py",
     REPO / "src" / "repro" / "transport" / "realtime.py",
     REPO / "src" / "repro" / "transport" / "asyncio_transport.py",
     REPO / "src" / "repro" / "metrics" / "stats.py",
@@ -80,6 +79,7 @@ DEFAULT_TESTS = [
     REPO / "tests" / "test_property_range_oracle.py",
     REPO / "tests" / "test_rebalance.py",
     REPO / "tests" / "test_transport_codec.py",
+    REPO / "tests" / "test_net_network.py",
     REPO / "tests" / "test_net_trace_ctx.py",
     REPO / "tests" / "test_transport_realtime.py",
     REPO / "tests" / "test_transport_asyncio.py",
