@@ -2,13 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test bench ablations chaos sanitize coverage trace planner rebalance market live profile examples outputs clean
-
-# Hot-path profile: run the deterministic profiling harness on the small
-# canonical spec and print per-stage wall-clock attribution (speed itself
-# is gated by `make bench`).
-profile:
-	PYTHONPATH=src $(PYTHON) -m repro.cli profile
+.PHONY: install test bench ablations chaos sanitize coverage trace planner rebalance market live examples outputs clean
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -35,9 +29,8 @@ chaos:
 
 # Runtime invariant sanitizer (docs/architecture.md §13): the sanitizer
 # unit/regression suite, the sanitized 20-seed chaos matrix, the
-# fault-replay check subcommand, a sanitized fail-fast 1,024-node scale
-# run, and the on/off overhead + trace-identity benchmark
-# (benchmarks/results/sanitize_overhead.json).
+# fault-replay check subcommand, and a sanitized fail-fast 1,024-node
+# scale run (the on/off cost is bench/'s check.sanitize_on_over_off).
 sanitize:
 	PYTHONPATH=src $(PYTHON) -m pytest -q tests/test_sanitizer.py \
 	  tests/test_query_orphan_release.py tests/test_core_reservation.py
@@ -46,8 +39,6 @@ sanitize:
 	PYTHONPATH=src $(PYTHON) -m repro.cli check --seed 101 --show-faults
 	PYTHONPATH=src $(PYTHON) -m repro.cli scale --sites 32 --nodes 32 \
 	  --queries 64 --sanitize --sanitize-fail-fast
-	PYTHONPATH=src:. $(PYTHON) -m pytest benchmarks/test_sanitizer_overhead.py \
-	  --benchmark-only -s
 
 # Line-coverage floor for the caching subsystem.  When pytest-cov is
 # installed, also print a full term-missing report; the gate itself uses
@@ -62,15 +53,14 @@ coverage:
 	$(PYTHON) tools/check_coverage.py
 	$(PYTHON) tools/check_api.py
 
-# Observability plane: the span/metric/critical-path test suite, the
-# tracing-overhead ablation, and a demo trace of one multi-site query
-# (Chrome trace_event export lands in trace_demo.json; open in Perfetto).
+# Observability plane: the span/metric/critical-path test suite and a demo
+# trace of one multi-site query (Chrome trace_event export lands in
+# trace_demo.json; open in Perfetto).  The tracing on/off cost is bench/'s
+# obs.tracing_on_over_off.
 trace:
 	PYTHONPATH=src $(PYTHON) -m pytest -q tests/test_obs_spans.py \
 	  tests/test_obs_metrics.py tests/test_obs_critical_path.py \
 	  tests/test_obs_exporters.py
-	PYTHONPATH=src:. $(PYTHON) -m pytest benchmarks/test_obs_overhead.py \
-	  --benchmark-only -s
 	PYTHONPATH=src $(PYTHON) -m repro.cli trace \
 	  "SELECT 2 FROM * WHERE instance_type = 'c3.large';" \
 	  --nodes 8 --no-jitter --trace-out trace_demo.json
@@ -113,9 +103,9 @@ market:
 
 # Real-transport subsystem (docs/architecture.md §16): codec + trace-ctx
 # + scheduler + socket suites, the sim-as-oracle harness and live 4-site
-# e2e, the two-process serve smoke test, and the live-vs-sim cost
-# benchmark (benchmarks/results/transport_overhead.json).  Live runs use
-# real sockets and wall clocks, so the whole target sits under a hard
+# e2e, and the two-process serve smoke test (the live-vs-sim cost is
+# bench/'s transport.live_over_sim_wall_ratio).  Live runs use real
+# sockets and wall clocks, so the whole target sits under a hard
 # wall-clock timeout (override with RBAY_LIVE_TIMEOUT, seconds).
 live:
 	timeout $${RBAY_LIVE_TIMEOUT:-900} sh -c '\
@@ -123,9 +113,7 @@ live:
 	    tests/test_net_trace_ctx.py tests/test_transport_realtime.py \
 	    tests/test_transport_asyncio.py tests/test_transport_wire_safety.py \
 	    tests/test_transport_oracle.py tests/test_transport_live.py \
-	    tests/test_transport_serve.py && \
-	  PYTHONPATH=src:. $(PYTHON) -m pytest benchmarks/test_transport_overhead.py \
-	    --benchmark-only -s'
+	    tests/test_transport_serve.py'
 
 examples:
 	@for f in examples/*.py; do echo "== $$f"; $(PYTHON) $$f; done

@@ -407,44 +407,6 @@ def cmd_market(args) -> int:
     return 1 if violations else 0
 
 
-def cmd_profile(args) -> int:
-    """Profile the hot path: per-stage wall-clock attribution.
-
-    Runs the deterministic scale workload under cProfile and prints
-    where the time went (drain loop, routing, message construction,
-    dispatch, aggregation, caching, observability).  The run signature
-    is byte-identical to an unprofiled ``rbay scale`` of the same spec.
-    """
-    import json
-    from dataclasses import replace
-
-    from repro.workloads.profiling import (PROFILE_SPEC, format_profile,
-                                           profile_scale)
-
-    spec = PROFILE_SPEC
-    overrides = {}
-    if args.synthetic_sites:
-        overrides["sites"] = args.synthetic_sites
-    if args.nodes != 15:  # the common parser's default ≠ the profile spec's
-        overrides["nodes_per_site"] = args.nodes
-    if args.seed != 2017:
-        overrides["seed"] = args.seed
-    if args.duration is not None:
-        overrides["duration_ms"] = args.duration
-    if overrides:
-        spec = replace(spec, **overrides)
-    metrics = profile_scale(spec)
-    print(f"profile: {metrics['total_nodes']} nodes "
-          f"({spec.sites} sites x {spec.nodes_per_site}), "
-          f"seed {spec.seed}")
-    print(format_profile(metrics, top=args.top))
-    if args.json_out:
-        with open(args.json_out, "w", encoding="utf-8") as handle:
-            json.dump(metrics, handle, indent=2, sort_keys=True)
-        print(f"wrote profile metrics to {args.json_out}")
-    return 0
-
-
 def cmd_check(args) -> int:
     """Replay a fault schedule under the invariant sanitizer.
 
@@ -659,18 +621,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json-out", default=None, metavar="PATH",
                    help="write the full metrics dict to PATH")
     p.set_defaults(fn=cmd_market)
-
-    p = sub.add_parser("profile", parents=[common],
-                       help="profile the hot path and print per-stage "
-                            "wall-clock attribution")
-    p.add_argument("--duration", type=float, default=None,
-                   help="measured window of simulated time (ms; "
-                        "default: the profile spec's 3000)")
-    p.add_argument("--top", type=int, default=3,
-                   help="heaviest functions listed per stage")
-    p.add_argument("--json-out", default=None, metavar="PATH",
-                   help="write the metrics + attribution dict to PATH")
-    p.set_defaults(fn=cmd_profile)
 
     p = sub.add_parser("check", parents=[common],
                        help="replay a fault schedule under the invariant "

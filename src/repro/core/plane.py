@@ -29,7 +29,6 @@ from repro.net.latency import (
 from repro.net.network import Network
 from repro.net.site import Site, SiteRegistry
 from repro.obs import Observability
-from repro.pastry.leafset import DEFAULT_LEAF_SET_SIZE
 from repro.pastry.nodeid import NodeId
 from repro.pastry.overlay import Overlay
 from repro.query.admission import AdmissionController
@@ -59,12 +58,7 @@ class RBayConfig:
     nodes_per_site: int = 20
     #: None → the paper's eight EC2 sites; an int → that many synthetic sites.
     synthetic_sites: Optional[int] = None
-    synthetic_hop_ms: float = 15.0
     jitter: bool = True
-    jitter_cv: float = 0.05
-    unstable_jitter_cv: float = 0.25
-    isolation: bool = True
-    leaf_set_size: int = DEFAULT_LEAF_SET_SIZE
     maintenance_interval_ms: float = 2_000.0
     instruction_limit: int = 100_000
     reservation_hold_ms: float = 2_000.0
@@ -94,8 +88,6 @@ class RBayConfig:
     #: exponential backoff before being written off; 0 is the
     #: retries-off ablation (a lost step fails the query immediately).
     site_retries: int = 2
-    #: Backoff slot for protocol-step retries (ms).
-    retry_slot_ms: float = 50.0
     #: Optional :class:`repro.faults.FaultSchedule` installed at build
     #: time; the injector is reachable as ``plane.fault_injector``.
     fault_schedule: Optional[Any] = None
@@ -104,9 +96,6 @@ class RBayConfig:
     #: default — the disabled emit path is a single branch and allocates
     #: nothing, so simulated behaviour is identical either way.
     tracing: bool = False
-    #: Span-store bound when tracing is on (oldest runs keep everything;
-    #: past the bound new spans are counted in ``recorder.dropped``).
-    trace_max_spans: int = 200_000
     #: Debounce window (ms) for aggregation roll-ups: a burst of leaf
     #: updates produces one batched parent update per interval per node
     #: instead of one message per change.
@@ -211,8 +200,7 @@ class RBay:
         self.hierarchy = AttributeHierarchy()
         #: The causal observability plane: span recorder (null when
         #: ``cfg.tracing`` is off) + the metrics registry.
-        self.obs = Observability(self.sim, enabled=cfg.tracing,
-                                 max_spans=cfg.trace_max_spans)
+        self.obs = Observability(self.sim, enabled=cfg.tracing)
         #: Federation-wide cache/protocol counters (hit/miss/invalidation):
         #: the flat face of ``self.obs.metrics``.
         self.counters = self.obs.metrics
@@ -226,7 +214,6 @@ class RBay:
             tree_scope=cfg.tree_scope,
             probe_cache_ms=cfg.probe_cache_ms,
             max_step_retries=cfg.site_retries,
-            retry_slot_ms=cfg.retry_slot_ms,
             retry_rng=self.streams.stream("query-retry"),
             planner_enabled=cfg.planner,
         )
@@ -238,8 +225,7 @@ class RBay:
             self.network,
             self.streams,
             self.registry,
-            leaf_set_size=cfg.leaf_set_size,
-            isolation=cfg.isolation,
+            isolation=True,
             node_factory=self._make_node,
         )
         self.admins: Dict[str, SiteAdmin] = {}
@@ -271,29 +257,20 @@ class RBay:
     def _make_latency(self, cfg: RBayConfig) -> LatencyModel:
         jitter_rng = self.streams.stream("latency-jitter") if cfg.jitter else None
         if cfg.synthetic_sites is None:
-            return TableIILatencyModel(
-                rng=jitter_rng,
-                jitter_cv=cfg.jitter_cv,
-                unstable_jitter_cv=cfg.unstable_jitter_cv,
-            )
-        return SyntheticLatencyModel(
-            cfg.synthetic_sites,
-            hop_ms=cfg.synthetic_hop_ms,
-            rng=jitter_rng,
-            jitter_cv=cfg.jitter_cv if cfg.jitter else 0.0,
-        )
+            return TableIILatencyModel(rng=jitter_rng)
+        # Same stable-region jitter CV as the Table II model's default.
+        return SyntheticLatencyModel(cfg.synthetic_sites, rng=jitter_rng,
+                                     jitter_cv=0.05)
 
     def _make_node(self, node_id: NodeId, site: Site) -> RBayNode:
         cfg = self.config
-        node = RBayNode(
+        return RBayNode(
             node_id,
             site,
             self.sim,
-            leaf_set_size=cfg.leaf_set_size,
             instruction_limit=cfg.instruction_limit,
             reservation_hold_ms=cfg.reservation_hold_ms,
         )
-        return node
 
     def build(self, nodes_per_site: Optional[int] = None) -> "RBay":
         """Create the node population, bootstrap routing, wire applications."""
@@ -357,8 +334,7 @@ class RBay:
                                    counters=self.counters,
                                    recorder=recorder,
                                    rebalance=self.config.rebalance)
-        query_app = QueryApplication(self.context, counters=self.counters,
-                                     obs=self.obs)
+        query_app = QueryApplication(self.context, obs=self.obs)
         if recorder is not None:
             node.recorder = recorder
         node.register_app(scribe)

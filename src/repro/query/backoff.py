@@ -4,11 +4,15 @@
 chosen" — aggressive customers accumulate failures and back off for longer,
 which both avoids the deadlock scenario and biases access toward less
 aggressive customers.
+
+:func:`retry_step` is the loop the query executor runs every lossy
+protocol step through; it draws its delays from the same backoff.
 """
 
 from __future__ import annotations
 
 import random
+from typing import Any, Callable
 
 
 class TruncatedExponentialBackoff:
@@ -52,3 +56,40 @@ class TruncatedExponentialBackoff:
 
     def reset(self) -> None:
         self.failures = 0
+
+
+def retry_step(sim, backoff: TruncatedExponentialBackoff, step: str,
+               attempt: Callable[..., None], on_exhausted: Callable[..., None],
+               tally: Any, obs: Any, parent: Any = None,
+               **labels: Any) -> Callable[..., None]:
+    """The one retry loop for a query-protocol step (paper §III-D).
+
+    A step — the remote site request, the size-probe round, one tree's
+    anycast — supplies ``attempt`` (send it) and ``on_exhausted`` (carry on
+    once the budget is spent) and calls the returned ``failed(*args)``
+    whenever an attempt is lost.  Everything after that happens only here:
+    failure accounting, the ``query.retry.<step>`` counter, the result's
+    retry tally (``tally.retries_spent``), the backoff draw, the optional
+    ``query.backoff`` span (under ``parent``: a retry resumes from a timer,
+    with no span context), the timer and the re-attempt.  ``args`` go to
+    the re-attempt or to ``on_exhausted`` (the probe round passes the
+    trees still unanswered).
+    """
+
+    def failed(*args: Any) -> None:
+        backoff.record_failure()
+        if backoff.exhausted():
+            on_exhausted(*args)
+            return
+        tally.retries_spent += 1
+        obs.metrics.increment(f"query.retry.{step}")
+        delay = backoff.next_delay_ms()
+        rec = obs.recorder
+        if rec.enabled:
+            wait = rec.start("query.backoff", category="query", parent=parent,
+                             step="backoff", retry_of=step, **labels)
+            sim.schedule(delay, lambda: (obs.end_step(wait), attempt(*args)))
+        else:
+            sim.schedule(delay, attempt, *args)
+
+    return failed

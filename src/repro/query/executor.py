@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
 from repro.net.message import Message
@@ -26,9 +26,8 @@ if TYPE_CHECKING:  # avoid the core <-> query.executor import cycle
     from repro.core.naming import AttributeHierarchy
     from repro.core.node import RBayNode
 from repro.obs import Observability
-from repro.obs.metrics import MetricsRegistry
 from repro.pastry.node import Application
-from repro.query.backoff import TruncatedExponentialBackoff
+from repro.query.backoff import TruncatedExponentialBackoff, retry_step
 from repro.query.errors import QueryTimeout
 from repro.query.options import QueryOptions
 from repro.query.predicates import Predicate
@@ -46,45 +45,67 @@ _request_ids = itertools.count(1)
 UNBOUNDED_K = 1_000_000
 
 
-@dataclass
-class _ResultDraft:
-    """Mutable scratchpad the executor fills in while a query runs.
+def _lost(value: Any) -> bool:
+    """A step's future resolved without an answer (timed out / dropped)."""
+    return isinstance(value, FutureTimeout) or value is None
 
-    Frozen into the public :class:`~repro.query.result.QueryResult` at
-    resolution time — callers never see the draft.
-    """
+
+def _site_result(entries=None, tree_sizes=None, visited: int = 0,
+                 retries: int = 0) -> Dict[str, Any]:
+    """One site's (or one DNF branch's) contribution; empty by default.
+    ``retries`` is non-zero only on a result that came back over the
+    wire: locally, retries are tallied on the :class:`_SiteRequest`."""
+    return {"entries": [] if entries is None else entries,
+            "tree_sizes": {} if tree_sizes is None else tree_sizes,
+            "visited": visited, "retries": retries}
+
+
+@dataclass
+class _SiteRequest:
+    """One query as a site is asked it: the parsed query, the caller's
+    options, and the id its reservations are keyed by.  Built once by the
+    coordinator (and rebuilt from the wire by a remote gateway), handed
+    down the site executor whole, and the only source of the
+    ``site_query`` payload."""
 
     query_id: int
-    entries: List[Dict[str, Any]] = field(default_factory=list)
-    requested: Optional[int] = None
-    satisfied: bool = False
-    started_at: float = 0.0
-    finished_at: float = 0.0
-    sites_queried: List[str] = field(default_factory=list)
-    sites_answered: List[str] = field(default_factory=list)
-    tree_sizes: Dict[str, int] = field(default_factory=dict)
-    visited_members: int = 0
-    degraded: bool = False
-    failed_sites: List[str] = field(default_factory=list)
-    retries: int = 0
+    query: Query
+    options: QueryOptions
+    #: Protocol-step retries this node spent serving the request
+    #: (:func:`~repro.query.backoff.retry_step` counts them here).
+    retries_spent: int = 0
 
-    def freeze(self) -> QueryResult:
-        """Snapshot the draft into an immutable public result."""
-        return QueryResult(
-            query_id=self.query_id,
-            entries=tuple(self.entries),
-            requested=self.requested,
-            satisfied=self.satisfied,
-            started_at=self.started_at,
-            finished_at=self.finished_at,
-            sites_queried=tuple(self.sites_queried),
-            sites_answered=tuple(self.sites_answered),
-            tree_sizes=dict(self.tree_sizes),
-            visited_members=self.visited_members,
-            degraded=self.degraded,
-            failed_sites=tuple(self.failed_sites),
-            retries=self.retries,
-        )
+    def pack(self, request_id: int, origin: int) -> Dict[str, Any]:
+        """The ``site_query`` wire payload for one attempt."""
+        query, options = self.query, self.options
+        return {
+            "request_id": request_id,
+            "query_id": self.query_id,
+            "k": query.k,
+            "where": [[p.pack() for p in conjunction]
+                      for conjunction in query.where],
+            "order_by": query.order_by,
+            "group_by": query.group_by,
+            "payload": options.payload,
+            "caller": options.caller,
+            "origin": origin,
+            "retries": options.retries,
+            "planner": options.planner,
+        }
+
+    @classmethod
+    def unpack(cls, data: Dict[str, Any]) -> "_SiteRequest":
+        """Rebuild the request at the gateway that received ``data``."""
+        where = [[Predicate.unpack(p) for p in conjunction]
+                 for conjunction in data["where"]]
+        return cls(data["query_id"],
+                   Query(k=data["k"], where=where,
+                         order_by=data.get("order_by"),
+                         group_by=data.get("group_by")),
+                   QueryOptions(payload=data.get("payload"),
+                                caller=data.get("caller"),
+                                retries=data.get("retries"),
+                                planner=data.get("planner")))
 
 
 class _QueryContext:
@@ -95,8 +116,7 @@ class _QueryContext:
 
     Internal plumbing: the plane builds exactly one and wires it
     everywhere.  Go through :class:`repro.core.plane.RBay` and its
-    ``query``/``submit`` facade — the class is private and the formerly
-    public ``QueryContext`` name is gone.
+    ``query``/``submit`` facade.
     """
 
     def __init__(
@@ -159,28 +179,12 @@ class _QueryContext:
     def set_gateway(self, site_name: str, address: int) -> None:
         self.gateways[site_name] = address
 
-    def step_backoff(self, retries: Optional[int] = None) -> TruncatedExponentialBackoff:
-        """A fresh backoff sized to the per-step retry budget.
-
-        ``retries`` overrides the context-wide ``max_step_retries`` for one
-        query (the :class:`~repro.query.options.QueryOptions.retries` knob).
-        """
-        budget = self.max_step_retries if retries is None else retries
-        return TruncatedExponentialBackoff(
-            self.retry_rng, slot_ms=self.retry_slot_ms,
-            max_attempts=budget + 1)
-
     def deadline_for(self, retries: Optional[int] = None) -> float:
         """Overall fan-out deadline: room for every retry round to finish."""
         budget_rounds = (self.max_step_retries if retries is None else retries) + 1
         budget = self.site_timeout_ms * budget_rounds
         slack = self.retry_slot_ms * (1 << min(budget_rounds, 8))
         return budget + slack
-
-    @property
-    def query_deadline_ms(self) -> float:
-        """Fan-out deadline under the context-default retry budget."""
-        return self.deadline_for()
 
     def candidate_trees(self, predicate: Predicate) -> List[str]:
         """Tree names to search for one predicate (hybrid expansion)."""
@@ -198,19 +202,25 @@ class QueryApplication(Application):
     name = "query"
 
     def __init__(self, context: _QueryContext,
-                 counters: Optional[MetricsRegistry] = None,
                  obs: Optional[Observability] = None):
         self.context = context
         self._pending: Dict[int, Future] = {}
-        self.counters = counters
         #: Causal observability plane (tracing off by default): spans for
-        #: every protocol step plus the per-step latency histogram.
+        #: every protocol step, the per-step latency histogram, and the
+        #: metrics registry every ``query.*`` counter lands in.
         self.obs = obs if obs is not None else Observability()
+        #: Direct-message dispatch: wire kind -> ``handler(node, data, origin)``.
+        self.direct_handlers = {
+            "site_query": self._on_site_query,
+            "site_result": self._on_site_result,
+            "commit": self._on_commit,
+            "release": self._on_release,
+        }
         #: Step-1 probe cache: topic -> last observed tree size.  Entries
         #: are trusted up to ``context.probe_cache_ms`` of staleness and
         #: dropped eagerly when the co-located Scribe instance observes any
         #: change to that tree (see :meth:`on_tree_change`).
-        self.probe_cache = TTLCache(counters, "query.probe_cache")
+        self.probe_cache = TTLCache(self.obs.metrics, "query.probe_cache")
 
     def on_tree_change(self, topic: str) -> None:
         """Scribe observed a membership/accumulator change for ``topic``:
@@ -253,9 +263,7 @@ class QueryApplication(Application):
         """Run ``query`` from ``node``; resolves to a :class:`QueryResult`.
 
         Execution knobs travel in ``options`` (a frozen
-        :class:`~repro.query.options.QueryOptions`) — the only entry point;
-        the pre-options ``payload``/``caller``/``timeout`` keywords have
-        been removed.
+        :class:`~repro.query.options.QueryOptions`).
 
         Failure contract: the future resolves to a QueryResult — possibly
         ``degraded=True`` with the unreachable sites listed — or, when the
@@ -267,16 +275,11 @@ class QueryApplication(Application):
         opts = options if options is not None else QueryOptions()
         if opts.k is not None:
             query = replace(query, k=opts.k)
-        retries = opts.retries
         sim = self.context.sim
         query_id = next(_query_ids)
-        result = _ResultDraft(
-            query_id=query_id,
-            requested=query.k,
-            started_at=sim.now,
-        )
+        request = _SiteRequest(query_id, query, opts)
+        started_at = sim.now
         target_sites = query.sites if query.sites is not None else self.context.site_names
-        result.sites_queried = list(target_sites)
         self.context.active_query_ids.add(query_id)
         done = Future(sim, timeout=opts.deadline_ms,
                       timeout_value=lambda: QueryTimeout(
@@ -292,24 +295,23 @@ class QueryApplication(Application):
         site_futures: List[Future] = []
         fanned_out: List[str] = []
         answered: List[str] = []
-        retries_used = [0]
         with rec.use(root_span):
             for site_name in target_sites:
                 if site_name == node.site.name:
-                    future = self._run_site(node, query_id, query,
-                                            opts.payload, opts.caller,
-                                            retries=retries,
-                                            planner=opts.planner)
+                    future = self._site_query_dnf(node, request)
                 else:
                     gateway = self.context.gateways.get(site_name)
                     if gateway is None:
                         continue
                     future = self._ask_remote_site(
-                        node, gateway, query_id, query, opts.payload,
-                        opts.caller, retries_used, site_name=site_name,
-                        parent_ctx=None if root_span is None else root_span.ctx,
-                        retries=retries, planner=opts.planner)
-                future.add_callback(self._tag_site(answered, site_name))
+                        node, gateway, request, site_name,
+                        None if root_span is None else root_span.ctx)
+
+                def _note_answer(value: Any, site_name: str = site_name) -> None:
+                    if not _lost(value):
+                        answered.append(site_name)
+
+                future.add_callback(_note_answer)
                 site_futures.append(future)
                 fanned_out.append(site_name)
 
@@ -317,14 +319,20 @@ class QueryApplication(Application):
             if isinstance(site_results, FutureTimeout):
                 site_results = [FutureTimeout()] * len(site_futures)
             entries: List[Dict[str, Any]] = []
+            failed_sites: List[str] = []
+            tree_sizes: Dict[str, int] = {}
+            visited = 0
+            # Retries spent here (remote requests, the local site's steps)
+            # plus what each remote site reports spending on its side.
+            retries = request.retries_spent
             for site_name, site_result in zip(fanned_out, site_results):
-                if isinstance(site_result, FutureTimeout) or site_result is None:
-                    result.failed_sites.append(site_name)
+                if _lost(site_result):
+                    failed_sites.append(site_name)
                     continue
-                entries.extend(site_result.get("entries", []))
-                result.tree_sizes.update(site_result.get("tree_sizes", {}))
-                result.visited_members += site_result.get("visited", 0)
-                result.retries += site_result.get("retries", 0)
+                entries.extend(site_result["entries"])
+                tree_sizes.update(site_result["tree_sizes"])
+                visited += site_result["visited"]
+                retries += site_result["retries"]
             selected, rejected = self._select(query, entries)
             # Over-asking clients widen ``k`` (reservation width) but set
             # ``min_k`` to the number they actually need: committing the
@@ -354,39 +362,32 @@ class QueryApplication(Application):
                                 addr=node.address, committed=len(committed),
                                 released=len(released))
                 self._settle_locks(node, query_id, committed, released)
-            result.entries = selected
-            result.satisfied = satisfied and not caller_gone
-            result.sites_answered = list(answered)
-            result.retries += retries_used[0]
-            result.degraded = bool(result.failed_sites)
-            result.finished_at = sim.now
-            if result.degraded and self.counters is not None:
-                self.counters.increment("query.degraded")
+            result = QueryResult(
+                query_id=query_id, entries=tuple(selected), requested=query.k,
+                satisfied=satisfied and not caller_gone,
+                started_at=started_at, finished_at=sim.now,
+                sites_queried=tuple(target_sites),
+                sites_answered=tuple(answered), tree_sizes=tree_sizes,
+                visited_members=visited, degraded=bool(failed_sites),
+                failed_sites=tuple(failed_sites), retries=retries)
+            if result.degraded:
+                self.obs.metrics.increment("query.degraded")
             if rec.enabled:
                 status = ("degraded" if result.degraded
                           else "ok" if result.satisfied else "unsatisfied")
-                rec.end(root_span, status=status, retries=result.retries)
+                rec.end(root_span, status=status, retries=retries)
                 # End-to-end latency gets its own histogram; the per-step
                 # one is fed by the step spans underneath this root.
                 self.obs.metrics.histogram("query.duration_ms").observe(
                     root_span.duration_ms, site=node.site.name)
-            frozen = result.freeze()
             self.context.active_query_ids.discard(query_id)
             for listener in self.context.result_listeners:
-                listener(frozen, len(committed))
-            done.try_resolve(frozen)
+                listener(result, len(committed))
+            done.try_resolve(result)
 
         gather(sim, site_futures,
-               timeout=self.context.deadline_for(retries)).add_callback(_merge)
+               timeout=self.context.deadline_for(opts.retries)).add_callback(_merge)
         return done
-
-    @staticmethod
-    def _tag_site(answered: List[str], site_name: str):
-        def _cb(value: Any) -> None:
-            if not isinstance(value, FutureTimeout) and value is not None:
-                answered.append(site_name)
-
-        return _cb
 
     def _select(self, query: Query, entries: List[Dict[str, Any]]):
         """Order candidates (GROUPBY) and split into taken / surplus."""
@@ -453,27 +454,35 @@ class QueryApplication(Application):
     # ------------------------------------------------------------------
     # Remote fan-out
     # ------------------------------------------------------------------
-    def _ask_remote_site(self, node: "RBayNode", gateway: int, query_id: int,
-                         query: Query, payload: Optional[Dict[str, Any]],
-                         caller: Optional[str],
-                         retries_used: Optional[List[int]] = None,
-                         site_name: Optional[str] = None,
-                         parent_ctx=None,
-                         retries: Optional[int] = None,
-                         planner: Optional[bool] = None) -> Future:
+    def _retrying(self, step: str, request: _SiteRequest, attempt, on_exhausted,
+                  parent, **labels: Any):
+        """A retry loop for one protocol step with a fresh budget (the
+        query's ``retries`` override, else the context-wide default):
+        returns ``(backoff, failed)`` — see :func:`retry_step`."""
+        ctx = self.context
+        budget = request.options.retries
+        if budget is None:
+            budget = ctx.max_step_retries
+        backoff = TruncatedExponentialBackoff(
+            ctx.retry_rng, slot_ms=ctx.retry_slot_ms, max_attempts=budget + 1)
+        return backoff, retry_step(ctx.sim, backoff, step, attempt,
+                                   on_exhausted, request, self.obs, parent,
+                                   **labels)
+
+    def _ask_remote_site(self, node: "RBayNode", gateway: int,
+                         request: _SiteRequest, site_name: str,
+                         parent_ctx=None) -> Future:
         """Send a site_query to ``gateway``, retrying lost rounds.
 
         Each attempt uses a fresh request id with its own per-attempt
         timeout; a reply to a timed-out attempt hits the orphan path in
-        :meth:`host_message` and has its reservations released there.
-        ``retries`` is the per-query budget override, also carried in the
-        site_query payload so the remote executor honours it too.
+        :meth:`_on_site_result` and has its reservations released there.
+        The request carries the per-query retry budget, so the remote
+        executor honours it too.
         """
         sim = self.context.sim
         done = Future(sim)
-        backoff = self.context.step_backoff(retries)
         rec = self.obs.recorder
-        remote = site_name if site_name is not None else str(gateway)
 
         def _attempt() -> None:
             request_id = next(_request_ids)
@@ -485,86 +494,39 @@ class QueryApplication(Application):
                 # attempt span parents explicitly under the query root.
                 span = rec.start("query.site", category="query",
                                  parent=parent_ctx, step="site_rtt",
-                                 site=remote, addr=node.address,
+                                 site=site_name, addr=node.address,
                                  attempt=backoff.failures + 1)
                 attempt.add_callback(lambda value: self.obs.end_step(
-                    span, status="timeout" if isinstance(value, FutureTimeout)
-                    or value is None else "ok"))
+                    span, status="timeout" if _lost(value) else "ok"))
             with rec.use(span):
-                node.send_app(gateway, self.name, "site_query", {
-                    "request_id": request_id,
-                    "query_id": query_id,
-                    "k": query.k,
-                    "where": [[p.pack() for p in conjunction] for conjunction in query.where],
-                    "order_by": query.order_by,
-                    "group_by": query.group_by,
-                    "payload": payload,
-                    "caller": caller,
-                    "origin": node.address,
-                    "retries": retries,
-                    "planner": planner,
-                })
+                node.send_app(gateway, self.name, "site_query",
+                              request.pack(request_id, node.address))
 
             def _on_reply(value: Any) -> None:
                 if done.resolved:
                     return
-                if not isinstance(value, FutureTimeout) and value is not None:
+                if not _lost(value):
                     done.try_resolve(value)
                     return
                 # Orphan the attempt so a late reply is settled, not merged.
                 self._pending.pop(request_id, None)
-                backoff.record_failure()
-                if backoff.exhausted():
-                    done.try_resolve(FutureTimeout(
-                        f"site request to {gateway} failed after "
-                        f"{backoff.failures} attempts"))
-                    return
-                if retries_used is not None:
-                    retries_used[0] += 1
-                if self.counters is not None:
-                    self.counters.increment("query.retry.site")
-                delay = backoff.next_delay_ms()
-                if rec.enabled:
-                    wait = rec.start("query.backoff", category="query",
-                                     parent=parent_ctx, step="backoff",
-                                     retry_of="site", site=remote,
-                                     addr=node.address)
-                    sim.schedule(delay, lambda: (
-                        self.obs.end_step(wait), _attempt()))
-                else:
-                    sim.schedule(delay, _attempt)
+                failed()
 
             attempt.add_callback(_on_reply)
 
+        backoff, failed = self._retrying(
+            "site", request, _attempt,
+            lambda: done.try_resolve(FutureTimeout(
+                f"site request to {gateway} failed after "
+                f"{backoff.failures} attempts")),
+            parent_ctx, site=site_name, addr=node.address)
         _attempt()
         return done
 
     # ------------------------------------------------------------------
     # Site executor (steps 1-5 inside one site)
     # ------------------------------------------------------------------
-    def _run_site(self, node: "RBayNode", query_id: int, query: Query,
-                  payload: Optional[Dict[str, Any]], caller: Optional[str],
-                  retries: Optional[int] = None,
-                  planner: Optional[bool] = None) -> Future:
-        return self._site_query_dnf(
-            node, query_id,
-            k=query.k,
-            where=[list(conjunction) for conjunction in query.where],
-            order_by=query.order_by,
-            payload=payload,
-            caller=caller,
-            retries=retries,
-            group_by=query.group_by,
-            planner=planner,
-        )
-
-    def _site_query_dnf(self, node: "RBayNode", query_id: int, k: Optional[int],
-                        where: List[List[Predicate]], order_by: Optional[str],
-                        payload: Optional[Dict[str, Any]],
-                        caller: Optional[str],
-                        retries: Optional[int] = None,
-                        group_by: Optional[str] = None,
-                        planner: Optional[bool] = None) -> Future:
+    def _site_query_dnf(self, node: "RBayNode", request: _SiteRequest) -> Future:
         """Run each disjunct of a DNF WHERE clause and union the results.
 
         A node satisfying several disjuncts appears once (reservations are
@@ -573,63 +535,48 @@ class QueryApplication(Application):
         must collect per-member labels so the union can dedupe by address.
         """
         sim = self.context.sim
-        if len(where) <= 1:
-            return self._site_query(node, query_id, k,
-                                    where[0] if where else [],
-                                    order_by, payload, caller, retries=retries,
-                                    group_by=group_by, planner=planner,
-                                    allow_pushdown=True)
+        query = request.query
+        if not query.is_disjunctive():
+            return self._site_query(node, request, query.predicates)
         done = Future(sim)
-        branches = [
-            self._site_query(node, query_id, k, conjunction, order_by,
-                             payload, caller, retries=retries,
-                             group_by=group_by, planner=planner,
-                             allow_pushdown=False)
-            for conjunction in where
-        ]
+        branches = [self._site_query(node, request, conjunction)
+                    for conjunction in query.where]
 
         def _union(results: Any) -> None:
             if isinstance(results, FutureTimeout):
                 results = []
             entries: Dict[int, Dict[str, Any]] = {}
-            tree_sizes: Dict[str, int] = {}
-            visited = 0
-            retries = 0
+            union = _site_result()
             for branch in results:
-                if isinstance(branch, FutureTimeout) or branch is None:
+                if _lost(branch):
                     continue
-                for entry in branch.get("entries", []):
+                for entry in branch["entries"]:
                     entries.setdefault(entry["address"], entry)
-                tree_sizes.update(branch.get("tree_sizes", {}))
-                visited += branch.get("visited", 0)
-                retries += branch.get("retries", 0)
-            done.try_resolve({"entries": list(entries.values()),
-                              "tree_sizes": tree_sizes, "visited": visited,
-                              "retries": retries})
+                union["tree_sizes"].update(branch["tree_sizes"])
+                union["visited"] += branch["visited"]
+            union["entries"] = list(entries.values())
+            done.try_resolve(union)
 
         gather(sim, branches, timeout=self.context.site_timeout_ms).add_callback(_union)
         return done
 
-    def _site_query(self, node: "RBayNode", query_id: int, k: Optional[int],
-                    predicates: List[Predicate], order_by: Optional[str],
-                    payload: Optional[Dict[str, Any]], caller: Optional[str],
-                    retries: Optional[int] = None,
-                    group_by: Optional[str] = None,
-                    planner: Optional[bool] = None,
-                    allow_pushdown: bool = True) -> Future:
+    def _site_query(self, node: "RBayNode", request: _SiteRequest,
+                    predicates: List[Predicate]) -> Future:
         from repro.core.naming import site_tree  # lazy: avoids cycle
         from repro.query.planner import plan_group_pushdown, route_predicates
 
         sim = self.context.sim
         done = Future(sim)
         site_name = node.site.name
+        query, options = request.query, request.options
+        group_by = query.group_by
         if not predicates and group_by is None:
-            sim.call_soon(done.try_resolve, {"entries": [], "tree_sizes": {},
-                                             "visited": 0})
+            sim.call_soon(done.try_resolve, _site_result())
             return done
         planner_on = (self.context.planner_enabled
-                      if planner is None else bool(planner))
+                      if options.planner is None else bool(options.planner))
         rec = self.obs.recorder
+        metrics = self.obs.metrics
         exec_span = None
         exec_ctx = None
         if rec.enabled:
@@ -637,11 +584,10 @@ class QueryApplication(Application):
             # local site, the coordinator's site_rtt attempt for a gateway.
             exec_span = rec.start("query.site_exec", category="query",
                                   step="site_exec", site=site_name,
-                                  addr=node.address, query_id=query_id)
+                                  addr=node.address, query_id=request.query_id)
             exec_ctx = exec_span.ctx
             done.add_callback(lambda result: self.obs.end_step(
-                exec_span, status="timeout" if isinstance(result, FutureTimeout)
-                or result is None else "ok"))
+                exec_span, status="timeout" if _lost(result) else "ok"))
 
         # Route each predicate: the cost-based planner picks the tree
         # family (bucket subset / full family / legacy candidate trees)
@@ -649,59 +595,50 @@ class QueryApplication(Application):
         # bucket roll-ups and skip member visits entirely.
         hints = self.cardinality_hints(node)
         pushdown = None
-        if group_by is not None and allow_pushdown:
+        if group_by is not None and not query.is_disjunctive():
             pushdown = plan_group_pushdown(self.context, predicates, group_by,
                                            planner_on)
         families: List[Dict[str, Any]] = []
+        size_of: Dict[str, int] = {}
+
+        def _whole_buckets(buckets) -> Dict[str, Any]:
+            # The synthetic, predicate-less family a GROUP BY searches.
+            return {"predicate": None, "exact": True,
+                    "topics": [site_tree(site_name, b.tree) for b in buckets]}
+
         if pushdown is not None:
-            if self.counters is not None:
-                self.counters.increment("query.plan.pushdown")
+            metrics.increment("query.plan.pushdown")
             if not pushdown:
-                sim.call_soon(done.try_resolve,
-                              {"entries": [], "tree_sizes": {}, "visited": 0})
+                sim.call_soon(done.try_resolve, _site_result())
                 return done
-            families.append({
-                "predicate": None,
-                "topics": [site_tree(site_name, b.tree) for b in pushdown],
-                "exact": True,
-                "seeds": {},
-            })
+            families.append(_whole_buckets(pushdown))
         else:
             # Group queries must see every match, so routes are costed
             # with an unbounded k.
             routes = route_predicates(
                 self.context, predicates,
-                k if group_by is None else None,
+                query.k if group_by is None else None,
                 hints, site_name, planner_on)
             for route in routes:
-                if self.counters is not None:
-                    self.counters.increment(f"query.plan.{route.strategy}")
+                metrics.increment(f"query.plan.{route.strategy}")
                 families.append({
                     "predicate": route.predicate,
                     "topics": [site_tree(site_name, t) for t in route.trees],
                     "exact": route.exact,
+                })
+                if route.strategy == "anycast":
                     # The anycast strategy trusts cached sizes instead of
                     # probing; seed them so the probe round skips these.
-                    "seeds": ({site_tree(site_name, t): size
-                               for t, size in route.estimates.items()}
-                              if route.strategy == "anycast" else {}),
-                })
+                    for t, size in route.estimates.items():
+                        size_of.setdefault(site_tree(site_name, t), int(size))
             if group_by is not None and not predicates:
                 spec = self.context.bucket_index.spec_for(group_by)
                 if spec is None:
                     # No WHERE and no bucket index: there is no tree that
                     # covers "every node holding the attribute".
-                    sim.call_soon(done.try_resolve,
-                                  {"entries": [], "tree_sizes": {},
-                                   "visited": 0})
+                    sim.call_soon(done.try_resolve, _site_result())
                     return done
-                families.append({
-                    "predicate": None,
-                    "topics": [site_tree(site_name, b.tree)
-                               for b in spec.buckets],
-                    "exact": True,
-                    "seeds": {},
-                })
+                families.append(_whole_buckets(spec.buckets))
 
         # Steps 1-2: probe sizes of every candidate tree, grouped by the
         # predicate it serves.  Planner seeds and fresh probe-cache
@@ -709,10 +646,6 @@ class QueryApplication(Application):
         groups: List[List[str]] = [family["topics"] for family in families]
         flat = list(dict.fromkeys(t for group in groups for t in group))
         ttl = self.context.probe_cache_ms
-        size_of: Dict[str, int] = {}
-        for family in families:
-            for topic, estimate in family["seeds"].items():
-                size_of.setdefault(topic, int(estimate))
         to_probe: List[str] = []
         for topic in flat:
             if topic in size_of:
@@ -728,7 +661,6 @@ class QueryApplication(Application):
             rec.instant("query.probe_cache_hit", category="query",
                         parent=exec_ctx, site=site_name, addr=node.address,
                         topics=len(size_of))
-        probe_backoff = self.context.step_backoff(retries)
 
         def _probe_round(topics_left: List[str]) -> None:
             probe_span = None
@@ -765,27 +697,21 @@ class QueryApplication(Application):
                 self.obs.end_step(probe_span,
                                   status="timeout" if missing else "ok")
             if missing:
-                probe_backoff.record_failure()
-                if not probe_backoff.exhausted():
-                    # Re-probe only the trees whose size is still unknown.
-                    if self.counters is not None:
-                        self.counters.increment("query.retry.probe")
-                    delay = probe_backoff.next_delay_ms()
-                    if rec.enabled:
-                        wait = rec.start("query.backoff", category="query",
-                                         parent=exec_ctx, step="backoff",
-                                         retry_of="probe", site=site_name,
-                                         addr=node.address)
-                        sim.schedule(delay, lambda: (
-                            self.obs.end_step(wait), _probe_round(missing)))
-                    else:
-                        sim.schedule(delay, lambda: _probe_round(missing))
-                    return
-                # Retry budget spent: an unreachable tree counts as empty,
-                # so planning proceeds on what did answer.
-                for topic in missing:
-                    size_of[topic] = 0
+                # Re-probe only the trees whose size is still unknown.
+                probe_failed(missing)
+            else:
+                _after_probe()
+
+        def _probe_exhausted(missing: List[str]) -> None:
+            # Retry budget spent: an unreachable tree counts as empty, so
+            # planning proceeds on what did answer.
+            for topic in missing:
+                size_of[topic] = 0
             _after_probe()
+
+        probe_backoff, probe_failed = self._retrying(
+            "probe", request, _probe_round, _probe_exhausted, exec_ctx,
+            site=site_name, addr=node.address)
 
         def _after_probe() -> None:
             # GROUP BY pushdown: the bucket roll-up counts *are* the
@@ -796,21 +722,15 @@ class QueryApplication(Application):
                     for bucket, topic in zip(pushdown, families[0]["topics"])
                     if size_of.get(topic, 0) > 0
                 ]
-                done.try_resolve({"entries": rows, "tree_sizes": size_of,
-                                  "visited": 0})
+                done.try_resolve(_site_result(rows, size_of))
                 return
             # Step 3: pick the predicate whose tree family is smallest.
             totals = [sum(size_of[t] for t in group) for group in groups]
-            best_index: Optional[int] = None
-            for index, total in enumerate(totals):
-                if total <= 0:
-                    continue
-                if best_index is None or total < totals[best_index]:
-                    best_index = index
-            if best_index is None:
-                done.try_resolve({"entries": [], "tree_sizes": size_of,
-                                  "visited": 0})
+            populated = [i for i, total in enumerate(totals) if total > 0]
+            if not populated:
+                done.try_resolve(_site_result(tree_sizes=size_of))
                 return
+            best_index = min(populated, key=totals.__getitem__)  # first on ties
             topics = sorted(groups[best_index], key=lambda t: size_of[t])
             topics = [t for t in topics if size_of[t] > 0]
             # Tree membership *implies* the chosen predicate (that is what
@@ -836,7 +756,7 @@ class QueryApplication(Application):
                 # members are never reserved, so k is unbounded.
                 state = {
                     "kind": "gquery",
-                    "query_id": query_id,
+                    "query_id": request.query_id,
                     "k": UNBOUNDED_K,
                     "predicates": local_predicates,
                     "group_by": group_by,
@@ -845,16 +765,16 @@ class QueryApplication(Application):
             else:
                 state = {
                     "kind": "query",
-                    "query_id": query_id,
-                    "k": k if k is not None else UNBOUNDED_K,
-                    "caller": caller,
-                    "payload": payload,
+                    "query_id": request.query_id,
+                    "k": query.k if query.k is not None else UNBOUNDED_K,
+                    "caller": options.caller,
+                    "payload": options.payload,
                     "predicates": local_predicates,
-                    "order_by": order_by,
+                    "order_by": query.order_by,
                     "entries": [],
                 }
-            self._anycast_chain(node, topics, state, size_of, done,
-                                parent=exec_ctx, retries=retries)
+            self._anycast_chain(node, request, topics, state, size_of, done,
+                                exec_ctx)
 
         if to_probe:
             _probe_round(to_probe)
@@ -864,80 +784,70 @@ class QueryApplication(Application):
             sim.call_soon(_after_probe)
         return done
 
-    def _anycast_chain(self, node: "RBayNode", topics: List[str], state: Dict[str, Any],
+    def _anycast_chain(self, node: "RBayNode", request: _SiteRequest,
+                       topics: List[str], state: Dict[str, Any],
                        tree_sizes: Dict[str, int], done: Future,
-                       backoff: Optional[TruncatedExponentialBackoff] = None,
-                       parent=None, retries: Optional[int] = None) -> None:
+                       parent=None) -> None:
         """Step 4: anycast trees in ascending-size order until k filled.
 
         A lost anycast (dropped message, crashed member mid-DFS) is retried
         into the same tree after a backoff delay; re-visits are idempotent
         because reservations are keyed by query id.  When the retry budget
-        for a tree is spent the chain moves on to the next-larger tree.
+        for a tree is spent the chain moves on to the next-larger tree
+        with a fresh budget — failures are per-tree, not per-chain.
         """
-        sim = self.context.sim
         if not topics or len(state["entries"]) >= state["k"]:
-            done.try_resolve({"entries": state["entries"], "tree_sizes": tree_sizes,
-                              "visited": state.get("visited_total", 0),
-                              "retries": state.get("retries", 0)})
+            done.try_resolve(_site_result(state["entries"], tree_sizes,
+                                          state.get("visited_total", 0)))
             return
         topic, rest = topics[0], topics[1:]
-        if backoff is None:
-            backoff = self.context.step_backoff(retries)
         rec = self.obs.recorder
-        span = None
-        if rec.enabled:
-            span = rec.start("query.anycast", category="query", parent=parent,
-                             step="anycast", site=node.site.name,
-                             addr=node.address, topic=topic,
-                             attempt=backoff.failures + 1)
 
-        def _next(result: Any) -> None:
-            if isinstance(result, FutureTimeout) or result is None:
-                if rec.enabled:
-                    self.obs.end_step(span, status="timeout")
-                backoff.record_failure()
-                if not backoff.exhausted():
-                    state["retries"] = state.get("retries", 0) + 1
-                    if self.counters is not None:
-                        self.counters.increment("query.retry.anycast")
-                    delay = backoff.next_delay_ms()
-                    if rec.enabled:
-                        wait = rec.start("query.backoff", category="query",
-                                         parent=parent, step="backoff",
-                                         retry_of="anycast", site=node.site.name,
-                                         addr=node.address, topic=topic)
-                        sim.schedule(delay, lambda: (
-                            self.obs.end_step(wait),
-                            self._anycast_chain(node, topics, state, tree_sizes,
-                                                done, backoff, parent=parent)))
-                    else:
-                        sim.schedule(
-                            delay,
-                            lambda: self._anycast_chain(node, topics, state,
-                                                        tree_sizes, done, backoff,
-                                                        parent=parent))
-                    return
-                # Budget spent on this tree: fall through to the next one
-                # (fresh budget — failures are per-tree, not per-chain).
-                self._anycast_chain(node, rest, state, tree_sizes, done,
-                                    parent=parent, retries=retries)
+        def _next_tree() -> None:
+            self._anycast_chain(node, request, rest, state, tree_sizes, done,
+                                parent)
+
+        def _attempt() -> None:
+            if len(state["entries"]) >= state["k"]:
+                # A retry can find the buffer already full: in the sim a
+                # lost DFS fills the very ``state`` object we hold.
+                _next_tree()
                 return
+            span = None
             if rec.enabled:
-                self.obs.end_step(
-                    span, status="ok",
-                    visited=result.get("visited_members", 0),
-                    satisfied=bool(result.get("satisfied")))
-            state["entries"] = result.get("entries", state["entries"])
-            state["visited_total"] = (state.get("visited_total", 0)
-                                      + result.get("visited_members", 0))
-            self._anycast_chain(node, rest, state, tree_sizes, done,
-                                parent=parent, retries=retries)
+                span = rec.start("query.anycast", category="query",
+                                 parent=parent, step="anycast",
+                                 site=node.site.name, addr=node.address,
+                                 topic=topic, attempt=backoff.failures + 1)
 
-        with rec.use(span):
-            node.scribe.anycast(node, topic, state,
-                                timeout=self.context.site_timeout_ms,
-                                scope=self.context.tree_scope).add_callback(_next)
+            def _on_result(result: Any) -> None:
+                if _lost(result):
+                    if rec.enabled:
+                        self.obs.end_step(span, status="timeout")
+                    failed()
+                    return
+                if rec.enabled:
+                    self.obs.end_step(
+                        span, status="ok",
+                        visited=result.get("visited_members", 0),
+                        satisfied=bool(result.get("satisfied")))
+                state["entries"] = result.get("entries", state["entries"])
+                # The running total rides in the DFS state (and so on the
+                # wire) between trees.
+                state["visited_total"] = (state.get("visited_total", 0)
+                                          + result.get("visited_members", 0))
+                _next_tree()
+
+            with rec.use(span):
+                node.scribe.anycast(node, topic, state,
+                                    timeout=self.context.site_timeout_ms,
+                                    scope=self.context.tree_scope
+                                    ).add_callback(_on_result)
+
+        backoff, failed = self._retrying(
+            "anycast", request, _attempt, _next_tree, parent,
+            site=node.site.name, addr=node.address, topic=topic)
+        _attempt()
 
     # ------------------------------------------------------------------
     # Anycast visitor (runs at each visited member; wired by the plane)
@@ -953,12 +863,8 @@ class QueryApplication(Application):
             return False
         strict: List[Predicate] = []
         implied: List[Predicate] = []
-        for packed in state["predicates"]:
-            if isinstance(packed, (list, tuple)) and len(packed) == 2 and isinstance(packed[1], bool):
-                packed_pred, is_implied = packed
-                (implied if is_implied else strict).append(Predicate.unpack(packed_pred))
-            else:
-                strict.append(Predicate.unpack(packed))
+        for packed, is_implied in state["predicates"]:
+            (implied if is_implied else strict).append(Predicate.unpack(packed))
         if state["kind"] == "gquery":
             from repro.query.planner import group_label  # lazy: avoids cycle
 
@@ -986,67 +892,64 @@ class QueryApplication(Application):
     # Direct messages
     # ------------------------------------------------------------------
     def host_message(self, node: "RBayNode", msg: Message) -> None:
-        """Direct query traffic: site fan-out, results, lock control."""
-        kind = msg.payload["kind"]
-        data = msg.payload["data"]
-        if kind == "site_query":
-            where = [
-                [Predicate.unpack(p) for p in conjunction]
-                for conjunction in data["where"]
-            ]
-            future = self._site_query_dnf(
-                node, data["query_id"], data["k"], where,
-                data.get("order_by"), data.get("payload"), data.get("caller"),
-                retries=data.get("retries"),
-                group_by=data.get("group_by"),
-                planner=data.get("planner"),
-            )
+        """Direct query traffic: site fan-out, results, lock control.
 
-            def _reply(site_result: Any) -> None:
-                if isinstance(site_result, FutureTimeout) or site_result is None:
-                    site_result = {"entries": [], "tree_sizes": {}, "visited": 0}
-                node.send_app(data["origin"], self.name, "site_result", {
-                    "request_id": data["request_id"],
-                    "query_id": data["query_id"],
-                    "entries": site_result["entries"],
-                    "tree_sizes": site_result["tree_sizes"],
-                    "visited": site_result.get("visited", 0),
-                    "retries": site_result.get("retries", 0),
-                })
+        Unknown kinds are ignored: live frames arrive from outside the
+        process.
+        """
+        payload = msg.payload
+        handler = self.direct_handlers.get(payload["kind"])
+        if handler is not None:
+            handler(node, payload["data"], payload.get("origin"))
 
-            future.add_callback(_reply)
-        elif kind == "site_result":
-            future = self._pending.pop(data["request_id"], None)
-            accepted = future is not None and future.try_resolve({
-                "entries": data["entries"],
-                "tree_sizes": data["tree_sizes"],
-                "visited": data.get("visited", 0),
-                "retries": data.get("retries", 0),
+    def _on_site_query(self, node: "RBayNode", data: Dict[str, Any],
+                       origin: int) -> None:
+        request = _SiteRequest.unpack(data)
+
+        def _reply(site_result: Any) -> None:
+            if _lost(site_result):
+                site_result = _site_result()
+            node.send_app(data["origin"], self.name, "site_result", {
+                "request_id": data["request_id"],
+                "query_id": data["query_id"],
+                **site_result,
+                "retries": request.retries_spent,
             })
-            if not accepted:
-                # Late or duplicate reply: the coordinator already gave up
-                # on this attempt (or the whole query).  Its reservations
-                # must not dangle until the hold window lapses — release
-                # each one explicitly.  The release is uncommitted-only:
-                # the same query may have succeeded through a retried
-                # attempt and committed some of these nodes, and a blanket
-                # release would revoke the customer's active lease.
-                # GROUP BY rows ({"group", "count"}) name no node and hold
-                # no reservation: only rows carrying an address are released.
-                query_id = data.get("query_id")
-                reserved = [entry["address"] for entry in data["entries"]
-                            if "address" in entry]
-                if query_id is not None and reserved:
-                    for address in reserved:
-                        node.send_app(address, self.name, "release",
-                                      {"query_id": query_id,
-                                       "uncommitted_only": True})
-                    if self.counters is not None:
-                        self.counters.increment("query.orphan_release")
-        elif kind == "commit":
-            node.reservation.commit(data["query_id"], data["lease_ms"])
-        elif kind == "release":
-            if data.get("uncommitted_only"):
-                node.reservation.release_uncommitted(data["query_id"])
-            else:
-                node.reservation.release(data["query_id"])
+
+        self._site_query_dnf(node, request).add_callback(_reply)
+
+    def _on_site_result(self, node: "RBayNode", data: Dict[str, Any],
+                        origin: int) -> None:
+        future = self._pending.pop(data["request_id"], None)
+        accepted = future is not None and future.try_resolve(_site_result(
+            data["entries"], data["tree_sizes"], data.get("visited", 0),
+            data.get("retries", 0)))
+        if accepted:
+            return
+        # Late or duplicate reply: the coordinator already gave up on this
+        # attempt (or the whole query).  Its reservations must not dangle
+        # until the hold window lapses — release each one explicitly.  The
+        # release is uncommitted-only: the same query may have succeeded
+        # through a retried attempt and committed some of these nodes, and
+        # a blanket release would revoke the customer's active lease.
+        # GROUP BY rows ({"group", "count"}) name no node and hold no
+        # reservation: only rows carrying an address are released.
+        query_id = data.get("query_id")
+        reserved = [entry["address"] for entry in data["entries"]
+                    if "address" in entry]
+        if query_id is not None and reserved:
+            for address in reserved:
+                node.send_app(address, self.name, "release",
+                              {"query_id": query_id, "uncommitted_only": True})
+            self.obs.metrics.increment("query.orphan_release")
+
+    def _on_commit(self, node: "RBayNode", data: Dict[str, Any],
+                   origin: int) -> None:
+        node.reservation.commit(data["query_id"], data["lease_ms"])
+
+    def _on_release(self, node: "RBayNode", data: Dict[str, Any],
+                    origin: int) -> None:
+        if data.get("uncommitted_only"):
+            node.reservation.release_uncommitted(data["query_id"])
+        else:
+            node.reservation.release(data["query_id"])

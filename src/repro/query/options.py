@@ -1,13 +1,11 @@
 """Per-query execution options for the stable public API.
 
-Historically the execution knobs were scattered across ``execute(...)``
-keyword arguments (payload, caller, timeout) and plane-level config
-(retry budget, LIMIT).  :class:`QueryOptions` collapses them into one
-keyword-only, frozen bundle so the public signature —
-``RBay.query(sql, *, options=QueryOptions(...))`` — never has to change
-when a new knob is added.  The legacy keyword arguments keep working
-through a deprecation shim in
-:meth:`repro.query.executor.QueryApplication.execute`.
+:class:`QueryOptions` is the one keyword-only, frozen bundle of execution
+knobs (payload, caller, deadline, retry budget, LIMIT, ...), so the
+public signature — ``RBay.query(sql, *, options=QueryOptions(...))`` —
+never has to change when a new knob is added.  It is the only way to
+pass them: :meth:`repro.query.executor.QueryApplication.execute` takes
+no per-knob keywords.
 """
 
 from __future__ import annotations

@@ -4,8 +4,8 @@
 documented, sequence-valued fields are tuples, and instances cannot be
 mutated after construction.  Layers that refine a result (QoS trimming,
 economic shopping) derive a new instance with :func:`dataclasses.replace`
-instead of editing in place.  The executor assembles results in a private
-mutable draft and freezes them at resolution time.
+instead of editing in place.  The executor builds each result once, at
+resolution time.
 """
 
 from __future__ import annotations

@@ -33,7 +33,7 @@ whole cache.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Hashable, Optional, Tuple
+from typing import Any, Dict, Hashable, Optional, Tuple
 
 from repro.obs.metrics import MetricsRegistry
 
@@ -64,9 +64,8 @@ class SubtreeAggregateCache:
     def peek(self, topic: str, agg_name: str) -> Any:
         """The memoized accumulator, or the module ``_MISS`` sentinel.
 
-        Counts a hit or a miss exactly like :meth:`get`; a caller that
-        computes after a miss must :meth:`store` the result to keep the
-        counter stream identical to the ``get``-with-compute path.
+        Counts a hit or a miss; a caller that computes after a miss
+        memoizes the result with :meth:`store`.
         """
         per_topic = self._entries.get(topic)
         if per_topic is not None:
@@ -85,14 +84,6 @@ class SubtreeAggregateCache:
         if per_topic is None:
             per_topic = self._entries[topic] = {}
         per_topic[agg_name] = value
-
-    def get(self, topic: str, agg_name: str, compute: Callable[[], Any]) -> Any:
-        """Return the memoized accumulator, computing and storing on miss."""
-        value = self.peek(topic, agg_name)
-        if value is _MISS:
-            value = compute()
-            self.store(topic, agg_name, value)
-        return value
 
     def invalidate(self, topic: str, agg_name: Optional[str] = None) -> int:
         """Drop the entry for one aggregate (or every aggregate) of a topic.

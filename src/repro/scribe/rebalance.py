@@ -2,21 +2,25 @@
 
 RBAY hash-places every attribute tree's rendezvous root, but federation
 traffic is zipfian: one popular attribute funnels every probe, anycast,
-and ``agg_get`` through a single root node.  This module holds the
-decision side of the balancer:
+and ``agg_get`` through a single root node.  This module holds the whole
+balancer, so a scribe built without one never imports it:
 
 * :class:`RebalanceConfig` — thresholds, window, and hysteresis knobs
   (handed to the plane as ``RBayConfig.rebalance``);
-* :class:`Rebalancer` — one per :class:`~repro.scribe.scribe.ScribeApplication`,
-  counting the messages each topic handles at this node per fixed window
-  (mirrored into the ``scribe.topic_load`` labeled metric of the obs
-  plane) and turning consecutive hot/cool windows into deterministic
-  promote/demote calls back into the scribe layer.
+* :class:`Rebalancer` — one per :class:`~repro.scribe.scribe.ScribeApplication`.
+  The decision side counts the messages each topic handles at this node
+  per fixed window (mirrored into the ``scribe.topic_load`` labeled
+  metric of the obs plane) and turns consecutive hot/cool windows into
+  deterministic promote/demote decisions.  The mechanism side is the
+  ``replica_promote`` / ``replica_sync`` / ``replica_demote`` /
+  ``replica_refuse`` / ``replica_probe`` / ``replica_get`` /
+  ``anycast_divert`` protocol — seven direct kinds it registers into its
+  scribe's dispatch table — plus child re-partitioning, snapshot
+  coherence and client-side read diversion.
 
-The mechanism side — the ``replica_promote`` / ``replica_sync`` /
-``replica_demote`` / ``replica_get`` protocol, child re-partitioning, and
-snapshot coherence — lives in :mod:`repro.scribe.scribe`; replica
-*placement* (leaf-set neighbors nearest the topic key) lives in
+Per-topic replica state stays on :class:`~repro.scribe.scribe.TopicState`
+(where the sanitizer reads it); replica *placement* (leaf-set neighbors
+nearest the topic key) lives in
 :meth:`repro.pastry.node.PastryNode.closest_neighbors`.  See
 ``docs/architecture.md`` §15.
 
@@ -27,7 +31,14 @@ deterministic: identical runs make identical promote/demote decisions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Optional
+from typing import TYPE_CHECKING, Any, Dict, List, Optional
+
+from repro.pastry.nodeid import NodeId
+from repro.pastry.routing_table import NodeRef
+
+if TYPE_CHECKING:  # scribe.py imports this module lazily, never the reverse
+    from repro.pastry.node import PastryNode
+    from repro.scribe.scribe import ScribeApplication, TopicState
 
 
 @dataclass(frozen=True)
@@ -61,7 +72,8 @@ class RebalanceConfig:
 
 
 class Rebalancer:
-    """Per-node load accounting + the promote/demote trigger.
+    """Per-node load accounting, the promote/demote trigger, and the
+    replica protocol it drives.
 
     ``record`` is called from the scribe's message entry points (deliver,
     forward interception, direct tree traffic) for every message that
@@ -70,8 +82,9 @@ class Rebalancer:
     rules at every topic this node currently roots.
     """
 
-    def __init__(self, sim: Any, config: RebalanceConfig, metrics: Any = None):
-        self.sim = sim
+    def __init__(self, scribe: "ScribeApplication", config: RebalanceConfig,
+                 metrics: Any = None):
+        self.scribe = scribe
         self.config = config
         #: Obs-plane :class:`~repro.obs.metrics.MetricsRegistry`; the load
         #: signal is mirrored into the ``scribe.topic_load`` labeled
@@ -86,6 +99,18 @@ class Rebalancer:
         #: ``scribe.rebalance.promote`` / ``scribe.rebalance.demote``).
         self.promotions = 0
         self.demotions = 0
+        #: Replica hints learned from ``agg_value`` replies: topic -> live
+        #: replica addresses this client may divert reads to.
+        self.hints: Dict[str, List[int]] = {}
+        scribe.direct_handlers.update({
+            "replica_promote": self._on_replica_promote,
+            "replica_sync": self._on_replica_sync,
+            "replica_demote": self._on_replica_demote,
+            "replica_refuse": self._on_replica_refuse,
+            "replica_probe": self._on_replica_probe,
+            "replica_get": self._on_replica_get,
+            "anycast_divert": self._on_anycast_divert,
+        })
 
     # ------------------------------------------------------------------
     def record(self, topic: str) -> None:
@@ -103,7 +128,7 @@ class Rebalancer:
         return {"hot": self._hot.get(topic, 0), "cool": self._cool.get(topic, 0)}
 
     # ------------------------------------------------------------------
-    def tick(self, node: Any, scribe: Any) -> None:
+    def tick(self, node: Any) -> None:
         """One maintenance tick: close the window if due, apply hysteresis.
 
         Promotion fires at a root after ``hot_windows`` consecutive hot
@@ -111,7 +136,7 @@ class Rebalancer:
         demotion fires after ``cool_windows`` consecutive cool windows.
         Mid-band windows reset both streaks.
         """
-        now = self.sim.now
+        now = self.scribe.sim.now
         if self._window_start is None:
             self._window_start = now
             return
@@ -120,7 +145,7 @@ class Rebalancer:
         counts, self._counts = self._counts, {}
         self._window_start = now
         cfg = self.config
-        for topic, state in sorted(scribe.topics().items()):
+        for topic, state in sorted(self.scribe.topics().items()):
             if not state.is_root or not state.in_tree():
                 self._hot.pop(topic, None)
                 self._cool.pop(topic, None)
@@ -138,12 +163,12 @@ class Rebalancer:
             if (not state.replicas
                     and self._hot.get(topic, 0) >= cfg.hot_windows
                     and len(state.children) >= cfg.min_children):
-                if scribe._promote_replicas(node, state):
+                if self._promote_replicas(node, state):
                     self.promotions += 1
                     self._hot.pop(topic, None)
                     self._mark("promote")
             elif state.replicas and self._cool.get(topic, 0) >= cfg.cool_windows:
-                scribe._demote_replicas(node, state)
+                self._demote_replicas(node, state)
                 self.demotions += 1
                 self._cool.pop(topic, None)
                 self._mark("demote")
@@ -151,3 +176,229 @@ class Rebalancer:
     def _mark(self, action: str) -> None:
         if self.metrics is not None:
             self.metrics.counter("scribe.rebalance").increment(action=action)
+
+    # ------------------------------------------------------------------
+    # Client side: read diversion
+    # ------------------------------------------------------------------
+    def learn_replicas(self, topic: str, replicas: List[int]) -> None:
+        """An ``agg_value`` advertised ``topic``'s live replica set; an
+        empty list is a retraction (post-demotion)."""
+        if replicas:
+            self.hints[topic] = list(replicas)
+        else:
+            self.hints.pop(topic, None)
+
+    def divert(self, node: "PastryNode", topic: str, kind: str,
+               data: Dict[str, Any]) -> bool:
+        """Send ``data`` straight to a live replica of ``topic`` as a
+        direct ``kind`` message; False (nothing sent) without a usable hint."""
+        state = self.scribe.topics().get(topic)
+        if state is not None and (state.is_root or state.replica_of is not None):
+            return False  # we ARE the root or a replica: answer in place
+        hints = self.hints.get(topic)
+        if not hints:
+            return False
+        live = [a for a in hints
+                if a != node.address and node.network.has_host(a)]
+        if not live:
+            self.hints.pop(topic, None)
+            return False
+        # Deterministic spread: distinct clients fan out across replicas.
+        node.send_app(live[node.address % len(live)], self.scribe.name, kind, data)
+        return True
+
+    def _reroute(self, node: "PastryNode", data: Dict[str, Any]) -> None:
+        """A diverted request reached a node that cannot serve it (stale
+        hint): hand it back to rendezvous routing.  ``data`` still carries
+        its ``op`` and the caller's request identity, so forward/deliver
+        apply and the reply lands at the original future."""
+        state = self.scribe.topic_state(data["topic"], data.get("scope"))
+        node.route(state.key, self.scribe.name, data, scope=state.scope)
+
+    # ------------------------------------------------------------------
+    # Root side: promote, sync, demote
+    # ------------------------------------------------------------------
+    def _finalized_values(self, state: "TopicState") -> Dict[str, Any]:
+        """Finalized answers for every aggregate this root knows about."""
+        scribe = self.scribe
+        return scribe._finalized(state.agg_names(),
+                                 lambda name: scribe._own_acc(state, name))
+
+    def _promote_replicas(self, node: "PastryNode", state: "TopicState") -> bool:
+        """Replicate a hot root: promote the leaf-set neighbors nearest the
+        topic key and re-partition the root's other children across them
+        (the D3-Tree split).
+
+        Replicas stay *interior nodes of the same tree* — children of the
+        root — so every existing mechanism (roll-up merge, anycast DFS,
+        child probes, pull aggregation, the single-root invariant) applies
+        unchanged; the win is that diverted readers are answered one hop
+        away from a root-coherent snapshot.
+        """
+        scribe = self.scribe
+        picks = node.closest_neighbors(state.key, self.config.max_replicas,
+                                       scope=state.scope)
+        if not picks:
+            return False
+        pick_addrs = [ref.address for ref in picks]
+        finalized = self._finalized_values(state)
+        # Round-robin the current children across the new replicas; their
+        # re-homing (ordinary parent_set handling) drains the root's
+        # per-message fan-out while aggregation keeps flowing upward.
+        others = sorted(a for a in state.children if a not in pick_addrs)
+        assigned: Dict[int, List[tuple]] = {a: [] for a in pick_addrs}
+        for i, child_addr in enumerate(others):
+            ref = state.children[child_addr]
+            assigned[pick_addrs[i % len(pick_addrs)]].append(
+                (ref.node_id.value, ref.address, ref.site_index))
+        for ref in picks:
+            state.replicas[ref.address] = ref
+        peers = sorted(state.replicas)
+        for ref in picks:
+            scribe._add_child(node, state, ref)
+            node.send_app(ref.address, scribe.name, "replica_promote", {
+                "topic": state.topic,
+                "scope": state.scope,
+                "values": dict(finalized),
+                "peers": list(peers),
+                "assigned": assigned[ref.address],
+            })
+        scribe._notify_tree_change(state.topic)
+        return True
+
+    def _demote_replicas(self, node: "PastryNode", state: "TopicState") -> None:
+        """Load subsided (or we stopped being root): release the replica
+        role everywhere.  Ex-replicas stay ordinary children until the
+        scribe's pruning dissolves them, so adopted subtrees keep flowing
+        and no aggregate state is lost."""
+        for address in sorted(state.replicas):
+            if node.network.has_host(address):
+                node.send_app(address, self.scribe.name, "replica_demote",
+                              {"topic": state.topic})
+        state.replicas.clear()
+        self.scribe._notify_tree_change(state.topic)
+
+    def sync_replicas(self, node: "PastryNode", state: "TopicState") -> None:
+        """Push the root's finalized snapshot to every live replica."""
+        values = self._finalized_values(state)
+        peers = sorted(state.replicas)
+        for address in peers:
+            if node.network.has_host(address):
+                node.send_app(address, self.scribe.name, "replica_sync", {
+                    "topic": state.topic,
+                    "values": dict(values),
+                    "peers": list(peers),
+                })
+
+    def _clear_replica_role(self, node: "PastryNode", state: "TopicState") -> None:
+        state.replica_of = None
+        state.replica_values = None
+        state.replica_peers = []
+        self.scribe._notify_tree_change(state.topic)
+        self.scribe._maybe_prune(node, state)
+
+    def replica_maintain(self, node: "PastryNode") -> None:
+        """Per-tick anti-entropy for the replication protocol (both roles):
+        heals lost promote/demote messages, prunes dead replicas, and keeps
+        snapshots coherent through the same maintenance cadence the rest of
+        the tree repair uses."""
+        for state in list(self.scribe.topics().values()):
+            if state.replicas:
+                if not state.is_root:
+                    # Lost a root re-anchor race: a node that is no longer
+                    # the rendezvous must not keep a replica set.
+                    self._demote_replicas(node, state)
+                else:
+                    for address in sorted(state.replicas):
+                        if (address not in state.children
+                                or not node.network.has_host(address)):
+                            state.replicas.pop(address, None)
+                            self.scribe._notify_tree_change(state.topic)
+                    self.sync_replicas(node, state)
+            if state.replica_of is not None:
+                root = state.replica_of
+                if not node.network.has_host(root) or state.parent != root:
+                    # Root died or we re-homed: stop serving the snapshot.
+                    self._clear_replica_role(node, state)
+                else:
+                    # Lost-demote healer: the root replies replica_demote
+                    # when it no longer lists us in its replica set.
+                    node.send_app(root, self.scribe.name, "replica_probe",
+                                  {"topic": state.topic})
+
+    # ------------------------------------------------------------------
+    # The seven direct kinds registered into the scribe's table
+    # ------------------------------------------------------------------
+    def _on_replica_promote(self, node: "PastryNode", data: Dict[str, Any],
+                            origin: int) -> None:
+        scribe = self.scribe
+        state = scribe.topic_state(data["topic"], data.get("scope"))
+        state.replica_of = origin
+        state.replica_values = dict(data["values"])
+        state.replica_peers = list(data["peers"])
+        for child_id, child_addr, child_site in data["assigned"]:
+            scribe._add_child(
+                node, state, NodeRef(NodeId(child_id), child_addr, child_site))
+        scribe._notify_tree_change(state.topic)
+
+    def _on_replica_sync(self, node: "PastryNode", data: Dict[str, Any],
+                         origin: int) -> None:
+        state = self.scribe.topic_state(data["topic"])
+        if state.replica_of == origin or (state.replica_of is None
+                                          and state.parent == origin):
+            # The second clause completes a promotion whose
+            # ``replica_promote`` was lost: the syncing root still lists us
+            # as a replica-child, so accept the role from the sync alone.
+            state.replica_of = origin
+            state.replica_values = dict(data["values"])
+            state.replica_peers = list(data["peers"])
+        else:
+            node.send_app(origin, self.scribe.name, "replica_refuse",
+                          {"topic": data["topic"]})
+
+    def _on_replica_demote(self, node: "PastryNode", data: Dict[str, Any],
+                           origin: int) -> None:
+        state = self.scribe.topics().get(data["topic"])
+        if state is None or state.replica_of != origin:
+            return
+        self._clear_replica_role(node, state)
+
+    def _on_replica_refuse(self, node: "PastryNode", data: Dict[str, Any],
+                           origin: int) -> None:
+        state = self.scribe.topics().get(data["topic"])
+        if state is not None and origin in state.replicas:
+            state.replicas.pop(origin, None)
+            self.scribe._notify_tree_change(state.topic)
+
+    def _on_replica_probe(self, node: "PastryNode", data: Dict[str, Any],
+                          origin: int) -> None:
+        state = self.scribe.topics().get(data["topic"])
+        if state is None or not state.is_root or origin not in state.replicas:
+            node.send_app(origin, self.scribe.name, "replica_demote",
+                          {"topic": data["topic"]})
+
+    def _on_replica_get(self, node: "PastryNode", data: Dict[str, Any],
+                        origin: int) -> None:
+        state = self.scribe.topics().get(data["topic"])
+        snapshot = state.replica_values if state is not None else None
+        if (state is not None and state.replica_of is not None
+                and snapshot is not None
+                and all(n in snapshot for n in data["names"])):
+            node.send_app(data["origin"], self.scribe.name, "agg_value", {
+                "request_id": data["request_id"],
+                "values": {n: snapshot[n] for n in data["names"]},
+                "topic": data["topic"],
+                "replicas": list(state.replica_peers),
+            })
+            return
+        # We were demoted, or the snapshot lacks a requested aggregate:
+        # fall back to a normal routed read.
+        self._reroute(node, data)
+
+    def _on_anycast_divert(self, node: "PastryNode", data: Dict[str, Any],
+                           origin: int) -> None:
+        state = self.scribe.topics().get(data["topic"])
+        if state is not None and state.in_tree():
+            self.scribe._anycast_visit(node, data)
+        else:
+            self._reroute(node, data)

@@ -79,6 +79,11 @@ class TopicState:
     def in_tree(self) -> bool:
         return self.is_root or self.parent is not None or bool(self.children) or self.member
 
+    def detached(self) -> bool:
+        """Has a stake in the tree (member or forwarder) but no link into it."""
+        return (self.parent is None and not self.is_root
+                and bool(self.member or self.children))
+
     def agg_names(self) -> List[str]:
         names = set(self.local)
         names.update(self.child_acc)
@@ -121,7 +126,6 @@ class ScribeApplication(Application):
         self._pulls: Dict[int, Dict[str, Any]] = {}
         self.anycast_visitor: Optional[AnycastVisitor] = None
         self.multicast_handler: Optional[MulticastHandler] = None
-        self.counters = counters
         #: Exact memo of this node's subtree accumulators, dirty-flagged on
         #: every input mutation; None disables memoization (ablation mode).
         self.acc_cache = (SubtreeAggregateCache(counters, "scribe.acc_cache")
@@ -134,16 +138,38 @@ class ScribeApplication(Application):
         #: changes (membership, child set, pushed accumulators).  The query
         #: layer hooks this to invalidate its probe cache.
         self.tree_change_listeners: List[Callable[[str], None]] = []
-        #: Hot-tree balancer (None = rebalancing off; the protocol below is
-        #: then fully inert and the wire behaviour is byte-identical).
+        #: Dispatch tables, one per entry point, built once: wire kind ->
+        #: ``handler(node, data, origin)``.  :meth:`host_message` serves
+        #: ``direct_handlers``; :meth:`deliver` serves ``routed_handlers``
+        #: at the rendezvous (:meth:`forward` intercepts ``join`` and
+        #: ``anycast`` mid-route).  docs/protocol.md lists every kind.
+        self.direct_handlers: Dict[str, Callable[..., None]] = {
+            "agg_push_batch": self._on_agg_push_batch,
+            "parent_set": self._on_parent_set,
+            "mcast_down": self._on_mcast,
+            "anycast_walk": self._anycast_visit,
+            "anycast_result": self._on_anycast_result,
+            "pull_down": self._on_pull_down,
+            "pull_up": self._on_pull_up,
+            "agg_value": self._on_agg_value,
+            "leave": self._on_leave,
+            "child_probe": self._on_child_probe,
+            "parent_gone": self._on_parent_gone,
+        }
+        self.routed_handlers: Dict[str, Callable[..., None]] = {
+            "join": self._adopt_joiner,
+            "mcast": self._on_mcast,
+            "anycast": self._anycast_visit,
+            "agg_pull": self._on_agg_pull,
+            "agg_get": self._on_agg_get,
+        }
+        #: Hot-tree balancer (None = rebalancing off: the module is never
+        #: imported, the tables carry no replica kinds, and the wire
+        #: behaviour is byte-identical).  It registers its own kinds.
+        self.rebalancer: Optional[Any] = None
         if rebalance is not None:
             from repro.scribe.rebalance import Rebalancer
-            self.rebalancer: Optional[Any] = Rebalancer(sim, rebalance, counters)
-        else:
-            self.rebalancer = None
-        #: Replica hints learned from ``agg_value`` replies: topic -> live
-        #: replica addresses this client may divert reads to.
-        self._replica_hints: Dict[str, List[int]] = {}
+            self.rebalancer = Rebalancer(self, rebalance, counters)
 
     # ------------------------------------------------------------------
     # Public API (called with the owning node)
@@ -204,10 +230,7 @@ class ScribeApplication(Application):
         self._notify_tree_change(topic)
         if state.in_tree() and (state.parent is not None or state.is_root):
             return  # already wired into the tree as a forwarder
-        node.route(state.key, self.name, {"op": "join", "topic": topic,
-                                          "scope": state.scope,
-                                          "child": self._packed_self(node)},
-                   scope=state.scope)
+        self._route_join(node, state)
 
     def leave(self, node: PastryNode, topic: str) -> None:
         """Unsubscribe; prunes the branch if nothing depends on it."""
@@ -252,6 +275,25 @@ class ScribeApplication(Application):
         The result dict additionally carries ``satisfied`` (visitor returned
         True) and ``visited_members`` (DFS coverage count).
         """
+        future, state, span, header = self._open_request(
+            node, topic, scope, timeout, "scribe.anycast", "member_search")
+        data = {"op": "anycast", **header, "visited": [],
+                "visited_members": 0, "state": state_payload}
+        with self.recorder.use(span):
+            # A hot tree's DFS may start at a root replica instead of the
+            # root; the replica is an interior node of the same tree, so
+            # DFS coverage semantics are unchanged.
+            if self.rebalancer is None or not self.rebalancer.divert(
+                    node, topic, "anycast_divert", data):
+                node.route(state.key, self.name, data, scope=state.scope)
+        return future
+
+    def _open_request(self, node: PastryNode, topic: str, scope: Optional[str],
+                      timeout: Optional[float], span_name: str, step: str):
+        """Register a reply-awaiting request: a fresh id, its pending
+        ``Future`` and — when tracing — a span that ends with the future.
+        Returns ``(future, topic state, span, header)``; ``header`` is the
+        addressing every such request carries after its ``op``."""
         request_id = next(_request_ids)
         future = Future(self.sim, timeout=timeout)
         self._pending[request_id] = future
@@ -259,31 +301,13 @@ class ScribeApplication(Application):
         rec = self.recorder
         span = None
         if rec.enabled:
-            span = rec.start("scribe.anycast", category="scribe", topic=topic,
-                             step="member_search",
-                             site=node.site.name, addr=node.address)
+            span = rec.start(span_name, category="scribe", topic=topic,
+                             step=step, site=node.site.name, addr=node.address)
             future.add_callback(lambda result: rec.end(
                 span, status="error" if isinstance(result, Exception) else "ok"))
-        with rec.use(span):
-            data = {
-                "op": "anycast",
-                "topic": topic,
-                "scope": state.scope,
-                "origin": node.address,
-                "request_id": request_id,
-                "visited": [],
-                "visited_members": 0,
-                "state": state_payload,
-            }
-            target = self._divert_target(node, topic)
-            if target is not None:
-                # Start the DFS at a root replica instead of the hot root;
-                # the replica is an interior node of the same tree, so DFS
-                # coverage semantics are unchanged.
-                node.send_app(target, self.name, "anycast_divert", data)
-            else:
-                node.route(state.key, self.name, data, scope=state.scope)
-        return future
+        return future, state, span, {
+            "topic": topic, "scope": state.scope, "origin": node.address,
+            "request_id": request_id}
 
     def set_local(self, node: PastryNode, topic: str, agg_name: str, value: Any) -> None:
         """Set this member's contribution to an aggregate and push deltas up."""
@@ -340,40 +364,16 @@ class ScribeApplication(Application):
                 future = Future(self.sim, timeout=timeout)
                 self.sim.call_soon(future.try_resolve, cached)
                 return future
-        request_id = next(_request_ids)
-        future = Future(self.sim, timeout=timeout)
-        self._pending[request_id] = future
-        state = self.topic_state(topic, scope)
-        rec = self.recorder
-        span = None
-        if rec.enabled:
-            span = rec.start("scribe.agg_get", category="scribe", topic=topic,
-                             step="aggregate",
-                             site=node.site.name, addr=node.address)
-            future.add_callback(lambda result: rec.end(
-                span, status="error" if isinstance(result, Exception) else "ok"))
-        with rec.use(span):
-            target = self._divert_target(node, topic)
-            if target is not None:
-                # Hot-tree diversion: a previous answer advertised root
-                # replicas for this topic; ask one directly (one hop)
-                # instead of routing through the saturated rendezvous.
-                node.send_app(target, self.name, "replica_get", {
-                    "topic": topic,
-                    "scope": state.scope,
-                    "origin": node.address,
-                    "request_id": request_id,
-                    "names": list(agg_names),
-                })
-            else:
-                node.route(state.key, self.name, {
-                    "op": "agg_get",
-                    "topic": topic,
-                    "scope": state.scope,
-                    "origin": node.address,
-                    "request_id": request_id,
-                    "names": list(agg_names),
-                }, scope=state.scope)
+        future, state, span, header = self._open_request(
+            node, topic, scope, timeout, "scribe.agg_get", "aggregate")
+        data = {"op": "agg_get", **header, "names": list(agg_names)}
+        with self.recorder.use(span):
+            # Hot-tree diversion: a previous answer advertised root
+            # replicas for this topic; ask one directly (one hop) instead
+            # of routing through the saturated rendezvous.
+            if self.rebalancer is None or not self.rebalancer.divert(
+                    node, topic, "replica_get", data):
+                node.route(state.key, self.name, data, scope=state.scope)
         return future
 
     def query_aggregate_fresh(
@@ -392,27 +392,12 @@ class ScribeApplication(Application):
         Moara-style trade-off (§V-C) the push/pull ablation measures.
         Resolves to ``{agg_name: finalized value}``.
         """
-        request_id = next(_request_ids)
-        future = Future(self.sim, timeout=timeout)
-        self._pending[request_id] = future
-        state = self.topic_state(topic, scope)
-        rec = self.recorder
-        span = None
-        if rec.enabled:
-            span = rec.start("scribe.agg_pull", category="scribe", topic=topic,
-                             step="aggregate",
-                             site=node.site.name, addr=node.address)
-            future.add_callback(lambda result: rec.end(
-                span, status="error" if isinstance(result, Exception) else "ok"))
-        with rec.use(span):
-            node.route(state.key, self.name, {
-                "op": "agg_pull",
-                "topic": topic,
-                "scope": state.scope,
-                "origin": node.address,
-                "request_id": request_id,
-                "names": list(agg_names),
-            }, scope=state.scope)
+        future, state, span, header = self._open_request(
+            node, topic, scope, timeout, "scribe.agg_pull", "aggregate")
+        with self.recorder.use(span):
+            node.route(state.key, self.name,
+                       {"op": "agg_pull", **header, "names": list(agg_names)},
+                       scope=state.scope)
         return future
 
     def tree_size(self, node: PastryNode, topic: str, timeout: Optional[float] = None,
@@ -448,9 +433,7 @@ class ScribeApplication(Application):
                 node.send_app(address, self.name, "child_probe",
                               {"topic": state.topic})
             if state.parent is not None and not node.network.has_host(state.parent):
-                # Goodbye deferred until the parent is reachable again (a
-                # crash-recovered parent keeps our accumulator otherwise).
-                state.former_parent = state.parent
+                self._goodbye(node, state)  # deferred: the parent is down
                 state.parent = None
                 # Detaching changes what this node can answer about the
                 # tree; cached cardinality hints priced off the old link
@@ -464,28 +447,21 @@ class ScribeApplication(Application):
                     node.send_app(state.former_parent, self.name, "leave",
                                   {"topic": state.topic})
                     state.former_parent = None
-            if (state.parent is None and not state.is_root
-                    and (state.member or state.children)):
-                # Detached: the parent died, or the original JOIN/parent_set
-                # message was lost.  Re-route a JOIN toward the rendezvous.
-                node.route(state.key, self.name, {"op": "join", "topic": state.topic,
-                                                  "scope": state.scope,
-                                                  "child": self._packed_self(node)},
-                           scope=state.scope)
+            if state.detached():
+                # The parent died, or the original JOIN/parent_set message
+                # was lost.  Re-route a JOIN toward the rendezvous.
+                self._route_join(node, state)
             if state.is_root and (state.member or state.children):
                 # Root re-anchor: while this node is the true rendezvous the
                 # join delivers locally (a no-op); after a crash-recovery
                 # race left a second root in the tree, the join routes to
                 # the rendezvous, which adopts us and demotes us to child.
-                node.route(state.key, self.name, {"op": "join", "topic": state.topic,
-                                                  "scope": state.scope,
-                                                  "child": self._packed_self(node)},
-                           scope=state.scope)
+                self._route_join(node, state)
             if state.parent is not None and state.agg_names():
                 self._repush_all(node, state)
         if self.rebalancer is not None:
-            self._replica_maintain(node)
-            self.rebalancer.tick(node, self)
+            self.rebalancer.replica_maintain(node)
+            self.rebalancer.tick(node)
 
     # ------------------------------------------------------------------
     # Pastry upcalls
@@ -497,7 +473,7 @@ class ScribeApplication(Application):
         if op == "join":
             if self.rebalancer is not None:
                 self.rebalancer.record(data["topic"])
-            return self._forward_join(node, data)
+            return self._adopt_joiner(node, data)
         if op == "anycast":
             state = self._topics.get(data["topic"])
             if state is not None and state.in_tree():
@@ -510,7 +486,6 @@ class ScribeApplication(Application):
     def deliver(self, node: PastryNode, key: NodeId, msg: Message) -> None:
         """Pastry upcall at the rendezvous root: joins, multicasts, probes."""
         data = msg.payload["data"]
-        op = data["op"]
         state = self.topic_state(data["topic"], data.get("scope"))
         if self.rebalancer is not None:
             self.rebalancer.record(data["topic"])
@@ -520,122 +495,113 @@ class ScribeApplication(Application):
             # node was a mere forwarder (or fresh) are no longer priced
             # against the right vantage point.
             self._notify_tree_change(state.topic)
-        if op == "join":
-            child_id, child_addr, child_site = data["child"]
-            if child_addr != node.address:
-                self._add_child(node, state, NodeRef(NodeId(child_id), child_addr, child_site))
-        elif op == "mcast":
-            self._disseminate(node, state, data["body"])
-        elif op == "anycast":
-            self._anycast_visit(node, data)
-        elif op == "agg_pull":
-            self._start_pull(node, state, data["names"],
-                             reply_to=("origin", data["origin"], data["request_id"]))
-        elif op == "agg_get":
-            values = {}
-            for agg_name in data["names"]:
-                fn = self.functions.get(agg_name)
-                if fn is None:
-                    values[agg_name] = None
-                else:
-                    values[agg_name] = fn.finalize(self._own_acc(state, agg_name))
-            reply = {
-                "request_id": data["request_id"],
-                "values": values,
-                "topic": state.topic,
-            }
-            if self.rebalancer is not None:
-                # Advertise the replica set so the reader diverts its next
-                # read; an empty list actively clears stale client hints.
-                reply["replicas"] = sorted(state.replicas)
-            node.send_app(data["origin"], self.name, "agg_value", reply)
+        handler = self.routed_handlers.get(data["op"])
+        if handler is not None:
+            handler(node, data, msg.payload["origin"])
 
     # ------------------------------------------------------------------
     # Direct messages
     # ------------------------------------------------------------------
     def host_message(self, node: PastryNode, msg: Message) -> None:
-        """Direct tree traffic: parent links, dissemination, walks, pushes."""
-        kind = msg.payload["kind"]
-        data = msg.payload["data"]
+        """Direct tree traffic: parent links, dissemination, walks, pushes.
+
+        Unknown kinds are ignored: live frames arrive from outside the
+        process.
+        """
+        payload = msg.payload
+        data = payload["data"]
         if self.rebalancer is not None:
             topic = data.get("topic")
             if topic is not None:
                 self.rebalancer.record(topic)
-            elif kind == "agg_push_batch":
-                for update in data["updates"]:
+            else:  # a roll-up batch names one topic per update
+                for update in data.get("updates", ()):
                     self.rebalancer.record(update["topic"])
-        # Dispatch chain ordered hottest-first: the publish storm makes
-        # roll-up batches the overwhelming majority of direct traffic.
-        if kind == "agg_push_batch":
-            self._on_agg_push_batch(node, data, msg.payload["origin"])
-        elif kind == "parent_set":
-            self._on_parent_set(node, data["topic"], msg.payload["origin"])
-        elif kind == "mcast_down":
-            state = self.topic_state(data["topic"])
-            self._disseminate(node, state, data["body"])
-        elif kind == "anycast_walk":
-            self._anycast_visit(node, data)
-        elif kind == "anycast_result":
-            future = self._pending.pop(data["request_id"], None)
-            if future is not None:
-                result = dict(data["state"])
-                result["satisfied"] = data["satisfied"]
-                result["visited_members"] = data["visited_members"]
-                future.try_resolve(result)
-        elif kind == "pull_down":
-            state = self.topic_state(data["topic"])
-            self._start_pull(node, state, data["names"],
-                             reply_to=("parent", msg.payload["origin"], data["pull_id"]))
-        elif kind == "pull_up":
-            self._on_pull_up(node, data)
-        elif kind == "agg_value":
-            # Write-through refresh: every answer that travels back —
-            # pushed-state reads and on-demand pulls alike — re-arms the
-            # bounded-staleness cache for subsequent tolerant readers.
-            if self.result_cache is not None:
-                for agg_name, value in data["values"].items():
-                    self.result_cache.put((data["topic"], agg_name), value,
-                                          self.sim.now)
-            if "replicas" in data:
-                # The answerer (root or replica) piggybacks the live replica
-                # set; remember it so the next read skips the hot root.  An
-                # empty list is a retraction (post-demotion).
-                if data["replicas"]:
-                    self._replica_hints[data["topic"]] = list(data["replicas"])
-                else:
-                    self._replica_hints.pop(data["topic"], None)
-            future = self._pending.pop(data["request_id"], None)
-            if future is not None:
-                future.try_resolve(data["values"])
-        elif kind == "leave":
-            state = self._topics.get(data["topic"])
-            if state is not None:
-                self._drop_child(node, state, msg.payload["origin"])
-                self._maybe_prune(node, state)
-        elif kind == "child_probe":
-            # A node that lists us as its child asks for confirmation.  If
-            # it is not our current parent (we re-homed while it was down),
-            # tell it to drop us — its copy of our accumulator is stale.
-            state = self._topics.get(data["topic"])
-            origin = msg.payload["origin"]
-            if state is None or state.parent != origin:
-                node.send_app(origin, self.name, "leave", {"topic": data["topic"]})
-        elif kind == "parent_gone":
-            self._on_parent_gone(node, data, msg.payload["origin"])
-        elif kind == "replica_promote":
-            self._on_replica_promote(node, data, msg.payload["origin"])
-        elif kind == "replica_sync":
-            self._on_replica_sync(node, data, msg.payload["origin"])
-        elif kind == "replica_demote":
-            self._on_replica_demote(node, data, msg.payload["origin"])
-        elif kind == "replica_refuse":
-            self._on_replica_refuse(node, data, msg.payload["origin"])
-        elif kind == "replica_probe":
-            self._on_replica_probe(node, data, msg.payload["origin"])
-        elif kind == "replica_get":
-            self._on_replica_get(node, data)
-        elif kind == "anycast_divert":
-            self._on_anycast_divert(node, data)
+        handler = self.direct_handlers.get(payload["kind"])
+        if handler is not None:
+            handler(node, data, payload["origin"])
+
+    # ------------------------------------------------------------------
+    # Routed-kind handlers (run at the rendezvous root, after deliver()
+    # has marked this node root)
+    # ------------------------------------------------------------------
+    def _on_agg_pull(self, node: PastryNode, data: Dict[str, Any], origin: int) -> None:
+        self._start_pull(node, self._topics[data["topic"]], data["names"],
+                         reply_to=("origin", data["origin"], data["request_id"]))
+
+    def _on_agg_get(self, node: PastryNode, data: Dict[str, Any], origin: int) -> None:
+        state = self._topics[data["topic"]]
+        reply = {
+            "request_id": data["request_id"],
+            "values": self._finalized(
+                data["names"], lambda name: self._own_acc(state, name)),
+            "topic": state.topic,
+        }
+        if self.rebalancer is not None:
+            # Advertise the replica set so the reader diverts its next
+            # read; an empty list actively clears stale client hints.
+            reply["replicas"] = sorted(state.replicas)
+        node.send_app(data["origin"], self.name, "agg_value", reply)
+
+    def _finalized(self, agg_names, acc_of: Callable[[str], Any]) -> Dict[str, Any]:
+        """Finalized answers by aggregate name (``acc_of(name)`` supplies
+        the accumulator); a function this node lacks answers None."""
+        values = {}
+        for agg_name in agg_names:
+            fn = self.functions.get(agg_name)
+            values[agg_name] = None if fn is None else fn.finalize(acc_of(agg_name))
+        return values
+
+    # ------------------------------------------------------------------
+    # Direct-kind handlers
+    # ------------------------------------------------------------------
+    def _on_mcast(self, node: PastryNode, data: Dict[str, Any], origin: int) -> None:
+        """``mcast`` at the root and ``mcast_down`` below it."""
+        self._disseminate(node, self.topic_state(data["topic"]), data["body"])
+
+    def _on_anycast_result(self, node: PastryNode, data: Dict[str, Any],
+                           origin: int) -> None:
+        future = self._pending.pop(data["request_id"], None)
+        if future is not None:
+            result = dict(data["state"])
+            result["satisfied"] = data["satisfied"]
+            result["visited_members"] = data["visited_members"]
+            future.try_resolve(result)
+
+    def _on_pull_down(self, node: PastryNode, data: Dict[str, Any], origin: int) -> None:
+        self._start_pull(node, self.topic_state(data["topic"]), data["names"],
+                         reply_to=("parent", origin, data["pull_id"]))
+
+    def _on_agg_value(self, node: PastryNode, data: Dict[str, Any], origin: int) -> None:
+        # Write-through refresh: every answer that travels back —
+        # pushed-state reads and on-demand pulls alike — re-arms the
+        # bounded-staleness cache for subsequent tolerant readers.
+        if self.result_cache is not None:
+            for agg_name, value in data["values"].items():
+                self.result_cache.put((data["topic"], agg_name), value,
+                                      self.sim.now)
+        if self.rebalancer is not None and "replicas" in data:
+            # The answerer (root or replica) piggybacks the live replica
+            # set so the next read skips the hot root.
+            self.rebalancer.learn_replicas(data["topic"], data["replicas"])
+        future = self._pending.pop(data["request_id"], None)
+        if future is not None:
+            future.try_resolve(data["values"])
+
+    def _on_leave(self, node: PastryNode, data: Dict[str, Any], origin: int) -> None:
+        state = self._topics.get(data["topic"])
+        if state is not None:
+            self._drop_child(node, state, origin)
+            self._maybe_prune(node, state)
+
+    def _on_child_probe(self, node: PastryNode, data: Dict[str, Any],
+                        origin: int) -> None:
+        # A node that lists us as its child asks for confirmation.  If it
+        # is not our current parent (we re-homed while it was down), tell
+        # it to drop us — its copy of our accumulator is stale.
+        state = self._topics.get(data["topic"])
+        if state is None or state.parent != origin:
+            node.send_app(origin, self.name, "leave", {"topic": data["topic"]})
 
     # ------------------------------------------------------------------
     # Join / tree plumbing
@@ -643,7 +609,17 @@ class ScribeApplication(Application):
     def _packed_self(self, node: PastryNode):
         return (node.node_id.value, node.address, node.site.index)
 
-    def _forward_join(self, node: PastryNode, data: Dict[str, Any]) -> bool:
+    def _route_join(self, node: PastryNode, state: TopicState) -> None:
+        """Route a JOIN for ``state``'s topic toward its rendezvous."""
+        node.route(state.key, self.name, {"op": "join", "topic": state.topic,
+                                          "scope": state.scope,
+                                          "child": self._packed_self(node)},
+                   scope=state.scope)
+
+    def _adopt_joiner(self, node: PastryNode, data: Dict[str, Any],
+                      origin: Optional[int] = None) -> bool:
+        """A JOIN reached us — mid-route or, at the root, as the ``join``
+        handler: adopt its sender; True means keep routing it."""
         topic = data["topic"]
         child_id, child_addr, child_site = data["child"]
         state = self.topic_state(topic, data.get("scope"))
@@ -678,18 +654,16 @@ class ScribeApplication(Application):
         if changed or dropped is not None:
             self._notify_tree_change(state.topic)
 
-    def _on_parent_set(self, node: PastryNode, topic: str, parent_addr: int) -> None:
+    def _on_parent_set(self, node: PastryNode, data: Dict[str, Any],
+                       parent_addr: int) -> None:
+        topic = data["topic"]
         state = self.topic_state(topic)
         if parent_addr == node.address:
             return
         if state.parent is not None and state.parent != parent_addr:
             # Reparented: the old parent must drop our accumulator or it
             # will double-count this subtree against the new path.
-            if node.network.has_host(state.parent):
-                node.send_app(state.parent, self.name, "leave",
-                              {"topic": topic})
-            else:
-                state.former_parent = state.parent
+            self._goodbye(node, state)
         if state.former_parent == parent_addr:
             state.former_parent = None
         changed = state.is_root or state.parent != parent_addr
@@ -706,18 +680,21 @@ class ScribeApplication(Application):
         if state.member or state.children or state.is_root:
             return
         if state.parent is not None:
-            if node.network.has_host(state.parent):
-                node.send_app(state.parent, self.name, "leave",
-                              {"topic": state.topic})
-            else:
-                # Goodbye deferred, mirroring _on_parent_set: a parent that
-                # is down right now would otherwise keep this branch's
-                # accumulator when it recovers (over-count until the next
-                # anti-entropy round reaches it).  maintain() sends the
-                # leave once the former parent is reachable again.
-                state.former_parent = state.parent
+            self._goodbye(node, state)
             state.parent = None
             self._notify_tree_change(state.topic)
+
+    def _goodbye(self, node: PastryNode, state: TopicState) -> None:
+        """Tell the parent we are about to detach from to drop us.  One
+        that is down right now would keep this branch's accumulator when
+        it recovers (over-count until the next anti-entropy round), so its
+        goodbye is deferred: maintain() sends the leave once
+        ``former_parent`` is reachable."""
+        if node.network.has_host(state.parent):
+            node.send_app(state.parent, self.name, "leave",
+                          {"topic": state.topic})
+        else:
+            state.former_parent = state.parent
 
     # ------------------------------------------------------------------
     # Multicast
@@ -739,7 +716,9 @@ class ScribeApplication(Application):
     # ------------------------------------------------------------------
     # Anycast (distributed DFS, paper §II-B3 and §III-D step 4)
     # ------------------------------------------------------------------
-    def _anycast_visit(self, node: PastryNode, data: Dict[str, Any]) -> None:
+    def _anycast_visit(self, node: PastryNode, data: Dict[str, Any],
+                       origin: Optional[int] = None) -> None:
+        """One DFS step; also the handler for ``anycast``/``anycast_walk``."""
         topic = data["topic"]
         state = self.topic_state(topic)
         visited = data["visited"]
@@ -793,9 +772,9 @@ class ScribeApplication(Application):
         live_children = [a for a in state.children if node.network.has_host(a)]
         record = {
             "topic": state.topic,
-            "names": list(names),
             "remaining": len(live_children),
-            "accs": {n: self._local_acc(state, n) for n in names},
+            "accs": {n: self._compute_own_acc(state, n, children=False)
+                     for n in names},
             "reply_to": reply_to,
         }
         self._pulls[pull_id] = record
@@ -807,16 +786,7 @@ class ScribeApplication(Application):
                 "topic": state.topic, "names": list(names), "pull_id": pull_id,
             })
 
-    def _local_acc(self, state: TopicState, agg_name: str) -> Any:
-        fn = self.functions.get(agg_name)
-        if fn is None:
-            return None
-        acc = fn.zero()
-        if state.member and agg_name in state.local:
-            acc = fn.combine(acc, fn.lift(state.local[agg_name]))
-        return acc
-
-    def _on_pull_up(self, node: PastryNode, data: Dict[str, Any]) -> None:
+    def _on_pull_up(self, node: PastryNode, data: Dict[str, Any], origin: int) -> None:
         record = self._pulls.get(data["pull_id"])
         if record is None:
             return
@@ -833,18 +803,16 @@ class ScribeApplication(Application):
 
     def _finish_pull(self, node: PastryNode, pull_id: int) -> None:
         record = self._pulls.pop(pull_id)
-        kind, address, token = record["reply_to"]
-        if kind == "parent":
+        hop, address, token = record["reply_to"]
+        if hop == "parent":
             node.send_app(address, self.name, "pull_up", {
                 "pull_id": token, "accs": record["accs"],
             })
             return
-        values = {}
-        for agg_name, acc in record["accs"].items():
-            fn = self.functions.get(agg_name)
-            values[agg_name] = None if fn is None else fn.finalize(acc)
+        accs = record["accs"]
         node.send_app(address, self.name, "agg_value", {
-            "request_id": token, "values": values, "topic": record["topic"],
+            "request_id": token, "values": self._finalized(accs, accs.get),
+            "topic": record["topic"],
         })
 
     # ------------------------------------------------------------------
@@ -861,22 +829,30 @@ class ScribeApplication(Application):
         cache = self.acc_cache
         if cache is None:
             return self._compute_own_acc(state, agg_name)
-        # peek/store instead of get(compute=...): the closure allocation is
-        # measurable at flush rates, and the counter stream is identical.
+        # peek/store rather than a get(compute) callback: the closure
+        # allocation is measurable at flush rates.
         value = cache.peek(state.topic, agg_name)
         if value is _MISS:
             value = self._compute_own_acc(state, agg_name)
             cache.store(state.topic, agg_name, value)
         return value
 
-    def _compute_own_acc(self, state: TopicState, agg_name: str) -> Any:
-        """Roll this node's accumulator up from its raw inputs (uncached)."""
-        fn = self.functions[agg_name]
+    def _compute_own_acc(self, state: TopicState, agg_name: str,
+                         children: bool = True) -> Any:
+        """Roll this node's accumulator up from its raw inputs (uncached).
+
+        ``children=False`` stops at the member's own contribution — the
+        seed a pull aggregation starts from.  None for an unknown function.
+        """
+        fn = self.functions.get(agg_name)
+        if fn is None:
+            return None
         acc = fn.zero()
         if state.member and agg_name in state.local:
             acc = fn.combine(acc, fn.lift(state.local[agg_name]))
-        for child_value in state.child_acc.get(agg_name, {}).values():
-            acc = fn.combine(acc, child_value)
+        if children:
+            for child_value in state.child_acc.get(agg_name, {}).values():
+                acc = fn.combine(acc, child_value)
         return acc
 
     def _recompute_and_push(self, node: PastryNode, state: TopicState,
@@ -889,8 +865,6 @@ class ScribeApplication(Application):
                 if self.acc_cache is not None:
                     self.acc_cache.invalidate(state.topic, only)
                 state.dirty.add(only)
-            if not state.dirty:
-                return
         else:
             if names is None:
                 names = state.agg_names()
@@ -899,8 +873,8 @@ class ScribeApplication(Application):
                 for agg_name in names:
                     self.acc_cache.invalidate(state.topic, agg_name)
             state.dirty.update(names)
-            if not state.dirty:
-                return
+        if not state.dirty:
+            return
         self._dirty_topics[state.topic] = state
         flush_event = self._flush_event
         if flush_event is None or flush_event.cancelled:
@@ -945,7 +919,7 @@ class ScribeApplication(Application):
                 # Root snapshot coherence: dirty aggregates at a replicated
                 # root re-sync the replicas on the same debounce cadence as
                 # upward pushes (maintain() adds the anti-entropy backstop).
-                self._sync_replicas(node, state)
+                self.rebalancer.sync_replicas(node, state)
         packed = self._packed_self(node)
         for parent, updates in batches.items():
             node.send_app(parent, self.name, "agg_push_batch", {
@@ -1013,232 +987,5 @@ class ScribeApplication(Application):
         down were suppressed by the network, leaving ``member=True`` states
         with no tree link until the next attribute change)."""
         for state in list(self._topics.values()):
-            if (state.parent is None and not state.is_root
-                    and (state.member or state.children)):
-                node.route(state.key, self.name,
-                           {"op": "join", "topic": state.topic,
-                            "scope": state.scope,
-                            "child": self._packed_self(node)},
-                           scope=state.scope)
-
-    # ------------------------------------------------------------------
-    # Hot-tree replication (load-triggered, docs/architecture.md §15)
-    # ------------------------------------------------------------------
-    def _finalized_values(self, state: TopicState) -> Dict[str, Any]:
-        """Finalized answers for every aggregate this root knows about."""
-        values: Dict[str, Any] = {}
-        for agg_name in state.agg_names():
-            fn = self.functions.get(agg_name)
-            if fn is not None:
-                values[agg_name] = fn.finalize(self._own_acc(state, agg_name))
-        return values
-
-    def _divert_target(self, node: PastryNode, topic: str) -> Optional[int]:
-        """A live replica to divert this read to, or None (no usable hint)."""
-        if self.rebalancer is None:
-            return None
-        state = self._topics.get(topic)
-        if state is not None and (state.is_root or state.replica_of is not None):
-            return None  # we ARE the root or a replica: answer in place
-        hints = self._replica_hints.get(topic)
-        if not hints:
-            return None
-        live = [a for a in hints
-                if a != node.address and node.network.has_host(a)]
-        if not live:
-            self._replica_hints.pop(topic, None)
-            return None
-        # Deterministic spread: distinct clients fan out across replicas.
-        return live[node.address % len(live)]
-
-    def _promote_replicas(self, node: PastryNode, state: TopicState) -> bool:
-        """Replicate a hot root: promote the leaf-set neighbors nearest the
-        topic key and re-partition the root's other children across them
-        (the D3-Tree split).
-
-        Replicas stay *interior nodes of the same tree* — children of the
-        root — so every existing mechanism (roll-up merge, anycast DFS,
-        child probes, pull aggregation, the single-root invariant) applies
-        unchanged; the win is that diverted readers are answered one hop
-        away from a root-coherent snapshot.
-        """
-        cfg = self.rebalancer.config
-        picks = node.closest_neighbors(state.key, cfg.max_replicas,
-                                       scope=state.scope)
-        if not picks:
-            return False
-        pick_addrs = [ref.address for ref in picks]
-        finalized = self._finalized_values(state)
-        # Round-robin the current children across the new replicas; their
-        # re-homing (ordinary parent_set handling) drains the root's
-        # per-message fan-out while aggregation keeps flowing upward.
-        others = sorted(a for a in state.children if a not in pick_addrs)
-        assigned: Dict[int, List[tuple]] = {a: [] for a in pick_addrs}
-        for i, child_addr in enumerate(others):
-            ref = state.children[child_addr]
-            assigned[pick_addrs[i % len(pick_addrs)]].append(
-                (ref.node_id.value, ref.address, ref.site_index))
-        for ref in picks:
-            state.replicas[ref.address] = ref
-        peers = sorted(state.replicas)
-        for ref in picks:
-            self._add_child(node, state, ref)
-            node.send_app(ref.address, self.name, "replica_promote", {
-                "topic": state.topic,
-                "scope": state.scope,
-                "values": dict(finalized),
-                "peers": list(peers),
-                "assigned": assigned[ref.address],
-            })
-        self._notify_tree_change(state.topic)
-        return True
-
-    def _demote_replicas(self, node: PastryNode, state: TopicState) -> None:
-        """Load subsided (or we stopped being root): release the replica
-        role everywhere.  Ex-replicas stay ordinary children until
-        :meth:`_maybe_prune` dissolves them, so adopted subtrees keep
-        flowing and no aggregate state is lost."""
-        for address in sorted(state.replicas):
-            if node.network.has_host(address):
-                node.send_app(address, self.name, "replica_demote",
-                              {"topic": state.topic})
-        state.replicas.clear()
-        self._notify_tree_change(state.topic)
-
-    def _sync_replicas(self, node: PastryNode, state: TopicState) -> None:
-        """Push the root's finalized snapshot to every live replica."""
-        if not state.replicas:
-            return
-        values = self._finalized_values(state)
-        peers = sorted(state.replicas)
-        for address in peers:
-            if node.network.has_host(address):
-                node.send_app(address, self.name, "replica_sync", {
-                    "topic": state.topic,
-                    "values": dict(values),
-                    "peers": list(peers),
-                })
-
-    def _clear_replica_role(self, node: PastryNode, state: TopicState) -> None:
-        state.replica_of = None
-        state.replica_values = None
-        state.replica_peers = []
-        self._notify_tree_change(state.topic)
-        self._maybe_prune(node, state)
-
-    def _replica_maintain(self, node: PastryNode) -> None:
-        """Per-tick anti-entropy for the replication protocol (both roles):
-        heals lost promote/demote messages, prunes dead replicas, and keeps
-        snapshots coherent through the same maintenance cadence the rest of
-        the tree repair uses."""
-        for state in list(self._topics.values()):
-            if state.replicas:
-                if not state.is_root:
-                    # Lost a root re-anchor race: a node that is no longer
-                    # the rendezvous must not keep a replica set.
-                    self._demote_replicas(node, state)
-                else:
-                    for address in sorted(state.replicas):
-                        if (address not in state.children
-                                or not node.network.has_host(address)):
-                            state.replicas.pop(address, None)
-                            self._notify_tree_change(state.topic)
-                    self._sync_replicas(node, state)
-            if state.replica_of is not None:
-                root = state.replica_of
-                if not node.network.has_host(root) or state.parent != root:
-                    # Root died or we re-homed: stop serving the snapshot.
-                    self._clear_replica_role(node, state)
-                else:
-                    # Lost-demote healer: the root replies replica_demote
-                    # when it no longer lists us in its replica set.
-                    node.send_app(root, self.name, "replica_probe",
-                                  {"topic": state.topic})
-
-    def _on_replica_promote(self, node: PastryNode, data: Dict[str, Any],
-                            origin: int) -> None:
-        state = self.topic_state(data["topic"], data.get("scope"))
-        state.replica_of = origin
-        state.replica_values = dict(data["values"])
-        state.replica_peers = list(data["peers"])
-        for child_id, child_addr, child_site in data["assigned"]:
-            if child_addr != node.address:
-                self._add_child(node, state,
-                                NodeRef(NodeId(child_id), child_addr, child_site))
-        self._notify_tree_change(state.topic)
-
-    def _on_replica_sync(self, node: PastryNode, data: Dict[str, Any],
-                         origin: int) -> None:
-        state = self.topic_state(data["topic"])
-        if state.replica_of == origin or (state.replica_of is None
-                                          and state.parent == origin):
-            # The second clause completes a promotion whose
-            # ``replica_promote`` was lost: the syncing root still lists us
-            # as a replica-child, so accept the role from the sync alone.
-            state.replica_of = origin
-            state.replica_values = dict(data["values"])
-            state.replica_peers = list(data["peers"])
-        else:
-            node.send_app(origin, self.name, "replica_refuse",
-                          {"topic": data["topic"]})
-
-    def _on_replica_demote(self, node: PastryNode, data: Dict[str, Any],
-                           origin: int) -> None:
-        state = self._topics.get(data["topic"])
-        if state is None or state.replica_of != origin:
-            return
-        self._clear_replica_role(node, state)
-
-    def _on_replica_refuse(self, node: PastryNode, data: Dict[str, Any],
-                           origin: int) -> None:
-        state = self._topics.get(data["topic"])
-        if state is not None and origin in state.replicas:
-            state.replicas.pop(origin, None)
-            self._notify_tree_change(state.topic)
-
-    def _on_replica_probe(self, node: PastryNode, data: Dict[str, Any],
-                          origin: int) -> None:
-        state = self._topics.get(data["topic"])
-        if state is None or not state.is_root or origin not in state.replicas:
-            node.send_app(origin, self.name, "replica_demote",
-                          {"topic": data["topic"]})
-
-    def _on_replica_get(self, node: PastryNode, data: Dict[str, Any]) -> None:
-        state = self._topics.get(data["topic"])
-        snapshot = state.replica_values if state is not None else None
-        if (state is not None and state.replica_of is not None
-                and snapshot is not None
-                and all(n in snapshot for n in data["names"])):
-            node.send_app(data["origin"], self.name, "agg_value", {
-                "request_id": data["request_id"],
-                "values": {n: snapshot[n] for n in data["names"]},
-                "topic": data["topic"],
-                "replicas": list(state.replica_peers),
-            })
-            return
-        # Stale hint (we were demoted, or the snapshot lacks a requested
-        # aggregate): fall back to a normal routed read, preserving the
-        # caller's request identity so the reply still lands at its future.
-        key = state.key if state is not None else topic_id(data["topic"],
-                                                           self.creator)
-        scope = data.get("scope") or (state.scope if state is not None
-                                      else "global")
-        node.route(key, self.name, {
-            "op": "agg_get",
-            "topic": data["topic"],
-            "scope": scope,
-            "origin": data["origin"],
-            "request_id": data["request_id"],
-            "names": list(data["names"]),
-        }, scope=scope)
-
-    def _on_anycast_divert(self, node: PastryNode, data: Dict[str, Any]) -> None:
-        state = self._topics.get(data["topic"])
-        if state is not None and state.in_tree():
-            self._anycast_visit(node, data)
-            return
-        # Stale hint: hand the walk back to normal rendezvous routing (the
-        # payload still carries ``op: anycast``, so forward/deliver apply).
-        key = state.key if state is not None else topic_id(data["topic"],
-                                                           self.creator)
-        node.route(key, self.name, data, scope=data.get("scope") or "global")
+            if state.detached():
+                self._route_join(node, state)

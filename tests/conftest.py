@@ -8,6 +8,7 @@ from repro.core.plane import RBay, RBayConfig
 from repro.net.latency import TableIILatencyModel, UniformLatencyModel, make_ec2_registry
 from repro.net.network import Network
 from repro.pastry.overlay import Overlay
+from repro.query.executor import QueryApplication, _QueryContext
 from repro.scribe.scribe import ScribeApplication
 from repro.sim.engine import Simulator
 from repro.sim.random_streams import RandomStreams
@@ -65,3 +66,19 @@ def small_plane():
     plane = RBay(RBayConfig(seed=7, nodes_per_site=10, jitter=False)).build()
     plane.sim.run()
     return plane
+
+
+def registered_wire_kinds(rebalance=None):
+    """``{wire kind: handler}`` read off the dispatch tables of a fresh
+    Scribe (with a balancer when ``rebalance`` is given) and query app —
+    keyed like ``Network.wire_kinds_seen`` and the docs/protocol.md table."""
+    sim = Simulator()
+    scribe = ScribeApplication(sim, rebalance=rebalance)
+    query = QueryApplication(_QueryContext(sim, []))
+    kinds = {}
+    for prefix, table in (("route/scribe/", scribe.routed_handlers),
+                          ("direct/scribe/", scribe.direct_handlers),
+                          ("direct/query/", query.direct_handlers)):
+        for kind, handler in table.items():
+            kinds[prefix + kind] = handler
+    return kinds

@@ -92,3 +92,32 @@ def test_repo_documents_exist():
     for name in ("README.md", "DESIGN.md", "EXPERIMENTS.md", "LICENSE",
                  "docs/architecture.md", "docs/protocol.md", "docs/api.md"):
         assert (root / name).exists(), name
+
+
+def test_protocol_doc_lists_exactly_the_registered_wire_kinds():
+    """docs/protocol.md "Wire kinds" is the one list: it must equal the
+    dispatch tables (kind, handler, and which kinds only a balancer adds)."""
+    import pathlib
+    import re
+
+    from repro.scribe.rebalance import RebalanceConfig
+    from tests.conftest import registered_wire_kinds
+
+    base = registered_wire_kinds()
+    everything = registered_wire_kinds(RebalanceConfig())
+    assert set(base) < set(everything)
+    expected = {
+        kind: (handler.__qualname__, "" if kind in base else "rebalance")
+        for kind, handler in everything.items()
+    }
+    root = pathlib.Path(repro.__file__).resolve().parents[2]
+    text = (root / "docs" / "protocol.md").read_text(encoding="utf-8")
+    section = text.split("## Wire kinds", 1)[1].split("\n## ", 1)[0]
+    documented = {}
+    for line in section.splitlines():
+        cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
+        match = re.fullmatch(r"`((?:route|direct)/\w+/\w+)`", cells[0])
+        if match:
+            assert match.group(1) not in documented, line
+            documented[match.group(1)] = (cells[3].strip("`"), cells[4])
+    assert documented == expected

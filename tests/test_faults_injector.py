@@ -1,12 +1,15 @@
 """Unit tests for the deterministic fault injector and its schedules."""
 
 import random
+from collections import Counter
 
 import pytest
 
 from repro.core.plane import RBay, RBayConfig
 from repro.faults import FaultEvent, FaultInjector, FaultSchedule, MessageRule, protocol_kind
 from repro.net.message import Message
+from repro.net.network import FaultDecision
+from repro.query.options import QueryOptions
 
 
 def build_plane(seed=11, **overrides):
@@ -264,3 +267,75 @@ class TestScheduledExecution:
         net = plane.network
         assert net.messages_in_flight == 0
         assert net.messages_sent == net.messages_delivered + net.messages_dropped
+
+
+# ----------------------------------------------------------------------
+# Query-step retries under targeted loss (the executor's one retry loop)
+# ----------------------------------------------------------------------
+class TestStepRetriesUnderLoss:
+    """MessageRule matches on kind only; these need to tell trees apart,
+    so they hang a topic-aware filter on the network's fault hook."""
+
+    @staticmethod
+    def bucketed_site():
+        plane = build_plane(synthetic_sites=1, nodes_per_site=12,
+                            site_retries=4)
+        for i, node in enumerate(plane.nodes):
+            node.define_attribute("CPU_utilization", 5.0 + 7.5 * i)
+        plane.register_buckets("CPU_utilization", 0.0, 100.0, buckets=2)
+        plane.sim.run()
+        return plane
+
+    def test_anycast_retry_keeps_the_per_query_budget(self):
+        """Regression: the scheduled anycast retry re-entered the chain
+        without the query's ``retries`` override, so every later tree fell
+        back to the plane-wide ``site_retries``."""
+        plane = self.bucketed_site()
+        scribe = plane.nodes[0].scribe
+        attempts = Counter()
+        real_anycast = scribe.anycast
+
+        def counting_anycast(node, topic, *args, **kwargs):
+            attempts[topic] += 1
+            return real_anycast(node, topic, *args, **kwargs)
+
+        scribe.anycast = counting_anycast
+        walked = Counter()
+
+        def lose_anycasts(src, dst, msg):
+            if protocol_kind(msg) not in ("route/scribe/anycast",
+                                          "direct/scribe/anycast_walk"):
+                return None
+            topic = msg.payload["data"]["topic"]
+            walked[topic] += 1
+            first_tree = next(iter(attempts))
+            if topic == first_tree and walked[topic] > 1:
+                return None  # tree 1 loses only its first message
+            return FaultDecision(drop=True)  # tree 2 loses every one
+
+        plane.network.fault_filter = lose_anycasts
+        plane.query("SELECT * FROM Site000 WHERE CPU_utilization < 100;",
+                    options=QueryOptions(retries=1))
+        plane.sim.run()  # the chain outlives the coordinator's deadline
+        tree_1, tree_2 = attempts
+        assert attempts[tree_1] == 2   # lost once, retried, answered
+        assert attempts[tree_2] == 2   # 1 + retries=1, not 1 + site_retries=4
+        assert plane.counters.get("query.retry.anycast") == 2
+
+    def test_probe_retries_reach_the_result(self):
+        """Regression: probe-round retries bumped ``query.retry.probe`` but
+        never ``QueryResult.retries``."""
+        plane = self.bucketed_site()
+        lost = []
+
+        def lose_first_probe(src, dst, msg):
+            if protocol_kind(msg) == "route/scribe/agg_get" and not lost:
+                lost.append(msg)
+                return FaultDecision(drop=True)
+            return None
+
+        plane.network.fault_filter = lose_first_probe
+        result = plane.query(
+            "SELECT * FROM Site000 WHERE CPU_utilization < 40;")
+        assert lost and result.satisfied and result.entries
+        assert result.retries == plane.counters.get("query.retry.probe") == 1

@@ -225,6 +225,8 @@ class TestTracingIsInert:
             reset_protocol_ids()
             plane, workload = build_traced_plane(seed=9, tracing=tracing)
             result = run_query(plane, workload)
+            # ...and it must actually record: spans only in the traced arm.
+            assert bool(len(plane.obs.recorder)) == tracing
             return (result.satisfied, result.latency_ms, result.retries,
                     plane.network.messages_sent)
 

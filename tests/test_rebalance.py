@@ -33,7 +33,12 @@ class FakeSim:
 
 
 class FakeScribe:
+    """Just what the trigger reads off its scribe; promote/demote calls
+    are recorded here instead of running the replica protocol."""
+
     def __init__(self, states):
+        self.sim = FakeSim()
+        self.direct_handlers = {}
         self._states = states
         self.promoted = []
         self.demoted = []
@@ -41,13 +46,15 @@ class FakeScribe:
     def topics(self):
         return self._states
 
+
+class TriggerOnly(Rebalancer):
     def _promote_replicas(self, node, state):
-        self.promoted.append(state.topic)
+        self.scribe.promoted.append(state.topic)
         state.replicas = {999: None}
         return True
 
     def _demote_replicas(self, node, state):
-        self.demoted.append(state.topic)
+        self.scribe.demoted.append(state.topic)
         state.replicas = {}
 
 
@@ -60,18 +67,17 @@ def root_state(topic="hot", children=2):
 
 
 def make_trigger(config, states):
-    sim = FakeSim()
     scribe = FakeScribe(states)
-    rebalancer = Rebalancer(sim, config)
-    rebalancer.tick(None, scribe)  # opens the first window
-    return sim, scribe, rebalancer
+    rebalancer = TriggerOnly(scribe, config)
+    rebalancer.tick(None)  # opens the first window
+    return scribe.sim, scribe, rebalancer
 
 
 def close_window(sim, scribe, rebalancer, load, topic="hot"):
     for _ in range(load):
         rebalancer.record(topic)
     sim.now += rebalancer.config.window_ms
-    rebalancer.tick(None, scribe)
+    rebalancer.tick(None)
 
 
 class TestHysteresis:
@@ -147,10 +153,10 @@ class TestHysteresis:
         reb.record("hot")
         assert reb.window_load("hot") == 2
         sim.now += 10.0  # window still open: tick is a no-op
-        reb.tick(None, scribe)
+        reb.tick(None)
         assert reb.window_load("hot") == 2
         sim.now += self.CONFIG.window_ms
-        reb.tick(None, scribe)
+        reb.tick(None)
         assert reb.window_load("hot") == 0  # window closed and reset
 
 
@@ -254,7 +260,7 @@ class TestDiversion:
         sc = node_scribe(asker)
         # First read is routed to the root and piggybacks the replica set.
         assert sc.tree_size(asker, "GPU").result() == MEMBERS
-        assert sorted(sc._replica_hints["GPU"]) == sorted(state.replicas)
+        assert sorted(sc.rebalancer.hints["GPU"]) == sorted(state.replicas)
         # Second read goes straight to a replica: the root sees no traffic.
         before_root = network.per_host_received[root.address]
         replica_before = {a: network.per_host_received[a]
@@ -270,10 +276,41 @@ class TestDiversion:
         bystander = overlay.nodes[-2]
         sc = node_scribe(asker)
         # Poison the hint with a node that is not a replica at all.
-        sc._replica_hints["GPU"] = [bystander.address]
+        sc.rebalancer.hints["GPU"] = [bystander.address]
         assert sc.tree_size(asker, "GPU").result() == MEMBERS
         # The unreplicated root's reply retracted the bogus hint.
-        assert "GPU" not in sc._replica_hints
+        assert "GPU" not in sc.rebalancer.hints
+
+    def test_stale_anycast_hint_falls_back_to_rendezvous_routing(
+            self, sim, hot_overlay):
+        overlay, _, _ = hot_overlay
+        asker = overlay.nodes[-1]
+        sc = node_scribe(asker)
+        # A hint naming a node with no role in the tree at all.
+        outsider = next(
+            n for n in overlay.nodes
+            if n is not asker and "GPU" not in node_scribe(n).topics())
+        sc.rebalancer.hints["GPU"] = [outsider.address]
+        result = sc.anycast(asker, "GPU", {"entries": []}).result()
+        # No visitor is wired, so the DFS runs to exhaustion: re-routed
+        # through the rendezvous it still covers every member.
+        assert not result["satisfied"]
+        assert result["visited_members"] == MEMBERS
+
+    def test_non_replica_refuses_a_sync_and_leaves_the_set(self, sim,
+                                                           hot_overlay):
+        overlay, _, _ = hot_overlay
+        root = find_root(overlay)
+        state = heat_and_tick(sim, overlay, root)
+        replica = by_address(overlay, sorted(state.replicas)[0])
+        rstate = node_scribe(replica).topics()["GPU"]
+        # The replica re-homed while the root was not looking.
+        rstate.replica_of = None
+        rstate.parent = overlay.nodes[-1].address
+        node_scribe(root).rebalancer.sync_replicas(root, state)
+        sim.run()
+        assert replica.address not in state.replicas
+        assert rstate.replica_of is None  # the sync did not re-enlist it
 
 
 class TestDemotion:

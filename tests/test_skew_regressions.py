@@ -75,7 +75,7 @@ def test_cardinality_hint_invalidated_on_reparenting():
     # hint described the old path.
     other = next(n for n in plane.nodes
                  if n.address not in (c.address, state.parent))
-    c.scribe._on_parent_set(c, state.topic, other.address)
+    c.scribe._on_parent_set(c, {"topic": state.topic}, other.address)
     assert state.topic not in qapp.cardinality_hints(c)
 
 

@@ -49,11 +49,25 @@ def groups(result):
 
 
 def test_live_query_with_group_by(live_plane):
+    net = live_plane.network
+    sent, framed = net.messages_sent, net.wire_bytes_sent
     result = q(live_plane, "SELECT * FROM * GROUP BY CPU_utilization;")
     assert result.satisfied and not result.degraded
     got = groups(result)
     assert sum(got.values()) == len(live_plane.nodes)
     assert len(result.sites_answered) == 4
+    # The live backend runs the DES's protocol traffic, message for
+    # message; what it adds is real framed bytes (more than a 4-byte
+    # length prefix per message).
+    twin = RBay(RBayConfig(seed=SEED, synthetic_sites=4, nodes_per_site=3,
+                           jitter=False)).build()
+    FederationWorkload(twin, WorkloadSpec(password=PASSWORD)).apply()
+    twin.register_buckets("CPU_utilization", 0.0, 100.0, buckets=4)
+    twin.sim.run()
+    twin_sent = twin.network.messages_sent
+    assert groups(q(twin, "SELECT * FROM * GROUP BY CPU_utilization;")) == got
+    assert net.messages_sent - sent == twin.network.messages_sent - twin_sent
+    assert net.wire_bytes_sent - framed > 4 * (net.messages_sent - sent)
 
 
 def test_live_range_query_with_group_by(live_plane):

@@ -19,6 +19,7 @@ from repro.net.site import SiteRegistry
 from repro.sim.engine import Simulator
 from repro.transport.codec import CodecError
 from repro.workloads.generator import FederationWorkload, WorkloadSpec
+from tests.conftest import registered_wire_kinds
 
 # Message kinds a dressed 4-site federation demonstrably sends.  Keep in
 # sync with the protocol stack: a kind disappearing from this run means
@@ -59,6 +60,15 @@ def test_every_protocol_kind_crosses_the_codec():
     assert net.wire_checked == net.messages_delivered > 0
     missing = REQUIRED_WIRE_KINDS - net.wire_kinds_seen
     assert not missing, f"kinds never audited through the codec: {missing}"
+    # One list of kinds: everything the audit requires, and every
+    # application kind that actually crossed the wire, is a registered one
+    # (docs/protocol.md "Wire kinds" mirrors the same tables).
+    registered = set(registered_wire_kinds())
+    assert {k for k in REQUIRED_WIRE_KINDS if "/" in k} <= registered
+    unregistered = {k for k in net.wire_kinds_seen
+                    if k.startswith(("direct/scribe/", "direct/query/",
+                                     "route/scribe/"))} - registered
+    assert not unregistered, f"kinds on the wire with no handler: {unregistered}"
 
 
 def test_wire_check_is_behaviorally_invisible():
