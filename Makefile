@@ -40,7 +40,7 @@ sanitize:
 	PYTHONPATH=src $(PYTHON) -m repro.cli scale --sites 32 --nodes 32 \
 	  --queries 64 --sanitize --sanitize-fail-fast
 
-# Line-coverage floor for the caching subsystem.  When pytest-cov is
+# Line-coverage floor for the watched protocol modules.  When pytest-cov is
 # installed, also print a full term-missing report; the gate itself uses
 # a stdlib tracer (tools/check_coverage.py) so it runs anywhere and
 # fails if any watched module drops below 85%.  The public-API lint
@@ -67,8 +67,9 @@ trace:
 
 # Range planner (docs/architecture.md §14): bucket/planner unit and golden
 # suites, the oracle-backed property suite (planner on vs. off, row-identical
-# to brute force; RBAY_ORACLE_SEEDS widens the sweep), and the planner-on/off
-# ablation (benchmarks/results/planner_ablation.json).
+# to brute force before and after attribute updates; RBAY_ORACLE_SEEDS widens
+# the sweep), and the planner-on/off ablation
+# (benchmarks/results/planner_ablation.json).
 planner:
 	PYTHONPATH=src $(PYTHON) -m pytest -q tests/test_scribe_buckets.py \
 	  tests/test_query_planner.py
@@ -116,7 +117,7 @@ live:
 	    tests/test_transport_serve.py'
 
 examples:
-	@for f in examples/*.py; do echo "== $$f"; $(PYTHON) $$f; done
+	@for f in examples/*.py; do echo "== $$f"; PYTHONPATH=src $(PYTHON) $$f || exit 1; done
 
 outputs:
 	$(PYTHON) -m pytest tests/ 2>&1 | tee test_output.txt

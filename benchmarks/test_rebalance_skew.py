@@ -83,7 +83,7 @@ def run_arm(rebalance: bool):
     """One plane, the full flash-crowd workload; returns the summary."""
     plane = RBay(RBayConfig(
         seed=SEED, synthetic_sites=1, nodes_per_site=NODES,
-        jitter=False, processing_delay_ms=2.0, probe_cache_ms=0.0,
+        jitter=False, processing_delay_ms=2.0,
         maintenance_interval_ms=WINDOW_MS, sanitize=True,
         rebalance=RebalanceConfig(
             window_ms=WINDOW_MS,

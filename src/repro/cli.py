@@ -57,8 +57,6 @@ def _build_plane(args) -> tuple:
         nodes_per_site=args.nodes,
         synthetic_sites=args.synthetic_sites,
         jitter=not args.no_jitter,
-        aggregate_cache=not args.no_aggregate_cache,
-        probe_cache_ms=args.probe_cache_ms,
         planner=not getattr(args, "no_planner", False),
         site_retries=getattr(args, "site_retries", 2),
         fault_schedule=_load_fault_schedule(args),
@@ -125,17 +123,12 @@ def _common_parser() -> argparse.ArgumentParser:
                         help="disable latency jitter (fully deterministic)")
     common.add_argument("--password", default="rbay",
                         help="gate password installed by the workload")
-    common.add_argument("--probe-cache-ms", type=float, default=0.0,
-                        help="staleness bound for cached tree-size probes "
-                             "(0 disables the probe cache)")
     common.add_argument("--buckets", type=int, default=0, metavar="N",
                         help="range-partition CPU_utilization into N bucketed "
                              "trees (0 disables bucketed indices)")
     common.add_argument("--no-planner", action="store_true",
-                        help="disable the cost-based range planner (range "
+                        help="disable the range planner (range "
                              "queries flood the whole bucket family)")
-    common.add_argument("--no-aggregate-cache", action="store_true",
-                        help="disable subtree-accumulator memoization")
     common.add_argument("--fault-schedule", default=None, metavar="PATH",
                         help="JSON fault schedule (see repro.faults) installed "
                              "at build time")
@@ -562,9 +555,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("sql", help="the query text")
     p.add_argument("--origin", default="Virginia", help="customer's home site")
     p.add_argument("--show-counters", action="store_true",
-                   help="print cache/protocol counters after the query")
+                   help="print memo/protocol counters after the query")
     p.add_argument("--explain", action="store_true",
-                   help="print the chosen plan (with planner cost "
+                   help="print the chosen plan (with the planner's message "
                         "estimates) before running the query")
     p.set_defaults(fn=cmd_query)
 
@@ -579,7 +572,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="origin sites (default: first three)")
     p.add_argument("--queries", type=int, default=10, help="queries per point")
     p.add_argument("--show-counters", action="store_true",
-                   help="print cache/protocol counters after the sweep")
+                   help="print memo/protocol counters after the sweep")
     p.set_defaults(fn=cmd_latency)
 
     p = sub.add_parser("trace", parents=[common],

@@ -75,23 +75,6 @@ class RBayNode(PastryNode):
     def scribe(self) -> ScribeApplication:
         return self.apps["scribe"]  # type: ignore[return-value]
 
-    def cache_sizes(self) -> Dict[str, int]:
-        """Entry counts of this node's caches (0 when caching is disabled).
-
-        Debugging/benchmark aid: pairs with the federation-wide hit/miss
-        counters in ``plane.counters`` to show *where* cached state lives.
-        """
-        scribe = self.scribe
-        sizes = {
-            "acc_cache": len(scribe.acc_cache) if scribe.acc_cache is not None else 0,
-            "result_cache": (len(scribe.result_cache)
-                             if scribe.result_cache is not None else 0),
-        }
-        query_app = self.apps.get("query")
-        if query_app is not None:
-            sizes["probe_cache"] = len(query_app.probe_cache)
-        return sizes
-
     def start_maintenance(self, interval_ms: float, jitter_fn=None) -> None:
         """Begin the periodic onTimer cycle (subscription checks, repair)."""
         if self._maintenance_task is not None:

@@ -71,14 +71,8 @@ class RBayConfig:
     #: Scope of attribute trees: "site" (administrative isolation, the
     #: paper's design) or "global" (the isolation-off ablation).
     tree_scope: str = "site"
-    #: Memoize subtree accumulators at every tree node (exact, dirty-flag
-    #: invalidated).  False is the caching-off ablation.
-    aggregate_cache: bool = True
-    #: Staleness bound (ms) for the query executor's step-1 probe cache;
-    #: 0 disables it (every query probes, the paper's baseline).
-    probe_cache_ms: float = 0.0
-    #: Cost-based routing of range predicates over bucketed attribute
-    #: indices (see :meth:`RBay.register_buckets`).  False is the
+    #: Interval → bucket routing of range predicates over bucketed
+    #: attribute indices (see :meth:`RBay.register_buckets`).  False is the
     #: planner-off ablation: range queries probe and search the whole
     #: bucket family with strict per-member checks.  Per-query
     #: ``QueryOptions.planner`` overrides this default.
@@ -201,7 +195,7 @@ class RBay:
         #: The causal observability plane: span recorder (null when
         #: ``cfg.tracing`` is off) + the metrics registry.
         self.obs = Observability(self.sim, enabled=cfg.tracing)
-        #: Federation-wide cache/protocol counters (hit/miss/invalidation):
+        #: Federation-wide memo/protocol counters (hit/miss/invalidation):
         #: the flat face of ``self.obs.metrics``.
         self.counters = self.obs.metrics
         if self.obs.enabled:
@@ -212,7 +206,6 @@ class RBay:
             hierarchy=self.hierarchy,
             lease_ms=cfg.lease_ms,
             tree_scope=cfg.tree_scope,
-            probe_cache_ms=cfg.probe_cache_ms,
             max_step_retries=cfg.site_retries,
             retry_rng=self.streams.stream("query-retry"),
             planner_enabled=cfg.planner,
@@ -330,7 +323,6 @@ class RBay:
         recorder = self.obs.recorder if self.obs.enabled else None
         scribe = ScribeApplication(self.sim,
                                    agg_flush_ms=self.config.agg_flush_ms,
-                                   cache_enabled=self.config.aggregate_cache,
                                    counters=self.counters,
                                    recorder=recorder,
                                    rebalance=self.config.rebalance)
@@ -341,8 +333,6 @@ class RBay:
         node.register_app(query_app)
         scribe.anycast_visitor = query_app.visit
         scribe.multicast_handler = SiteAdmin.apply_admin_command
-        # Local tree changes immediately distrust the node's probe cache.
-        scribe.add_tree_change_listener(query_app.on_tree_change)
 
     def add_node(self, site: Site, join_via: Optional[RBayNode] = None) -> RBayNode:
         """Dynamically add a node (protocol join when ``join_via`` given)."""
@@ -367,9 +357,10 @@ class RBay:
         current value (one Scribe tree per bucket, with the usual count
         roll-up) and re-buckets eagerly when the value crosses a
         boundary; nodes added later are subscribed automatically.  Range
-        predicates and GROUP BY on the attribute are then served by the
-        cost-based planner (:mod:`repro.query.planner`).  Registering the
-        same partition twice is a no-op; a conflicting partition raises.
+        predicates and GROUP BY on the attribute are then routed by the
+        planner (:mod:`repro.query.planner`) to the buckets they overlap.
+        Registering the same partition twice is a no-op; a conflicting
+        partition raises.
         """
         from repro.scribe.buckets import BucketSpec
 

@@ -34,7 +34,6 @@ from repro.query.predicates import Predicate
 from repro.query.result import QueryResult
 from repro.query.sql import Query
 from repro.scribe.buckets import BucketIndex
-from repro.scribe.cache import TTLCache
 from repro.sim.engine import Simulator
 from repro.sim.futures import Future, FutureTimeout, gather
 
@@ -128,7 +127,6 @@ class _QueryContext:
         site_timeout_ms: float = 10_000.0,
         probe_timeout_ms: float = 5_000.0,
         tree_scope: str = "site",
-        probe_cache_ms: float = 0.0,
         max_step_retries: int = 2,
         retry_slot_ms: float = 50.0,
         retry_rng: Optional[random.Random] = None,
@@ -154,11 +152,6 @@ class _QueryContext:
         #: rendezvous inside each site (administrative isolation, §III-E);
         #: "global" is the isolation-off ablation mode.
         self.tree_scope = tree_scope
-        #: Staleness bound for step-1 size probes: a probe answered within
-        #: the last ``probe_cache_ms`` is reused instead of re-sent, so
-        #: repeated queries skip the probe round entirely.  0 disables the
-        #: cache (every query probes — the paper's baseline behaviour).
-        self.probe_cache_ms = probe_cache_ms
         #: Query ids currently between ``execute()`` and settlement —
         #: the "in-flight query" ground truth the reservation-hygiene
         #: invariant checks held reservations against.
@@ -168,9 +161,9 @@ class _QueryContext:
         #: subscribes here.  Empty by default (zero-cost when unused).
         self.result_listeners: List[Any] = []
         #: Registry of range-partitioned (bucketed) attributes; range
-        #: predicates on registered attributes are routed by the
-        #: cost-based planner (:mod:`repro.query.planner`) instead of the
-        #: legacy one-tree-per-predicate path.
+        #: predicates on registered attributes are routed by the planner
+        #: (:mod:`repro.query.planner`) to the buckets they overlap instead
+        #: of the legacy one-tree-per-predicate path.
         self.bucket_index = bucket_index if bucket_index is not None else BucketIndex()
         #: Default for the planner (per-query ``QueryOptions.planner``
         #: overrides it); False runs the bucket-unaware flood baseline.
@@ -216,40 +209,6 @@ class QueryApplication(Application):
             "commit": self._on_commit,
             "release": self._on_release,
         }
-        #: Step-1 probe cache: topic -> last observed tree size.  Entries
-        #: are trusted up to ``context.probe_cache_ms`` of staleness and
-        #: dropped eagerly when the co-located Scribe instance observes any
-        #: change to that tree (see :meth:`on_tree_change`).
-        self.probe_cache = TTLCache(self.obs.metrics, "query.probe_cache")
-
-    def on_tree_change(self, topic: str) -> None:
-        """Scribe observed a membership/accumulator change for ``topic``:
-        the cached probe answer can no longer be trusted."""
-        self.probe_cache.invalidate(topic)
-
-    def probe_size_hints(self) -> Dict[str, int]:
-        """Tree sizes still fresh in the probe cache (planner ordering)."""
-        return self.probe_cache.fresh_items(
-            self.context.sim.now, self.context.probe_cache_ms)
-
-    def cardinality_hints(self, node: "RBayNode") -> Dict[str, int]:
-        """Cached tree sizes the cost-based planner may trust: fresh
-        step-1 probe answers plus fresh "count" aggregates from the
-        co-located scribe result cache (write-through on every
-        ``agg_value`` this node sees).  Bounded by the same
-        ``probe_cache_ms`` staleness budget the probe cache honours —
-        with the cache disabled the planner gets no hints and never
-        skips a probe round."""
-        hints = dict(self.probe_size_hints())
-        ttl = self.context.probe_cache_ms
-        scribe = node.apps.get("scribe")
-        if ttl > 0 and scribe is not None and scribe.result_cache is not None:
-            fresh = scribe.result_cache.fresh_items(self.context.sim.now, ttl)
-            for key, value in fresh.items():
-                if (isinstance(key, tuple) and len(key) == 2
-                        and key[1] == "count" and value is not None):
-                    hints.setdefault(key[0], int(value))
-        return hints
 
     # ------------------------------------------------------------------
     # Coordinator (the "query interface" near the customer)
@@ -589,11 +548,10 @@ class QueryApplication(Application):
             done.add_callback(lambda result: self.obs.end_step(
                 exec_span, status="timeout" if _lost(result) else "ok"))
 
-        # Route each predicate: the cost-based planner picks the tree
-        # family (bucket subset / full family / legacy candidate trees)
-        # per predicate; GROUP BY may push the whole query down into the
-        # bucket roll-ups and skip member visits entirely.
-        hints = self.cardinality_hints(node)
+        # Route each predicate: the planner picks the tree family (bucket
+        # subset / full family / legacy candidate trees) per predicate;
+        # GROUP BY may push the whole query down into the bucket roll-ups
+        # and skip member visits entirely.
         pushdown = None
         if group_by is not None and not query.is_disjunctive():
             pushdown = plan_group_pushdown(self.context, predicates, group_by,
@@ -617,8 +575,7 @@ class QueryApplication(Application):
             # with an unbounded k.
             routes = route_predicates(
                 self.context, predicates,
-                query.k if group_by is None else None,
-                hints, site_name, planner_on)
+                query.k if group_by is None else None, planner_on)
             for route in routes:
                 metrics.increment(f"query.plan.{route.strategy}")
                 families.append({
@@ -626,11 +583,6 @@ class QueryApplication(Application):
                     "topics": [site_tree(site_name, t) for t in route.trees],
                     "exact": route.exact,
                 })
-                if route.strategy == "anycast":
-                    # The anycast strategy trusts cached sizes instead of
-                    # probing; seed them so the probe round skips these.
-                    for t, size in route.estimates.items():
-                        size_of.setdefault(site_tree(site_name, t), int(size))
             if group_by is not None and not predicates:
                 spec = self.context.bucket_index.spec_for(group_by)
                 if spec is None:
@@ -641,26 +593,9 @@ class QueryApplication(Application):
                 families.append(_whole_buckets(spec.buckets))
 
         # Steps 1-2: probe sizes of every candidate tree, grouped by the
-        # predicate it serves.  Planner seeds and fresh probe-cache
-        # entries answer locally; only the remainder costs a probe round.
+        # predicate it serves.
         groups: List[List[str]] = [family["topics"] for family in families]
-        flat = list(dict.fromkeys(t for group in groups for t in group))
-        ttl = self.context.probe_cache_ms
-        to_probe: List[str] = []
-        for topic in flat:
-            if topic in size_of:
-                continue
-            hit = False
-            if ttl > 0:
-                hit, cached_size = self.probe_cache.get(topic, sim.now, ttl)
-            if hit:
-                size_of[topic] = cached_size
-            else:
-                to_probe.append(topic)
-        if rec.enabled and size_of:
-            rec.instant("query.probe_cache_hit", category="query",
-                        parent=exec_ctx, site=site_name, addr=node.address,
-                        topics=len(size_of))
+        to_probe = list(dict.fromkeys(t for group in groups for t in group))
 
         def _probe_round(topics_left: List[str]) -> None:
             probe_span = None
@@ -691,8 +626,6 @@ class QueryApplication(Application):
                     missing.append(topic)
                     continue
                 size_of[topic] = int(size or 0)
-                if ttl > 0:
-                    self.probe_cache.put(topic, size_of[topic], sim.now)
             if rec.enabled:
                 self.obs.end_step(probe_span,
                                   status="timeout" if missing else "ok")
@@ -779,8 +712,8 @@ class QueryApplication(Application):
         if to_probe:
             _probe_round(to_probe)
         else:
-            # Every candidate tree answered from the probe cache: step 1
-            # costs zero messages and zero round-trips.
+            # Only "empty" routes (predicates no value satisfies): there is
+            # no tree to probe.
             sim.call_soon(_after_probe)
         return done
 

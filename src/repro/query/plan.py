@@ -28,8 +28,8 @@ class PredicatePlan:
     predicate: Predicate
     trees: List[str]                  # candidate trees (hybrid-expanded)
     expanded: bool                    # True if the hierarchy expanded it
-    #: Cost-based route when the predicate hits a bucketed index; None
-    #: for the legacy candidate-tree path.
+    #: The planner's route; it renders the predicate when it hits a
+    #: bucketed index (bucket subset + closed-form message estimate).
     route: Optional["PredicateRoute"] = None
 
     def describe(self) -> str:
@@ -48,21 +48,12 @@ class QueryPlan:
     predicate_plans: List[PredicatePlan] = field(default_factory=list)
     #: Per-site topic names probed in step 1.
     probes_per_site: Dict[str, List[str]] = field(default_factory=dict)
-    #: Cached tree sizes (from the executor's probe cache) used to order
-    #: probes and mark them skippable; empty when no hints were supplied.
-    size_hints: Dict[str, int] = field(default_factory=dict)
     #: Bucket subset a GROUP BY pushes down into (None = collect path).
     group_pushdown: Optional[List] = None
 
     @property
     def total_probes(self) -> int:
         return sum(len(topics) for topics in self.probes_per_site.values())
-
-    @property
-    def cached_probes(self) -> int:
-        """How many step-1 probes a fresh probe cache would answer."""
-        return sum(1 for topics in self.probes_per_site.values()
-                   for topic in topics if topic in self.size_hints)
 
     def local_checks(self) -> List[Predicate]:
         """Predicates re-checked at every visited member (step 4i)."""
@@ -81,11 +72,6 @@ class QueryPlan:
             lines.append(f"    {plan.describe()}")
         lines.append(f"    total size probes per site: "
                      f"{self.total_probes // max(len(self.target_sites), 1)}")
-        if self.size_hints:
-            lines.append(f"    probe cache: {self.cached_probes} of "
-                         f"{self.total_probes} probes answered from cache")
-            for topic in sorted(self.size_hints):
-                lines.append(f"      {topic}  ~{self.size_hints[topic]} member(s)")
         lines.append("  step 3: anycast the predicate family with the "
                      "smallest live membership")
         checks = ", ".join(str(p) for p in self.local_checks()) or "none"
@@ -111,20 +97,12 @@ class QueryPlan:
         return "\n".join(lines)
 
 
-def plan_query(query: Query, context: "_QueryContext",
-               size_hints: Optional[Dict[str, int]] = None) -> QueryPlan:
-    """Build the static plan the executor would follow for ``query``.
-
-    ``size_hints`` — usually ``QueryApplication.probe_size_hints()`` —
-    lets the planner order each site's candidate trees by their cached
-    sizes (smallest first, unknown last) and report how many step-1
-    probes a warm cache would answer without messages.
-    """
+def plan_query(query: Query, context: "_QueryContext") -> QueryPlan:
+    """Build the static plan the executor would follow for ``query``."""
     from repro.query.planner import plan_group_pushdown, route_predicate
 
     target_sites = list(query.sites) if query.sites is not None else list(context.site_names)
-    plan = QueryPlan(query=query, target_sites=target_sites,
-                     size_hints=dict(size_hints or {}))
+    plan = QueryPlan(query=query, target_sites=target_sites)
     if query.group_by is not None and not query.is_disjunctive():
         plan.group_pushdown = plan_group_pushdown(
             context, query.predicates, query.group_by,
@@ -136,8 +114,7 @@ def plan_query(query: Query, context: "_QueryContext",
                 continue
             seen.add(predicate.pack())
             route = route_predicate(context, predicate, query.k,
-                                    plan.size_hints, site_name=None,
-                                    planner_on=context.planner_enabled)
+                                    context.planner_enabled)
             plan.predicate_plans.append(PredicatePlan(
                 predicate=predicate,
                 trees=list(route.trees),
@@ -148,10 +125,5 @@ def plan_query(query: Query, context: "_QueryContext",
         topics: List[str] = []
         for predicate_plan in plan.predicate_plans:
             topics.extend(site_tree(site_name, t) for t in predicate_plan.trees)
-        if plan.size_hints:
-            # Anycast searches ascending-size trees first (step 3): mirror
-            # that order whenever cached sizes are available.
-            topics.sort(key=lambda t: (t not in plan.size_hints,
-                                       plan.size_hints.get(t, 0)))
         plan.probes_per_site[site_name] = topics
     return plan

@@ -1,30 +1,26 @@
-"""Cost-based planning of range predicates over bucketed attribute trees.
+"""Routing of range predicates over bucketed attribute trees.
 
-The five-step protocol's step 1 historically probed one candidate tree
-family per predicate and anycast the smallest.  With range-partitioned
-bucket indices (:mod:`repro.scribe.buckets`) a range predicate has three
-ways to run inside a site, and the right one depends on cached
-cardinality knowledge:
+The five-step protocol's step 1 probes one candidate tree family per
+predicate and anycasts the smallest.  With range-partitioned bucket
+indices (:mod:`repro.scribe.buckets`) the planner maps a range
+predicate's interval to the buckets it overlaps; inside a site the
+predicate then runs one of two ways:
 
-* **probe** — size-probe the buckets overlapping the predicate's
-  interval, then anycast them ascending.  Pays 2 messages per uncached
-  bucket up front, visits only members inside the interval.
-* **anycast** — when *every* overlapping bucket has a fresh cached size
-  (the executor's step-1 probe cache, write-through from the scribe
-  aggregate result cache), skip the probe round entirely and anycast
-  straight into the cached-ascending order.
+* **probe** — size-probe only the overlapping buckets, then anycast them
+  ascending.  Visits only members inside (or at the edge of) the interval.
 * **flood** — search the whole bucket family with strict per-member
   checks.  The only option when the operator is not interval-shaped
   (``<>`` on a bucketed attribute) and the planner-off baseline for
   everything: probe all ``N`` buckets, visit members regardless of
   interval overlap.
 
-The unit of cost is *messages per site*: probes cost 2 (request +
-reply), each visited member costs 1.  Unknown bucket sizes are assumed
-to hold :data:`DEFAULT_SIZE_ESTIMATE` members.  The model is
-deliberately coarse — its job is ordinal (pick the cheapest shape), not
-cardinal, and the golden tests in ``tests/test_query_planner.py`` pin
-its choices so regressions show up as plan diffs.
+EXPLAIN prints a closed-form message estimate per shape, in *messages
+per site*: a probe costs 2 (request + reply), each visited member 1, and
+a bucket is assumed to hold :data:`DEFAULT_SIZE_ESTIMATE` members — so
+``cost = 2·buckets + min(k, 8·buckets)``.  Nothing is chosen by cost
+(the overlapping subset is never larger than the family, so ``probe ≤
+flood`` always); the golden tests in ``tests/test_query_planner.py`` pin
+the routes so regressions show up as plan diffs.
 
 GROUP BY pushdown: when every predicate of a single-conjunction WHERE
 targets the grouped attribute and every bucket overlapping a predicate
@@ -44,7 +40,7 @@ from repro.scribe.buckets import Bucket, BucketSpec, predicate_interval
 if TYPE_CHECKING:
     from repro.query.executor import _QueryContext
 
-#: Members assumed in a bucket whose size is not cached (coarse prior).
+#: Members assumed per bucket by the EXPLAIN estimate (coarse prior).
 DEFAULT_SIZE_ESTIMATE = 8
 
 #: Cost stand-in for "visit every match" (SELECT * / unbounded k).
@@ -53,7 +49,7 @@ _UNBOUNDED = 1_000_000
 
 @dataclass
 class PredicateRoute:
-    """How one predicate is served inside a site, with its costing.
+    """How one predicate is served inside a site, with its estimate.
 
     ``trees`` are site-unqualified; the executor qualifies them with the
     site name.  ``exact`` means membership of every tree in the family
@@ -63,14 +59,11 @@ class PredicateRoute:
     """
 
     predicate: Predicate
-    strategy: str                       # direct | probe | anycast | flood | empty
+    strategy: str                       # direct | probe | flood | empty
     trees: List[str] = field(default_factory=list)
     exact: bool = True
     bucketed: bool = False
     costs: Dict[str, float] = field(default_factory=dict)
-    #: Site-unqualified tree -> cached size, for seeding the anycast
-    #: order when the probe round is skipped.
-    estimates: Dict[str, int] = field(default_factory=dict)
     reason: str = ""
 
     def describe(self) -> str:
@@ -80,7 +73,7 @@ class PredicateRoute:
             parts.append(f"{len(self.trees)} bucket(s)")
             cost_bits = ", ".join(
                 f"{name}={self.costs[name]:g}"
-                for name in ("anycast", "probe", "flood")
+                for name in ("probe", "flood")
                 if name in self.costs)
             if cost_bits:
                 parts.append(f"[cost {cost_bits}]")
@@ -91,30 +84,18 @@ class PredicateRoute:
         return "  ".join(parts)
 
 
-def _estimate(hints: Dict[str, int], qualify, tree: str) -> Optional[int]:
-    """Cached size for a (site-qualified) tree, or None when unknown."""
-    value = hints.get(qualify(tree))
-    return None if value is None else int(value)
+def _message_estimate(buckets: int, k_eff: int) -> float:
+    """Probe every bucket (2 messages each), then visit up to ``k`` members."""
+    return 2.0 * buckets + min(k_eff, DEFAULT_SIZE_ESTIMATE * buckets)
 
 
 def route_predicate(
     context: "_QueryContext",
     predicate: Predicate,
     k: Optional[int],
-    hints: Optional[Dict[str, int]] = None,
-    site_name: Optional[str] = None,
     planner_on: bool = True,
 ) -> PredicateRoute:
-    """Choose how to serve one predicate inside one site.
-
-    ``hints`` maps site-qualified topics to cached sizes (the executor's
-    ``probe_size_hints`` plus fresh scribe result-cache counts); when
-    ``site_name`` is None the hints are looked up unqualified.
-    """
-    from repro.core.naming import site_tree  # lazy: avoids cycle
-
-    hints = hints or {}
-    qualify = (lambda t: site_tree(site_name, t)) if site_name else (lambda t: t)
+    """Choose how to serve one predicate inside one site."""
     spec: Optional[BucketSpec] = context.bucket_index.spec_for(predicate.attribute)
     interval = (None if spec is None
                 else predicate_interval(predicate.op, predicate.value))
@@ -130,17 +111,7 @@ def route_predicate(
     family = spec.buckets
     overlapping = spec.covering(predicate.op, predicate.value)
     k_eff = _UNBOUNDED if k is None else max(1, k)
-
-    def est(bucket: Bucket) -> int:
-        cached = _estimate(hints, qualify, bucket.tree)
-        return DEFAULT_SIZE_ESTIMATE if cached is None else cached
-
-    family_visits = sum(est(b) for b in family)
-    uncached_family = sum(
-        1 for b in family if _estimate(hints, qualify, b.tree) is None)
-    costs: Dict[str, float] = {
-        "flood": 2.0 * uncached_family + min(k_eff, family_visits),
-    }
+    costs: Dict[str, float] = {"flood": _message_estimate(len(family), k_eff)}
 
     if not planner_on or overlapping is None:
         # Planner off (or an operator no interval covers): strict search
@@ -160,25 +131,11 @@ def route_predicate(
 
     exact = all(spec.fully_contained(b, predicate.op, predicate.value)
                 for b in overlapping)
-    overlap_visits = sum(est(b) for b in overlapping)
-    cached = {b.tree: _estimate(hints, qualify, b.tree) for b in overlapping}
-    uncached = [tree for tree, size in cached.items() if size is None]
-    costs["probe"] = 2.0 * len(uncached) + min(k_eff, overlap_visits)
-    if not uncached:
-        costs["anycast"] = float(min(k_eff, overlap_visits))
-        return PredicateRoute(
-            predicate=predicate, strategy="anycast",
-            trees=[b.tree for b in overlapping], exact=exact, bucketed=True,
-            costs=costs,
-            estimates={tree: size for tree, size in cached.items()
-                       if size is not None},
-            reason=f"all {len(overlapping)} bucket size(s) cached")
+    costs["probe"] = _message_estimate(len(overlapping), k_eff)
     return PredicateRoute(
         predicate=predicate, strategy="probe",
         trees=[b.tree for b in overlapping], exact=exact, bucketed=True,
         costs=costs,
-        estimates={tree: size for tree, size in cached.items()
-                   if size is not None},
         reason=f"{len(overlapping)}/{len(family)} bucket(s) overlap")
 
 
@@ -186,13 +143,10 @@ def route_predicates(
     context: "_QueryContext",
     predicates: List[Predicate],
     k: Optional[int],
-    hints: Optional[Dict[str, int]] = None,
-    site_name: Optional[str] = None,
     planner_on: bool = True,
 ) -> List[PredicateRoute]:
     """Route every predicate of one conjunction (see :func:`route_predicate`)."""
-    return [route_predicate(context, p, k, hints, site_name, planner_on)
-            for p in predicates]
+    return [route_predicate(context, p, k, planner_on) for p in predicates]
 
 
 def plan_group_pushdown(

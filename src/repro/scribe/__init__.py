@@ -25,7 +25,6 @@ from repro.scribe.aggregate import (
     SumFunction,
     make_aggregate,
 )
-from repro.scribe.cache import SubtreeAggregateCache, TTLCache
 from repro.scribe.scribe import ScribeApplication
 from repro.scribe.topic import topic_id
 
@@ -41,9 +40,7 @@ __all__ = [
     "MaxFunction",
     "MinFunction",
     "ScribeApplication",
-    "SubtreeAggregateCache",
     "SumFunction",
-    "TTLCache",
     "make_aggregate",
     "topic_id",
 ]

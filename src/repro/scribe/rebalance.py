@@ -263,7 +263,6 @@ class Rebalancer:
                 "peers": list(peers),
                 "assigned": assigned[ref.address],
             })
-        scribe._notify_tree_change(state.topic)
         return True
 
     def _demote_replicas(self, node: "PastryNode", state: "TopicState") -> None:
@@ -276,7 +275,6 @@ class Rebalancer:
                 node.send_app(address, self.scribe.name, "replica_demote",
                               {"topic": state.topic})
         state.replicas.clear()
-        self.scribe._notify_tree_change(state.topic)
 
     def sync_replicas(self, node: "PastryNode", state: "TopicState") -> None:
         """Push the root's finalized snapshot to every live replica."""
@@ -294,7 +292,6 @@ class Rebalancer:
         state.replica_of = None
         state.replica_values = None
         state.replica_peers = []
-        self.scribe._notify_tree_change(state.topic)
         self.scribe._maybe_prune(node, state)
 
     def replica_maintain(self, node: "PastryNode") -> None:
@@ -313,7 +310,6 @@ class Rebalancer:
                         if (address not in state.children
                                 or not node.network.has_host(address)):
                             state.replicas.pop(address, None)
-                            self.scribe._notify_tree_change(state.topic)
                     self.sync_replicas(node, state)
             if state.replica_of is not None:
                 root = state.replica_of
@@ -339,7 +335,6 @@ class Rebalancer:
         for child_id, child_addr, child_site in data["assigned"]:
             scribe._add_child(
                 node, state, NodeRef(NodeId(child_id), child_addr, child_site))
-        scribe._notify_tree_change(state.topic)
 
     def _on_replica_sync(self, node: "PastryNode", data: Dict[str, Any],
                          origin: int) -> None:
@@ -366,9 +361,8 @@ class Rebalancer:
     def _on_replica_refuse(self, node: "PastryNode", data: Dict[str, Any],
                            origin: int) -> None:
         state = self.scribe.topics().get(data["topic"])
-        if state is not None and origin in state.replicas:
+        if state is not None:
             state.replicas.pop(origin, None)
-            self.scribe._notify_tree_change(state.topic)
 
     def _on_replica_probe(self, node: "PastryNode", data: Dict[str, Any],
                           origin: int) -> None:

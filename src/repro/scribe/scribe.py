@@ -20,7 +20,6 @@ from repro.pastry.node import Application, PastryNode
 from repro.pastry.nodeid import NodeId
 from repro.pastry.routing_table import NodeRef
 from repro.scribe.aggregate import AGGREGATE_FUNCTIONS, AggregateFunction
-from repro.scribe.cache import _MISS, SubtreeAggregateCache, TTLCache
 from repro.scribe.topic import topic_id
 from repro.sim.engine import Simulator
 from repro.sim.futures import Future
@@ -41,7 +40,7 @@ class TopicState:
 
     __slots__ = (
         "topic", "key", "scope", "parent", "former_parent", "is_root", "member",
-        "children", "local", "child_acc", "last_pushed",
+        "children", "local", "child_acc", "last_pushed", "acc_memo",
         "dirty", "replicas", "replica_of", "replica_values", "replica_peers",
     )
 
@@ -62,6 +61,12 @@ class TopicState:
         self.local: Dict[str, Any] = {}
         self.child_acc: Dict[str, Dict[int, Any]] = {}
         self.last_pushed: Dict[str, Any] = {}
+        # Exact memo of this node's subtree accumulator per aggregate name.
+        # An entry is dropped whenever one of its inputs changes (local
+        # value, a child's pushed accumulator, membership, tree repair —
+        # all through ScribeApplication._recompute_and_push), so a present
+        # entry always equals a from-scratch _compute_own_acc.
+        self.acc_memo: Dict[str, Any] = {}
         # Names whose accumulator changed since the last flush (in-network
         # aggregation batches updates so a parent pushes once per wave, not
         # once per child); the flush timer itself is node-level, on the
@@ -101,7 +106,6 @@ class ScribeApplication(Application):
         functions: Optional[Dict[str, AggregateFunction]] = None,
         creator: str = "rbay",
         agg_flush_ms: float = 50.0,
-        cache_enabled: bool = True,
         counters: Optional[MetricsRegistry] = None,
         recorder=None,
         rebalance=None,
@@ -126,18 +130,9 @@ class ScribeApplication(Application):
         self._pulls: Dict[int, Dict[str, Any]] = {}
         self.anycast_visitor: Optional[AnycastVisitor] = None
         self.multicast_handler: Optional[MulticastHandler] = None
-        #: Exact memo of this node's subtree accumulators, dirty-flagged on
-        #: every input mutation; None disables memoization (ablation mode).
-        self.acc_cache = (SubtreeAggregateCache(counters, "scribe.acc_cache")
-                          if cache_enabled else None)
-        #: Bounded-staleness memo of finalized root answers, consulted by
-        #: callers that pass a ``max_staleness_ms`` tolerance.
-        self.result_cache = (TTLCache(counters, "scribe.result_cache")
-                             if cache_enabled else None)
-        #: Called with the topic name whenever this node's view of a tree
-        #: changes (membership, child set, pushed accumulators).  The query
-        #: layer hooks this to invalidate its probe cache.
-        self.tree_change_listeners: List[Callable[[str], None]] = []
+        #: Where ``scribe.acc_cache.hit|miss|invalidate`` are counted (the
+        #: per-topic memo lives on :class:`TopicState`); None counts nothing.
+        self.counters = counters
         #: Dispatch tables, one per entry point, built once: wire kind ->
         #: ``handler(node, data, origin)``.  :meth:`host_message` serves
         #: ``direct_handlers``; :meth:`deliver` serves ``routed_handlers``
@@ -203,18 +198,6 @@ class ScribeApplication(Application):
         to this node's registry under ``fn.name``."""
         self.functions[fn.name] = fn
 
-    def add_tree_change_listener(self, listener: Callable[[str], None]) -> None:
-        """Subscribe to local tree-change notifications (cache invalidation)."""
-        self.tree_change_listeners.append(listener)
-
-    def _notify_tree_change(self, topic: str) -> None:
-        """A tree input changed at this node: drop bounded-stale answers for
-        the topic and tell listeners (the query layer's probe cache)."""
-        if self.result_cache is not None:
-            self.result_cache.invalidate_topic(topic)
-        for listener in self.tree_change_listeners:
-            listener(topic)
-
     def join(self, node: PastryNode, topic: str, scope: str = "global") -> None:
         """Subscribe ``node`` to ``topic``, building tree state on the way.
 
@@ -227,7 +210,6 @@ class ScribeApplication(Application):
             return
         state.member = True
         self.set_local(node, topic, "count", 1)
-        self._notify_tree_change(topic)
         if state.in_tree() and (state.parent is not None or state.is_root):
             return  # already wired into the tree as a forwarder
         self._route_join(node, state)
@@ -244,7 +226,6 @@ class ScribeApplication(Application):
         affected = state.agg_names()
         state.local.clear()
         self._recompute_and_push(node, state, names=affected)
-        self._notify_tree_change(topic)
         self._maybe_prune(node, state)
 
     def multicast(self, node: PastryNode, topic: str, payload: Dict[str, Any]) -> None:
@@ -318,14 +299,12 @@ class ScribeApplication(Application):
             state = self.topic_state(topic)
         state.local[agg_name] = value
         self._recompute_and_push(node, state, only=agg_name)
-        self._notify_tree_change(state.topic)
 
     def clear_local(self, node: PastryNode, topic: str, agg_name: str) -> None:
         state = self._topics.get(topic)
         if state and agg_name in state.local:
             del state.local[agg_name]
             self._recompute_and_push(node, state, only=agg_name)
-            self._notify_tree_change(topic)
 
     def query_aggregate(
         self,
@@ -334,36 +313,11 @@ class ScribeApplication(Application):
         agg_names: List[str],
         timeout: Optional[float] = None,
         scope: Optional[str] = None,
-        max_staleness_ms: Optional[float] = None,
     ) -> Future:
         """Fetch finalized aggregate values from the topic root.
 
         Resolves to ``{agg_name: value}``; missing aggregates come back None.
-
-        ``max_staleness_ms`` is the caller's staleness tolerance: when
-        positive and every requested aggregate has a locally-cached answer
-        younger than the bound, the future resolves from the cache without
-        sending a single message.  ``None`` or 0 always asks the root —
-        TTL=0 reads are exactly as coherent as the root's own (memoized,
-        dirty-flag-invalidated) accumulators.
         """
-        if max_staleness_ms is not None and max_staleness_ms > 0 \
-                and self.result_cache is not None:
-            cached: Dict[str, Any] = {}
-            for agg_name in agg_names:
-                hit, value = self.result_cache.get(
-                    (topic, agg_name), self.sim.now, max_staleness_ms)
-                if not hit:
-                    break
-                cached[agg_name] = value
-            else:
-                if self.recorder.enabled:
-                    self.recorder.instant(
-                        "scribe.agg_cache_hit", category="scribe", topic=topic,
-                        site=node.site.name, addr=node.address)
-                future = Future(self.sim, timeout=timeout)
-                self.sim.call_soon(future.try_resolve, cached)
-                return future
         future, state, span, header = self._open_request(
             node, topic, scope, timeout, "scribe.agg_get", "aggregate")
         data = {"op": "agg_get", **header, "names": list(agg_names)}
@@ -401,12 +355,11 @@ class ScribeApplication(Application):
         return future
 
     def tree_size(self, node: PastryNode, topic: str, timeout: Optional[float] = None,
-                  scope: Optional[str] = None,
-                  max_staleness_ms: Optional[float] = None) -> Future:
+                  scope: Optional[str] = None) -> Future:
         """Tree size via the built-in count aggregate (query steps 1–2)."""
         future = Future(self.sim, timeout=timeout)
-        self.query_aggregate(node, topic, ["count"], timeout=timeout, scope=scope,
-                             max_staleness_ms=max_staleness_ms).add_callback(
+        self.query_aggregate(node, topic, ["count"], timeout=timeout,
+                             scope=scope).add_callback(
             lambda values: future.try_resolve(
                 values if isinstance(values, Exception) else int(values.get("count") or 0)
             )
@@ -435,11 +388,6 @@ class ScribeApplication(Application):
             if state.parent is not None and not node.network.has_host(state.parent):
                 self._goodbye(node, state)  # deferred: the parent is down
                 state.parent = None
-                # Detaching changes what this node can answer about the
-                # tree; cached cardinality hints priced off the old link
-                # must not survive the churn (planner would probe a bucket
-                # that no longer reaches its members).
-                self._notify_tree_change(state.topic)
             if state.former_parent is not None:
                 if state.former_parent == state.parent:
                     state.former_parent = None
@@ -489,12 +437,7 @@ class ScribeApplication(Application):
         state = self.topic_state(data["topic"], data.get("scope"))
         if self.rebalancer is not None:
             self.rebalancer.record(data["topic"])
-        if not state.is_root:
-            state.is_root = True
-            # Becoming root is a tree change: answers computed while this
-            # node was a mere forwarder (or fresh) are no longer priced
-            # against the right vantage point.
-            self._notify_tree_change(state.topic)
+        state.is_root = True
         handler = self.routed_handlers.get(data["op"])
         if handler is not None:
             handler(node, data, msg.payload["origin"])
@@ -573,13 +516,6 @@ class ScribeApplication(Application):
                          reply_to=("parent", origin, data["pull_id"]))
 
     def _on_agg_value(self, node: PastryNode, data: Dict[str, Any], origin: int) -> None:
-        # Write-through refresh: every answer that travels back —
-        # pushed-state reads and on-demand pulls alike — re-arms the
-        # bounded-staleness cache for subsequent tolerant readers.
-        if self.result_cache is not None:
-            for agg_name, value in data["values"].items():
-                self.result_cache.put((data["topic"], agg_name), value,
-                                      self.sim.now)
         if self.rebalancer is not None and "replicas" in data:
             # The answerer (root or replica) piggybacks the live replica
             # set so the next read skips the hot root.
@@ -635,13 +571,11 @@ class ScribeApplication(Application):
     def _add_child(self, node: PastryNode, state: TopicState, ref: NodeRef) -> None:
         if ref.address == node.address:
             return
-        if ref.address not in state.children:
-            self._notify_tree_change(state.topic)
         state.children[ref.address] = ref
         node.send_app(ref.address, self.name, "parent_set", {"topic": state.topic})
 
     def _drop_child(self, node: PastryNode, state: TopicState, address: int) -> None:
-        dropped = state.children.pop(address, None)
+        state.children.pop(address, None)
         # A replica that stops being a child stops being a replica.
         state.replicas.pop(address, None)
         changed = False
@@ -651,8 +585,6 @@ class ScribeApplication(Application):
                 changed = True
         if changed:
             self._recompute_and_push(node, state)
-        if changed or dropped is not None:
-            self._notify_tree_change(state.topic)
 
     def _on_parent_set(self, node: PastryNode, data: Dict[str, Any],
                        parent_addr: int) -> None:
@@ -666,13 +598,8 @@ class ScribeApplication(Application):
             self._goodbye(node, state)
         if state.former_parent == parent_addr:
             state.former_parent = None
-        changed = state.is_root or state.parent != parent_addr
         state.parent = parent_addr
         state.is_root = False
-        if changed:
-            # Re-homing invalidates everything priced against the old tree
-            # path (planner cardinality hints, bounded-stale answers).
-            self._notify_tree_change(topic)
         self._repush_all(node, state)
 
     def _maybe_prune(self, node: PastryNode, state: TopicState) -> None:
@@ -682,7 +609,6 @@ class ScribeApplication(Application):
         if state.parent is not None:
             self._goodbye(node, state)
             state.parent = None
-            self._notify_tree_change(state.topic)
 
     def _goodbye(self, node: PastryNode, state: TopicState) -> None:
         """Tell the parent we are about to detach from to drop us.  One
@@ -819,22 +745,22 @@ class ScribeApplication(Application):
     # Aggregation (RBAY's extension, §II-B3)
     # ------------------------------------------------------------------
     def _own_acc(self, state: TopicState, agg_name: str) -> Any:
-        """This node's subtree accumulator, memoized when caching is on.
+        """This node's subtree accumulator, memoized on ``state.acc_memo``.
 
         Coherence contract: every mutation of the inputs (local value,
-        child accumulators, membership) invalidates the memo via
-        :meth:`_recompute_and_push`, so a cache hit is always exactly the
-        value :meth:`_compute_own_acc` would return.
+        child accumulators, membership) drops the memo entry via
+        :meth:`_recompute_and_push`, so a hit is always exactly the value
+        :meth:`_compute_own_acc` would return.
         """
-        cache = self.acc_cache
-        if cache is None:
-            return self._compute_own_acc(state, agg_name)
-        # peek/store rather than a get(compute) callback: the closure
-        # allocation is measurable at flush rates.
-        value = cache.peek(state.topic, agg_name)
-        if value is _MISS:
-            value = self._compute_own_acc(state, agg_name)
-            cache.store(state.topic, agg_name, value)
+        memo = state.acc_memo
+        counters = self.counters
+        if agg_name in memo:
+            if counters is not None:
+                counters.increment("scribe.acc_cache.hit")
+            return memo[agg_name]
+        if counters is not None:
+            counters.increment("scribe.acc_cache.miss")
+        value = memo[agg_name] = self._compute_own_acc(state, agg_name)
         return value
 
     def _compute_own_acc(self, state: TopicState, agg_name: str,
@@ -861,18 +787,18 @@ class ScribeApplication(Application):
         """Invalidate memos, mark aggregates dirty, arm the flush timer."""
         if names is None and only is not None:
             # Hot path (one aggregate per publish): skip the list builds.
-            if only in self.functions:
-                if self.acc_cache is not None:
-                    self.acc_cache.invalidate(state.topic, only)
-                state.dirty.add(only)
+            names = (only,) if only in self.functions else ()
         else:
             if names is None:
                 names = state.agg_names()
             names = [n for n in names if n in self.functions]
-            if self.acc_cache is not None:
-                for agg_name in names:
-                    self.acc_cache.invalidate(state.topic, agg_name)
-            state.dirty.update(names)
+        memo = state.acc_memo
+        for agg_name in names:
+            if agg_name in memo:
+                del memo[agg_name]
+                if self.counters is not None:
+                    self.counters.increment("scribe.acc_cache.invalidate")
+        state.dirty.update(names)
         if not state.dirty:
             return
         self._dirty_topics[state.topic] = state
@@ -959,7 +885,6 @@ class ScribeApplication(Application):
             per_child = state.child_acc[agg_name] = {}
         per_child[child_addr] = acc
         self._recompute_and_push(node, state, only=agg_name)
-        self._notify_tree_change(state.topic)
 
     def _on_agg_push_batch(self, node: PastryNode, data: Dict[str, Any],
                            child_addr: int) -> None:
@@ -979,7 +904,6 @@ class ScribeApplication(Application):
         state = self._topics.get(data["topic"])
         if state is not None and state.parent == origin:
             state.parent = None
-            self._notify_tree_change(state.topic)
 
     def rejoin_detached(self, node: PastryNode) -> None:
         """Re-route a JOIN for every topic this node should be wired into

@@ -147,7 +147,7 @@ class TestFlatCounters:
     def test_snapshot_prefix_filter(self):
         counters = MetricsRegistry()
         counters.increment("scribe.acc_cache.hit")
-        counters.increment("query.probe_cache.hit")
+        counters.increment("query.plan.probe")
         assert counters.snapshot("scribe") == {"scribe.acc_cache.hit": 1}
 
     def test_names_sorted(self):

@@ -1,14 +1,14 @@
-"""Golden tests pinning the cost-based planner's choices.
+"""Golden tests pinning the range planner's routes.
 
-Each test fabricates cardinality hints and asserts the exact strategy and
-bucket subset the planner must pick.  The golden-plan comparisons diff
-``PredicateRoute.describe()`` strings, so a costing regression fails with
-a readable plan diff instead of a bare boolean.
+Each test asserts the exact strategy and bucket subset the planner must
+pick for a predicate, and the closed-form message estimate EXPLAIN
+prints.  The golden-plan comparisons diff ``PredicateRoute.describe()``
+strings, so a routing regression fails with a readable plan diff instead
+of a bare boolean.
 """
 
 import pytest
 
-from repro.core.naming import site_tree
 from repro.query.executor import _QueryContext
 from repro.query.planner import (
     DEFAULT_SIZE_ESTIMATE,
@@ -21,33 +21,24 @@ from repro.query.predicates import Predicate
 from repro.scribe.buckets import BucketSpec
 from repro.sim.engine import Simulator
 
-SITE = "A"
-
 
 @pytest.fixture()
 def context():
-    ctx = _QueryContext(Simulator(), [SITE])
+    ctx = _QueryContext(Simulator(), ["A"])
     ctx.bucket_index.register(BucketSpec("u", 0.0, 100.0, 4))
     return ctx
 
 
-def hints_for(sizes):
-    """Site-qualified hint dict from {unqualified tree: size}."""
-    return {site_tree(SITE, tree): size for tree, size in sizes.items()}
-
-
 class TestDirectRoutes:
     def test_unbucketed_attribute_uses_legacy_candidate_trees(self, context):
-        route = route_predicate(context, Predicate("GPU", "=", True), 5,
-                                {}, SITE)
+        route = route_predicate(context, Predicate("GPU", "=", True), 5)
         assert route.strategy == "direct"
         assert route.trees == ["GPU"]
         assert route.exact and not route.bucketed
 
     def test_non_numeric_literal_on_bucketed_attribute_stays_direct(
             self, context):
-        route = route_predicate(context, Predicate("u", "=", "high"), 5,
-                                {}, SITE)
+        route = route_predicate(context, Predicate("u", "=", "high"), 5)
         assert route.strategy == "direct"
         assert route.trees == ["u=high"]
 
@@ -55,7 +46,7 @@ class TestDirectRoutes:
 class TestBucketRoutes:
     def test_between_probes_only_overlapping_buckets(self, context):
         route = route_predicate(context, Predicate("u", "between", (10, 30)),
-                                None, {}, SITE)
+                                None)
         assert route.strategy == "probe"
         assert route.trees == ["u[0,25)", "u[25,50)"]
         # The first bucket extends to -inf: membership does not imply the
@@ -63,50 +54,39 @@ class TestBucketRoutes:
         assert route.exact is False
 
     def test_fully_contained_subset_is_exact(self, context):
-        route = route_predicate(context, Predicate("u", ">=", 75), None,
-                                {}, SITE)
+        route = route_predicate(context, Predicate("u", ">=", 75), None)
         assert route.strategy == "probe"
         assert route.trees == ["u[75,100)"]
         assert route.exact is True
 
-    def test_all_sizes_cached_skips_the_probe_round(self, context):
-        hints = hints_for({"u[0,25)": 6, "u[25,50)": 2})
+    def test_estimate_is_two_per_probe_plus_assumed_visits(self, context):
         route = route_predicate(context, Predicate("u", "between", (10, 30)),
-                                None, hints, SITE)
-        assert route.strategy == "anycast"
-        assert route.estimates == {"u[0,25)": 6, "u[25,50)": 2}
-        assert route.costs["anycast"] == 8  # visits only, zero probes
-
-    def test_partially_cached_subset_still_probes(self, context):
-        hints = hints_for({"u[0,25)": 6})
-        route = route_predicate(context, Predicate("u", "between", (10, 30)),
-                                None, hints, SITE)
-        assert route.strategy == "probe"
-        # 1 uncached bucket = 2 messages, plus estimated visits.
-        assert route.costs["probe"] == 2 + 6 + DEFAULT_SIZE_ESTIMATE
+                                None)
+        assert route.costs == {
+            "probe": 2 * 2 + 2 * DEFAULT_SIZE_ESTIMATE,
+            "flood": 2 * 4 + 4 * DEFAULT_SIZE_ESTIMATE,
+        }
 
     def test_k_caps_the_visit_component(self, context):
-        hints = hints_for({"u[0,25)": 50, "u[25,50)": 50})
         route = route_predicate(context, Predicate("u", "between", (10, 30)),
-                                3, hints, SITE)
-        assert route.costs["anycast"] == 3
+                                3)
+        assert route.costs == {"probe": 2 * 2 + 3, "flood": 2 * 4 + 3}
 
     def test_planner_off_floods_the_whole_family(self, context):
         route = route_predicate(context, Predicate("u", "between", (10, 30)),
-                                None, {}, SITE, planner_on=False)
+                                None, planner_on=False)
         assert route.strategy == "flood"
         assert route.trees == ["u[0,25)", "u[25,50)", "u[50,75)", "u[75,100)"]
         assert route.exact is False
 
     def test_not_equal_operator_floods(self, context):
-        route = route_predicate(context, Predicate("u", "<>", 50), None,
-                                {}, SITE)
+        route = route_predicate(context, Predicate("u", "<>", 50), None)
         assert route.strategy == "flood"
         assert len(route.trees) == 4
 
     def test_empty_interval_searches_nothing(self, context):
         route = route_predicate(context, Predicate("u", "between", (60, 40)),
-                                None, {}, SITE)
+                                None)
         assert route.strategy == "empty"
         assert route.trees == []
         assert route.exact is True
@@ -115,7 +95,7 @@ class TestBucketRoutes:
         for predicate in [Predicate("u", "between", (10, 30)),
                           Predicate("u", "<", 5),
                           Predicate("u", ">=", 99)]:
-            route = route_predicate(context, predicate, None, {}, SITE)
+            route = route_predicate(context, predicate, None)
             assert route.costs["probe"] <= route.costs["flood"], predicate
 
 
@@ -123,21 +103,19 @@ class TestGoldenPlans:
     """String-compared plans: a regression shows up as a plan diff."""
 
     def test_conjunction_plan_is_pinned(self, context):
-        hints = hints_for({"u[75,100)": 3})
         routes = route_predicates(
             context,
-            [Predicate("u", ">=", 75), Predicate("GPU", "=", True)],
-            5, hints, SITE)
+            [Predicate("u", ">=", 75), Predicate("GPU", "=", True)], 5)
         golden = [
-            "u >= 75  ->  anycast  1 bucket(s)  [cost anycast=3, probe=3, "
-            "flood=11]  (all 1 bucket size(s) cached)",
+            "u >= 75  ->  probe  1 bucket(s)  [cost probe=7, flood=13]  "
+            "(1/4 bucket(s) overlap)",
             "GPU = True  ->  direct  1 tree(s)  (no bucket index)",
         ]
         assert [r.describe() for r in routes] == golden
 
     def test_planner_off_plan_is_pinned(self, context):
         routes = route_predicates(
-            context, [Predicate("u", "between", (10, 30))], None, {}, SITE,
+            context, [Predicate("u", "between", (10, 30))], None,
             planner_on=False)
         golden = [
             "u BETWEEN 10 AND 30  ->  flood  4 bucket(s)  [cost flood=40]  "

@@ -1,8 +1,8 @@
-"""Coherence proof for the subtree-accumulator cache.
+"""Coherence proof for the subtree-accumulator memo (``TopicState.acc_memo``).
 
-The tentpole claim of the aggregate cache is *exactness*: a memoized
-subtree accumulator, invalidated by dirty flags on every input mutation,
-is always bit-identical to a from-scratch recomputation — no matter how
+The memo's claim is *exactness*: a memoized subtree accumulator, dropped
+on every input mutation, is always bit-identical to a from-scratch
+recomputation — no matter how
 member updates, joins, leaves, and node failures interleave.  This suite
 drives a seeded random interleaving of those operations (200 checkpoints
 by default; override with ``RBAY_COHERENCE_CHECKS``) and, at every
@@ -12,7 +12,8 @@ checkpoint, compares
   memoized ``_own_acc`` path) against a pure-Python model of the member
   population, **exactly** (``==``, not approx — member values are small
   integers so float arithmetic is exact), and
-* each node's memoized accumulator against an uncached recomputation.
+* each node's memoized accumulator against an uncached recomputation
+  (``_compute_own_acc``).
 
 Aggregate contributions are deliberately heterogeneous per function so
 that some functions are carried by exactly one member at times — the
@@ -82,7 +83,7 @@ def expected_values(members, values):
     return exp
 
 
-def build_cached_overlay(cache_enabled=True):
+def build_cached_overlay():
     """A single-site overlay whose Scribe apps share one counter registry."""
     sim = Simulator()
     streams = RandomStreams(777)
@@ -95,8 +96,7 @@ def build_cached_overlay(cache_enabled=True):
         overlay.create_node(site)
     overlay.bootstrap()
     for node in overlay.nodes:
-        app = ScribeApplication(sim, cache_enabled=cache_enabled,
-                                counters=counters)
+        app = ScribeApplication(sim, counters=counters)
         app.register_function(
             make_aggregate("filter_count", lambda v: v > 50, name="busy"))
         node.register_app(app)
@@ -128,8 +128,12 @@ def check_memo_coherence(overlay):
         if state is None:
             continue
         for name in ALL_NAMES:
-            assert app._own_acc(state, name) == app._compute_own_acc(state, name), (
+            fresh = app._compute_own_acc(state, name)
+            # A present entry is served as is; an absent one is filled, so
+            # every node holds a memo the next mutation must invalidate.
+            assert app._own_acc(state, name) == fresh, (
                 f"memo diverged at node {node.address} for {name!r}")
+            assert state.acc_memo[name] == fresh
 
 
 def test_random_interleavings_cache_equals_recompute():
@@ -202,46 +206,6 @@ def test_random_interleavings_cache_equals_recompute():
     assert counters.get("scribe.acc_cache.invalidate") > 0
 
 
-def test_ttl_zero_reads_are_coherent():
-    """max_staleness_ms=0 never serves a cached answer, even a warm one."""
-    sim, overlay, _ = build_cached_overlay()
-    node = overlay.nodes[3]
-    node.app("scribe").join(node, TOPIC)
-    node.app("scribe").set_local(node, TOPIC, "sum", 10)
-    sim.run()
-    asker = overlay.nodes[0]
-    app = asker.app("scribe")
-    # Warm the asker's result cache through the authoritative path.
-    assert app.query_aggregate(asker, TOPIC, ["sum"]).result()["sum"] == 10.0
-    # Change the tree behind the asker's back.
-    node.app("scribe").set_local(node, TOPIC, "sum", 99)
-    sim.run()
-    # A tolerant reader may see the stale 10; a TTL=0 reader must not.
-    hit, stale = app.result_cache.get((TOPIC, "sum"), sim.now, 1e12)
-    assert hit and stale == 10.0
-    assert app.query_aggregate(asker, TOPIC, ["sum"],
-                               max_staleness_ms=0).result()["sum"] == 99.0
-
-
-def test_bounded_staleness_reads_skip_messages():
-    """Within the bound, a tolerant read is answered locally (0 messages)."""
-    sim, overlay, counters = build_cached_overlay()
-    node = overlay.nodes[3]
-    node.app("scribe").join(node, TOPIC)
-    node.app("scribe").set_local(node, TOPIC, "sum", 7)
-    sim.run()
-    asker = overlay.nodes[0]
-    app = asker.app("scribe")
-    assert app.query_aggregate(asker, TOPIC, ["sum"]).result()["sum"] == 7.0
-    before = overlay.network.messages_sent
-    hits_before = counters.get("scribe.result_cache.hit")
-    got = app.query_aggregate(asker, TOPIC, ["sum"],
-                              max_staleness_ms=60_000).result()
-    assert got["sum"] == 7.0
-    assert overlay.network.messages_sent == before
-    assert counters.get("scribe.result_cache.hit") == hits_before + 1
-
-
 def test_leave_of_sole_contributor_propagates():
     """Regression: leaving the only contributor of an aggregate must
     re-push that aggregate, not strand the parent's stale accumulator."""
@@ -260,20 +224,3 @@ def test_leave_of_sole_contributor_propagates():
     sim.run()
     assert asker.app("scribe").query_aggregate(
         asker, TOPIC, ["busy"]).result()["busy"] == 0
-
-
-def test_disabled_cache_still_coherent_and_unused():
-    """The ablation arm (cache_enabled=False) computes identical answers."""
-    sim, overlay, counters = build_cached_overlay(cache_enabled=False)
-    for idx in (2, 3, 4):
-        node = overlay.nodes[idx]
-        node.app("scribe").join(node, TOPIC)
-        publish(node, idx, 10 * idx)
-    sim.run()
-    asker = overlay.nodes[0]
-    got = asker.app("scribe").query_aggregate(asker, TOPIC, ALL_NAMES).result()
-    exp = expected_values({2, 3, 4}, {2: 20, 3: 30, 4: 40})
-    for name in ALL_NAMES:
-        assert got[name] == exp[name]
-    assert counters.get("scribe.acc_cache.hit") == 0
-    assert counters.get("scribe.acc_cache.miss") == 0

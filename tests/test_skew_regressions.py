@@ -1,19 +1,15 @@
-"""Regression pins for the three skew-stress bugfixes (ISSUE 7).
+"""Regression pins for the skew-stress bugfixes (ISSUE 7).
 
 Each test fails against the pre-fix code:
 
-1. planner cardinality hints surviving churn — ``scribe.maintain`` used
-   to detach from a dead parent without firing the tree-change
-   notification, so the query layer kept pricing probe-vs-flood from a
-   hint describing the pre-crash tree;
-2. bucket re-subscription after crash/recover — a recovered node
-   re-announced to Pastry but never replayed the tree joins the network
-   suppressed while it was down, leaving it a member on paper but
-   detached from its value bucket's tree;
-3. anti-entropy resurrection — ``_on_agg_push`` re-adopted any pusher,
-   including under a pruned topic state, resurrecting an empty tree that
-   ``_maybe_prune`` had just dissolved (and that nothing could dissolve
-   again).
+* bucket re-subscription after crash/recover — a recovered node
+  re-announced to Pastry but never replayed the tree joins the network
+  suppressed while it was down, leaving it a member on paper but
+  detached from its value bucket's tree;
+* anti-entropy resurrection — ``_on_agg_push`` re-adopted any pusher,
+  including under a pruned topic state, resurrecting an empty tree that
+  ``_maybe_prune`` had just dissolved (and that nothing could dissolve
+  again).
 """
 
 from repro.core.naming import site_tree
@@ -21,13 +17,12 @@ from repro.core.plane import RBay, RBayConfig
 from repro.scribe.topic import topic_id
 
 
-def build_bucketed_plane(seed, probe_cache_ms=0.0, utilization=20.0):
+def build_bucketed_plane(seed, utilization=20.0):
     plane = RBay(RBayConfig(
         seed=seed,
         synthetic_sites=2,
         nodes_per_site=6,
         jitter=False,
-        probe_cache_ms=probe_cache_ms,
     )).build()
     plane.sim.run()
     for node in plane.nodes:
@@ -38,49 +33,7 @@ def build_bucketed_plane(seed, probe_cache_ms=0.0, utilization=20.0):
 
 
 # ----------------------------------------------------------------------
-# 1. Planner hints must die with the tree path they were priced against
-# ----------------------------------------------------------------------
-def test_cardinality_hint_invalidated_when_parent_dies():
-    plane = build_bucketed_plane(seed=23, probe_cache_ms=60_000.0)
-    # A node that reaches its bucket tree through a parent link (i.e. is
-    # not itself the rendezvous root of the only populated bucket).
-    c, state = next((n, s) for n in plane.nodes
-                    for s in n.scribe.topics().values()
-                    if s.parent is not None and s.member)
-    qapp = c.app("query")
-    topic = state.topic
-    # Prime the probe cache the way a completed probe round would.
-    qapp.probe_cache.put(topic, 5, plane.sim.now)
-    assert topic in qapp.cardinality_hints(c)
-
-    injector = plane.install_faults()
-    parent = next(n for n in plane.nodes if n.address == state.parent)
-    injector.crash_node(plane.nodes.index(parent))
-    # The next maintenance pass notices the dead parent and detaches; the
-    # planner must stop trusting the hint in the same pass — before any
-    # re-join lands — or it will route a probe at an unreachable tree.
-    c.scribe.maintain(c)
-    assert topic not in qapp.cardinality_hints(c)
-
-
-def test_cardinality_hint_invalidated_on_reparenting():
-    plane = build_bucketed_plane(seed=29, probe_cache_ms=60_000.0)
-    c, state = next((n, s) for n in plane.nodes
-                    for s in n.scribe.topics().values()
-                    if s.parent is not None and s.member)
-    qapp = c.app("query")
-    qapp.probe_cache.put(state.topic, 5, plane.sim.now)
-    assert state.topic in qapp.cardinality_hints(c)
-    # A parent_set from a different node re-homes this branch: the old
-    # hint described the old path.
-    other = next(n for n in plane.nodes
-                 if n.address not in (c.address, state.parent))
-    c.scribe._on_parent_set(c, {"topic": state.topic}, other.address)
-    assert state.topic not in qapp.cardinality_hints(c)
-
-
-# ----------------------------------------------------------------------
-# 2. Recovery must replay joins the network suppressed while down
+# Recovery must replay joins the network suppressed while down
 # ----------------------------------------------------------------------
 def test_recovered_node_rejoins_its_new_bucket_tree():
     plane = build_bucketed_plane(seed=31)
@@ -118,7 +71,7 @@ def test_recovered_node_rejoins_its_new_bucket_tree():
 
 
 # ----------------------------------------------------------------------
-# 3. agg_push anti-entropy must not resurrect pruned topic state
+# agg_push anti-entropy must not resurrect pruned topic state
 # ----------------------------------------------------------------------
 def test_agg_push_does_not_resurrect_pruned_state(sim, scribe_overlay):
     """A stale pusher hitting a dissolved branch must be disowned, not

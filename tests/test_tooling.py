@@ -115,10 +115,10 @@ class TestCLI:
     def test_query_show_counters(self, capsys):
         code, out = self.run_cli(
             ["query", "SELECT 1 FROM * WHERE CPU_utilization < 10%;",
-             "--nodes", "6", "--no-jitter", "--probe-cache-ms", "60000",
-             "--show-counters"], capsys)
+             "--nodes", "6", "--no-jitter", "--show-counters"], capsys)
         assert code == 0
-        assert "counter" in out and "query.probe_cache" in out
+        assert "counter" in out and "scribe.acc_cache.miss" in out
+        assert "query.plan.direct" in out
 
     def test_explain(self, capsys):
         code, out = self.run_cli(
