@@ -486,10 +486,8 @@ class RBay:
         A cheap no-op for the DES backend; required teardown for the
         asyncio backend.  Safe to call repeatedly.
         """
-        for target in (self.network, self.sim):
-            closer = getattr(target, "close", None)
-            if closer is not None:
-                closer()
+        self.network.close()
+        self.sim.close()
 
     # ------------------------------------------------------------------
     # Convenience for experiments

@@ -29,11 +29,11 @@ class EngineProtocol(Protocol):
 
     Structural (duck-typed): any object with these members satisfies the
     protocol — ``isinstance(obj, EngineProtocol)`` checks member presence
-    at runtime.  Return types are deliberately loose (``Any``) where the
-    two engines return different but API-compatible handle types
-    (``Event`` vs ``RealtimeEvent``, ``PeriodicTask`` vs
-    ``RealtimePeriodicTask``); both expose ``cancel()`` / ``stop()``
-    respectively, which is all callers use.
+    at runtime.  Return types are deliberately loose (``Any``): the two
+    engines hand back different event handles (``Event`` vs
+    ``RealtimeEvent``) of which callers use only ``cancel()``;
+    ``schedule_periodic`` returns the one
+    :class:`~repro.sim.engine.PeriodicTask` on both.
     """
 
     # -- clock ---------------------------------------------------------

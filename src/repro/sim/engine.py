@@ -63,7 +63,88 @@ class Event:
         return f"<Event t={self.time:.3f} seq={self.seq} {state}>"
 
 
-class Simulator:
+class EngineBase:
+    """What the DES and the live scheduler share (:class:`repro.sim.
+    EngineProtocol`): the observation hooks, idle sources, the executed-
+    event count, and the conveniences that are pure functions of a
+    subclass's ``now`` / ``schedule`` / ``run``."""
+
+    def __init__(self) -> None:
+        self._seq = itertools.count()
+        self._events_executed = 0
+        self._running = False
+        self._step_hook: Optional[Callable[[float, int], None]] = None
+        self._idle_hook: Optional[Callable[[], None]] = None
+        self._idle_sources: list[Callable[[], bool]] = []
+        #: Arms one PeriodicTask firing; the live scheduler swaps in daemons.
+        self._arm_periodic: Callable[..., Any] = self.schedule
+
+    def set_step_hook(self, hook: Optional[Callable[[float, int], None]]) -> None:
+        """Install an observer called with ``(time, seq)`` before each event
+        executes.  The (time, seq) stream is a total order over everything
+        the engine does, so recording (or hashing) it gives a
+        byte-comparable trace for determinism checks — e.g. that identical
+        fault-schedule seeds replay identically.  ``None`` uninstalls."""
+        self._step_hook = hook
+
+    def set_idle_hook(self, hook: Optional[Callable[[], None]]) -> None:
+        """Install an observer called when :meth:`run` reaches true
+        quiescence — no message or one-shot timer still pending and every
+        idle source quiet.  The invariant sanitizer hangs its
+        quiescent-point checks here.  The hook must only observe (never
+        schedule work); ``None`` uninstalls."""
+        self._idle_hook = hook
+
+    def add_idle_source(self, source: Callable[[], bool]) -> None:
+        """Register a predicate that must be true for the plane to count
+        as quiescent (live transports report "no frames in flight" here).
+        The DES heap is its only work queue, so there sources only gate
+        the idle hook; the live pump also waits on them in ``run()``."""
+        self._idle_sources.append(source)
+
+    @property
+    def events_executed(self) -> int:
+        """Number of callbacks executed so far (diagnostics / budget checks)."""
+        return self._events_executed
+
+    def call_soon(self, callback: Callable[..., Any], *args: Any) -> Any:
+        """Run ``callback(*args)`` at the current time, after pending work."""
+        return self.schedule(0.0, callback, *args)
+
+    def schedule_periodic(
+        self,
+        interval: float,
+        callback: Callable[..., Any],
+        *args: Any,
+        jitter_fn: Optional[Callable[[], float]] = None,
+    ) -> "PeriodicTask":
+        """Run ``callback(*args)`` every ``interval`` ms until stopped.
+
+        ``jitter_fn``, if given, is called before each firing and its return
+        value (ms) is added to the interval — used to de-synchronize periodic
+        maintenance across thousands of simulated nodes.
+        """
+        return PeriodicTask(self._arm_periodic, interval, callback, args, jitter_fn)
+
+    def run_for(self, duration: float) -> None:
+        """Advance the clock by ``duration`` ms, executing everything due.
+
+        Equivalent to ``run(until=now + duration)`` — the clock always ends
+        at least ``duration`` later even if the queue drains early.
+        """
+        if duration < 0:
+            raise SimulationError(f"cannot run for a negative duration ({duration})")
+        self.run(until=self.now + duration)
+
+    def run_until_idle(self, max_events: Optional[int] = None) -> None:
+        """Drain to quiescence; ``max_events`` is the usual safety valve."""
+        self.run(max_events=max_events)
+
+    def close(self) -> None:
+        """Release engine resources (an event loop); nothing by default."""
+
+
+class Simulator(EngineBase):
     """Single-threaded deterministic event loop with a virtual clock.
 
     Parameters
@@ -73,40 +154,10 @@ class Simulator:
     """
 
     def __init__(self, start_time: float = 0.0):
+        super().__init__()
         self._now = float(start_time)
         self._heap: list[Event] = []
-        self._seq = itertools.count()
-        self._events_executed = 0
-        self._running = False
-        self._step_hook: Optional[Callable[[float, int], None]] = None
-        self._idle_hook: Optional[Callable[[], None]] = None
-        self._idle_sources: list[Callable[[], bool]] = []
         self._pool: list[Event] = []
-
-    def set_step_hook(self, hook: Optional[Callable[[float, int], None]]) -> None:
-        """Install an observer called with ``(time, seq)`` before each event
-        executes.  The (time, seq) stream is a total order over everything
-        the simulation does, so recording (or hashing) it gives a
-        byte-comparable trace for determinism checks — e.g. that identical
-        fault-schedule seeds replay identically.  ``None`` uninstalls."""
-        self._step_hook = hook
-
-    def set_idle_hook(self, hook: Optional[Callable[[], None]]) -> None:
-        """Install an observer called when :meth:`run` drains the queue
-        completely — i.e. at true quiescence, with no message or timer
-        still pending.  The invariant sanitizer hangs its quiescent-point
-        checks here.  The hook must only observe (never schedule work);
-        ``None`` uninstalls."""
-        self._idle_hook = hook
-
-    def add_idle_source(self, source: Callable[[], bool]) -> None:
-        """Register a quiescence predicate (engine-protocol parity with
-        :class:`~repro.transport.realtime.RealtimeScheduler`).
-
-        The DES heap is the only work queue, so sources cannot *unblock*
-        anything — they only gate the idle hook, which fires when the heap
-        drains **and** every registered source reports quiet."""
-        self._idle_sources.append(source)
 
     # ------------------------------------------------------------------
     # Clock
@@ -115,11 +166,6 @@ class Simulator:
     def now(self) -> float:
         """Current virtual time in milliseconds."""
         return self._now
-
-    @property
-    def events_executed(self) -> int:
-        """Number of callbacks executed so far (diagnostics / budget checks)."""
-        return self._events_executed
 
     @property
     def pending_events(self) -> int:
@@ -170,25 +216,6 @@ class Simulator:
         event.args = ()
         if len(self._pool) < _POOL_LIMIT:
             self._pool.append(event)
-
-    def call_soon(self, callback: Callable[..., Any], *args: Any) -> Event:
-        """Run ``callback(*args)`` at the current virtual time, after pending work."""
-        return self.schedule(0.0, callback, *args)
-
-    def schedule_periodic(
-        self,
-        interval: float,
-        callback: Callable[..., Any],
-        *args: Any,
-        jitter_fn: Optional[Callable[[], float]] = None,
-    ) -> "PeriodicTask":
-        """Run ``callback(*args)`` every ``interval`` ms until stopped.
-
-        ``jitter_fn``, if given, is called before each firing and its return
-        value (ms) is added to the interval — used to de-synchronize periodic
-        maintenance across thousands of simulated nodes.
-        """
-        return PeriodicTask(self, interval, callback, args, jitter_fn)
 
     # ------------------------------------------------------------------
     # Execution
@@ -277,21 +304,6 @@ class Simulator:
         if until is not None:
             self._now = max(self._now, until)
 
-    def run_for(self, duration: float) -> None:
-        """Advance the clock by ``duration`` ms, executing everything due.
-
-        Equivalent to ``run(until=now + duration)`` — the clock always ends
-        exactly ``duration`` later even if the queue drains early.
-        """
-        if duration < 0:
-            raise SimulationError(f"cannot run for a negative duration ({duration})")
-        self.run(until=self._now + duration)
-
-    def run_until_idle(self, max_events: Optional[int] = None) -> None:
-        """Drain the queue completely (no deadline), leaving the clock at the
-        last executed event's time.  ``max_events`` is the usual safety valve."""
-        self.run(max_events=max_events)
-
     def run_until(
         self,
         predicate: Callable[[], bool],
@@ -323,11 +335,12 @@ class Simulator:
 
 
 class PeriodicTask:
-    """A repeating timer created by :meth:`Simulator.schedule_periodic`."""
+    """A repeating timer created by an engine's ``schedule_periodic``;
+    ``schedule(delay, callback)`` is how that engine arms one firing."""
 
     def __init__(
         self,
-        sim: Simulator,
+        schedule: Callable[..., Any],
         interval: float,
         callback: Callable[..., Any],
         args: tuple,
@@ -335,7 +348,7 @@ class PeriodicTask:
     ):
         if interval <= 0:
             raise SimulationError(f"periodic interval must be positive (got {interval})")
-        self._sim = sim
+        self._schedule = schedule
         self._interval = interval
         self._callback = callback
         self._args = args
@@ -343,11 +356,11 @@ class PeriodicTask:
         self._stopped = False
         self._event = self._schedule_next()
 
-    def _schedule_next(self) -> Event:
+    def _schedule_next(self) -> Any:
         delay = self._interval
         if self._jitter_fn is not None:
             delay = max(0.0, delay + self._jitter_fn())
-        return self._sim.schedule(delay, self._fire)
+        return self._schedule(delay, self._fire)
 
     def _fire(self) -> None:
         if self._stopped:

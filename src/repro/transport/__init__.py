@@ -1,7 +1,8 @@
 """Real-transport subsystem: pluggable message backends behind one seam.
 
-``repro.transport`` provides the :class:`Transport` contract plus two
-interchangeable backends —
+``repro.transport`` provides the concrete :class:`Transport` base — host
+table, conservation counters, send admission, arrival accounting — and
+the two backends that add only carriage to it:
 
 * :class:`repro.net.network.Network` — the discrete-event network (the
   deterministic oracle), optionally shadow-checking every delivery
@@ -12,7 +13,7 @@ interchangeable backends —
   process-per-site via ``rbay serve``.
 
 Names resolve lazily (PEP 562) so importing :mod:`repro.net` — whose
-``Network`` implements :class:`Transport` — never cycles back through
+``Network`` extends :class:`Transport` — never cycles back through
 this package.
 """
 

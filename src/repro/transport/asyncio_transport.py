@@ -3,9 +3,10 @@
 Each *served* host gets its own listening socket; sends encode the
 message through the wire codec and write length-prefixed frames over
 per-destination connections (lazy connect, bounded retries with backoff,
-timeouts).  The interface — and the traffic accounting behind the
-bandwidth experiments — mirrors the DES network exactly, so the whole
-protocol stack runs on top unchanged, driven by a
+timeouts).  Membership, admission, arrival and the traffic accounting
+are inherited from :class:`~repro.transport.base.Transport` — the same
+code the DES network runs — so this file holds only sockets, and the
+whole protocol stack runs on top unchanged, driven by a
 :class:`~repro.transport.realtime.RealtimeScheduler`.
 
 Failure mapping: the interface keeps datagram semantics, so a refused
@@ -34,12 +35,11 @@ import asyncio
 import random
 from collections import Counter
 from functools import partial
-from typing import Any, Callable, Dict, Optional, Set
+from typing import Any, Dict, Optional, Set
 
-from repro.net.latency import LatencyModel, UniformLatencyModel
+from repro.net.latency import LatencyModel
 from repro.net.message import Message
-from repro.net.network import FaultFilter, Host, NetworkError
-from repro.transport.base import Transport, deliver_traced, stamp_trace_ctx
+from repro.transport.base import Host, Transport
 from repro.transport.codec import CodecError, decode_message, encode_frame
 from repro.transport.realtime import RealtimeScheduler
 
@@ -71,16 +71,9 @@ class AsyncioTransport(Transport):
         connect_backoff_s: float = 0.2,
         peer_plan: Optional[Any] = None,
     ):
-        if loss_rate and loss_rng is None:
-            raise NetworkError("loss_rate requires a loss_rng for determinism")
-        self.scheduler = scheduler
-        self.sim = scheduler  # parity with Network.sim
+        super().__init__(scheduler, latency, loss_rate, loss_rng, processing_ms)
         self.loop = scheduler.loop
-        self.latency = latency if latency is not None else UniformLatencyModel()
         self.bind_host = bind_host
-        self.loss_rate = loss_rate
-        self._loss_rng = loss_rng
-        self.processing_ms = processing_ms
         self.connect_timeout_s = connect_timeout_s
         self.connect_retries = connect_retries
         self.connect_backoff_s = connect_backoff_s
@@ -92,9 +85,8 @@ class AsyncioTransport(Transport):
         #: handed to the TCP stack.
         self._track_inflight = peer_plan is None
 
-        self._hosts: Dict[int, Host] = {}
+        #: Addresses this process serves for real; the rest are shadows.
         self._served: Set[int] = set()
-        self._next_address = 0
         self._site_counts: Counter = Counter()
         self._site_index: Dict[int, tuple] = {}  # addr -> (site name, index)
         self._ports: Dict[int, int] = {}
@@ -102,80 +94,34 @@ class AsyncioTransport(Transport):
         self._peers: Dict[int, _Peer] = {}
         self._blackholed: Set[int] = set()
 
-        # Accounting (same conservation identity as the DES network).
-        self.messages_sent = 0
-        self.messages_delivered = 0
-        self.messages_dropped = 0
-        self.messages_in_flight = 0
-        self.messages_suppressed = 0
-        self.bytes_sent = 0
         #: Actual framed bytes written to sockets (``bytes_sent`` keeps
         #: the sim estimator for parity; this is the true wire volume).
         self.wire_bytes_sent = 0
-        self.per_host_received: Counter = Counter()
-        self.per_host_sent: Counter = Counter()
-        self.per_host_bytes_in: Counter = Counter()
-        self._delivery_hook: Optional[Callable[[Message], None]] = None
-        self.fault_filter: Optional[FaultFilter] = None
-        self.recorder = None
 
         scheduler.add_idle_source(self._wire_quiet)
 
     # ------------------------------------------------------------------
     # Membership
     # ------------------------------------------------------------------
-    def _owns(self, site_name: str) -> bool:
-        return self.peer_plan is None or site_name in self.peer_plan.owned
-
-    def attach(self, host: Host) -> int:
-        address = self._next_address
-        self._next_address += 1
-        host.address = address
-        host.network = self
-        self._hosts[address] = host
-        site_name = host.site.name
-        index = self._site_counts[site_name]
-        self._site_counts[site_name] = index + 1
-        self._site_index[address] = (site_name, index)
-        if self._owns(site_name):
-            self._served.add(address)
+    def _host_up(self, host: Host) -> None:
+        address = host.address
+        if address not in self._site_index:  # first attach: plan its endpoint
+            site_name = host.site.name
+            index = self._site_counts[site_name]
+            self._site_counts[site_name] = index + 1
+            self._site_index[address] = (site_name, index)
+            if self.peer_plan is None or site_name in self.peer_plan.owned:
+                self._served.add(address)
+        # Reattaching a host whose server never stopped (it was flagged
+        # dead, or was not down at all) must not bind its port twice.
+        if address in self._served and address not in self._servers:
             self._start_server(address)
-        return address
 
-    def detach(self, host: Host) -> None:
-        if host.address in self._hosts:
-            del self._hosts[host.address]
-        host.alive = False
-        self._stop_server(host.address)
+    def _host_down(self, host: Host) -> None:
+        server = self._servers.pop(host.address, None)
+        if server is not None:
+            server.close()
         self._drop_writer(host.address)
-
-    def reattach(self, host: Host) -> None:
-        if host.address is None:
-            raise NetworkError("cannot reattach a host that was never attached")
-        occupant = self._hosts.get(host.address)
-        if occupant is not None and occupant is not host:
-            raise NetworkError(f"address {host.address} is already occupied")
-        self._hosts[host.address] = host
-        host.network = self
-        host.alive = True
-        if host.address in self._served:
-            self._start_server(host.address)
-
-    def host(self, address: int) -> Host:
-        try:
-            return self._hosts[address]
-        except KeyError:
-            raise NetworkError(f"no host at address {address}") from None
-
-    def has_host(self, address: int) -> bool:
-        return address in self._hosts
-
-    @property
-    def host_count(self) -> int:
-        return len(self._hosts)
-
-    def hosts(self):
-        return self._hosts.values()
 
     def port_of(self, address: int) -> Optional[int]:
         """The TCP port a served host listens on (None for shadows)."""
@@ -199,7 +145,7 @@ class AsyncioTransport(Transport):
                     partial(self._serve_conn, address),
                     host=self.bind_host, port=self._planned_port(address))
             except OSError as exc:
-                self.scheduler.report_error(exc)
+                self.sim.report_error(exc)
                 return
             self._servers[address] = server
             self._ports[address] = server.sockets[0].getsockname()[1]
@@ -208,11 +154,6 @@ class AsyncioTransport(Transport):
             self.loop.create_task(_bind())
         else:
             self.loop.run_until_complete(_bind())
-
-    def _stop_server(self, address: int) -> None:
-        server = self._servers.pop(address, None)
-        if server is not None:
-            server.close()
 
     async def _serve_conn(self, address: int,
                           reader: asyncio.StreamReader,
@@ -242,74 +183,31 @@ class AsyncioTransport(Transport):
             msg = decode_message(body)
         except CodecError as exc:
             self.messages_dropped += 1
-            self.scheduler.report_error(exc)
+            self.sim.report_error(exc)
             return
-        host = self._hosts.get(address) if address in self._served else None
-        if host is None or not host.alive:
-            # In-flight to a host that crashed (or was cut) mid-transit.
-            self.messages_dropped += 1
-            return
-        self.messages_delivered += 1
-        self.per_host_received[address] += 1
-        self.per_host_bytes_in[address] += msg.size_bytes()
-        if msg.trace is not None:
-            msg.trace.append(address)
         try:
-            deliver_traced(self.recorder, msg, partial(self._dispatch, host, msg))
+            self._arrive(address, msg, msg.size_bytes())
         except BaseException as exc:  # handler bug: fail the pump loudly
-            self.scheduler.report_error(exc)
-
-    def _dispatch(self, host: Host, msg: Message) -> None:
-        if self._delivery_hook is not None:
-            self._delivery_hook(msg)
-        host.on_message(msg)
+            self.sim.report_error(exc)
 
     # ------------------------------------------------------------------
     # Send side
     # ------------------------------------------------------------------
     def send(self, src: Host, dst_address: int, msg: Message) -> None:
-        if (src.address not in self._served or not src.alive
-                or self._hosts.get(src.address) is not src):
-            # Crashed hosts send nothing; in partitioned mode the same
-            # gate suppresses shadows — the owning process performs the
-            # action for real, exactly once.
-            self.messages_suppressed += 1
+        # In partitioned mode the admission gate also suppresses shadows —
+        # the owning process performs the action for real, exactly once.
+        admitted = self._admit(src, dst_address, msg,
+                               src.address in self._served)
+        if admitted is None:
             return
-        msg.src = src.address
-        msg.dst = dst_address
-        stamp_trace_ctx(self.recorder, msg)
-        self.messages_sent += 1
-        size = msg.size_bytes()
-        self.bytes_sent += size
-        self.per_host_sent[src.address] += 1
-        if self.loss_rate and self._loss_rng.random() < self.loss_rate:
-            self.messages_dropped += 1
-            return
-        if dst_address not in self._hosts:
-            self.messages_dropped += 1
-            return
-        extra_delay = 0.0
-        copies = 1
-        if self.fault_filter is not None:
-            dst_host = self._hosts[dst_address]
-            decision = self.fault_filter(src, dst_host, msg)
-            if decision is not None:
-                if decision.drop:
-                    self.messages_dropped += 1
-                    return
-                extra_delay = decision.extra_delay_ms
-                copies += decision.duplicates
+        _dst_host, size, extra_delay, copies = admitted
         body = encode_frame(msg)  # CodecError here is a bug: let it raise
-        for copy in range(copies):
-            if copy:
-                self.messages_sent += 1
-                self.bytes_sent += size
-                self.per_host_sent[src.address] += 1
+        for _ in range(copies):
             self.messages_in_flight += 1
             self.wire_bytes_sent += len(body)
             if extra_delay > 0.0:
-                self.scheduler.schedule(extra_delay, self._enqueue,
-                                        dst_address, body, size)
+                self.sim.schedule(extra_delay, self._enqueue,
+                                  dst_address, body, size)
             else:
                 self._enqueue(dst_address, body, size)
 
@@ -417,19 +315,9 @@ class AsyncioTransport(Transport):
             return False
         return all(peer.queue.empty() for peer in self._peers.values())
 
-    def set_delivery_hook(self, hook: Optional[Callable[[Message], None]]) -> None:
-        self._delivery_hook = hook
-
     def reset_counters(self) -> None:
-        self.messages_sent = self.messages_in_flight
-        self.messages_delivered = 0
-        self.messages_dropped = 0
-        self.messages_suppressed = 0
-        self.bytes_sent = 0
+        super().reset_counters()
         self.wire_bytes_sent = 0
-        self.per_host_received.clear()
-        self.per_host_sent.clear()
-        self.per_host_bytes_in.clear()
 
     def close(self) -> None:
         """Close every connection and server (idempotent, best-effort)."""

@@ -12,13 +12,15 @@ an asyncio event loop.  :class:`RealtimeScheduler` is that object:
   millisecond; ``0.05`` compresses the paper's multi-second protocol
   timeouts 20×, which keeps live tests fast without touching any
   timeout constant);
-* ``schedule`` / ``post`` / ``call_soon`` / ``schedule_periodic`` become
-  ``loop.call_later`` timers;
-* ``run`` / ``run_for`` / ``run_until`` / ``run_until_idle`` pump the
-  asyncio loop — socket transports and timers interleave naturally —
-  until the deadline, predicate, or quiescence;
-* step/idle hooks fire with the same signatures, so the invariant
-  sanitizer attaches to live runs unmodified.
+* ``schedule`` / ``post`` become ``loop.call_later`` timers (periodic
+  tasks arm *daemon* ones, which never hold off quiescence);
+* ``run`` / ``run_until`` pump the asyncio loop — socket transports and
+  timers interleave naturally — until the deadline, predicate, or
+  quiescence;
+* the rest — hooks, idle sources, ``call_soon``, ``schedule_periodic``,
+  ``run_for``, ``run_until_idle`` — is the ``EngineBase`` the
+  ``Simulator`` extends too, so the sanitizer attaches to live runs
+  unmodified.
 
 Quiescence is cooperative: transports register *idle sources*
 (:meth:`add_idle_source`) reporting in-flight work, and ``run()`` with
@@ -29,11 +31,11 @@ agree the system is quiet.
 from __future__ import annotations
 
 import asyncio
-import itertools
 import time
-from typing import Any, Callable, List, Optional
+from functools import partial
+from typing import Any, Callable, Optional
 
-from repro.sim.engine import SimulationError
+from repro.sim.engine import EngineBase, SimulationError
 
 
 class RealtimeTimeout(RuntimeError):
@@ -64,7 +66,7 @@ class RealtimeEvent:
         self._scheduler._settle(self)
 
 
-class RealtimeScheduler:
+class RealtimeScheduler(EngineBase):
     """Drop-in ``Simulator`` for live transports (see module docstring).
 
     Implements :class:`repro.sim.EngineProtocol`; the conformance suite
@@ -76,6 +78,7 @@ class RealtimeScheduler:
                  max_wall_s: float = 300.0):
         if time_scale <= 0:
             raise SimulationError(f"time_scale must be positive (got {time_scale})")
+        super().__init__()
         self.time_scale = time_scale
         self.poll_interval_s = poll_interval_s
         #: Wall-clock budget for any single pump call; a live run that
@@ -83,16 +86,12 @@ class RealtimeScheduler:
         self.max_wall_s = max_wall_s
         self.loop = asyncio.new_event_loop()
         self._t0 = time.monotonic()
-        self._seq = itertools.count()
-        self._events_executed = 0
         self._pending = 0          # outstanding one-shot (non-daemon) timers
         self._daemon_pending = 0   # periodic-task timers (don't block idle)
-        self._running = False
+        # Daemon: an armed periodic timer must not hold off quiescence.
+        self._arm_periodic = partial(self.schedule, daemon=True)
         self._closed = False
         self._error: Optional[BaseException] = None
-        self._step_hook: Optional[Callable[[float, int], None]] = None
-        self._idle_hook: Optional[Callable[[], None]] = None
-        self._idle_sources: List[Callable[[], bool]] = []
 
     # ------------------------------------------------------------------
     # Clock
@@ -101,10 +100,6 @@ class RealtimeScheduler:
     def now(self) -> float:
         """Wall time since construction, in virtual milliseconds."""
         return (time.monotonic() - self._t0) * 1000.0 / self.time_scale
-
-    @property
-    def events_executed(self) -> int:
-        return self._events_executed
 
     @property
     def pending_events(self) -> int:
@@ -143,18 +138,6 @@ class RealtimeScheduler:
         """Fire-and-forget scheduling (no cancellation handle)."""
         self.schedule(delay, callback, *args)
 
-    def call_soon(self, callback: Callable[..., Any], *args: Any) -> RealtimeEvent:
-        return self.schedule(0.0, callback, *args)
-
-    def schedule_periodic(
-        self,
-        interval: float,
-        callback: Callable[..., Any],
-        *args: Any,
-        jitter_fn: Optional[Callable[[], float]] = None,
-    ) -> "RealtimePeriodicTask":
-        return RealtimePeriodicTask(self, interval, callback, args, jitter_fn)
-
     def _settle(self, event: RealtimeEvent) -> None:
         """Account one event leaving the pending set (fired or cancelled)."""
         if event.daemon:
@@ -174,32 +157,15 @@ class RealtimeScheduler:
                 self._step_hook(self.now, event.seq)
             callback(*args)
         except BaseException as exc:  # surfaced by the next pump iteration
-            if self._error is None:
-                self._error = exc
+            self.report_error(exc)
 
     def report_error(self, exc: BaseException) -> None:
         """Let transports surface a fatal async failure to the pump."""
         if self._error is None:
             self._error = exc
 
-    # ------------------------------------------------------------------
-    # Hooks & idle sources
-    # ------------------------------------------------------------------
-    def set_step_hook(self, hook: Optional[Callable[[float, int], None]]) -> None:
-        self._step_hook = hook
-
-    def set_idle_hook(self, hook: Optional[Callable[[], None]]) -> None:
-        self._idle_hook = hook
-
-    def add_idle_source(self, source: Callable[[], bool]) -> None:
-        """Register a predicate that must be true for the plane to count
-        as quiescent (transports report "no frames in flight" here)."""
-        self._idle_sources.append(source)
-
     def _quiet(self) -> bool:
-        if self._pending:
-            return False
-        return all(source() for source in self._idle_sources)
+        return not self._pending and all(source() for source in self._idle_sources)
 
     # ------------------------------------------------------------------
     # Execution
@@ -258,14 +224,6 @@ class RealtimeScheduler:
         if self._idle_hook is not None and self._quiet():
             self._idle_hook()
 
-    def run_for(self, duration: float) -> None:
-        if duration < 0:
-            raise SimulationError(f"cannot run for a negative duration ({duration})")
-        self.run(until=self.now + duration)
-
-    def run_until_idle(self, max_events: Optional[int] = None) -> None:
-        self.run(max_events=max_events)
-
     def run_until(
         self,
         predicate: Callable[[], bool],
@@ -306,55 +264,3 @@ class RealtimeScheduler:
                 asyncio.gather(*pending, return_exceptions=True))
         self.loop.run_until_complete(self.loop.shutdown_asyncgens())
         self.loop.close()
-
-
-class RealtimePeriodicTask:
-    """Repeating live timer mirroring :class:`~repro.sim.engine.PeriodicTask`."""
-
-    def __init__(
-        self,
-        scheduler: RealtimeScheduler,
-        interval: float,
-        callback: Callable[..., Any],
-        args: tuple,
-        jitter_fn: Optional[Callable[[], float]],
-    ):
-        if interval <= 0:
-            raise SimulationError(f"periodic interval must be positive (got {interval})")
-        self._scheduler = scheduler
-        self._interval = interval
-        self._callback = callback
-        self._args = args
-        self._jitter_fn = jitter_fn
-        self._stopped = False
-        self._event = self._schedule_next()
-
-    def _schedule_next(self) -> RealtimeEvent:
-        delay = self._interval
-        if self._jitter_fn is not None:
-            delay = max(0.0, delay + self._jitter_fn())
-        # Daemon: an armed periodic timer must not hold off quiescence.
-        return self._scheduler.schedule(delay, self._fire, daemon=True)
-
-    def _fire(self) -> None:
-        if self._stopped:
-            return
-        self._callback(*self._args)
-        if not self._stopped:
-            self._event = self._schedule_next()
-
-    def stop(self) -> None:
-        self._stopped = True
-        self._event.cancel()
-
-    @property
-    def stopped(self) -> bool:
-        return self._stopped
-
-    @property
-    def interval(self) -> float:
-        return self._interval
-
-    @property
-    def jitter_fn(self) -> Optional[Callable[[], float]]:
-        return self._jitter_fn

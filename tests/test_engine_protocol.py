@@ -11,6 +11,7 @@ corrupt a live run.
 import pytest
 
 from repro.sim import EngineProtocol, Simulator
+from repro.sim.engine import PeriodicTask
 from repro.transport.realtime import RealtimeScheduler
 
 #: Virtual milliseconds are compressed 100x for the live engine so the
@@ -96,6 +97,19 @@ class TestConformance:
         hits = []
         task = engine.schedule_periodic(100.0, lambda: hits.append(1))
         assert engine.run_until(lambda: len(hits) >= 3, timeout=30_000.0)
+        task.stop()
+        assert task.stopped
+
+    def test_schedule_periodic_returns_the_one_periodic_task(self, engine):
+        """The fault injector pauses and restarts a crashed node's
+        maintenance through exactly these four members."""
+        def jitter():
+            return 0.0
+
+        task = engine.schedule_periodic(100.0, lambda: None, jitter_fn=jitter)
+        assert type(task) is PeriodicTask
+        assert task.interval == 100.0 and task.jitter_fn is jitter
+        assert not task.stopped
         task.stop()
         assert task.stopped
 

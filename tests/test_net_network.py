@@ -1,4 +1,5 @@
-"""Unit tests for the simulated network."""
+"""Unit tests for the simulated network (crash recovery and sender
+suppression run on both backends in ``tests/test_transport_conformance.py``)."""
 
 import random
 
@@ -181,69 +182,6 @@ class TestConservation:
         sim.run()
         assert net.messages_delivered == 1
         self.assert_conserved(net)
-
-
-class TestReattach:
-    def test_reattach_restores_old_address(self, sim, net, hosts):
-        a, b = hosts
-        address = b.address
-        net.detach(b)
-        net.reattach(b)
-        assert b.address == address
-        assert b.alive and net.host(address) is b
-        a.send(address, Message(kind="ping"))
-        sim.run()
-        assert len(b.received) == 1
-
-    def test_reattach_never_attached_rejected(self, net, registry):
-        with pytest.raises(NetworkError):
-            net.reattach(Recorder(registry[0]))
-
-    def test_reattach_occupied_address_rejected(self, net, hosts, registry):
-        _, b = hosts
-        net.detach(b)
-        usurper = Recorder(registry[0])
-        usurper.address = b.address
-        net._hosts[b.address] = usurper
-        with pytest.raises(NetworkError):
-            net.reattach(b)
-
-    def test_reattach_is_idempotent(self, net, hosts):
-        _, b = hosts
-        net.detach(b)
-        net.reattach(b)
-        net.reattach(b)  # occupant is the host itself: fine
-        assert b.alive
-
-
-class TestSuppression:
-    """Crashed senders emit nothing — suppressed outside the conservation sum."""
-
-    def test_detached_sender_is_suppressed(self, sim, net, hosts):
-        a, b = hosts
-        net.detach(a)
-        a.send(b.address, Message(kind="ping"))
-        sim.run()
-        assert net.messages_suppressed == 1
-        assert net.messages_sent == 0 and net.messages_dropped == 0
-        assert b.received == []
-
-    def test_dead_flag_alone_suppresses(self, sim, net, hosts):
-        a, b = hosts
-        a.alive = False
-        a.send(b.address, Message(kind="ping"))
-        sim.run()
-        assert net.messages_suppressed == 1
-        assert b.received == []
-
-    def test_recovered_sender_sends_again(self, sim, net, hosts):
-        a, b = hosts
-        net.detach(a)
-        net.reattach(a)
-        a.send(b.address, Message(kind="ping"))
-        sim.run()
-        assert net.messages_suppressed == 0
-        assert len(b.received) == 1
 
 
 class TestFaultFilter:

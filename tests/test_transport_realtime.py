@@ -71,6 +71,20 @@ def test_periodic_task_fires_and_stops(sched):
     assert len(ticks) == count
 
 
+def test_armed_periodic_task_does_not_hold_off_quiescence(sched):
+    """The live scheduler arms the shared ``PeriodicTask`` over *daemon*
+    timers; lose the ``daemon=True`` and ``run()`` can never go quiet."""
+    sched.max_wall_s = 2.0  # fail fast instead of pumping for minutes
+    ticks = []
+    task = sched.schedule_periodic(5.0, lambda: ticks.append(sched.now))
+    sched.schedule(12.0, lambda: None)
+    sched.run()  # drains the one-shot timer, then returns
+    assert not task.stopped
+    assert sched.pending_events == 1  # the periodic timer is still armed
+    task.stop()
+    assert sched.pending_events == 0
+
+
 def test_periodic_interval_must_be_positive(sched):
     with pytest.raises(SimulationError):
         sched.schedule_periodic(0.0, lambda: None)

@@ -45,6 +45,7 @@ DEFAULT_TARGETS = [
     REPO / "src" / "repro" / "scribe" / "buckets.py",
     REPO / "src" / "repro" / "scribe" / "rebalance.py",
     REPO / "src" / "repro" / "net" / "network.py",
+    REPO / "src" / "repro" / "sim" / "engine.py",
     REPO / "src" / "repro" / "transport" / "base.py",
     REPO / "src" / "repro" / "transport" / "codec.py",
     REPO / "src" / "repro" / "transport" / "realtime.py",
@@ -79,6 +80,9 @@ DEFAULT_TESTS = [
     REPO / "tests" / "test_transport_codec.py",
     REPO / "tests" / "test_net_network.py",
     REPO / "tests" / "test_net_trace_ctx.py",
+    REPO / "tests" / "test_sim_engine.py",
+    REPO / "tests" / "test_engine_protocol.py",
+    REPO / "tests" / "test_transport_conformance.py",
     REPO / "tests" / "test_transport_realtime.py",
     REPO / "tests" / "test_transport_asyncio.py",
     REPO / "tests" / "test_transport_wire_safety.py",
