@@ -111,6 +111,7 @@ market:
 live:
 	timeout $${RBAY_LIVE_TIMEOUT:-900} sh -c '\
 	  PYTHONPATH=src $(PYTHON) -m pytest -q tests/test_transport_codec.py \
+	    tests/test_transport_wire_golden.py \
 	    tests/test_net_trace_ctx.py tests/test_transport_realtime.py \
 	    tests/test_transport_conformance.py \
 	    tests/test_transport_asyncio.py tests/test_transport_wire_safety.py \

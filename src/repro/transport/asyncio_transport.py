@@ -1,12 +1,16 @@
 """Live transport: every node a real TCP endpoint on an asyncio loop.
 
-Each *served* host gets its own listening socket; sends encode the
-message through the wire codec and write length-prefixed frames over
-per-destination connections (lazy connect, bounded retries with backoff,
-timeouts).  Membership, admission, arrival and the traffic accounting
-are inherited from :class:`~repro.transport.base.Transport` — the same
-code the DES network runs — so this file holds only sockets, and the
-whole protocol stack runs on top unchanged, driven by a
+Each *served* host gets its own listening socket, read by an
+:class:`asyncio.BufferedProtocol` (``recv_into`` one reused buffer →
+``codec.split_frames``, which enforces ``MAX_FRAME_BYTES`` → the total
+decoder: whatever arrives ends as a delivery or a counted drop).  Sends
+encode the message through the wire codec and queue the frame for a
+resident per-destination sender (lazy connect, bounded retries with
+backoff, timeouts) that writes each burst as one ``write`` + ``drain``;
+a full queue is a counted drop.  Membership, admission, arrival and the
+traffic accounting are inherited from :class:`~repro.transport.base.
+Transport` — the same code the DES network runs — so this file holds only
+sockets, and the whole protocol stack runs on top unchanged, driven by a
 :class:`~repro.transport.realtime.RealtimeScheduler`.
 
 Failure mapping: the interface keeps datagram semantics, so a refused
@@ -35,24 +39,68 @@ import asyncio
 import random
 from collections import Counter
 from functools import partial
-from typing import Any, Dict, Optional, Set
+from typing import Any, Dict, List, Optional, Set
 
 from repro.net.latency import LatencyModel
 from repro.net.message import Message
 from repro.transport.base import Host, Transport
-from repro.transport.codec import CodecError, decode_message, encode_frame
+from repro.transport.codec import (CodecError, decode_message, encode_frame,
+                                   split_frames)
 from repro.transport.realtime import RealtimeScheduler
+
+#: Frames one destination may have queued behind its sender.  A peer whose
+#: connect hangs must not grow memory without limit: overflow is a counted
+#: drop, which the protocol's timeouts and retries already absorb.
+_PEER_QUEUE_FRAMES = 4096
+
+#: The receive buffer every connection of a transport reads into (reads
+#: are synchronous inside one loop callback, so one buffer serves all).
+_RECV_BUFFER_BYTES = 64 * 1024
 
 
 class _Peer:
     """Outgoing state toward one destination address."""
 
-    __slots__ = ("queue", "task", "writer")
+    __slots__ = ("frames", "ready", "task", "writer")
 
     def __init__(self) -> None:
-        self.queue: asyncio.Queue = asyncio.Queue()
+        self.frames: List[bytes] = []
+        self.ready = asyncio.Event()  # set by _enqueue, awaited by _sender
         self.task: Optional[asyncio.Task] = None
         self.writer: Optional[asyncio.StreamWriter] = None
+
+
+class _Receiver(asyncio.BufferedProtocol):
+    """One accepted connection: socket bytes → frames → ``_deliver_body``."""
+
+    def __init__(self, net: "AsyncioTransport", address: int) -> None:
+        self._net = net
+        self._address = address
+        self._pending = bytearray()  # the tail of a frame still arriving
+
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        self._transport = transport
+        self._net._accepted.add(transport)
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        self._net._accepted.discard(self._transport)
+
+    def get_buffer(self, sizehint: int) -> memoryview:
+        return self._net._recv_view
+
+    def buffer_updated(self, nbytes: int) -> None:
+        net = self._net
+        self._pending += net._recv_view[:nbytes]
+        try:
+            bodies = split_frames(self._pending)
+        except CodecError as exc:
+            # A length prefix over the cap: the stream cannot be framed
+            # any further, so it ends here, accounted like a bad frame.
+            net._reject(exc)
+            self._transport.close()
+            return
+        for body in bodies:
+            net._deliver_body(self._address, body)
 
 
 class AsyncioTransport(Transport):
@@ -93,6 +141,8 @@ class AsyncioTransport(Transport):
         self._servers: Dict[int, asyncio.base_events.Server] = {}
         self._peers: Dict[int, _Peer] = {}
         self._blackholed: Set[int] = set()
+        self._accepted: Set[asyncio.BaseTransport] = set()  # inbound
+        self._recv_view = memoryview(bytearray(_RECV_BUFFER_BYTES))
 
         #: Actual framed bytes written to sockets (``bytes_sent`` keeps
         #: the sim estimator for parity; this is the true wire volume).
@@ -115,7 +165,7 @@ class AsyncioTransport(Transport):
         # Reattaching a host whose server never stopped (it was flagged
         # dead, or was not down at all) must not bind its port twice.
         if address in self._served and address not in self._servers:
-            self._start_server(address)
+            self._listen(address)
 
     def _host_down(self, host: Host) -> None:
         server = self._servers.pop(host.address, None)
@@ -138,11 +188,11 @@ class AsyncioTransport(Transport):
             return self.peer_plan.endpoint(site_name, index)[1]
         return 0  # ephemeral
 
-    def _start_server(self, address: int) -> None:
+    def _listen(self, address: int) -> None:
         async def _bind() -> None:
             try:
-                server = await asyncio.start_server(
-                    partial(self._serve_conn, address),
+                server = await self.loop.create_server(
+                    partial(_Receiver, self, address),
                     host=self.bind_host, port=self._planned_port(address))
             except OSError as exc:
                 self.sim.report_error(exc)
@@ -155,40 +205,30 @@ class AsyncioTransport(Transport):
         else:
             self.loop.run_until_complete(_bind())
 
-    async def _serve_conn(self, address: int,
-                          reader: asyncio.StreamReader,
-                          writer: asyncio.StreamWriter) -> None:
-        try:
-            while True:
-                header = await reader.readexactly(4)
-                body = await reader.readexactly(int.from_bytes(header, "big"))
-                self._deliver_body(address, body)
-        except (asyncio.IncompleteReadError, ConnectionError, OSError):
-            pass
-        except asyncio.CancelledError:
-            pass  # teardown: finish cleanly instead of logging a cancel
-        finally:
-            try:
-                writer.close()
-            except RuntimeError:
-                pass  # loop already closed during interpreter teardown
-
     # ------------------------------------------------------------------
     # Delivery (receive side)
     # ------------------------------------------------------------------
     def _deliver_body(self, address: int, body: bytes) -> None:
-        if self._track_inflight:
-            self.messages_in_flight -= 1
         try:
             msg = decode_message(body)
         except CodecError as exc:
-            self.messages_dropped += 1
-            self.sim.report_error(exc)
+            self._reject(exc)
             return
+        if self._track_inflight:
+            self.messages_in_flight -= 1
         try:
             self._arrive(address, msg, msg.size_bytes())
         except BaseException as exc:  # handler bug: fail the pump loudly
             self.sim.report_error(exc)
+        self.sim.kick()  # a handler ran: the pump re-checks its predicate
+
+    def _reject(self, exc: CodecError) -> None:
+        """Arrived bytes that cannot become a message: a counted drop the
+        pump hears about."""
+        if self._track_inflight:
+            self.messages_in_flight -= 1
+        self.messages_dropped += 1
+        self.sim.report_error(exc)
 
     # ------------------------------------------------------------------
     # Send side
@@ -200,60 +240,61 @@ class AsyncioTransport(Transport):
                                src.address in self._served)
         if admitted is None:
             return
-        _dst_host, size, extra_delay, copies = admitted
+        _dst_host, _size, extra_delay, copies = admitted
         body = encode_frame(msg)  # CodecError here is a bug: let it raise
         for _ in range(copies):
             self.messages_in_flight += 1
             self.wire_bytes_sent += len(body)
             if extra_delay > 0.0:
                 self.sim.schedule(extra_delay, self._enqueue,
-                                  dst_address, body, size)
+                                  dst_address, body)
             else:
-                self._enqueue(dst_address, body, size)
+                self._enqueue(dst_address, body)
 
-    def _enqueue(self, dst_address: int, body: bytes, size: int) -> None:
+    def _enqueue(self, dst_address: int, body: bytes) -> None:
         peer = self._peers.get(dst_address)
         if peer is None:
             peer = self._peers[dst_address] = _Peer()
-        peer.queue.put_nowait((body, size))
-        if peer.task is None or peer.task.done():
             peer.task = self.loop.create_task(self._sender(dst_address, peer))
+        if len(peer.frames) >= _PEER_QUEUE_FRAMES:
+            self._account_drop()
+            return
+        peer.frames.append(body)
+        peer.ready.set()
 
-    def _account_drop(self) -> None:
-        self.messages_in_flight -= 1
-        self.messages_dropped += 1
+    def _account_drop(self, frames: int = 1) -> None:
+        self.messages_in_flight -= frames
+        self.messages_dropped += frames
 
     async def _sender(self, dst_address: int, peer: _Peer) -> None:
-        """Drain one destination's frame queue over a cached connection."""
+        """Resident writer for one destination: everything queued since
+        the last pass leaves as one ``write`` + one ``drain``."""
         while True:
-            try:
-                body, size = peer.queue.get_nowait()
-            except asyncio.QueueEmpty:
-                return
-            writer = await self._writer_for(dst_address, peer)
-            if writer is None:
-                self._account_drop()
+            if not peer.frames:
+                peer.ready.clear()
+                await peer.ready.wait()
                 continue
-            try:
-                writer.write(body)
-                await writer.drain()
-            except (ConnectionError, OSError):
-                self._drop_writer(dst_address)
-                # The connection died under us: one fresh connect, then
-                # give up on this frame (the sender's timeouts take over).
-                writer = await self._writer_for(dst_address, peer)
-                if writer is None:
-                    self._account_drop()
-                    continue
+            # Connect before taking the burst: while a connect hangs the
+            # frames wait in the bounded queue, not in a local.
+            writer = await self._writer_for(dst_address, peer)
+            burst, peer.frames = peer.frames, []
+            retried = False
+            while writer is not None:
                 try:
-                    writer.write(body)
+                    writer.write(b"".join(burst))
                     await writer.drain()
+                    break
                 except (ConnectionError, OSError):
+                    # The connection died under us: one fresh connect,
+                    # then give up (the senders' timeouts take over).
                     self._drop_writer(dst_address)
-                    self._account_drop()
-                    continue
-            if not self._track_inflight:
-                self.messages_in_flight -= 1  # handed to the TCP stack
+                    writer = (None if retried else
+                              await self._writer_for(dst_address, peer))
+                    retried = True
+            if writer is None:
+                self._account_drop(len(burst))
+            elif not self._track_inflight:
+                self.messages_in_flight -= len(burst)  # handed to TCP
 
     async def _writer_for(self, dst_address: int,
                           peer: _Peer) -> Optional[asyncio.StreamWriter]:
@@ -313,7 +354,7 @@ class AsyncioTransport(Transport):
     def _wire_quiet(self) -> bool:
         if self.messages_in_flight != 0:
             return False
-        return all(peer.queue.empty() for peer in self._peers.values())
+        return not any(peer.frames for peer in self._peers.values())
 
     def reset_counters(self) -> None:
         super().reset_counters()
@@ -322,13 +363,13 @@ class AsyncioTransport(Transport):
     def close(self) -> None:
         """Close every connection and server (idempotent, best-effort)."""
         async def _shutdown() -> None:
-            for peer in self._peers.values():
-                if peer.task is not None:
-                    peer.task.cancel()
-                if peer.writer is not None:
-                    peer.writer.close()
+            for address, peer in self._peers.items():
+                peer.task.cancel()  # the resident sender
+                self._drop_writer(address)
             for server in self._servers.values():
                 server.close()
+            for transport in list(self._accepted):
+                transport.close()
             await asyncio.sleep(0)
 
         if self.loop.is_closed():

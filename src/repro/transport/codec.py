@@ -41,13 +41,18 @@ byte-for-byte (dict insertion order is preserved through the round
 trip).  Anything outside the table — callables, node objects, sets,
 arbitrary classes — raises :class:`CodecError` with the offending path,
 which is exactly the wire-safety lint: a payload the codec rejects is a
-payload that could never have crossed a real socket.
+payload that could never have crossed a real socket.  Decoding is total:
+any byte string either parses or raises :class:`CodecError`.
+
+The layout is ``WIRE_VERSION`` 1, unchanged since it landed, and
+``tests/data/wire_golden.json`` pins its bytes: the code below is tuned
+for speed *within* it; a change that moves a byte bumps the version.
 """
 
 from __future__ import annotations
 
 import struct
-from typing import Any, List, Tuple
+from typing import Any, List, Optional, Tuple
 
 from repro.net.message import Message
 
@@ -69,8 +74,20 @@ _TAG_LIST = 0x4C   # 'L'
 _TAG_TUPLE = 0x55  # 'U'
 _TAG_DICT = 0x4D   # 'M'
 
-_pack_double = struct.Struct(">d").pack
+# Tag + fixed-width header in one pack call; the decoder reads the same
+# widths in place with ``unpack_from``.
+_pack_counted = struct.Struct(">BI").pack      # S / B / L / U / M + 4-byte count
+_pack_int_head = struct.Struct(">BH").pack     # I + 2-byte length
+_pack_float = struct.Struct(">Bd").pack        # D + the double
+_unpack_u32 = struct.Struct(">I").unpack_from
+_unpack_u16 = struct.Struct(">H").unpack_from
 _unpack_double = struct.Struct(">d").unpack_from
+
+_VERSION_BYTE = bytes([WIRE_VERSION])
+_NONE, _TRUE, _FALSE = (bytes([tag]) for tag in (_TAG_NONE, _TAG_TRUE, _TAG_FALSE))
+#: The body's field order — also ``Message.__init__``'s positional order.
+_FIELDS = ("kind", "payload", "src", "dst", "hops", "msg_id", "trace",
+           "trace_ctx")
 
 
 class CodecError(ValueError):
@@ -80,48 +97,51 @@ class CodecError(ValueError):
 # ----------------------------------------------------------------------
 # Encoding
 # ----------------------------------------------------------------------
-def _encode_value(out: bytearray, value: Any, path: str) -> None:
+def _encode_value(parts: List[bytes], value: Any,
+                  path: Optional[str] = None) -> None:
+    """Append ``value``'s encoding to ``parts`` (hot types first).
+
+    ``path`` names where ``value`` sits, for error messages.  Without one
+    none is built for the children either (``path and f"…"``):
+    :func:`encode_message` asks for paths only on a second walk, after
+    encoding has actually failed.
+    """
     # Exact type checks on purpose: bool subclasses int, and subclasses
     # of the wire types (e.g. a dict-like node object) must not slip
     # through looking serializable.
     vtype = type(value)
-    if value is None:
-        out.append(_TAG_NONE)
-    elif vtype is bool:
-        out.append(_TAG_TRUE if value else _TAG_FALSE)
-    elif vtype is int:
-        length = (value.bit_length() + 8) // 8 or 1
-        if length > 0xFFFF:
-            raise CodecError(f"integer too large for the wire at {path}")
-        out.append(_TAG_INT)
-        out += length.to_bytes(2, "big")
-        out += value.to_bytes(length, "big", signed=True)
-    elif vtype is float:
-        out.append(_TAG_FLOAT)
-        out += _pack_double(value)
-    elif vtype is str:
+    if vtype is str:
         try:
-            data = value.encode("utf-8")
+            data = value.encode()  # UTF-8, strict
         except UnicodeEncodeError as exc:
             raise CodecError(f"non-UTF-8 string at {path}: {exc}") from None
-        out.append(_TAG_STR)
-        out += len(data).to_bytes(4, "big")
-        out += data
-    elif vtype is bytes:
-        out.append(_TAG_BYTES)
-        out += len(value).to_bytes(4, "big")
-        out += value
-    elif vtype is list or vtype is tuple:
-        out.append(_TAG_LIST if vtype is list else _TAG_TUPLE)
-        out += len(value).to_bytes(4, "big")
-        for i, item in enumerate(value):
-            _encode_value(out, item, f"{path}[{i}]")
+        parts.append(_pack_counted(_TAG_STR, len(data)))
+        parts.append(data)
+    elif vtype is int:
+        length = (value.bit_length() + 8) // 8
+        if length > 0xFFFF:
+            raise CodecError(f"integer too large for the wire at {path}")
+        parts.append(_pack_int_head(_TAG_INT, length))
+        parts.append(value.to_bytes(length, "big", signed=True))
     elif vtype is dict:
-        out.append(_TAG_DICT)
-        out += len(value).to_bytes(4, "big")
+        parts.append(_pack_counted(_TAG_DICT, len(value)))
         for key, item in value.items():
-            _encode_value(out, key, f"{path}.<key {key!r}>")
-            _encode_value(out, item, f"{path}[{key!r}]")
+            _encode_value(parts, key, path and f"{path}.<key {key!r}>")
+            _encode_value(parts, item, path and f"{path}[{key!r}]")
+    elif value is None:
+        parts.append(_NONE)
+    elif vtype is list or vtype is tuple:
+        parts.append(_pack_counted(
+            _TAG_LIST if vtype is list else _TAG_TUPLE, len(value)))
+        for i, item in enumerate(value):
+            _encode_value(parts, item, path and f"{path}[{i}]")
+    elif vtype is bool:
+        parts.append(_TRUE if value else _FALSE)
+    elif vtype is float:
+        parts.append(_pack_float(_TAG_FLOAT, value))
+    elif vtype is bytes:
+        parts.append(_pack_counted(_TAG_BYTES, len(value)))
+        parts.append(value)
     else:
         raise CodecError(
             f"unserializable payload at {path}: {vtype.__name__} "
@@ -130,17 +150,17 @@ def _encode_value(out: bytearray, value: Any, path: str) -> None:
 
 def encode_message(msg: Message) -> bytes:
     """Serialize ``msg`` to a canonical (unframed) wire body."""
-    out = bytearray()
-    out.append(WIRE_VERSION)
-    _encode_value(out, msg.kind, "kind")
-    _encode_value(out, msg.payload, "payload")
-    _encode_value(out, msg.src, "src")
-    _encode_value(out, msg.dst, "dst")
-    _encode_value(out, msg.hops, "hops")
-    _encode_value(out, msg.msg_id, "msg_id")
-    _encode_value(out, msg.trace, "trace")
-    _encode_value(out, msg.trace_ctx, "trace_ctx")
-    return bytes(out)
+    parts = [_VERSION_BYTE]
+    try:
+        for name in _FIELDS:
+            _encode_value(parts, getattr(msg, name))
+    except CodecError:
+        # The rare path: walk again, tracking paths this time, to raise
+        # the error that names where the offending value sits.
+        for name in _FIELDS:
+            _encode_value([], getattr(msg, name), name)
+        raise
+    return b"".join(parts)
 
 
 def frame(body: bytes) -> bytes:
@@ -159,85 +179,94 @@ def encode_frame(msg: Message) -> bytes:
 # ----------------------------------------------------------------------
 # Decoding
 # ----------------------------------------------------------------------
-class _Reader:
-    __slots__ = ("data", "pos")
+def _decode_value(data: bytes, pos: int) -> Tuple[Any, int]:
+    """Decode the value tagged at ``data[pos]``; return it and the offset
+    just past it, reading by position (hot tags first).
 
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
-
-    def take(self, n: int) -> bytes:
-        end = self.pos + n
-        if end > len(self.data):
-            raise CodecError(f"truncated frame: wanted {n} bytes at offset "
-                             f"{self.pos}, {len(self.data) - self.pos} left")
-        chunk = self.data[self.pos:end]
-        self.pos = end
-        return chunk
-
-    def take_uint(self, n: int) -> int:
-        return int.from_bytes(self.take(n), "big")
-
-
-def _decode_value(reader: _Reader) -> Any:
-    tag = reader.take(1)[0]
-    if tag == _TAG_NONE:
-        return None
-    if tag == _TAG_TRUE:
-        return True
-    if tag == _TAG_FALSE:
-        return False
+    Bounds are :func:`decode_message`'s job, once: a tag or fixed-width
+    header cut off by the end raises ``IndexError`` / ``struct.error``,
+    and a str, int or bytes claiming more than is left gets a clamped
+    slice and an offset *past* the end, which no later read survives.
+    """
+    tag = data[pos]
+    pos += 1
+    if tag == _TAG_STR or tag == _TAG_BYTES:
+        start = pos + 4
+        end = start + _unpack_u32(data, pos)[0]
+        if tag == _TAG_BYTES:
+            return data[start:end], end
+        try:
+            return data[start:end].decode(), end  # UTF-8, strict
+        except UnicodeDecodeError as exc:
+            raise CodecError(f"invalid UTF-8 in the string at offset "
+                             f"{start}: {exc}") from None
     if tag == _TAG_INT:
-        length = reader.take_uint(2)
-        return int.from_bytes(reader.take(length), "big", signed=True)
-    if tag == _TAG_FLOAT:
-        return _unpack_double(reader.take(8))[0]
-    if tag == _TAG_STR:
-        return reader.take(reader.take_uint(4)).decode("utf-8")
-    if tag == _TAG_BYTES:
-        return reader.take(reader.take_uint(4))
-    if tag == _TAG_LIST:
-        return [_decode_value(reader) for _ in range(reader.take_uint(4))]
-    if tag == _TAG_TUPLE:
-        return tuple(_decode_value(reader)
-                     for _ in range(reader.take_uint(4)))
+        start = pos + 2
+        end = start + _unpack_u16(data, pos)[0]
+        return int.from_bytes(data[start:end], "big", signed=True), end
     if tag == _TAG_DICT:
-        count = reader.take_uint(4)
+        count = _unpack_u32(data, pos)[0]
+        pos += 4
         result = {}
         for _ in range(count):
-            key = _decode_value(reader)
-            result[key] = _decode_value(reader)
-        return result
-    raise CodecError(f"unknown value tag 0x{tag:02x} at offset {reader.pos - 1}")
+            key, pos = _decode_value(data, pos)
+            value, pos = _decode_value(data, pos)
+            try:
+                result[key] = value
+            except TypeError:
+                raise CodecError(f"unhashable dict key before offset {pos}: "
+                                 f"{type(key).__name__}") from None
+        return result, pos
+    if tag == _TAG_NONE:
+        return None, pos
+    if tag == _TAG_LIST or tag == _TAG_TUPLE:
+        count = _unpack_u32(data, pos)[0]
+        pos += 4
+        items = []
+        for _ in range(count):
+            item, pos = _decode_value(data, pos)
+            items.append(item)
+        return (items if tag == _TAG_LIST else tuple(items)), pos
+    if tag == _TAG_TRUE:
+        return True, pos
+    if tag == _TAG_FALSE:
+        return False, pos
+    if tag == _TAG_FLOAT:
+        return _unpack_double(data, pos)[0], pos + 8
+    raise CodecError(f"unknown value tag 0x{tag:02x} at offset {pos - 1}")
 
 
 def decode_message(body: bytes) -> Message:
     """Parse one wire body back into a :class:`Message`.
 
-    Rejects version mismatches, truncation, unknown tags, and trailing
-    garbage; never consumes a fresh ``msg_id`` (the sender's travels on
-    the wire).
+    Total: every ``body`` decodes or raises :class:`CodecError` (version
+    mismatch, truncation, unknown tag, invalid UTF-8, unhashable dict
+    key, runaway nesting, trailing garbage) and nothing else.  Never
+    consumes a fresh ``msg_id`` (the sender's travels on the wire).
     """
-    reader = _Reader(body)
-    version = reader.take(1)[0]
-    if version != WIRE_VERSION:
-        raise CodecError(f"wire version mismatch: got {version}, "
-                         f"this codec speaks {WIRE_VERSION}")
-    kind = _decode_value(reader)
-    payload = _decode_value(reader)
-    src = _decode_value(reader)
-    dst = _decode_value(reader)
-    hops = _decode_value(reader)
-    msg_id = _decode_value(reader)
-    trace = _decode_value(reader)
-    trace_ctx = _decode_value(reader)
-    if reader.pos != len(body):
-        raise CodecError(f"{len(body) - reader.pos} trailing bytes after a "
+    try:
+        version = body[0]
+        if version != WIRE_VERSION:
+            raise CodecError(f"wire version mismatch: got {version}, "
+                             f"this codec speaks {WIRE_VERSION}")
+        fields = []
+        pos = 1
+        for _ in _FIELDS:
+            value, pos = _decode_value(body, pos)
+            fields.append(value)
+    except (IndexError, struct.error):
+        pos = len(body) + 1  # cut inside a tag or a length field
+    except RecursionError:
+        raise CodecError("containers nested too deeply to decode") from None
+    if pos > len(body):
+        raise CodecError(f"truncated frame: a value runs past the end of "
+                         f"the {len(body)}-byte body")
+    if pos < len(body):
+        raise CodecError(f"{len(body) - pos} trailing bytes after a "
                          f"complete message")
-    if type(kind) is not str:
+    if type(fields[0]) is not str:
         raise CodecError("message kind must decode to a string")
-    return Message(kind=kind, payload=payload, src=src, dst=dst, hops=hops,
-                   msg_id=msg_id, trace=trace, trace_ctx=trace_ctx)
+    return Message(*fields)
 
 
 def split_frames(buffer: bytearray) -> List[bytes]:
@@ -245,18 +274,25 @@ def split_frames(buffer: bytearray) -> List[bytes]:
 
     Incremental stream decoding for byte-oriented transports: append
     received bytes to ``buffer``, call this, decode each returned body.
-    Bytes of a still-incomplete frame stay in the buffer.
+    Bytes of a still-incomplete frame stay in the buffer.  A length
+    prefix over :data:`MAX_FRAME_BYTES` raises :class:`CodecError` before
+    anything is waited for: the stream cannot be framed past it, so the
+    caller drops the connection.
     """
     bodies: List[bytes] = []
-    while len(buffer) >= 4:
-        length = int.from_bytes(buffer[:4], "big")
+    pos = 0
+    size = len(buffer)
+    while size - pos >= 4:
+        length = _unpack_u32(buffer, pos)[0]
         if length > MAX_FRAME_BYTES:
             raise CodecError(f"frame length {length} exceeds the "
                              f"{MAX_FRAME_BYTES}-byte cap")
-        if len(buffer) < 4 + length:
+        end = pos + 4 + length
+        if end > size:
             break
-        bodies.append(bytes(buffer[4:4 + length]))
-        del buffer[:4 + length]
+        bodies.append(bytes(buffer[pos + 4:end]))
+        pos = end
+    del buffer[:pos]
     return bodies
 
 

@@ -16,7 +16,12 @@ an asyncio event loop.  :class:`RealtimeScheduler` is that object:
   tasks arm *daemon* ones, which never hold off quiescence);
 * ``run`` / ``run_until`` pump the asyncio loop — socket transports and
   timers interleave naturally — until the deadline, predicate, or
-  quiescence;
+  quiescence.  The pump is event-driven: it sleeps until :meth:`kick`
+  (after every fired callback, reported error and delivered frame), so
+  ``run_until`` returns in the loop iteration after its predicate turns
+  true; ``poll_interval_s`` is only the *fallback tick* for what no event
+  announces — the deadline (the last tick lands on it), ``max_wall_s``
+  and quiescence;
 * the rest — hooks, idle sources, ``call_soon``, ``schedule_periodic``,
   ``run_for``, ``run_until_idle`` — is the ``EngineBase`` the
   ``Simulator`` extends too, so the sanitizer attaches to live runs
@@ -25,7 +30,9 @@ an asyncio event loop.  :class:`RealtimeScheduler` is that object:
 Quiescence is cooperative: transports register *idle sources*
 (:meth:`add_idle_source`) reporting in-flight work, and ``run()`` with
 no deadline drains until the one-shot timer count and every idle source
-agree the system is quiet.
+agree the system is quiet on two consecutive fallback ticks — ticks, not
+wake-ups: a frame a partitioned peer handed to its kernel is counted by
+nobody until it arrives, and only wall time lets it land.
 """
 
 from __future__ import annotations
@@ -92,6 +99,9 @@ class RealtimeScheduler(EngineBase):
         self._arm_periodic = partial(self.schedule, daemon=True)
         self._closed = False
         self._error: Optional[BaseException] = None
+        self._wakeup = asyncio.Event()  # what a sleeping pump awaits
+        self._tick_handle: Optional[asyncio.TimerHandle] = None
+        self._ticks = 0            # fallback ticks taken so far
 
     # ------------------------------------------------------------------
     # Clock
@@ -158,11 +168,25 @@ class RealtimeScheduler(EngineBase):
             callback(*args)
         except BaseException as exc:  # surfaced by the next pump iteration
             self.report_error(exc)
+        self.kick()
 
     def report_error(self, exc: BaseException) -> None:
         """Let transports surface a fatal async failure to the pump."""
         if self._error is None:
             self._error = exc
+        self.kick()
+
+    def kick(self) -> None:
+        """Wake a sleeping pump to re-check its stop condition: called
+        wherever state a predicate reads may have changed (a callback fired,
+        an error was reported, the transport delivered a frame).  Kicks in
+        one loop iteration coalesce; with no pump asleep this is a no-op."""
+        self._wakeup.set()
+
+    def _tick(self) -> None:
+        self._tick_handle = None
+        self._ticks += 1
+        self.kick()
 
     def _quiet(self) -> bool:
         return not self._pending and all(source() for source in self._idle_sources)
@@ -170,26 +194,35 @@ class RealtimeScheduler(EngineBase):
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def _raise_pending_error(self) -> None:
-        if self._error is not None:
-            exc, self._error = self._error, None
-            raise exc
-
     async def _drive(self, stop: Callable[[], bool],
                      deadline: Optional[float]) -> bool:
         start_wall = time.monotonic()
-        # Zero-delay sleeps between checks let due timers and socket
-        # tasks run; back off to poll_interval once nothing is imminent.
-        while True:
-            self._raise_pending_error()
-            if stop():
-                return True
-            if deadline is not None and self.now >= deadline:
-                return stop()
-            if time.monotonic() - start_wall > self.max_wall_s:
-                raise RealtimeTimeout(
-                    f"live pump exceeded max_wall_s={self.max_wall_s}")
-            await asyncio.sleep(self.poll_interval_s)
+        try:
+            while True:
+                if self._error is not None:
+                    exc, self._error = self._error, None
+                    raise exc
+                if stop():
+                    return True
+                if deadline is not None and self.now >= deadline:
+                    return stop()
+                if time.monotonic() - start_wall > self.max_wall_s:
+                    raise RealtimeTimeout(
+                        f"live pump exceeded max_wall_s={self.max_wall_s}")
+                # One fallback tick stays armed across kicks (re-arming per
+                # wake-up would let a busy loop starve it); the last one
+                # lands on the deadline.
+                if self._tick_handle is None:
+                    delay = self.poll_interval_s
+                    if deadline is not None:
+                        delay = min(delay, self._wall_delay(deadline - self.now))
+                    self._tick_handle = self.loop.call_later(delay, self._tick)
+                self._wakeup.clear()  # stop() above saw every kick so far
+                await self._wakeup.wait()
+        finally:
+            if self._tick_handle is not None:
+                self._tick_handle.cancel()
+                self._tick_handle = None
 
     def _pump(self, stop: Callable[[], bool], deadline: Optional[float]) -> bool:
         if self._running:
@@ -205,20 +238,28 @@ class RealtimeScheduler(EngineBase):
     def run(self, until: Optional[float] = None,
             max_events: Optional[int] = None) -> None:
         """With ``until``: pump until that virtual time.  Without: drain
-        to quiescence (no one-shot timers, all idle sources quiet for two
-        consecutive polls), then fire the idle hook."""
+        to quiescence (no one-shot timers, all idle sources quiet on two
+        consecutive fallback ticks), then fire the idle hook."""
         if until is not None:
             self._pump(lambda: False, until)
             return
         budget = (None if max_events is None
                   else self._events_executed + max_events)
-        streak = [0]
+        streak = 0
+        counted = -1  # the tick count the streak last grew on
 
         def _stop() -> bool:
+            nonlocal streak, counted
             if budget is not None and self._events_executed >= budget:
                 return True
-            streak[0] = streak[0] + 1 if self._quiet() else 0
-            return streak[0] >= 2
+            if not self._quiet():
+                streak = 0
+            elif self._ticks != counted:
+                # One observation per tick (and the very first check): a
+                # kick can break the streak, never lengthen it.
+                counted = self._ticks
+                streak += 1
+            return streak >= 2
 
         self._pump(_stop, None)
         if self._idle_hook is not None and self._quiet():

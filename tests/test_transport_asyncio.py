@@ -1,13 +1,22 @@
 """AsyncioTransport carriage tests: sockets, ports, cut/heal, codec
-errors, partitioned mode.  Everything shared with the DES network runs in
-``tests/test_transport_conformance.py``."""
+errors, the receive-side frame cap, the bounded per-peer queue, pump
+wake-ups, partitioned mode.  Everything shared with the DES network runs
+in ``tests/test_transport_conformance.py``."""
+
+import asyncio
+import socket
+import struct
+import time
 
 import pytest
 
 from repro.net.message import Message
 from repro.net.network import Host
 from repro.net.site import SiteRegistry
+from repro.transport import asyncio_transport
 from repro.transport.asyncio_transport import AsyncioTransport
+from repro.transport.codec import (CodecError, encode_frame, encode_message,
+                                   frame)
 from repro.transport.realtime import RealtimeScheduler
 
 
@@ -34,15 +43,29 @@ class Echo(Host):
                                        payload={"n": msg.payload["n"]}))
 
 
-@pytest.fixture
-def rig():
-    sched = RealtimeScheduler(time_scale=0.01, poll_interval_s=0.0005)
+def make_rig(**scheduler_options):
+    sched = RealtimeScheduler(time_scale=0.01, **scheduler_options)
     registry = SiteRegistry()
     registry.add("A", "r")
     registry.add("B", "r")
     sites = list(registry)
     net = AsyncioTransport(sched, connect_timeout_s=0.5,
                            connect_retries=1, connect_backoff_s=0.02)
+    return sched, sites, net
+
+
+@pytest.fixture
+def rig():
+    sched, sites, net = make_rig()
+    yield sched, sites, net
+    net.close()
+    sched.close()
+
+
+@pytest.fixture
+def slow_tick_rig():
+    """A fallback tick so long (0.25 s) that anything prompt was a kick."""
+    sched, sites, net = make_rig(poll_interval_s=0.25)
     yield sched, sites, net
     net.close()
     sched.close()
@@ -164,11 +187,6 @@ def test_handler_error_fails_the_pump(rig):
 
 
 def test_corrupt_frame_reports_codec_error(rig):
-    import socket
-    import struct
-
-    from repro.transport.codec import CodecError
-
     sched, sites, net = rig
     b = Recorder(sites[1])
     net.attach(b)
@@ -178,6 +196,130 @@ def test_corrupt_frame_reports_codec_error(rig):
     with pytest.raises(CodecError):
         sched.run_until(lambda: net.messages_dropped == 1, timeout=20_000.0)
     assert b.received == []
+
+
+def _corrupt(body, old, new):
+    assert old in body
+    return body.replace(old, new)
+
+
+@pytest.mark.parametrize("bad_body", [
+    _corrupt(encode_message(Message(kind="t", payload={"k": "value"})),
+             b"value", b"va\xffue"),                     # invalid UTF-8
+    _corrupt(encode_message(Message(kind="t", payload={"k": None})),
+             b"S\x00\x00\x00\x01k", b"L\x00\x00\x00\x00"),  # {[]: None}
+], ids=["invalid-utf8", "list-keyed-dict"])
+def test_undecodable_body_is_a_counted_drop_and_the_stream_goes_on(rig, bad_body):
+    """The decoder is total: a body it cannot parse is a CodecError the
+    pump hears about and one counted drop — not an exception that kills
+    the connection's reader with the frame neither delivered nor dropped."""
+    sched, sites, net = rig
+    b = Recorder(sites[1])
+    net.attach(b)
+    after = encode_frame(Message(kind="after", payload={}))
+    with socket.create_connection(("127.0.0.1", net.port_of(b.address))) as s:
+        s.sendall(frame(bad_body) + after)
+        with pytest.raises(CodecError):
+            sched.run_until(lambda: False, timeout=20_000.0)
+        assert sched.run_until(lambda: b.received, timeout=20_000.0)
+    assert [m.kind for m in b.received] == ["after"]
+    assert net.messages_dropped == 1
+    assert conserve(net)
+
+
+def test_oversized_length_prefix_is_refused_on_receive(rig):
+    """MAX_FRAME_BYTES holds where frames *arrive*: a prefix claiming
+    128 MiB is a counted CodecError and the connection is closed, instead
+    of the server settling down to wait for 134,217,728 bytes."""
+    sched, sites, net = rig
+    b = Recorder(sites[1])
+    net.attach(b)
+    with socket.create_connection(("127.0.0.1", net.port_of(b.address))) as s:
+        s.sendall(struct.pack(">I", 128 * 1024 * 1024) + b"x" * 4096)
+        with pytest.raises(CodecError, match="cap"):
+            sched.run_until(lambda: False, timeout=2_000.0)  # 20 ms wall
+        assert net.messages_dropped == 1
+        sched.run_for(100.0)  # the close goes out
+        s.settimeout(1.0)     # still open on the other side: times out
+        try:
+            assert s.recv(1) == b""
+        except ConnectionResetError:
+            pass  # closed all the same
+    assert b.received == []
+    assert conserve(net)
+
+
+def test_hung_destination_queue_is_bounded(rig, monkeypatch):
+    """A destination whose connect never completes: its queue stops at the
+    bound, every overflow frame is dropped exactly once, conservation
+    holds after every send, and close() cancels the resident sender."""
+    bound = 4096
+    sched, sites, net = rig
+    a = Recorder(sites[0])
+    b = Recorder(sites[1])
+    net.attach(a)
+    net.attach(b)
+    net.connect_timeout_s = 60.0
+
+    async def never_connects(*_endpoint):
+        await asyncio.Event().wait()
+
+    monkeypatch.setattr(asyncio, "open_connection", never_connects)
+    for n in range(bound):
+        a.send(b.address, Message(kind="x", payload={"n": n}))
+        assert conserve(net)
+    sched.run_for(100.0)  # the sender wakes up and hangs in its connect
+    for n in range(50):
+        a.send(b.address, Message(kind="x", payload={"n": bound + n}))
+        assert conserve(net)
+        assert not net._wire_quiet()
+    assert net.messages_dropped == 50
+    assert net.messages_in_flight == bound == asyncio_transport._PEER_QUEUE_FRAMES
+    peer = net._peers[b.address]
+    assert len(peer.frames) == bound
+    assert not peer.task.done()
+    net.close()
+    sched.run_for(10.0)
+    assert peer.task.cancelled()
+    assert b.received == []
+
+
+def test_frame_arrival_wakes_the_pump(slow_tick_rig):
+    sched, sites, net = slow_tick_rig
+    a = Recorder(sites[0])
+    b = Recorder(sites[1])
+    net.attach(a)
+    net.attach(b)
+    a.send(b.address, Message(kind="x", payload={}))
+    started = time.monotonic()
+    assert sched.run_until(lambda: b.received, timeout=60_000.0)
+    assert time.monotonic() - started < 0.2  # polling would take >= 0.25
+
+
+def test_transport_error_wakes_the_pump(slow_tick_rig):
+    sched, sites, net = slow_tick_rig
+    b = Recorder(sites[1])
+    net.attach(b)
+    with socket.create_connection(("127.0.0.1", net.port_of(b.address))) as s:
+        s.sendall(frame(b"\xffnot a message"))
+        started = time.monotonic()
+        with pytest.raises(CodecError):
+            sched.run_until(lambda: False, timeout=60_000.0)
+        assert time.monotonic() - started < 0.2
+
+
+def test_run_does_not_return_while_a_frame_is_in_flight(rig):
+    """Quiescence still waits for the wire: ``run()`` returns only after
+    the ping *and* the pong it provokes have landed."""
+    sched, sites, net = rig
+    a = Recorder(sites[0])
+    b = Echo(sites[1])
+    net.attach(a)
+    net.attach(b)
+    a.send(b.address, Message(kind="ping", payload={"n": 1}))
+    sched.run()
+    assert [m.kind for m in a.received] == ["pong"]
+    assert net.messages_in_flight == 0 and net._wire_quiet()
 
 
 def serve_plan(port_base):

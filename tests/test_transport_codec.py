@@ -6,6 +6,8 @@ import random
 import struct
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.net.message import Message
 from repro.transport.codec import (
@@ -19,6 +21,7 @@ from repro.transport.codec import (
     roundtrip_check,
     split_frames,
 )
+from tests.test_transport_wire_golden import CORPUS
 
 
 def rt(payload):
@@ -149,9 +152,43 @@ def test_subclasses_of_wire_types_rejected():
         encode_message(Message(kind="t", payload=SneakyDict(a=1)))
 
 
+_HINT = " — carry an address/topic reference instead"
+_MAX_INT = 2 ** (8 * 0xFFFF - 9)  # the largest magnitude 2 length bytes carry
+
+
+# The texts are the ones the encoder raised when it built every path
+# eagerly (recorded from PR 19's tree): the failure-only re-walk must name
+# the same first offender, by the same path, in the same words.
+OFFENDING_PATHS = [
+    ({"payload": {"inner": [1, {1, 2}]}},
+     "unserializable payload at payload['inner'][1]: set ({1, 2})" + _HINT),
+    ({"payload": {"t": (1, range(3))}},
+     "unserializable payload at payload['t'][1]: range (range(0, 3))" + _HINT),
+    ({"payload": {"m": {frozenset({1}): 1}}},
+     "unserializable payload at payload['m'].<key frozenset({1})>: "
+     "frozenset (frozenset({1}))" + _HINT),
+    ({"payload": {"m": {("k", 2): {"deep": [0, (None, {2})]}}}},
+     "unserializable payload at payload['m'][('k', 2)]['deep'][1][1]: "
+     "set ({2})" + _HINT),
+    ({"payload": {"a": {1}, "b": {2}}},  # the first offender, not the last
+     "unserializable payload at payload['a']: set ({1})" + _HINT),
+    ({"payload": {"ok": _MAX_INT, "big": 2 ** (8 * 0xFFFF)}},
+     "integer too large for the wire at payload['big']"),
+    ({"payload": {"ok": -_MAX_INT, "s": ["\ud800"]}},
+     "non-UTF-8 string at payload['s'][0]: 'utf-8' codec can't encode "
+     "character '\\ud800' in position 0: surrogates not allowed"),
+    ({"payload": {}, "trace": [1, 2.5, {3}]},
+     "unserializable payload at trace[2]: set ({3})" + _HINT),
+    ({"payload": {}, "trace_ctx": ("q", {4})},
+     "unserializable payload at trace_ctx[1]: set ({4})" + _HINT),
+]
+
+
 def test_error_names_the_offending_path():
-    with pytest.raises(CodecError, match=r"payload\['inner'\]\[1\]"):
-        encode_message(Message(kind="t", payload={"inner": [1, object()]}))
+    for fields, text in OFFENDING_PATHS:
+        with pytest.raises(CodecError) as raised:
+            encode_message(Message(kind="t", **fields))
+        assert str(raised.value) == text
 
 
 def test_version_mismatch_rejected():
@@ -161,11 +198,73 @@ def test_version_mismatch_rejected():
         decode_message(bytes(body))
 
 
+#: The unframed body of every message in the golden corpus (one per
+#: protocol kind plus the edge values: every tag, every nesting).
+GOLDEN_BODIES = [bytes.fromhex(entry["hex"])[4:] for entry in CORPUS]
+
+
 def test_truncated_body_rejected():
+    """Cut at *every* offset: each proper prefix ends inside a tag, a
+    length field or a value, and each is a CodecError — never an
+    IndexError / struct.error."""
+    for body in GOLDEN_BODIES:
+        for cut in range(len(body)):
+            with pytest.raises(CodecError):
+                decode_message(body[:cut])
+
+
+def test_invalid_utf8_rejected():
     body = encode_message(Message(kind="t", payload={"k": "value"}))
-    for cut in (1, len(body) // 2, len(body) - 1):
-        with pytest.raises(CodecError):
-            decode_message(body[:cut])
+    bad = body.replace(b"value", b"va\xffue")
+    with pytest.raises(CodecError, match="UTF-8"):
+        decode_message(bad)
+
+
+@pytest.mark.parametrize("key", [b"L\x00\x00\x00\x00",       # []
+                                 b"M\x00\x00\x00\x00",       # {}
+                                 b"U\x00\x00\x00\x01L\x00\x00\x00\x00"])  # ([],)
+def test_unhashable_dict_key_rejected(key):
+    head = encode_message(Message(kind="t", payload={}))
+    tail = head[head.index(b"M\x00\x00\x00\x00") + 5:]
+    body = head[:-len(tail) - 5] + b"M\x00\x00\x00\x01" + key + b"N" + tail
+    with pytest.raises(CodecError, match="unhashable dict key"):
+        decode_message(body)
+
+
+def test_runaway_nesting_rejected():
+    head = encode_message(Message(kind="t", payload={}))
+    cut = head.index(b"M\x00\x00\x00\x00")
+    body = head[:cut] + b"L\x00\x00\x00\x01" * 100_000 + b"N" + head[cut + 5:]
+    with pytest.raises(CodecError, match="nested too deeply"):
+        decode_message(body)
+
+
+def decodes_or_codec_error(data):
+    """The decoder is total: a Message or a CodecError, nothing else."""
+    try:
+        msg = decode_message(data)
+    except CodecError:
+        return
+    assert type(msg) is Message
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.binary(max_size=200))
+def test_arbitrary_bytes_decode_or_raise_codec_error(data):
+    decodes_or_codec_error(data)
+    decodes_or_codec_error(bytes([WIRE_VERSION]) + data)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_mutated_bodies_decode_or_raise_codec_error(data):
+    body = bytearray(data.draw(st.sampled_from(GOLDEN_BODIES)))
+    for _ in range(data.draw(st.integers(1, 4))):
+        bit = data.draw(st.integers(0, len(body) * 8 - 1))
+        body[bit // 8] ^= 1 << (bit % 8)
+    cut = data.draw(st.integers(0, len(body)))
+    decodes_or_codec_error(bytes(body))
+    decodes_or_codec_error(bytes(body[:cut]))
 
 
 def test_trailing_garbage_rejected():

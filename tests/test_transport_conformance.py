@@ -98,8 +98,8 @@ def rig(request):
     if request.param == "sim":
         rig = Rig(Simulator(), _sim_network)
     else:
-        rig = Rig(RealtimeScheduler(time_scale=0.01, poll_interval_s=0.0005,
-                                    max_wall_s=60.0), _live_transport)
+        rig = Rig(RealtimeScheduler(time_scale=0.01, max_wall_s=60.0),
+                  _live_transport)
     yield rig
     rig.close()
 

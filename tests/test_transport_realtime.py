@@ -1,5 +1,7 @@
 """RealtimeScheduler: the wall-clock stand-in for the DES Simulator."""
 
+import time
+
 import pytest
 
 from repro.sim.engine import SimulationError
@@ -8,7 +10,15 @@ from repro.transport.realtime import RealtimeScheduler, RealtimeTimeout
 
 @pytest.fixture
 def sched():
-    s = RealtimeScheduler(time_scale=0.01, poll_interval_s=0.0005)
+    s = RealtimeScheduler(time_scale=0.01)
+    yield s
+    s.close()
+
+
+@pytest.fixture
+def slow_tick():
+    """A fallback tick so long (0.25 s) that anything prompt was a kick."""
+    s = RealtimeScheduler(time_scale=0.01, poll_interval_s=0.25)
     yield s
     s.close()
 
@@ -156,3 +166,64 @@ def test_run_is_not_reentrant(sched):
     sched.schedule(1.0, reenter)
     with pytest.raises(SimulationError, match="not reentrant"):
         sched.run()
+
+
+# ----------------------------------------------------------------------
+# The event-driven pump: kicks wake it, the fallback tick only serves the
+# deadline, max_wall_s and the quiescence streak.
+# ----------------------------------------------------------------------
+def test_timer_wakes_run_until_without_waiting_for_a_tick(slow_tick):
+    flag = []
+    slow_tick.schedule(5.0, flag.append, 1)  # 0.05 ms of wall time
+    started = time.monotonic()
+    assert slow_tick.run_until(lambda: flag, timeout=60_000.0)
+    assert time.monotonic() - started < 0.2  # polling would take >= 0.25
+
+
+def test_run_until_deadline_lands_on_the_deadline_not_a_tick_late(slow_tick):
+    started = time.monotonic()
+    slow_tick.run(until=slow_tick.now + 2_000.0)  # 20 ms of wall time
+    elapsed = time.monotonic() - started
+    assert 0.02 <= elapsed < 0.2
+    started = time.monotonic()
+    assert not slow_tick.run_until(lambda: False, timeout=2_000.0)
+    assert 0.02 <= time.monotonic() - started < 0.2
+
+
+def test_reported_error_wakes_the_pump(slow_tick):
+    slow_tick.loop.call_later(0.01, slow_tick.report_error,
+                              ValueError("transport died"))
+    started = time.monotonic()
+    with pytest.raises(ValueError, match="transport died"):
+        slow_tick.run_until(lambda: False, timeout=60_000.0)
+    assert time.monotonic() - started < 0.2
+
+
+def test_quiescence_counts_ticks_not_kicks():
+    """``run()`` needs quiet on two *fallback ticks*: a burst of kicks (a
+    daemon timer firing every 50 us, the plane quiet throughout) must
+    neither satisfy the streak early nor starve the tick."""
+    sched = RealtimeScheduler(time_scale=0.01, poll_interval_s=0.05)
+    try:
+        kicks = []
+        task = sched.schedule_periodic(5.0, kicks.append, 1)
+        started = time.monotonic()
+        sched.run()
+        elapsed = time.monotonic() - started
+        task.stop()
+        assert len(kicks) > 10    # the pump was woken many times over...
+        assert elapsed >= 0.05    # ...yet waited out a whole tick
+        assert elapsed < 1.0
+    finally:
+        sched.close()
+
+
+def test_kick_without_a_pump_is_a_noop(sched):
+    sched.kick()
+    fired = []
+    sched.schedule(1.0, fired.append, "x")
+    sched.kick()
+    assert fired == []  # a kick wakes a pump; it runs nothing itself
+    sched.run()
+    assert fired == ["x"]
+    sched.kick()

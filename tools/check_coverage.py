@@ -78,6 +78,7 @@ DEFAULT_TESTS = [
     REPO / "tests" / "test_property_range_oracle.py",
     REPO / "tests" / "test_rebalance.py",
     REPO / "tests" / "test_transport_codec.py",
+    REPO / "tests" / "test_transport_wire_golden.py",
     REPO / "tests" / "test_net_network.py",
     REPO / "tests" / "test_net_trace_ctx.py",
     REPO / "tests" / "test_sim_engine.py",
@@ -142,10 +143,20 @@ def run_tests_traced(tests: Iterable[Path],
     import pytest
 
     tracer = make_tracer(hits)
+
+    class Rearm:
+        """CPython unsets a trace function that raises — and one called at
+        the recursion limit does (the codec's runaway-nesting test gets
+        there) — so every test starts with the tracer installed again."""
+
+        @staticmethod
+        def pytest_runtest_setup(item):
+            sys.settrace(tracer)
+
     sys.settrace(tracer)
     try:
         return pytest.main(["-q", "-p", "no:cacheprovider",
-                            *[str(t) for t in tests]])
+                            *[str(t) for t in tests]], plugins=[Rearm])
     finally:
         sys.settrace(None)
 
