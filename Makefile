@@ -65,14 +65,15 @@ trace:
 	  "SELECT 2 FROM * WHERE instance_type = 'c3.large';" \
 	  --nodes 8 --no-jitter --trace-out trace_demo.json
 
-# Range planner (docs/architecture.md §14): bucket/planner unit and golden
-# suites, the oracle-backed property suite (planner on vs. off, row-identical
-# to brute force before and after attribute updates; RBAY_ORACLE_SEEDS widens
-# the sweep), and the planner-on/off ablation
-# (benchmarks/results/planner_ablation.json).
+# The query plan (docs/architecture.md §14): bucket/route unit and golden
+# suites, the plan-is-what-runs suite (EXPLAIN's probes and strategies
+# against the executor's sends), the oracle-backed property suite (planner
+# on vs. off, row-identical to brute force before and after attribute
+# updates; RBAY_ORACLE_SEEDS widens the sweep), and the planner-on/off
+# ablation (benchmarks/results/planner_ablation.json).
 planner:
 	PYTHONPATH=src $(PYTHON) -m pytest -q tests/test_scribe_buckets.py \
-	  tests/test_query_planner.py
+	  tests/test_query_planner.py tests/test_query_plan_execution.py
 	RBAY_ORACLE_SEEDS=$${RBAY_ORACLE_SEEDS:-20} PYTHONPATH=src $(PYTHON) -m pytest \
 	  tests/test_property_range_oracle.py -q
 	PYTHONPATH=src:. $(PYTHON) -m pytest benchmarks/test_planner_ablation.py \

@@ -62,8 +62,7 @@ def run_ganglia(nodes_per_site: int):
 
 def run_rbay(nodes_per_site: int):
     plane, workload = build_dressed_plane(seed=123, nodes_per_site=nodes_per_site,
-                                          jitter=False,
-                                          monitor_interval_ms=1_000.0)
+                                          jitter=False)
     network = plane.network
     network.reset_counters()
     plane.monitor.track_many(plane.nodes)

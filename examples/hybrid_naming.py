@@ -60,8 +60,7 @@ def main() -> None:
         "SELECT 20 FROM California WHERE CPU/Intel/i9 = true;", # model
     ):
         query = parse_query(sql)
-        plan = plan_query(query, plane.context)
-        probes = plan.probes_per_site["California"]
+        probes = plan_query(query, plane.context).probes("California")
         result = plane.query(sql, options=QueryOptions(origin="California",
                                                        caller="joe"))
         print(f"\n{sql}")

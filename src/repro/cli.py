@@ -188,13 +188,13 @@ def cmd_describe(args) -> int:
 def cmd_query(args) -> int:
     """Run one SQL query and print the granted nodes (exit 1 if short)."""
     plane, _ = _build_plane(args)
+    options = QueryOptions(origin=args.origin, caller="cli",
+                           payload={"password": args.password})
     if args.explain:
-        print(plan_query(parse_query(args.sql), plane.context).explain())
+        print(plan_query(parse_query(args.sql), plane.context, options).explain())
         print()
     try:
-        result = plane.query(args.sql, options=QueryOptions(
-            origin=args.origin, caller="cli",
-            payload={"password": args.password}))
+        result = plane.query(args.sql, options=options)
     except QueryError as exc:
         print(f"query failed: {exc}", file=sys.stderr)
         return 1
@@ -557,8 +557,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--show-counters", action="store_true",
                    help="print memo/protocol counters after the query")
     p.add_argument("--explain", action="store_true",
-                   help="print the chosen plan (with the planner's message "
-                        "estimates) before running the query")
+                   help="print the plan every site will follow (routes, "
+                        "probes, steps) before running the query")
     p.set_defaults(fn=cmd_query)
 
     p = sub.add_parser("explain", parents=[common],

@@ -80,10 +80,6 @@ class SiteAdmin:
         """Install the node-level access policy (onGet authorization)."""
         node.define_attribute(GATE_ATTRIBUTE, node.node_id.value, handler_source)
 
-    def set_gate_policy_all(self, handler_source_factory: Callable[[RBayNode], str]) -> None:
-        for node in self.nodes:
-            self.set_gate_policy(node, handler_source_factory(node))
-
     # ------------------------------------------------------------------
     # Interactive policy management (multicast → onDeliver)
     # ------------------------------------------------------------------

@@ -12,7 +12,7 @@ different levels of churn in resources and attribute values").
 from __future__ import annotations
 
 import random
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 from repro.core.node import RBayNode
 from repro.sim.engine import PeriodicTask, Simulator
@@ -145,17 +145,3 @@ class AttributeChurn:
             else:
                 node.define_attribute(self.attribute, self.value_factory(self.rng))
             self.flips += 1
-
-
-class ChurnStats:
-    """Membership-churn observer: samples tree sizes over time."""
-
-    def __init__(self, sim: Simulator):
-        self.sim = sim
-        self.samples: Dict[str, List[tuple]] = {}
-
-    def sample(self, topic: str, size: int) -> None:
-        self.samples.setdefault(topic, []).append((self.sim.now, size))
-
-    def series(self, topic: str) -> List[tuple]:
-        return list(self.samples.get(topic, ()))

@@ -16,7 +16,7 @@ attribute into anycasts over its leaf subtrees.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Set
+from typing import Dict, List, Optional, Set
 
 
 def _canonical_value(value: object) -> str:
@@ -140,8 +140,3 @@ class AttributeHierarchy:
         trees.update(self._children)
         trees.update(self._parent.values())
         return len(trees)
-
-    def all_trees(self) -> Iterable[str]:
-        trees = set(self._parent)
-        trees.update(self._children)
-        return sorted(trees)

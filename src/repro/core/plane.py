@@ -63,8 +63,6 @@ class RBayConfig:
     instruction_limit: int = 100_000
     reservation_hold_ms: float = 2_000.0
     lease_ms: float = 60_000.0
-    monitor_interval_ms: float = 1_000.0
-    loss_rate: float = 0.0
     #: Receiver-side processing delay per message (ms).  0 = pure network
     #: latency; ~1-2 ms approximates the paper's shared-VM JVM costs.
     processing_delay_ms: float = 0.0
@@ -108,10 +106,6 @@ class RBayConfig:
     #: Raise :class:`repro.check.InvariantViolationError` at the first
     #: violation instead of collecting into the report.
     sanitize_fail_fast: bool = False
-    #: Convergence grace window (ms): churn-sensitive structural
-    #: invariants only report findings that persist this long past the
-    #: last fault activity.
-    sanitize_grace_ms: float = 2_500.0
     #: Load-triggered hot-tree balancing (docs/architecture.md §15): a
     #: :class:`repro.scribe.rebalance.RebalanceConfig` turns it on — roots
     #: whose per-window message load stays hot spawn replicas and
@@ -136,8 +130,6 @@ class RBayConfig:
     time_scale: float = 1.0
     #: Live-only: interface the per-node TCP servers bind.
     live_bind_host: str = "127.0.0.1"
-    #: Live-only: wall-clock budget for one TCP connect attempt.
-    connect_timeout_ms: float = 1_000.0
     #: Live-only: reconnect attempts (with linear backoff) before a frame
     #: is written off as dropped and the sender's protocol timeouts kick in.
     connect_retries: int = 3
@@ -156,7 +148,6 @@ class RBay:
         self.streams = RandomStreams(cfg.seed)
         self.registry = self._make_registry(cfg)
         self.latency = self._make_latency(cfg)
-        loss_rng = self.streams.stream("network-loss") if cfg.loss_rate else None
         #: The scheduling engine everything runs on.  Typed against the
         #: structural :class:`~repro.sim.EngineProtocol`: the plane never
         #: relies on anything outside that contract, which is what lets the
@@ -167,8 +158,6 @@ class RBay:
             self.network = Network(
                 self.sim,
                 self.latency,
-                loss_rate=cfg.loss_rate,
-                loss_rng=loss_rng,
                 processing_ms=cfg.processing_delay_ms,
                 wire_check=cfg.wire_check,
             )
@@ -181,10 +170,7 @@ class RBay:
                 self.sim,
                 self.latency,
                 bind_host=cfg.live_bind_host,
-                loss_rate=cfg.loss_rate,
-                loss_rng=loss_rng,
                 processing_ms=cfg.processing_delay_ms,
-                connect_timeout_s=cfg.connect_timeout_ms / 1000.0,
                 connect_retries=cfg.connect_retries,
                 peer_plan=cfg.transport_peers,
             )
@@ -223,9 +209,7 @@ class RBay:
         )
         self.admins: Dict[str, SiteAdmin] = {}
         self.customers: List[Customer] = []
-        self.monitor = SyntheticMonitor(
-            self.sim, self.streams.stream("monitor"), interval_ms=cfg.monitor_interval_ms
-        )
+        self.monitor = SyntheticMonitor(self.sim, self.streams.stream("monitor"))
         self.churn = ChurnTracker(self.sim)
         #: Set by :meth:`install_faults` (or at build time when the config
         #: carries a ``fault_schedule``).
@@ -290,7 +274,6 @@ class RBay:
                 self,
                 sweep_events=self.config.sanitize_sweep_events,
                 fail_fast=self.config.sanitize_fail_fast,
-                grace_ms=self.config.sanitize_grace_ms,
             ).attach()
         if self.config.fault_schedule is not None:
             self.install_faults(self.config.fault_schedule)
@@ -358,7 +341,7 @@ class RBay:
         roll-up) and re-buckets eagerly when the value crosses a
         boundary; nodes added later are subscribed automatically.  Range
         predicates and GROUP BY on the attribute are then routed by the
-        planner (:mod:`repro.query.planner`) to the buckets they overlap.
+        query plan (:mod:`repro.query.plan`) to the buckets they overlap.
         Registering the same partition twice is a no-op; a conflicting
         partition raises.
         """

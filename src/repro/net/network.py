@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import random
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.net.latency import LatencyModel
@@ -30,12 +29,10 @@ class Network(Transport):
         self,
         sim: Simulator,
         latency: Optional[LatencyModel] = None,
-        loss_rate: float = 0.0,
-        loss_rng: Optional[random.Random] = None,
         processing_ms: float = 0.0,
         wire_check: bool = False,
     ):
-        super().__init__(sim, latency, loss_rate, loss_rng, processing_ms)
+        super().__init__(sim, latency, processing_ms)
         #: Messages bound for the same destination at the exact same
         #: delivery time share one scheduled event: a burst of N same-time
         #: sends to a host costs one heap operation instead of N.

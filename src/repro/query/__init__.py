@@ -16,14 +16,13 @@ from repro.query.admission import AdmissionController
 from repro.query.backoff import TruncatedExponentialBackoff
 from repro.query.errors import QueryAborted, QueryError, QueryTimeout
 from repro.query.executor import QueryApplication
-from repro.query.options import DEFAULT_OPTIONS, QueryOptions
+from repro.query.options import QueryOptions
 from repro.query.predicates import Predicate, evaluate
 from repro.query.result import QueryResult
 from repro.query.sql import Query, SQLSyntaxError, parse_query
 
 __all__ = [
     "AdmissionController",
-    "DEFAULT_OPTIONS",
     "Predicate",
     "Query",
     "QueryAborted",

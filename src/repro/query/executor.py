@@ -161,16 +161,23 @@ class _QueryContext:
         #: subscribes here.  Empty by default (zero-cost when unused).
         self.result_listeners: List[Any] = []
         #: Registry of range-partitioned (bucketed) attributes; range
-        #: predicates on registered attributes are routed by the planner
-        #: (:mod:`repro.query.planner`) to the buckets they overlap instead
-        #: of the legacy one-tree-per-predicate path.
+        #: predicates on registered attributes are routed by the plan
+        #: (:mod:`repro.query.plan`) to the buckets they overlap instead
+        #: of the ``direct`` one-tree-per-predicate route.
         self.bucket_index = bucket_index if bucket_index is not None else BucketIndex()
-        #: Default for the planner (per-query ``QueryOptions.planner``
-        #: overrides it); False runs the bucket-unaware flood baseline.
+        #: Default for the planner; False runs the bucket-unaware flood
+        #: baseline (see :meth:`planner_on`).
         self.planner_enabled = planner_enabled
 
     def set_gateway(self, site_name: str, address: int) -> None:
         self.gateways[site_name] = address
+
+    def planner_on(self, options: Optional[QueryOptions]) -> bool:
+        """The planner setting one query runs under: its own
+        ``QueryOptions.planner`` override, else the plane's default."""
+        if options is None or options.planner is None:
+            return self.planner_enabled
+        return bool(options.planner)
 
     def deadline_for(self, retries: Optional[int] = None) -> float:
         """Overall fan-out deadline: room for every retry round to finish."""
@@ -521,8 +528,11 @@ class QueryApplication(Application):
 
     def _site_query(self, node: "RBayNode", request: _SiteRequest,
                     predicates: List[Predicate]) -> Future:
+        """Steps 1-5 for one conjunction: build its plan
+        (:func:`~repro.query.plan.plan_conjunction`), probe what the plan
+        says, let the plan choose the family, walk it."""
         from repro.core.naming import site_tree  # lazy: avoids cycle
-        from repro.query.planner import plan_group_pushdown, route_predicates
+        from repro.query.plan import plan_conjunction  # lazy: avoids cycle
 
         sim = self.context.sim
         done = Future(sim)
@@ -532,10 +542,7 @@ class QueryApplication(Application):
         if not predicates and group_by is None:
             sim.call_soon(done.try_resolve, _site_result())
             return done
-        planner_on = (self.context.planner_enabled
-                      if options.planner is None else bool(options.planner))
         rec = self.obs.recorder
-        metrics = self.obs.metrics
         exec_span = None
         exec_ctx = None
         if rec.enabled:
@@ -548,54 +555,18 @@ class QueryApplication(Application):
             done.add_callback(lambda result: self.obs.end_step(
                 exec_span, status="timeout" if _lost(result) else "ok"))
 
-        # Route each predicate: the planner picks the tree family (bucket
-        # subset / full family / legacy candidate trees) per predicate;
-        # GROUP BY may push the whole query down into the bucket roll-ups
-        # and skip member visits entirely.
-        pushdown = None
-        if group_by is not None and not query.is_disjunctive():
-            pushdown = plan_group_pushdown(self.context, predicates, group_by,
-                                           planner_on)
-        families: List[Dict[str, Any]] = []
+        def qualify(tree: str) -> str:
+            return site_tree(site_name, tree)
+
+        plan = plan_conjunction(self.context, predicates, group_by,
+                                not query.is_disjunctive(),
+                                self.context.planner_on(options))
+        for strategy in plan.strategies():
+            self.obs.metrics.increment(f"query.plan.{strategy}")
+
+        # Steps 1-2: probe the size of every tree the plan names.
+        to_probe = [qualify(tree) for tree in plan.probes()]
         size_of: Dict[str, int] = {}
-
-        def _whole_buckets(buckets) -> Dict[str, Any]:
-            # The synthetic, predicate-less family a GROUP BY searches.
-            return {"predicate": None, "exact": True,
-                    "topics": [site_tree(site_name, b.tree) for b in buckets]}
-
-        if pushdown is not None:
-            metrics.increment("query.plan.pushdown")
-            if not pushdown:
-                sim.call_soon(done.try_resolve, _site_result())
-                return done
-            families.append(_whole_buckets(pushdown))
-        else:
-            # Group queries must see every match, so routes are costed
-            # with an unbounded k.
-            routes = route_predicates(
-                self.context, predicates,
-                query.k if group_by is None else None, planner_on)
-            for route in routes:
-                metrics.increment(f"query.plan.{route.strategy}")
-                families.append({
-                    "predicate": route.predicate,
-                    "topics": [site_tree(site_name, t) for t in route.trees],
-                    "exact": route.exact,
-                })
-            if group_by is not None and not predicates:
-                spec = self.context.bucket_index.spec_for(group_by)
-                if spec is None:
-                    # No WHERE and no bucket index: there is no tree that
-                    # covers "every node holding the attribute".
-                    sim.call_soon(done.try_resolve, _site_result())
-                    return done
-                families.append(_whole_buckets(spec.buckets))
-
-        # Steps 1-2: probe sizes of every candidate tree, grouped by the
-        # predicate it serves.
-        groups: List[List[str]] = [family["topics"] for family in families]
-        to_probe = list(dict.fromkeys(t for group in groups for t in group))
 
         def _probe_round(topics_left: List[str]) -> None:
             probe_span = None
@@ -649,41 +620,19 @@ class QueryApplication(Application):
         def _after_probe() -> None:
             # GROUP BY pushdown: the bucket roll-up counts *are* the
             # per-group answer — no anycast, no member visits at all.
-            if pushdown is not None:
-                rows = [
-                    {"group": bucket.label, "count": size_of.get(topic, 0)}
-                    for bucket, topic in zip(pushdown, families[0]["topics"])
-                    if size_of.get(topic, 0) > 0
-                ]
+            if plan.pushdown is not None:
+                rows = [{"group": bucket.label, "count": count}
+                        for bucket in plan.pushdown
+                        if (count := size_of[qualify(bucket.tree)]) > 0]
                 done.try_resolve(_site_result(rows, size_of))
                 return
-            # Step 3: pick the predicate whose tree family is smallest.
-            totals = [sum(size_of[t] for t in group) for group in groups]
-            populated = [i for i, total in enumerate(totals) if total > 0]
-            if not populated:
+            # Step 3 is the plan's: the smallest populated family, and
+            # which predicate its membership lets the members skip.
+            chosen = plan.choose(size_of, qualify)
+            if chosen is None:
                 done.try_resolve(_site_result(tree_sizes=size_of))
                 return
-            best_index = min(populated, key=totals.__getitem__)  # first on ties
-            topics = sorted(groups[best_index], key=lambda t: size_of[t])
-            topics = [t for t in topics if size_of[t] > 0]
-            # Tree membership *implies* the chosen predicate (that is what
-            # the tree indexes), so members re-check only the remaining
-            # predicates — the paper's step 4i checks "if its node has less
-            # CPU utilization", not the instance-type the tree already
-            # encodes.  Bucket families are exact only when every searched
-            # bucket lies fully inside the predicate's interval; a
-            # partially-overlapping bucket keeps its predicate strict.
-            # Re-check implied predicates anyway when the attribute is
-            # present locally (guards against stale membership between
-            # maintenance ticks).
-            local_predicates = []
-            for index, family in enumerate(families):
-                family_predicate = family["predicate"]
-                if family_predicate is None:
-                    continue  # the synthetic whole-family GROUP BY entry
-                local_predicates.append(
-                    (family_predicate.pack(),
-                     index == best_index and family["exact"]))
+            topics, local_predicates = chosen
             if group_by is not None:
                 # Collect path: every match contributes its group label;
                 # members are never reserved, so k is unbounded.
@@ -712,8 +661,8 @@ class QueryApplication(Application):
         if to_probe:
             _probe_round(to_probe)
         else:
-            # Only "empty" routes (predicates no value satisfies): there is
-            # no tree to probe.
+            # No tree to probe (only "empty" routes, an empty pushdown, a
+            # GROUP BY nothing indexes): the answer is empty.
             sim.call_soon(_after_probe)
         return done
 
@@ -799,7 +748,7 @@ class QueryApplication(Application):
         for packed, is_implied in state["predicates"]:
             (implied if is_implied else strict).append(Predicate.unpack(packed))
         if state["kind"] == "gquery":
-            from repro.query.planner import group_label  # lazy: avoids cycle
+            from repro.query.plan import group_label  # lazy: avoids cycle
 
             group_attr = state["group_by"]
             if (node.check_predicates(strict, implied=implied)

@@ -46,7 +46,7 @@ class QueryOptions:
         facade picks a gateway node there).  ``None`` uses the first site
         in the federation registry.
     planner:
-        Per-query override of the cost-based range planner.  ``None``
+        Per-query override of the range planner.  ``None``
         inherits the plane's ``planner`` config; ``False`` forces the
         bucket-unaware baseline (probe and search the whole bucket family
         with strict checks) — the planner-off ablation arm.
@@ -59,7 +59,3 @@ class QueryOptions:
     k: Optional[int] = None
     origin: Optional[str] = None
     planner: Optional[bool] = None
-
-
-#: Shared all-defaults instance (safe to share: the dataclass is frozen).
-DEFAULT_OPTIONS = QueryOptions()

@@ -8,8 +8,8 @@ split a numeric attribute's value domain into contiguous *buckets*, each
 backed by its own Scribe topic with the usual aggregate roll-up.  A node
 joins exactly the bucket containing its current value and re-buckets when
 the value crosses a boundary, so a range query only needs the buckets its
-interval overlaps — the cost-based planner (:mod:`repro.query.planner`)
-then probes or anycasts that subset instead of flooding the base tree.
+interval overlaps — the query plan (:mod:`repro.query.plan`) probes and
+anycasts that subset instead of flooding the base tree.
 
 Boundaries are deterministic (evenly spaced over ``[lo, hi)``) so every
 site derives identical bucket names from the registered spec alone, the

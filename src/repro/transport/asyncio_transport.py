@@ -36,7 +36,6 @@ Two deployment shapes share this class:
 from __future__ import annotations
 
 import asyncio
-import random
 from collections import Counter
 from functools import partial
 from typing import Any, Dict, List, Optional, Set
@@ -111,15 +110,13 @@ class AsyncioTransport(Transport):
         scheduler: RealtimeScheduler,
         latency: Optional[LatencyModel] = None,
         bind_host: str = "127.0.0.1",
-        loss_rate: float = 0.0,
-        loss_rng: Optional[random.Random] = None,
         processing_ms: float = 0.0,
         connect_timeout_s: float = 1.0,
         connect_retries: int = 3,
         connect_backoff_s: float = 0.2,
         peer_plan: Optional[Any] = None,
     ):
-        super().__init__(scheduler, latency, loss_rate, loss_rng, processing_ms)
+        super().__init__(scheduler, latency, processing_ms)
         self.loop = scheduler.loop
         self.bind_host = bind_host
         self.connect_timeout_s = connect_timeout_s

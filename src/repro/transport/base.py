@@ -23,7 +23,6 @@ and never touched at all when the recorder is off.
 
 from __future__ import annotations
 
-import random
 from collections import Counter
 from dataclasses import dataclass
 from functools import partial
@@ -162,20 +161,14 @@ class Transport:
         self,
         sim: Any,
         latency: Optional[LatencyModel] = None,
-        loss_rate: float = 0.0,
-        loss_rng: Optional[random.Random] = None,
         processing_ms: float = 0.0,
     ):
-        if loss_rate and loss_rng is None:
-            raise NetworkError("loss_rate requires a loss_rng for determinism")
         if latency is None:
             from repro.net.latency import UniformLatencyModel
 
             latency = UniformLatencyModel()
         self.sim = sim
         self.latency = latency
-        self.loss_rate = loss_rate
-        self._loss_rng = loss_rng
         #: Fixed receiver-side processing delay added to every delivery —
         #: approximates host cost (the paper's JVMs shared 2-core VMs
         #: 100:1, which dominates its local-site latencies).
@@ -280,7 +273,7 @@ class Transport:
         Returns ``(dst_host, size, extra_delay_ms, copies)`` for the
         backend to carry, every copy already counted as sent — or ``None``
         when the message goes nowhere and is fully accounted (suppressed,
-        lost, unknown destination, dropped by the fault filter).  ``served``
+        unknown destination, dropped by the fault filter).  ``served``
         is False for a host this backend only shadows: its owner sends.
         """
         if not (served and src.alive) or self._hosts.get(src.address) is not src:
@@ -295,9 +288,6 @@ class Transport:
         size = msg.size_bytes()
         self.bytes_sent += size
         self.per_host_sent[src.address] += 1
-        if self.loss_rate and self._loss_rng.random() < self.loss_rate:
-            self.messages_dropped += 1
-            return None
         dst_host = self._hosts.get(dst_address)
         if dst_host is None:
             # Destination unknown at send time: model as a dropped packet

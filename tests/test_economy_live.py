@@ -31,7 +31,6 @@ def live_market():
         jitter=False,
         transport="asyncio",
         time_scale=0.02,
-        connect_timeout_ms=500.0,
         connect_retries=1,
     )).build()
     try:

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.plane import RBay, RBayConfig
+from repro.faults import MessageRule
 from repro.workloads.generator import FederationWorkload, WorkloadSpec
 from repro.workloads.queries import QueryWorkload
 
@@ -34,11 +35,21 @@ class TestDeterminism:
         assert a != b
 
 
+def build_lossy(drop_prob, **config):
+    """A built plane that loses every message with ``drop_prob`` — a
+    fault rule started right after ``build()``, so the joins sent before
+    the first ``sim.run()`` are exposed too (a scheduled ``rule_start``
+    event would miss them).  Returns the rule so a test can end it."""
+    plane = RBay(RBayConfig(jitter=False, **config)).build()
+    rule = MessageRule(name="uniform-loss", drop_prob=drop_prob)
+    plane.install_faults().start_rule(rule)
+    return plane, rule
+
+
 class TestLossResilience:
     @pytest.fixture
     def lossy_plane(self):
-        plane = RBay(RBayConfig(seed=77, nodes_per_site=12, jitter=False,
-                                loss_rate=0.02)).build()
+        plane, _ = build_lossy(0.02, seed=77, nodes_per_site=12)
         workload = FederationWorkload(plane, WorkloadSpec(password="pw")).apply()
         plane.sim.run()
         return plane, workload
@@ -78,8 +89,7 @@ class TestLossResilience:
         assert result.finished_at >= result.started_at
 
     def test_heavy_loss_still_terminates(self):
-        plane = RBay(RBayConfig(seed=78, nodes_per_site=8, jitter=False,
-                                loss_rate=0.25)).build()
+        plane, _ = build_lossy(0.25, seed=78, nodes_per_site=8)
         workload = FederationWorkload(plane, WorkloadSpec(password="pw")).apply()
         plane.sim.run()
         customer = plane.make_customer("storm", "Tokyo", max_attempts=2)
@@ -91,8 +101,8 @@ class TestLossResilience:
         assert outcome.attempts >= 1
 
     def test_aggregates_converge_after_loss_stops(self):
-        plane = RBay(RBayConfig(seed=79, nodes_per_site=10, jitter=False,
-                                loss_rate=0.1, maintenance_interval_ms=500.0)).build()
+        plane, rule = build_lossy(0.1, seed=79, nodes_per_site=10,
+                                  maintenance_interval_ms=500.0)
         plane.sim.run()
         admin = plane.admin("Oregon")
         nodes = plane.site_nodes("Oregon")
@@ -100,7 +110,7 @@ class TestLossResilience:
             admin.post_resource(node, "GPU", True)
         plane.sim.run()
         # Stop the loss, then let maintenance re-push aggregation state.
-        plane.network.loss_rate = 0.0
+        plane.fault_injector.end_rule(rule)
         plane.start_maintenance()
         plane.settle(6_000.0)
         plane.stop_maintenance()

@@ -1,8 +1,6 @@
 """Unit tests for the simulated network (crash recovery and sender
 suppression run on both backends in ``tests/test_transport_conformance.py``)."""
 
-import random
-
 import pytest
 
 from repro.net.latency import UniformLatencyModel, make_ec2_registry
@@ -32,19 +30,6 @@ def hosts(net, registry):
     return pair
 
 
-def test_attach_assigns_sequential_addresses(net, registry):
-    a = Recorder(registry[0])
-    b = Recorder(registry[0])
-    assert net.attach(a) == 0
-    assert net.attach(b) == 1
-    assert net.host(0) is a and net.host(1) is b
-
-
-def test_unknown_address_raises(net):
-    with pytest.raises(NetworkError):
-        net.host(99)
-
-
 def test_delivery_with_model_latency(sim, net, hosts):
     a, b = hosts
     a.send(b.address, Message(kind="ping"))
@@ -52,54 +37,6 @@ def test_delivery_with_model_latency(sim, net, hosts):
     assert len(b.received) == 1
     _, at = b.received[0]
     assert at == 1.5
-
-
-def test_message_src_dst_filled(sim, net, hosts):
-    a, b = hosts
-    a.send(b.address, Message(kind="ping"))
-    sim.run()
-    msg, _ = b.received[0]
-    assert msg.src == a.address and msg.dst == b.address
-
-
-def test_send_to_missing_host_drops(sim, net, hosts):
-    a, _ = hosts
-    a.send(1234, Message(kind="ping"))
-    sim.run()
-    assert net.messages_dropped == 1
-
-
-def test_detached_host_receives_nothing(sim, net, hosts):
-    a, b = hosts
-    a.send(b.address, Message(kind="ping"))
-    net.detach(b)
-    sim.run()
-    assert b.received == []
-    assert net.messages_dropped == 1
-
-
-def test_detach_then_send_also_drops(sim, net, hosts):
-    a, b = hosts
-    net.detach(b)
-    a.send(b.address, Message(kind="ping"))
-    sim.run()
-    assert net.messages_dropped == 1
-
-
-def test_loss_rate_drops_fraction(sim, registry):
-    net = Network(sim, UniformLatencyModel(0.1), loss_rate=0.5,
-                  loss_rng=random.Random(0))
-    a, b = Recorder(registry[0]), Recorder(registry[0])
-    net.attach(a), net.attach(b)
-    for _ in range(400):
-        a.send(b.address, Message(kind="ping"))
-    sim.run()
-    assert 120 < len(b.received) < 280  # ~200 expected
-
-
-def test_loss_rate_without_rng_rejected(sim):
-    with pytest.raises(NetworkError):
-        Network(sim, UniformLatencyModel(), loss_rate=0.1)
 
 
 def test_traffic_counters(sim, net, hosts):

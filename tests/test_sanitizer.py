@@ -168,7 +168,8 @@ def test_quiescent_only_invariants_skipped_during_sweeps():
 
 
 def test_grace_window_defers_sweep_reports():
-    plane = build_plane(sanitize_grace_ms=500.0)
+    plane = build_plane()
+    plane.sanitizer.grace_ms = 500.0
     failing = [True]
     plane.sanitizer.registry.register(Invariant(
         name="flappy", grace=True,
@@ -187,7 +188,8 @@ def test_grace_window_defers_sweep_reports():
 
 
 def test_grace_candidates_reset_when_the_condition_heals():
-    plane = build_plane(sanitize_grace_ms=500.0)
+    plane = build_plane()
+    plane.sanitizer.grace_ms = 500.0
     failing = [True]
     plane.sanitizer.registry.register(Invariant(
         name="flappy", grace=True,

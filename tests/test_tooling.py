@@ -59,14 +59,14 @@ class TestQueryPlan:
     def test_probe_topics_are_site_scoped(self, plane):
         query = parse_query("SELECT 1 FROM Tokyo WHERE GPU = true")
         plan = plan_query(query, plane.context)
-        assert plan.probes_per_site["Tokyo"] == ["Tokyo/GPU"]
+        assert plan.probes("Tokyo") == ["Tokyo/GPU"]
 
     def test_hierarchy_expansion_marked(self, plane):
         plane.hierarchy.link("CPU/Intel", "CPU")
         query = parse_query("SELECT 1 FROM Tokyo WHERE CPU = true")
         plan = plan_query(query, plane.context)
-        assert plan.predicate_plans[0].expanded
-        assert set(plan.probes_per_site["Tokyo"]) == {"Tokyo/CPU", "Tokyo/CPU/Intel"}
+        assert plan.conjunctions[0].routes[0].reason == "hierarchy-expanded"
+        assert set(plan.probes("Tokyo")) == {"Tokyo/CPU", "Tokyo/CPU/Intel"}
         plane.hierarchy.unlink("CPU/Intel")
 
     def test_explain_mentions_all_steps(self, plane):
@@ -81,7 +81,8 @@ class TestQueryPlan:
     def test_total_probes(self, plane):
         query = parse_query("SELECT 1 FROM Virginia, Tokyo WHERE a = 1 AND b = 2")
         plan = plan_query(query, plane.context)
-        assert plan.total_probes == 4  # 2 predicates x 2 sites
+        # 2 predicates x 2 sites
+        assert sum(len(plan.probes(s)) for s in plan.target_sites) == 4
 
 
 class TestCLI:

@@ -14,8 +14,6 @@ Carriage stays in the per-backend files: ``tests/test_net_network.py``
 errors, partitioned mode).
 """
 
-import random
-
 import pytest
 
 from repro.net.latency import UniformLatencyModel, make_ec2_registry
@@ -41,7 +39,7 @@ class Recorder(Host):
 
 class Rig:
     """One engine, the transport under test, and any extra transports a
-    case builds on the same engine (lossy, foreign)."""
+    case builds on the same engine (a foreign one, say)."""
 
     def __init__(self, engine, factory):
         self.engine = engine
@@ -273,28 +271,6 @@ def test_crash_mid_transit_dropped_exactly_once(rig, how):
     assert b.received == []
     assert (net.messages_sent, net.messages_delivered,
             net.messages_dropped) == (1, 0, 1)
-
-
-def test_loss_rate_without_rng_rejected(rig):
-    with pytest.raises(NetworkError):
-        rig.make(loss_rate=0.1)
-
-
-def test_loss_draws_once_per_send(rig):
-    """Drop iff the send's own draw falls under the rate: both backends
-    consume the seeded stream identically, so they lose the same sends."""
-    net = rig.make(loss_rate=0.5, loss_rng=random.Random(0))
-    a, b = rig.pair(net)
-    for i in range(40):
-        a.send(b.address, ping(i=i))
-        rig.conserved(net)
-    rig.settle(net)
-    oracle = random.Random(0)
-    survivors = [i for i in range(40) if oracle.random() >= 0.5]
-    assert 0 < len(survivors) < 40
-    assert [m.payload["i"] for m, _ in b.received] == survivors
-    assert net.messages_sent == 40
-    assert net.messages_dropped == 40 - len(survivors)
 
 
 class TestFaultFilter:

@@ -11,7 +11,8 @@ Fails (exit 1) when any of these drift apart:
 Also pins the stability contract itself: every public name must resolve
 and carry a docstring, ``QueryOptions``/``QueryResult`` must stay frozen
 dataclasses, and every ``RBayConfig`` field (the public configuration
-knobs, including the sanitizer's) must be listed in ``docs/api.md``.
+knobs, including the sanitizer's) must be listed in ``docs/api.md``,
+which must also state how many there are.
 
 Finally, a deny-list keeps *retired* surfaces retired: names removed from
 the public API (``QueryContext``, the ``execute(payload=/caller=/
@@ -120,6 +121,7 @@ def main() -> int:
     # 6. Every RBayConfig knob is documented in docs/api.md.
     from repro.core.plane import RBayConfig
 
+    fields = {f.name for f in dataclasses.fields(RBayConfig)}
     api_text = API_DOCS.read_text(encoding="utf-8")
     try:
         config_section = api_text.split(CONFIG_SECTION, 1)[1].split("### ", 1)[0]
@@ -130,11 +132,15 @@ def main() -> int:
     else:
         documented = set(re.findall(r"`([A-Za-z_][A-Za-z0-9_]*)`",
                                     config_section))
-        fields = {f.name for f in dataclasses.fields(RBayConfig)}
         missing = sorted(fields - documented)
         if missing:
             errors.append(
                 f"docs/api.md RBayConfig section is missing fields: {missing}")
+        counted = re.search(r"all (\d+) fields", config_section)
+        if counted is None or int(counted.group(1)) != len(fields):
+            errors.append(
+                f"docs/api.md RBayConfig section must say 'all {len(fields)} "
+                f"fields' (found {counted.group(0) if counted else 'no count'})")
 
     # 7. Retired surfaces stay retired.
     for name in DENY_EXPORTS:
@@ -156,7 +162,8 @@ def main() -> int:
     if errors:
         return _fail(errors)
     print(f"check_api: OK ({len(repro.__all__)} public names, "
-          f"{len(query_pkg.__all__)} query exports, docs table in sync)")
+          f"{len(query_pkg.__all__)} query exports, {len(fields)} config "
+          f"fields, docs table in sync)")
     return 0
 
 

@@ -41,7 +41,8 @@ DEFAULT_TARGETS = [
     REPO / "src" / "repro" / "check" / "sanitizer.py",
     REPO / "src" / "repro" / "check" / "invariants.py",
     REPO / "src" / "repro" / "core" / "reservation.py",
-    REPO / "src" / "repro" / "query" / "planner.py",
+    REPO / "src" / "repro" / "query" / "plan.py",
+    REPO / "src" / "repro" / "query" / "executor.py",
     REPO / "src" / "repro" / "scribe" / "buckets.py",
     REPO / "src" / "repro" / "scribe" / "rebalance.py",
     REPO / "src" / "repro" / "net" / "network.py",
@@ -74,6 +75,7 @@ DEFAULT_TESTS = [
     REPO / "tests" / "test_core_reservation.py",
     REPO / "tests" / "test_query_orphan_release.py",
     REPO / "tests" / "test_query_planner.py",
+    REPO / "tests" / "test_query_plan_execution.py",
     REPO / "tests" / "test_scribe_buckets.py",
     REPO / "tests" / "test_property_range_oracle.py",
     REPO / "tests" / "test_rebalance.py",
