@@ -138,8 +138,3 @@ class ReservationTable:
     def expires_at(self) -> float:
         """Read-only expiry instant of the current uncommitted hold."""
         return self._expires_at
-
-    @property
-    def lease_ends(self) -> float:
-        """Read-only expiry instant of the current committed lease."""
-        return self._lease_ends

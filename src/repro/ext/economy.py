@@ -136,13 +136,6 @@ class MarketLedger:
             out[site] = out.get(site, 0.0) + price
         return out
 
-    def spend_by_customer(self) -> Dict[str, float]:
-        """``customer -> total spend`` over every recorded purchase."""
-        out: Dict[str, float] = {}
-        for customer, _, _, price in self.purchases:
-            out[customer] = out.get(customer, 0.0) + price
-        return out
-
 
 class CostAwareCustomer(Customer):
     """Buys the cheapest k nodes that fit inside a total budget.

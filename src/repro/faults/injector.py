@@ -92,7 +92,6 @@ class FaultInjector:
         #: applied (the invariant sanitizer's post-fault-activation hook).
         #: Listeners must only observe — never schedule or mutate.
         self.listeners: List[Any] = []
-        self._installed = False
 
     # ------------------------------------------------------------------
     # Wiring
@@ -100,16 +99,9 @@ class FaultInjector:
     def install(self, schedule: Optional[FaultSchedule] = None) -> "FaultInjector":
         """Hook the network and (optionally) schedule a fault script."""
         self.network.fault_filter = self.on_send
-        self._installed = True
         if schedule is not None:
             self.load(schedule)
         return self
-
-    def uninstall(self) -> None:
-        # == not `is`: bound-method objects are recreated on every access.
-        if self.network.fault_filter == self.on_send:
-            self.network.fault_filter = None
-        self._installed = False
 
     def load(self, schedule: FaultSchedule) -> None:
         """Schedule every event of ``schedule`` on the simulator clock."""

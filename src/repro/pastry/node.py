@@ -155,7 +155,7 @@ class PastryNode(Host):
             for id_value, address, site_index in msg.payload["refs"]:
                 # The replier's own state may still hold failed nodes; the
                 # liveness probe (connection attempt) filters them here.
-                if self.network is None or not self.network.has_host(address):
+                if not self.believes_alive(address):
                     continue
                 peer_site = self.network.host(address).site
                 proximity = self.network.latency.nominal_one_way_ms(self.site, peer_site)
@@ -177,7 +177,7 @@ class PastryNode(Host):
         """
         removed = 0
         for ref in list(self.leaf_set.members()):
-            if not self._is_alive(ref):
+            if not self.believes_alive(ref.address):
                 self.remove_peer(ref.address)
                 removed += 1
         survivors = self.leaf_set.members()
@@ -271,21 +271,22 @@ class PastryNode(Host):
                 hop = cached[1]
                 if hop is None:
                     return None
-                if self.network is not None and self.network.has_host(hop.address):
+                if self.believes_alive(hop.address):
                     return hop
             del cache[key.value]
         if key == self.node_id:
             hop: Optional[NodeRef] = None
         elif leaf_set.covers(key):
             candidate = leaf_set.closer_than_owner(key)
-            while candidate is not None and not self._is_alive(candidate):
+            while (candidate is not None
+                   and not self.believes_alive(candidate.address)):
                 leaf_set.remove(candidate.address)
                 table.remove(candidate.address)
                 candidate = leaf_set.closer_than_owner(key)
             hop = candidate
         else:
             entry = table.next_hop(key)
-            if entry is not None and self._is_alive(entry):
+            if entry is not None and self.believes_alive(entry.address):
                 hop = entry
             else:
                 if entry is not None:
@@ -307,7 +308,7 @@ class PastryNode(Host):
         best: Optional[NodeRef] = None
         best_dist = own_dist
         for ref in list(leaf_set.members()) + list(table.entries()):
-            if not self._is_alive(ref):
+            if not self.believes_alive(ref.address):
                 continue
             if ref.node_id.shared_prefix_len(key) < own_prefix:
                 continue
@@ -316,10 +317,13 @@ class PastryNode(Host):
                 best, best_dist = ref, d
         return best
 
-    def _is_alive(self, ref: NodeRef) -> bool:
-        """Failure detection: in the simulator, liveness is observable at
-        connection time (models an immediate TCP connect failure)."""
-        return self.network is not None and self.network.has_host(ref.address)
+    def believes_alive(self, address: int) -> bool:
+        """This node's belief about whether ``address`` is up — the one
+        liveness question Pastry, Scribe and the rebalancer ask.  Today the
+        belief is the transport's host table (an immediate TCP connect
+        succeeding or failing); it is per node so that evidence this node
+        collects can replace the table without touching a caller."""
+        return self.network is not None and self.network.has_host(address)
 
     def closest_neighbors(self, key: NodeId, count: int, scope: str = "global",
                           exclude: Optional[set] = None) -> List[NodeRef]:
@@ -337,7 +341,7 @@ class PastryNode(Host):
         for ref in sorted(leaf_set.members(),
                           key=lambda r: (r.node_id.distance(key),
                                          r.node_id.value)):
-            if ref.address in seen or not self._is_alive(ref):
+            if ref.address in seen or not self.believes_alive(ref.address):
                 continue
             seen.add(ref.address)
             picks.append(ref)

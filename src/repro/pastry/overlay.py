@@ -166,10 +166,6 @@ class Overlay:
         """Designate boundary 'router' nodes per site (lowest NodeIds)."""
         self.gateways = self.isolation_manager.elect_gateways(self.nodes)
 
-    @staticmethod
-    def _self_ref(node: PastryNode) -> NodeRef:
-        return NodeRef(node.node_id, node.address, node.site.index, 0.0)
-
     # ------------------------------------------------------------------
     # Oracle queries (assertions & experiment bookkeeping)
     # ------------------------------------------------------------------

@@ -199,7 +199,7 @@ class Rebalancer:
         if not hints:
             return False
         live = [a for a in hints
-                if a != node.address and node.network.has_host(a)]
+                if a != node.address and node.believes_alive(a)]
         if not live:
             self.hints.pop(topic, None)
             return False
@@ -271,7 +271,7 @@ class Rebalancer:
         scribe's pruning dissolves them, so adopted subtrees keep flowing
         and no aggregate state is lost."""
         for address in sorted(state.replicas):
-            if node.network.has_host(address):
+            if node.believes_alive(address):
                 node.send_app(address, self.scribe.name, "replica_demote",
                               {"topic": state.topic})
         state.replicas.clear()
@@ -281,7 +281,7 @@ class Rebalancer:
         values = self._finalized_values(state)
         peers = sorted(state.replicas)
         for address in peers:
-            if node.network.has_host(address):
+            if node.believes_alive(address):
                 node.send_app(address, self.scribe.name, "replica_sync", {
                     "topic": state.topic,
                     "values": dict(values),
@@ -308,12 +308,12 @@ class Rebalancer:
                 else:
                     for address in sorted(state.replicas):
                         if (address not in state.children
-                                or not node.network.has_host(address)):
+                                or not node.believes_alive(address)):
                             state.replicas.pop(address, None)
                     self.sync_replicas(node, state)
             if state.replica_of is not None:
                 root = state.replica_of
-                if not node.network.has_host(root) or state.parent != root:
+                if not node.believes_alive(root) or state.parent != root:
                     # Root died or we re-homed: stop serving the snapshot.
                     self._clear_replica_role(node, state)
                 else:

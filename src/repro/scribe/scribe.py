@@ -376,7 +376,7 @@ class ScribeApplication(Application):
         to dropped messages.
         """
         for state in list(self._topics.values()):
-            for address in [a for a in state.children if not node.network.has_host(a)]:
+            for address in [a for a in state.children if not node.believes_alive(a)]:
                 self._drop_child(node, state, address)
             for address in list(state.children):
                 # Child-link anti-entropy: a child that re-homed while we
@@ -385,13 +385,13 @@ class ScribeApplication(Application):
                 # robust to message loss (a lost probe retries next tick).
                 node.send_app(address, self.name, "child_probe",
                               {"topic": state.topic})
-            if state.parent is not None and not node.network.has_host(state.parent):
+            if state.parent is not None and not node.believes_alive(state.parent):
                 self._goodbye(node, state)  # deferred: the parent is down
                 state.parent = None
             if state.former_parent is not None:
                 if state.former_parent == state.parent:
                     state.former_parent = None
-                elif node.network.has_host(state.former_parent):
+                elif node.believes_alive(state.former_parent):
                     node.send_app(state.former_parent, self.name, "leave",
                                   {"topic": state.topic})
                     state.former_parent = None
@@ -616,7 +616,7 @@ class ScribeApplication(Application):
         it recovers (over-count until the next anti-entropy round), so its
         goodbye is deferred: maintain() sends the leave once
         ``former_parent`` is reachable."""
-        if node.network.has_host(state.parent):
+        if node.believes_alive(state.parent):
             node.send_app(state.parent, self.name, "leave",
                           {"topic": state.topic})
         else:
@@ -633,7 +633,7 @@ class ScribeApplication(Application):
                     site=node.site.name, addr=node.address)
             self.multicast_handler(node, state.topic, body)
         for address in list(state.children):
-            if node.network.has_host(address):
+            if node.believes_alive(address):
                 node.send_app(address, self.name, "mcast_down",
                               {"topic": state.topic, "body": body})
             else:
@@ -669,12 +669,12 @@ class ScribeApplication(Application):
         for address in list(state.children):
             if address in visited:
                 continue
-            if not node.network.has_host(address):
+            if not node.believes_alive(address):
                 self._drop_child(node, state, address)
                 continue
             node.send_app(address, self.name, "anycast_walk", data)
             return
-        if state.parent is not None and node.network.has_host(state.parent):
+        if state.parent is not None and node.believes_alive(state.parent):
             node.send_app(state.parent, self.name, "anycast_walk", data)
             return
         # Root with everything visited (or detached): exhausted.
@@ -695,7 +695,7 @@ class ScribeApplication(Application):
                     reply_to) -> None:
         """Recursively collect fresh accumulators from this subtree."""
         pull_id = next(_request_ids)
-        live_children = [a for a in state.children if node.network.has_host(a)]
+        live_children = [a for a in state.children if node.believes_alive(a)]
         record = {
             "topic": state.topic,
             "remaining": len(live_children),
@@ -834,10 +834,10 @@ class ScribeApplication(Application):
         self._flush_event = None
         dirty_topics, self._dirty_topics = self._dirty_topics, {}
         batches: Dict[int, List[Dict[str, Any]]] = {}
-        has_host = node.network.has_host
+        believes_alive = node.believes_alive
         for state in dirty_topics.values():
             for agg_name, acc in self._changed_accs(state):
-                if has_host(state.parent):
+                if believes_alive(state.parent):
                     batches.setdefault(state.parent, []).append({
                         "topic": state.topic, "agg": agg_name, "acc": acc,
                     })

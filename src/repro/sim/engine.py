@@ -6,9 +6,11 @@ threads; they schedule callbacks at future virtual times and the single
 event loop executes them in time order.  Ties are broken by insertion
 order, which keeps runs deterministic.
 
-The run loop drains every callback sharing a timestamp in one tight pass
-and recycles fire-and-forget :class:`Event` objects (:meth:`Simulator.post`)
-through a free-list.
+The queue is a heap of ``(time, seq, handle, callback, args)`` tuples: ``seq``
+is unique, so C-level tuple comparison orders on the first two fields and
+never reaches the rest; ``handle`` is the cancellable :class:`Event` of a
+``schedule``, ``None`` for a ``post``.  :meth:`Simulator._drain` alone pops
+it: ``run``, ``run_until`` and ``step`` are that loop under different stops.
 """
 
 from __future__ import annotations
@@ -17,46 +19,28 @@ import heapq
 import itertools
 from typing import Any, Callable, Optional
 
-#: Upper bound on the recycled-Event free-list; beyond this, executed
-#: pooled events are left to the garbage collector.
-_POOL_LIMIT = 65_536
-
 
 class SimulationError(RuntimeError):
     """Raised for misuse of the simulation engine (e.g. scheduling in the past)."""
 
 
 class Event:
-    """A handle for a scheduled callback.
+    """The handle :meth:`Simulator.schedule` returns for a queued callback.
 
-    Events support cancellation: a cancelled event stays in the heap but is
-    skipped when popped (lazy deletion), which keeps ``cancel`` O(1).
-
-    ``pooled`` marks events created by :meth:`Simulator.post`: no handle
-    escapes to callers, so after execution the object is recycled through
-    the simulator's free-list instead of being garbage collected.
+    Cancellation is lazy: a cancelled event's heap entry stays queued and
+    is skipped when popped, which keeps ``cancel`` O(1).
     """
 
-    __slots__ = ("time", "seq", "callback", "args", "cancelled", "pooled")
+    __slots__ = ("time", "seq", "cancelled")
 
-    def __init__(self, time: float, seq: int, callback: Callable[..., Any], args: tuple):
+    def __init__(self, time: float, seq: int):
         self.time = time
         self.seq = seq
-        self.callback = callback
-        self.args = args
         self.cancelled = False
-        self.pooled = False
 
     def cancel(self) -> None:
         """Prevent the callback from running.  Safe to call more than once."""
         self.cancelled = True
-
-    def __lt__(self, other: "Event") -> bool:
-        # Hot comparator (every heap sift calls it): ordering is by
-        # (time, seq) but written branchy to avoid two tuple allocations.
-        if self.time < other.time:
-            return True
-        return self.time == other.time and self.seq < other.seq
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else "pending"
@@ -156,8 +140,7 @@ class Simulator(EngineBase):
     def __init__(self, start_time: float = 0.0):
         super().__init__()
         self._now = float(start_time)
-        self._heap: list[Event] = []
-        self._pool: list[Event] = []
+        self._heap: list[tuple] = []  # see the module docstring
 
     # ------------------------------------------------------------------
     # Clock
@@ -170,7 +153,8 @@ class Simulator(EngineBase):
     @property
     def pending_events(self) -> int:
         """Number of not-yet-cancelled events still in the queue."""
-        return sum(1 for e in self._heap if not e.cancelled)
+        return sum(1 for entry in self._heap
+                   if entry[2] is None or not entry[2].cancelled)
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -179,8 +163,8 @@ class Simulator(EngineBase):
         """Run ``callback(*args)`` after ``delay`` virtual milliseconds."""
         if delay < 0:
             raise SimulationError(f"cannot schedule in the past (delay={delay})")
-        event = Event(self._now + delay, next(self._seq), callback, args)
-        heapq.heappush(self._heap, event)
+        event = Event(self._now + delay, next(self._seq))
+        heapq.heappush(self._heap, (event.time, event.seq, event, callback, args))
         return event
 
     def schedule_at(self, time: float, callback: Callable[..., Any], *args: Any) -> Event:
@@ -188,58 +172,54 @@ class Simulator(EngineBase):
         return self.schedule(time - self._now, callback, *args)
 
     def post(self, delay: float, callback: Callable[..., Any], *args: Any) -> None:
-        """Fire-and-forget scheduling through the Event free-list.
-
-        Unlike :meth:`schedule` no handle is returned, so the event cannot
-        be cancelled — in exchange the Event object is recycled after it
-        runs, which removes the allocation from hot paths (message
-        delivery schedules millions of these in the scale workloads).
-        """
+        """Fire-and-forget scheduling: no handle is allocated or returned,
+        so the event cannot be cancelled (message delivery schedules
+        millions of these in the scale workloads)."""
         if delay < 0:
             raise SimulationError(f"cannot schedule in the past (delay={delay})")
-        pool = self._pool
-        if pool:
-            event = pool.pop()
-            event.time = self._now + delay
-            event.seq = next(self._seq)
-            event.callback = callback
-            event.args = args
-            event.cancelled = False
-        else:
-            event = Event(self._now + delay, next(self._seq), callback, args)
-            event.pooled = True
-        heapq.heappush(self._heap, event)
-
-    def _recycle(self, event: Event) -> None:
-        """Return an executed pooled event to the free-list (refs cleared)."""
-        event.callback = None
-        event.args = ()
-        if len(self._pool) < _POOL_LIMIT:
-            self._pool.append(event)
+        heapq.heappush(self._heap,
+                       (self._now + delay, next(self._seq), None, callback, args))
 
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
+    def _drain(self, until: Optional[float], max_events: Optional[int],
+               stop: Optional[Callable[[], bool]] = None) -> bool:
+        """The one loop — the only code that pops the heap.  Runs events in
+        ``(time, seq)`` order, skipping cancelled ones, and asks before each,
+        in this order: ``stop()``; is anything still due by ``until``; have
+        ``max_events`` run.  True when it ran out of due work (the caller may
+        move the clock to ``until``), False when ``stop()`` or ``max_events``
+        ended it first."""
+        executed = 0
+        heap = self._heap
+        pop = heapq.heappop
+        while True:
+            if stop is not None and stop():
+                return False
+            if not heap:
+                return True
+            time, seq, handle, callback, args = heap[0]
+            if handle is not None and handle.cancelled:
+                pop(heap)
+                continue
+            if until is not None and time > until:
+                return True
+            if max_events is not None and executed >= max_events:
+                return False
+            pop(heap)
+            self._now = time
+            self._events_executed += 1
+            executed += 1
+            if self._step_hook is not None:
+                self._step_hook(time, seq)
+            callback(*args)
+
     def step(self) -> bool:
         """Execute the next pending event.  Returns False when queue is empty."""
-        while self._heap:
-            event = heapq.heappop(self._heap)
-            if event.cancelled:
-                if event.pooled:
-                    self._recycle(event)
-                continue
-            if event.time < self._now - 1e-9:
-                raise SimulationError("event heap corrupted: time moved backwards")
-            self._now = event.time
-            self._events_executed += 1
-            if self._step_hook is not None:
-                self._step_hook(event.time, event.seq)
-            callback, args = event.callback, event.args
-            if event.pooled:
-                self._recycle(event)
-            callback(*args)
-            return True
-        return False
+        before = self._events_executed
+        self._drain(None, 1)
+        return self._events_executed > before
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> None:
         """Drain the event queue.
@@ -256,53 +236,13 @@ class Simulator(EngineBase):
             raise SimulationError("Simulator.run is not reentrant")
         self._running = True
         try:
-            self._drain(until, max_events)
+            if self._drain(until, max_events) and until is not None:
+                self._now = max(self._now, until)
         finally:
             self._running = False
         if (self._idle_hook is not None and not self._heap
                 and all(source() for source in self._idle_sources)):
             self._idle_hook()
-
-    def _drain(self, until: Optional[float], max_events: Optional[int]) -> None:
-        """Drain every runnable event sharing a timestamp in one inner
-        pass, so the stop conditions and heap-head inspection are paid once
-        per distinct virtual time instead of once per event."""
-        executed = 0
-        heap = self._heap
-        pop = heapq.heappop
-        recycle = self._recycle
-        while heap:
-            head = heap[0]
-            if head.cancelled:
-                pop(heap)
-                if head.pooled:
-                    recycle(head)
-                continue
-            batch_time = head.time
-            if until is not None and batch_time > until:
-                self._now = max(self._now, until)
-                return
-            self._now = batch_time
-            # Events posted during the batch at the same timestamp join it;
-            # tie-break order is preserved because the heap orders by seq.
-            while heap and heap[0].time == batch_time:
-                if max_events is not None and executed >= max_events:
-                    return
-                event = pop(heap)
-                if event.cancelled:
-                    if event.pooled:
-                        recycle(event)
-                    continue
-                self._events_executed += 1
-                executed += 1
-                if self._step_hook is not None:
-                    self._step_hook(batch_time, event.seq)
-                callback, args = event.callback, event.args
-                if event.pooled:
-                    recycle(event)
-                callback(*args)
-        if until is not None:
-            self._now = max(self._now, until)
 
     def run_until(
         self,
@@ -310,28 +250,14 @@ class Simulator(EngineBase):
         timeout: Optional[float] = None,
         max_events: Optional[int] = None,
     ) -> bool:
-        """Run until ``predicate()`` is true.  Returns whether it became true."""
+        """Run until ``predicate()`` is true; returns whether it became true.
+        ``timeout`` is ``run``'s ``until``, relative to now: a call that timed
+        out ran everything due by the deadline and ends with the clock on it
+        (as the live scheduler's does)."""
         deadline = None if timeout is None else self._now + timeout
-        executed = 0
-        while not predicate():
-            if deadline is not None and self._now >= deadline:
-                return False
-            if max_events is not None and executed >= max_events:
-                return False
-            if not self._heap_has_runnable(deadline):
-                return predicate()
-            self.step()
-            executed += 1
-        return True
-
-    def _heap_has_runnable(self, deadline: Optional[float]) -> bool:
-        while self._heap and self._heap[0].cancelled:
-            heapq.heappop(self._heap)
-        if not self._heap:
-            return False
-        if deadline is not None and self._heap[0].time > deadline:
-            return False
-        return True
+        if self._drain(deadline, max_events, predicate) and deadline is not None:
+            self._now = max(self._now, deadline)
+        return predicate()
 
 
 class PeriodicTask:

@@ -93,6 +93,18 @@ class TestConformance:
     def test_run_until_timeout_returns_false(self, engine):
         assert not engine.run_until(lambda: False, timeout=100.0)
 
+    def test_run_until_timeout_ends_at_the_deadline(self, engine):
+        """A timed-out "wait up to T" has waited T on both engines — with
+        nothing queued, and with the next event beyond the deadline."""
+        start = engine.now
+        assert not engine.run_until(lambda: False, timeout=100.0)
+        assert engine.now >= start + 100.0
+        engine.schedule(10_000.0, lambda: None).cancel()
+        engine.schedule(10_000.0, lambda: None)
+        start = engine.now
+        assert not engine.run_until(lambda: False, timeout=100.0)
+        assert engine.now >= start + 100.0
+
     def test_periodic_task_fires_until_stopped(self, engine):
         hits = []
         task = engine.schedule_periodic(100.0, lambda: hits.append(1))

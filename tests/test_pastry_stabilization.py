@@ -27,6 +27,17 @@ def test_stabilize_removes_dead_members(sim, overlay):
     assert not member_addresses & {v.address for v in victims}
 
 
+def test_stabilize_acts_on_the_nodes_own_liveness_belief(sim, overlay):
+    """``believes_alive`` is the one liveness question: a leaf-set member
+    this node disbelieves is purged although the transport still hosts it."""
+    node = overlay.nodes[0]
+    suspect = node.leaf_set.members()[0].address
+    assert overlay.network.has_host(suspect)
+    node.believes_alive = lambda address: address != suspect
+    assert node.stabilize() == 1
+    assert suspect not in {r.address for r in node.leaf_set.members()}
+
+
 def test_stabilize_noop_when_healthy(sim, overlay):
     node = overlay.nodes[0]
     before = len(node.leaf_set)

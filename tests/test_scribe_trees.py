@@ -227,6 +227,28 @@ class TestChurnRepair:
         assert len(set(got)) == len(live_members)
 
 
+    def test_maintain_acts_on_the_nodes_own_liveness_belief(self, sim, members):
+        """Scribe asks the *node* who is alive (``believes_alive``), not the
+        transport: a child the node disbelieves is dropped and not probed
+        although the network still hosts it."""
+        overlay, _ = members
+        node = next(n for n in overlay.nodes
+                    if len(getattr(scribe(n).topics().get("GPU"),
+                                   "children", ())) >= 2)
+        state = scribe(node).topics()["GPU"]
+        child, *others = state.children
+        assert overlay.network.has_host(child)
+        node.believes_alive = lambda address: address != child
+        probed = set()
+        send_app = node.send_app
+        node.send_app = lambda dst, app, kind, payload: (
+            probed.add(dst) if kind == "child_probe" else None,
+            send_app(dst, app, kind, payload))
+        scribe(node).maintain(node)
+        assert child not in state.children
+        assert probed == set(others)  # every other child, never the disbelieved one
+
+
 class TestSiteScopedTrees:
     def test_site_tree_confined_to_site(self, sim, scribe_overlay):
         overlay = scribe_overlay

@@ -1,6 +1,8 @@
 """Unit tests for the discrete-event engine."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim.engine import SimulationError, Simulator
 
@@ -106,6 +108,27 @@ def test_run_until_predicate_timeout(sim):
     assert not sim.run_until(lambda: bool(box), timeout=10.0)
 
 
+def test_run_until_timeout_runs_everything_due_at_the_deadline(sim):
+    """``timeout`` is ``run``'s ``until``: every event due at the deadline
+    instant ran, the one after it did not, and the clock is on the deadline."""
+    fired = []
+    for tag in ("a", "b", "c"):
+        sim.schedule(10.0, fired.append, tag)
+    sim.schedule(10.5, fired.append, "after")
+    assert not sim.run_until(lambda: False, timeout=10.0)
+    assert fired == ["a", "b", "c"]
+    assert sim.now == 10.0 and sim.pending_events == 1
+
+
+def test_run_until_leaves_the_clock_alone_unless_it_timed_out(sim):
+    sim.schedule(3.0, lambda: None)
+    sim.schedule(4.0, lambda: None)
+    assert sim.run_until(lambda: True, timeout=10.0) and sim.now == 0.0
+    assert sim.run_until(lambda: sim.now >= 3.0, timeout=10.0) and sim.now == 3.0
+    assert not sim.run_until(lambda: False, timeout=10.0, max_events=0)
+    assert sim.now == 3.0  # stopped by the budget with due work queued
+
+
 def test_run_until_with_empty_queue_returns_predicate_value(sim):
     assert sim.run_until(lambda: True)
     assert not sim.run_until(lambda: False)
@@ -190,10 +213,12 @@ class TestPeriodicTask:
 
 
 class TestBatchedCore:
-    """The batch-drain run loop: execution order, pooling, run helpers."""
+    """The drain loop: execution order across post / schedule / cancel,
+    same-instant joins, run helpers.  (The name predates the one-loop
+    engine; kept so the test ids stay stable.)"""
 
     def test_mixed_post_schedule_cancel_order(self):
-        """Pooled posts, handle-returning schedules, a same-time join and a
+        """Handle-less posts, handle-returning schedules, a same-time join and a
         cancellation interleave in strict (time, seq) order."""
         sim = Simulator()
         trace = []
@@ -217,17 +242,6 @@ class TestBatchedCore:
                          ("later", 5.0)]
         assert trace == sorted(trace)
         assert [t for t, _ in trace] == [1.0, 5.0, 5.0, 5.0, 5.0, 5.0, 5.0, 7.0]
-
-    def test_post_recycles_events_through_the_pool(self):
-        sim = Simulator()
-        sim.post(1.0, lambda: None)
-        sim.run()
-        assert len(sim._pool) == 1
-        pooled = sim._pool[-1]
-        sim.post(2.0, lambda: None)  # reuses the pooled Event object
-        assert not sim._pool
-        assert sim._heap[0] is pooled
-        sim.run()
 
     def test_same_time_posts_join_the_running_batch(self):
         sim = Simulator()
@@ -265,3 +279,106 @@ class TestBatchedCore:
     def test_post_negative_delay_rejected(self):
         with pytest.raises(SimulationError):
             Simulator().post(-0.1, lambda: None)
+
+
+class _ListEngine:
+    """Reference model of the drain loop: a sorted list with eager
+    cancellation.  An entry is ``[time, seq, tag, spawn]``; firing it records
+    ``tag`` and posts one child per delay in ``spawn``."""
+
+    def __init__(self):
+        self.now, self.seq, self.executed = 0.0, 0, 0
+        self.queue, self.fired, self.steps = [], [], []
+
+    def add(self, delay, tag, spawn):
+        entry = [self.now + delay, self.seq, tag, spawn]
+        self.seq += 1
+        self.queue.append(entry)
+        self.queue.sort()  # seq is unique: tag / spawn are never compared
+        return entry
+
+    def cancel(self, entry):
+        if entry in self.queue:
+            self.queue.remove(entry)
+
+    def drain(self, until=None, max_events=None, stop=None):
+        before = self.executed
+        while not (stop is not None and stop()):
+            if not self.queue or (until is not None and self.queue[0][0] > until):
+                if until is not None:
+                    self.now = max(self.now, until)
+                break
+            if max_events is not None and self.executed - before >= max_events:
+                break
+            self.now, seq, tag, spawn = self.queue.pop(0)
+            self.executed += 1
+            self.steps.append((self.now, seq))
+            self.fired.append(tag)
+            for delay in spawn:
+                self.add(delay, f"{tag}>{delay}", ())
+        return self.executed > before
+
+
+# Quarter-millisecond delays: every sum is exact in binary floating point.
+_delay = st.integers(0, 24).map(lambda n: n / 4)
+_spawn = st.lists(_delay, max_size=2).map(tuple)
+_bound = st.none() | st.integers(0, 4)
+_op = st.one_of(
+    st.tuples(st.sampled_from(["schedule", "post", "schedule_at"]), _delay, _spawn),
+    st.tuples(st.just("cancel"), st.integers(0, 63)),
+    st.tuples(st.just("run"), st.none() | _delay, _bound),
+    st.tuples(st.just("run_until"), st.integers(0, 3), st.none() | _delay, _bound),
+    st.tuples(st.just("step")),
+)
+
+
+@settings(deadline=None)  # a stall of the shared box is not a failure
+@given(st.lists(_op, max_size=40))
+def test_drain_loop_matches_the_reference_model(program):
+    """Random programs of schedule / post / schedule_at / cancel / callbacks
+    that post at +0 and later / run(until) / run(max_events) /
+    run_until(pred, timeout) / step() agree with the sorted-list model on
+    fired order, the step-hook stream, events_executed, pending_events and
+    the clock — after every operation."""
+    sim, model = Simulator(), _ListEngine()
+    fired, steps, handles = [], [], []
+    sim.set_step_hook(lambda time, seq: steps.append((time, seq)))
+
+    def fire(tag, spawn):
+        fired.append(tag)
+        for delay in spawn:
+            sim.post(delay, fire, f"{tag}>{delay}", ())
+
+    for index, (op, *rest) in enumerate(program):
+        if op in ("schedule", "post", "schedule_at"):
+            delay, spawn = rest
+            entry = model.add(delay, index, spawn)
+            if op == "post":
+                assert sim.post(delay, fire, index, spawn) is None
+            elif op == "schedule":
+                handles.append((sim.schedule(delay, fire, index, spawn), entry))
+            else:
+                handles.append(
+                    (sim.schedule_at(sim.now + delay, fire, index, spawn), entry))
+        elif op == "cancel":
+            if handles:
+                handle, entry = handles[rest[0] % len(handles)]
+                handle.cancel()
+                model.cancel(entry)
+        elif op == "run":
+            until = None if rest[0] is None else sim.now + rest[0]
+            sim.run(until=until, max_events=rest[1])
+            model.drain(until, rest[1])
+        elif op == "run_until":
+            target = len(fired) + rest[0]
+            deadline = None if rest[1] is None else model.now + rest[1]
+            reached = sim.run_until(lambda: len(fired) >= target,
+                                    timeout=rest[1], max_events=rest[2])
+            model.drain(deadline, rest[2], lambda: len(model.fired) >= target)
+            assert reached == (len(model.fired) >= target)
+        else:
+            assert sim.step() == model.drain(max_events=1)
+        assert (sim.now, sim.events_executed, sim.pending_events) == (
+            model.now, model.executed, len(model.queue))
+        assert fired == model.fired
+    assert steps == model.steps

@@ -65,7 +65,14 @@ def test_live_query_with_group_by(live_plane):
     twin.sim.run()
     twin_sent = twin.network.messages_sent
     assert groups(q(twin, "SELECT * FROM * GROUP BY CPU_utilization;")) == got
-    assert net.messages_sent - sent == twin.network.messages_sent - twin_sent
+    # A probe that times out on a loaded box is retried: parity is exact
+    # only for a retry-free run, and a retry can only add messages.
+    live_msgs = net.messages_sent - sent
+    twin_msgs = twin.network.messages_sent - twin_sent
+    if result.retries == 0:
+        assert live_msgs == twin_msgs
+    else:
+        assert live_msgs >= twin_msgs
     assert net.wire_bytes_sent - framed > 4 * (net.messages_sent - sent)
 
 

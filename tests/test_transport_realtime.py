@@ -24,12 +24,18 @@ def slow_tick():
 
 
 def test_schedule_fires_in_order(sched):
+    # Gaps of >= 1 ms of wall time (100 virtual ms at this scale), as in
+    # test_engine_protocol.py: anything finer races the loop's own
+    # call_soon latency on a loaded box.
     fired = []
-    sched.schedule(20.0, fired.append, "late")
-    sched.schedule(5.0, fired.append, "early")
-    sched.call_soon(fired.append, "now")
+    t0 = sched.now
+    sched.schedule(200.0, lambda: fired.append(("late", sched.now)))
+    sched.schedule(100.0, lambda: fired.append(("early", sched.now)))
+    sched.call_soon(lambda: fired.append(("now", sched.now)))
     sched.run()
-    assert fired == ["now", "early", "late"]
+    assert [tag for tag, _ in fired] == ["now", "early", "late"]
+    for (_, at), delay in zip(fired, (0.0, 100.0, 200.0)):
+        assert at >= t0 + delay  # never early
     assert sched.events_executed == 3
     assert sched.pending_events == 0
 

@@ -45,8 +45,11 @@ DEFAULT_TARGETS = [
     REPO / "src" / "repro" / "query" / "executor.py",
     REPO / "src" / "repro" / "scribe" / "buckets.py",
     REPO / "src" / "repro" / "scribe" / "rebalance.py",
+    REPO / "src" / "repro" / "scribe" / "scribe.py",
+    REPO / "src" / "repro" / "pastry" / "node.py",
     REPO / "src" / "repro" / "net" / "network.py",
     REPO / "src" / "repro" / "sim" / "engine.py",
+    REPO / "src" / "repro" / "sim" / "futures.py",
     REPO / "src" / "repro" / "transport" / "base.py",
     REPO / "src" / "repro" / "transport" / "codec.py",
     REPO / "src" / "repro" / "transport" / "realtime.py",
@@ -79,11 +82,19 @@ DEFAULT_TESTS = [
     REPO / "tests" / "test_scribe_buckets.py",
     REPO / "tests" / "test_property_range_oracle.py",
     REPO / "tests" / "test_rebalance.py",
+    REPO / "tests" / "test_scribe_trees.py",
+    REPO / "tests" / "test_scribe_aggregate.py",
+    REPO / "tests" / "test_scribe_random_ops.py",
+    REPO / "tests" / "test_scribe_pull_aggregation.py",
+    REPO / "tests" / "test_pastry_routing.py",
+    REPO / "tests" / "test_pastry_stabilization.py",
+    REPO / "tests" / "test_pastry_isolation.py",
     REPO / "tests" / "test_transport_codec.py",
     REPO / "tests" / "test_transport_wire_golden.py",
     REPO / "tests" / "test_net_network.py",
     REPO / "tests" / "test_net_trace_ctx.py",
     REPO / "tests" / "test_sim_engine.py",
+    REPO / "tests" / "test_sim_futures.py",
     REPO / "tests" / "test_engine_protocol.py",
     REPO / "tests" / "test_transport_conformance.py",
     REPO / "tests" / "test_transport_realtime.py",
