@@ -10,7 +10,7 @@ federation, while RBAY spreads the same work across the DHT.
 from __future__ import annotations
 
 import itertools
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 from repro.net.message import Message
 from repro.net.network import Host, Network

@@ -44,7 +44,7 @@ Hot-tree replication (ISSUE 7 / architecture §15) adds three more:
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, Iterable, Iterator, List, Tuple
+from typing import Any, Dict, Iterator, List, Tuple
 
 # Imported lazily-typed to avoid a cycle: sanitizer imports this module
 # inside InvariantRegistry.default().

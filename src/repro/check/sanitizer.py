@@ -35,7 +35,7 @@ export.  ``fail_fast`` turns the first violation into a raised
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 #: An invariant check: called with a :class:`SanitizerContext`, yields

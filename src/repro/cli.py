@@ -185,9 +185,21 @@ def cmd_describe(args) -> int:
     return 0
 
 
+def _known_sites(plane, names) -> bool:
+    """Whether every name (None: the default) is a site of ``plane``; says which is not."""
+    site_names = [s.name for s in plane.registry]
+    unknown = [n for n in names if n is not None and n not in site_names]
+    if unknown:
+        print(f"unknown site {unknown[0]!r}; choices: {', '.join(site_names)}",
+              file=sys.stderr)
+    return not unknown
+
+
 def cmd_query(args) -> int:
     """Run one SQL query and print the granted nodes (exit 1 if short)."""
     plane, _ = _build_plane(args)
+    if not _known_sites(plane, [args.origin]):
+        return 2
     options = QueryOptions(origin=args.origin, caller="cli",
                            payload={"password": args.password})
     if args.explain:
@@ -201,7 +213,11 @@ def cmd_query(args) -> int:
     print(f"satisfied: {result.satisfied}  entries: {len(result.entries)}  "
           f"latency: {result.latency_ms:.1f} ms  "
           f"sites answered: {len(result.sites_answered)}")
-    if result.entries:
+    if result.entries and "group" in result.entries[0]:
+        # GROUP BY answers are per-group counts; they name no node.
+        print(format_table(["group", "count"],
+                           [[e["group"], e["count"]] for e in result.entries]))
+    elif result.entries:
         rows = [[e["site"], e["address"], f"{e['node_id'] % 100_000:>6}…",
                  e.get("order_value", "")]
                 for e in result.entries]
@@ -227,12 +243,10 @@ def cmd_latency(args) -> int:
     plane, _ = _build_plane(args)
     site_names = [s.name for s in plane.registry]
     origins = args.origins or site_names[:3]
+    if not _known_sites(plane, origins):
+        return 2
     recorder = LatencyRecorder()
     for origin in origins:
-        if origin not in site_names:
-            print(f"unknown site {origin!r}; choices: {', '.join(site_names)}",
-                  file=sys.stderr)
-            return 2
         generator = QueryWorkload(plane.streams.stream(f"cli-{origin}"),
                                   site_names, k=1, password=args.password)
         for n_sites in range(1, len(site_names) + 1):
@@ -262,6 +276,8 @@ def cmd_trace(args) -> int:
 
     args.force_tracing = True
     plane, _ = _build_plane(args)
+    if not _known_sites(plane, [args.origin]):
+        return 2
     result = plane.query(args.sql, options=QueryOptions(
         origin=args.origin, caller="cli",
         payload={"password": args.password}))
@@ -553,7 +569,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("query", parents=[common], help="run one SQL query")
     p.add_argument("sql", help="the query text")
-    p.add_argument("--origin", default="Virginia", help="customer's home site")
+    p.add_argument("--origin", help="customer's home site (default: the first)")
     p.add_argument("--show-counters", action="store_true",
                    help="print memo/protocol counters after the query")
     p.add_argument("--explain", action="store_true",
@@ -579,7 +595,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="trace one query and print its critical-path "
                             "latency breakdown")
     p.add_argument("sql", help="the query text")
-    p.add_argument("--origin", default="Virginia", help="customer's home site")
+    p.add_argument("--origin", help="customer's home site (default: the first)")
     p.add_argument("--json-out", default=None, metavar="PATH",
                    help="also write the raw JSON span export to PATH")
     p.set_defaults(fn=cmd_trace)

@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING
 from repro.core.node import RBayNode
 from repro.query.backoff import TruncatedExponentialBackoff
 from repro.query.options import QueryOptions
-from repro.query.sql import Query, parse_query
+from repro.query.sql import parse_query
 from repro.sim.futures import Future
 
 if TYPE_CHECKING:  # break the core <-> query.executor import cycle

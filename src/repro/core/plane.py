@@ -10,8 +10,8 @@ construct nothing else by hand.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
 from repro.core.admin import SiteAdmin
 from repro.core.client import Customer

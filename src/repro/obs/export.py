@@ -14,7 +14,7 @@ node address a thread, and timestamps are microseconds of virtual time.
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, Iterable, List, Sequence
+from typing import Any, Dict, Iterable, List
 
 from repro.obs.spans import Span
 

@@ -23,7 +23,6 @@ BASE = 1 << BASE_BITS
 DIGITS = BITS // BASE_BITS
 
 _SPACE = 1 << BITS
-_HALF_SPACE = _SPACE >> 1
 
 
 class NodeId:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.net.latency import LatencyModel
 from repro.net.message import Message
 from repro.net.network import Network
 from repro.net.site import Site, SiteRegistry
@@ -213,7 +212,6 @@ class JoinApplication(Application):
     def __init__(self, overlay: Overlay):
         self.overlay = overlay
         self._pending: Optional[Future] = None
-        self._announced = 0
 
     # -- joiner side ----------------------------------------------------
     def start_join(self, node: PastryNode, seed: PastryNode, timeout: float) -> Future:

@@ -218,12 +218,6 @@ class Rebalancer:
     # ------------------------------------------------------------------
     # Root side: promote, sync, demote
     # ------------------------------------------------------------------
-    def _finalized_values(self, state: "TopicState") -> Dict[str, Any]:
-        """Finalized answers for every aggregate this root knows about."""
-        scribe = self.scribe
-        return scribe._finalized(state.agg_names(),
-                                 lambda name: scribe._own_acc(state, name))
-
     def _promote_replicas(self, node: "PastryNode", state: "TopicState") -> bool:
         """Replicate a hot root: promote the leaf-set neighbors nearest the
         topic key and re-partition the root's other children across them
@@ -231,9 +225,9 @@ class Rebalancer:
 
         Replicas stay *interior nodes of the same tree* — children of the
         root — so every existing mechanism (roll-up merge, anycast DFS,
-        child probes, pull aggregation, the single-root invariant) applies
-        unchanged; the win is that diverted readers are answered one hop
-        away from a root-coherent snapshot.
+        child probes, the single-root invariant) applies unchanged; the
+        win is that diverted readers are answered one hop away from a
+        root-coherent snapshot.
         """
         scribe = self.scribe
         picks = node.closest_neighbors(state.key, self.config.max_replicas,
@@ -241,7 +235,7 @@ class Rebalancer:
         if not picks:
             return False
         pick_addrs = [ref.address for ref in picks]
-        finalized = self._finalized_values(state)
+        finalized = scribe._finalized(state, state.agg_names())
         # Round-robin the current children across the new replicas; their
         # re-homing (ordinary parent_set handling) drains the root's
         # per-message fan-out while aggregation keeps flowing upward.
@@ -278,7 +272,7 @@ class Rebalancer:
 
     def sync_replicas(self, node: "PastryNode", state: "TopicState") -> None:
         """Push the root's finalized snapshot to every live replica."""
-        values = self._finalized_values(state)
+        values = self.scribe._finalized(state, state.agg_names())
         peers = sorted(state.replicas)
         for address in peers:
             if node.believes_alive(address):

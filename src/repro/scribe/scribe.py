@@ -126,8 +126,6 @@ class ScribeApplication(Application):
         self._dirty_topics: Dict[str, TopicState] = {}
         self._flush_event = None
         self._pending: Dict[int, Future] = {}
-        # In-flight pull aggregations at this node: pull_id -> bookkeeping.
-        self._pulls: Dict[int, Dict[str, Any]] = {}
         self.anycast_visitor: Optional[AnycastVisitor] = None
         self.multicast_handler: Optional[MulticastHandler] = None
         #: Where ``scribe.acc_cache.hit|miss|invalidate`` are counted (the
@@ -144,8 +142,6 @@ class ScribeApplication(Application):
             "mcast_down": self._on_mcast,
             "anycast_walk": self._anycast_visit,
             "anycast_result": self._on_anycast_result,
-            "pull_down": self._on_pull_down,
-            "pull_up": self._on_pull_up,
             "agg_value": self._on_agg_value,
             "leave": self._on_leave,
             "child_probe": self._on_child_probe,
@@ -155,7 +151,6 @@ class ScribeApplication(Application):
             "join": self._adopt_joiner,
             "mcast": self._on_mcast,
             "anycast": self._anycast_visit,
-            "agg_pull": self._on_agg_pull,
             "agg_get": self._on_agg_get,
         }
         #: Hot-tree balancer (None = rebalancing off: the module is never
@@ -277,7 +272,10 @@ class ScribeApplication(Application):
         addressing every such request carries after its ``op``."""
         request_id = next(_request_ids)
         future = Future(self.sim, timeout=timeout)
+        # In the table exactly while unresolved: a reply or a timeout removes
+        # the entry, so a lost reply leaks nothing and a late one is ignored.
         self._pending[request_id] = future
+        future.add_callback(lambda _result: self._pending.pop(request_id, None))
         state = self.topic_state(topic, scope)
         rec = self.recorder
         span = None
@@ -328,30 +326,6 @@ class ScribeApplication(Application):
             if self.rebalancer is None or not self.rebalancer.divert(
                     node, topic, "replica_get", data):
                 node.route(state.key, self.name, data, scope=state.scope)
-        return future
-
-    def query_aggregate_fresh(
-        self,
-        node: PastryNode,
-        topic: str,
-        agg_names: List[str],
-        timeout: Optional[float] = None,
-        scope: Optional[str] = None,
-    ) -> Future:
-        """On-demand (pull) aggregation: values are computed by walking the
-        tree at query time instead of reading the root's pushed state.
-
-        Costs one message per tree edge per query, but returns perfectly
-        fresh values and consumes no bandwidth between queries — the
-        Moara-style trade-off (§V-C) the push/pull ablation measures.
-        Resolves to ``{agg_name: finalized value}``.
-        """
-        future, state, span, header = self._open_request(
-            node, topic, scope, timeout, "scribe.agg_pull", "aggregate")
-        with self.recorder.use(span):
-            node.route(state.key, self.name,
-                       {"op": "agg_pull", **header, "names": list(agg_names)},
-                       scope=state.scope)
         return future
 
     def tree_size(self, node: PastryNode, topic: str, timeout: Optional[float] = None,
@@ -468,16 +442,11 @@ class ScribeApplication(Application):
     # Routed-kind handlers (run at the rendezvous root, after deliver()
     # has marked this node root)
     # ------------------------------------------------------------------
-    def _on_agg_pull(self, node: PastryNode, data: Dict[str, Any], origin: int) -> None:
-        self._start_pull(node, self._topics[data["topic"]], data["names"],
-                         reply_to=("origin", data["origin"], data["request_id"]))
-
     def _on_agg_get(self, node: PastryNode, data: Dict[str, Any], origin: int) -> None:
         state = self._topics[data["topic"]]
         reply = {
             "request_id": data["request_id"],
-            "values": self._finalized(
-                data["names"], lambda name: self._own_acc(state, name)),
+            "values": self._finalized(state, data["names"]),
             "topic": state.topic,
         }
         if self.rebalancer is not None:
@@ -486,13 +455,13 @@ class ScribeApplication(Application):
             reply["replicas"] = sorted(state.replicas)
         node.send_app(data["origin"], self.name, "agg_value", reply)
 
-    def _finalized(self, agg_names, acc_of: Callable[[str], Any]) -> Dict[str, Any]:
-        """Finalized answers by aggregate name (``acc_of(name)`` supplies
-        the accumulator); a function this node lacks answers None."""
+    def _finalized(self, state: TopicState, agg_names) -> Dict[str, Any]:
+        """Finalized answers by aggregate name, from this node's pushed
+        subtree state; a function this node lacks answers None."""
         values = {}
-        for agg_name in agg_names:
-            fn = self.functions.get(agg_name)
-            values[agg_name] = None if fn is None else fn.finalize(acc_of(agg_name))
+        for name in agg_names:
+            fn = self.functions.get(name)
+            values[name] = None if fn is None else fn.finalize(self._own_acc(state, name))
         return values
 
     # ------------------------------------------------------------------
@@ -504,23 +473,19 @@ class ScribeApplication(Application):
 
     def _on_anycast_result(self, node: PastryNode, data: Dict[str, Any],
                            origin: int) -> None:
-        future = self._pending.pop(data["request_id"], None)
+        future = self._pending.get(data["request_id"])
         if future is not None:
             result = dict(data["state"])
             result["satisfied"] = data["satisfied"]
             result["visited_members"] = data["visited_members"]
             future.try_resolve(result)
 
-    def _on_pull_down(self, node: PastryNode, data: Dict[str, Any], origin: int) -> None:
-        self._start_pull(node, self.topic_state(data["topic"]), data["names"],
-                         reply_to=("parent", origin, data["pull_id"]))
-
     def _on_agg_value(self, node: PastryNode, data: Dict[str, Any], origin: int) -> None:
         if self.rebalancer is not None and "replicas" in data:
             # The answerer (root or replica) piggybacks the live replica
             # set so the next read skips the hot root.
             self.rebalancer.learn_replicas(data["topic"], data["replicas"])
-        future = self._pending.pop(data["request_id"], None)
+        future = self._pending.get(data["request_id"])
         if future is not None:
             future.try_resolve(data["values"])
 
@@ -689,59 +654,6 @@ class ScribeApplication(Application):
         })
 
     # ------------------------------------------------------------------
-    # Pull (on-demand) aggregation
-    # ------------------------------------------------------------------
-    def _start_pull(self, node: PastryNode, state: TopicState, names: List[str],
-                    reply_to) -> None:
-        """Recursively collect fresh accumulators from this subtree."""
-        pull_id = next(_request_ids)
-        live_children = [a for a in state.children if node.believes_alive(a)]
-        record = {
-            "topic": state.topic,
-            "remaining": len(live_children),
-            "accs": {n: self._compute_own_acc(state, n, children=False)
-                     for n in names},
-            "reply_to": reply_to,
-        }
-        self._pulls[pull_id] = record
-        if not live_children:
-            self._finish_pull(node, pull_id)
-            return
-        for address in live_children:
-            node.send_app(address, self.name, "pull_down", {
-                "topic": state.topic, "names": list(names), "pull_id": pull_id,
-            })
-
-    def _on_pull_up(self, node: PastryNode, data: Dict[str, Any], origin: int) -> None:
-        record = self._pulls.get(data["pull_id"])
-        if record is None:
-            return
-        for agg_name, child_acc in data["accs"].items():
-            fn = self.functions.get(agg_name)
-            if fn is None or child_acc is None:
-                continue
-            if isinstance(child_acc, list):
-                child_acc = tuple(child_acc)
-            record["accs"][agg_name] = fn.combine(record["accs"][agg_name], child_acc)
-        record["remaining"] -= 1
-        if record["remaining"] <= 0:
-            self._finish_pull(node, data["pull_id"])
-
-    def _finish_pull(self, node: PastryNode, pull_id: int) -> None:
-        record = self._pulls.pop(pull_id)
-        hop, address, token = record["reply_to"]
-        if hop == "parent":
-            node.send_app(address, self.name, "pull_up", {
-                "pull_id": token, "accs": record["accs"],
-            })
-            return
-        accs = record["accs"]
-        node.send_app(address, self.name, "agg_value", {
-            "request_id": token, "values": self._finalized(accs, accs.get),
-            "topic": record["topic"],
-        })
-
-    # ------------------------------------------------------------------
     # Aggregation (RBAY's extension, §II-B3)
     # ------------------------------------------------------------------
     def _own_acc(self, state: TopicState, agg_name: str) -> Any:
@@ -763,22 +675,17 @@ class ScribeApplication(Application):
         value = memo[agg_name] = self._compute_own_acc(state, agg_name)
         return value
 
-    def _compute_own_acc(self, state: TopicState, agg_name: str,
-                         children: bool = True) -> Any:
-        """Roll this node's accumulator up from its raw inputs (uncached).
-
-        ``children=False`` stops at the member's own contribution — the
-        seed a pull aggregation starts from.  None for an unknown function.
-        """
+    def _compute_own_acc(self, state: TopicState, agg_name: str) -> Any:
+        """Roll this node's accumulator up from its raw inputs (uncached);
+        None for an unknown function."""
         fn = self.functions.get(agg_name)
         if fn is None:
             return None
         acc = fn.zero()
         if state.member and agg_name in state.local:
             acc = fn.combine(acc, fn.lift(state.local[agg_name]))
-        if children:
-            for child_value in state.child_acc.get(agg_name, {}).values():
-                acc = fn.combine(acc, child_value)
+        for child_value in state.child_acc.get(agg_name, {}).values():
+            acc = fn.combine(acc, child_value)
         return acc
 
     def _recompute_and_push(self, node: PastryNode, state: TopicState,

@@ -1,6 +1,6 @@
 """Callback-based futures for request/response protocols in the simulator.
 
-Simulated protocols (DHT probes, anycast queries, aggregation pulls) are
+Simulated protocols (DHT probes, anycast queries, aggregate reads) are
 naturally request/response: the requester sends a message and continues when
 the reply arrives or a timeout fires.  :class:`Future` packages that pattern
 without threads or coroutines — callbacks run inside the event loop.

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 #: The 23 instance types, in the paper's order.  Position in this list is
 #: the type's coordinate for the Gaussian popularity curve: central indices

@@ -9,8 +9,8 @@ utilization-threshold trees maintained by onSubscribe/onUnsubscribe.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Dict, Optional, Sequence
 
 from repro.core.naming import instance_tree, predicate_tree_name, site_tree
 from repro.core.node import RBayNode, SubscriptionSpec

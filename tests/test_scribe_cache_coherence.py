@@ -190,16 +190,6 @@ def test_random_interleavings_cache_equals_recompute():
                 f"expected={exp[name]!r} (members={sorted(members)})")
         check_memo_coherence(overlay)
 
-        if step % 10 == 9:
-            # Cross-check against the pull path, which never reads pushed
-            # (and therefore never memoized) state.
-            fresh = asker.app("scribe").query_aggregate_fresh(
-                asker, TOPIC, ALL_NAMES).result()
-            for name in ALL_NAMES:
-                assert fresh[name] == exp[name], (
-                    f"step {step}: pull {name!r} {fresh[name]!r} "
-                    f"!= {exp[name]!r}")
-
     # The run must actually have exercised the cache, not just bypassed it.
     assert counters.get("scribe.acc_cache.hit") > 0
     assert counters.get("scribe.acc_cache.miss") > 0

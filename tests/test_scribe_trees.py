@@ -2,8 +2,13 @@
 
 import pytest
 
+from repro.faults.injector import protocol_kind
+from repro.net.message import Message
+from repro.net.network import FaultDecision
 from repro.pastry.nodeid import NodeId
+from repro.query.executor import QueryApplication, _QueryContext
 from repro.scribe.topic import topic_id
+from repro.sim.futures import FutureTimeout
 
 
 @pytest.fixture
@@ -247,6 +252,58 @@ class TestChurnRepair:
         scribe(node).maintain(node)
         assert child not in state.children
         assert probed == set(others)  # every other child, never the disbelieved one
+
+
+class TestRequestTable:
+    def test_lost_replies_leave_no_pending_entry(self, sim, members):
+        """Aim 3's "never grow a queue without limit": an entry leaves
+        ``_pending`` when its future resolves, by reply *or* by timeout."""
+        overlay, _ = members
+        root = overlay.root_of(topic_id("GPU"))
+        asker = next(n for n in overlay.nodes if n is not root)
+        lost = {"direct/scribe/agg_value", "direct/scribe/anycast_result"}
+        overlay.network.fault_filter = lambda src, dst, msg: (
+            FaultDecision(drop=True) if protocol_kind(msg) in lost else None)
+        app = scribe(asker)
+        futures = [app.tree_size(asker, "GPU", timeout=500.0) for _ in range(50)]
+        futures += [app.anycast(asker, "GPU", {"want": 1}, timeout=500.0)
+                    for _ in range(20)]
+        assert len(app._pending) == 70
+        sim.run(until=sim.now + 1_000.0)
+        assert all(isinstance(f.value, FutureTimeout) for f in futures)
+        assert len(app._pending) == 0
+
+    def test_retired_and_unknown_kinds_are_ignored(self, sim, members):
+        """``host_message`` / ``deliver`` promise it: a kind this build
+        has no handler for (an older peer still speaking the retired pull
+        protocol, or garbage) raises nothing, sends nothing and opens no
+        request."""
+        overlay, chosen = members
+        for node in overlay.nodes:
+            node.register_app(QueryApplication(_QueryContext(sim, [])))
+        root = overlay.root_of(topic_id("GPU"))
+        peer = next(n for n in chosen if n is not root)
+        sent = overlay.network.messages_sent
+
+        def direct(app, kind, data):
+            return Message(kind="pastry.direct", payload={
+                "app": app, "kind": kind, "data": data, "origin": peer.address})
+
+        root.on_message(direct("scribe", "pull_down",
+                               {"topic": "GPU", "names": ["count"], "pull_id": 7}))
+        root.on_message(direct("scribe", "pull_up",
+                               {"pull_id": 7, "accs": {"count": 3}}))
+        root.on_message(direct("query", "nope", {"query_id": 1}))
+        root.on_message(Message(kind="pastry.route", payload={
+            "key": topic_id("GPU").value, "app": "scribe", "scope": "global",
+            "origin": peer.address,
+            "data": {"op": "agg_pull", "topic": "GPU", "scope": "global",
+                     "origin": peer.address, "request_id": 9,
+                     "names": ["count"]}}))
+        sim.run()
+        assert overlay.network.messages_sent == sent
+        assert not scribe(root)._pending and not scribe(peer)._pending
+        assert scribe(peer).tree_size(peer, "GPU").result() == 30
 
 
 class TestSiteScopedTrees:

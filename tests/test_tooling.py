@@ -141,6 +141,32 @@ class TestCLI:
              "--nodes", "4", "--no-jitter"], capsys)
         assert code == 2
 
+    def test_query_group_by_prints_group_counts(self, capsys):
+        code, out = self.run_cli(
+            ["query", "SELECT * FROM * GROUP BY CPU_utilization;",
+             "--buckets", "4", "--nodes", "4", "--no-jitter"], capsys)
+        assert code == 0
+        assert "group" in out and "count" in out
+        assert "CPU_utilization[0,25)" in out
+
+    def test_query_default_origin_is_the_planes_first_site(self, capsys):
+        # Synthetic registries have no "Virginia".
+        code, out = self.run_cli(
+            ["query", "SELECT 1 FROM * WHERE CPU_utilization < 10%;",
+             "--sites", "2", "--nodes", "6", "--no-jitter"], capsys)
+        assert code == 0
+        assert "Site000" in out
+
+    @pytest.mark.parametrize("command", ["query", "trace"])
+    def test_unknown_origin_names_the_valid_sites(self, command, capsys):
+        from repro.cli import main
+
+        code = main([command, "SELECT 1 FROM * WHERE CPU_utilization < 10%;",
+                     "--sites", "2", "--nodes", "4", "--no-jitter",
+                     "--origin", "Virginia"])
+        assert code == 2
+        assert "Site000, Site001" in capsys.readouterr().err
+
 
 class TestCLILua:
     def run_cli(self, argv, capsys):
@@ -203,6 +229,9 @@ class TestCoverageChecker:
         for target in checker.DEFAULT_TARGETS:
             assert target.exists()
             assert checker.executable_lines(target)
+        # A deleted test file must fail here, not only in `make coverage`.
+        for test_file in checker.DEFAULT_TESTS:
+            assert test_file.exists(), test_file
 
     def test_coverage_ratio(self):
         assert checker.coverage_ratio(set(), set()) == 1.0
@@ -264,3 +293,19 @@ class TestApiChecker:
 
     def test_docs_table_parser_missing_section(self):
         assert api_checker._docs_table_names("no section here") is None
+
+    def test_unused_import_lint(self, tmp_path):
+        (tmp_path / "__init__.py").write_text("from os import path\n")
+        (tmp_path / "mod.py").write_text(
+            "from __future__ import annotations\n"
+            "import os, sys\n"
+            "from typing import TYPE_CHECKING, Dict, List, Optional\n"
+            "if TYPE_CHECKING:\n"
+            "    from decimal import Decimal\n"
+            "    from fractions import Fraction\n"
+            "__all__ = ['sys']\n"
+            "def f(x: 'Optional[Decimal]') -> Dict:\n"
+            "    import json\n"
+            "    return {}\n")
+        assert api_checker.unused_imports(tmp_path) == [
+            "mod.py:2: os", "mod.py:3: List", "mod.py:6: Fraction"]

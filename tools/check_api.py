@@ -14,14 +14,18 @@ dataclasses, and every ``RBayConfig`` field (the public configuration
 knobs, including the sanitizer's) must be listed in ``docs/api.md``,
 which must also state how many there are.
 
-Finally, a deny-list keeps *retired* surfaces retired: names removed from
+A deny-list keeps *retired* surfaces retired: names removed from
 the public API (``QueryContext``, the ``execute(payload=/caller=/
 timeout=)`` keyword shims) must not reappear in ``repro.__all__``, the
 lazy-export map, the query package exports, or the docs.
+
+Finally, no module under ``src/repro`` may import a name at module level
+that it never uses (``__init__.py`` files re-export, so they are exempt).
 """
 
 from __future__ import annotations
 
+import ast
 import dataclasses
 import re
 import sys
@@ -70,6 +74,53 @@ def _docs_table_names(text: str):
         elif names and not line.startswith("|"):
             break  # table ended
     return names
+
+
+def _module_level(body):
+    """Statements executed at import: the module body, through ``if`` /
+    ``try`` blocks but not into function or class bodies."""
+    for stmt in body:
+        yield stmt
+        if isinstance(stmt, (ast.If, ast.Try)):
+            for block in (stmt.body, stmt.orelse, getattr(stmt, "finalbody", []),
+                          *(h.body for h in getattr(stmt, "handlers", []))):
+                yield from _module_level(block)
+
+
+def unused_imports(root: Path = REPO / "src" / "repro"):
+    """``path:line: name`` (paths relative to ``root``) for every
+    module-level import that the module never names — in code, in a string
+    annotation, or in ``__all__``."""
+    found = []
+    for path in sorted(root.rglob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {}
+        for stmt in _module_level(tree.body):
+            if isinstance(stmt, ast.ImportFrom) and stmt.module == "__future__":
+                continue
+            if isinstance(stmt, (ast.Import, ast.ImportFrom)):
+                for alias in stmt.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    imported[bound] = stmt.lineno
+        used = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                # A quoted annotation ("RBayNode") or an __all__ entry: a
+                # string that is itself an expression names what it names.
+                try:
+                    quoted = ast.parse(node.value, mode="eval")
+                except SyntaxError:
+                    continue
+                used.update(n.id for n in ast.walk(quoted)
+                            if isinstance(n, ast.Name))
+        found.extend(f"{path.relative_to(root)}:{line}: {name}"
+                     for name, line in sorted(imported.items(), key=lambda i: i[1])
+                     if name not in used)
+    return found
 
 
 def main() -> int:
@@ -158,6 +209,9 @@ def main() -> int:
                 errors.append(
                     f"retired surface {pattern!r} is documented again in "
                     f"{doc_path.relative_to(REPO)}")
+
+    # 8. No module imports a name it never uses.
+    errors.extend(f"unused import src/repro/{entry}" for entry in unused_imports())
 
     if errors:
         return _fail(errors)

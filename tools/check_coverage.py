@@ -85,7 +85,6 @@ DEFAULT_TESTS = [
     REPO / "tests" / "test_scribe_trees.py",
     REPO / "tests" / "test_scribe_aggregate.py",
     REPO / "tests" / "test_scribe_random_ops.py",
-    REPO / "tests" / "test_scribe_pull_aggregation.py",
     REPO / "tests" / "test_pastry_routing.py",
     REPO / "tests" / "test_pastry_stabilization.py",
     REPO / "tests" / "test_pastry_isolation.py",
