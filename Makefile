@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test bench ablations chaos sanitize coverage trace planner rebalance market live examples outputs clean
+.PHONY: install test bench fingerprint ablations chaos sanitize coverage trace planner rebalance market live examples outputs clean
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -14,6 +14,13 @@ test:
 # workloads, end-to-end and per-layer metrics, output checks.
 bench:
 	python3 bench/run.py
+
+# Behaviour fingerprint (tools/fingerprint.py): one sha256 per scenario of
+# seeds x jitter x {fault-free, faulted}, hashing every send and engine
+# step, checked against benchmarks/results/fingerprints.json.  To see where
+# a tree parts from a commit: python tools/fingerprint.py --against REV
+fingerprint:
+	$(PYTHON) tools/fingerprint.py
 
 # The paper-figure and ablation tables (pytest-benchmark suite).
 ablations:

@@ -49,15 +49,29 @@ def _estimate_size(value: Any) -> int:
         return size
     if t is float or t is int:
         return 8
+    # Containers size numbers and memoized strings in place; every other
+    # value goes through the call (which memoizes a new string).
     if t is dict:
         total = 0
         for k, v in value.items():
-            total += _estimate_size(k) + _estimate_size(v)
+            size = _str_sizes.get(k) if type(k) is str else None
+            total += _estimate_size(k) if size is None else size
+            t = type(v)
+            if t is int or t is float:
+                total += 8
+                continue
+            size = _str_sizes.get(v) if t is str else None
+            total += _estimate_size(v) if size is None else size
         return total
     if t is list or t is tuple:
         total = 0
         for v in value:
-            total += _estimate_size(v)
+            t = type(v)
+            if t is int or t is float:
+                total += 8
+                continue
+            size = _str_sizes.get(v) if t is str else None
+            total += _estimate_size(v) if size is None else size
         return total
     if value is None or t is bool:
         return 1

@@ -8,14 +8,18 @@ tagged with the site it belongs to.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import List, Optional
 
-from repro.pastry.nodeid import NodeId
+from repro.pastry.nodeid import BITS, NodeId
 from repro.pastry.routing_table import NodeRef
 
 #: Default leaf-set size (L); L/2 on each side, FreePastry's default is 24,
 #: the original paper uses 16 — we follow the original.
 DEFAULT_LEAF_SET_SIZE = 16
+
+_RING = 1 << BITS
+_HALF_RING = 1 << (BITS - 1)
 
 
 class LeafSet:
@@ -40,31 +44,34 @@ class LeafSet:
     # Maintenance
     # ------------------------------------------------------------------
     def add(self, ref: NodeRef) -> bool:
-        """Consider ``ref`` for membership; returns True if stored."""
-        if ref.node_id == self.owner_id:
-            return False
-        if ref.address in self._addrs:
-            return False
-        cw_dist = self.owner_id.clockwise_distance(ref.node_id)
-        side = self._cw if cw_dist <= (1 << 127) else self._ccw
-        side.append(ref)
-        side.sort(key=lambda r: self._side_distance(r, side is self._cw))
-        if len(side) > self.half:
-            dropped = side.pop()
-            stored = dropped.address != ref.address
-            if stored:
-                self._addrs.discard(dropped.address)
-                self._addrs.add(ref.address)
-        else:
-            stored = True
-            self._addrs.add(ref.address)
-        if stored:
-            self.version += 1
-        return stored
+        """Consider ``ref`` for membership; returns True if stored.
 
-    def _side_distance(self, ref: NodeRef, clockwise: bool) -> int:
-        d = self.owner_id.clockwise_distance(ref.node_id)
-        return d if clockwise else (1 << 128) - d
+        A side stays sorted by distance from the owner, ties in arrival
+        order.  Almost every candidate an exchange offers is known already
+        or beyond a full side's farthest member: both are refused first.
+        """
+        address = ref.address
+        if address in self._addrs:
+            return False
+        owner = self.owner_id.value
+        d = (ref.node_id.value - owner) % _RING
+        if d == 0:
+            return False
+        if d <= _HALF_RING:
+            side = self._cw
+            dist = lambda r: (r.node_id.value - owner) % _RING
+        else:
+            side = self._ccw
+            d = _RING - d
+            dist = lambda r: (owner - r.node_id.value) % _RING
+        if len(side) >= self.half:
+            if d >= dist(side[-1]):
+                return False
+            self._addrs.discard(side.pop().address)
+        side.insert(bisect_right(side, d, key=dist), ref)
+        self._addrs.add(address)
+        self.version += 1
+        return True
 
     def remove(self, address: int) -> bool:
         """Drop ``address`` from both arcs; True if anything was removed

@@ -152,14 +152,18 @@ class PastryNode(Host):
             self.send(msg.payload["origin"], Message(kind="pastry.ls_rep",
                                                      payload={"refs": refs}))
         elif kind == "pastry.ls_rep":
+            believes_alive = self.believes_alive
+            host = self.network.host
+            nominal_one_way_ms = self.network.latency.nominal_one_way_ms
+            site = self.site
+            add_peer = self.add_peer
             for id_value, address, site_index in msg.payload["refs"]:
                 # The replier's own state may still hold failed nodes; the
                 # liveness probe (connection attempt) filters them here.
-                if not self.believes_alive(address):
-                    continue
-                peer_site = self.network.host(address).site
-                proximity = self.network.latency.nominal_one_way_ms(self.site, peer_site)
-                self.add_peer(NodeRef(NodeId(id_value), address, site_index, proximity))
+                if believes_alive(address):
+                    proximity = nominal_one_way_ms(site, host(address).site)
+                    add_peer(NodeRef(NodeId(id_value), address, site_index,
+                                     proximity))
         else:
             self.stats["unknown_kind"] += 1
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Iterator, List, Optional
 
-from repro.pastry.nodeid import BASE, DIGITS, NodeId
+from repro.pastry.nodeid import BASE, BASE_BITS, BITS, DIGITS, NodeId
 
 
 class NodeRef:
@@ -49,26 +49,22 @@ class RoutingTable:
         self.version = 0
 
     # ------------------------------------------------------------------
-    def _row(self, r: int, create: bool = False) -> Optional[List[Optional[NodeRef]]]:
-        row = self._rows[r]
-        if row is None and create:
-            row = [None] * BASE
-            self._rows[r] = row
-        return row
-
     def entry(self, row: int, col: int) -> Optional[NodeRef]:
-        r = self._row(row)
+        r = self._rows[row]
         return None if r is None else r[col]
 
     def add(self, ref: NodeRef) -> bool:
         """Insert ``ref``; returns True if it was stored (new or closer)."""
-        if ref.node_id == self.owner_id:
+        value = ref.node_id.value
+        differ = self.owner_id.value ^ value
+        if not differ:
             return False
-        row_idx = self.owner_id.shared_prefix_len(ref.node_id)
-        if row_idx >= DIGITS:
-            return False
-        col = ref.node_id.digit(row_idx)
-        row = self._row(row_idx, create=True)
+        # shared_prefix_len, then digit(row), on the raw integers.
+        row_idx = (BITS - differ.bit_length()) // BASE_BITS
+        col = (value >> (BITS - BASE_BITS * (row_idx + 1))) & (BASE - 1)
+        row = self._rows[row_idx]
+        if row is None:
+            row = self._rows[row_idx] = [None] * BASE
         current = row[col]
         if current is None or ref.proximity_ms < current.proximity_ms:
             row[col] = ref

@@ -18,13 +18,21 @@ Two tiers:
   this suite can never drift apart.  Set ``RBAY_SKIP_FULL_DETERMINISM=1``
   to keep only the small tier when iterating locally.
 
+A third pin is a slice of ``tools/fingerprint.py``'s scenario matrix (one
+fault-free, one faulted scenario), replayed against
+``benchmarks/results/fingerprints.json``; ``make fingerprint`` checks the
+whole matrix, and ``python tools/fingerprint.py --against REV`` names the
+first send or engine step where a drifted tree parts from REV.
+
 Regenerating (after a *deliberate* semantic change): run this module as
 a script — ``PYTHONPATH=src python -m tests.test_determinism_regression``
-— and paste the printed matrix into the JSON, explaining the change in
+— and paste the printed matrix into the JSON, and re-pin the fingerprints
+with ``python tools/fingerprint.py --write-pins``, explaining the change in
 the commit message.
 """
 
 import dataclasses
+import importlib.util
 import json
 import os
 from pathlib import Path
@@ -64,6 +72,36 @@ def test_full_spec_signature_is_pinned(seed):
         f"1,024-node seed={seed} signature drifted: the core no longer "
         f"replays the pinned history (got "
         f"{metrics['signature'][:16]}..., pinned {want[:16]}...)")
+
+
+def load_fingerprint_tool():
+    spec = importlib.util.spec_from_file_location(
+        "fingerprint", PINS_PATH.parents[2] / "tools" / "fingerprint.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+fingerprint = load_fingerprint_tool()
+
+FINGERPRINT_SLICE = ("seed11-jitter-clean", "seed12-fixed-faults")
+
+
+def test_fingerprint_slice_is_pinned():
+    got = fingerprint.fingerprints(fingerprint.ROOT / "src", FINGERPRINT_SLICE)
+    pins = fingerprint.load_pins()
+    for name in FINGERPRINT_SLICE:
+        assert got[name] == pins[name], (
+            f"fingerprint {name} drifted: simulated history changed; "
+            f"python tools/fingerprint.py --against HEAD --scenario {name} "
+            f"shows the first send or step that moved")
+
+
+def test_first_divergence_names_the_first_differing_record():
+    first = fingerprint.first_divergence
+    assert first(["a", "b"], ["a", "b"]) is None
+    assert first(list("abcdx"), list("abcdy")) == (4, "x", "y", ["b", "c", "d"])
+    assert first(["a"], ["a", "b"]) == (1, None, "b", ["a"])
 
 
 def _print_matrix() -> None:
