@@ -4,16 +4,17 @@
 A change that must not move simulated history has to leave every message
 sent and every event executed exactly as it was, in the same order.  This
 tool runs a fixed matrix of scenarios — seeds × latency jitter ×
-{fault-free, randomized crash + partition + message loss} on a small
+{fault-free, randomized crash + partition + message loss}, plus one traced
+faulted run and one where query replies are lost and late — on a small
 federation, with queries admitted through ``RBay.submit`` while the plane
 runs and more driven to completion through ``Future.result()`` — and
 hashes one record per ``Network.send`` (time, source, destination,
 protocol kind, size in bytes), one per executed engine step (its
-``(time, seq)``), one per query outcome, and the final clock and traffic
-counters.
+``(time, seq)``), one per query outcome, the final clock and traffic
+counters, and on the traced run every exported span.
 
-Each tree runs in a child process that imports ``repro`` from that tree's
-``src/`` with ``PYTHONHASHSEED=0``.  Larger faulted runs have been seen to
+Each scenario runs, per tree, in its own child process that imports
+``repro`` from that tree's ``src/`` with ``PYTHONHASHSEED=0``.  Larger faulted runs have been seen to
 send differently under different hash seeds (ROADMAP, "hash-seed-free
 sim"); these scenarios hash the same under seeds 0–8, and the pinned seed
 keeps a comparison meaningful until that is fixed.  The scenario code is
@@ -66,22 +67,38 @@ SUBMITTED = 24
 DRIVEN = 8
 
 
+#: Replies the three query retry loops wait on: the size probe's
+#: ``agg_value``, the anycast's ``anycast_result``, the remote site's
+#: ``site_result``.
+REPLY_KINDS = ("direct/scribe/agg_value", "direct/scribe/anycast_result",
+               "direct/query/site_result")
+
+
 class Scenario(NamedTuple):
     seed: int
     jitter: bool
-    faults: bool
+    #: "clean"; "faults" (randomized crash + partition + drop); or
+    #: "replyloss" (replies dropped, duplicated, and for a window delayed
+    #: past every timeout, so each retry loop retries and some exhaust).
+    faults: str
+    #: Span tracing on; the exported spans are hashed too.
+    traced: bool = False
 
     @property
     def name(self) -> str:
         return (f"seed{self.seed}-{'jitter' if self.jitter else 'fixed'}"
-                f"-{'faults' if self.faults else 'clean'}")
+                f"-{self.faults}{'-traced' if self.traced else ''}")
 
 
 SCENARIOS: Dict[str, Scenario] = {
-    s.name: s for s in (Scenario(seed, jitter, faults)
-                        for seed in (11, 12)
-                        for jitter in (False, True)
-                        for faults in (False, True))
+    s.name: s for s in (
+        *(Scenario(seed, jitter, faults)
+          for seed in (11, 12)
+          for jitter in (False, True)
+          for faults in ("clean", "faults")),
+        Scenario(11, True, "faults", traced=True),
+        Scenario(12, True, "replyloss"),
+    )
 }
 
 
@@ -101,8 +118,9 @@ def _outcome(value) -> str:
 def run_scenario(scenario: Scenario, emit: Callable[[str], None]) -> None:
     """Run ``scenario`` and ``emit`` one text record per observation."""
     from repro.core.plane import RBay, RBayConfig
-    from repro.faults import FaultSchedule
+    from repro.faults import FaultSchedule, MessageRule
     from repro.faults.injector import protocol_kind
+    from repro.obs.export import to_json
     from repro.query.errors import QueryError
     from repro.query.options import QueryOptions
     from repro.workloads.generator import FederationWorkload, WorkloadSpec
@@ -111,7 +129,8 @@ def run_scenario(scenario: Scenario, emit: Callable[[str], None]) -> None:
                             nodes_per_site=NODES_PER_SITE,
                             jitter=scenario.jitter,
                             maintenance_interval_ms=500.0,
-                            reservation_hold_ms=1_000.0))
+                            reservation_hold_ms=1_000.0,
+                            tracing=scenario.traced))
     sim, network = plane.sim, plane.network
     sim.set_step_hook(lambda time, seq: emit(f"step {time!r} {seq}"))
     send = network.send
@@ -132,13 +151,25 @@ def run_scenario(scenario: Scenario, emit: Callable[[str], None]) -> None:
     plane.start_maintenance()
     start = sim.now
     sites = [site.name for site in plane.registry]
-    if scenario.faults:
+    if scenario.faults == "faults":
         plane.install_faults(FaultSchedule.randomized(
             random.Random(scenario.seed * 7 + 1), duration_ms=CHAOS_MS,
             node_count=len(plane.nodes), crash_fraction=0.3,
             mean_downtime_ms=1_500.0, site_names=sites, partitions=1,
             mean_partition_ms=1_500.0, drop_prob=0.1, duplicate_prob=0.05,
             extra_delay_ms=3.0).shifted(start))
+    elif scenario.faults == "replyloss":
+        schedule = FaultSchedule()
+        for kind in REPLY_KINDS:
+            schedule.rule(MessageRule(name=f"lose {kind}", kind_prefix=kind,
+                                      drop_prob=0.35, duplicate_prob=0.2),
+                          start, start + CHAOS_MS)
+            # Later than the site / anycast timeout (1.5 s), so late
+            # replies meet an attempt that has already given up.
+            schedule.rule(MessageRule(name=f"delay {kind}", kind_prefix=kind,
+                                      extra_delay_ms=1_600.0),
+                          start + 0.2 * CHAOS_MS, start + 0.8 * CHAOS_MS)
+        plane.install_faults(schedule)
 
     rng = random.Random(scenario.seed * 13 + 5)
 
@@ -187,41 +218,43 @@ def run_scenario(scenario: Scenario, emit: Callable[[str], None]) -> None:
     emit(f"end {sim.now!r} {sim.events_executed} {network.messages_sent} "
          f"{network.messages_delivered} {network.messages_dropped} "
          f"{network.messages_suppressed} {network.bytes_sent}")
+    if scenario.traced:
+        for line in to_json(plane.obs.recorder.spans()).splitlines():
+            emit(f"span {line}")
 
 
-def _worker(names: Sequence[str], log_dir: Optional[str]) -> None:
-    """Child-process entry: hash ``names`` and print ``{name: sha256}``."""
+def _worker(name: str, log_dir: Optional[str]) -> None:
+    """Child-process entry: hash scenario ``name`` and print its sha256."""
     import repro
 
-    hashes = {}
-    for name in names:
-        digest = hashlib.sha256()
-        with (open(Path(log_dir) / f"{name}.log", "w", encoding="utf-8")
-              if log_dir else nullcontext()) as log:
-            def emit(record: str) -> None:
-                line = record + "\n"
-                digest.update(line.encode("utf-8"))
-                if log is not None:
-                    log.write(line)
+    digest = hashlib.sha256()
+    with (open(Path(log_dir) / f"{name}.log", "w", encoding="utf-8")
+          if log_dir else nullcontext()) as log:
+        def emit(record: str) -> None:
+            line = record + "\n"
+            digest.update(line.encode("utf-8"))
+            if log is not None:
+                log.write(line)
 
-            run_scenario(SCENARIOS[name], emit)
-        hashes[name] = digest.hexdigest()
-    print(json.dumps({"repro": repro.__file__, "hashes": hashes}))
+        run_scenario(SCENARIOS[name], emit)
+    print(json.dumps({"repro": repro.__file__, "hash": digest.hexdigest()}))
 
 
 # ----------------------------------------------------------------------
-# Orchestration: one child process per tree
+# Orchestration: one child process per tree and scenario.  Query ids
+# come from process-wide counters and land in span labels, so a scenario
+# that shared a process would hash differently after another one ran.
 # ----------------------------------------------------------------------
-def _start(src: Path, names: Sequence[str],
+def _start(src: Path, name: str,
            log_dir: Optional[Path] = None) -> subprocess.Popen:
     env = dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED=HASH_SEED)
-    argv = [sys.executable, str(Path(__file__).resolve()), "--worker", *names]
+    argv = [sys.executable, str(Path(__file__).resolve()), "--worker", name]
     if log_dir is not None:
         argv += ["--log-dir", str(log_dir)]
     return subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, text=True)
 
 
-def _finish(child: subprocess.Popen, src: Path) -> Dict[str, str]:
+def _finish(child: subprocess.Popen, src: Path) -> str:
     out, _ = child.communicate()
     if child.returncode != 0:
         raise RuntimeError(f"scenario run on {src} failed "
@@ -230,12 +263,12 @@ def _finish(child: subprocess.Popen, src: Path) -> Dict[str, str]:
     if not Path(document["repro"]).resolve().is_relative_to(src.resolve()):
         raise RuntimeError(f"child imported repro from {document['repro']}, "
                            f"not from {src}")
-    return document["hashes"]
+    return document["hash"]
 
 
 def fingerprints(src: Path, names: Sequence[str]) -> Dict[str, str]:
     """``{scenario: sha256}`` of ``names`` run on the ``repro`` in ``src``."""
-    return _finish(_start(src, names), src)
+    return {name: _finish(_start(src, name), src) for name in names}
 
 
 def load_pins() -> Dict[str, str]:
@@ -273,23 +306,23 @@ def _against(rev: str, names: Sequence[str]) -> int:
         trees = {"this tree": ROOT / "src",
                  rev: _export(rev, tmp_path / "rev")}
         logs = {}
-        children = {}
-        for index, (label, src) in enumerate(trees.items()):
+        for index, label in enumerate(trees):
             logs[label] = tmp_path / f"logs{index}"
             logs[label].mkdir()
-            children[label] = _start(src, names, logs[label])
-        try:
-            hashes = {label: _finish(children[label], trees[label])
-                      for label in trees}
-        finally:
-            for child in children.values():
-                if child.poll() is None:
-                    child.kill()
-                    child.wait()
-        mine, theirs = hashes["this tree"], hashes[rev]
         for name in names:
-            same = mine[name] == theirs[name]
-            print(f"{name:24s} {mine[name]}  {'same' if same else 'DIFFERS'}")
+            # The two trees run side by side, one scenario at a time.
+            children = {label: _start(src, name, logs[label])
+                        for label, src in trees.items()}
+            try:
+                mine, theirs = (_finish(children[label], trees[label])
+                                for label in trees)
+            finally:
+                for child in children.values():
+                    if child.poll() is None:
+                        child.kill()
+                        child.wait()
+            same = mine == theirs
+            print(f"{name:28s} {mine}  {'same' if same else 'DIFFERS'}")
             if same:
                 continue
             status = 1
@@ -316,7 +349,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         help="compare this tree with commit REV, record for record")
     parser.add_argument("--write-pins", action="store_true",
                         help=f"store the hashes in {PINS_PATH.relative_to(ROOT)}")
-    parser.add_argument("--worker", nargs="+", help=argparse.SUPPRESS)
+    parser.add_argument("--worker", help=argparse.SUPPRESS)
     parser.add_argument("--log-dir", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.worker:
@@ -337,7 +370,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     for name in names:
         verdict = ("unpinned" if name not in pins
                    else "MOVED" if name in moved else "pinned")
-        print(f"{name:24s} {hashes[name]}  {verdict}")
+        print(f"{name:28s} {hashes[name]}  {verdict}")
     return 1 if moved else 0
 
 
