@@ -5,8 +5,9 @@ chosen" — aggressive customers accumulate failures and back off for longer,
 which both avoids the deadlock scenario and biases access toward less
 aggressive customers.
 
-:func:`retry_step` is the loop the query executor runs every lossy
-protocol step through; it draws its delays from the same backoff.
+:class:`RetryStep` is the loop the query executor runs every lossy
+protocol step through; it draws its delays from the same backoff and
+hands itself to each attempt as an argument (no closure captures it).
 """
 
 from __future__ import annotations
@@ -58,38 +59,56 @@ class TruncatedExponentialBackoff:
         self.failures = 0
 
 
-def retry_step(sim, backoff: TruncatedExponentialBackoff, step: str,
-               attempt: Callable[..., None], on_exhausted: Callable[..., None],
-               tally: Any, obs: Any, parent: Any = None,
-               **labels: Any) -> Callable[..., None]:
+class RetryStep:
     """The one retry loop for a query-protocol step (paper §III-D).
 
     A step — the remote site request, the size-probe round, one tree's
     anycast — supplies ``attempt`` (send it) and ``on_exhausted`` (carry on
-    once the budget is spent) and calls the returned ``failed(*args)``
-    whenever an attempt is lost.  Everything after that happens only here:
-    failure accounting, the ``query.retry.<step>`` counter, the result's
-    retry tally (``tally.retries_spent``), the backoff draw, the optional
+    once the budget is spent).  The loop reaches the attempt as its first
+    argument — the step starts with ``attempt(loop)``, a lost attempt calls
+    ``loop.failed(*args)``, the re-attempt is ``attempt(loop, *args)`` — so
+    no closure refers to its own loop, and a finished step is freed by
+    reference counting, not left as a function → cell → function cycle.
+    Everything after a loss happens only here: failure accounting, the
+    ``query.retry.<step>`` counter, the result's retry tally
+    (``tally.retries_spent``), the backoff draw, the optional
     ``query.backoff`` span (under ``parent``: a retry resumes from a timer,
     with no span context), the timer and the re-attempt.  ``args`` go to
     the re-attempt or to ``on_exhausted`` (the probe round passes the
     trees still unanswered).
     """
 
-    def failed(*args: Any) -> None:
+    def __init__(self, sim, backoff: TruncatedExponentialBackoff, step: str,
+                 attempt: Callable[..., None],
+                 on_exhausted: Callable[..., None], tally: Any, obs: Any,
+                 parent: Any = None, **labels: Any):
+        self._backoff = backoff
+        self._sim = sim
+        self._step = step
+        self._attempt = attempt
+        self._on_exhausted = on_exhausted
+        self._tally = tally
+        self._obs = obs
+        self._parent = parent
+        self._labels = labels
+
+    def failed(self, *args: Any) -> None:
+        """One attempt was lost: back off and re-attempt, or give up."""
+        backoff = self._backoff
         backoff.record_failure()
         if backoff.exhausted():
-            on_exhausted(*args)
+            self._on_exhausted(*args)
             return
-        tally.retries_spent += 1
-        obs.metrics.increment(f"query.retry.{step}")
+        self._tally.retries_spent += 1
+        obs = self._obs
+        obs.metrics.increment(f"query.retry.{self._step}")
         delay = backoff.next_delay_ms()
         rec = obs.recorder
         if rec.enabled:
-            wait = rec.start("query.backoff", category="query", parent=parent,
-                             step="backoff", retry_of=step, **labels)
-            sim.schedule(delay, lambda: (obs.end_step(wait), attempt(*args)))
+            wait = rec.start("query.backoff", category="query",
+                             parent=self._parent, step="backoff",
+                             retry_of=self._step, **self._labels)
+            self._sim.schedule(delay, lambda: (obs.end_step(wait),
+                                               self._attempt(self, *args)))
         else:
-            sim.schedule(delay, attempt, *args)
-
-    return failed
+            self._sim.schedule(delay, self._attempt, self, *args)

@@ -27,7 +27,7 @@ if TYPE_CHECKING:  # avoid the core <-> query.executor import cycle
     from repro.core.node import RBayNode
 from repro.obs import Observability
 from repro.pastry.node import Application
-from repro.query.backoff import TruncatedExponentialBackoff, retry_step
+from repro.query.backoff import RetryStep, TruncatedExponentialBackoff
 from repro.query.errors import QueryTimeout
 from repro.query.options import QueryOptions
 from repro.query.predicates import Predicate
@@ -71,7 +71,7 @@ class _SiteRequest:
     query: Query
     options: QueryOptions
     #: Protocol-step retries this node spent serving the request
-    #: (:func:`~repro.query.backoff.retry_step` counts them here).
+    #: (:class:`~repro.query.backoff.RetryStep` counts them here).
     retries_spent: int = 0
 
     def pack(self, request_id: int, origin: int) -> Dict[str, Any]:
@@ -425,16 +425,17 @@ class QueryApplication(Application):
                   parent, **labels: Any):
         """A retry loop for one protocol step with a fresh budget (the
         query's ``retries`` override, else the context-wide default):
-        returns ``(backoff, failed)`` — see :func:`retry_step`."""
+        returns ``(backoff, loop)`` — see :class:`RetryStep`, and start
+        the step with ``attempt(loop, ...)``."""
         ctx = self.context
         budget = request.options.retries
         if budget is None:
             budget = ctx.max_step_retries
         backoff = TruncatedExponentialBackoff(
             ctx.retry_rng, slot_ms=ctx.retry_slot_ms, max_attempts=budget + 1)
-        return backoff, retry_step(ctx.sim, backoff, step, attempt,
-                                   on_exhausted, request, self.obs, parent,
-                                   **labels)
+        return backoff, RetryStep(ctx.sim, backoff, step, attempt,
+                                  on_exhausted, request, self.obs, parent,
+                                  **labels)
 
     def _ask_remote_site(self, node: "RBayNode", gateway: int,
                          request: _SiteRequest, site_name: str,
@@ -451,7 +452,7 @@ class QueryApplication(Application):
         done = Future(sim)
         rec = self.obs.recorder
 
-        def _attempt() -> None:
+        def _attempt(loop: RetryStep) -> None:
             request_id = next(_request_ids)
             attempt = Future(sim, timeout=self.context.site_timeout_ms)
             self._pending[request_id] = attempt
@@ -477,17 +478,17 @@ class QueryApplication(Application):
                     return
                 # Orphan the attempt so a late reply is settled, not merged.
                 self._pending.pop(request_id, None)
-                failed()
+                loop.failed()
 
             attempt.add_callback(_on_reply)
 
-        backoff, failed = self._retrying(
+        backoff, loop = self._retrying(
             "site", request, _attempt,
             lambda: done.try_resolve(FutureTimeout(
                 f"site request to {gateway} failed after "
                 f"{backoff.failures} attempts")),
             parent_ctx, site=site_name, addr=node.address)
-        _attempt()
+        _attempt(loop)
         return done
 
     # ------------------------------------------------------------------
@@ -569,7 +570,7 @@ class QueryApplication(Application):
         to_probe = [qualify(tree) for tree in plan.probes()]
         size_of: Dict[str, int] = {}
 
-        def _probe_round(topics_left: List[str]) -> None:
+        def _probe_round(loop: RetryStep, topics_left: List[str]) -> None:
             probe_span = None
             if rec.enabled:
                 probe_span = rec.start(
@@ -586,10 +587,11 @@ class QueryApplication(Application):
                 ]
             gather(sim, round_probes,
                    timeout=self.context.probe_timeout_ms).add_callback(
-                lambda sizes: _collect_probe(topics_left, sizes, probe_span))
+                lambda sizes: _collect_probe(loop, topics_left, sizes,
+                                             probe_span))
 
-        def _collect_probe(topics_left: List[str], sizes: Any,
-                           probe_span=None) -> None:
+        def _collect_probe(loop: RetryStep, topics_left: List[str],
+                           sizes: Any, probe_span=None) -> None:
             if isinstance(sizes, FutureTimeout):
                 sizes = [FutureTimeout()] * len(topics_left)
             missing: List[str] = []
@@ -603,7 +605,7 @@ class QueryApplication(Application):
                                   status="timeout" if missing else "ok")
             if missing:
                 # Re-probe only the trees whose size is still unknown.
-                probe_failed(missing)
+                loop.failed(missing)
             else:
                 _after_probe()
 
@@ -614,7 +616,7 @@ class QueryApplication(Application):
                 size_of[topic] = 0
             _after_probe()
 
-        probe_backoff, probe_failed = self._retrying(
+        probe_backoff, probe_loop = self._retrying(
             "probe", request, _probe_round, _probe_exhausted, exec_ctx,
             site=site_name, addr=node.address)
 
@@ -660,7 +662,7 @@ class QueryApplication(Application):
                                 exec_ctx)
 
         if to_probe:
-            _probe_round(to_probe)
+            _probe_round(probe_loop, to_probe)
         else:
             # No tree to probe (only "empty" routes, an empty pushdown, a
             # GROUP BY nothing indexes): the answer is empty.
@@ -690,7 +692,7 @@ class QueryApplication(Application):
             self._anycast_chain(node, request, rest, state, tree_sizes, done,
                                 parent)
 
-        def _attempt() -> None:
+        def _attempt(loop: RetryStep) -> None:
             if len(state["entries"]) >= state["k"]:
                 # A retry can find the buffer already full: in the sim a
                 # lost DFS fills the very ``state`` object we hold.
@@ -707,7 +709,7 @@ class QueryApplication(Application):
                 if _lost(result):
                     if rec.enabled:
                         self.obs.end_step(span, status="timeout")
-                    failed()
+                    loop.failed()
                     return
                 if rec.enabled:
                     self.obs.end_step(
@@ -727,10 +729,10 @@ class QueryApplication(Application):
                                     scope=self.context.tree_scope
                                     ).add_callback(_on_result)
 
-        backoff, failed = self._retrying(
+        backoff, loop = self._retrying(
             "anycast", request, _attempt, _next_tree, parent,
             site=node.site.name, addr=node.address, topic=topic)
-        _attempt()
+        _attempt(loop)
 
     # ------------------------------------------------------------------
     # Anycast visitor (runs at each visited member; wired by the plane)

@@ -8,9 +8,10 @@ order, which keeps runs deterministic.
 
 The queue is a heap of ``(time, seq, handle, callback, args)`` tuples: ``seq``
 is unique, so C-level tuple comparison orders on the first two fields and
-never reaches the rest; ``handle`` is the cancellable :class:`Event` of a
-``schedule``, ``None`` for a ``post``.  :meth:`Simulator._drain` alone pops
-it: ``run``, ``run_until`` and ``step`` are that loop under different stops.
+never reaches the rest.  A ``post`` keeps its call in the tuple (``handle``
+``None``); a ``schedule`` keeps it on the cancellable :class:`Event` it
+stores as ``handle``.  :meth:`Simulator._drain` alone pops the heap: ``run``,
+``run_until`` and ``step`` are that loop under different stops.
 """
 
 from __future__ import annotations
@@ -28,19 +29,23 @@ class Event:
     """The handle :meth:`Simulator.schedule` returns for a queued callback.
 
     Cancellation is lazy: a cancelled event's heap entry stays queued and
-    is skipped when popped, which keeps ``cancel`` O(1).
+    is skipped when popped, which keeps ``cancel`` O(1).  The call lives on
+    the event and ``cancel`` drops it: what it reached is freed at once.
     """
 
-    __slots__ = ("time", "seq", "cancelled")
+    __slots__ = ("time", "seq", "cancelled", "callback", "args")
 
-    def __init__(self, time: float, seq: int):
+    def __init__(self, time: float, seq: int, callback: Callable, args: tuple):
         self.time = time
         self.seq = seq
         self.cancelled = False
+        self.callback = callback
+        self.args = args
 
     def cancel(self) -> None:
         """Prevent the callback from running.  Safe to call more than once."""
         self.cancelled = True
+        self.callback = self.args = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else "pending"
@@ -163,8 +168,8 @@ class Simulator(EngineBase):
         """Run ``callback(*args)`` after ``delay`` virtual milliseconds."""
         if delay < 0:
             raise SimulationError(f"cannot schedule in the past (delay={delay})")
-        event = Event(self._now + delay, next(self._seq))
-        heapq.heappush(self._heap, (event.time, event.seq, event, callback, args))
+        event = Event(self._now + delay, next(self._seq), callback, args)
+        heapq.heappush(self._heap, (event.time, event.seq, event, None, None))
         return event
 
     def schedule_at(self, time: float, callback: Callable[..., Any], *args: Any) -> Event:
@@ -200,9 +205,11 @@ class Simulator(EngineBase):
             if not heap:
                 return True
             time, seq, handle, callback, args = heap[0]
-            if handle is not None and handle.cancelled:
-                pop(heap)
-                continue
+            if handle is not None:
+                if handle.cancelled:
+                    pop(heap)
+                    continue
+                callback, args = handle.callback, handle.args
             if until is not None and time > until:
                 return True
             if max_events is not None and executed >= max_events:

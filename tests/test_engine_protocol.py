@@ -8,6 +8,8 @@ drift between the oracle and the live engine fails here before it can
 corrupt a live run.
 """
 
+import weakref
+
 import pytest
 
 from repro.sim import EngineProtocol, Simulator
@@ -18,6 +20,13 @@ from repro.transport.realtime import RealtimeScheduler
 #: suite stays fast, while delays remain >= 1ms of wall time — far above
 #: the event loop's timer granularity, keeping firing order reliable.
 TIME_SCALE = 0.01
+
+
+class _Sink:
+    """A weak-referenceable callback owner / argument."""
+
+    def take(self, item):
+        pass
 
 
 @pytest.fixture(params=["sim", "realtime"])
@@ -76,6 +85,19 @@ class TestConformance:
         handle.cancel()
         engine.run_until_idle()
         assert fired == ["kept"]
+
+    def test_cancel_releases_callback_and_args(self, engine):
+        """Cancellation may be lazy, but a cancelled handle retains neither
+        what it would have called nor its arguments (asyncio's
+        ``TimerHandle.cancel`` drops both too)."""
+        sink, payload = _Sink(), _Sink()
+        refs = weakref.ref(sink), weakref.ref(payload)
+        handle = engine.schedule(10_000.0, sink.take, payload)
+        del sink, payload
+        assert all(ref() is not None for ref in refs)
+        handle.cancel()
+        assert all(ref() is None for ref in refs)
+        assert engine.pending_events == 0
 
     def test_run_for_advances_the_clock(self, engine):
         before = engine.now

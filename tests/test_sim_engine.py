@@ -1,5 +1,7 @@
 """Unit tests for the discrete-event engine."""
 
+import weakref
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -153,6 +155,33 @@ def test_events_executed_counter(sim):
         sim.schedule(float(i), lambda: None)
     sim.run()
     assert sim.events_executed == 4
+
+
+def test_cancel_releases_the_args_before_the_due_time(sim):
+    """Cancellation stays lazy — the entry is skipped when popped — but the
+    cancelled handle lets go of its callback and arguments at once, and
+    the queue count, firing order and (time, seq) stream are unchanged."""
+
+    class Payload:
+        pass
+
+    payload = Payload()
+    ref = weakref.ref(payload)
+    steps = []
+    sim.set_step_hook(lambda time, seq: steps.append((time, seq)))
+    fired = []
+    sim.schedule(1.0, fired.append, "a")
+    doomed = sim.schedule(100.0, fired.append, payload)
+    sim.schedule(2.0, fired.append, "b")
+    del payload
+    assert ref() is not None
+    doomed.cancel()
+    assert ref() is None
+    assert doomed.cancelled and doomed.time == 100.0
+    assert sim.pending_events == 2
+    sim.run()
+    assert fired == ["a", "b"]
+    assert steps == [(1.0, 0), (2.0, 2)]
 
 
 def test_pending_events_excludes_cancelled(sim):

@@ -1,5 +1,7 @@
 """Unit tests for simulation futures."""
 
+import weakref
+
 import pytest
 
 from repro.sim.futures import Future, FutureError, FutureTimeout, gather
@@ -61,6 +63,27 @@ def test_resolution_cancels_timeout(sim):
     sim.run()
     assert future.value == "ok"
     assert not future.timed_out()
+
+
+def test_resolved_future_is_freed_long_before_its_timeout(sim):
+    """A future resolved at t=5 with a 1,000 ms timeout is unreachable as
+    soon as its caller drops it — its cancelled timer holds nothing — so
+    the value it carries goes with it, long before t=1000."""
+
+    class Value:
+        pass
+
+    future = Future(sim, timeout=1_000.0)
+    value = Value()
+    ref = weakref.ref(value)
+    sim.schedule(5.0, future.resolve, value)
+    sim.schedule(500.0, lambda: None)  # other work queued ahead of the timer
+    del value
+    sim.run(until=10.0)
+    assert future.value is ref()
+    del future
+    assert ref() is None
+    assert sim.now == 10.0
 
 
 def test_result_drives_simulator(sim):

@@ -69,6 +69,7 @@ DEFAULT_TESTS = [
     REPO / "tests" / "test_faults_injector.py",
     REPO / "tests" / "test_chaos_properties.py",
     REPO / "tests" / "test_query_predicates_backoff.py",
+    REPO / "tests" / "test_query_garbage.py",
     REPO / "tests" / "test_obs_spans.py",
     REPO / "tests" / "test_obs_metrics.py",
     REPO / "tests" / "test_obs_critical_path.py",
