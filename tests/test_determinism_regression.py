@@ -19,7 +19,8 @@ Two tiers:
   to keep only the small tier when iterating locally.
 
 A third pin is a slice of ``tools/fingerprint.py``'s scenario matrix (one
-fault-free, one faulted and one reply-loss scenario), replayed against
+fault-free, one faulted, one reply-loss and one rebalancing scenario),
+replayed against
 ``benchmarks/results/fingerprints.json``; ``make fingerprint`` checks the
 whole matrix, and ``python tools/fingerprint.py --against REV`` names the
 first send or engine step where a drifted tree parts from REV.
@@ -85,7 +86,8 @@ def load_fingerprint_tool():
 fingerprint = load_fingerprint_tool()
 
 FINGERPRINT_SLICE = ("seed11-jitter-clean", "seed12-fixed-faults",
-                     "seed12-jitter-replyloss")
+                     "seed12-jitter-replyloss",
+                     "seed11-jitter-faults-rebalance")
 
 
 def test_fingerprint_slice_is_pinned():

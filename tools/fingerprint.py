@@ -5,7 +5,8 @@ A change that must not move simulated history has to leave every message
 sent and every event executed exactly as it was, in the same order.  This
 tool runs a fixed matrix of scenarios — seeds × latency jitter ×
 {fault-free, randomized crash + partition + message loss}, plus one traced
-faulted run and one where query replies are lost and late — on a small
+faulted run, one where query replies are lost and late, and one faulted
+run with hot-tree rebalancing (replica promotion, diverted reads) — on a small
 federation, with queries admitted through ``RBay.submit`` while the plane
 runs and more driven to completion through ``Future.result()`` — and
 hashes one record per ``Network.send`` (time, source, destination,
@@ -83,11 +84,16 @@ class Scenario(NamedTuple):
     faults: str
     #: Span tracing on; the exported spans are hashed too.
     traced: bool = False
+    #: Hot-tree root replication on (:data:`REBALANCE`), so replica
+    #: promotion and diverted reads (``replica_get``, ``anycast_divert``)
+    #: run under the faults.
+    rebalance: bool = False
 
     @property
     def name(self) -> str:
         return (f"seed{self.seed}-{'jitter' if self.jitter else 'fixed'}"
-                f"-{self.faults}{'-traced' if self.traced else ''}")
+                f"-{self.faults}{'-traced' if self.traced else ''}"
+                f"{'-rebalance' if self.rebalance else ''}")
 
 
 SCENARIOS: Dict[str, Scenario] = {
@@ -98,8 +104,19 @@ SCENARIOS: Dict[str, Scenario] = {
           for faults in ("clean", "faults")),
         Scenario(11, True, "faults", traced=True),
         Scenario(12, True, "replyloss"),
+        Scenario(11, True, "faults", rebalance=True),
     )
 }
+
+#: The balancer thresholds of the chaos suite's rebalancing runs
+#: (``tests/test_chaos_properties.py``) but a hot threshold of 10, not 6:
+#: still low enough that this traffic promotes replicas and readers divert
+#: to them.  At 6, seed 11's faults leave two nodes each other's parent in
+#: a replicated tree and anycast walks circle between them for ever
+#: (ROADMAP, "Scribe tree cycles under rebalancing").
+REBALANCE = dict(hot_threshold=10, cool_threshold=2, window_ms=500.0,
+                 hot_windows=2, cool_windows=4, max_replicas=2,
+                 min_children=2)
 
 
 # ----------------------------------------------------------------------
@@ -123,6 +140,7 @@ def run_scenario(scenario: Scenario, emit: Callable[[str], None]) -> None:
     from repro.obs.export import to_json
     from repro.query.errors import QueryError
     from repro.query.options import QueryOptions
+    from repro.scribe.rebalance import RebalanceConfig
     from repro.workloads.generator import FederationWorkload, WorkloadSpec
 
     plane = RBay(RBayConfig(seed=scenario.seed, synthetic_sites=SITES,
@@ -130,7 +148,9 @@ def run_scenario(scenario: Scenario, emit: Callable[[str], None]) -> None:
                             jitter=scenario.jitter,
                             maintenance_interval_ms=500.0,
                             reservation_hold_ms=1_000.0,
-                            tracing=scenario.traced))
+                            tracing=scenario.traced,
+                            rebalance=(RebalanceConfig(**REBALANCE)
+                                       if scenario.rebalance else None)))
     sim, network = plane.sim, plane.network
     sim.set_step_hook(lambda time, seq: emit(f"step {time!r} {seq}"))
     send = network.send
@@ -322,7 +342,7 @@ def _against(rev: str, names: Sequence[str]) -> int:
                         child.kill()
                         child.wait()
             same = mine == theirs
-            print(f"{name:28s} {mine}  {'same' if same else 'DIFFERS'}")
+            print(f"{name:30s} {mine}  {'same' if same else 'DIFFERS'}")
             if same:
                 continue
             status = 1
@@ -370,7 +390,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     for name in names:
         verdict = ("unpinned" if name not in pins
                    else "MOVED" if name in moved else "pinned")
-        print(f"{name:28s} {hashes[name]}  {verdict}")
+        print(f"{name:30s} {hashes[name]}  {verdict}")
     return 1 if moved else 0
 
 
