@@ -17,7 +17,7 @@ from repro.net.network import Host, Network
 from repro.net.site import Site
 from repro.query.predicates import Predicate
 from repro.sim.engine import Simulator
-from repro.sim.futures import Future
+from repro.sim.futures import Future, RequestTable
 
 _request_ids = itertools.count(1)
 
@@ -134,7 +134,7 @@ class GangliaClient(Host):
     def __init__(self, site: Site, sim: Simulator):
         super().__init__(site)
         self.sim = sim
-        self._pending: Dict[int, Future] = {}
+        self.requests = RequestTable(_request_ids)
 
     def query(
         self,
@@ -146,9 +146,8 @@ class GangliaClient(Host):
         timeout: Optional[float] = None,
     ) -> Future:
         """Ask the central manager for up to k matches; resolves to ids."""
-        request_id = next(_request_ids)
         future = Future(self.sim, timeout=timeout)
-        self._pending[request_id] = future
+        request_id = self.requests.open(future)
         self.send(manager_address, Message(kind="ganglia.query", payload={
             "request_id": request_id,
             "predicates": [p.pack() for p in predicates],
@@ -159,11 +158,11 @@ class GangliaClient(Host):
         return future
 
     def on_message(self, msg: Message) -> None:
-        """Resolve the pending future for a query reply."""
+        """Resolve the open request a query reply answers; a late or
+        duplicated reply is ignored."""
         if msg.kind == "ganglia.query_reply":
-            future = self._pending.pop(msg.payload["request_id"], None)
-            if future is not None:
-                future.try_resolve(msg.payload["node_ids"])
+            self.requests.answer(msg.payload["request_id"],
+                                 msg.payload["node_ids"])
 
 
 class GangliaFederation:

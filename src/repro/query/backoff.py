@@ -6,8 +6,7 @@ which both avoids the deadlock scenario and biases access toward less
 aggressive customers.
 
 :class:`RetryStep` is the loop the query executor runs every lossy
-protocol step through; it draws its delays from the same backoff and
-hands itself to each attempt as an argument (no closure captures it).
+protocol step through; it draws its delays from the same backoff.
 """
 
 from __future__ import annotations
@@ -64,43 +63,72 @@ class RetryStep:
 
     A step — the remote site request, the size-probe round, one tree's
     anycast — supplies ``attempt`` (send it) and ``on_exhausted`` (carry on
-    once the budget is spent).  The loop reaches the attempt as its first
-    argument — the step starts with ``attempt(loop)``, a lost attempt calls
-    ``loop.failed(*args)``, the re-attempt is ``attempt(loop, *args)`` — so
-    no closure refers to its own loop, and a finished step is freed by
-    reference counting, not left as a function → cell → function cycle.
-    Everything after a loss happens only here: failure accounting, the
-    ``query.retry.<step>`` counter, the result's retry tally
-    (``tally.retries_spent``), the backoff draw, the optional
-    ``query.backoff`` span (under ``parent``: a retry resumes from a timer,
-    with no span context), the timer and the re-attempt.  ``args`` go to
-    the re-attempt or to ``on_exhausted`` (the probe round passes the
-    trees still unanswered).
+    once the budget is spent) and starts with ``attempt(loop)``.  The loop
+    reaches the attempt as an argument, never through a closure, so a
+    finished step is freed by reference counting.  It owns each attempt:
+    the send runs in ``with loop.attempt(**labels):``, which numbers it and
+    opens its ``query.<step>`` span (under ``parent``: a retry resumes from
+    a timer, with no span context), and ``loop.succeeded(**fields)`` or
+    ``loop.failed(*args)`` closes it.  After a loss come the failure count,
+    the ``query.retry.<step>`` counter, the request's ``retries_spent``,
+    the backoff draw with its optional ``query.backoff`` span, and then
+    the re-attempt ``attempt(loop, *args)`` — or ``on_exhausted(*args)``
+    once the budget (the request's ``retries`` option, else the context's
+    ``max_step_retries``) is spent.
     """
 
-    def __init__(self, sim, backoff: TruncatedExponentialBackoff, step: str,
+    #: The attempt span's ``step`` label where it is not the step's name:
+    #: a remote site attempt times the whole round trip.
+    _SPAN_STEP = {"site": "site_rtt"}
+
+    def __init__(self, context: Any, request: Any, obs: Any, step: str,
                  attempt: Callable[..., None],
-                 on_exhausted: Callable[..., None], tally: Any, obs: Any,
-                 parent: Any = None, **labels: Any):
-        self._backoff = backoff
-        self._sim = sim
+                 on_exhausted: Callable[..., None], parent: Any = None,
+                 **labels: Any):
+        budget = request.options.retries
+        if budget is None:
+            budget = context.max_step_retries
+        self._backoff = TruncatedExponentialBackoff(
+            context.retry_rng, slot_ms=context.retry_slot_ms,
+            max_attempts=budget + 1)
+        self._sim = context.sim
+        self._request = request
+        self._obs = obs
         self._step = step
         self._attempt = attempt
         self._on_exhausted = on_exhausted
-        self._tally = tally
-        self._obs = obs
         self._parent = parent
         self._labels = labels
+        self._span = None
+
+    def attempt(self, **labels: Any):
+        """Open the next attempt: the context its send runs in."""
+        rec = self._obs.recorder
+        if rec.enabled:
+            step = self._step
+            self._span = rec.start(
+                f"query.{step}", category="query", parent=self._parent,
+                step=self._SPAN_STEP.get(step, step), **self._labels,
+                **labels, attempt=self._backoff.failures + 1)
+        return rec.use(self._span)
+
+    def succeeded(self, **fields: Any) -> None:
+        """The attempt was answered: close its span with ``fields``."""
+        if self._span is not None:
+            self._obs.end_step(self._span, status="ok", **fields)
 
     def failed(self, *args: Any) -> None:
-        """One attempt was lost: back off and re-attempt, or give up."""
+        """The attempt was lost: close its span, then back off and
+        re-attempt, or give up."""
+        obs = self._obs
+        if self._span is not None:
+            obs.end_step(self._span, status="timeout")
         backoff = self._backoff
         backoff.record_failure()
         if backoff.exhausted():
             self._on_exhausted(*args)
             return
-        self._tally.retries_spent += 1
-        obs = self._obs
+        self._request.retries_spent += 1
         obs.metrics.increment(f"query.retry.{self._step}")
         delay = backoff.next_delay_ms()
         rec = obs.recorder

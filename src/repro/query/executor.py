@@ -27,7 +27,7 @@ if TYPE_CHECKING:  # avoid the core <-> query.executor import cycle
     from repro.core.node import RBayNode
 from repro.obs import Observability
 from repro.pastry.node import Application
-from repro.query.backoff import RetryStep, TruncatedExponentialBackoff
+from repro.query.backoff import RetryStep
 from repro.query.errors import QueryTimeout
 from repro.query.options import QueryOptions
 from repro.query.predicates import Predicate
@@ -35,7 +35,7 @@ from repro.query.result import QueryResult
 from repro.query.sql import Query
 from repro.scribe.buckets import BucketIndex
 from repro.sim.engine import Simulator
-from repro.sim.futures import Future, FutureTimeout, gather
+from repro.sim.futures import Future, FutureTimeout, RequestTable, gather
 
 _query_ids = itertools.count(1)
 _request_ids = itertools.count(1)
@@ -204,7 +204,8 @@ class QueryApplication(Application):
     def __init__(self, context: _QueryContext,
                  obs: Optional[Observability] = None):
         self.context = context
-        self._pending: Dict[int, Future] = {}
+        #: Remote ``site_query`` attempts awaiting their ``site_result``.
+        self.requests = RequestTable(_request_ids)
         #: Causal observability plane (tracing off by default): spans for
         #: every protocol step, the per-step latency histogram, and the
         #: metrics registry every ``query.*`` counter lands in.
@@ -421,74 +422,41 @@ class QueryApplication(Application):
     # ------------------------------------------------------------------
     # Remote fan-out
     # ------------------------------------------------------------------
-    def _retrying(self, step: str, request: _SiteRequest, attempt, on_exhausted,
-                  parent, **labels: Any):
-        """A retry loop for one protocol step with a fresh budget (the
-        query's ``retries`` override, else the context-wide default):
-        returns ``(backoff, loop)`` — see :class:`RetryStep`, and start
-        the step with ``attempt(loop, ...)``."""
-        ctx = self.context
-        budget = request.options.retries
-        if budget is None:
-            budget = ctx.max_step_retries
-        backoff = TruncatedExponentialBackoff(
-            ctx.retry_rng, slot_ms=ctx.retry_slot_ms, max_attempts=budget + 1)
-        return backoff, RetryStep(ctx.sim, backoff, step, attempt,
-                                  on_exhausted, request, self.obs, parent,
-                                  **labels)
-
     def _ask_remote_site(self, node: "RBayNode", gateway: int,
                          request: _SiteRequest, site_name: str,
                          parent_ctx=None) -> Future:
         """Send a site_query to ``gateway``, retrying lost rounds.
 
-        Each attempt uses a fresh request id with its own per-attempt
-        timeout; a reply to a timed-out attempt hits the orphan path in
-        :meth:`_on_site_result` and has its reservations released there.
-        The request carries the per-query retry budget, so the remote
-        executor honours it too.
+        Each attempt opens a fresh request id in :attr:`requests` with its
+        own per-attempt timeout; a reply to a timed-out attempt hits the
+        orphan path in :meth:`_on_site_result` and has its reservations
+        released there.  The request carries the per-query retry budget,
+        so the remote executor honours it too.
         """
         sim = self.context.sim
         done = Future(sim)
-        rec = self.obs.recorder
 
         def _attempt(loop: RetryStep) -> None:
-            request_id = next(_request_ids)
-            attempt = Future(sim, timeout=self.context.site_timeout_ms)
-            self._pending[request_id] = attempt
-            span = None
-            if rec.enabled:
-                # Retries resume from a timer (empty context stack), so the
-                # attempt span parents explicitly under the query root.
-                span = rec.start("query.site", category="query",
-                                 parent=parent_ctx, step="site_rtt",
-                                 site=site_name, addr=node.address,
-                                 attempt=backoff.failures + 1)
-                attempt.add_callback(lambda value: self.obs.end_step(
-                    span, status="timeout" if _lost(value) else "ok"))
-            with rec.use(span):
+            reply = Future(sim, timeout=self.context.site_timeout_ms)
+            request_id = self.requests.open(reply)
+            with loop.attempt():
                 node.send_app(gateway, self.name, "site_query",
                               request.pack(request_id, node.address))
 
             def _on_reply(value: Any) -> None:
-                if done.resolved:
-                    return
-                if not _lost(value):
+                if _lost(value):
+                    loop.failed()
+                else:
+                    loop.succeeded()
                     done.try_resolve(value)
-                    return
-                # Orphan the attempt so a late reply is settled, not merged.
-                self._pending.pop(request_id, None)
-                loop.failed()
 
-            attempt.add_callback(_on_reply)
+            reply.add_callback(_on_reply)
 
-        backoff, loop = self._retrying(
-            "site", request, _attempt,
+        _attempt(RetryStep(
+            self.context, request, self.obs, "site", _attempt,
             lambda: done.try_resolve(FutureTimeout(
-                f"site request to {gateway} failed after "
-                f"{backoff.failures} attempts")),
-            parent_ctx, site=site_name, addr=node.address)
-        _attempt(loop)
+                f"site request to {gateway} went unanswered")),
+            parent_ctx, site=site_name, addr=node.address))
         return done
 
     # ------------------------------------------------------------------
@@ -571,14 +539,7 @@ class QueryApplication(Application):
         size_of: Dict[str, int] = {}
 
         def _probe_round(loop: RetryStep, topics_left: List[str]) -> None:
-            probe_span = None
-            if rec.enabled:
-                probe_span = rec.start(
-                    "query.probe", category="query", parent=exec_ctx,
-                    step="probe", site=site_name, addr=node.address,
-                    topics=len(topics_left),
-                    attempt=probe_backoff.failures + 1)
-            with rec.use(probe_span):
+            with loop.attempt(topics=len(topics_left)):
                 round_probes = [
                     node.scribe.tree_size(node, topic,
                                           timeout=self.context.probe_timeout_ms,
@@ -587,11 +548,10 @@ class QueryApplication(Application):
                 ]
             gather(sim, round_probes,
                    timeout=self.context.probe_timeout_ms).add_callback(
-                lambda sizes: _collect_probe(loop, topics_left, sizes,
-                                             probe_span))
+                lambda sizes: _collect_probe(loop, topics_left, sizes))
 
         def _collect_probe(loop: RetryStep, topics_left: List[str],
-                           sizes: Any, probe_span=None) -> None:
+                           sizes: Any) -> None:
             if isinstance(sizes, FutureTimeout):
                 sizes = [FutureTimeout()] * len(topics_left)
             missing: List[str] = []
@@ -600,13 +560,11 @@ class QueryApplication(Application):
                     missing.append(topic)
                     continue
                 size_of[topic] = int(size or 0)
-            if rec.enabled:
-                self.obs.end_step(probe_span,
-                                  status="timeout" if missing else "ok")
             if missing:
                 # Re-probe only the trees whose size is still unknown.
                 loop.failed(missing)
             else:
+                loop.succeeded()
                 _after_probe()
 
         def _probe_exhausted(missing: List[str]) -> None:
@@ -615,10 +573,6 @@ class QueryApplication(Application):
             for topic in missing:
                 size_of[topic] = 0
             _after_probe()
-
-        probe_backoff, probe_loop = self._retrying(
-            "probe", request, _probe_round, _probe_exhausted, exec_ctx,
-            site=site_name, addr=node.address)
 
         def _after_probe() -> None:
             # GROUP BY pushdown: the bucket roll-up counts *are* the
@@ -662,7 +616,10 @@ class QueryApplication(Application):
                                 exec_ctx)
 
         if to_probe:
-            _probe_round(probe_loop, to_probe)
+            _probe_round(RetryStep(
+                self.context, request, self.obs, "probe", _probe_round,
+                _probe_exhausted, exec_ctx, site=site_name,
+                addr=node.address), to_probe)
         else:
             # No tree to probe (only "empty" routes, an empty pushdown, a
             # GROUP BY nothing indexes): the answer is empty.
@@ -686,7 +643,6 @@ class QueryApplication(Application):
                                           state.get("visited_total", 0)))
             return
         topic, rest = topics[0], topics[1:]
-        rec = self.obs.recorder
 
         def _next_tree() -> None:
             self._anycast_chain(node, request, rest, state, tree_sizes, done,
@@ -698,24 +654,13 @@ class QueryApplication(Application):
                 # lost DFS fills the very ``state`` object we hold.
                 _next_tree()
                 return
-            span = None
-            if rec.enabled:
-                span = rec.start("query.anycast", category="query",
-                                 parent=parent, step="anycast",
-                                 site=node.site.name, addr=node.address,
-                                 topic=topic, attempt=backoff.failures + 1)
 
             def _on_result(result: Any) -> None:
                 if _lost(result):
-                    if rec.enabled:
-                        self.obs.end_step(span, status="timeout")
                     loop.failed()
                     return
-                if rec.enabled:
-                    self.obs.end_step(
-                        span, status="ok",
-                        visited=result.get("visited_members", 0),
-                        satisfied=bool(result.get("satisfied")))
+                loop.succeeded(visited=result.get("visited_members", 0),
+                               satisfied=bool(result.get("satisfied")))
                 state["entries"] = result.get("entries", state["entries"])
                 # The running total rides in the DFS state (and so on the
                 # wire) between trees.
@@ -723,16 +668,15 @@ class QueryApplication(Application):
                                           + result.get("visited_members", 0))
                 _next_tree()
 
-            with rec.use(span):
+            with loop.attempt():
                 node.scribe.anycast(node, topic, state,
                                     timeout=self.context.site_timeout_ms,
                                     scope=self.context.tree_scope
                                     ).add_callback(_on_result)
 
-        backoff, loop = self._retrying(
-            "anycast", request, _attempt, _next_tree, parent,
-            site=node.site.name, addr=node.address, topic=topic)
-        _attempt(loop)
+        _attempt(RetryStep(
+            self.context, request, self.obs, "anycast", _attempt, _next_tree,
+            parent, site=node.site.name, addr=node.address, topic=topic))
 
     # ------------------------------------------------------------------
     # Anycast visitor (runs at each visited member; wired by the plane)
@@ -805,11 +749,9 @@ class QueryApplication(Application):
 
     def _on_site_result(self, node: "RBayNode", data: Dict[str, Any],
                         origin: int) -> None:
-        future = self._pending.pop(data["request_id"], None)
-        accepted = future is not None and future.try_resolve(_site_result(
-            data["entries"], data["tree_sizes"], data.get("visited", 0),
-            data.get("retries", 0)))
-        if accepted:
+        if self.requests.answer(data["request_id"], _site_result(
+                data["entries"], data["tree_sizes"], data.get("visited", 0),
+                data.get("retries", 0))):
             return
         # Late or duplicate reply: the coordinator already gave up on this
         # attempt (or the whole query).  Its reservations must not dangle

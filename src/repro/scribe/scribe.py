@@ -21,7 +21,7 @@ from repro.pastry.routing_table import NodeRef
 from repro.scribe.aggregate import AGGREGATE_FUNCTIONS, AggregateFunction
 from repro.scribe.topic import topic_id
 from repro.sim.engine import Simulator
-from repro.sim.futures import Future
+from repro.sim.futures import Future, RequestTable
 
 _request_ids = itertools.count(1)
 
@@ -128,7 +128,8 @@ class ScribeApplication(Application):
         # message per parent per flush interval.
         self._dirty_topics: Dict[str, TopicState] = {}
         self._flush_event = None
-        self._pending: Dict[int, Future] = {}
+        #: ``agg_get`` and ``anycast`` requests awaiting their reply.
+        self.requests = RequestTable(_request_ids)
         self.anycast_visitor: Optional[AnycastVisitor] = None
         self.multicast_handler: Optional[MulticastHandler] = None
         #: Dispatch tables, one per entry point, built once: wire kind ->
@@ -266,16 +267,12 @@ class ScribeApplication(Application):
 
     def _open_request(self, node: PastryNode, topic: str, scope: Optional[str],
                       timeout: Optional[float], span_name: str, step: str):
-        """Register a reply-awaiting request: a fresh id, its pending
-        ``Future`` and — when tracing — a span that ends with the future.
-        Returns ``(future, topic state, span, header)``; ``header`` is the
-        addressing every such request carries after its ``op``."""
-        request_id = next(_request_ids)
+        """Open a request in :attr:`requests` and — when tracing — a span
+        that ends with its future.  Returns ``(future, topic state, span,
+        header)``; ``header`` is the addressing every such request carries
+        after its ``op``."""
         future = Future(self.sim, timeout=timeout)
-        # In the table exactly while unresolved: a reply or a timeout removes
-        # the entry, so a lost reply leaks nothing and a late one is ignored.
-        self._pending[request_id] = future
-        future.add_callback(lambda _result: self._pending.pop(request_id, None))
+        request_id = self.requests.open(future)
         state = self.topic_state(topic, scope)
         rec = self.recorder
         span = None
@@ -473,21 +470,18 @@ class ScribeApplication(Application):
 
     def _on_anycast_result(self, node: PastryNode, data: Dict[str, Any],
                            origin: int) -> None:
-        future = self._pending.get(data["request_id"])
-        if future is not None:
-            result = dict(data["state"])
-            result["satisfied"] = data["satisfied"]
-            result["visited_members"] = data["visited_members"]
-            future.try_resolve(result)
+        # A late, duplicated or unknown reply is ignored.
+        result = dict(data["state"])
+        result["satisfied"] = data["satisfied"]
+        result["visited_members"] = data["visited_members"]
+        self.requests.answer(data["request_id"], result)
 
     def _on_agg_value(self, node: PastryNode, data: Dict[str, Any], origin: int) -> None:
         if self.rebalancer is not None and "replicas" in data:
             # The answerer (root or replica) piggybacks the live replica
             # set so the next read skips the hot root.
             self.rebalancer.learn_replicas(data["topic"], data["replicas"])
-        future = self._pending.get(data["request_id"])
-        if future is not None:
-            future.try_resolve(data["values"])
+        self.requests.answer(data["request_id"], data["values"])
 
     def _on_leave(self, node: PastryNode, data: Dict[str, Any], origin: int) -> None:
         state = self._topics.get(data["topic"])

@@ -8,7 +8,7 @@ without threads or coroutines — callbacks run inside the event loop.
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, Optional
+from typing import Any, Callable, Dict, Iterator, List, Optional
 
 from repro.sim.engine import Simulator
 
@@ -107,6 +107,36 @@ class Future:
         if isinstance(self._value, BaseException):
             raise self._value
         return self._value
+
+
+class RequestTable:
+    """The requests one owner still awaits a reply to, by id.
+
+    An entry lives exactly while its future is unresolved, so a reply or
+    the future's own timeout removes it and a lost reply leaks nothing.  A
+    reply whose id is not open — late, duplicated or never sent — is not
+    accepted; what it means is the owner's decision.
+    """
+
+    def __init__(self, ids: Iterator[int]):
+        self._ids = ids
+        self._open: Dict[int, Future] = {}
+
+    def open(self, future: Future) -> int:
+        """Register ``future`` under the next id of the owner's sequence."""
+        request_id = next(self._ids)
+        self._open[request_id] = future
+        future.add_callback(lambda _value: self._open.pop(request_id, None))
+        return request_id
+
+    def answer(self, request_id: int, value: Any) -> bool:
+        """Resolve the open request ``request_id`` with ``value``; False
+        (nothing resolved) when that id is not open."""
+        future = self._open.get(request_id)
+        return future is not None and future.try_resolve(value)
+
+    def __len__(self) -> int:
+        return len(self._open)
 
 
 def gather(sim: Simulator, futures: List[Future], timeout: Optional[float] = None) -> Future:

@@ -2,11 +2,14 @@
 
 import pytest
 
+from repro.core.plane import RBay, RBayConfig
+from repro.faults import MessageRule
 from repro.faults.injector import protocol_kind
 from repro.net.message import Message
 from repro.net.network import FaultDecision
 from repro.pastry.nodeid import NodeId
 from repro.query.executor import QueryApplication, _QueryContext
+from repro.query.options import QueryOptions
 from repro.scribe.topic import topic_id
 from repro.sim.futures import FutureTimeout
 
@@ -257,7 +260,7 @@ class TestChurnRepair:
 class TestRequestTable:
     def test_lost_replies_leave_no_pending_entry(self, sim, members):
         """Aim 3's "never grow a queue without limit": an entry leaves
-        ``_pending`` when its future resolves, by reply *or* by timeout."""
+        ``requests`` when its future resolves, by reply *or* by timeout."""
         overlay, _ = members
         root = overlay.root_of(topic_id("GPU"))
         asker = next(n for n in overlay.nodes if n is not root)
@@ -268,10 +271,32 @@ class TestRequestTable:
         futures = [app.tree_size(asker, "GPU", timeout=500.0) for _ in range(50)]
         futures += [app.anycast(asker, "GPU", {"want": 1}, timeout=500.0)
                     for _ in range(20)]
-        assert len(app._pending) == 70
+        assert len(app.requests) == 70
         sim.run(until=sim.now + 1_000.0)
         assert all(isinstance(f.value, FutureTimeout) for f in futures)
-        assert len(app._pending) == 0
+        assert len(app.requests) == 0
+
+    def test_lost_site_results_leave_no_pending_entry(self):
+        """The coordinator's table keeps the same rule: once every
+        ``site_query`` attempt whose ``site_result`` was dropped has timed
+        out, no entry is left."""
+        plane = RBay(RBayConfig(seed=7, synthetic_sites=2, nodes_per_site=4,
+                                jitter=False)).build()
+        plane.install_faults().start_rule(MessageRule(
+            name="lose", drop_prob=1.0, kind_prefix="direct/query/site_result"))
+
+        def open_requests():
+            return sum(len(n.app("query").requests) for n in plane.nodes)
+
+        future = plane.submit("SELECT 1 FROM Site001 WHERE CPU_utilization < 100%;",
+                              options=QueryOptions(origin="Site000"))
+        plane.sim.run(until=plane.sim.now + 100.0)
+        assert open_requests() == 1
+        result = future.result()
+        plane.sim.run()
+        assert result.failed_sites == ("Site001",) and result.retries == 2
+        assert plane.counters.get("query.retry.site") == 2
+        assert open_requests() == 0
 
     def test_retired_and_unknown_kinds_are_ignored(self, sim, members):
         """``host_message`` / ``deliver`` promise it: a kind this build
@@ -302,7 +327,7 @@ class TestRequestTable:
                      "names": ["count"]}}))
         sim.run()
         assert overlay.network.messages_sent == sent
-        assert not scribe(root)._pending and not scribe(peer)._pending
+        assert not scribe(root).requests and not scribe(peer).requests
         assert scribe(peer).tree_size(peer, "GPU").result() == 30
 
 
