@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import OrderedDict
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
@@ -206,6 +207,9 @@ class QueryApplication(Application):
         self.context = context
         #: Remote ``site_query`` attempts awaiting their ``site_result``.
         self.requests = RequestTable(_request_ids)
+        #: Request ids whose ``site_result`` was accepted -> when, oldest
+        #: first: a duplicate of such a reply is not an orphan.
+        self._accepted: "OrderedDict[int, float]" = OrderedDict()
         #: Causal observability plane (tracing off by default): spans for
         #: every protocol step, the per-step latency histogram, and the
         #: metrics registry every ``query.*`` counter lands in.
@@ -749,18 +753,25 @@ class QueryApplication(Application):
 
     def _on_site_result(self, node: "RBayNode", data: Dict[str, Any],
                         origin: int) -> None:
-        if self.requests.answer(data["request_id"], _site_result(
+        request_id, now = data["request_id"], self.context.sim.now
+        accepted = self._accepted
+        # An accepted id is forgotten one hold window later, checked here:
+        # the member's hold has lapsed by then, so nothing can be misfreed.
+        while accepted and (now - next(iter(accepted.values()))
+                            >= node.reservation.hold_ms):
+            accepted.popitem(last=False)
+        if self.requests.answer(request_id, _site_result(
                 data["entries"], data["tree_sizes"], data.get("visited", 0),
                 data.get("retries", 0))):
+            accepted[request_id] = now
             return
-        # Late or duplicate reply: the coordinator already gave up on this
-        # attempt (or the whole query).  Its reservations must not dangle
-        # until the hold window lapses — release each one explicitly.  The
-        # release is uncommitted-only: the same query may have succeeded
-        # through a retried attempt and committed some of these nodes, and
-        # a blanket release would revoke the customer's active lease.
-        # GROUP BY rows ({"group", "count"}) name no node and hold no
-        # reservation: only rows carrying an address are released.
+        if request_id in accepted:
+            return  # a duplicate: the query may yet commit these nodes
+        # A late (or unknown) reply: the coordinator gave up on this
+        # attempt, so its reservations are released now rather than left
+        # to the hold window.  Uncommitted-only: a retried attempt may have
+        # won and committed some of these nodes.  GROUP BY rows name no
+        # node and hold no reservation.
         query_id = data.get("query_id")
         reserved = [entry["address"] for entry in data["entries"]
                     if "address" in entry]

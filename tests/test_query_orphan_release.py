@@ -10,7 +10,9 @@ retried attempt and committed some of those very nodes.
 
 Most tests drive the branch directly by handing the coordinator a
 crafted ``site_result`` message for a request id it is not waiting on;
-the GROUP BY regression duplicates a real reply with a fault rule.
+the GROUP BY and committed-entry regressions duplicate a real reply with
+a fault rule.  A duplicate of a reply the coordinator *accepted* is not
+an orphan: the query may still commit the nodes it names.
 """
 
 import random
@@ -21,6 +23,7 @@ from repro.core.plane import RBay, RBayConfig
 from repro.faults.schedule import MessageRule
 from repro.net.network import Message
 from repro.query.options import QueryOptions
+from repro.workloads.generator import FederationWorkload, WorkloadSpec
 
 
 @pytest.fixture
@@ -143,6 +146,35 @@ def test_duplicate_group_by_site_result_releases_nothing():
     assert sum(row["count"] for row in result.entries) == len(plane.nodes)
     assert plane.counters.get("query.orphan_release") == 0
     assert all(node.reservation.is_free() for node in plane.nodes)
+
+
+def test_duplicate_of_an_accepted_reply_spares_the_nodes_the_query_commits():
+    """Regression: the second copy of an accepted ``site_result`` was
+    taken for an orphan, and while another site was still pending its
+    ``release`` reached the node before the query's ``commit``, so the
+    commit was refused.  Every returned entry must end up committed."""
+    plane = RBay(RBayConfig(seed=3, nodes_per_site=6, jitter=False)).build()
+    workload = FederationWorkload(plane, WorkloadSpec(password="pw")).apply()
+    plane.sim.run()
+    oregon = workload.site_instance_population("Oregon")
+    singapore = workload.site_instance_population("Singapore")
+    itype = min(t for t, n in oregon.items() if n and singapore.get(t))
+    plane.install_faults().start_rule(MessageRule(
+        name="dup", duplicate_prob=1.0, kind_prefix="direct/query/site_result"))
+
+    result = plane.query(
+        f"SELECT 2 FROM Oregon, Singapore WHERE instance_type = '{itype}';",
+        options=QueryOptions(origin="Virginia", payload={"password": "pw"}))
+    plane.sim.run()
+
+    assert plane.counters.get("faults.msg_duplicated") >= 2
+    assert result.satisfied and len(result.entries) == 2
+    by_address = {node.address: node for node in plane.nodes}
+    for entry in result.entries:
+        reservation = by_address[entry["address"]].reservation
+        assert reservation.holder() == result.query_id
+        assert reservation.committed
+    assert plane.counters.get("query.orphan_release") == 0
 
 
 def test_orphan_reply_mixing_group_rows_releases_only_addressed_rows(plane):
