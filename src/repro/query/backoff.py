@@ -59,38 +59,34 @@ class TruncatedExponentialBackoff:
 
 
 class RetryStep:
-    """The one retry loop for a query-protocol step (paper §III-D).
+    """The one retry loop for a query-protocol step (paper §III-D): the
+    remote site request, the size-probe round, one tree's anycast.
 
-    A step — the remote site request, the size-probe round, one tree's
-    anycast — supplies ``attempt`` (send it) and ``on_exhausted`` (carry on
-    once the budget is spent) and starts with ``attempt(loop)``.  The loop
-    reaches the attempt as an argument, never through a closure, so a
-    finished step is freed by reference counting.  It owns each attempt:
-    the send runs in ``with loop.attempt(**labels):``, which numbers it and
-    opens its ``query.<step>`` span (under ``parent``: a retry resumes from
-    a timer, with no span context), and ``loop.succeeded(**fields)`` or
-    ``loop.failed(*args)`` closes it.  After a loss come the failure count,
-    the ``query.retry.<step>`` counter, the request's ``retries_spent``,
-    the backoff draw with its optional ``query.backoff`` span, and then
-    the re-attempt ``attempt(loop, *args)`` — or ``on_exhausted(*args)``
-    once the budget (the request's ``retries`` option, else the context's
-    ``max_step_retries``) is spent.
+    The step starts with ``attempt(loop)``; the loop is an argument, never
+    a closure's, so a finished step is freed by reference counting.  Each
+    attempt sends inside ``with loop.attempt(**labels):``, which numbers it
+    and opens its ``query.<step>`` span under ``parent``, and ends with
+    ``loop.succeeded(**fields)`` or ``loop.failed(*args)``.  A loss is
+    counted (``query.retry.<step>``, the request's ``retries_spent``) and
+    backed off (with a ``query.backoff`` span), then re-attempted as
+    ``attempt(loop, *args)`` — or, once the budget (the request's
+    ``retries``, else the context's ``max_step_retries``) is spent, handed
+    to ``on_exhausted(*args)``.
     """
 
-    #: The attempt span's ``step`` label where it is not the step's name:
-    #: a remote site attempt times the whole round trip.
+    #: Attempt-span ``step`` labels that differ from the step's name.
     _SPAN_STEP = {"site": "site_rtt"}
 
     def __init__(self, context: Any, request: Any, obs: Any, step: str,
                  attempt: Callable[..., None],
                  on_exhausted: Callable[..., None], parent: Any = None,
                  **labels: Any):
-        budget = request.options.retries
-        if budget is None:
-            budget = context.max_step_retries
+        retries = request.options.retries
+        if retries is None:
+            retries = context.max_step_retries
         self._backoff = TruncatedExponentialBackoff(
             context.retry_rng, slot_ms=context.retry_slot_ms,
-            max_attempts=budget + 1)
+            max_attempts=retries + 1)
         self._sim = context.sim
         self._request = request
         self._obs = obs

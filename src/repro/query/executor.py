@@ -517,7 +517,6 @@ class QueryApplication(Application):
             sim.call_soon(done.try_resolve, _site_result())
             return done
         rec = self.obs.recorder
-        exec_span = None
         exec_ctx = None
         if rec.enabled:
             # Parent comes from the context stack: the query root for the

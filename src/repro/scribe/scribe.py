@@ -471,10 +471,9 @@ class ScribeApplication(Application):
     def _on_anycast_result(self, node: PastryNode, data: Dict[str, Any],
                            origin: int) -> None:
         # A late, duplicated or unknown reply is ignored.
-        result = dict(data["state"])
-        result["satisfied"] = data["satisfied"]
-        result["visited_members"] = data["visited_members"]
-        self.requests.answer(data["request_id"], result)
+        self.requests.answer(data["request_id"], {
+            **data["state"], "satisfied": data["satisfied"],
+            "visited_members": data["visited_members"]})
 
     def _on_agg_value(self, node: PastryNode, data: Dict[str, Any], origin: int) -> None:
         if self.rebalancer is not None and "replicas" in data:

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.plane import RBay, RBayConfig
+from repro.query.executor import QueryApplication
 from repro.workloads.generator import FederationWorkload, WorkloadSpec
 from repro.workloads.queries import QueryWorkload
 
@@ -131,6 +132,12 @@ class TestMultiSiteQueries:
         ).result()
         values = [entry["order_value"] for entry in result.entries]
         assert values == sorted(values, reverse=True)
+
+
+    def test_order_key_puts_numbers_then_strings_then_missing_values(self):
+        key = QueryApplication._order_key
+        assert (sorted([None, "b", 2.5, "a", 1, True], key=key)
+                == [1, 2.5, "a", "b", None, True])
 
 
 class TestCompositePredicates:

@@ -79,6 +79,7 @@ DEFAULT_TESTS = [
     REPO / "tests" / "test_sanitizer.py",
     REPO / "tests" / "test_core_reservation.py",
     REPO / "tests" / "test_query_orphan_release.py",
+    REPO / "tests" / "test_query_executor.py",
     REPO / "tests" / "test_query_planner.py",
     REPO / "tests" / "test_query_plan_execution.py",
     REPO / "tests" / "test_scribe_buckets.py",
@@ -96,6 +97,7 @@ DEFAULT_TESTS = [
     REPO / "tests" / "test_net_trace_ctx.py",
     REPO / "tests" / "test_sim_engine.py",
     REPO / "tests" / "test_sim_futures.py",
+    REPO / "tests" / "test_request_table.py",
     REPO / "tests" / "test_engine_protocol.py",
     REPO / "tests" / "test_transport_conformance.py",
     REPO / "tests" / "test_transport_realtime.py",
