@@ -5,75 +5,70 @@ updates and probes flowing in a site are not accessible outside the site,
 and (2) efficiency — so that site-scoped queries can be locally processed
 in parallel."
 
-Efficiency half: with isolation, a site-scoped tree's rendezvous stays
-inside the site (sub-millisecond RTTs); without it, SHA-1 places the root
-uniformly across the federation, so even a purely local query pays
-cross-site RTTs.  Security half: with isolation, zero messages for a
-site-scoped topic are ever delivered outside the site.
+The plane's site trees are always site-scoped, so the isolation-off arm is
+built one layer down: the same ``Virginia/GPU`` tree is joined with Scribe
+routing scope ``"site"`` or ``"global"``, and each arm runs the tree work
+of a local query — the size probe (steps 1-2) then the anycast to the
+first member (steps 3-4) — from a Virginia node.
+
+Efficiency half: with isolation, the tree's rendezvous stays inside the
+site (sub-millisecond RTTs); without it, SHA-1 places the root uniformly
+across the federation, so even a purely local query pays cross-site RTTs.
+Security half: with isolation, zero messages for the site's topic are ever
+delivered outside the site, joins included.
 """
 
 import pytest
 
 from benchmarks.conftest import print_banner
+from repro.core.naming import site_tree
+from repro.core.node import SubscriptionSpec
 from repro.core.plane import RBay, RBayConfig
 from repro.metrics.stats import format_table, mean, percentile
 
 QUERIES = 40
 NODES_PER_SITE = 15
+TOPIC = site_tree("Virginia", "GPU")
 
 
-def build(scope: str):
+def run_arm(scope: str):
+    """Build the tree with routing ``scope``; time QUERIES local queries'
+    tree work and count deliveries of its messages outside Virginia."""
     plane = RBay(RBayConfig(seed=909, nodes_per_site=NODES_PER_SITE,
-                            jitter=False, tree_scope=scope)).build()
+                            jitter=False)).build()
     plane.sim.run()
-    admin = plane.admin("Virginia")
-    for node in plane.site_nodes("Virginia"):
-        admin.post_resource(node, "GPU", True, scope=scope)
-    plane.sim.run()
-    return plane
-
-
-def run_local_queries(plane):
-    customer = plane.make_customer("iso", "Virginia")
-    latencies = []
-    for _ in range(QUERIES):
-        result = customer.query_once(
-            "SELECT 1 FROM Virginia WHERE GPU = true;").result()
-        assert result.satisfied
-        latencies.append(result.latency_ms)
-        customer.release_all(result)
-        plane.sim.run()
-    return latencies
-
-
-def run_isolated():
-    plane = build(scope="site")
-    # Security check: observe every delivery of messages for the topic.
     leaked = []
 
     def watch(msg):
         data = msg.payload.get("data") if isinstance(msg.payload, dict) else None
-        topic = None
-        if isinstance(data, dict):
-            topic = data.get("topic")
-        if topic == "Virginia/GPU":
-            host = plane.network.host(msg.dst)
-            if host.site.name != "Virginia":
+        if isinstance(data, dict) and data.get("topic") == TOPIC:
+            if plane.network.host(msg.dst).site.name != "Virginia":
                 leaked.append(msg.dst)
 
     plane.network.set_delivery_hook(watch)
-    latencies = run_local_queries(plane)
+    for node in plane.site_nodes("Virginia"):
+        node.define_attribute("GPU", True)
+        node.subscribe(SubscriptionSpec(topic=TOPIC, attribute="GPU",
+                                        scope=scope))
+    plane.sim.run()
+    home = plane.site_nodes("Virginia")[0]
+    latencies = []
+    for _ in range(QUERIES):
+        started = plane.sim.now
+        size = home.scribe.tree_size(home, TOPIC, scope=scope).result()
+        assert size == NODES_PER_SITE
+        found = home.scribe.anycast(home, TOPIC, {
+            "kind": "gquery", "query_id": 0, "k": 1, "predicates": [],
+            "group_by": "GPU", "entries": []}, scope=scope).result()
+        assert found["satisfied"]
+        latencies.append(plane.sim.now - started)
+        plane.sim.run()
     plane.network.set_delivery_hook(None)
     return {"latencies": latencies, "leaked": len(leaked)}
 
 
-def run_global():
-    plane = build(scope="global")
-    return {"latencies": run_local_queries(plane), "leaked": None}
-
-
 def run_experiment():
-    return {"isolated": run_isolated(), "global": run_global()}
+    return {"isolated": run_arm("site"), "global": run_arm("global")}
 
 
 @pytest.mark.benchmark(group="ablation-isolation")
@@ -93,7 +88,7 @@ def test_ablation_administrative_isolation(benchmark):
             ["isolation OFF (global trees)",
              f"{mean(global_['latencies']):.2f}",
              f"{percentile(global_['latencies'], 90):.2f}",
-             "n/a"],
+             global_["leaked"]],
         ],
     ))
 

@@ -3,7 +3,8 @@
 Sweeps the ambient message-loss rate while nodes crash and recover, and
 compares two arms of the query protocol: retries on (per-step truncated
 exponential backoff, the hardened default) versus retries off
-(``site_retries=0`` — any lost protocol message fails the step).  For each
+(``QueryOptions(retries=0)`` — any lost protocol message fails the
+step).  For each
 rate we measure how many customer queries end satisfied, how many came
 back degraded, and whether the plane reconverged after the faults healed.
 
@@ -22,6 +23,8 @@ from repro.core.plane import RBay, RBayConfig
 from repro.faults import FaultSchedule
 from repro.metrics.stats import format_table
 from repro.query.executor import QueryResult
+from repro.query.options import QueryOptions
+from repro.query.sql import parse_query
 from repro.workloads.generator import FederationWorkload, WorkloadSpec
 
 RESULTS_PATH = Path(__file__).parent / "results" / "chaos_recovery.json"
@@ -33,7 +36,7 @@ CHAOS_MS = 6_000.0
 QUIESCE_MS = 4_000.0
 
 
-def run_arm(seed, drop_prob, site_retries):
+def run_arm(seed, drop_prob, retries):
     """One chaos run; returns per-run outcome metrics."""
     plane = RBay(RBayConfig(
         seed=seed,
@@ -42,7 +45,6 @@ def run_arm(seed, drop_prob, site_retries):
         jitter=False,
         maintenance_interval_ms=500.0,
         reservation_hold_ms=1_000.0,
-        site_retries=site_retries,
     )).build()
     workload = FederationWorkload(plane, WorkloadSpec(
         gate_policies=False, utilization_thresholds=())).apply()
@@ -76,7 +78,10 @@ def run_arm(seed, drop_prob, site_retries):
         at = plane.sim.now + rng.uniform(0.1, 0.7) * CHAOS_MS
 
         def fire(customer=customer, sql=sql):
-            futures.append(customer.query_once(sql, timeout=8_000.0))
+            futures.append(customer.home.apps["query"].execute(
+                customer.home, parse_query(sql), QueryOptions(
+                    caller=customer.name, deadline_ms=8_000.0,
+                    retries=retries)))
 
         plane.sim.schedule_at(at, fire)
 
@@ -106,11 +111,11 @@ def run_sweep():
     sweep = []
     for drop_prob in DROP_RATES:
         arms = {}
-        for label, site_retries in (("retries_on", 2), ("retries_off", 0)):
+        for label, retries in (("retries_on", 2), ("retries_off", 0)):
             totals = {"queries": 0, "satisfied": 0, "degraded": 0,
                       "retries": 0, "reconverged": 0}
             for seed in SEEDS:
-                outcome = run_arm(seed, drop_prob, site_retries)
+                outcome = run_arm(seed, drop_prob, retries)
                 for key in ("queries", "satisfied", "degraded", "retries"):
                     totals[key] += outcome[key]
                 totals["reconverged"] += int(outcome["reconverged"])

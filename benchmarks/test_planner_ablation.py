@@ -7,8 +7,9 @@ same deterministic mix of narrow tail-range and GROUP BY queries:
 * **planner on** — the default: a range predicate probes and searches
   only the buckets its interval overlaps, GROUP BY is pushed into bucket
   roll-ups when the predicates align;
-* **planner off** — ``RBayConfig(planner=False)``: every range query
-  floods the whole bucket family with strict member checks.
+* **planner off** — ``QueryOptions(planner=False)`` on every query:
+  every range query floods the whole bucket family with strict member
+  checks.
 
 Both arms must return byte-identical canonical rows on every query; the
 planner arm must spend strictly fewer messages overall and on the range
@@ -24,6 +25,7 @@ import pytest
 
 from benchmarks.conftest import print_banner
 from repro.core.plane import RBay, RBayConfig
+from repro.query.options import QueryOptions
 from repro.metrics.stats import format_table, mean
 from repro.workloads.skewed import (
     SkewedSpec,
@@ -49,7 +51,7 @@ def run_arm(planner: bool):
     """One plane, the full query mix; returns (summary, canonical rows)."""
     plane = RBay(RBayConfig(
         seed=SEED, synthetic_sites=SITES, nodes_per_site=NODES_PER_SITE,
-        jitter=False, planner=planner)).build()
+        jitter=False)).build()
     spec = SkewedSpec()
     assign_skewed_values(plane, random.Random(SEED * 31 + 7), spec)
     plane.settle(3_000.0)
@@ -59,7 +61,7 @@ def run_arm(planner: bool):
     for kind, sql in range_query_mix(random.Random(SEED * 37 + 11),
                                      spec, QUERIES):
         plane.network.reset_counters()
-        result = plane.query(sql)
+        result = plane.query(sql, options=QueryOptions(planner=planner))
         messages = plane.network.messages_sent
         rows = canonical_rows(result)
         for node in plane.nodes:

@@ -31,7 +31,6 @@ def main() -> None:
             node.subscribe(SubscriptionSpec(
                 topic=site_tree(site.name, "CPU_utilization<10%"),
                 attribute="CPU_utilization",
-                scope="site",
                 default_predicate=lambda v: v is not None and v < 10.0,
             ))
             if i % 2 == 0:

@@ -57,8 +57,6 @@ def _build_plane(args) -> tuple:
         nodes_per_site=args.nodes,
         synthetic_sites=args.synthetic_sites,
         jitter=not args.no_jitter,
-        planner=not getattr(args, "no_planner", False),
-        site_retries=getattr(args, "site_retries", 2),
         fault_schedule=_load_fault_schedule(args),
         tracing=tracing,
         sanitize=getattr(args, "sanitize", False),
@@ -76,6 +74,13 @@ def _build_plane(args) -> tuple:
         plane.register_buckets("CPU_utilization", 0.0, 100.0, args.buckets)
     plane.sim.run()
     return plane, workload
+
+
+def _query_options(args, **fields) -> QueryOptions:
+    """Options for one query of this run: ``fields`` plus what the run's
+    ``--no-planner`` / ``--site-retries`` flags select."""
+    return QueryOptions(planner=not getattr(args, "no_planner", False),
+                        retries=getattr(args, "site_retries", None), **fields)
 
 
 def _finish_sanitize(plane) -> int:
@@ -132,9 +137,9 @@ def _common_parser() -> argparse.ArgumentParser:
     common.add_argument("--fault-schedule", default=None, metavar="PATH",
                         help="JSON fault schedule (see repro.faults) installed "
                              "at build time")
-    common.add_argument("--site-retries", type=int, default=2,
+    common.add_argument("--site-retries", type=int, default=None,
                         help="per-step retry budget for lost query-protocol "
-                             "rounds (0 disables retries)")
+                             "rounds (default 2; 0 disables retries)")
     common.add_argument("--trace-out", default=None, metavar="PATH",
                         help="enable span tracing and write a Chrome "
                              "trace_event export to PATH (view in Perfetto)")
@@ -200,8 +205,8 @@ def cmd_query(args) -> int:
     plane, _ = _build_plane(args)
     if not _known_sites(plane, [args.origin]):
         return 2
-    options = QueryOptions(origin=args.origin, caller="cli",
-                           payload={"password": args.password})
+    options = _query_options(args, origin=args.origin, caller="cli",
+                             payload={"password": args.password})
     if args.explain:
         print(plan_query(parse_query(args.sql), plane.context, options).explain())
         print()
@@ -234,7 +239,7 @@ def cmd_explain(args) -> int:
     """Print the five-step plan for a query without executing it."""
     plane, _ = _build_plane(args)
     query = parse_query(args.sql)
-    print(plan_query(query, plane.context).explain())
+    print(plan_query(query, plane.context, _query_options(args)).explain())
     return 0
 
 
@@ -251,8 +256,8 @@ def cmd_latency(args) -> int:
                                   site_names, k=1, password=args.password)
         for n_sites in range(1, len(site_names) + 1):
             for sql, payload in generator.stream(origin, n_sites, args.queries):
-                result = plane.query(sql, options=QueryOptions(
-                    origin=origin, caller=f"cli-{origin}", payload=payload))
+                result = plane.query(sql, options=_query_options(
+                    args, origin=origin, caller=f"cli-{origin}", payload=payload))
                 recorder.record(f"{origin}/{n_sites}", result.latency_ms)
     rows = []
     for n_sites in range(1, len(site_names) + 1):
@@ -278,8 +283,8 @@ def cmd_trace(args) -> int:
     plane, _ = _build_plane(args)
     if not _known_sites(plane, [args.origin]):
         return 2
-    result = plane.query(args.sql, options=QueryOptions(
-        origin=args.origin, caller="cli",
+    result = plane.query(args.sql, options=_query_options(
+        args, origin=args.origin, caller="cli",
         payload={"password": args.password}))
     roots = plane.obs.query_roots()
     if not roots:
@@ -462,8 +467,8 @@ def cmd_check(args) -> int:
         at = plane.sim.now + rng.uniform(0.1, 0.9) * args.window
 
         def fire(sql=sql, payload=payload, origin=origin):
-            futures.append(plane.submit(sql, options=QueryOptions(
-                origin=origin, caller="check", payload=payload,
+            futures.append(plane.submit(sql, options=_query_options(
+                args, origin=origin, caller="check", payload=payload,
                 deadline_ms=8_000.0)))
 
         plane.sim.schedule_at(at, fire)

@@ -34,14 +34,15 @@ class SiteAdmin:
         value: Any,
         handler_source: Optional[str] = None,
         tree: Optional[str] = None,
-        scope: str = "site",
         membership: Optional[Callable[[Any], bool]] = None,
     ) -> None:
         """Expose one attribute of one node to the federation.
 
         Defines the attribute (with optional handlers) and subscribes the
         node to the attribute's tree so queries can find it.  ``tree``
-        defaults to the canonical equality tree name.
+        defaults to the canonical equality tree name.  The tree is named
+        per site and routed inside the site: its rendezvous never leaves
+        the admin's domain (§III-E).
         """
         if node.site.index != self.site.index:
             raise PermissionError(
@@ -49,10 +50,6 @@ class SiteAdmin:
             )
         node.define_attribute(attribute, value, handler_source)
         topic = tree if tree is not None else predicate_tree_name(attribute, "=", value)
-        # Trees are always named per-site (that is what query interfaces
-        # probe); ``scope`` controls only the routing of the tree — "site"
-        # keeps the rendezvous inside the site (§III-E), "global" is the
-        # isolation-off mode.
         full_topic = site_tree(self.site.name, topic)
         if membership is None:
             # Default membership tracks the posted value: if the attribute
@@ -62,7 +59,6 @@ class SiteAdmin:
         node.subscribe(SubscriptionSpec(
             topic=full_topic,
             attribute=attribute,
-            scope=scope,
             default_predicate=membership,
         ))
 
@@ -89,17 +85,16 @@ class SiteAdmin:
         tree: str,
         attribute: str,
         payload: Dict[str, Any],
-        scope: str = "site",
     ) -> None:
         """Multicast an admin command down a tree; members run ``onDeliver``.
 
         Used to "quickly inform members about the admin's policy changes,
         such as hide or expose available resources, raise or lower rental
-        prices" (§II-B3).  The tree is named per site, as
-        :meth:`post_resource` names it; ``scope`` routes the multicast.
+        prices" (§II-B3).  The tree is named and routed as
+        :meth:`post_resource` names and routes it.
         """
         full_topic = site_tree(self.site.name, tree)
-        via.scribe.topic_state(full_topic, scope)
+        via.scribe.topic_state(full_topic, "site")
         via.scribe.multicast(via, full_topic, {
             "kind": "admin_command",
             "admin": self.name,

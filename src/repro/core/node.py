@@ -40,11 +40,15 @@ class SubscriptionSpec:
     ``eager`` subscriptions are additionally re-evaluated the moment their
     attribute's value changes (bucketed range indices need re-bucketing to
     happen before the next query, not at the next tick).
+
+    ``scope`` is the tree's Scribe routing scope.  Site trees — every tree
+    the plane names per site — are ``"site"`` (administrative isolation,
+    §III-E); ``"global"`` is left to the isolation-off ablation.
     """
 
     topic: str
     attribute: Optional[str] = None
-    scope: str = "global"
+    scope: str = "site"
     default_predicate: Optional[Callable[[Any], bool]] = None
     eager: bool = False
 

@@ -51,7 +51,9 @@ class RBayConfig:
     """Construction parameters for a federation.
 
     Defaults reproduce the paper's testbed shape: the eight EC2 sites of
-    Table II with jittered latencies and site isolation enabled.
+    Table II with jittered latencies.  Site trees are always site-scoped
+    (administrative isolation, §III-E), and how a query runs — planner,
+    retry budget — is its own :class:`~repro.query.options.QueryOptions`.
     """
 
     seed: int = 0
@@ -66,20 +68,6 @@ class RBayConfig:
     #: Receiver-side processing delay per message (ms).  0 = pure network
     #: latency; ~1-2 ms approximates the paper's shared-VM JVM costs.
     processing_delay_ms: float = 0.0
-    #: Scope of attribute trees: "site" (administrative isolation, the
-    #: paper's design) or "global" (the isolation-off ablation).
-    tree_scope: str = "site"
-    #: Interval → bucket routing of range predicates over bucketed
-    #: attribute indices (see :meth:`RBay.register_buckets`).  False is the
-    #: planner-off ablation: range queries probe and search the whole
-    #: bucket family with strict per-member checks.  Per-query
-    #: ``QueryOptions.planner`` overrides this default.
-    planner: bool = True
-    #: Timed-out query-protocol steps (probe round, anycast, remote site
-    #: request) are retried this many times through the truncated-
-    #: exponential backoff before being written off; 0 is the
-    #: retries-off ablation (a lost step fails the query immediately).
-    site_retries: int = 2
     #: Optional :class:`repro.faults.FaultSchedule` installed at build
     #: time; the injector is reachable as ``plane.fault_injector``.
     fault_schedule: Optional[Any] = None
@@ -190,10 +178,7 @@ class RBay:
             [site.name for site in self.registry],
             hierarchy=self.hierarchy,
             lease_ms=cfg.lease_ms,
-            tree_scope=cfg.tree_scope,
-            max_step_retries=cfg.site_retries,
             retry_rng=self.streams.stream("query-retry"),
-            planner_enabled=cfg.planner,
         )
         #: Bounded in-flight window every facade query is admitted through.
         self.admission = AdmissionController(self.sim, window=cfg.query_window,
@@ -357,7 +342,6 @@ class RBay:
             node.subscribe(SubscriptionSpec(
                 topic=site_tree(node.site.name, bucket.tree),
                 attribute=spec.attribute,
-                scope=self.config.tree_scope,
                 default_predicate=(lambda value, b=bucket: b.contains(value)),
                 eager=True,
             ))

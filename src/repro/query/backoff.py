@@ -70,8 +70,8 @@ class RetryStep:
     counted (``query.retry.<step>``, the request's ``retries_spent``) and
     backed off (with a ``query.backoff`` span), then re-attempted as
     ``attempt(loop, *args)`` — or, once the budget (the request's
-    ``retries``, else the context's ``max_step_retries``) is spent, handed
-    to ``on_exhausted(*args)``.
+    ``QueryOptions.retry_budget``) is spent, handed to
+    ``on_exhausted(*args)``.
     """
 
     #: Attempt-span ``step`` labels that differ from the step's name.
@@ -81,12 +81,9 @@ class RetryStep:
                  attempt: Callable[..., None],
                  on_exhausted: Callable[..., None], parent: Any = None,
                  **labels: Any):
-        retries = request.options.retries
-        if retries is None:
-            retries = context.max_step_retries
         self._backoff = TruncatedExponentialBackoff(
             context.retry_rng, slot_ms=context.retry_slot_ms,
-            max_attempts=retries + 1)
+            max_attempts=request.options.retry_budget + 1)
         self._sim = context.sim
         self._request = request
         self._obs = obs

@@ -105,7 +105,7 @@ class _SiteRequest:
                    QueryOptions(payload=data.get("payload"),
                                 caller=data.get("caller"),
                                 retries=data.get("retries"),
-                                planner=data.get("planner")))
+                                planner=data.get("planner", True)))
 
 
 class _QueryContext:
@@ -127,12 +127,9 @@ class _QueryContext:
         lease_ms: float = 60_000.0,
         site_timeout_ms: float = 10_000.0,
         probe_timeout_ms: float = 5_000.0,
-        tree_scope: str = "site",
-        max_step_retries: int = 2,
         retry_slot_ms: float = 50.0,
         retry_rng: Optional[random.Random] = None,
         bucket_index: Optional["BucketIndex"] = None,
-        planner_enabled: bool = True,
     ):
         from repro.core.naming import AttributeHierarchy  # lazy: avoids cycle
 
@@ -143,16 +140,8 @@ class _QueryContext:
         self.lease_ms = lease_ms
         self.site_timeout_ms = site_timeout_ms
         self.probe_timeout_ms = probe_timeout_ms
-        #: Timed-out protocol steps (probe round, anycast, remote site
-        #: request) are retried through the truncated-exponential backoff up
-        #: to this many times before the step is written off as failed.
-        self.max_step_retries = max_step_retries
         self.retry_slot_ms = retry_slot_ms
         self.retry_rng = retry_rng if retry_rng is not None else random.Random(0)
-        #: Routing scope for the per-site attribute trees: "site" keeps
-        #: rendezvous inside each site (administrative isolation, §III-E);
-        #: "global" is the isolation-off ablation mode.
-        self.tree_scope = tree_scope
         #: Query ids currently between ``execute()`` and settlement —
         #: the "in-flight query" ground truth the reservation-hygiene
         #: invariant checks held reservations against.
@@ -166,23 +155,13 @@ class _QueryContext:
         #: (:mod:`repro.query.plan`) to the buckets they overlap instead
         #: of the ``direct`` one-tree-per-predicate route.
         self.bucket_index = bucket_index if bucket_index is not None else BucketIndex()
-        #: Default for the planner; False runs the bucket-unaware flood
-        #: baseline (see :meth:`planner_on`).
-        self.planner_enabled = planner_enabled
 
     def set_gateway(self, site_name: str, address: int) -> None:
         self.gateways[site_name] = address
 
-    def planner_on(self, options: Optional[QueryOptions]) -> bool:
-        """The planner setting one query runs under: its own
-        ``QueryOptions.planner`` override, else the plane's default."""
-        if options is None or options.planner is None:
-            return self.planner_enabled
-        return bool(options.planner)
-
-    def deadline_for(self, retries: Optional[int] = None) -> float:
+    def deadline_for(self, retries: int) -> float:
         """Overall fan-out deadline: room for every retry round to finish."""
-        budget_rounds = (self.max_step_retries if retries is None else retries) + 1
+        budget_rounds = retries + 1
         budget = self.site_timeout_ms * budget_rounds
         slack = self.retry_slot_ms * (1 << min(budget_rounds, 8))
         return budget + slack
@@ -358,7 +337,7 @@ class QueryApplication(Application):
             done.try_resolve(result)
 
         gather(sim, site_futures,
-               timeout=self.context.deadline_for(opts.retries)).add_callback(_merge)
+               timeout=self.context.deadline_for(opts.retry_budget)).add_callback(_merge)
         return done
 
     def _select(self, query: Query, entries: List[Dict[str, Any]]):
@@ -532,12 +511,13 @@ class QueryApplication(Application):
             return site_tree(site_name, tree)
 
         plan = plan_conjunction(self.context, predicates, group_by,
-                                not query.is_disjunctive(),
-                                self.context.planner_on(options))
+                                not query.is_disjunctive(), options.planner)
         for strategy in plan.strategies():
             self.obs.metrics.increment(f"query.plan.{strategy}")
 
-        # Steps 1-2: probe the size of every tree the plan names.
+        # Steps 1-2: probe the size of every tree the plan names.  Site
+        # trees rendezvous inside their site (administrative isolation,
+        # §III-E), so every probe and anycast here is site-scoped.
         to_probe = [qualify(tree) for tree in plan.probes()]
         size_of: Dict[str, int] = {}
 
@@ -546,7 +526,7 @@ class QueryApplication(Application):
                 round_probes = [
                     node.scribe.tree_size(node, topic,
                                           timeout=self.context.probe_timeout_ms,
-                                          scope=self.context.tree_scope)
+                                          scope="site")
                     for topic in topics_left
                 ]
             gather(sim, round_probes,
@@ -674,8 +654,7 @@ class QueryApplication(Application):
             with loop.attempt():
                 node.scribe.anycast(node, topic, state,
                                     timeout=self.context.site_timeout_ms,
-                                    scope=self.context.tree_scope
-                                    ).add_callback(_on_result)
+                                    scope="site").add_callback(_on_result)
 
         _attempt(RetryStep(
             self.context, request, self.obs, "anycast", _attempt, _next_tree,

@@ -298,8 +298,8 @@ class QueryPlan:
 def plan_query(query: Query, context: "_QueryContext",
                options: Optional["QueryOptions"] = None) -> QueryPlan:
     """The plan every target site's executor follows for ``query`` run with
-    ``options`` (whose ``planner`` override the sites receive too)."""
-    planner_on = context.planner_on(options)
+    ``options`` (whose ``planner`` setting the sites receive too)."""
+    planner_on = options is None or options.planner
     return QueryPlan(
         query,
         list(query.sites) if query.sites is not None else list(context.site_names),

@@ -76,7 +76,6 @@ class FederationWorkload:
         node.subscribe(SubscriptionSpec(
             topic=instance_tree(node.site.name, itype),
             attribute="instance_type",
-            scope="site",
             default_predicate=lambda v, t=itype: v == t,
         ))
         # Utilization threshold trees.
@@ -92,7 +91,6 @@ class FederationWorkload:
                 topic=site_tree(node.site.name,
                                 predicate_tree_name("CPU_utilization", "<", threshold)),
                 attribute="CPU_utilization",
-                scope="site",
                 default_predicate=(
                     None
                     if spec.active_subscriptions

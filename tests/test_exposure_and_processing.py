@@ -7,7 +7,6 @@ from repro.core.policies import exposure_policy
 from repro.net.latency import UniformLatencyModel
 from repro.net.message import Message
 from repro.net.network import Host, Network
-from repro.query.options import QueryOptions
 
 
 class TestExposurePolicy:
@@ -52,39 +51,6 @@ class TestExposurePolicy:
         admin.broadcast_command(nodes[0], "GPU", "access", {"exposed": True})
         plane.sim.run()
         assert len(self.query(plane).entries) == 4
-
-    @pytest.mark.parametrize("scope", ["site", "global"])
-    def test_hide_command_reaches_the_tree_in_either_scope(self, scope):
-        """``post_resource`` names the tree per site in both scopes, so the
-        command must too — under ``"global"`` it used to be multicast to an
-        unqualified topic nobody joined, and every node stayed visible."""
-        plane = RBay(RBayConfig(seed=780, synthetic_sites=2, nodes_per_site=5,
-                                jitter=False, tree_scope=scope)).build()
-        plane.sim.run()
-        admin = plane.admin("Site000")
-        nodes = plane.site_nodes("Site000")
-        for node in nodes:
-            admin.set_gate_policy(node, exposure_policy(node.node_id.value,
-                                                        exposed=True))
-            admin.post_resource(node, "GPU", True, scope=scope)
-        plane.sim.run()
-        sql = "SELECT 5 FROM Site000 WHERE GPU = true;"
-        visible = plane.query(sql, options=QueryOptions(origin="Site000"))
-        assert len(visible.entries) == 5
-        self.release(plane, visible)
-        admin.broadcast_command(nodes[0], "GPU", "access", {"exposed": False},
-                                scope=scope)
-        plane.sim.run()
-        hidden = plane.query(sql, options=QueryOptions(origin="Site000"))
-        assert hidden.entries == ()
-
-    @staticmethod
-    def release(plane, result):
-        home = plane.site_nodes("Site000")[0]
-        for entry in result.entries:
-            home.send_app(entry["address"], "query", "release",
-                          {"query_id": result.query_id})
-        plane.sim.run()
 
     def test_initially_hidden_gate(self):
         from repro.aa.runtime import ActiveAttribute

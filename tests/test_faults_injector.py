@@ -278,8 +278,7 @@ class TestStepRetriesUnderLoss:
 
     @staticmethod
     def bucketed_site():
-        plane = build_plane(synthetic_sites=1, nodes_per_site=12,
-                            site_retries=4)
+        plane = build_plane(synthetic_sites=1, nodes_per_site=12)
         for i, node in enumerate(plane.nodes):
             node.define_attribute("CPU_utilization", 5.0 + 7.5 * i)
         plane.register_buckets("CPU_utilization", 0.0, 100.0, buckets=2)
@@ -288,8 +287,8 @@ class TestStepRetriesUnderLoss:
 
     def test_anycast_retry_keeps_the_per_query_budget(self):
         """Regression: the scheduled anycast retry re-entered the chain
-        without the query's ``retries`` override, so every later tree fell
-        back to the plane-wide ``site_retries``."""
+        without the query's ``retries``, so every later tree fell back to
+        the default budget (``DEFAULT_RETRIES``, 2)."""
         plane = self.bucketed_site()
         scribe = plane.nodes[0].scribe
         attempts = Counter()
@@ -319,7 +318,7 @@ class TestStepRetriesUnderLoss:
         plane.sim.run()  # the chain outlives the coordinator's deadline
         tree_1, tree_2 = attempts
         assert attempts[tree_1] == 2   # lost once, retried, answered
-        assert attempts[tree_2] == 2   # 1 + retries=1, not 1 + site_retries=4
+        assert attempts[tree_2] == 2   # 1 + retries=1, not 1 + DEFAULT_RETRIES
         assert plane.counters.get("query.retry.anycast") == 2
 
     def test_probe_retries_reach_the_result(self):

@@ -1,7 +1,7 @@
 """The plan is what runs: EXPLAIN's object against the executor's sends.
 
-For every query shape the plan distinguishes, under the plane default,
-``RBayConfig(planner=False)`` and ``QueryOptions(planner=False)``, the
+For every query shape the plan distinguishes, under the default options,
+the CLI's ``--no-planner`` and ``QueryOptions(planner=False)``, the
 topics a site's probe round actually asks (a spy on
 ``ScribeApplication.tree_size``) must equal ``plan_query(...).probes(site)``
 as a list, the ``query.plan.*`` counter deltas must equal the strategies
@@ -15,11 +15,13 @@ executor plans each branch) and on every range shape under a per-query
 ``planner=False`` (``plan_query`` never saw the query's options).
 """
 
+import argparse
 import re
 from collections import Counter
 
 import pytest
 
+from repro.cli import _query_options
 from repro.core.plane import RBay, RBayConfig
 from repro.query.options import QueryOptions
 from repro.query.plan import plan_query
@@ -51,17 +53,20 @@ CORPUS = {
                           "OR CPU_utilization >= 75% GROUP BY CPU_utilization"),
 }
 
-#: setting -> (RBayConfig.planner, QueryOptions.planner)
+#: setting -> the options a query runs under (the planner is a per-query
+#: setting): the default options, a run configured off by the CLI's
+#: ``--no-planner``, and an explicit ``planner=False``.
 SETTINGS = {
-    "plane-default": (True, None),
-    "config-off": (False, None),
-    "query-off": (True, False),
+    "plane-default": QueryOptions(),
+    "config-off": _query_options(argparse.Namespace(no_planner=True)),
+    "query-off": QueryOptions(planner=False),
 }
 
 
-def build_plane(planner):
+@pytest.fixture(scope="module")
+def built():
     plane = RBay(RBayConfig(seed=21, synthetic_sites=2, nodes_per_site=12,
-                            jitter=False, planner=planner)).build()
+                            jitter=False)).build()
     dressing = FederationWorkload(
         plane, WorkloadSpec(gate_policies=False)).apply()
     plane.hierarchy.link("CPU/Intel", "CPU")
@@ -75,11 +80,6 @@ def build_plane(planner):
     held = sorted({dressing.instance_of[n.address]
                    for n in plane.site_nodes("Site000")})
     return plane, {"a": held[0], "b": held[-1]}
-
-
-@pytest.fixture(scope="module")
-def planes():
-    return {planner: build_plane(planner) for planner in (True, False)}
 
 
 @pytest.fixture()
@@ -107,11 +107,10 @@ def ask(plane, sql, options=None):
 
 @pytest.mark.parametrize("setting", SETTINGS)
 @pytest.mark.parametrize("shape", CORPUS)
-def test_executor_runs_the_plan_explain_prints(planes, asked, shape, setting):
-    config_planner, override = SETTINGS[setting]
-    plane, types = planes[config_planner]
+def test_executor_runs_the_plan_explain_prints(built, asked, shape, setting):
+    plane, types = built
     sql = CORPUS[shape].format(**types)
-    options = QueryOptions(planner=override)
+    options = SETTINGS[setting]
     plan = plan_query(parse_query(sql), plane.context, options)
     before = plane.counters.snapshot("query.plan")
 
@@ -143,10 +142,10 @@ def test_executor_runs_the_plan_explain_prints(planes, asked, shape, setting):
         assert result.visited_members == 0, (shape, setting)
 
 
-def test_corpus_covers_both_sides(planes):
+def test_corpus_covers_both_sides(built):
     """The iff above is not vacuous: the corpus holds member-visiting plans
     that do visit, pushdowns, and plans with nothing to probe."""
-    plane, types = planes[True]
+    plane, types = built
     assert ask(plane, CORPUS["range-probe"]).visited_members > 0
     plans = {shape: plan_query(parse_query(sql.format(**types)), plane.context)
              for shape, sql in CORPUS.items()}

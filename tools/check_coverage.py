@@ -82,6 +82,7 @@ DEFAULT_TESTS = [
     REPO / "tests" / "test_query_executor.py",
     REPO / "tests" / "test_query_planner.py",
     REPO / "tests" / "test_query_plan_execution.py",
+    REPO / "tests" / "test_query_settings.py",
     REPO / "tests" / "test_scribe_buckets.py",
     REPO / "tests" / "test_property_range_oracle.py",
     REPO / "tests" / "test_rebalance.py",
