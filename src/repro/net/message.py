@@ -8,11 +8,20 @@ for bandwidth at hot spots (e.g. the Ganglia master ablation).
 ``Message`` is a ``__slots__`` class, not a dataclass: the scale workload
 constructs one per send on the hot path, and slotted construction is about
 twice as cheap as a dataclass with ``field(default_factory=...)`` defaults.
-The size estimator is likewise hot (one call per network send) and was the
-single most expensive function in the pre-rewrite profile; it dispatches on
-exact ``type()`` with a memo of string byte lengths.  Payloads are plain
-builtins (the wire codec rejects everything else), so any other value is
-an opaque 16 bytes.
+The size estimator is likewise hot and was the single most expensive
+function in the pre-rewrite profile; it dispatches on exact ``type()`` with
+a memo of string byte lengths.  Payloads are plain builtins (the wire codec
+rejects everything else), so any other value is an opaque 16 bytes.
+
+A message is a copy: no handler mutates a payload it received or sent, so
+a size measured once holds for as long as the message is in flight.  The
+transport records the size each copy arrived with on :attr:`Message.size`,
+and a sender that knows its payload's size supplies it instead of walking
+the payload again — :meth:`repro.pastry.node.PastryNode.send_app` sizes a
+direct message as a per-``(app, kind)`` envelope constant plus its
+``data``, and the anycast walk's ``data`` is the arrived size plus what
+the hop appended.  So a send walks at most what it adds, not what it
+forwards; a ``wire_check`` run compares every supplied size with the walk.
 """
 
 from __future__ import annotations
@@ -108,10 +117,16 @@ class Message:
         under the span that caused this message.  Carried out-of-band
         (not in the payload): it never contributes to ``size_bytes`` and
         never perturbs protocol behaviour.
+    size:
+        Wire size in bytes this copy arrived with, recorded by the
+        transport before the handler runs (None before delivery).  Also
+        out-of-band: never encoded, not part of ``==``, and never read as
+        the size of a later send of the same object — each send is sized
+        afresh or by its caller.
     """
 
     __slots__ = ("kind", "payload", "src", "dst", "hops", "msg_id",
-                 "trace", "trace_ctx")
+                 "trace", "trace_ctx", "size")
 
     def __init__(
         self,
@@ -132,6 +147,7 @@ class Message:
         self.msg_id = next(_msg_ids) if msg_id is None else msg_id
         self.trace = trace
         self.trace_ctx = trace_ctx
+        self.size: Optional[int] = None
 
     def size_bytes(self) -> int:
         """Approximate wire size of this message."""

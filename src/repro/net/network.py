@@ -78,9 +78,10 @@ class Network(Transport):
     # ------------------------------------------------------------------
     # Delivery
     # ------------------------------------------------------------------
-    def send(self, src: Host, dst_address: int, msg: Message) -> None:
+    def send(self, src: Host, dst_address: int, msg: Message,
+             size: Optional[int] = None) -> None:
         """Schedule delivery of ``msg`` from ``src`` to ``dst_address``."""
-        admitted = self._admit(src, dst_address, msg)
+        admitted = self._admit(src, dst_address, msg, size=size)
         if admitted is None:
             return
         dst_host, size, extra_delay, copies = admitted

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from collections import Counter
+from functools import cache
 from typing import Any, Dict, List, Optional
 
 from repro.net.message import Message
@@ -12,6 +13,15 @@ from repro.obs.spans import NULL_RECORDER
 from repro.pastry.leafset import DEFAULT_LEAF_SET_SIZE, LeafSet
 from repro.pastry.nodeid import NodeId
 from repro.pastry.routing_table import NodeRef, RoutingTable
+
+
+@cache
+def envelope_size(app_name: str, kind: str) -> int:
+    """Wire size of a ``pastry.direct`` message for ``(app, kind)``
+    without its ``data``: a direct message's size is this plus the size
+    of its ``data`` (the origin is an address, an 8-byte number)."""
+    return Message(kind="pastry.direct", payload={
+        "app": app_name, "kind": kind, "data": {}, "origin": 0}).size_bytes()
 
 
 class Application:
@@ -111,14 +121,23 @@ class PastryNode(Host):
         )
         self._handle_route(msg, local=True)
 
-    def send_app(self, dst_address: int, app_name: str, kind: str, payload: Dict[str, Any]) -> None:
-        """Direct point-to-point message to an application on a known host."""
-        self.send(dst_address, Message(kind="pastry.direct", payload={
+    def send_app(self, dst_address: int, app_name: str, kind: str,
+                 payload: Dict[str, Any], size: Optional[int] = None) -> None:
+        """Direct point-to-point message to an application on a known host.
+
+        ``size`` is the size of ``payload`` when the caller knows it (the
+        anycast walk does): the message is then sized as its
+        ``(app, kind)`` envelope plus ``size``, and nothing is walked.
+        """
+        msg = Message(kind="pastry.direct", payload={
             "app": app_name,
             "kind": kind,
             "data": payload,
             "origin": self.address,
-        }))
+        })
+        if size is not None:
+            size += envelope_size(app_name, kind)
+        self.send(dst_address, msg, size)
 
     # ------------------------------------------------------------------
     # Message handling

@@ -19,7 +19,7 @@ import itertools
 import random
 from collections import OrderedDict
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Any, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from repro.net.message import Message
 
@@ -620,6 +620,8 @@ class QueryApplication(Application):
         because reservations are keyed by query id.  When the retry budget
         for a tree is spent the chain moves on to the next-larger tree
         with a fresh budget — failures are per-tree, not per-chain.
+        ``state`` is never changed once a walk carries it: each tree's
+        walk starts from a new dict built from the last one's result.
         """
         if not topics or len(state["entries"]) >= state["k"]:
             done.try_resolve(_site_result(state["entries"], tree_sizes,
@@ -632,24 +634,20 @@ class QueryApplication(Application):
                                 parent)
 
         def _attempt(loop: RetryStep) -> None:
-            if len(state["entries"]) >= state["k"]:
-                # A retry can find the buffer already full: in the sim a
-                # lost DFS fills the very ``state`` object we hold.
-                _next_tree()
-                return
-
             def _on_result(result: Any) -> None:
                 if _lost(result):
                     loop.failed()
                     return
-                loop.succeeded(visited=result.get("visited_members", 0),
+                visited = result.get("visited_members", 0)
+                loop.succeeded(visited=visited,
                                satisfied=bool(result.get("satisfied")))
-                state["entries"] = result.get("entries", state["entries"])
                 # The running total rides in the DFS state (and so on the
                 # wire) between trees.
-                state["visited_total"] = (state.get("visited_total", 0)
-                                          + result.get("visited_members", 0))
-                _next_tree()
+                self._anycast_chain(node, request, rest, {
+                    **state,
+                    "entries": result.get("entries", state["entries"]),
+                    "visited_total": state.get("visited_total", 0) + visited,
+                }, tree_sizes, done, parent)
 
             with loop.attempt():
                 node.scribe.anycast(node, topic, state,
@@ -663,41 +661,47 @@ class QueryApplication(Application):
     # ------------------------------------------------------------------
     # Anycast visitor (runs at each visited member; wired by the plane)
     # ------------------------------------------------------------------
-    def visit(self, node: "RBayNode", topic: str, state: Dict[str, Any]) -> bool:
+    def visit(self, node: "RBayNode", topic: str,
+              state: Dict[str, Any]) -> Tuple[Dict[str, Any], bool]:
         """Per-member step 4: predicates + AA authorization + reservation.
 
+        Returns ``(state, satisfied)`` — the :data:`~repro.scribe.scribe.
+        AnycastVisitor` contract: ``state`` itself when this member adds
+        no entry, else a new dict with the entry appended.
         ``gquery`` visits (the GROUP BY collect path) only contribute a
         group label: they run the predicate checks but never authorize or
         reserve, because a count query takes no nodes.
         """
         if state.get("kind") not in ("query", "gquery"):
-            return False
+            return state, False
         strict: List[Predicate] = []
         implied: List[Predicate] = []
         for packed, is_implied in state["predicates"]:
             (implied if is_implied else strict).append(Predicate.unpack(packed))
+        entry = None
         if state["kind"] == "gquery":
             from repro.query.plan import group_label  # lazy: avoids cycle
 
             group_attr = state["group_by"]
             if (node.check_predicates(strict, implied=implied)
                     and node.has_attribute(group_attr)):
-                state["entries"].append({
+                entry = {
                     "address": node.address,
                     "group": group_label(self.context, group_attr,
                                          node.attribute_value(group_attr)),
-                })
-            return len(state["entries"]) >= state["k"]
-        entry = node.consider_for_query(
-            state["query_id"], state.get("caller"), strict, state.get("payload"),
-            implied=implied,
-        )
+                }
+        else:
+            entry = node.consider_for_query(
+                state["query_id"], state.get("caller"), strict,
+                state.get("payload"), implied=implied,
+            )
+            if entry is not None:
+                order_by = state.get("order_by")
+                if order_by:
+                    entry["order_value"] = node.attribute_value(order_by)
         if entry is not None:
-            order_by = state.get("order_by")
-            if order_by:
-                entry["order_value"] = node.attribute_value(order_by)
-            state["entries"].append(entry)
-        return len(state["entries"]) >= state["k"]
+            state = {**state, "entries": state["entries"] + [entry]}
+        return state, len(state["entries"]) >= state["k"]
 
     # ------------------------------------------------------------------
     # Direct messages

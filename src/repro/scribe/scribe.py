@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import itertools
 from sys import intern as _intern
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.net.message import Message
+from repro.net.message import Message, _estimate_size
 from repro.obs import Observability
-from repro.pastry.node import Application, PastryNode
+from repro.pastry.node import Application, PastryNode, envelope_size
 from repro.pastry.nodeid import NodeId
 from repro.pastry.routing_table import NodeRef
 from repro.scribe.aggregate import AGGREGATE_FUNCTIONS, AggregateFunction
@@ -25,10 +25,13 @@ from repro.sim.futures import Future, RequestTable
 
 _request_ids = itertools.count(1)
 
-#: Visitor invoked at each member during anycast DFS.  Mutates the carried
-#: state dict; returns True when the anycast is satisfied and should return
-#: to its origin.
-AnycastVisitor = Callable[[PastryNode, str, Dict[str, Any]], bool]
+#: Visitor invoked at each member during anycast DFS.  Returns
+#: ``(state, satisfied)``: the state dict the walk carries on — the one it
+#: was given when the member added nothing, else a new dict, never the
+#: given one mutated (a message is a copy) — and True when the anycast is
+#: satisfied and should return to its origin.
+AnycastVisitor = Callable[[PastryNode, str, Dict[str, Any]],
+                          Tuple[Dict[str, Any], bool]]
 
 #: Callback invoked at each member on multicast delivery.
 MulticastHandler = Callable[[PastryNode, str, Dict[str, Any]], None]
@@ -247,10 +250,11 @@ class ScribeApplication(Application):
         timeout: Optional[float] = None,
         scope: Optional[str] = None,
     ) -> Future:
-        """Start a DFS anycast; resolves to the (mutated) state payload.
+        """Start a DFS anycast; resolves to the state the walk ended with.
 
         The result dict additionally carries ``satisfied`` (visitor returned
         True) and ``visited_members`` (DFS coverage count).
+        ``state_payload`` itself is never changed.
         """
         future, state, span, header = self._open_request(
             node, topic, scope, timeout, "scribe.anycast", "member_search")
@@ -431,7 +435,14 @@ class ScribeApplication(Application):
             else:  # a roll-up batch names one topic per update
                 for update in data.get("updates", ()):
                     self.rebalancer.record(update["topic"])
-        handler = self.direct_handlers.get(payload["kind"])
+        kind = payload["kind"]
+        if kind == "anycast_walk" and msg.size is not None:
+            # The walk carries its measured size: the next hop's data is
+            # what arrived plus what this hop appends.
+            self._anycast_visit(node, data, payload["origin"],
+                                msg.size - envelope_size(self.name, kind))
+            return
+        handler = self.direct_handlers.get(kind)
         if handler is not None:
             handler(node, data, payload["origin"])
 
@@ -601,28 +612,44 @@ class ScribeApplication(Application):
     # Anycast (distributed DFS, paper §II-B3 and §III-D step 4)
     # ------------------------------------------------------------------
     def _anycast_visit(self, node: PastryNode, data: Dict[str, Any],
-                       origin: Optional[int] = None) -> None:
-        """One DFS step; also the handler for ``anycast``/``anycast_walk``."""
+                       origin: Optional[int] = None,
+                       size: Optional[int] = None) -> None:
+        """One DFS step; also the handler for ``anycast``/``anycast_walk``.
+
+        ``data`` is never mutated: a hop that adds itself forwards a new
+        dict.  ``size`` is the size of ``data`` as it arrived (None: not
+        known, the transport walks what is sent); it travels on as the
+        next hop's size, grown by 8 per appended address and by the
+        visitor's change to the state when it replaced it.
+        """
         topic = data["topic"]
         state = self.topic_state(topic)
         visited = data["visited"]
         if node.address not in visited:
-            visited.append(node.address)
+            satisfied = False
+            members = data["visited_members"]
+            carried = data["state"]
             if state.member:
-                data["visited_members"] += 1
-                satisfied = (
-                    self.anycast_visitor(node, topic, data["state"])
-                    if self.anycast_visitor is not None
-                    else False
-                )
+                members += 1
+                if self.anycast_visitor is not None:
+                    carried, satisfied = self.anycast_visitor(
+                        node, topic, carried)
                 if self.recorder.enabled:
                     self.recorder.instant(
                         "scribe.anycast_visit", category="scribe", topic=topic,
                         site=node.site.name, addr=node.address,
                         satisfied=satisfied, step="member_search")
-                if satisfied:
-                    self._anycast_reply(node, data, satisfied=True)
-                    return
+            if size is not None:
+                size += 8  # the appended address
+                if carried is not data["state"]:
+                    size += (_estimate_size(carried)
+                             - _estimate_size(data["state"]))
+            data = {**data, "visited": visited + [node.address],
+                    "visited_members": members, "state": carried}
+            if satisfied:
+                self._anycast_reply(node, data, satisfied=True)
+                return
+            visited = data["visited"]
         # Continue DFS: first unvisited live child, else climb to the parent.
         for address in list(state.children):
             if address in visited:
@@ -630,10 +657,10 @@ class ScribeApplication(Application):
             if not node.believes_alive(address):
                 self._drop_child(node, state, address)
                 continue
-            node.send_app(address, self.name, "anycast_walk", data)
+            node.send_app(address, self.name, "anycast_walk", data, size)
             return
         if state.parent is not None and node.believes_alive(state.parent):
-            node.send_app(state.parent, self.name, "anycast_walk", data)
+            node.send_app(state.parent, self.name, "anycast_walk", data, size)
             return
         # Root with everything visited (or detached): exhausted.
         self._anycast_reply(node, data, satisfied=False)

@@ -230,11 +230,12 @@ class AsyncioTransport(Transport):
     # ------------------------------------------------------------------
     # Send side
     # ------------------------------------------------------------------
-    def send(self, src: Host, dst_address: int, msg: Message) -> None:
+    def send(self, src: Host, dst_address: int, msg: Message,
+             size: Optional[int] = None) -> None:
         # In partitioned mode the admission gate also suppresses shadows —
         # the owning process performs the action for real, exactly once.
         admitted = self._admit(src, dst_address, msg,
-                               src.address in self._served)
+                               src.address in self._served, size)
         if admitted is None:
             return
         _dst_host, _size, extra_delay, copies = admitted

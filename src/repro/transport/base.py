@@ -43,6 +43,12 @@ class NetworkError(RuntimeError):
     """Raised for invalid network operations (unknown address, detached host)."""
 
 
+class WireSizeError(NetworkError):
+    """A sender supplied a message size that differs from the size walk
+    (raised only under ``wire_check``, where every supplied size is
+    verified at admission)."""
+
+
 @dataclass
 class FaultDecision:
     """Verdict of a fault filter for one message send.
@@ -77,11 +83,13 @@ class Host:
     def on_message(self, msg: Message) -> None:
         raise NotImplementedError
 
-    def send(self, dst_address: int, msg: Message) -> None:
-        """Send ``msg`` to another host; delivery is up to the transport."""
+    def send(self, dst_address: int, msg: Message,
+             size: Optional[int] = None) -> None:
+        """Send ``msg`` to another host; delivery is up to the transport.
+        ``size`` is its wire size when the caller knows it (else walked)."""
         if self.network is None:
             raise NetworkError("host not attached to a network")
-        self.network.send(self, dst_address, msg)
+        self.network.send(self, dst_address, msg, size)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} addr={self.address} site={self.site.name}>"
@@ -192,6 +200,10 @@ class Transport:
         #: around each delivery.
         self.recorder = NULL_RECORDER
 
+    #: Verify every sender-supplied size against the walk at admission
+    #: (the sim's codec shadow mode turns it on with the round trip).
+    wire_check = False
+
     # ------------------------------------------------------------------
     # Membership
     # ------------------------------------------------------------------
@@ -257,18 +269,22 @@ class Transport:
     # ------------------------------------------------------------------
     # Delivery
     # ------------------------------------------------------------------
-    def send(self, src: Host, dst_address: int, msg: Message) -> None:
+    def send(self, src: Host, dst_address: int, msg: Message,
+             size: Optional[int] = None) -> None:
         """Deliver ``msg`` from ``src`` to ``dst_address`` asynchronously.
 
         Fire-and-forget with datagram semantics at the interface: loss
         is expressed to the sender only through its own protocol
         timeouts, which is what maps live connect/write failures onto
         the typed ``QueryError``/``QueryTimeout`` machinery unchanged.
+        ``size`` is the message's wire size when the sender knows it;
+        otherwise admission walks the message.
         """
         raise NotImplementedError
 
     def _admit(self, src: Host, dst_address: int, msg: Message,
-               served: bool = True) -> Optional[Tuple[Host, int, float, int]]:
+               served: bool = True, size: Optional[int] = None,
+               ) -> Optional[Tuple[Host, int, float, int]]:
         """Send-side admission: stamp, count, and decide ``msg``'s fate.
 
         Returns ``(dst_host, size, extra_delay_ms, copies)`` for the
@@ -276,6 +292,10 @@ class Transport:
         when the message goes nowhere and is fully accounted (suppressed,
         unknown destination, dropped by the fault filter).  ``served``
         is False for a host this backend only shadows: its owner sends.
+        ``size`` is the sender's own measure of this send; admission
+        never reads the size an earlier send recorded on ``msg``, since
+        Pastry re-sends the object it received.  Under ``wire_check`` a
+        supplied size must equal the walk (:class:`WireSizeError`).
         """
         if not (served and src.alive) or self._hosts.get(src.address) is not src:
             # A crashed host sends nothing: callbacks it scheduled before
@@ -286,7 +306,12 @@ class Transport:
         msg.dst = dst_address
         stamp_trace_ctx(self.recorder, msg)
         self.messages_sent += 1
-        size = msg.size_bytes()
+        if size is None:
+            size = msg.size_bytes()
+        elif self.wire_check and size != msg.size_bytes():
+            raise WireSizeError(
+                f"{msg.kind} {msg.payload.get('kind', '')}: supplied size "
+                f"{size} != walked size {msg.size_bytes()}")
         self.bytes_sent += size
         self.per_host_sent[src.address] += 1
         dst_host = self._hosts.get(dst_address)
@@ -323,6 +348,8 @@ class Transport:
         self.messages_delivered += 1
         self.per_host_received[address] += 1
         self.per_host_bytes_in[address] += size
+        # Handlers read the size this copy arrived with (out-of-band).
+        msg.size = size
         if msg.trace is not None:
             msg.trace.append(address)
         # Restore the sender's causal context for the duration of the

@@ -49,7 +49,7 @@ def first_member_visited(sim, overlay, sender):
 
     def visitor(node, topic, state):
         seen.append(node)
-        return True  # stop at the first member
+        return state, True  # stop at the first member
 
     for node in overlay.nodes:
         node.app("scribe").anycast_visitor = visitor

@@ -193,7 +193,8 @@ class TestScribeEdges:
         node.app("scribe").join(node, "t3")
         sim.run()
         for n in overlay.nodes:
-            n.app("scribe").anycast_visitor = lambda *_: False
+            n.app("scribe").anycast_visitor = lambda _node, _topic, state: (
+                state, False)
         result = node.app("scribe").anycast(node, "t3", {}).result()
         assert not result["satisfied"]
         assert result["visited_members"] == 1

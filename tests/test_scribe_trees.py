@@ -143,8 +143,8 @@ class TestAnycast:
         overlay, chosen = members
 
         def visitor(node, topic, state):
-            state["found"].append(node.address)
-            return len(state["found"]) >= 5
+            state = {**state, "found": state["found"] + [node.address]}
+            return state, len(state["found"]) >= 5
 
         for node in overlay.nodes:
             scribe(node).anycast_visitor = visitor
@@ -159,8 +159,8 @@ class TestAnycast:
         overlay, chosen = members
 
         def visitor(node, topic, state):
-            state["found"].append(node.address)
-            return len(state["found"]) >= 500
+            state = {**state, "found": state["found"] + [node.address]}
+            return state, len(state["found"]) >= 500
 
         for node in overlay.nodes:
             scribe(node).anycast_visitor = visitor
@@ -182,7 +182,7 @@ class TestAnycast:
 
         def visitor(node, topic, state):
             visits.append(node.address)
-            return False
+            return state, False
 
         for node in overlay.nodes:
             scribe(node).anycast_visitor = visitor

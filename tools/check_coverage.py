@@ -87,6 +87,8 @@ DEFAULT_TESTS = [
     REPO / "tests" / "test_property_range_oracle.py",
     REPO / "tests" / "test_rebalance.py",
     REPO / "tests" / "test_scribe_trees.py",
+    REPO / "tests" / "test_anycast_sizes.py",
+    REPO / "tests" / "test_sim_delivers_copies.py",
     REPO / "tests" / "test_scribe_aggregate.py",
     REPO / "tests" / "test_scribe_random_ops.py",
     REPO / "tests" / "test_pastry_routing.py",

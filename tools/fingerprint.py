@@ -14,6 +14,13 @@ protocol kind, size in bytes), one per executed engine step (its
 ``(time, seq)``), one per query outcome, the final clock and traffic
 counters, and on the traced run every exported span.
 
+Every scenario also runs a second time with ``RBayConfig(wire_check=True)``
+— each delivery is a decoded copy, as on a real socket — and the
+``copies`` column says whether that run hashed the same (``equal``) or
+names the first record where it parted from the plain run.  A difference
+there is sim-only shared state: a handler that changed a payload some
+other holder still sees.
+
 Each scenario runs, per tree, in its own child process that imports
 ``repro`` from that tree's ``src/`` with ``PYTHONHASHSEED=0``.  Larger faulted runs have been seen to
 send differently under different hash seeds (ROADMAP, "hash-seed-free
@@ -34,7 +41,7 @@ is exported with ``git archive`` into a temporary directory (nothing is
 fetched, no worktree is registered), both trees run every selected
 scenario, and for each scenario whose hashes differ the tool prints the
 first record where the two runs diverge.  The exit status is 1 on any
-mismatch.
+mismatch, including a ``copies`` column that is not ``equal``.
 """
 
 from __future__ import annotations
@@ -132,8 +139,10 @@ def _outcome(value) -> str:
                  sorted(value.tree_sizes.items())))
 
 
-def run_scenario(scenario: Scenario, emit: Callable[[str], None]) -> None:
-    """Run ``scenario`` and ``emit`` one text record per observation."""
+def run_scenario(scenario: Scenario, emit: Callable[[str], None],
+                 wire_check: bool = False) -> None:
+    """Run ``scenario`` and ``emit`` one text record per observation;
+    ``wire_check`` hands every receiver a decoded copy."""
     from repro.core.plane import RBay, RBayConfig
     from repro.faults import FaultSchedule, MessageRule
     from repro.faults.injector import protocol_kind
@@ -149,16 +158,17 @@ def run_scenario(scenario: Scenario, emit: Callable[[str], None]) -> None:
                             maintenance_interval_ms=500.0,
                             reservation_hold_ms=1_000.0,
                             tracing=scenario.traced,
+                            wire_check=wire_check,
                             rebalance=(RebalanceConfig(**REBALANCE)
                                        if scenario.rebalance else None)))
     sim, network = plane.sim, plane.network
     sim.set_step_hook(lambda time, seq: emit(f"step {time!r} {seq}"))
     send = network.send
 
-    def logged_send(src, dst_address, msg):
+    def logged_send(src, dst_address, msg, *size):
         emit(f"send {sim.now!r} {src.address} {dst_address} "
              f"{protocol_kind(msg)} {msg.size_bytes()}")
-        send(src, dst_address, msg)
+        send(src, dst_address, msg, *size)
 
     network.send = logged_send
     plane.build()
@@ -243,12 +253,17 @@ def run_scenario(scenario: Scenario, emit: Callable[[str], None]) -> None:
             emit(f"span {line}")
 
 
-def _worker(name: str, log_dir: Optional[str]) -> None:
+def _log_name(name: str, wire_check: bool) -> str:
+    return f"{name}{'.wire' if wire_check else ''}.log"
+
+
+def _worker(name: str, log_dir: Optional[str], wire_check: bool) -> None:
     """Child-process entry: hash scenario ``name`` and print its sha256."""
     import repro
 
     digest = hashlib.sha256()
-    with (open(Path(log_dir) / f"{name}.log", "w", encoding="utf-8")
+    with (open(Path(log_dir) / _log_name(name, wire_check), "w",
+               encoding="utf-8")
           if log_dir else nullcontext()) as log:
         def emit(record: str) -> None:
             line = record + "\n"
@@ -256,7 +271,7 @@ def _worker(name: str, log_dir: Optional[str]) -> None:
             if log is not None:
                 log.write(line)
 
-        run_scenario(SCENARIOS[name], emit)
+        run_scenario(SCENARIOS[name], emit, wire_check)
     print(json.dumps({"repro": repro.__file__, "hash": digest.hexdigest()}))
 
 
@@ -265,12 +280,14 @@ def _worker(name: str, log_dir: Optional[str]) -> None:
 # come from process-wide counters and land in span labels, so a scenario
 # that shared a process would hash differently after another one ran.
 # ----------------------------------------------------------------------
-def _start(src: Path, name: str,
-           log_dir: Optional[Path] = None) -> subprocess.Popen:
+def _start(src: Path, name: str, log_dir: Optional[Path] = None,
+           wire_check: bool = False) -> subprocess.Popen:
     env = dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED=HASH_SEED)
     argv = [sys.executable, str(Path(__file__).resolve()), "--worker", name]
     if log_dir is not None:
         argv += ["--log-dir", str(log_dir)]
+    if wire_check:
+        argv.append("--wire-check")
     return subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, text=True)
 
 
@@ -286,9 +303,58 @@ def _finish(child: subprocess.Popen, src: Path) -> str:
     return document["hash"]
 
 
-def fingerprints(src: Path, names: Sequence[str]) -> Dict[str, str]:
-    """``{scenario: sha256}`` of ``names`` run on the ``repro`` in ``src``."""
-    return {name: _finish(_start(src, name), src) for name in names}
+def fingerprints(src: Path, names: Sequence[str],
+                 wire_check: bool = False) -> Dict[str, str]:
+    """``{scenario: sha256}`` of ``names`` run on the ``repro`` in ``src``
+    (with every delivery a decoded copy when ``wire_check``)."""
+    return {name: _finish(_start(src, name, wire_check=wire_check), src)
+            for name in names}
+
+
+def _run_pair(runs: Dict[str, tuple]) -> Dict[str, str]:
+    """Start every ``label: (src, name, log_dir, wire_check)`` run side by
+    side and return ``{label: sha256}``; no child outlives the call."""
+    children = {label: _start(*run) for label, run in runs.items()}
+    try:
+        return {label: _finish(children[label], runs[label][0])
+                for label in runs}
+    finally:
+        for child in children.values():
+            if child.poll() is None:
+                child.kill()
+                child.wait()
+
+
+def _divergence(log_a: Path, log_b: Path) -> Optional[tuple]:
+    with open(log_a, encoding="utf-8") as a, open(log_b, encoding="utf-8") as b:
+        return first_divergence((line.rstrip("\n") for line in a),
+                                (line.rstrip("\n") for line in b))
+
+
+def _copies_column(found: Optional[tuple]) -> str:
+    """``equal``, or the record at which the ``wire_check`` run parted."""
+    return "equal" if found is None else f"record {found[0]}"
+
+
+def _print_divergence(found: tuple, label_a: str, label_b: str) -> None:
+    index, line_a, line_b, tail = found
+    print(f"  first divergence at record {index}")
+    for line in tail:
+        print(f"    {line}")
+    print(f"  {label_a}: {line_a}")
+    print(f"  {label_b}: {line_b}")
+
+
+def copies(src: Path, name: str, log_dir: Path) -> tuple:
+    """Run ``name`` on ``src`` plain and under ``wire_check``, side by
+    side.  Returns ``(plain sha256, None)`` when the two hash the same,
+    else ``(plain sha256, first divergence)``."""
+    hashes = _run_pair({"plain": (src, name, log_dir, False),
+                        "wire": (src, name, log_dir, True)})
+    if hashes["plain"] == hashes["wire"]:
+        return hashes["plain"], None
+    return hashes["plain"], _divergence(log_dir / _log_name(name, False),
+                                        log_dir / _log_name(name, True))
 
 
 def load_pins() -> Dict[str, str]:
@@ -323,39 +389,33 @@ def _against(rev: str, names: Sequence[str]) -> int:
     status = 0
     with tempfile.TemporaryDirectory(prefix="fingerprint-") as tmp:
         tmp_path = Path(tmp)
-        trees = {"this tree": ROOT / "src",
-                 rev: _export(rev, tmp_path / "rev")}
-        logs = {}
-        for index, label in enumerate(trees):
-            logs[label] = tmp_path / f"logs{index}"
-            logs[label].mkdir()
+        mine, theirs = ROOT / "src", _export(rev, tmp_path / "rev")
+        logs = {label: tmp_path / label for label in ("mine", "theirs")}
+        for log_dir in logs.values():
+            log_dir.mkdir()
         for name in names:
-            # The two trees run side by side, one scenario at a time.
-            children = {label: _start(src, name, logs[label])
-                        for label, src in trees.items()}
-            try:
-                mine, theirs = (_finish(children[label], trees[label])
-                                for label in trees)
-            finally:
-                for child in children.values():
-                    if child.poll() is None:
-                        child.kill()
-                        child.wait()
-            same = mine == theirs
-            print(f"{name:30s} {mine}  {'same' if same else 'DIFFERS'}")
-            if same:
-                continue
-            status = 1
-            with open(logs["this tree"] / f"{name}.log", encoding="utf-8") as a, \
-                    open(logs[rev] / f"{name}.log", encoding="utf-8") as b:
-                index, line_a, line_b, tail = first_divergence(
-                    (line.rstrip("\n") for line in a),
-                    (line.rstrip("\n") for line in b))
-            print(f"  first divergence at record {index}")
-            for line in tail:
-                print(f"    {line}")
-            print(f"  this tree: {line_a}")
-            print(f"  {rev}: {line_b}")
+            # The two trees (and this tree's copies run) side by side,
+            # one scenario at a time.
+            hashes = _run_pair({
+                "mine": (mine, name, logs["mine"], False),
+                "wire": (mine, name, logs["mine"], True),
+                "theirs": (theirs, name, logs["theirs"], False)})
+            log = logs["mine"] / _log_name(name, False)
+            moved = copied = None
+            if hashes["mine"] != hashes["theirs"]:
+                moved = _divergence(log,
+                                    logs["theirs"] / _log_name(name, False))
+            if hashes["mine"] != hashes["wire"]:
+                copied = _divergence(log, logs["mine"] / _log_name(name, True))
+            print(f"{name:30s} {hashes['mine']}  "
+                  f"{'same' if moved is None else 'DIFFERS':8s}"
+                  f"copies: {_copies_column(copied)}")
+            if moved is not None:
+                status = 1
+                _print_divergence(moved, "this tree", rev)
+            if copied is not None:
+                status = 1
+                _print_divergence(copied, "plain", "wire_check")
     return status
 
 
@@ -371,14 +431,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         help=f"store the hashes in {PINS_PATH.relative_to(ROOT)}")
     parser.add_argument("--worker", help=argparse.SUPPRESS)
     parser.add_argument("--log-dir", help=argparse.SUPPRESS)
+    parser.add_argument("--wire-check", action="store_true",
+                        help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.worker:
-        _worker(args.worker, args.log_dir)
+        _worker(args.worker, args.log_dir, args.wire_check)
         return 0
     names = args.scenario or list(SCENARIOS)
     if args.against:
         return _against(args.against, names)
-    hashes = fingerprints(ROOT / "src", names)
+    hashes, diverged = {}, {}
+    with tempfile.TemporaryDirectory(prefix="fingerprint-") as tmp:
+        for name in names:
+            hashes[name], diverged[name] = copies(ROOT / "src", name, Path(tmp))
     pins = load_pins() if PINS_PATH.exists() else {}
     if args.write_pins:
         pins.update(hashes)
@@ -390,8 +455,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     for name in names:
         verdict = ("unpinned" if name not in pins
                    else "MOVED" if name in moved else "pinned")
-        print(f"{name:30s} {hashes[name]}  {verdict}")
-    return 1 if moved else 0
+        print(f"{name:30s} {hashes[name]}  {verdict:8s} "
+              f"copies: {_copies_column(diverged[name])}")
+        if diverged[name] is not None:
+            _print_divergence(diverged[name], "plain", "wire_check")
+    return 1 if moved or any(diverged.values()) else 0
 
 
 if __name__ == "__main__":
