@@ -17,11 +17,12 @@ A message is a copy: no handler mutates a payload it received or sent, so
 a size measured once holds for as long as the message is in flight.  The
 transport records the size each copy arrived with on :attr:`Message.size`,
 and a sender that knows its payload's size supplies it instead of walking
-the payload again — :meth:`repro.pastry.node.PastryNode.send_app` sizes a
-direct message as a per-``(app, kind)`` envelope constant plus its
-``data``, and the anycast walk's ``data`` is the arrived size plus what
-the hop appended.  So a send walks at most what it adds, not what it
-forwards; a ``wire_check`` run compares every supplied size with the walk.
+the payload again: :meth:`repro.pastry.node.PastryNode.send_app` then
+sizes the direct message as a per-``(app, kind)`` envelope constant plus
+the supplied size of its ``data``, and the anycast walk supplies the
+arrived size plus what the hop appended.  Every other send is walked
+once, at admission; a ``wire_check`` run compares every supplied size
+with the walk.
 """
 
 from __future__ import annotations

@@ -311,7 +311,7 @@ def fingerprints(src: Path, names: Sequence[str],
             for name in names}
 
 
-def _run_pair(runs: Dict[str, tuple]) -> Dict[str, str]:
+def _run_together(runs: Dict[str, tuple]) -> Dict[str, str]:
     """Start every ``label: (src, name, log_dir, wire_check)`` run side by
     side and return ``{label: sha256}``; no child outlives the call."""
     children = {label: _start(*run) for label, run in runs.items()}
@@ -349,7 +349,7 @@ def copies(src: Path, name: str, log_dir: Path) -> tuple:
     """Run ``name`` on ``src`` plain and under ``wire_check``, side by
     side.  Returns ``(plain sha256, None)`` when the two hash the same,
     else ``(plain sha256, first divergence)``."""
-    hashes = _run_pair({"plain": (src, name, log_dir, False),
+    hashes = _run_together({"plain": (src, name, log_dir, False),
                         "wire": (src, name, log_dir, True)})
     if hashes["plain"] == hashes["wire"]:
         return hashes["plain"], None
@@ -396,7 +396,7 @@ def _against(rev: str, names: Sequence[str]) -> int:
         for name in names:
             # The two trees (and this tree's copies run) side by side,
             # one scenario at a time.
-            hashes = _run_pair({
+            hashes = _run_together({
                 "mine": (mine, name, logs["mine"], False),
                 "wire": (mine, name, logs["mine"], True),
                 "theirs": (theirs, name, logs["theirs"], False)})
