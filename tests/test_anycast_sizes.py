@@ -11,6 +11,8 @@ Under ``wire_check`` the transport also compares every supplied size
 with the walk and raises :class:`WireSizeError` on a mismatch.
 """
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -74,13 +76,12 @@ def test_every_walk_send_costs_what_it_weighs(seed, per_site, members,
 
     # Fault filter: the i-th walk send is duplicated, or its destination
     # crashes while the copy is in flight.
-    walks = []
+    walk_index = itertools.count()
 
     def faults(src, dst, msg):
         if protocol_kind(msg) != WALK:
             return None
-        index = len(walks)
-        walks.append(msg)
+        index = next(walk_index)
         if index in crashed:
             sim.call_soon(dst.fail)
         if index in duplicated:

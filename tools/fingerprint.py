@@ -303,12 +303,9 @@ def _finish(child: subprocess.Popen, src: Path) -> str:
     return document["hash"]
 
 
-def fingerprints(src: Path, names: Sequence[str],
-                 wire_check: bool = False) -> Dict[str, str]:
-    """``{scenario: sha256}`` of ``names`` run on the ``repro`` in ``src``
-    (with every delivery a decoded copy when ``wire_check``)."""
-    return {name: _finish(_start(src, name, wire_check=wire_check), src)
-            for name in names}
+def fingerprints(src: Path, names: Sequence[str]) -> Dict[str, str]:
+    """``{scenario: sha256}`` of ``names`` run on the ``repro`` in ``src``."""
+    return {name: _finish(_start(src, name), src) for name in names}
 
 
 def _run_together(runs: Dict[str, tuple]) -> Dict[str, str]:
@@ -350,7 +347,7 @@ def copies(src: Path, name: str, log_dir: Path) -> tuple:
     side.  Returns ``(plain sha256, None)`` when the two hash the same,
     else ``(plain sha256, first divergence)``."""
     hashes = _run_together({"plain": (src, name, log_dir, False),
-                        "wire": (src, name, log_dir, True)})
+                            "wire": (src, name, log_dir, True)})
     if hashes["plain"] == hashes["wire"]:
         return hashes["plain"], None
     return hashes["plain"], _divergence(log_dir / _log_name(name, False),
