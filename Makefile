@@ -17,8 +17,10 @@ bench:
 
 # Behaviour fingerprint (tools/fingerprint.py): one sha256 per scenario of
 # seeds x jitter x {fault-free, faulted}, hashing every send and engine
-# step, checked against benchmarks/results/fingerprints.json.  To see where
-# a tree parts from a commit: python tools/fingerprint.py --against REV
+# step, checked against benchmarks/results/fingerprints.json; each scenario
+# also runs with wire_check (every delivery a decoded copy) and the
+# "copies" column must read "equal".  To see where a tree parts from a
+# commit: python tools/fingerprint.py --against REV
 fingerprint:
 	$(PYTHON) tools/fingerprint.py
 
