@@ -28,8 +28,10 @@ fingerprint:
 ablations:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only -s
 
-# Chaos property suite: randomized fault schedules over many seeds, plus
-# the retries-on/off recovery ablation.  RBAY_CHAOS_SEEDS widens the sweep.
+# Chaos property suite: randomized fault schedules over many seeds (each
+# seed also run with every delivery a decoded copy, rebalancing off and
+# on, and the two digests compared), plus the retries-on/off recovery
+# ablation.  RBAY_CHAOS_SEEDS widens the sweep.
 chaos:
 	RBAY_CHAOS_SEEDS=$${RBAY_CHAOS_SEEDS:-20} PYTHONPATH=src $(PYTHON) -m pytest \
 	  tests/test_chaos_properties.py tests/test_faults_injector.py -q

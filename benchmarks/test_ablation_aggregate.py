@@ -13,10 +13,10 @@ the bytes and messages arriving at the root.
 import pytest
 
 from benchmarks.conftest import print_banner
-from repro.metrics.stats import format_table
 from repro.net.latency import TableIILatencyModel, make_ec2_registry
 from repro.net.message import Message
 from repro.net.network import Network
+from repro.obs.metrics import format_table
 from repro.pastry.overlay import Overlay
 from repro.scribe.scribe import ScribeApplication
 from repro.scribe.topic import topic_id

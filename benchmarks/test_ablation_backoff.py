@@ -12,7 +12,7 @@ import pytest
 
 from benchmarks.conftest import print_banner
 from repro.core.plane import RBay, RBayConfig
-from repro.metrics.stats import format_table
+from repro.obs.metrics import format_table
 
 CONTENDERS = 6
 POOL = 9          # each contender wants 3 nodes -> only 3 can win

@@ -14,9 +14,9 @@ import pytest
 
 from benchmarks.conftest import build_dressed_plane, print_banner
 from repro.baselines.ganglia import GangliaFederation
-from repro.metrics.stats import format_table, jain_fairness
 from repro.net.latency import TableIILatencyModel, make_ec2_registry
 from repro.net.network import Network
+from repro.obs.metrics import format_table, jain_fairness
 from repro.query.predicates import Predicate
 from repro.sim.engine import Simulator
 from repro.workloads.queries import QueryWorkload

@@ -17,7 +17,7 @@ import pytest
 
 from benchmarks.conftest import print_banner
 from repro.core.naming import AttributeHierarchy
-from repro.metrics.stats import format_table
+from repro.obs.metrics import format_table
 
 #: brand -> model -> core sizes (a miniature device catalog).
 CATALOG = {

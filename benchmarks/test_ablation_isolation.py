@@ -24,7 +24,7 @@ from benchmarks.conftest import print_banner
 from repro.core.naming import site_tree
 from repro.core.node import SubscriptionSpec
 from repro.core.plane import RBay, RBayConfig
-from repro.metrics.stats import format_table, mean, percentile
+from repro.obs.metrics import format_table, mean, percentile
 
 QUERIES = 40
 NODES_PER_SITE = 15

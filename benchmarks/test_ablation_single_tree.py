@@ -14,10 +14,10 @@ how aggregation traffic concentrates.
 import pytest
 
 from benchmarks.conftest import print_banner
-from repro.metrics.stats import format_table, jain_fairness
 from repro.net.latency import UniformLatencyModel
 from repro.net.network import Network
 from repro.net.site import SiteRegistry
+from repro.obs.metrics import format_table, jain_fairness
 from repro.pastry.overlay import Overlay
 from repro.scribe.scribe import ScribeApplication
 from repro.sim.engine import Simulator

@@ -11,7 +11,7 @@ import pytest
 
 from benchmarks.conftest import print_banner
 from repro.core.plane import RBay, RBayConfig
-from repro.metrics.stats import format_table
+from repro.obs.metrics import format_table
 
 NODES_PER_SITE = 40
 K = 3

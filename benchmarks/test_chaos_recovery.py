@@ -21,7 +21,7 @@ from benchmarks.conftest import print_banner
 from repro.core.naming import instance_tree
 from repro.core.plane import RBay, RBayConfig
 from repro.faults import FaultSchedule
-from repro.metrics.stats import format_table
+from repro.obs.metrics import format_table
 from repro.query.executor import QueryResult
 from repro.query.options import QueryOptions
 from repro.query.sql import parse_query

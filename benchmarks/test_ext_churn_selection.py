@@ -18,7 +18,7 @@ from repro.core.monitor import AttributeChurn
 from repro.core.plane import RBay, RBayConfig
 from repro.ext.churn import ChurnPredictor, ChurnTracker
 from repro.ext.selection import QoSSelector, StabilityAwareCustomer
-from repro.metrics.stats import format_table
+from repro.obs.metrics import format_table
 
 CHURN_RATES = (0.0, 0.05, 0.25)
 

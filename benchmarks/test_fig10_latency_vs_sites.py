@@ -11,8 +11,8 @@ remote site plus local query time".
 import pytest
 
 from benchmarks.conftest import print_banner
-from repro.metrics.stats import LatencyRecorder, format_table, mean, stddev
 from repro.net.latency import EC2_RTT_MS
+from repro.obs.metrics import LabeledHistogram, format_table, mean, stddev
 from repro.workloads.queries import QueryWorkload
 
 QUERIES_PER_POINT = 30
@@ -20,7 +20,7 @@ QUERIES_PER_POINT = 30
 
 def run_experiment(plane):
     site_names = [site.name for site in plane.registry]
-    recorder = LatencyRecorder()
+    recorder = LabeledHistogram("fig10.latency_ms")
     for origin in site_names:
         generator = QueryWorkload(plane.streams.stream(f"fig10-{origin}"),
                                   site_names, k=1)
@@ -28,7 +28,7 @@ def run_experiment(plane):
         for n_sites in range(1, 9):
             for sql, payload in generator.stream(origin, n_sites, QUERIES_PER_POINT):
                 result = customer.query_once(sql, payload=payload).result()
-                recorder.record(f"{origin}/{n_sites}", result.latency_ms)
+                recorder.observe(result.latency_ms, origin=origin, sites=n_sites)
     return recorder
 
 
@@ -44,13 +44,13 @@ def test_fig10_latency_vs_requesting_sites(benchmark, dressed_plane):
     for n_sites in range(1, 9):
         row = [f"{n_sites}-site"]
         for origin in site_names:
-            samples = recorder.samples(f"{origin}/{n_sites}")
+            samples = recorder.samples(origin=origin, sites=n_sites)
             row.append(f"{mean(samples):5.0f}±{stddev(samples):3.0f}")
         rows.append(row)
     print(format_table(["location", *site_names], rows))
 
     means = {
-        (origin, n): mean(recorder.samples(f"{origin}/{n}"))
+        (origin, n): mean(recorder.samples(origin=origin, sites=n))
         for origin in site_names for n in range(1, 9)
     }
 

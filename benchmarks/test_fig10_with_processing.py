@@ -14,7 +14,7 @@ import pytest
 
 from benchmarks.conftest import print_banner
 from repro.core.plane import RBay, RBayConfig
-from repro.metrics.stats import LatencyRecorder, format_table, mean, stddev
+from repro.obs.metrics import LabeledHistogram, format_table, mean, stddev
 from repro.workloads.generator import FederationWorkload, WorkloadSpec
 from repro.workloads.queries import QueryWorkload
 
@@ -29,7 +29,7 @@ def run_experiment():
     FederationWorkload(plane, WorkloadSpec(password="rbay")).apply()
     plane.sim.run()
     site_names = [site.name for site in plane.registry]
-    recorder = LatencyRecorder()
+    recorder = LabeledHistogram("fig10p.latency_ms")
     for origin in ORIGINS:
         generator = QueryWorkload(plane.streams.stream(f"f10p-{origin}"),
                                   site_names, k=1)
@@ -37,7 +37,7 @@ def run_experiment():
         for n_sites in range(1, 9):
             for sql, payload in generator.stream(origin, n_sites, QUERIES_PER_POINT):
                 result = customer.query_once(sql, payload=payload).result()
-                recorder.record(f"{origin}/{n_sites}", result.latency_ms)
+                recorder.observe(result.latency_ms, origin=origin, sites=n_sites)
     return recorder
 
 
@@ -51,13 +51,13 @@ def test_fig10_absolute_scale_with_processing_cost(benchmark):
     for n_sites in range(1, 9):
         row = [f"{n_sites}-site"]
         for origin in ORIGINS:
-            samples = recorder.samples(f"{origin}/{n_sites}")
+            samples = recorder.samples(origin=origin, sites=n_sites)
             row.append(f"{mean(samples):5.0f}±{stddev(samples):3.0f}")
         rows.append(row)
     print(format_table(["location", *ORIGINS], rows))
 
     means = {
-        (origin, n): mean(recorder.samples(f"{origin}/{n}"))
+        (origin, n): mean(recorder.samples(origin=origin, sites=n))
         for origin in ORIGINS for n in range(1, 9)
     }
     # Paper's absolute regime: local < 200 ms...

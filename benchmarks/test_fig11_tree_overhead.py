@@ -13,7 +13,7 @@ unstable networks.
 import pytest
 
 from benchmarks.conftest import build_dressed_plane, print_banner
-from repro.metrics.stats import LatencyRecorder, format_table, mean, percentile
+from repro.obs.metrics import LabeledHistogram, format_table, mean, percentile
 from repro.workloads.ec2 import EC2_INSTANCE_TYPES
 
 #: One representative site per region reported in Figure 11.
@@ -47,7 +47,8 @@ def measure_tree_construction(plane, workload, recorder):
                 # attach at the nearest tree node, which is what the
                 # paper's per-tree construction latency reports.
                 if i > 0:
-                    recorder.record(f"construct/{region}", sim.now - started)
+                    recorder.observe(sim.now - started, step="construct",
+                                     region=region)
             sim.run()  # settle aggregates before the next tree
 
 
@@ -75,14 +76,15 @@ def measure_command_delivery(plane, workload, recorder):
             members[0].scribe.multicast(members[0], topic, {"cmd": "set-expiry"})
             sim.run()
             if delivered:
-                recorder.record(f"deliver/{region}", max(delivered.values()) - started)
+                recorder.observe(max(delivered.values()) - started,
+                                 step="deliver", region=region)
 
 
 def run_experiment():
     # Jittered latencies matter here: Fig 11's Asia/SA fluctuation comes
     # from unstable networks, which our model expresses as high jitter CV.
     plane, workload = build_dressed_plane(seed=77, nodes_per_site=30, jitter=True)
-    recorder = LatencyRecorder()
+    recorder = LabeledHistogram("fig11.latency_ms")
     measure_tree_construction(plane, workload, recorder)
     measure_command_delivery(plane, workload, recorder)
     return recorder
@@ -96,8 +98,8 @@ def test_fig11_tree_construction_vs_delivery(benchmark):
                  "vs. command delivery (onDeliver)")
     rows = []
     for _, region in REPRESENTATIVES:
-        construct = recorder.samples(f"construct/{region}")
-        deliver = recorder.samples(f"deliver/{region}")
+        construct = recorder.samples(step="construct", region=region)
+        deliver = recorder.samples(step="deliver", region=region)
         rows.append([
             region,
             f"{mean(construct):5.1f}",
@@ -110,9 +112,9 @@ def test_fig11_tree_construction_vs_delivery(benchmark):
         rows,
     ))
 
-    construct_means = {region: mean(recorder.samples(f"construct/{region}"))
+    construct_means = {region: mean(recorder.samples(step="construct", region=region))
                        for _, region in REPRESENTATIVES}
-    deliver_means = {region: mean(recorder.samples(f"deliver/{region}"))
+    deliver_means = {region: mean(recorder.samples(step="deliver", region=region))
                      for _, region in REPRESENTATIVES}
 
     # Shape 1: construction is fast (paper: ~50 ms for all trees/sites).
@@ -135,12 +137,14 @@ def test_fig11_tree_construction_vs_delivery(benchmark):
     for region, value in deliver_means.items():
         assert 50.0 < value < 500.0, region
     for _, region in REPRESENTATIVES:
-        p90 = percentile(recorder.samples(f"deliver/{region}"), 90)
+        p90 = percentile(recorder.samples(step="deliver", region=region), 90)
         assert p90 > deliver_means[region] * 1.2, region
     # The unstable regions' tails reach at least the stable regions' level
     # (root placement is uniform, so the comparison is necessarily loose).
-    stable_floor = min(percentile(recorder.samples("deliver/US"), 90),
-                       percentile(recorder.samples("deliver/EU"), 90))
-    unstable_ceiling = max(percentile(recorder.samples("deliver/Asia"), 90),
-                           percentile(recorder.samples("deliver/SA"), 90))
+    stable_floor = min(
+        percentile(recorder.samples(step="deliver", region="US"), 90),
+        percentile(recorder.samples(step="deliver", region="EU"), 90))
+    unstable_ceiling = max(
+        percentile(recorder.samples(step="deliver", region="Asia"), 90),
+        percentile(recorder.samples(step="deliver", region="SA"), 90))
     assert unstable_ceiling >= stable_floor * 0.8

@@ -14,10 +14,10 @@ import math
 import pytest
 
 from benchmarks.conftest import print_banner
-from repro.metrics.stats import format_table, mean
 from repro.net.latency import UniformLatencyModel
 from repro.net.network import Network
 from repro.net.site import SiteRegistry
+from repro.obs.metrics import format_table, mean
 from repro.pastry.node import Application
 from repro.pastry.nodeid import NodeId
 from repro.pastry.overlay import Overlay

@@ -9,12 +9,11 @@ at 10,000s of attributes "the overhead relative to RBAY AAs is about 55%".
 
 import pytest
 
-from benchmarks.conftest import print_banner
+from benchmarks.conftest import deep_sizeof, print_banner
 from repro.aa.runtime import AARuntime
 from repro.baselines.past import PastStore
 from repro.core.policies import password_policy
-from repro.metrics.memory import deep_sizeof
-from repro.metrics.stats import format_table
+from repro.obs.metrics import format_table
 
 ATTRIBUTE_COUNTS = (100, 1_000, 5_000, 10_000)
 

@@ -17,12 +17,11 @@ import time
 
 import pytest
 
-from benchmarks.conftest import print_banner
+from benchmarks.conftest import deep_sizeof, print_banner
 from benchmarks.test_fig8a_scale_nodes import hops_for_size
 from repro.aa.runtime import AARuntime
 from repro.core.policies import password_policy
-from repro.metrics.memory import deep_sizeof
-from repro.metrics.stats import format_table
+from repro.obs.metrics import format_table
 
 NODE_SCALES = (16_384, 32_768)
 ATTRIBUTE_SCALE = 100_000

@@ -26,7 +26,7 @@ from pathlib import Path
 import pytest
 
 from benchmarks.conftest import print_banner
-from repro.metrics.stats import format_table
+from repro.obs.metrics import format_table
 from repro.workloads.market import MarketSpec, run_market
 
 RESULTS_PATH = Path(__file__).parent / "results" / "market.json"

@@ -25,8 +25,8 @@ import pytest
 
 from benchmarks.conftest import print_banner
 from repro.core.plane import RBay, RBayConfig
+from repro.obs.metrics import format_table, mean
 from repro.query.options import QueryOptions
-from repro.metrics.stats import format_table, mean
 from repro.workloads.skewed import (
     SkewedSpec,
     assign_skewed_values,

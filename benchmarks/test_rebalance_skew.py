@@ -34,7 +34,7 @@ import pytest
 from benchmarks.conftest import print_banner
 from repro.core.naming import site_tree
 from repro.core.plane import RBay, RBayConfig
-from repro.metrics.stats import format_table, mean, percentile
+from repro.obs.metrics import format_table, mean, percentile
 from repro.scribe.rebalance import RebalanceConfig
 from repro.scribe.topic import topic_id
 from repro.workloads.skewed import SkewedSpec, assign_skewed_values

@@ -20,7 +20,7 @@ from pathlib import Path
 import pytest
 
 from benchmarks.conftest import print_banner
-from repro.metrics.stats import format_table
+from repro.obs.metrics import format_table
 from repro.workloads.scale import ScaleSpec, run_scale
 
 RESULTS_PATH = Path(__file__).parent / "results" / "scale.json"

@@ -9,10 +9,10 @@ the measured means reproduce the published numbers.
 import pytest
 
 from benchmarks.conftest import print_banner
-from repro.metrics.stats import format_table
 from repro.net.latency import EC2_RTT_MS, EC2_SITES, TableIILatencyModel, make_ec2_registry
 from repro.net.message import Message
 from repro.net.network import Host, Network
+from repro.obs.metrics import format_table
 from repro.sim.engine import Simulator
 from repro.sim.random_streams import RandomStreams
 

@@ -13,9 +13,21 @@ Run:  python examples/churn_aware_selection.py
 from repro.core import RBay, RBayConfig
 from repro.ext.churn import ChurnPredictor, ChurnTracker
 from repro.ext.selection import QoSSelector, StabilityAwareCustomer
-from repro.metrics.ascii_plot import ascii_bars
 
 TRIALS = 25
+
+
+def ascii_bars(rows, width=50, unit=""):
+    """Horizontal bar chart for (label, value) rows."""
+    if not rows:
+        raise ValueError("no rows to plot")
+    peak = max(value for _, value in rows)
+    label_width = max(len(label) for label, _ in rows)
+    lines = []
+    for label, value in rows:
+        bar = "#" * (int(value / peak * width) if peak > 0 else 0)
+        lines.append(f"{label.ljust(label_width)} |{bar} {value:g}{unit}")
+    return "\n".join(lines)
 
 
 def build():

@@ -11,7 +11,7 @@ Run:  python examples/multi_site_latency.py
 """
 
 from repro import QueryOptions, RBay, RBayConfig
-from repro.metrics.stats import LatencyRecorder, format_table
+from repro.obs.metrics import LabeledHistogram, format_table, mean, stddev
 from repro.workloads import FederationWorkload, QueryWorkload, WorkloadSpec
 
 QUERIES_PER_POINT = 40
@@ -24,7 +24,7 @@ def main() -> None:
     plane.sim.run()
 
     site_names = [site.name for site in plane.registry]
-    recorder = LatencyRecorder()
+    recorder = LabeledHistogram("query.latency_ms")
 
     for origin in ORIGINS:
         generator = QueryWorkload(
@@ -34,7 +34,7 @@ def main() -> None:
             for sql, payload in generator.stream(origin, n_sites, QUERIES_PER_POINT):
                 result = plane.query(sql, options=QueryOptions(
                     origin=origin, caller=f"user@{origin}", payload=payload))
-                recorder.record(f"{origin}/{n_sites}", result.latency_ms)
+                recorder.observe(result.latency_ms, origin=origin, sites=n_sites)
 
     print("Composite query latency vs. number of requesting sites")
     print("(simulated; RTTs from the paper's Table II)\n")
@@ -42,8 +42,8 @@ def main() -> None:
     for n_sites in range(1, len(site_names) + 1):
         row = [f"{n_sites}-site"]
         for origin in ORIGINS:
-            summary = recorder.summary(f"{origin}/{n_sites}")
-            row.append(f"{summary['mean']:7.1f} ± {summary['std']:5.1f}")
+            samples = recorder.samples(origin=origin, sites=n_sites)
+            row.append(f"{mean(samples):7.1f} ± {stddev(samples):5.1f}")
         rows.append(row)
     print(format_table(["location", *(f"{o} (ms)" for o in ORIGINS)], rows))
 

@@ -17,9 +17,10 @@ Quick orientation (details in README.md / docs/architecture.md):
 * :mod:`repro.check` — the runtime invariant sanitizer (TSan/ASan-style
   continuous checking of tree, aggregate, reservation, and network
   invariants while workloads run);
-* :mod:`repro.baselines`, :mod:`repro.workloads`, :mod:`repro.metrics`,
-  :mod:`repro.ext` — baselines, evaluation workloads, measurement, and the
-  paper's future-work extensions.
+* :mod:`repro.obs` — the one telemetry surface: spans, the metrics
+  registry and the summary statistics behind it;
+* :mod:`repro.baselines`, :mod:`repro.workloads`, :mod:`repro.ext` —
+  baselines, evaluation workloads, and the paper's future-work extensions.
 
 The names in ``__all__`` are the frozen public surface (see
 ``docs/architecture.md`` §"Public API & stability"); they resolve lazily

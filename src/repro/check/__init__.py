@@ -23,7 +23,6 @@ from repro.check.sanitizer import (
     DEFAULT_GRACE_MS,
     DEFAULT_SWEEP_EVENTS,
     Invariant,
-    InvariantRegistry,
     InvariantViolationError,
     Sanitizer,
     SanitizerContext,
@@ -35,7 +34,6 @@ __all__ = [
     "DEFAULT_GRACE_MS",
     "DEFAULT_SWEEP_EVENTS",
     "Invariant",
-    "InvariantRegistry",
     "InvariantViolationError",
     "Sanitizer",
     "SanitizerContext",

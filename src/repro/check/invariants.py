@@ -46,8 +46,8 @@ from __future__ import annotations
 import math
 from typing import Any, Dict, Iterator, List, Tuple
 
-# Imported lazily-typed to avoid a cycle: sanitizer imports this module
-# inside InvariantRegistry.default().
+# The sanitizer imports this module inside ``Sanitizer.__init__``, so
+# importing it here at module level makes no cycle.
 from repro.check.sanitizer import Invariant, SanitizerContext
 
 #: Relative/absolute tolerance for float aggregate comparison (tree folds

@@ -1,11 +1,12 @@
 """The runtime invariant sanitizer: TSan/ASan-style wiring for the plane.
 
 A :class:`Sanitizer` attaches to a built :class:`~repro.core.plane.RBay`
-and continuously checks the invariants registered in an
-:class:`InvariantRegistry` while workloads run:
+and continuously checks the invariants in its :attr:`Sanitizer.invariants`
+(a plain ``name -> Invariant`` dict, seeded from
+:func:`~repro.check.invariants.default_invariants`) while workloads run:
 
-* **periodic sweeps** — a chained simulator step hook fires a full
-  registry sweep every ``sweep_events`` executed events;
+* **periodic sweeps** — a chained simulator step hook checks every
+  invariant each ``sweep_events`` executed events;
 * **quiescent points** — a simulator idle hook runs the strict checks
   (including quiescent-only ones, e.g. aggregate coherence) whenever the
   event queue fully drains; suites can also call
@@ -36,7 +37,7 @@ export.  ``fail_fast`` turns the first violation into a raised
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 #: An invariant check: called with a :class:`SanitizerContext`, yields
 #: ``(subject, detail)`` pairs for every violation it currently observes.
@@ -53,7 +54,7 @@ DEFAULT_GRACE_MS = 2_500.0
 class Violation:
     """One observed invariant violation, with enough context to replay it."""
 
-    #: Name of the violated invariant (registry key).
+    #: Name of the violated invariant (its key in ``Sanitizer.invariants``).
     invariant: str
     #: What violated it — a topic, a node address, or ``network``.
     subject: str
@@ -102,43 +103,6 @@ class Invariant:
     description: str = ""
     quiescent_only: bool = False
     grace: bool = False
-
-
-class InvariantRegistry:
-    """A named, pluggable collection of :class:`Invariant` checks."""
-
-    def __init__(self, invariants: Iterable[Invariant] = ()):
-        self._invariants: Dict[str, Invariant] = {}
-        for invariant in invariants:
-            self.register(invariant)
-
-    @classmethod
-    def default(cls) -> "InvariantRegistry":
-        """A registry holding the five built-in plane invariants."""
-        from repro.check.invariants import default_invariants
-
-        return cls(default_invariants())
-
-    def register(self, invariant: Invariant) -> None:
-        """Add (or replace) a check under ``invariant.name``."""
-        self._invariants[invariant.name] = invariant
-
-    def unregister(self, name: str) -> None:
-        """Remove a check; unknown names are a no-op."""
-        self._invariants.pop(name, None)
-
-    def names(self) -> List[str]:
-        """Registered invariant names, in registration order."""
-        return list(self._invariants)
-
-    def __iter__(self) -> Iterator[Invariant]:
-        return iter(self._invariants.values())
-
-    def __len__(self) -> int:
-        return len(self._invariants)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._invariants
 
 
 @dataclass
@@ -226,12 +190,16 @@ class Sanitizer:
     """
 
     def __init__(self, plane: Any,
-                 registry: Optional[InvariantRegistry] = None,
                  sweep_events: int = DEFAULT_SWEEP_EVENTS,
                  fail_fast: bool = False,
                  grace_ms: float = DEFAULT_GRACE_MS):
+        from repro.check.invariants import default_invariants
+
         self.plane = plane
-        self.registry = registry if registry is not None else InvariantRegistry.default()
+        #: The checks run, by name, in check order; add or replace one by
+        #: assigning ``invariants[inv.name] = inv``.
+        self.invariants: Dict[str, Invariant] = {
+            invariant.name: invariant for invariant in default_invariants()}
         self.sweep_events = int(sweep_events)
         self.fail_fast = fail_fast
         self.grace_ms = grace_ms
@@ -370,7 +338,7 @@ class Sanitizer:
     def _spot_check(self) -> None:
         """Cheap O(1) spot check after a query settles / a fault fires."""
         ctx = SanitizerContext(self.plane, self, quiescent=False)
-        for invariant in self.registry:
+        for invariant in self.invariants.values():
             if invariant.name != "message_conservation":
                 continue
             for subject, detail in invariant.check(ctx):
@@ -399,7 +367,7 @@ class Sanitizer:
         settled = not self._disturbed()
         structural = self._structurally_disturbed()
         found: Set[Tuple[str, str, str]] = set()
-        for invariant in self.registry:
+        for invariant in self.invariants.values():
             if invariant.quiescent_only and not quiescent:
                 continue
             if (invariant.grace or invariant.quiescent_only) and structural:
@@ -452,5 +420,5 @@ class Sanitizer:
             violations=tuple(self.violations),
             sweeps=self.sweeps,
             quiescent_checks=self.quiescent_checks,
-            invariants=tuple(self.registry.names()),
+            invariants=tuple(self.invariants),
         )

@@ -26,7 +26,7 @@ import sys
 from typing import List, Optional
 
 from repro.core.plane import RBay, RBayConfig
-from repro.metrics.stats import LatencyRecorder, format_table, mean, stddev
+from repro.obs.metrics import LabeledHistogram, format_table, mean, stddev
 from repro.query.errors import QueryError
 from repro.query.options import QueryOptions
 from repro.query.plan import plan_query
@@ -250,7 +250,7 @@ def cmd_latency(args) -> int:
     origins = args.origins or site_names[:3]
     if not _known_sites(plane, origins):
         return 2
-    recorder = LatencyRecorder()
+    recorder = LabeledHistogram("query.latency_ms")
     for origin in origins:
         generator = QueryWorkload(plane.streams.stream(f"cli-{origin}"),
                                   site_names, k=1, password=args.password)
@@ -258,12 +258,12 @@ def cmd_latency(args) -> int:
             for sql, payload in generator.stream(origin, n_sites, args.queries):
                 result = plane.query(sql, options=_query_options(
                     args, origin=origin, caller=f"cli-{origin}", payload=payload))
-                recorder.record(f"{origin}/{n_sites}", result.latency_ms)
+                recorder.observe(result.latency_ms, origin=origin, sites=n_sites)
     rows = []
     for n_sites in range(1, len(site_names) + 1):
         row = [f"{n_sites}-site"]
         for origin in origins:
-            samples = recorder.samples(f"{origin}/{n_sites}")
+            samples = recorder.samples(origin=origin, sites=n_sites)
             row.append(f"{mean(samples):5.0f}±{stddev(samples):3.0f}")
         rows.append(row)
     print(format_table(["location", *(f"{o} (ms)" for o in origins)], rows))
@@ -311,10 +311,32 @@ def cmd_trace(args) -> int:
     return 0 if result.satisfied else 1
 
 
-def cmd_scale(args) -> int:
-    """Scale push: publish storm + concurrent queries on a big federation."""
+def _finish_run(metrics, args) -> int:
+    """The shared tail of ``scale`` and ``market``: the admission line, the
+    sanitizer's violations, and ``--json-out``; exit 1 on any violation."""
     import json
 
+    print(f"admission: {metrics['admission']['admitted']} admitted, "
+          f"max queue {metrics['admission']['max_queued']}  "
+          f"signature: {metrics['signature'][:16]}…")
+    violations = 0
+    if "sanitizer" in metrics:
+        san = metrics["sanitizer"]
+        violations = len(san["violations"])
+        print(f"sanitizer: {violations} violation(s), {san['sweeps']} sweeps, "
+              f"{san['quiescent_checks']} quiescent checks")
+        for entry in san["violations"]:
+            print(f"  {entry['invariant']}: {entry['subject']}: "
+                  f"{entry['detail']}")
+    if args.json_out:
+        with open(args.json_out, "w", encoding="utf-8") as handle:
+            json.dump(metrics, handle, indent=2, sort_keys=True)
+        print(f"wrote metrics to {args.json_out}")
+    return 1 if violations else 0
+
+
+def cmd_scale(args) -> int:
+    """Scale push: publish storm + concurrent queries on a big federation."""
     from repro.workloads.scale import ScaleSpec, run_scale
 
     spec = ScaleSpec(
@@ -341,29 +363,11 @@ def cmd_scale(args) -> int:
           metrics["queries_completed"],
           metrics["queries_satisfied"],
           f"{lat['p50']:.0f}", f"{lat['p90']:.0f}", f"{lat['p99']:.0f}"]]))
-    print(f"admission: {metrics['admission']['admitted']} admitted, "
-          f"max queue {metrics['admission']['max_queued']}  "
-          f"signature: {metrics['signature'][:16]}…")
-    violations = 0
-    if "sanitizer" in metrics:
-        san = metrics["sanitizer"]
-        violations = len(san["violations"])
-        print(f"sanitizer: {violations} violation(s), {san['sweeps']} sweeps, "
-              f"{san['quiescent_checks']} quiescent checks")
-        for entry in san["violations"]:
-            print(f"  {entry['invariant']}: {entry['subject']}: "
-                  f"{entry['detail']}")
-    if args.json_out:
-        with open(args.json_out, "w", encoding="utf-8") as handle:
-            json.dump(metrics, handle, indent=2, sort_keys=True)
-        print(f"wrote metrics to {args.json_out}")
-    return 1 if violations else 0
+    return _finish_run(metrics, args)
 
 
 def cmd_market(args) -> int:
     """Elastic marketplace: open-loop arrivals, spot pricing, DEPAS scaling."""
-    import json
-
     from repro.workloads.market import MarketSpec, run_market
 
     spec = MarketSpec(
@@ -402,23 +406,7 @@ def cmd_market(args) -> int:
           f"{metrics['final_price_per_site'][name]:.2f}",
           metrics["final_instances_per_site"][name]]
          for name in sorted(metrics["revenue_per_site"])]))
-    print(f"admission: {metrics['admission']['admitted']} admitted, "
-          f"max queue {metrics['admission']['max_queued']}  "
-          f"signature: {metrics['signature'][:16]}…")
-    violations = 0
-    if "sanitizer" in metrics:
-        san = metrics["sanitizer"]
-        violations = len(san["violations"])
-        print(f"sanitizer: {violations} violation(s), {san['sweeps']} sweeps, "
-              f"{san['quiescent_checks']} quiescent checks")
-        for entry in san["violations"]:
-            print(f"  {entry['invariant']}: {entry['subject']}: "
-                  f"{entry['detail']}")
-    if args.json_out:
-        with open(args.json_out, "w", encoding="utf-8") as handle:
-            json.dump(metrics, handle, indent=2, sort_keys=True)
-        print(f"wrote metrics to {args.json_out}")
-    return 1 if violations else 0
+    return _finish_run(metrics, args)
 
 
 def cmd_check(args) -> int:

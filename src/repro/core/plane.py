@@ -248,8 +248,6 @@ class RBay:
             gateway_refs = self.overlay.gateways.get(site.index, [])
             if gateway_refs:
                 self.context.set_gateway(site.name, gateway_refs[0].address)
-            elif members:
-                self.context.set_gateway(site.name, members[0].address)
         self._built = True
         if self.config.sanitize:
             from repro.check.sanitizer import Sanitizer

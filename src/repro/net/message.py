@@ -154,18 +154,6 @@ class Message:
         """Approximate wire size of this message."""
         return 24 + _estimate_size(self.kind) + _estimate_size(self.payload)
 
-    def fork(self, **payload_updates: Any) -> "Message":
-        """Copy for re-forwarding: same kind/payload, fresh id, src/dst reset."""
-        payload = dict(self.payload)
-        payload.update(payload_updates)
-        return Message(
-            kind=self.kind,
-            payload=payload,
-            hops=self.hops,
-            trace=None if self.trace is None else list(self.trace),
-            trace_ctx=self.trace_ctx,
-        )
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Message):
             return NotImplemented

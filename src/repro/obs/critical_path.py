@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-from repro.metrics.stats import format_table
+from repro.obs.metrics import format_table
 from repro.obs.spans import Span
 
 

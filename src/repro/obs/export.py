@@ -130,12 +130,14 @@ def _as_tid(value: Any) -> int:
 
 
 def write_json(path: str, spans: Iterable[Span]) -> None:
+    """Write :func:`to_json` of ``spans`` to ``path``."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(to_json(spans))
         fh.write("\n")
 
 
 def write_chrome_trace(path: str, spans: Iterable[Span]) -> None:
+    """Write :func:`to_chrome_trace` of ``spans`` to ``path``."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(to_chrome_trace(spans))
         fh.write("\n")

@@ -24,17 +24,91 @@ Three labeled instrument kinds sit beside them, all addressed by
   benchmark tables) see the labeled families too.
 * :class:`LabeledGauge` — a settable last-value instrument.
 * :class:`LabeledHistogram` — latency samples with
-  count/mean/min/p50/p90/p99/max summaries (via ``repro.metrics.stats``).
+  count/mean/min/p50/p90/p99/max summaries.
 
 Label sets are normalized to sorted tuples so lookup order never depends
 on call-site kwargs order — a determinism requirement for exports.
+
+The summary statistics behind them (:func:`mean`, :func:`stddev`,
+:func:`percentile`, :func:`jain_fairness`) and :func:`format_table` live
+here too, implemented on the stdlib so the library stays dependency-free.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+import math
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.metrics.stats import format_table, mean, percentile
+
+def mean(values: Sequence[float]) -> float:
+    """Arithmetic mean (raises on empty input)."""
+    if not values:
+        raise ValueError("mean of empty sequence")
+    return sum(values) / len(values)
+
+
+def stddev(values: Sequence[float]) -> float:
+    """Population standard deviation."""
+    if not values:
+        raise ValueError("stddev of empty sequence")
+    mu = mean(values)
+    return math.sqrt(sum((v - mu) ** 2 for v in values) / len(values))
+
+
+def percentile(values: Sequence[float], q: float) -> float:
+    """Linear-interpolation percentile, q in [0, 100]."""
+    if not values:
+        raise ValueError("percentile of empty sequence")
+    if not 0.0 <= q <= 100.0:
+        raise ValueError("q must be within [0, 100]")
+    ordered = sorted(values)
+    if len(ordered) == 1:
+        return ordered[0]
+    rank = (q / 100.0) * (len(ordered) - 1)
+    low = int(math.floor(rank))
+    high = int(math.ceil(rank))
+    if low == high:
+        return ordered[low]
+    fraction = rank - low
+    lo, hi = ordered[low], ordered[high]
+    if lo == hi:
+        return lo
+    # Clamp: float rounding (e.g. subnormal underflow) must not push the
+    # interpolated value outside the [lo, hi] bracket.
+    return min(max(lo * (1 - fraction) + hi * fraction, lo), hi)
+
+
+def jain_fairness(values: Sequence[float]) -> float:
+    """Jain's fairness index: 1.0 = perfectly even load distribution.
+
+    Defined for non-negative allocations only (negative shares make the
+    index meaningless — it can exceed 1); all-zero input is perfectly
+    fair by convention.
+    """
+    if not values:
+        raise ValueError("fairness of empty sequence")
+    if any(v < 0 for v in values):
+        raise ValueError("fairness of negative allocation")
+    total = sum(values)
+    squares = sum(v * v for v in values)
+    if squares == 0:
+        return 1.0
+    return (total * total) / (len(values) * squares)
+
+
+def format_table(headers: Sequence[str], rows: Iterable[Sequence[object]]) -> str:
+    """Fixed-width ASCII table for benchmark output."""
+    str_rows = [[str(c) for c in row] for row in rows]
+    widths = [len(h) for h in headers]
+    for row in str_rows:
+        for i, cell in enumerate(row):
+            widths[i] = max(widths[i], len(cell))
+    def fmt(row):
+        return "  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row))
+    lines = [fmt(headers), fmt(["-" * w for w in widths])]
+    lines.extend(fmt(row) for row in str_rows)
+    return "\n".join(lines)
+
 
 LabelKey = Tuple[Tuple[str, str], ...]
 
@@ -113,15 +187,7 @@ class LabeledHistogram:
         values = self._samples.get(_label_key(labels))
         if not values:
             raise KeyError(f"no samples for {self.name} {labels!r}")
-        return {
-            "count": float(len(values)),
-            "mean": mean(values),
-            "min": min(values),
-            "p50": percentile(values, 50),
-            "p90": percentile(values, 90),
-            "p99": percentile(values, 99),
-            "max": max(values),
-        }
+        return _summary_of(values)
 
     def series(self) -> List[Tuple[LabelKey, List[float]]]:
         return sorted(self._samples.items())

@@ -16,7 +16,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.net.message import Message
 from repro.net.network import Network
 from repro.net.site import Site, SiteRegistry
-from repro.pastry.isolation import IsolationManager
 from repro.pastry.leafset import DEFAULT_LEAF_SET_SIZE
 from repro.pastry.node import Application, PastryNode
 from repro.pastry.nodeid import BASE, NodeId
@@ -26,6 +25,9 @@ from repro.sim.futures import Future
 from repro.sim.random_streams import RandomStreams
 
 _HEX = "0123456789abcdef"
+
+#: Boundary routers elected per site (primary + backup, paper §III-E).
+GATEWAYS_PER_SITE = 2
 
 
 def pack_ref(ref: NodeRef) -> Tuple[int, int, int]:
@@ -57,9 +59,7 @@ class Overlay:
         self.node_factory = node_factory
         self.nodes: List[PastryNode] = []
         self._by_id: Dict[int, PastryNode] = {}
-        #: Boundary-router bookkeeping for administrative isolation (§III-E).
-        self.isolation_manager = IsolationManager()
-        #: Per-site gateway ("router") refs, kept in sync with the manager.
+        #: site index -> boundary ("router") refs, primary first (§III-E).
         self.gateways: Dict[int, List[NodeRef]] = {}
 
     # ------------------------------------------------------------------
@@ -105,7 +105,7 @@ class Overlay:
                     continue
                 self._build_leaf_sets(members, site_scope=True)
                 self._build_routing_tables(members, site_scope=True)
-            self._elect_gateways()
+            self.elect_gateways()
 
     def _ref_for(self, observer: PastryNode, other: PastryNode) -> NodeRef:
         proximity = self.network.latency.nominal_one_way_ms(observer.site, other.site)
@@ -161,9 +161,23 @@ class Overlay:
                     if best is not node:
                         table.add(self._ref_for(node, best))
 
-    def _elect_gateways(self) -> None:
-        """Designate boundary 'router' nodes per site (lowest NodeIds)."""
-        self.gateways = self.isolation_manager.elect_gateways(self.nodes)
+    def elect_gateways(self) -> None:
+        """(Re-)elect each site's boundary routers: its lowest live NodeIds.
+
+        Deterministic, so every participant that knows the membership
+        elects the same routers without coordination.
+        """
+        by_site: Dict[int, List[PastryNode]] = {}
+        for node in self.nodes:
+            if node.alive:
+                by_site.setdefault(node.site.index, []).append(node)
+        self.gateways = {}
+        for site_index, members in by_site.items():
+            members.sort(key=lambda n: n.node_id.value)
+            self.gateways[site_index] = [
+                NodeRef(n.node_id, n.address, n.site.index, 0.0)
+                for n in members[:GATEWAYS_PER_SITE]
+            ]
 
     # ------------------------------------------------------------------
     # Oracle queries (assertions & experiment bookkeeping)

@@ -44,7 +44,7 @@ from repro.core.naming import predicate_tree_name
 from repro.core.plane import RBay, RBayConfig
 from repro.ext.autoscale import AutoscaleConfig, SiteAutoscaler
 from repro.ext.economy import CostAwareCustomer, MarketLedger, SpotPricer
-from repro.metrics.stats import jain_fairness, mean, percentile
+from repro.obs.metrics import jain_fairness, mean, percentile
 from repro.query.result import QueryResult
 
 #: Attribute every posted instance advertises (the market's equality tree).

@@ -33,7 +33,7 @@ from typing import Any, Dict, List, Optional
 
 from repro.core.naming import site_tree
 from repro.core.plane import RBay, RBayConfig
-from repro.metrics.stats import mean, percentile
+from repro.obs.metrics import mean, percentile
 from repro.query.options import QueryOptions
 from repro.workloads.generator import FederationWorkload, WorkloadSpec
 from repro.workloads.queries import composite_query

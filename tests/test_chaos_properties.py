@@ -13,12 +13,18 @@ asserts the invariants the failure model promises:
   ground truth (the trees reconverge);
 * the network conservation identity ``sent == delivered + dropped``
   holds once traffic drains;
-* identical seeds reproduce the run byte-for-byte.
+* identical seeds reproduce the run byte-for-byte;
+* a message is a copy: each seed runs the same with every delivery a
+  decoded copy (``wire_check=True``) as with shared payloads.
 
 Seed count comes from ``RBAY_CHAOS_SEEDS`` (default 20); the coverage
-gate sets it low to keep the tracer fast.
+gate sets it low to keep the tracer fast.  The copy check runs every
+seed when ``RBAY_CHAOS_SEEDS`` is set (``make chaos``) and every fourth
+of them otherwise.
 """
 
+import dataclasses
+import hashlib
 import os
 import random
 
@@ -34,13 +40,14 @@ from repro.workloads.generator import FederationWorkload, WorkloadSpec
 
 SEED_COUNT = int(os.environ.get("RBAY_CHAOS_SEEDS", "20"))
 SEEDS = list(range(100, 100 + SEED_COUNT))
+WIRE_SEEDS = SEEDS if "RBAY_CHAOS_SEEDS" in os.environ else SEEDS[::4]
 
 CHAOS_MS = 6_000.0
 QUIESCE_MS = 4_000.0
 
 
 def run_chaos(seed, crash_fraction=0.3, drop_prob=0.1, partitions=1,
-              queries=6, sanitize=True, rebalance=False):
+              queries=6, sanitize=True, rebalance=False, wire_check=False):
     """One chaos scenario; returns everything the invariants inspect.
 
     The runtime invariant sanitizer rides along by default — its checks
@@ -50,6 +57,9 @@ def run_chaos(seed, crash_fraction=0.3, drop_prob=0.1, partitions=1,
     ``rebalance=True`` turns on hot-tree root replication with thresholds
     low enough that ordinary chaos traffic triggers promotions, running
     the replica protocol through the same crash/partition schedules.
+
+    ``wire_check=True`` delivers every message as a decoded copy of its
+    encoded frame (``RBayConfig.wire_check``).
     """
     plane = RBay(RBayConfig(
         seed=seed,
@@ -62,6 +72,7 @@ def run_chaos(seed, crash_fraction=0.3, drop_prob=0.1, partitions=1,
         # Chaos runs execute only a few thousand events (delivery
         # coalescing), so sweep well below the default cadence.
         sanitize_sweep_events=250,
+        wire_check=wire_check,
         rebalance=RebalanceConfig(
             hot_threshold=6,
             cool_threshold=2,
@@ -323,3 +334,29 @@ def test_retries_spent_under_loss_are_counted():
         + plane.counters.get("query.retry.anycast")
     assert retried > 0
     assert all(f.resolved for f in futures)
+
+
+def chaos_digest(seed, rebalance, wire_check):
+    """sha256 over one chaos run's query outcomes, network counters and
+    final clock (query ids are process-wide, so results hash without)."""
+    plane, _, _, futures = run_chaos(seed, rebalance=rebalance,
+                                     wire_check=wire_check)
+    outcomes = [
+        repr(dataclasses.replace(f.value, query_id=0))
+        if isinstance(f.value, QueryResult) else type(f.value).__name__
+        for f in futures
+    ]
+    net = plane.network
+    counters = (net.messages_sent, net.messages_delivered,
+                net.messages_dropped, net.messages_suppressed, net.bytes_sent)
+    record = repr((outcomes, counters, plane.sim.now))
+    return hashlib.sha256(record.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("rebalance", [False, True], ids=["plain", "rebalance"])
+@pytest.mark.parametrize("seed", WIRE_SEEDS)
+def test_chaos_run_is_the_same_when_every_message_is_a_copy(seed, rebalance):
+    """A message is a copy: no handler mutates a payload another holder
+    still sees, so decoding every delivery from its frame changes nothing."""
+    assert (chaos_digest(seed, rebalance, wire_check=True)
+            == chaos_digest(seed, rebalance, wire_check=False))

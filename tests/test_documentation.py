@@ -15,7 +15,7 @@ import repro
 PACKAGES = [
     "repro", "repro.sim", "repro.net", "repro.pastry", "repro.scribe",
     "repro.aa", "repro.query", "repro.core", "repro.baselines",
-    "repro.workloads", "repro.metrics", "repro.ext", "repro.check",
+    "repro.workloads", "repro.obs", "repro.ext", "repro.check",
 ]
 
 

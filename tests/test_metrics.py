@@ -2,18 +2,16 @@
 
 import pytest
 
-from repro.metrics.memory import deep_sizeof, deep_sizeof_many
-from repro.metrics.stats import (
-    LatencyRecorder,
-    cdf_points,
-    coefficient_of_variation,
+from benchmarks.conftest import deep_sizeof
+from repro.obs.metrics import (
+    LabeledHistogram,
+    MetricsRegistry,
     format_table,
     jain_fairness,
     mean,
     percentile,
     stddev,
 )
-from repro.obs.metrics import MetricsRegistry
 
 
 class TestStats:
@@ -54,15 +52,6 @@ class TestStats:
         with pytest.raises(ValueError):
             percentile([], 50)
 
-    def test_cdf_points(self):
-        points = cdf_points([3, 1, 2])
-        assert points == [(1, 1 / 3), (2, 2 / 3), (3, 1.0)]
-
-    def test_cv(self):
-        assert coefficient_of_variation([5, 5, 5]) == 0.0
-        with pytest.raises(ValueError):
-            coefficient_of_variation([1, -1])
-
     def test_jain_fairness_bounds(self):
         assert jain_fairness([1, 1, 1, 1]) == pytest.approx(1.0)
         skewed = jain_fairness([100, 0, 0, 0])
@@ -85,44 +74,34 @@ class TestStats:
 
 
 class TestLatencyRecorder:
+    """``LabeledHistogram`` in its role as the latency recorder of the
+    CLI's ``latency`` sweep and the Figure 9-11 benchmarks."""
+
     def test_record_and_summary(self):
-        recorder = LatencyRecorder()
+        recorder = LabeledHistogram("latency_ms")
         for value in (10, 20, 30):
-            recorder.record("local", value)
-        summary = recorder.summary("local")
+            recorder.observe(value, origin="local")
+        summary = recorder.summary(origin="local")
         assert summary["count"] == 3
         assert summary["mean"] == 20
         assert summary["min"] == 10 and summary["max"] == 30
 
     def test_labels_sorted(self):
-        recorder = LatencyRecorder()
-        recorder.record("b", 1)
-        recorder.record("a", 1)
-        assert recorder.labels() == ["a", "b"]
+        recorder = LabeledHistogram("latency_ms")
+        recorder.observe(1, origin="b")
+        recorder.observe(1, origin="a")
+        assert [key for key, _ in recorder.series()] == [
+            (("origin", "a"),), (("origin", "b"),)]
 
     def test_missing_label_raises(self):
         with pytest.raises(KeyError):
-            LatencyRecorder().summary("nope")
-
-    def test_cdf_of_label(self):
-        recorder = LatencyRecorder()
-        recorder.record("x", 2)
-        recorder.record("x", 1)
-        assert recorder.cdf("x")[0] == (1, 0.5)
-
-    def test_merge(self):
-        a, b = LatencyRecorder(), LatencyRecorder()
-        a.record("x", 1)
-        b.record("x", 2)
-        b.record("y", 3)
-        a.merge(b)
-        assert a.count("x") == 2 and a.count("y") == 1
+            LabeledHistogram("latency_ms").summary(origin="nope")
 
     def test_samples_returns_copy(self):
-        recorder = LatencyRecorder()
-        recorder.record("x", 1)
-        recorder.samples("x").append(99)
-        assert recorder.count("x") == 1
+        recorder = LabeledHistogram("latency_ms")
+        recorder.observe(1, origin="x")
+        recorder.samples(origin="x").append(99)
+        assert recorder.count(origin="x") == 1
 
 
 class TestFlatCounters:
@@ -210,8 +189,10 @@ class TestDeepSizeof:
 
         assert deep_sizeof(Plain()) > deep_sizeof([])
 
-    def test_deep_sizeof_many_shares_seen_set(self):
+    def test_one_seen_set_counts_shared_state_once(self):
         shared = "z" * 10_000
         a = {"ref": shared}
         b = {"ref": shared}
-        assert deep_sizeof_many([a, b]) < deep_sizeof(a) + deep_sizeof(b)
+        seen = set()
+        together = deep_sizeof(a, seen) + deep_sizeof(b, seen)
+        assert together < deep_sizeof(a) + deep_sizeof(b)

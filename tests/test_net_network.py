@@ -72,14 +72,6 @@ class TestMessage:
     def test_unique_ids(self):
         assert Message(kind="a").msg_id != Message(kind="a").msg_id
 
-    def test_fork_copies_payload_and_updates(self):
-        original = Message(kind="k", payload={"a": 1}, hops=3)
-        forked = original.fork(b=2)
-        assert forked.payload == {"a": 1, "b": 2}
-        assert forked.hops == 3
-        assert forked.msg_id != original.msg_id
-        assert original.payload == {"a": 1}
-
 
 class TestDeliveryCoalescing:
     """Same-destination same-time deliveries share one simulator event."""

@@ -1,9 +1,9 @@
-"""Tests for the administrative-isolation manager (§III-E)."""
+"""Tests for administrative isolation (§III-E): the overlay's boundary-router
+election, its site-root oracle, and site confinement of site trees."""
 
 import pytest
 
 from repro.core.plane import RBay, RBayConfig
-from repro.pastry.isolation import IsolationManager
 from repro.pastry.nodeid import NodeId
 
 
@@ -14,86 +14,70 @@ def plane():
     return plane
 
 
+def addresses(gateways):
+    return {site: [ref.address for ref in refs] for site, refs in gateways.items()}
+
+
 class TestGatewayElection:
     def test_every_site_gets_gateways(self, plane):
-        manager = IsolationManager()
-        gateways = manager.elect_gateways(plane.nodes)
+        gateways = plane.overlay.gateways
         assert set(gateways) == {s.index for s in plane.registry}
         for refs in gateways.values():
             assert len(refs) == 2
 
     def test_gateways_are_lowest_ids_in_site(self, plane):
-        manager = IsolationManager()
-        manager.elect_gateways(plane.nodes)
         for site in plane.registry:
             members = sorted(plane.site_nodes(site.name),
                              key=lambda n: n.node_id.value)
-            primary = manager.gateway(site.index)
-            assert primary.address == members[0].address
+            refs = plane.overlay.gateways[site.index]
+            assert [ref.address for ref in refs] == [
+                members[0].address, members[1].address]
+            assert plane.context.gateways[site.name] == members[0].address
 
     def test_election_is_deterministic(self, plane):
-        a = IsolationManager().elect_gateways(plane.nodes)
-        b = IsolationManager().elect_gateways(plane.nodes)
-        assert {k: [r.address for r in v] for k, v in a.items()} == \
-               {k: [r.address for r in v] for k, v in b.items()}
+        first = addresses(plane.overlay.gateways)
+        plane.overlay.elect_gateways()
+        assert addresses(plane.overlay.gateways) == first
 
     def test_dead_nodes_not_elected(self, plane):
         site = plane.registry[0]
         members = sorted(plane.site_nodes(site.name), key=lambda n: n.node_id.value)
         members[0].fail()
-        manager = IsolationManager()
-        manager.elect_gateways(plane.nodes)
-        assert manager.gateway(site.index).address == members[1].address
-
-    def test_live_gateway_failover(self, plane):
-        manager = IsolationManager()
-        manager.elect_gateways(plane.nodes)
-        site = plane.registry[2]
-        primary = manager.gateway(site.index)
-        backup = manager.gateway(site.index, rank=1)
-        plane.network.host(primary.address).fail()
-        live = manager.live_gateway(site.index, plane.network)
-        assert live.address == backup.address
-
-    def test_live_gateway_none_when_all_dead(self, plane):
-        manager = IsolationManager()
-        manager.elect_gateways(plane.nodes)
-        site = plane.registry[3]
-        for rank in range(2):
-            ref = manager.gateway(site.index, rank)
-            plane.network.host(ref.address).fail()
-        assert manager.live_gateway(site.index, plane.network) is None
-
-    def test_invalid_gateway_count_rejected(self):
-        with pytest.raises(ValueError):
-            IsolationManager(gateways_per_site=0)
-
-    def test_gateway_rank_out_of_range_is_none(self, plane):
-        manager = IsolationManager(gateways_per_site=1)
-        manager.elect_gateways(plane.nodes)
-        assert manager.gateway(0, rank=5) is None
+        plane.overlay.elect_gateways()
+        assert plane.overlay.gateways[site.index][0].address == members[1].address
 
 
 class TestSiteRootOracle:
     def test_site_root_matches_overlay_oracle(self, plane):
+        """``root_of(key, site_index)`` is the site member numerically
+        closest to the key (ties to the lower id): the virtual boundary
+        node a site-scoped route converges at."""
         key = NodeId.from_key("some-topic")
         for site in plane.registry:
-            expected = plane.overlay.root_of(key, site_index=site.index)
-            actual = IsolationManager.site_root(plane.nodes, site.index, key)
-            assert actual is expected
+            members = plane.site_nodes(site.name)
+            expected = min(members, key=lambda n: (n.node_id.distance(key),
+                                                    n.node_id.value))
+            assert plane.overlay.root_of(key, site_index=site.index) is expected
 
     def test_site_root_skips_dead_nodes(self, plane):
         key = NodeId.from_key("another-topic")
         site = plane.registry[1]
-        victim = IsolationManager.site_root(plane.nodes, site.index, key)
+        victim = plane.overlay.root_of(key, site_index=site.index)
         victim.fail()
-        replacement = IsolationManager.site_root(plane.nodes, site.index, key)
+        replacement = plane.overlay.root_of(key, site_index=site.index)
         assert replacement is not victim
         assert replacement.site.index == site.index
 
     def test_empty_site_raises(self, plane):
-        with pytest.raises(LookupError):
-            IsolationManager.site_root(plane.nodes, 999, NodeId(1))
+        with pytest.raises(ValueError):
+            plane.overlay.root_of(NodeId(1), site_index=999)
+
+
+def sites_with_tree_state(plane, topic):
+    """Site indices of every node holding tree state for ``topic``."""
+    return {node.site.index for node in plane.nodes
+            if (state := node.scribe.topics().get(topic)) is not None
+            and state.in_tree()}
 
 
 class TestConfinementCheck:
@@ -102,7 +86,8 @@ class TestConfinementCheck:
         for node in plane.site_nodes("Tokyo")[:4]:
             admin.post_resource(node, "TPU", True)
         plane.sim.run()
-        assert IsolationManager.verify_site_confinement(plane.nodes, "Tokyo/TPU")
+        tokyo = next(s.index for s in plane.registry if s.name == "Tokyo")
+        assert sites_with_tree_state(plane, "Tokyo/TPU") == {tokyo}
 
     def test_unknown_topic_trivially_confined(self, plane):
-        assert IsolationManager.verify_site_confinement(plane.nodes, "ghost/topic")
+        assert sites_with_tree_state(plane, "ghost/topic") == set()

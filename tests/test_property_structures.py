@@ -6,7 +6,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.metrics.stats import cdf_points, jain_fairness, mean, percentile, stddev
+from repro.obs.metrics import jain_fairness, mean, percentile, stddev
 from repro.pastry.leafset import LeafSet
 from repro.pastry.nodeid import NodeId
 from repro.pastry.routing_table import NodeRef, RoutingTable
@@ -86,17 +86,6 @@ def test_percentile_bounds_and_monotonicity(values):
     assert p0 == min(values)
     assert p100 == max(values)
     assert p0 <= p50 <= p100
-
-
-@given(st.lists(st.floats(min_value=0.0, max_value=1e6, allow_nan=False),
-                min_size=1, max_size=100))
-def test_cdf_is_monotone_and_ends_at_one(values):
-    points = cdf_points(values)
-    fractions = [f for _, f in points]
-    assert fractions == sorted(fractions)
-    assert fractions[-1] == 1.0
-    xs = [x for x, _ in points]
-    assert xs == sorted(xs)
 
 
 @given(st.lists(st.floats(min_value=0.001, max_value=1e6, allow_nan=False),

@@ -2,7 +2,7 @@
 
 Two kinds of coverage live here:
 
-* **harness mechanics** — registry plumbing, sweep cadence, quiescent
+* **harness mechanics** — the invariant table, sweep cadence, quiescent
   idle-hook checks, the grace window, fail-fast, report serialization,
   and the zero-cost-off guarantee;
 * **pinned pre-fix regressions** — each protocol bug fixed in this
@@ -16,7 +16,6 @@ import pytest
 
 from repro.check import (
     Invariant,
-    InvariantRegistry,
     InvariantViolationError,
     Sanitizer,
     SanitizerReport,
@@ -52,29 +51,19 @@ def build_plane(seed=11, **overrides):
 
 
 # ----------------------------------------------------------------------
-# Registry plumbing
+# The invariant table
 # ----------------------------------------------------------------------
 def test_default_registry_holds_the_builtin_invariants():
-    registry = InvariantRegistry.default()
-    assert registry.names() == EXPECTED_INVARIANTS
-    assert len(registry) == len(EXPECTED_INVARIANTS)
-    for name in EXPECTED_INVARIANTS:
-        assert name in registry
-    assert "no_such_invariant" not in registry
+    sanitizer = build_plane().sanitizer
+    assert list(sanitizer.invariants) == EXPECTED_INVARIANTS
+    for name, invariant in sanitizer.invariants.items():
+        assert invariant.name == name
+    assert sanitizer.report.invariants == tuple(EXPECTED_INVARIANTS)
 
 
-def test_registry_register_replace_unregister():
-    registry = InvariantRegistry()
-    probe = Invariant(name="probe", check=lambda ctx: [])
-    registry.register(probe)
-    assert "probe" in registry and len(registry) == 1
-    replacement = Invariant(name="probe", check=lambda ctx: [("x", "y")])
-    registry.register(replacement)
-    assert len(registry) == 1
-    assert list(registry)[0] is replacement
-    registry.unregister("probe")
-    assert "probe" not in registry
-    registry.unregister("probe")  # unknown names are a no-op
+def add_invariant(plane, **fields):
+    """Add a check to the plane's sanitizer under ``fields["name"]``."""
+    plane.sanitizer.invariants[fields["name"]] = Invariant(**fields)
 
 
 # ----------------------------------------------------------------------
@@ -155,9 +144,9 @@ def test_sanitizer_does_not_perturb_the_run():
 # ----------------------------------------------------------------------
 def test_quiescent_only_invariants_skipped_during_sweeps():
     plane = build_plane()
-    plane.sanitizer.registry.register(Invariant(
-        name="always_fails", check=lambda ctx: [("t", "boom")],
-        quiescent_only=True))
+    add_invariant(
+        plane, name="always_fails", check=lambda ctx: [("t", "boom")],
+        quiescent_only=True)
     plane.sanitizer.sweep()
     assert plane.sanitizer.report.ok
     plane.sanitizer.check_quiescent()
@@ -171,9 +160,9 @@ def test_grace_window_defers_sweep_reports():
     plane = build_plane()
     plane.sanitizer.grace_ms = 500.0
     failing = [True]
-    plane.sanitizer.registry.register(Invariant(
-        name="flappy", grace=True,
-        check=lambda ctx: [("t", "bad")] if failing[0] else []))
+    add_invariant(
+        plane, name="flappy", grace=True,
+        check=lambda ctx: [("t", "bad")] if failing[0] else [])
     plane.sanitizer.sweep()
     assert plane.sanitizer.report.ok  # candidate only, not yet reported
     # Advance past the grace window, keeping one event pending so the
@@ -191,9 +180,9 @@ def test_grace_candidates_reset_when_the_condition_heals():
     plane = build_plane()
     plane.sanitizer.grace_ms = 500.0
     failing = [True]
-    plane.sanitizer.registry.register(Invariant(
-        name="flappy", grace=True,
-        check=lambda ctx: [("t", "bad")] if failing[0] else []))
+    add_invariant(
+        plane, name="flappy", grace=True,
+        check=lambda ctx: [("t", "bad")] if failing[0] else [])
     plane.sanitizer.sweep()          # candidate appears
     failing[0] = False
     plane.sanitizer.sweep()          # healed: candidate dropped
@@ -207,8 +196,8 @@ def test_grace_candidates_reset_when_the_condition_heals():
 
 def test_fail_fast_raises_on_first_violation():
     plane = build_plane(sanitize_fail_fast=True)
-    plane.sanitizer.registry.register(Invariant(
-        name="always_fails", check=lambda ctx: [("t", "boom")]))
+    add_invariant(
+        plane, name="always_fails", check=lambda ctx: [("t", "boom")])
     with pytest.raises(InvariantViolationError) as exc:
         plane.sanitizer.sweep()
     assert exc.value.violations[0].invariant == "always_fails"
@@ -217,8 +206,8 @@ def test_fail_fast_raises_on_first_violation():
 
 def test_duplicate_violations_reported_once():
     plane = build_plane()
-    plane.sanitizer.registry.register(Invariant(
-        name="always_fails", check=lambda ctx: [("t", "boom")]))
+    add_invariant(
+        plane, name="always_fails", check=lambda ctx: [("t", "boom")])
     plane.sanitizer.sweep()
     plane.sanitizer.sweep()
     assert plane.sanitizer.report.counts() == {"always_fails": 1}

@@ -6,10 +6,24 @@ from pathlib import Path
 
 import pytest
 
+from benchmarks.conftest import ascii_cdf
 from repro.core.plane import RBay, RBayConfig
-from repro.metrics.ascii_plot import ascii_bars, ascii_cdf
 from repro.query.plan import plan_query
 from repro.query.sql import parse_query
+
+REPO = Path(__file__).resolve().parent.parent
+
+
+def load_module(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+ascii_bars = load_module(
+    "churn_aware_selection",
+    REPO / "examples" / "churn_aware_selection.py").ascii_bars
 
 
 class TestAsciiPlots:
@@ -195,16 +209,7 @@ class TestCLILua:
         assert code == 1
 
 
-def load_coverage_checker():
-    repo = Path(__file__).resolve().parent.parent
-    spec = importlib.util.spec_from_file_location(
-        "check_coverage", repo / "tools" / "check_coverage.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-checker = load_coverage_checker()
+checker = load_module("check_coverage", REPO / "tools" / "check_coverage.py")
 
 
 class TestCoverageChecker:
@@ -268,16 +273,7 @@ class TestCoverageChecker:
         assert rows[0][1] == 1 and rows[1][1] == 0
 
 
-def load_api_checker():
-    repo = Path(__file__).resolve().parent.parent
-    spec = importlib.util.spec_from_file_location(
-        "check_api", repo / "tools" / "check_api.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-api_checker = load_api_checker()
+api_checker = load_module("check_api", REPO / "tools" / "check_api.py")
 
 
 class TestApiChecker:
@@ -337,3 +333,35 @@ class TestApiChecker:
             "scribe/scribe.py:1: NullRecorder",
             "scribe/scribe.py:1: SpanRecorder"]
         assert api_checker.telemetry_imports() == []
+
+    def test_liveness_seam_lint(self, tmp_path):
+        """Check 10: outside the transport and the checker, only
+        ``PastryNode.believes_alive`` and the ``Overlay`` oracle queries
+        call ``has_host``.  The flagged call is the one the lint found in
+        the tree when it was written (an uncalled gateway-failover
+        helper)."""
+        for package in ("pastry", "transport", "check"):
+            (tmp_path / package).mkdir()
+        (tmp_path / "pastry" / "node.py").write_text(
+            "class PastryNode:\n"
+            "    def believes_alive(self, address):\n"
+            "        return self.network.has_host(address)\n")
+        (tmp_path / "pastry" / "overlay.py").write_text(
+            "class Overlay:\n"
+            "    def live_nodes(self):\n"
+            "        return [n for n in self.nodes if self.network.has_host(n)]\n"
+            "    def others(self):\n"
+            "        return self.network.has_host(1)\n")
+        (tmp_path / "pastry" / "isolation.py").write_text(
+            "class IsolationManager:\n"
+            "    def live_gateway(self, site_index, network):\n"
+            "        for ref in self.gateways.get(site_index, []):\n"
+            "            if network.has_host(ref.address):\n"
+            "                return ref\n")
+        (tmp_path / "transport" / "base.py").write_text(
+            "def f(t):\n    return t.has_host(1)\n")
+        (tmp_path / "check" / "invariants.py").write_text(
+            "def f(net):\n    return net.has_host(1)\n")
+        assert api_checker.liveness_queries(tmp_path) == [
+            "pastry/isolation.py:4", "pastry/overlay.py:5"]
+        assert api_checker.liveness_queries() == []

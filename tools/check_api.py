@@ -16,8 +16,11 @@ which must also state how many there are.
 
 A deny-list keeps *retired* surfaces retired: names removed from
 the public API (``QueryContext``, ``NullRecorder``, the ``execute(payload=/
-caller=/timeout=)`` keyword shims) must not reappear in ``repro.__all__``,
-the lazy-export map, the query or obs package exports, or the docs.
+caller=/timeout=)`` keyword shims, the ``IsolationManager`` /
+``LatencyRecorder`` / ``InvariantRegistry`` wrappers) must not reappear in
+``repro.__all__``, the lazy-export map, the query, obs or check package
+exports, or the docs, and retired modules (``repro.metrics``,
+``repro.pastry.isolation``) must not come back as files.
 
 No module under ``src/repro`` may import a name at module level that it
 never uses (``__init__.py`` files re-export, so they are exempt).
@@ -26,6 +29,11 @@ Finally, telemetry stays one handle: outside ``repro/obs/`` no module
 imports a recorder or registry class — components take the plane's
 ``Observability`` (``obs=``); the shared ``NULL_RECORDER`` is the one
 allowed import.
+
+And liveness has one seam: outside ``repro/transport/`` (which owns the
+host table) and ``repro/check/`` (which audits it), only
+``PastryNode.believes_alive`` and the ``Overlay`` oracle queries may call
+``has_host``; everything else asks ``believes_alive``.
 """
 
 from __future__ import annotations
@@ -46,7 +54,11 @@ API_DOCS = REPO / "docs" / "api.md"
 CONFIG_SECTION = "### `RBayConfig`"
 
 #: Retired public names: must never reappear in the export surfaces.
-DENY_EXPORTS = ("QueryContext", "NullRecorder")
+DENY_EXPORTS = ("QueryContext", "NullRecorder", "IsolationManager",
+                "LatencyRecorder", "InvariantRegistry")
+
+#: Retired modules: must never come back as files under ``src/``.
+DENY_MODULES = ("repro.metrics", "repro.pastry.isolation")
 
 #: Telemetry classes only ``repro/obs/`` may import (check 9).
 OBS_INTERNALS = ("SpanRecorder", "NullRecorder", "MetricsRegistry")
@@ -59,7 +71,23 @@ DENY_DOC_PATTERNS = (
     r"execute\(payload=",
     r"execute\(caller=",
     r"execute\(timeout=",
+    r"`IsolationManager`",
+    r"`LatencyRecorder`",
+    r"`InvariantRegistry`",
+    r"`repro\.metrics`",
+    r"repro\.metrics\.(stats|ascii_plot|memory)",
 )
+
+#: The docs check 7 scans for retired spellings.
+DENY_DOCS = (DOCS, API_DOCS, REPO / "README.md", REPO / "DESIGN.md")
+
+#: Where ``has_host`` may be called (check 10): whole packages, and the
+#: named functions of single modules (paths relative to ``src/repro``).
+LIVENESS_PACKAGES = ("transport", "check")
+LIVENESS_FUNCTIONS = {
+    "pastry/node.py": ("PastryNode.believes_alive",),
+    "pastry/overlay.py": ("Overlay.root_of", "Overlay.live_nodes"),
+}
 
 
 def _fail(errors):
@@ -151,8 +179,37 @@ def telemetry_imports(root: Path = REPO / "src" / "repro"):
     return found
 
 
+def _has_host_calls(node, scope=()):
+    """``(enclosing Class.function, line)`` of every ``.has_host(...)``
+    call under ``node``."""
+    for child in ast.iter_child_nodes(node):
+        inner = scope
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inner = scope + (child.name,)
+        elif (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
+                and child.func.attr == "has_host"):
+            yield ".".join(scope), child.lineno
+        yield from _has_host_calls(child, inner)
+
+
+def liveness_queries(root: Path = REPO / "src" / "repro"):
+    """``path:line`` (paths relative to ``root``) for every ``has_host``
+    call outside the one liveness seam."""
+    found = []
+    for path, tree in _modules(root):
+        relative = path.relative_to(root)
+        if relative.parts[0] in LIVENESS_PACKAGES:
+            continue
+        allowed = LIVENESS_FUNCTIONS.get(relative.as_posix(), ())
+        found.extend(f"{relative.as_posix()}:{line}"
+                     for where, line in _has_host_calls(tree)
+                     if where not in allowed)
+    return found
+
+
 def main() -> int:
     import repro
+    import repro.check as check_pkg
     import repro.obs as obs_pkg
     import repro.query as query_pkg
 
@@ -227,12 +284,17 @@ def main() -> int:
         for surface, names in (("repro.__all__", repro.__all__),
                                ("repro._EXPORTS", repro._EXPORTS),
                                ("repro.query.__all__", query_pkg.__all__),
-                               ("repro.obs.__all__", obs_pkg.__all__)):
+                               ("repro.obs.__all__", obs_pkg.__all__),
+                               ("repro.check.__all__", check_pkg.__all__)):
             if name in names:
                 errors.append(f"retired name {name!r} reappeared in {surface}")
         if hasattr(repro, name):
             errors.append(f"retired name {name!r} resolves on repro again")
-    for doc_path in (DOCS, API_DOCS):
+    for module in DENY_MODULES:
+        base = REPO / "src" / Path(*module.split("."))
+        if base.with_suffix(".py").exists() or (base / "__init__.py").exists():
+            errors.append(f"retired module {module} is back in src/")
+    for doc_path in DENY_DOCS:
         doc_text = doc_path.read_text(encoding="utf-8")
         for pattern in DENY_DOC_PATTERNS:
             if re.search(pattern, doc_text):
@@ -246,6 +308,10 @@ def main() -> int:
     # 9. One telemetry handle: components take ``obs``, not its parts.
     errors.extend(f"telemetry class imported outside repro/obs: src/repro/{entry}"
                   for entry in telemetry_imports())
+
+    # 10. One liveness seam: ``has_host`` only behind ``believes_alive``.
+    errors.extend(f"has_host called outside the liveness seam: src/repro/{entry}"
+                  for entry in liveness_queries())
 
     if errors:
         return _fail(errors)

@@ -48,6 +48,7 @@ DEFAULT_TARGETS = [
     REPO / "src" / "repro" / "scribe" / "rebalance.py",
     REPO / "src" / "repro" / "scribe" / "scribe.py",
     REPO / "src" / "repro" / "pastry" / "node.py",
+    REPO / "src" / "repro" / "pastry" / "overlay.py",
     REPO / "src" / "repro" / "net" / "network.py",
     REPO / "src" / "repro" / "sim" / "engine.py",
     REPO / "src" / "repro" / "sim" / "futures.py",
@@ -55,7 +56,6 @@ DEFAULT_TARGETS = [
     REPO / "src" / "repro" / "transport" / "codec.py",
     REPO / "src" / "repro" / "transport" / "realtime.py",
     REPO / "src" / "repro" / "transport" / "asyncio_transport.py",
-    REPO / "src" / "repro" / "metrics" / "stats.py",
     REPO / "src" / "repro" / "ext" / "selection.py",
     REPO / "src" / "repro" / "ext" / "economy.py",
     REPO / "src" / "repro" / "ext" / "autoscale.py",
