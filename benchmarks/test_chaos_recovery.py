@@ -95,8 +95,7 @@ def run_arm(seed, drop_prob, retries):
         counts = workload.site_instance_population(site)
         itype = max(counts, key=counts.get)
         via = plane.site_nodes(site)[0]
-        if plane.tree_size(instance_tree(site, itype), via=via,
-                           scope="site") != counts[itype]:
+        if plane.tree_size(instance_tree(site, itype), via=via) != counts[itype]:
             reconverged = False
     return {
         "queries": len(futures),

@@ -48,7 +48,7 @@ def run_churn_level(rate: float):
 
     truth = sum(1 for n in nodes if n.has_attribute("GPU"))
     from repro.core.naming import site_tree
-    tree = plane.tree_size(site_tree(site, "GPU"), via=nodes[0], scope="site")
+    tree = plane.tree_size(site_tree(site, "GPU"), via=nodes[0])
     customer = plane.make_customer("churn-user", site)
     hits = 0
     trials = 10

@@ -43,8 +43,5 @@ class PastStore:
             del self._attributes[attribute]
         return True
 
-    def attribute_count(self) -> int:
-        return len(self._attributes)
-
     def __len__(self) -> int:
         return len(self._attributes)

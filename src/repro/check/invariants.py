@@ -163,7 +163,7 @@ def check_aggregate_coherence(ctx: SanitizerContext) -> Iterator[Tuple[str, str]
             for node, state in states:
                 if state.member and agg_name in state.local:
                     truth = fn.combine(truth, fn.lift(state.local[agg_name]))
-            reported = scribe._compute_own_acc(root_state, agg_name)
+            reported = scribe._own_acc(root_state, agg_name)
             expected = fn.finalize(truth)
             actual = fn.finalize(reported)
             if not _values_close(expected, actual):
@@ -313,7 +313,7 @@ def check_replica_value_coherence(ctx: SanitizerContext) -> Iterator[Tuple[str, 
                 if fn is None:
                     continue
                 expected = fn.finalize(
-                    scribe._compute_own_acc(root_state, agg_name))
+                    scribe._own_acc(root_state, agg_name))
                 actual = state.replica_values[agg_name]
                 if not _values_close(expected, actual):
                     yield (topic,

@@ -564,7 +564,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("sql", help="the query text")
     p.add_argument("--origin", help="customer's home site (default: the first)")
     p.add_argument("--show-counters", action="store_true",
-                   help="print memo/protocol counters after the query")
+                   help="print the protocol counters after the query")
     p.add_argument("--explain", action="store_true",
                    help="print the plan every site will follow (routes, "
                         "probes, steps) before running the query")
@@ -581,7 +581,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="origin sites (default: first three)")
     p.add_argument("--queries", type=int, default=10, help="queries per point")
     p.add_argument("--show-counters", action="store_true",
-                   help="print memo/protocol counters after the sweep")
+                   help="print the protocol counters after the sweep")
     p.set_defaults(fn=cmd_latency)
 
     p = sub.add_parser("trace", parents=[common],

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, Iterable, List, Optional
 
 from typing import TYPE_CHECKING
 
@@ -142,9 +142,46 @@ class Customer:
         _attempt()
         return done
 
+    def shop(
+        self,
+        sql: str,
+        overask: float,
+        options: QueryOptions,
+        pick: Callable[["QueryResult", Optional[int]], "QueryResult"],
+        order_by: Optional[str] = None,
+    ) -> Future:
+        """Over-ask, then keep what ``pick(result, wanted)`` returns.
+
+        The query asks for ``k * overask`` candidates (ascending by
+        ``order_by`` when given) with ``min_k`` at the k it names: a
+        market holding fewer matches than the inflated k still settles,
+        and one holding fewer than k settles unsatisfied — the executor
+        then releases every reservation, so ``pick`` never keeps a lease
+        that no longer exists.  ``pick`` releases what it declines; an
+        exception passes through unpicked.
+        """
+        query = parse_query(sql)
+        wanted = query.k
+        if wanted is not None:
+            query.k = max(wanted, int(wanted * overask))
+            query.min_k = wanted
+        if order_by is not None:
+            query.order_by = order_by
+            query.descending = False
+        future = self._query_app.execute(self.home, query, options)
+        done = Future(self.home.sim, timeout=options.deadline_ms)
+        future.add_callback(lambda result: done.try_resolve(
+            result if isinstance(result, Exception) else pick(result, wanted)))
+        return done
+
     # ------------------------------------------------------------------
-    def release_all(self, result: "QueryResult") -> None:
-        """Give back every node a query holds (customer declined)."""
-        for entry in result.entries:
+    def release(self, result: "QueryResult",
+                entries: Iterable[Dict[str, Any]]) -> None:
+        """Give back ``entries`` of ``result`` (the customer declined them)."""
+        for entry in entries:
             self.home.send_app(entry["address"], "query", "release",
                                {"query_id": result.query_id})
+
+    def release_all(self, result: "QueryResult") -> None:
+        """Give back every node a query holds (customer declined)."""
+        self.release(result, result.entries)

@@ -458,7 +458,8 @@ class RBay:
         pool = self.nodes if site_name is None else self.site_nodes(site_name)
         return rng.choice(pool)
 
-    def tree_size(self, topic: str, via: Optional[RBayNode] = None,
-                  scope: Optional[str] = None) -> int:
-        node = via if via is not None else self.nodes[0]
-        return node.scribe.tree_size(node, topic, scope=scope).result()
+    def tree_size(self, topic: str, via: Optional[RBayNode] = None) -> int:
+        """Member count of the site tree ``topic`` (``"<site>/<tree>"``),
+        asked through ``via`` — by default a node of the named site."""
+        node = via if via is not None else self.site_nodes(topic.split("/", 1)[0])[0]
+        return node.scribe.tree_size(node, topic, scope="site").result()

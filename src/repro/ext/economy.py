@@ -23,7 +23,7 @@ from repro.core.client import Customer
 from repro.core.node import RBayNode
 from repro.core.policies import market_gate_policy, rental_price_policy
 from repro.query.options import QueryOptions
-from repro.query.sql import parse_query
+from repro.query.result import QueryResult
 from repro.sim.futures import Future
 
 #: Attribute under which a node's asking price is published (plain data —
@@ -120,12 +120,6 @@ class MarketLedger:
     def record(self, customer: str, site: str, node_address: int, price: float) -> None:
         self.purchases.append((customer, site, node_address, price))
 
-    def spend_of(self, customer: str) -> float:
-        return sum(p for c, _, _, p in self.purchases if c == customer)
-
-    def revenue_of(self, site: str) -> float:
-        return sum(p for _, s, _, p in self.purchases if s == site)
-
     def volume(self) -> int:
         return len(self.purchases)
 
@@ -176,34 +170,14 @@ class CostAwareCustomer(Customer):
         come back priced, and the per-node payload carries the *per-node*
         budget ceiling (the wallet — owners only check affordability).
         """
-        query = parse_query(sql)
-        wanted = query.k
-        if wanted is not None:
-            query.k = max(wanted, int(wanted * self.overask))
-            # Without the floor, a market with fewer matches than the
-            # *inflated* k settles unsatisfied and the executor releases
-            # every reservation — while the shopping callback still
-            # "kept" entries, charged the wallet, and recorded revenue
-            # for leases that no longer existed (a phantom purchase).
-            query.min_k = wanted
-        query.order_by = PRICE_ATTRIBUTE
-        query.descending = False
         payload: Dict[str, Any] = {"budget": self.wallet}
         if self.credit is not None:
             payload["credit"] = self.credit
-        future = self._query_app.execute(self.home, query, QueryOptions(
-            payload=payload, caller=self.name, deadline_ms=timeout))
-        done = Future(self.home.sim, timeout=timeout)
 
-        def _shop(result: Any) -> None:
-            if isinstance(result, Exception):
-                done.try_resolve(result)
-                return
+        def _pick(result: QueryResult, wanted: Optional[int]) -> QueryResult:
             kept, surplus, total = choose_cheapest(
                 list(result.entries), wanted, self.wallet)
-            for entry in surplus:
-                self.home.send_app(entry["address"], "query", "release",
-                                   {"query_id": result.query_id})
+            self.release(result, surplus)
             satisfied = wanted is None or len(kept) >= wanted
             if satisfied:
                 self.wallet -= total
@@ -214,15 +188,14 @@ class CostAwareCustomer(Customer):
                                            float(entry.get("order_value") or 0.0))
             else:
                 # Could not afford / fill: release the kept ones too.
-                for entry in kept:
-                    self.home.send_app(entry["address"], "query", "release",
-                                       {"query_id": result.query_id})
+                self.release(result, kept)
                 kept = []
-            done.try_resolve(replace(result, entries=tuple(kept),
-                                     requested=wanted, satisfied=satisfied))
+            return replace(result, entries=tuple(kept), requested=wanted,
+                           satisfied=satisfied)
 
-        future.add_callback(_shop)
-        return done
+        return self.shop(sql, self.overask, QueryOptions(
+            payload=payload, caller=self.name, deadline_ms=timeout), _pick,
+            order_by=PRICE_ATTRIBUTE)
 
 
 class SpotPricer:

@@ -18,7 +18,7 @@ from repro.core.client import Customer
 from repro.core.node import RBayNode
 from repro.ext.churn import ChurnPredictor
 from repro.query.options import QueryOptions
-from repro.query.sql import parse_query
+from repro.query.result import QueryResult
 from repro.sim.futures import Future
 
 
@@ -87,29 +87,12 @@ class StabilityAwareCustomer(Customer):
         timeout: Optional[float] = None,
     ) -> Future:
         """Like query_once, but stability-ranked and trimmed to k."""
-        query = parse_query(sql)
-        wanted = query.k
-        if wanted is not None:
-            query.k = max(wanted, int(wanted * self.overask))
-            # The executor only commits reservations when the result is
-            # satisfied; the floor is what we actually need, not the
-            # inflated over-ask.
-            query.min_k = wanted
-        future = self._query_app.execute(self.home, query, QueryOptions(
-            payload=payload, caller=self.name, deadline_ms=timeout))
-        done = Future(self.home.sim, timeout=timeout)
 
-        def _trim(result: Any) -> None:
-            if isinstance(result, Exception):
-                done.try_resolve(result)
-                return
+        def _pick(result: QueryResult, wanted: Optional[int]) -> QueryResult:
             kept, surplus = self.selector.select(list(result.entries), wanted)
-            for entry in surplus:
-                self.home.send_app(entry["address"], "query", "release",
-                                   {"query_id": result.query_id})
-            done.try_resolve(replace(
-                result, entries=tuple(kept), requested=wanted,
-                satisfied=wanted is None or len(kept) >= wanted))
+            self.release(result, surplus)
+            return replace(result, entries=tuple(kept), requested=wanted,
+                           satisfied=wanted is None or len(kept) >= wanted)
 
-        future.add_callback(_trim)
-        return done
+        return self.shop(sql, self.overask, QueryOptions(
+            payload=payload, caller=self.name, deadline_ms=timeout), _pick)

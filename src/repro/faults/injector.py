@@ -235,7 +235,3 @@ class FaultInjector:
     def trace_text(self) -> str:
         """Applied fault events as stable text (byte-comparable)."""
         return "\n".join(self.trace)
-
-    @property
-    def live_indices(self) -> List[int]:
-        return [i for i in range(len(self.nodes)) if i not in self.crashed]

@@ -75,16 +75,6 @@ class LatencyModel:
     def one_way_delay_ms(self, src: Site, dst: Site) -> float:
         raise NotImplementedError
 
-    def is_deterministic(self) -> bool:
-        """True when ``one_way_delay_ms`` is a pure function of the site pair.
-
-        Deterministic models may be memoized per site pair by the network
-        (one delay computation per pair instead of one per send); models
-        with jitter must return False so every send gets its own draw.
-        Unknown subclasses conservatively report False.
-        """
-        return False
-
     def nominal_one_way_ms(self, src: Site, dst: Site) -> float:
         """Jitter-free delay estimate, used for proximity-aware route setup."""
         return self.one_way_delay_ms(src, dst)
@@ -104,9 +94,6 @@ class UniformLatencyModel(LatencyModel):
 
     def one_way_delay_ms(self, src: Site, dst: Site) -> float:
         return self.delay_ms
-
-    def is_deterministic(self) -> bool:
-        return True
 
 
 class TableIILatencyModel(LatencyModel):
@@ -152,9 +139,6 @@ class TableIILatencyModel(LatencyModel):
     def nominal_one_way_ms(self, src: Site, dst: Site) -> float:
         """Half the Table II RTT: the deterministic one-way estimate."""
         return self.base_rtt_ms(src, dst) / 2.0
-
-    def is_deterministic(self) -> bool:
-        return self._rng is None
 
     def one_way_delay_ms(self, src: Site, dst: Site) -> float:
         """RTT/2 with region-dependent lognormal jitter applied."""
@@ -205,9 +189,6 @@ class SyntheticLatencyModel(LatencyModel):
             (dst.index - src.index) % self._n,
         )
         return self._intra + self._hop * ring
-
-    def is_deterministic(self) -> bool:
-        return self._rng is None or self._jitter_cv <= 0
 
     def one_way_delay_ms(self, src: Site, dst: Site) -> float:
         """One-way delay, with optional lognormal jitter applied."""

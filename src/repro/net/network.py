@@ -6,7 +6,6 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from repro.net.latency import LatencyModel
 from repro.net.message import Message
-from repro.net.site import Site
 from repro.sim.engine import Simulator
 from repro.transport.base import (FaultDecision, FaultFilter, Host,
                                   NetworkError, Transport)
@@ -56,26 +55,6 @@ class Network(Transport):
         self.wire_checked = 0
 
     # ------------------------------------------------------------------
-    # Latency
-    # ------------------------------------------------------------------
-    @property
-    def latency(self) -> LatencyModel:
-        return self._latency
-
-    @latency.setter
-    def latency(self, model: LatencyModel) -> None:
-        # Deterministic models (no jitter) are pure functions of the site
-        # pair, so the per-send delay lookup collapses to one dict get.
-        # The memo is keyed by the (hashable, frozen) Site objects and is
-        # rebuilt whenever the model is swapped; jittered models disable it.
-        self._latency = model
-        deterministic = getattr(model, "is_deterministic", None)
-        if deterministic is not None and deterministic():
-            self._lat_memo: Optional[Dict[Tuple[Site, Site], float]] = {}
-        else:
-            self._lat_memo = None
-
-    # ------------------------------------------------------------------
     # Delivery
     # ------------------------------------------------------------------
     def send(self, src: Host, dst_address: int, msg: Message,
@@ -85,22 +64,9 @@ class Network(Transport):
         if admitted is None:
             return
         dst_host, size, extra_delay, copies = admitted
-        memo = self._lat_memo
-        if memo is not None:
-            pair = (src.site, dst_host.site)
-            base_delay = memo.get(pair)
-            if base_delay is None:
-                base_delay = self._latency.one_way_delay_ms(src.site,
-                                                            dst_host.site)
-                memo[pair] = base_delay
-        else:
-            base_delay = None
         for _ in range(copies):
-            if base_delay is not None:
-                delay = base_delay + self.processing_ms + extra_delay
-            else:
-                delay = (self._latency.one_way_delay_ms(src.site, dst_host.site)
-                         + self.processing_ms + extra_delay)
+            delay = (self.latency.one_way_delay_ms(src.site, dst_host.site)
+                     + self.processing_ms + extra_delay)
             self.messages_in_flight += 1
             # Exact float equality on the delivery instant is intended:
             # post() stamps the event with sim.now + delay, so two sends

@@ -6,10 +6,9 @@ experiments read federation-wide totals from a single place.
 
 Flat counters are plain monotonically-increasing integers addressed by
 dotted names; unknown names read as zero, so callers never pre-register.
-Established families include ``scribe.acc_cache.*`` (the subtree-
-accumulator memo), ``query.plan.*`` (one per routed predicate, by route),
-``query.retry.*`` (probe / anycast / site protocol-step retries),
-``query.degraded`` and ``query.orphan_release`` (failure-path
+Established families include ``query.plan.*`` (one per routed predicate,
+by route), ``query.retry.*`` (probe / anycast / site protocol-step
+retries), ``query.degraded`` and ``query.orphan_release`` (failure-path
 settlements), ``faults.*`` (injected crashes, partitions, and
 message-rule hits), and — when span tracing is on — ``query.step.*``, one
 counter per finished protocol-step span.

@@ -11,7 +11,7 @@ announce to learned peers).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.net.message import Message
 from repro.net.network import Network
@@ -58,7 +58,7 @@ class Overlay:
         #: lets higher layers (RBAY) substitute their node subclass.
         self.node_factory = node_factory
         self.nodes: List[PastryNode] = []
-        self._by_id: Dict[int, PastryNode] = {}
+        self._ids: Set[int] = set()
         #: site index -> boundary ("router") refs, primary first (§III-E).
         self.gateways: Dict[int, List[NodeRef]] = {}
 
@@ -69,7 +69,7 @@ class Overlay:
         """Create and attach a node; id defaults to SHA-1 of a synthetic IP."""
         if node_id is None:
             node_id = NodeId.random(self.streams.stream("overlay-ids"))
-        while node_id.value in self._by_id:
+        while node_id.value in self._ids:
             node_id = NodeId.random(self.streams.stream("overlay-ids"))
         if self.node_factory is not None:
             node = self.node_factory(node_id, site)
@@ -80,7 +80,7 @@ class Overlay:
         self.network.attach(node)
         node.register_app(JoinApplication(self))
         self.nodes.append(node)
-        self._by_id[node_id.value] = node
+        self._ids.add(node_id.value)
         return node
 
     def create_population(self, per_site: int) -> List[PastryNode]:
@@ -192,9 +192,6 @@ class Overlay:
         live = [n for n in candidates if self.network.has_host(n.address)]
         return min(live, key=lambda n: (n.node_id.distance(key), n.node_id.value))
 
-    def node_by_id(self, node_id: NodeId) -> PastryNode:
-        return self._by_id[node_id.value]
-
     def live_nodes(self) -> List[PastryNode]:
         return [n for n in self.nodes if self.network.has_host(n.address)]
 
@@ -205,10 +202,6 @@ class Overlay:
         """Run the message-level Pastry join; resolves when announced."""
         app: JoinApplication = node.app(JoinApplication.name)  # type: ignore[assignment]
         return app.start_join(node, seed, timeout)
-
-    def remove_node(self, node: PastryNode) -> None:
-        """Crash-stop ``node``; peers repair lazily on next contact."""
-        node.fail()
 
 
 class JoinApplication(Application):

@@ -7,10 +7,6 @@ from typing import Any, Tuple
 
 _OPS = ("=", "==", "<>", "!=", "<", "<=", ">", ">=", "between")
 
-#: Operators whose acceptance set is a value interval — the ones a
-#: range-partitioned bucket index (:mod:`repro.scribe.buckets`) can serve.
-RANGE_OPS = ("<", "<=", ">", ">=", "between")
-
 
 def evaluate(actual: Any, op: str, expected: Any) -> bool:
     """Evaluate one comparison; mismatched types never match (no coercion
@@ -74,13 +70,6 @@ class Predicate:
 
     def matches(self, actual: Any) -> bool:
         return evaluate(actual, self.op, self.value)
-
-    def is_equality(self) -> bool:
-        return self.op in ("=", "==")
-
-    def is_range(self) -> bool:
-        """True for interval-shaped operators a bucket index can serve."""
-        return self.op in RANGE_OPS
 
     def pack(self) -> Tuple[str, str, Any]:
         """Serialize for message payloads."""

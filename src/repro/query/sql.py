@@ -89,9 +89,6 @@ class Query:
     def is_disjunctive(self) -> bool:
         return len(self.where) > 1
 
-    def equality_predicates(self) -> List[Predicate]:
-        return [p for p in self.predicates if p.is_equality()]
-
     def __str__(self) -> str:
         target = "*" if self.k is None else str(self.k)
         source = "*" if self.sites is None else ", ".join(self.sites)

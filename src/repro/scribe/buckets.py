@@ -25,10 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
-#: Operators a bucketed index can serve (plus equality, which degenerates
-#: to a single-point interval).
-RANGE_OPS = ("<", "<=", ">", ">=", "between")
-
 #: An interval: (lo, lo_inclusive, hi, hi_inclusive); None bound = infinite.
 _Interval = Tuple[Optional[float], bool, Optional[float], bool]
 
@@ -246,9 +242,6 @@ class BucketIndex:
 
     def spec_for(self, attribute: str) -> Optional[BucketSpec]:
         return self._specs.get(attribute)
-
-    def is_bucketed(self, attribute: str) -> bool:
-        return attribute in self._specs
 
     def attributes(self) -> List[str]:
         return sorted(self._specs)

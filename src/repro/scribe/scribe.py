@@ -42,8 +42,7 @@ class TopicState:
 
     __slots__ = (
         "topic", "key", "scope", "parent", "former_parent", "is_root", "member",
-        "children", "local", "child_acc", "last_pushed", "acc_memo",
-        "dirty", "replicas", "replica_of", "replica_values", "replica_peers",
+        "children", "local", "child_acc", "last_pushed", "dirty", "replicas", "replica_of", "replica_values", "replica_peers",
     )
 
     def __init__(self, topic: str, key: NodeId, scope: str = "global"):
@@ -63,12 +62,6 @@ class TopicState:
         self.local: Dict[str, Any] = {}
         self.child_acc: Dict[str, Dict[int, Any]] = {}
         self.last_pushed: Dict[str, Any] = {}
-        # Exact memo of this node's subtree accumulator per aggregate name.
-        # An entry is dropped whenever one of its inputs changes (local
-        # value, a child's pushed accumulator, membership, tree repair —
-        # all through ScribeApplication._recompute_and_push), so a present
-        # entry always equals a from-scratch _compute_own_acc.
-        self.acc_memo: Dict[str, Any] = {}
         # Names whose accumulator changed since the last flush (in-network
         # aggregation batches updates so a parent pushes once per wave, not
         # once per child); the flush timer itself is node-level, on the
@@ -113,9 +106,8 @@ class ScribeApplication(Application):
     ):
         self.sim = sim
         #: The plane's telemetry handle (a fresh disabled one standalone)
-        #: supplies the span recorder and the registry that counts
-        #: ``scribe.acc_cache.hit|miss|invalidate`` (the memo lives on
-        #: :class:`TopicState`).
+        #: supplies the span recorder and the registry the rebalancer
+        #: counts into (``scribe.topic_load``, ``scribe.rebalance``).
         obs = obs if obs is not None else Observability()
         self.recorder = obs.recorder
         self.counters = obs.metrics
@@ -677,24 +669,8 @@ class ScribeApplication(Application):
     # Aggregation (RBAY's extension, §II-B3)
     # ------------------------------------------------------------------
     def _own_acc(self, state: TopicState, agg_name: str) -> Any:
-        """This node's subtree accumulator, memoized on ``state.acc_memo``.
-
-        Coherence contract: every mutation of the inputs (local value,
-        child accumulators, membership) drops the memo entry via
-        :meth:`_recompute_and_push`, so a hit is always exactly the value
-        :meth:`_compute_own_acc` would return.
-        """
-        memo = state.acc_memo
-        if agg_name in memo:
-            self.counters.increment("scribe.acc_cache.hit")
-            return memo[agg_name]
-        self.counters.increment("scribe.acc_cache.miss")
-        value = memo[agg_name] = self._compute_own_acc(state, agg_name)
-        return value
-
-    def _compute_own_acc(self, state: TopicState, agg_name: str) -> Any:
-        """Roll this node's accumulator up from its raw inputs (uncached);
-        None for an unknown function."""
+        """Roll this node's subtree accumulator up from its own value and
+        its children's pushed accumulators; None for an unknown function."""
         fn = self.functions.get(agg_name)
         if fn is None:
             return None
@@ -708,7 +684,7 @@ class ScribeApplication(Application):
     def _recompute_and_push(self, node: PastryNode, state: TopicState,
                             only: Optional[str] = None,
                             names: Optional[List[str]] = None) -> None:
-        """Invalidate memos, mark aggregates dirty, arm the flush timer."""
+        """Mark aggregates dirty and arm the flush timer."""
         if names is None and only is not None:
             # Hot path (one aggregate per publish): skip the list builds.
             names = (only,) if only in self.functions else ()
@@ -716,11 +692,6 @@ class ScribeApplication(Application):
             if names is None:
                 names = state.agg_names()
             names = [n for n in names if n in self.functions]
-        memo = state.acc_memo
-        for agg_name in names:
-            if agg_name in memo:
-                del memo[agg_name]
-                self.counters.increment("scribe.acc_cache.invalidate")
         state.dirty.update(names)
         if not state.dirty:
             return

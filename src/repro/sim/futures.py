@@ -90,9 +90,6 @@ class Future:
             raise FutureError("future not resolved yet")
         return self._value
 
-    def timed_out(self) -> bool:
-        return self._resolved and isinstance(self._value, FutureTimeout)
-
     def result(self) -> Any:
         """Drive the simulator until this future resolves, then return the value.
 

@@ -33,8 +33,3 @@ class RandomStreams:
             ).digest()
             self._streams[name] = random.Random(int.from_bytes(digest[:8], "big"))
         return self._streams[name]
-
-    def fork(self, name: str) -> "RandomStreams":
-        """Derive a child factory (e.g. one per site) that is itself deterministic."""
-        digest = hashlib.sha256(f"{self._master_seed}/{name}".encode("utf-8")).digest()
-        return RandomStreams(int.from_bytes(digest[:8], "big"))

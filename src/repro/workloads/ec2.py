@@ -87,15 +87,3 @@ def instance_attributes(instance_type: str) -> Dict[str, object]:
         "GPU": bool(spec["gpu"]),
         "family": str(spec["family"]),
     }
-
-
-def random_attribute_pool(rng: random.Random, size: int) -> List[str]:
-    """Names for a large synthetic attribute space (Fig. 8c scaling)."""
-    vendors = ("Intel", "AMD", "NVIDIA", "Samsung", "Seagate", "Mellanox")
-    kinds = ("CPU", "GPU", "Mem", "Disk", "NIC", "Cache")
-    names = []
-    for i in range(size):
-        vendor = vendors[rng.randrange(len(vendors))]
-        kind = kinds[rng.randrange(len(kinds))]
-        names.append(f"{kind}_{vendor}_{i}")
-    return names

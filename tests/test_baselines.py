@@ -49,7 +49,7 @@ class TestPastStore:
         store = PastStore()
         store.put("GPU", 1)
         store.remove("GPU", 1)
-        assert store.attribute_count() == 0
+        assert len(store) == 0
 
     def test_len(self):
         store = PastStore()

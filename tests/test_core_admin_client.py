@@ -52,11 +52,11 @@ class TestAdminPosting:
                             membership=lambda v: (v or 0) > 0)
         plane.sim.run()
         topic = site_tree("Ireland", "licenses-available")
-        assert plane.tree_size(topic, via=node, scope="site") == 0
+        assert plane.tree_size(topic, via=node) == 0
         node.update_attribute("licenses", 3)
         node.maintenance_tick()
         plane.sim.run()
-        assert plane.tree_size(topic, via=node, scope="site") == 1
+        assert plane.tree_size(topic, via=node) == 1
 
 
 class TestAdminCommands:

@@ -118,4 +118,4 @@ class TestAttributeChurn:
             node.maintenance_tick()
         plane.sim.run()
         expected = sum(1 for n in nodes if n.attribute_value("GPU") is True)
-        assert plane.tree_size(topic, via=nodes[0], scope="site") == expected
+        assert plane.tree_size(topic, via=nodes[0]) == expected

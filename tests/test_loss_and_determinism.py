@@ -116,5 +116,5 @@ class TestLossResilience:
         plane.stop_maintenance()
         from repro.core.naming import site_tree
 
-        size = plane.tree_size(site_tree("Oregon", "GPU"), via=nodes[0], scope="site")
+        size = plane.tree_size(site_tree("Oregon", "GPU"), via=nodes[0])
         assert size == len(nodes)

@@ -7,6 +7,7 @@ import pytest
 from repro.net.message import Message
 from repro.pastry.node import Application
 from repro.pastry.nodeid import NodeId
+from repro.sim.futures import FutureTimeout
 
 
 class Probe(Application):
@@ -235,7 +236,7 @@ class TestProtocolJoin:
         newcomer = overlay.create_node(overlay.registry[0])
         future = overlay.join(newcomer, seed, timeout=500.0)
         sim.run()
-        assert future.timed_out()
+        assert isinstance(future.value, FutureTimeout)
 
 
 class TestConcurrentJoins:

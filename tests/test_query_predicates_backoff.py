@@ -54,10 +54,6 @@ class TestPredicate:
         with pytest.raises(ValueError):
             Predicate("a", "LIKE", "x")
 
-    def test_is_equality(self):
-        assert Predicate("a", "=", 1).is_equality()
-        assert not Predicate("a", "<", 1).is_equality()
-
     def test_pack_unpack_round_trip(self):
         original = Predicate("a", ">=", 3.5)
         assert Predicate.unpack(original.pack()) == original

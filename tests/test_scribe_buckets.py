@@ -123,8 +123,7 @@ class TestBucketIndex:
         index = BucketIndex()
         spec = index.register(BucketSpec("u", 0.0, 100.0, 4))
         assert index.spec_for("u") == spec
-        assert index.is_bucketed("u")
-        assert not index.is_bucketed("other")
+        assert index.spec_for("other") is None
         assert index.attributes() == ["u"]
         assert len(index) == 1
 

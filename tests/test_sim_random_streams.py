@@ -34,17 +34,5 @@ def test_draws_in_one_stream_do_not_affect_another():
     assert one.stream("signal").random() == two.stream("signal").random()
 
 
-def test_fork_is_deterministic():
-    a = RandomStreams(3).fork("site-a").stream("x").random()
-    b = RandomStreams(3).fork("site-a").stream("x").random()
-    assert a == b
-
-
-def test_fork_differs_from_parent():
-    parent = RandomStreams(3)
-    child = parent.fork("site-a")
-    assert parent.stream("x").random() != child.stream("x").random()
-
-
 def test_master_seed_property():
     assert RandomStreams(77).master_seed == 77

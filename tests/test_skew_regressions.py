@@ -67,7 +67,7 @@ def test_recovered_node_rejoins_its_new_bucket_tree():
         "recovered node is a member on paper but detached from its bucket")
     # And the tree agrees: the size read reaches the recovered node.
     via = next(n for n in plane.site_nodes(b.site.name) if n is not b)
-    assert plane.tree_size(topic, via=via, scope="site") == 1
+    assert plane.tree_size(topic, via=via) == 1
 
 
 # ----------------------------------------------------------------------

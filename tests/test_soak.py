@@ -89,7 +89,7 @@ def test_tree_sizes_match_ground_truth(soaked):
                 if n.alive and n.attribute_value("GPU") is True)
     node = plane.site_nodes("Virginia")[0]
     assert plane.tree_size(site_tree("Virginia", "GPU"),
-                           via=node, scope="site") == truth
+                           via=node) == truth
 
 
 def test_instance_trees_still_consistent(soaked):
@@ -101,7 +101,7 @@ def test_instance_trees_still_consistent(soaked):
             if expected == 0:
                 continue
             size = plane.tree_size(instance_tree(site_name, itype),
-                                   via=probe, scope="site")
+                                   via=probe)
             assert size == expected, (site_name, itype)
 
 

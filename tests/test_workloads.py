@@ -11,7 +11,6 @@ from repro.workloads.ec2 import (
     gaussian_tree_assignment,
     gaussian_tree_weights,
     instance_attributes,
-    random_attribute_pool,
 )
 from repro.workloads.generator import FederationWorkload, WorkloadSpec
 from repro.workloads.queries import composite_query
@@ -46,11 +45,6 @@ class TestEC2Catalog:
         assert attrs["vcpu"] == 8.0
         assert attrs["instance_type"] == "g2.2xlarge"
         assert attrs["family"] == "g2"
-
-    def test_random_attribute_pool(self):
-        pool = random_attribute_pool(random.Random(0), 100)
-        assert len(pool) == 100
-        assert len(set(pool)) == 100  # unique via index suffix
 
 
 class TestCompositeQuery:
@@ -116,7 +110,7 @@ class TestFederationWorkload:
             if expected == 0:
                 continue
             topic = instance_tree(site, itype)
-            assert plane.tree_size(topic, via=node, scope="site") == expected
+            assert plane.tree_size(topic, via=node) == expected
 
     def test_utilization_tree_membership_matches_threshold(self, dressed):
         plane, workload = dressed
@@ -129,7 +123,7 @@ class TestFederationWorkload:
         )
         node = plane.site_nodes(site)[0]
         topic = site_tree(site, "CPU_utilization<10")
-        assert plane.tree_size(topic, via=node, scope="site") == expected
+        assert plane.tree_size(topic, via=node) == expected
 
     def test_population_accounting_consistent(self, dressed):
         plane, workload = dressed
@@ -165,7 +159,7 @@ class TestMultiThresholdWorkload:
             )
             topic = site_tree(site, predicate_tree_name(
                 "CPU_utilization", "<", threshold))
-            assert plane.tree_size(topic, via=nodes[0], scope="site") == expected
+            assert plane.tree_size(topic, via=nodes[0]) == expected
 
     def test_trees_are_nested_by_construction(self, dressed):
         """size(<10) <= size(<25) <= size(<50): thresholds nest."""
@@ -176,7 +170,7 @@ class TestMultiThresholdWorkload:
         probe = plane.site_nodes(site)[0]
         sizes = [
             plane.tree_size(site_tree(site, predicate_tree_name(
-                "CPU_utilization", "<", t)), via=probe, scope="site")
+                "CPU_utilization", "<", t)), via=probe)
             for t in (10.0, 25.0, 50.0)
         ]
         assert sizes[0] <= sizes[1] <= sizes[2]

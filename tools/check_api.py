@@ -76,6 +76,9 @@ DENY_DOC_PATTERNS = (
     r"`InvariantRegistry`",
     r"`repro\.metrics`",
     r"repro\.metrics\.(stats|ascii_plot|memory)",
+    r"acc_memo",
+    r"scribe\.acc_cache",
+    r"is_deterministic",
 )
 
 #: The docs check 7 scans for retired spellings.
