@@ -42,7 +42,8 @@ class TopicState:
 
     __slots__ = (
         "topic", "key", "scope", "parent", "former_parent", "is_root", "member",
-        "children", "local", "child_acc", "last_pushed", "dirty", "replicas", "replica_of", "replica_values", "replica_peers",
+        "children", "local", "child_acc", "last_pushed", "dirty",
+        "replicas", "replica_of", "replica_values", "replica_peers",
     )
 
     def __init__(self, topic: str, key: NodeId, scope: str = "global"):
