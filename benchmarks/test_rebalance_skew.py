@@ -73,7 +73,7 @@ def hot_root_ranking(plane):
     bucket = next(bk for bk in spec.buckets if bk.contains(HOT_LO))
     site = plane.nodes[0].site.name
     topic = site_tree(site, bucket.tree)
-    key = topic_id(topic, plane.nodes[0].scribe.creator)
+    key = topic_id(topic)
     ranked = sorted(plane.nodes,
                     key=lambda n: (n.node_id.distance(key), n.node_id.value))
     return topic, ranked

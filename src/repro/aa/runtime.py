@@ -21,7 +21,6 @@ default instead of crashing the node.
 
 from __future__ import annotations
 
-import random
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.aa import ast_nodes as ast
@@ -69,23 +68,19 @@ class HandlerError:
 
 
 class ActiveAttribute:
-    """One resource attribute with optional procedural handlers."""
+    """One resource attribute with optional procedural handlers.
+
+    Built by :meth:`AARuntime.define`, which hands every attribute of a
+    node the runtime's one budget-metered interpreter.
+    """
 
     __slots__ = (
         "name", "value", "source", "interpreter", "chunk_env", "aa_table",
         "handlers", "errors",
     )
 
-    def __init__(
-        self,
-        name: str,
-        value: Any,
-        source: Optional[str] = None,
-        sandbox: Optional[Environment] = None,
-        instruction_limit: int = DEFAULT_INSTRUCTION_LIMIT,
-        rng: Optional[random.Random] = None,
-        interpreter: Optional[Interpreter] = None,
-    ):
+    def __init__(self, name: str, value: Any, source: Optional[str],
+                 interpreter: Interpreter):
         self.name = name
         self.value = value
         self.source = source
@@ -98,17 +93,12 @@ class ActiveAttribute:
             self.interpreter = None
             self.chunk_env = None
             return
-        if interpreter is not None:
-            # Shared, budget-metered interpreter (one per node runtime);
-            # the budget resets on every invocation, so sharing is safe in
-            # the single-threaded event loop and keeps per-AA memory at the
-            # "table + closures" level the paper measures.
-            globals_env = interpreter.globals
-            self.interpreter = interpreter
-        else:
-            globals_env = sandbox if sandbox is not None else make_sandbox_globals(rng)
-            self.interpreter = Interpreter(globals_env, instruction_limit)
-        self.chunk_env = Environment(globals_env, boundary=True)
+        # Shared, budget-metered interpreter (one per node runtime); the
+        # budget resets on every invocation, so sharing is safe in the
+        # single-threaded event loop and keeps per-AA memory at the
+        # "table + closures" level the paper measures.
+        self.interpreter = interpreter
+        self.chunk_env = Environment(interpreter.globals, boundary=True)
         self.chunk_env.declare("AA", self.aa_table)
         chunk = compile_source(source)
         self.interpreter.run_chunk(chunk, self.chunk_env)
@@ -166,29 +156,20 @@ class ActiveAttribute:
 class AARuntime:
     """Per-node collection of active attributes sharing one sandbox.
 
-    The stdlib environment is shared across the node's attributes (it is
-    immutable from inside chunks thanks to environment boundaries); each
-    attribute gets its own chunk environment, AA table, and budget-metered
-    interpreter.
+    The stdlib environment and the budget-metered interpreter are shared
+    across the node's attributes (the stdlib is immutable from inside
+    chunks thanks to environment boundaries); each attribute gets its own
+    chunk environment and AA table.
     """
 
-    def __init__(
-        self,
-        instruction_limit: int = DEFAULT_INSTRUCTION_LIMIT,
-        rng: Optional[random.Random] = None,
-    ):
-        self.instruction_limit = instruction_limit
-        self.sandbox = make_sandbox_globals(rng)
-        self.interpreter = Interpreter(self.sandbox, instruction_limit)
+    def __init__(self, instruction_limit: int = DEFAULT_INSTRUCTION_LIMIT):
+        self.interpreter = Interpreter(make_sandbox_globals(), instruction_limit)
         self.attributes: Dict[str, ActiveAttribute] = {}
 
     # ------------------------------------------------------------------
     def define(self, name: str, value: Any, source: Optional[str] = None) -> ActiveAttribute:
         """Create (or replace) an attribute; ``source`` attaches handlers."""
-        attribute = ActiveAttribute(
-            name, value, source,
-            interpreter=self.interpreter,
-        )
+        attribute = ActiveAttribute(name, value, source, self.interpreter)
         self.attributes[name] = attribute
         return attribute
 

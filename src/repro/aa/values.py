@@ -23,11 +23,8 @@ class LuetteTable:
 
     __slots__ = ("_data",)
 
-    def __init__(self, initial: Optional[Dict[Any, Any]] = None):
+    def __init__(self):
         self._data: Dict[Any, Any] = {}
-        if initial:
-            for key, value in initial.items():
-                self.set(key, value)
 
     #: Sentinels keeping boolean keys distinct from 1/0 (Python hashes
     #: True == 1; Lua tables treat them as different keys).

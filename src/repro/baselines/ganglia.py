@@ -143,10 +143,9 @@ class GangliaClient(Host):
         k: Optional[int] = None,
         payload: Any = None,
         sites: Optional[List[str]] = None,
-        timeout: Optional[float] = None,
     ) -> Future:
         """Ask the central manager for up to k matches; resolves to ids."""
-        future = Future(self.sim, timeout=timeout)
+        future = Future(self.sim)
         request_id = self.requests.open(future)
         self.send(manager_address, Message(kind="ganglia.query", payload={
             "request_id": request_id,

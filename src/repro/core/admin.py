@@ -19,10 +19,10 @@ from repro.net.site import Site
 class SiteAdmin:
     """The administrator of one site's nodes."""
 
-    def __init__(self, site: Site, nodes: List[RBayNode], name: Optional[str] = None):
+    def __init__(self, site: Site, nodes: List[RBayNode]):
         self.site = site
         self.nodes = list(nodes)
-        self.name = name if name is not None else f"admin@{site.name}"
+        self.name = f"admin@{site.name}"
 
     # ------------------------------------------------------------------
     # Resource posting ("sell")
@@ -32,23 +32,21 @@ class SiteAdmin:
         node: RBayNode,
         attribute: str,
         value: Any,
-        handler_source: Optional[str] = None,
         tree: Optional[str] = None,
         membership: Optional[Callable[[Any], bool]] = None,
     ) -> None:
         """Expose one attribute of one node to the federation.
 
-        Defines the attribute (with optional handlers) and subscribes the
-        node to the attribute's tree so queries can find it.  ``tree``
-        defaults to the canonical equality tree name.  The tree is named
-        per site and routed inside the site: its rendezvous never leaves
-        the admin's domain (§III-E).
+        Defines the attribute and subscribes the node to the attribute's
+        tree so queries can find it.  ``tree`` defaults to the canonical
+        equality tree name.  The tree is named per site and routed inside
+        the site: its rendezvous never leaves the admin's domain (§III-E).
         """
         if node.site.index != self.site.index:
             raise PermissionError(
                 f"{self.name} does not administer nodes of site {node.site.name}"
             )
-        node.define_attribute(attribute, value, handler_source)
+        node.define_attribute(attribute, value)
         topic = tree if tree is not None else predicate_tree_name(attribute, "=", value)
         full_topic = site_tree(self.site.name, topic)
         if membership is None:
@@ -62,12 +60,11 @@ class SiteAdmin:
             default_predicate=membership,
         ))
 
-    def hide_resource(self, node: RBayNode, attribute: str, tree: Optional[str] = None,
-                      value: Any = None) -> None:
+    def hide_resource(self, node: RBayNode, attribute: str, value: Any = None) -> None:
         """Withdraw an attribute from the plane (the admin's 'hide')."""
-        topic = tree if tree is not None else predicate_tree_name(attribute, "=",
-                                                                  value if value is not None
-                                                                  else node.attribute_value(attribute))
+        if value is None:
+            value = node.attribute_value(attribute)
+        topic = predicate_tree_name(attribute, "=", value)
         full_topic = site_tree(self.site.name, topic)
         node.unsubscribe(full_topic)
         node.remove_attribute(attribute)

@@ -80,7 +80,6 @@ class Customer:
         self,
         sql: str,
         payload: Optional[Dict[str, Any]] = None,
-        timeout: Optional[float] = None,
     ) -> Future:
         """Query with automatic re-query on shortfall.
 
@@ -90,35 +89,19 @@ class Customer:
         sim = self.home.sim
         query = parse_query(sql)
         outcome = QueryOutcome(sql=sql)
-
-        def _timed_out() -> QueryOutcome:
-            # Deadline fired mid-attempt: the caller still gets a clean
-            # QueryOutcome (never a raw FutureTimeout).
-            outcome.gave_up = True
-            outcome.total_latency_ms = sim.now - started
-            return outcome
-
-        done = Future(sim, timeout=timeout, timeout_value=_timed_out)
+        done = Future(sim)
         backoff = TruncatedExponentialBackoff(
             self.rng, slot_ms=self.backoff_slot_ms, max_attempts=self.max_attempts
         )
         started = sim.now
 
         def _attempt() -> None:
-            if done.resolved:
-                return
             outcome.attempts += 1
             future = self._query_app.execute(self.home, query, QueryOptions(
                 payload=payload, caller=self.name))
             future.add_callback(_on_result)
 
         def _on_result(result: Any) -> None:
-            if done.resolved:
-                # The caller's deadline fired while this attempt was in
-                # flight; anything it committed must be given back.
-                if not isinstance(result, Exception) and result.satisfied:
-                    self.release_all(result)
-                return
             if isinstance(result, Exception):
                 _fail_or_retry()
                 return

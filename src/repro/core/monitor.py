@@ -37,48 +37,39 @@ class UtilizationWalk:
 
 
 class SyntheticMonitor:
-    """Feeds synthetic measurements into a set of nodes' key-value maps."""
+    """Feeds synthetic utilization into a set of nodes' key-value maps."""
 
-    def __init__(
-        self,
-        sim: Simulator,
-        rng: random.Random,
-        interval_ms: float = 1_000.0,
-    ):
+    #: The attribute every tracked node's walk writes.
+    ATTRIBUTE = "CPU_utilization"
+
+    def __init__(self, sim: Simulator, rng: random.Random):
         self.sim = sim
         self.rng = rng
-        self.interval_ms = interval_ms
-        self._walks: List[tuple] = []  # (node, attribute, walk)
+        self._walks: List[tuple] = []  # (node, walk)
         self._task: Optional[PeriodicTask] = None
         self.updates_pushed = 0
 
     # ------------------------------------------------------------------
-    def track_utilization(
-        self,
-        node: RBayNode,
-        attribute: str = "CPU_utilization",
-        start: Optional[float] = None,
-        volatility: float = 8.0,
-        mean: float = 50.0,
-    ) -> None:
-        """Attach a utilization walk to ``node.attribute``."""
+    def track_utilization(self, node: RBayNode,
+                          start: Optional[float] = None) -> None:
+        """Attach a utilization walk to ``node``'s :attr:`ATTRIBUTE`."""
         initial = start if start is not None else self.rng.uniform(0.0, 100.0)
-        walk = UtilizationWalk(self.rng, initial, volatility=volatility, mean=mean)
-        if not node.has_attribute(attribute):
-            node.define_attribute(attribute, walk.value)
+        walk = UtilizationWalk(self.rng, initial)
+        if not node.has_attribute(self.ATTRIBUTE):
+            node.define_attribute(self.ATTRIBUTE, walk.value)
         else:
-            node.update_attribute(attribute, walk.value)
-        self._walks.append((node, attribute, walk))
+            node.update_attribute(self.ATTRIBUTE, walk.value)
+        self._walks.append((node, walk))
 
-    def track_many(self, nodes: Sequence[RBayNode], attribute: str = "CPU_utilization",
-                   **kwargs) -> None:
+    def track_many(self, nodes: Sequence[RBayNode]) -> None:
         for node in nodes:
-            self.track_utilization(node, attribute, **kwargs)
+            self.track_utilization(node)
 
     # ------------------------------------------------------------------
     def start(self) -> None:
+        """Step every walk once a simulated second."""
         if self._task is None:
-            self._task = self.sim.schedule_periodic(self.interval_ms, self.tick)
+            self._task = self.sim.schedule_periodic(1_000.0, self.tick)
 
     def stop(self) -> None:
         if self._task is not None:
@@ -87,10 +78,10 @@ class SyntheticMonitor:
 
     def tick(self) -> None:
         """Advance every walk and push the new values."""
-        for node, attribute, walk in self._walks:
+        for node, walk in self._walks:
             if not node.alive:
                 continue
-            node.update_attribute(attribute, walk.step())
+            node.update_attribute(self.ATTRIBUTE, walk.step())
             self.updates_pushed += 1
 
 

@@ -15,7 +15,6 @@ from typing import Any, Callable, Dict, List, Optional, Sequence
 from repro.aa.runtime import AARuntime
 from repro.core.reservation import ReservationTable
 from repro.net.site import Site
-from repro.pastry.leafset import DEFAULT_LEAF_SET_SIZE
 from repro.pastry.node import PastryNode
 from repro.pastry.nodeid import NodeId
 from repro.query.predicates import Predicate
@@ -61,11 +60,10 @@ class RBayNode(PastryNode):
         node_id: NodeId,
         site: Site,
         sim: Simulator,
-        leaf_set_size: int = DEFAULT_LEAF_SET_SIZE,
         instruction_limit: int = 100_000,
         reservation_hold_ms: float = 2_000.0,
     ):
-        super().__init__(node_id, site, leaf_set_size=leaf_set_size)
+        super().__init__(node_id, site)
         self.sim = sim
         self.aa = AARuntime(instruction_limit=instruction_limit)
         self.reservation = ReservationTable(sim, hold_ms=reservation_hold_ms)

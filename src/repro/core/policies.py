@@ -23,7 +23,7 @@ end
 """
 
 
-def password_policy(node_id: int, password: str, ip: str = "0.0.0.0") -> str:
+def password_policy(node_id: int, password: str) -> str:
     """The paper's Figure 5: expose the node only to callers with the password.
 
     The query payload arrives as a table; the password travels in
@@ -32,7 +32,7 @@ def password_policy(node_id: int, password: str, ip: str = "0.0.0.0") -> str:
     escaped = password.replace("\\", "\\\\").replace('"', '\\"')
     return f"""
 AA = {{NodeId = {node_id},
-      IP = "{ip}",
+      IP = "0.0.0.0",
       Password = "{escaped}"}}
 
 function onGet(caller, payload)

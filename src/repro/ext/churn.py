@@ -109,24 +109,14 @@ class ChurnTracker:
 class ChurnPredictor:
     """Turns histories into stability scores in [0, 1].
 
-    score = uptime^a * exp(-flap_rate / half_rate) * lease_success^b —
-    each factor in [0, 1], multiplicative so any bad signal tanks the
-    score.  Unknown nodes get the configurable prior.
+    score = uptime * exp(-flaps_per_hour / 2) * lease_success — each
+    factor in [0, 1], multiplicative so any bad signal tanks the score.
+    Unknown nodes get the configurable prior.
     """
 
-    def __init__(
-        self,
-        tracker: ChurnTracker,
-        prior: float = 0.5,
-        uptime_weight: float = 1.0,
-        flap_half_rate_per_hour: float = 2.0,
-        lease_weight: float = 1.0,
-    ):
+    def __init__(self, tracker: ChurnTracker, prior: float = 0.5):
         self.tracker = tracker
         self.prior = prior
-        self.uptime_weight = uptime_weight
-        self.flap_half_rate = flap_half_rate_per_hour
-        self.lease_weight = lease_weight
 
     def stability(self, address: int) -> float:
         """Predicted stability in [0, 1]; unknown nodes get the prior."""
@@ -134,14 +124,14 @@ class ChurnPredictor:
         if history is None:
             return self.prior
         now = self.tracker.sim.now
-        uptime = history.uptime_ratio(now) ** self.uptime_weight
-        flap = math.exp(-history.flap_rate_per_hour(now) / self.flap_half_rate)
+        uptime = history.uptime_ratio(now)
+        flap = math.exp(-history.flap_rate_per_hour(now) / 2.0)
         attempts = history.lease_completions + history.lease_failures
         if attempts == 0:
             lease = 1.0
         else:
             # Laplace-smoothed success ratio.
-            lease = ((history.lease_completions + 1) / (attempts + 2)) ** self.lease_weight
+            lease = (history.lease_completions + 1) / (attempts + 2)
         return max(0.0, min(1.0, uptime * flap * lease))
 
     def rank(self, addresses) -> List[int]:

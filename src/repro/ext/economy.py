@@ -159,11 +159,7 @@ class CostAwareCustomer(Customer):
         #: omits the field, which those gates treat as a denial.
         self.credit = credit
 
-    def buy(
-        self,
-        sql: str,
-        timeout: Optional[float] = None,
-    ) -> Future:
+    def buy(self, sql: str) -> Future:
         """Run a purchase; resolves to a QueryResult holding the kept nodes.
 
         The query's GROUPBY is forced to ``asking_price ASC`` so entries
@@ -194,7 +190,7 @@ class CostAwareCustomer(Customer):
                            satisfied=satisfied)
 
         return self.shop(sql, self.overask, QueryOptions(
-            payload=payload, caller=self.name, deadline_ms=timeout), _pick,
+            payload=payload, caller=self.name), _pick,
             order_by=PRICE_ATTRIBUTE)
 
 

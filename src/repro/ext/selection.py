@@ -84,7 +84,6 @@ class StabilityAwareCustomer(Customer):
         self,
         sql: str,
         payload: Optional[Dict[str, Any]] = None,
-        timeout: Optional[float] = None,
     ) -> Future:
         """Like query_once, but stability-ranked and trimmed to k."""
 
@@ -95,4 +94,4 @@ class StabilityAwareCustomer(Customer):
                            satisfied=wanted is None or len(kept) >= wanted)
 
         return self.shop(sql, self.overask, QueryOptions(
-            payload=payload, caller=self.name, deadline_ms=timeout), _pick)
+            payload=payload, caller=self.name), _pick)

@@ -110,8 +110,6 @@ class TableIILatencyModel(LatencyModel):
     unstable_jitter_cv:
         Jitter CV applied when either endpoint is in an unstable region
         (Asia / SA per the paper's §IV-D observation).
-    rtt_ms:
-        Override matrix keyed by (site name, site name); defaults to Table II.
     """
 
     def __init__(
@@ -119,21 +117,20 @@ class TableIILatencyModel(LatencyModel):
         rng: Optional[random.Random] = None,
         jitter_cv: float = 0.05,
         unstable_jitter_cv: float = 0.25,
-        rtt_ms: Optional[Dict[Tuple[str, str], float]] = None,
     ):
         self._rng = rng
         self._jitter_cv = jitter_cv
         self._unstable_jitter_cv = unstable_jitter_cv
-        self._rtt = dict(rtt_ms) if rtt_ms is not None else dict(EC2_RTT_MS)
 
     def base_rtt_ms(self, src: Site, dst: Site) -> float:
         """The jitter-free Table II RTT for a site pair."""
         try:
-            return self._rtt[(src.name, dst.name)]
+            return EC2_RTT_MS[(src.name, dst.name)]
         except KeyError:
             raise KeyError(
-                f"no RTT entry for ({src.name}, {dst.name}); "
-                "supply an rtt_ms override for custom site sets"
+                f"no RTT entry for ({src.name}, {dst.name}): Table II covers "
+                "only the eight EC2 sites; use SyntheticLatencyModel for "
+                "other site sets"
             ) from None
 
     def nominal_one_way_ms(self, src: Site, dst: Site) -> float:

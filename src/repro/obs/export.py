@@ -45,10 +45,10 @@ def _jsonable(value: Any) -> Any:
     return str(value)
 
 
-def to_json(spans: Iterable[Span], indent: int = 2) -> str:
+def to_json(spans: Iterable[Span]) -> str:
     """The native export: a sorted list of span dicts."""
     payload = [span_to_dict(s) for s in _sorted_spans(spans)]
-    return json.dumps(payload, indent=indent, sort_keys=True)
+    return json.dumps(payload, indent=2, sort_keys=True)
 
 
 def to_chrome_trace(spans: Iterable[Span]) -> str:

@@ -10,7 +10,7 @@ from repro.net.message import Message
 from repro.net.network import Host
 from repro.net.site import Site
 from repro.obs.spans import NULL_RECORDER
-from repro.pastry.leafset import DEFAULT_LEAF_SET_SIZE, LeafSet
+from repro.pastry.leafset import LeafSet
 from repro.pastry.nodeid import NodeId
 from repro.pastry.routing_table import NodeRef, RoutingTable
 
@@ -59,15 +59,10 @@ class PastryNode(Host):
     #: the plane assigns its ``obs.recorder`` to every node it wires.
     recorder = NULL_RECORDER
 
-    def __init__(
-        self,
-        node_id: NodeId,
-        site: Site,
-        leaf_set_size: int = DEFAULT_LEAF_SET_SIZE,
-    ):
+    def __init__(self, node_id: NodeId, site: Site):
         super().__init__(site)
         self.node_id = node_id
-        self.leaf_set = LeafSet(node_id, size=leaf_set_size)
+        self.leaf_set = LeafSet(node_id)
         self.routing_table = RoutingTable(node_id)
         self.apps: Dict[str, Application] = {}
         self.stats: Counter = Counter()
@@ -348,8 +343,8 @@ class PastryNode(Host):
         collects can replace the table without touching a caller."""
         return self.network is not None and self.network.has_host(address)
 
-    def closest_neighbors(self, key: NodeId, count: int, scope: str = "global",
-                          exclude: Optional[set] = None) -> List[NodeRef]:
+    def closest_neighbors(self, key: NodeId, count: int,
+                          scope: str = "global") -> List[NodeRef]:
         """The ``count`` live leaf-set members numerically closest to ``key``.
 
         Replica placement for the hot-tree rebalancer: these are the same
@@ -359,7 +354,7 @@ class PastryNode(Host):
         rendezvous rule.
         """
         leaf_set, _ = self._state(scope)
-        seen = {self.address} | (set(exclude) if exclude else set())
+        seen = {self.address}
         picks: List[NodeRef] = []
         for ref in sorted(leaf_set.members(),
                           key=lambda r: (r.node_id.distance(key),
@@ -396,10 +391,10 @@ class PastryNode(Host):
         if self.site_routing_table is not None:
             self.site_routing_table.remove(address)
 
-    def enable_site_scope(self, leaf_set_size: int = DEFAULT_LEAF_SET_SIZE) -> None:
+    def enable_site_scope(self) -> None:
         """Allocate the site-scoped routing state (administrative isolation)."""
         if self.site_leaf_set is None:
-            self.site_leaf_set = LeafSet(self.node_id, size=leaf_set_size)
+            self.site_leaf_set = LeafSet(self.node_id)
             self.site_routing_table = RoutingTable(self.node_id)
 
     def fail(self) -> None:

@@ -44,7 +44,6 @@ class Overlay:
         network: Network,
         streams: RandomStreams,
         registry: SiteRegistry,
-        leaf_set_size: int = DEFAULT_LEAF_SET_SIZE,
         isolation: bool = False,
         node_factory=None,
     ):
@@ -52,7 +51,6 @@ class Overlay:
         self.network = network
         self.streams = streams
         self.registry = registry
-        self.leaf_set_size = leaf_set_size
         self.isolation = isolation
         #: Callable ``(node_id, site) -> PastryNode`` used by create_node;
         #: lets higher layers (RBAY) substitute their node subclass.
@@ -65,18 +63,17 @@ class Overlay:
     # ------------------------------------------------------------------
     # Node creation
     # ------------------------------------------------------------------
-    def create_node(self, site: Site, node_id: Optional[NodeId] = None) -> PastryNode:
-        """Create and attach a node; id defaults to SHA-1 of a synthetic IP."""
-        if node_id is None:
-            node_id = NodeId.random(self.streams.stream("overlay-ids"))
+    def create_node(self, site: Site) -> PastryNode:
+        """Create and attach a node with a fresh random id."""
+        node_id = NodeId.random(self.streams.stream("overlay-ids"))
         while node_id.value in self._ids:
             node_id = NodeId.random(self.streams.stream("overlay-ids"))
         if self.node_factory is not None:
             node = self.node_factory(node_id, site)
         else:
-            node = PastryNode(node_id, site, leaf_set_size=self.leaf_set_size)
+            node = PastryNode(node_id, site)
         if self.isolation:
-            node.enable_site_scope(self.leaf_set_size)
+            node.enable_site_scope()
         self.network.attach(node)
         node.register_app(JoinApplication(self))
         self.nodes.append(node)
@@ -114,7 +111,7 @@ class Overlay:
     def _build_leaf_sets(self, nodes: Sequence[PastryNode], site_scope: bool) -> None:
         ring = sorted(nodes, key=lambda n: n.node_id.value)
         n = len(ring)
-        half = self.leaf_set_size // 2
+        half = DEFAULT_LEAF_SET_SIZE // 2
         for i, node in enumerate(ring):
             target = node.site_leaf_set if site_scope else node.leaf_set
             for step in range(1, min(half, n - 1) + 1):

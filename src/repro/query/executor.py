@@ -125,11 +125,7 @@ class _QueryContext:
         site_names: List[str],
         hierarchy: Optional["AttributeHierarchy"] = None,
         lease_ms: float = 60_000.0,
-        site_timeout_ms: float = 10_000.0,
-        probe_timeout_ms: float = 5_000.0,
-        retry_slot_ms: float = 50.0,
         retry_rng: Optional[random.Random] = None,
-        bucket_index: Optional["BucketIndex"] = None,
     ):
         from repro.core.naming import AttributeHierarchy  # lazy: avoids cycle
 
@@ -138,9 +134,11 @@ class _QueryContext:
         self.hierarchy = hierarchy if hierarchy is not None else AttributeHierarchy()
         self.gateways: Dict[str, int] = {}  # site name -> gateway address
         self.lease_ms = lease_ms
-        self.site_timeout_ms = site_timeout_ms
-        self.probe_timeout_ms = probe_timeout_ms
-        self.retry_slot_ms = retry_slot_ms
+        #: Per-site and per-probe reply timeouts; fault harnesses shorten
+        #: them on a built plane.
+        self.site_timeout_ms = 10_000.0
+        self.probe_timeout_ms = 5_000.0
+        self.retry_slot_ms = 50.0
         self.retry_rng = retry_rng if retry_rng is not None else random.Random(0)
         #: Query ids currently between ``execute()`` and settlement —
         #: the "in-flight query" ground truth the reservation-hygiene
@@ -154,7 +152,7 @@ class _QueryContext:
         #: predicates on registered attributes are routed by the plan
         #: (:mod:`repro.query.plan`) to the buckets they overlap instead
         #: of the ``direct`` one-tree-per-predicate route.
-        self.bucket_index = bucket_index if bucket_index is not None else BucketIndex()
+        self.bucket_index = BucketIndex()
 
     def set_gateway(self, site_name: str, address: int) -> None:
         self.gateways[site_name] = address
@@ -246,6 +244,9 @@ class QueryApplication(Application):
         site_futures: List[Future] = []
         fanned_out: List[str] = []
         answered: List[str] = []
+        # FROM names with no gateway: nothing is sent, and the result
+        # reports them failed (an unknown site is not an empty one).
+        unreachable: List[str] = []
         with rec.use(root_span):
             for site_name in target_sites:
                 if site_name == node.site.name:
@@ -253,6 +254,7 @@ class QueryApplication(Application):
                 else:
                     gateway = self.context.gateways.get(site_name)
                     if gateway is None:
+                        unreachable.append(site_name)
                         continue
                     future = self._ask_remote_site(
                         node, gateway, request, site_name,
@@ -270,7 +272,7 @@ class QueryApplication(Application):
             if isinstance(site_results, FutureTimeout):
                 site_results = [FutureTimeout()] * len(site_futures)
             entries: List[Dict[str, Any]] = []
-            failed_sites: List[str] = []
+            failed_sites: List[str] = list(unreachable)
             tree_sizes: Dict[str, int] = {}
             visited = 0
             # Retries spent here (remote requests, the local site's steps)

@@ -180,7 +180,8 @@ class _Parser:
             sites = [self._site_name()]
             while self.accept("punct", ","):
                 sites.append(self._site_name())
-            query.sites = sites
+            # A repeated name is one site: keep its first occurrence.
+            query.sites = list(dict.fromkeys(sites))
 
         if self.accept("kw", "where"):
             query.where = self._or_expression()

@@ -99,8 +99,6 @@ class ScribeApplication(Application):
     def __init__(
         self,
         sim: Simulator,
-        functions: Optional[Dict[str, AggregateFunction]] = None,
-        creator: str = "rbay",
         agg_flush_ms: float = 50.0,
         obs: Optional[Observability] = None,
         rebalance=None,
@@ -112,12 +110,11 @@ class ScribeApplication(Application):
         obs = obs if obs is not None else Observability()
         self.recorder = obs.recorder
         self.counters = obs.metrics
-        self.creator = creator
         #: Coalescing window for aggregation pushes: changes accumulated
         #: within this window travel upward as one update (the paper's
         #: "periodically aggregated" roll-up, §II-B3).
         self.agg_flush_ms = agg_flush_ms
-        self.functions = dict(AGGREGATE_FUNCTIONS if functions is None else functions)
+        self.functions = dict(AGGREGATE_FUNCTIONS)
         self._topics: Dict[str, TopicState] = {}
         # Debounce bookkeeping: topics with dirty aggregates awaiting the
         # node-level flush timer — one timer and one "agg_push_batch"
@@ -172,7 +169,7 @@ class ScribeApplication(Application):
         if state is None:
             topic = _intern(topic)
             state = self._topics[topic] = TopicState(
-                topic, topic_id(topic, self.creator), scope or "global"
+                topic, topic_id(topic), scope or "global"
             )
         if scope is not None:
             state.scope = scope

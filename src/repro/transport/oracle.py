@@ -23,6 +23,7 @@ from typing import Any, Dict, List, Optional
 #: Reference federation shape: small enough that the live arm runs in
 #: seconds, rich enough to cross every protocol surface (joins, AA
 #: policies, aggregation, grouping, range buckets).
+REFERENCE_SEED = 2017
 REFERENCE_SITES = 4
 REFERENCE_NODES_PER_SITE = 3
 REFERENCE_PASSWORD = "rbay"
@@ -39,13 +40,7 @@ def _canonical_entries(entries: List[Any]) -> List[str]:
     return sorted(rows)
 
 
-def run_reference_workload(
-    transport: str = "sim",
-    seed: int = 2017,
-    time_scale: float = 0.05,
-    sanitize: bool = True,
-    wire_check: bool = False,
-) -> Dict[str, Any]:
+def run_reference_workload(transport: str = "sim") -> Dict[str, Any]:
     """Run the reference federation on ``transport``; return its report.
 
     The report is a plain JSON-serializable dict: ``meta`` (shape),
@@ -58,14 +53,13 @@ def run_reference_workload(
     from repro.workloads.generator import FederationWorkload, WorkloadSpec
 
     config = RBayConfig(
-        seed=seed,
+        seed=REFERENCE_SEED,
         synthetic_sites=REFERENCE_SITES,
         nodes_per_site=REFERENCE_NODES_PER_SITE,
         jitter=False,
-        sanitize=sanitize,
+        sanitize=True,
         transport=transport,
-        time_scale=time_scale,
-        wire_check=wire_check,
+        time_scale=0.05,
     )
     plane = RBay(config).build()
     try:
@@ -158,7 +152,7 @@ def run_reference_workload(
         return {
             "meta": {
                 "transport": transport,
-                "seed": seed,
+                "seed": REFERENCE_SEED,
                 "sites": REFERENCE_SITES,
                 "nodes_per_site": REFERENCE_NODES_PER_SITE,
             },
@@ -227,15 +221,14 @@ def dump_divergences(path: str, reference: Dict[str, Any],
         fh.write("\n")
 
 
-def validate_live_against_sim(seed: int = 2017,
-                              dump_path: Optional[str] = None) -> List[str]:
+def validate_live_against_sim(dump_path: Optional[str] = None) -> List[str]:
     """The full oracle check: run both arms, compare, optionally dump.
 
     Returns the divergence list (empty means the live transport matches
     the deterministic oracle).
     """
-    reference = run_reference_workload(transport="sim", seed=seed)
-    live = run_reference_workload(transport="asyncio", seed=seed)
+    reference = run_reference_workload(transport="sim")
+    live = run_reference_workload(transport="asyncio")
     divergences = compare_reports(reference, live)
     if divergences and dump_path is not None:
         dump_divergences(dump_path, reference, live, divergences)

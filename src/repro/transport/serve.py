@@ -83,14 +83,14 @@ class PeerPlan:
                           for i, name in enumerate(site_names)}}
 
 
-def wait_for_peers(plan: PeerPlan, timeout_s: float = 30.0,
-                   poll_s: float = 0.1) -> None:
+def wait_for_peers(plan: PeerPlan, timeout_s: float = 30.0) -> None:
     """Block until node 0 of every non-owned site accepts connections.
 
     The two-phase startup barrier: every process binds its own servers
-    first, then waits here, so no workload action races a peer that has
-    not bound yet.
+    first, then waits here (polling every 0.1 s), so no workload action
+    races a peer that has not bound yet.
     """
+    poll_s = 0.1
     deadline = time.monotonic() + timeout_s
     remaining = [name for name in plan.sites if name not in plan.owned]
     while remaining:
@@ -116,7 +116,6 @@ def run_serve(
     query: Optional[str] = None,
     query_origin: Optional[str] = None,
     password: str = "rbay",
-    dress: bool = True,
     peer_timeout_s: float = 30.0,
     out=None,
 ) -> int:
@@ -124,14 +123,15 @@ def run_serve(
 
     ``config`` must already carry ``transport="asyncio"`` and
     ``transport_peers=plan``.  Every process applies the same
-    deterministic evaluation workload (``dress``) — the transport's
-    shadow suppression makes each action real exactly once.  Emits
+    deterministic evaluation workload — the transport's shadow
+    suppression makes each action real exactly once.  Emits
     machine-parseable lines on ``out`` (default stdout): ``READY``, then
     per-query ``RESULT {json}``, then ``DONE {json}`` with the
     transport's traffic counters.
     """
     from repro.core.plane import RBay
     from repro.query.options import QueryOptions
+    from repro.workloads.generator import FederationWorkload, WorkloadSpec
 
     out = out if out is not None else sys.stdout
     plane = RBay(config).build()
@@ -139,10 +139,7 @@ def run_serve(
         print(f"READY owned={','.join(sorted(plan.owned))} "
               f"hosts={plane.network.host_count}", file=out, flush=True)
         wait_for_peers(plan, timeout_s=peer_timeout_s)
-        if dress:
-            from repro.workloads.generator import FederationWorkload, WorkloadSpec
-
-            FederationWorkload(plane, WorkloadSpec(password=password)).apply()
+        FederationWorkload(plane, WorkloadSpec(password=password)).apply()
         plane.start_maintenance()
         plane.settle(settle_ms)
         if query is not None:

@@ -48,12 +48,7 @@ class QueryWorkload:
     k: int = 1
     password: str = "rbay"
 
-    def make(
-        self,
-        origin_site: str,
-        n_sites: int,
-        instance_type: Optional[str] = None,
-    ) -> Tuple[str, Dict[str, str]]:
+    def make(self, origin_site: str, n_sites: int) -> Tuple[str, Dict[str, str]]:
         """One query whose location predicate spans ``n_sites`` sites.
 
         The origin site is always included; the remaining sites are drawn
@@ -67,7 +62,7 @@ class QueryWorkload:
         else:
             others = [s for s in self.all_sites if s != origin_site]
             sites = [origin_site] + self.rng.sample(others, n_sites - 1)
-        sql = composite_query(self.rng, sites, k=self.k, instance_type=instance_type)
+        sql = composite_query(self.rng, sites, k=self.k)
         return sql, {"password": self.password}
 
     def stream(self, origin_site: str, n_sites: int, count: int):

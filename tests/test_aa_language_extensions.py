@@ -117,7 +117,7 @@ class TestMethodCalls:
 
     def test_method_in_handler(self):
         """Method syntax works in real AA handlers."""
-        from repro.aa.runtime import ActiveAttribute
+        from repro.aa.runtime import AARuntime
 
         source = """
         AA = {Tags = "gpu,fast,cheap"}
@@ -128,6 +128,6 @@ class TestMethodCalls:
           return nil
         end
         """
-        attribute = ActiveAttribute("X", 0, source)
+        attribute = AARuntime().define("X", 0, source)
         assert attribute.invoke("onGet", (0, {"want": "fast"})) == "match"
         assert attribute.invoke("onGet", (0, {"want": "slow"})) is None

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.aa.runtime import AARuntime, ActiveAttribute, HANDLER_NAMES, compile_source
+from repro.aa.runtime import AARuntime, HANDLER_NAMES, compile_source
 
 
 PASSWORD_SOURCE = """
@@ -19,13 +19,13 @@ end
 
 class TestActiveAttribute:
     def test_plain_attribute_without_handlers(self):
-        attribute = ActiveAttribute("CPU", "Intel 3.40GHz")
+        attribute = AARuntime().define("CPU", "Intel 3.40GHz")
         assert attribute.value == "Intel 3.40GHz"
         assert not attribute.has_handler("onGet")
         assert attribute.invoke("onGet", (1, 2), default="fallback") == "fallback"
 
     def test_figure5_password_handler(self):
-        attribute = ActiveAttribute("CPU", "x", PASSWORD_SOURCE)
+        attribute = AARuntime().define("CPU", "x", PASSWORD_SOURCE)
         assert attribute.invoke("onGet", ("joe", "secret")) == 27
         assert attribute.invoke("onGet", ("joe", "wrong")) is None
 
@@ -34,7 +34,7 @@ class TestActiveAttribute:
         AA = {Value = 5}
         AA.onGet = function(caller, payload) return AA.Value * 2 end
         """
-        attribute = ActiveAttribute("X", 5, source)
+        attribute = AARuntime().define("X", 5, source)
         assert attribute.has_handler("onGet")
         assert attribute.invoke("onGet", (0, 0)) == 10
 
@@ -45,42 +45,42 @@ class TestActiveAttribute:
 
     def test_value_visible_to_handler(self):
         source = "function onGet(c, p) return AA.Value + 1 end"
-        attribute = ActiveAttribute("X", 41, source)
+        attribute = AARuntime().define("X", 41, source)
         assert attribute.invoke("onGet", (0, 0)) == 42
 
     def test_handler_can_mutate_value(self):
         source = "function onDeliver(c, payload) AA.Value = payload return AA.Value end"
-        attribute = ActiveAttribute("X", 1, source)
+        attribute = AARuntime().define("X", 1, source)
         attribute.invoke("onDeliver", (0, 99))
         assert attribute.value == 99
 
     def test_set_value_updates_handler_view(self):
         source = "function onGet(c, p) return AA.Value end"
-        attribute = ActiveAttribute("X", 1, source)
+        attribute = AARuntime().define("X", 1, source)
         attribute.set_value(7)
         assert attribute.invoke("onGet", (0, 0)) == 7
 
     def test_errors_are_contained_and_logged(self):
         source = "function onGet(c, p) return nil + 1 end"
-        attribute = ActiveAttribute("X", 1, source)
+        attribute = AARuntime().define("X", 1, source)
         assert attribute.invoke("onGet", (0, 0), default="safe") == "safe"
         assert len(attribute.errors) == 1
         assert attribute.errors[0].handler == "onGet"
 
     def test_budget_exhaustion_contained(self):
         source = "function onTimer() while true do end end"
-        attribute = ActiveAttribute("X", 1, source, instruction_limit=500)
+        attribute = AARuntime(instruction_limit=500).define("X", 1, source)
         assert attribute.invoke("onTimer") is None
         assert "budget" in attribute.errors[0].message
 
     def test_dict_payload_bridged_to_table(self):
         source = "function onGet(c, payload) return payload.password end"
-        attribute = ActiveAttribute("X", 1, source)
+        attribute = AARuntime().define("X", 1, source)
         assert attribute.invoke("onGet", (0, {"password": "pw"})) == "pw"
 
     def test_list_return_bridged_to_python(self):
         source = "function onGet(c, p) return {1, 2, 3} end"
-        attribute = ActiveAttribute("X", 1, source)
+        attribute = AARuntime().define("X", 1, source)
         assert attribute.invoke("onGet", (0, 0)) == [1, 2, 3]
 
     def test_chunk_cache_shares_asts(self):

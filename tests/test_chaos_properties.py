@@ -167,8 +167,9 @@ def test_chaos_invariants(seed):
         assert not isinstance(value, FutureTimeout)
         assert isinstance(value, (QueryResult, QueryError))
         if isinstance(value, QueryResult):
-            if value.degraded:
-                assert value.failed_sites
+            assert value.degraded == bool(value.failed_sites)
+            assert set(value.sites_queried) == (set(value.sites_answered)
+                                                | set(value.failed_sites))
             if value.satisfied:
                 satisfied_ids.add(value.query_id)
 

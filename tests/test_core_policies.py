@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.aa.runtime import ActiveAttribute
+from repro.aa.runtime import AARuntime
 from repro.core.policies import (
     acl_policy,
     credit_policy,
@@ -15,7 +15,7 @@ from repro.core.policies import (
 
 
 def gate(source):
-    return ActiveAttribute("access", 0, source)
+    return AARuntime().define("access", 0, source)
 
 
 class TestOpenPolicy:

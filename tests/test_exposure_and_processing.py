@@ -53,9 +53,9 @@ class TestExposurePolicy:
         assert len(self.query(plane).entries) == 4
 
     def test_initially_hidden_gate(self):
-        from repro.aa.runtime import ActiveAttribute
+        from repro.aa.runtime import AARuntime
 
-        gate = ActiveAttribute("access", 0, exposure_policy(5, exposed=False))
+        gate = AARuntime().define("access", 0, exposure_policy(5, exposed=False))
         assert gate.invoke("onGet", ("joe", {})) is None
         gate.invoke("onDeliver", ("admin", {"exposed": True}))
         assert gate.invoke("onGet", ("joe", {})) == 5

@@ -235,51 +235,51 @@ class TestCryptoAuth:
         assert sign_challenge(alice, "c1") != sign_challenge(alice, "c2")
 
     def test_gate_accepts_valid_tag(self):
-        from repro.aa.runtime import ActiveAttribute
+        from repro.aa.runtime import AARuntime
 
         alice = KeyPair.generate("alice", seed="s1")
-        gate = ActiveAttribute("access", 0,
-                               keyed_gate_policy(7, "node-7-challenge", [alice]))
+        gate = AARuntime().define("access", 0,
+                                  keyed_gate_policy(7, "node-7-challenge", [alice]))
         payload = auth_payload(alice, "node-7-challenge")
         assert gate.invoke("onGet", ("alice", payload)) == 7
 
     def test_gate_rejects_wrong_key(self):
-        from repro.aa.runtime import ActiveAttribute
+        from repro.aa.runtime import AARuntime
 
         alice = KeyPair.generate("alice", seed="s1")
         mallory = KeyPair.generate("alice", seed="attacker")  # forged identity
-        gate = ActiveAttribute("access", 0,
-                               keyed_gate_policy(7, "node-7-challenge", [alice]))
+        gate = AARuntime().define("access", 0,
+                                  keyed_gate_policy(7, "node-7-challenge", [alice]))
         payload = auth_payload(mallory, "node-7-challenge")
         assert gate.invoke("onGet", ("alice", payload)) is None
 
     def test_tag_does_not_replay_across_nodes(self):
-        from repro.aa.runtime import ActiveAttribute
+        from repro.aa.runtime import AARuntime
 
         alice = KeyPair.generate("alice", seed="s1")
-        gate_a = ActiveAttribute("access", 0,
-                                 keyed_gate_policy(1, "challenge-A", [alice]))
-        gate_b = ActiveAttribute("access", 0,
-                                 keyed_gate_policy(2, "challenge-B", [alice]))
+        gate_a = AARuntime().define("access", 0,
+                                    keyed_gate_policy(1, "challenge-A", [alice]))
+        gate_b = AARuntime().define("access", 0,
+                                    keyed_gate_policy(2, "challenge-B", [alice]))
         payload_for_a = auth_payload(alice, "challenge-A")
         assert gate_a.invoke("onGet", ("alice", payload_for_a)) == 1
         assert gate_b.invoke("onGet", ("alice", payload_for_a)) is None
 
     def test_unknown_principal_rejected(self):
-        from repro.aa.runtime import ActiveAttribute
+        from repro.aa.runtime import AARuntime
 
         alice = KeyPair.generate("alice", seed="s1")
         eve = KeyPair.generate("eve", seed="s2")
-        gate = ActiveAttribute("access", 0,
-                               keyed_gate_policy(7, "ch", [alice]))
+        gate = AARuntime().define("access", 0,
+                                  keyed_gate_policy(7, "ch", [alice]))
         assert gate.invoke("onGet", ("eve", auth_payload(eve, "ch"))) is None
 
     def test_missing_payload_fields_rejected(self):
-        from repro.aa.runtime import ActiveAttribute
+        from repro.aa.runtime import AARuntime
 
         alice = KeyPair.generate("alice", seed="s1")
-        gate = ActiveAttribute("access", 0,
-                               keyed_gate_policy(7, "ch", [alice]))
+        gate = AARuntime().define("access", 0,
+                                  keyed_gate_policy(7, "ch", [alice]))
         assert gate.invoke("onGet", ("alice", None)) is None
         assert gate.invoke("onGet", ("alice", {})) is None
         assert gate.invoke("onGet", ("alice", {"principal": "alice"})) is None

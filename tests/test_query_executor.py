@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.plane import RBay, RBayConfig
 from repro.query.executor import QueryApplication
+from repro.query.options import QueryOptions
 from repro.workloads.generator import FederationWorkload, WorkloadSpec
 from repro.workloads.queries import QueryWorkload
 
@@ -329,3 +330,49 @@ class TestUnknownSites:
         assert result.sites_answered == ("Virginia",)
         customer.release_all(result)
         plane.sim.run()
+
+
+def gpu_plane():
+    """Four synthetic sites of eight nodes, every node posting ``GPU``."""
+    plane = RBay(RBayConfig(seed=5, synthetic_sites=4, nodes_per_site=8,
+                            jitter=False)).build()
+    for site in plane.registry:
+        admin = plane.admin(site.name)
+        for node in plane.site_nodes(site.name):
+            admin.post_resource(node, "GPU", True)
+    plane.sim.run()
+    return plane
+
+
+def run_counted(plane, sql):
+    """``(result, messages sent)`` of one query from ``Site000``."""
+    before = plane.network.messages_sent
+    result = plane.query(sql, options=QueryOptions(origin="Site000"))
+    return result, plane.network.messages_sent - before
+
+
+class TestFromList:
+    def test_site_without_gateway_is_reported_failed(self):
+        """A FROM name the federation has no gateway for used to vanish:
+        queried, never answered, yet not failed and not degraded."""
+        result, _ = run_counted(
+            gpu_plane(), "SELECT 2 FROM Site000, Nowhere WHERE GPU = true;")
+        assert result.sites_queried == ("Site000", "Nowhere")
+        assert result.sites_answered == ("Site000",)
+        assert result.failed_sites == ("Nowhere",)
+        assert set(result.sites_queried) == (set(result.sites_answered)
+                                             | set(result.failed_sites))
+        assert result.degraded == bool(result.failed_sites)
+
+    def test_duplicated_site_is_asked_once(self):
+        """``FROM Site001, Site001`` used to send a second ``site_query``
+        to the same gateway and list the site twice."""
+        twice, sent_twice = run_counted(
+            gpu_plane(), "SELECT 2 FROM Site001, Site001 WHERE GPU = true;")
+        once, sent_once = run_counted(
+            gpu_plane(), "SELECT 2 FROM Site001 WHERE GPU = true;")
+        assert sent_twice == sent_once
+        assert twice.sites_queried == once.sites_queried == ("Site001",)
+        assert twice.sites_answered == once.sites_answered
+        assert twice.failed_sites == once.failed_sites == ()
+        assert twice.entries == once.entries

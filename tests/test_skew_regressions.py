@@ -44,8 +44,7 @@ def test_recovered_node_rejoins_its_new_bucket_tree():
     spec = plane.context.bucket_index.spec_for("CPU_utilization")
     bucket = next(bk for bk in spec.buckets if bk.contains(90.0))
     site = plane.nodes[0].site.name
-    key = topic_id(site_tree(site, bucket.tree),
-                   plane.nodes[0].scribe.creator)
+    key = topic_id(site_tree(site, bucket.tree))
     root = min(plane.site_nodes(site),
                key=lambda n: (n.node_id.distance(key), n.node_id.value))
     b = next(n for n in plane.site_nodes(site) if n is not root)

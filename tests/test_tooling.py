@@ -1,7 +1,10 @@
 """Tests for ASCII plotting, query plans, the CLI, and tools/."""
 
 import importlib.util
+import io
+import subprocess
 import sys
+import tarfile
 from pathlib import Path
 
 import pytest
@@ -364,3 +367,85 @@ class TestApiChecker:
         assert api_checker.liveness_queries(tmp_path) == [
             "pastry/isolation.py:4", "pastry/overlay.py:5"]
         assert api_checker.liveness_queries() == []
+
+    def test_unset_parameter_lint(self, tmp_path):
+        """Check 11: a defaulted parameter that no call site passes — by
+        keyword, by position, or through ``*`` / ``**`` — is flagged; a
+        function nobody calls is not (there is no call to judge by)."""
+        src, calls = tmp_path / "src", tmp_path / "calls"
+        src.mkdir()
+        calls.mkdir()
+        (src / "mod.py").write_text(
+            "class Box:\n"
+            "    def __init__(self, a, b=1, c=2, *, d=3):\n"
+            "        pass\n"
+            "    def put(self, x, y=0):\n"
+            "        pass\n"
+            "    @staticmethod\n"
+            "    def make(x=0):\n"
+            "        pass\n"
+            "def helper(p=1, q=2):\n"
+            "    pass\n"
+            "def spread(u=1):\n"
+            "    pass\n"
+            "def loner(z=1):\n"
+            "    pass\n")
+        (calls / "use.py").write_text(
+            "Box(1, 2)\n"
+            "Box(0, c=5)\n"
+            "box.put(1)\n"
+            "Box.make(5)\n"
+            "helper(*args)\n"
+            "spread(**opts)\n")
+        assert api_checker.unset_parameters(src, (src, calls)) == [
+            "mod.py:2: Box(d)", "mod.py:4: Box.put(y)"]
+
+    def test_unset_parameter_lint_on_this_tree(self):
+        """Only the allow-listed parameters, each kept for a stated reason."""
+        found = [entry.split(": ", 1)[1]
+                 for entry in api_checker.unset_parameters()]
+        assert sorted(found) == sorted(api_checker.UNSET_ALLOWED)
+        assert all(api_checker.UNSET_ALLOWED.values())
+
+    def test_unset_parameter_lint_on_the_tree_it_was_written_for(self, tmp_path):
+        """On the commit before the constants were folded in, the lint
+        lists these 40: the 4 kept ones and 36 that became constants."""
+        parent = "8e02ad548cc0f06f85e6fdeebcc4d07eae52c43d"
+        if subprocess.run(["git", "-C", str(REPO), "cat-file", "-e",
+                           f"{parent}^{{commit}}"],
+                          capture_output=True).returncode != 0:
+            pytest.skip("the commit is not in this checkout's history")
+        archive = subprocess.run(["git", "-C", str(REPO), "archive", parent],
+                                 capture_output=True, check=True).stdout
+        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+            tar.extractall(tmp_path, filter="data")
+        found = api_checker.unset_parameters(
+            tmp_path / "src" / "repro",
+            tuple(tmp_path / root for root in api_checker.CALL_ROOTS))
+        assert [entry.split(": ", 1)[1] for entry in found] == [
+            "ActiveAttribute(sandbox)", "ActiveAttribute(rng)",
+            "AARuntime(rng)", "LuetteTable(initial)",
+            "GangliaClient.query(timeout)", "Sanitizer(grace_ms)",
+            "SiteAdmin(name)", "SiteAdmin.post_resource(handler_source)",
+            "SiteAdmin.hide_resource(tree)", "Customer.request(timeout)",
+            "SyntheticMonitor(interval_ms)",
+            "SyntheticMonitor.track_many(attribute)",
+            "RBayNode(leaf_set_size)", "password_policy(ip)",
+            "ChurnPredictor(uptime_weight)",
+            "ChurnPredictor(flap_half_rate_per_hour)",
+            "ChurnPredictor(lease_weight)", "CostAwareCustomer.buy(timeout)",
+            "StabilityAwareCustomer.query_stable(payload)",
+            "StabilityAwareCustomer.query_stable(timeout)",
+            "TableIILatencyModel(rtt_ms)", "to_json(indent)",
+            "PastryNode.closest_neighbors(exclude)",
+            "Overlay(leaf_set_size)", "Overlay.create_node(node_id)",
+            "_QueryContext(site_timeout_ms)", "_QueryContext(probe_timeout_ms)",
+            "_QueryContext(retry_slot_ms)", "_QueryContext(bucket_index)",
+            "ScribeApplication(functions)", "ScribeApplication(creator)",
+            "ScribeApplication._adopt_joiner(origin)",
+            "run_reference_workload(time_scale)",
+            "run_reference_workload(sanitize)",
+            "run_reference_workload(wire_check)",
+            "validate_live_against_sim(seed)", "wait_for_peers(poll_s)",
+            "run_serve(dress)", "run_serve(out)",
+            "QueryWorkload.make(instance_type)"]

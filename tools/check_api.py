@@ -34,6 +34,11 @@ And liveness has one seam: outside ``repro/transport/`` (which owns the
 host table) and ``repro/check/`` (which audits it), only
 ``PastryNode.believes_alive`` and the ``Overlay`` oracle queries may call
 ``has_host``; everything else asks ``believes_alive``.
+
+Nothing is settable that nobody sets: a defaulted parameter of a
+``src/repro`` function that has call sites in the repository, none of
+which passes it, is a constant in disguise (only the
+:data:`UNSET_ALLOWED` few are kept, each with its reason).
 """
 
 from __future__ import annotations
@@ -90,6 +95,21 @@ LIVENESS_PACKAGES = ("transport", "check")
 LIVENESS_FUNCTIONS = {
     "pastry/node.py": ("PastryNode.believes_alive",),
     "pastry/overlay.py": ("Overlay.root_of", "Overlay.live_nodes"),
+}
+
+
+#: Where check 11 looks for call sites (relative to the repository).
+CALL_ROOTS = ("src", "bench", "benchmarks", "examples", "tools", "tests")
+
+#: Defaulted parameters that no call passes, kept on purpose (check 11).
+UNSET_ALLOWED = {
+    "ScribeApplication._adopt_joiner(origin)":
+        "a handler-table entry: every handler takes (node, data, origin)",
+    "StabilityAwareCustomer.query_stable(payload)":
+        "the caller's credentials, which the query forwards to AA gates",
+    "run_serve(out)": "an I/O sink: stdout unless a caller captures it",
+    "Sanitizer(grace_ms)":
+        "liveness stage 2 (ROADMAP) turns it into a checked bound",
 }
 
 
@@ -210,6 +230,79 @@ def liveness_queries(root: Path = REPO / "src" / "repro"):
     return found
 
 
+def _functions(tree):
+    """``(class name or None, function node)`` for every function under
+    ``tree``; the class is the one the function is directly defined in."""
+    def walk(node, cls):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                yield from walk(child, child.name)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield cls, child
+                yield from walk(child, None)
+            else:
+                yield from walk(child, cls)
+    yield from walk(tree, None)
+
+
+def _defaulted(cls, function):
+    """``(positional index or None, name)`` of each defaulted parameter;
+    a method's index does not count ``self`` / ``cls``."""
+    args = function.args
+    positional = args.posonlyargs + args.args
+    static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                 for d in function.decorator_list)
+    if cls is not None and not static:
+        positional = positional[1:]
+    first = len(positional) - len(args.defaults)
+    found = [(i, p.arg) for i, p in enumerate(positional) if i >= first]
+    found += [(None, p.arg) for p, d in zip(args.kwonlyargs, args.kw_defaults)
+              if d is not None]
+    return found
+
+
+def _passes(call, index, name):
+    """Whether ``call`` passes the parameter: by keyword, by position,
+    or possibly through ``*`` / ``**``."""
+    if any(k.arg is None or k.arg == name for k in call.keywords):
+        return True
+    if any(isinstance(a, ast.Starred) for a in call.args):
+        return True
+    return index is not None and len(call.args) > index
+
+
+def unset_parameters(root: Path = REPO / "src" / "repro",
+                     call_roots=tuple(REPO / r for r in CALL_ROOTS)):
+    """``path:line: Name(param)`` (paths relative to ``root``) for every
+    defaulted parameter of a function under ``root`` that has call sites
+    under ``call_roots`` — matched by simple name, the class name for
+    ``__init__`` — none of which passes it."""
+    calls = {}
+    for call_root in call_roots:
+        for _, tree in _modules(call_root):
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    name = (func.id if isinstance(func, ast.Name) else
+                            func.attr if isinstance(func, ast.Attribute) else None)
+                    calls.setdefault(name, []).append(node)
+    found = []
+    for path, tree in _modules(root):
+        for cls, function in _functions(tree):
+            init = function.name == "__init__"
+            sites = calls.get(cls if init else function.name)
+            if not sites:
+                continue
+            label = cls if init else (f"{cls}.{function.name}" if cls
+                                      else function.name)
+            found.extend(
+                f"{path.relative_to(root).as_posix()}:{function.lineno}: "
+                f"{label}({name})"
+                for index, name in _defaulted(cls, function)
+                if not any(_passes(call, index, name) for call in sites))
+    return found
+
+
 def main() -> int:
     import repro
     import repro.check as check_pkg
@@ -315,6 +408,11 @@ def main() -> int:
     # 10. One liveness seam: ``has_host`` only behind ``believes_alive``.
     errors.extend(f"has_host called outside the liveness seam: src/repro/{entry}"
                   for entry in liveness_queries())
+
+    # 11. Nothing settable that nobody sets.
+    errors.extend(f"defaulted parameter no call site passes: src/repro/{entry}"
+                  for entry in unset_parameters()
+                  if entry.split(": ", 1)[1] not in UNSET_ALLOWED)
 
     if errors:
         return _fail(errors)
