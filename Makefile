@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test bench fingerprint ablations chaos sanitize coverage trace planner rebalance market live examples outputs clean
+.PHONY: install test bench pairs fingerprint ablations chaos sanitize coverage trace planner rebalance market live examples outputs clean
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -14,6 +14,17 @@ test:
 # workloads, end-to-end and per-layer metrics, output checks.
 bench:
 	python3 bench/run.py
+
+# Alternating parent/change pairs of one workload (tools/pairs.py): each
+# side's median and quartiles, the wins, the median gap against the
+# parent's quartile distance; fails if an exact metric moves.
+REV ?= HEAD~1
+WORKLOAD ?= query_mix
+PAIRS ?= 10
+SECONDS ?= 20
+pairs:
+	$(PYTHON) tools/pairs.py --against $(REV) --workload $(WORKLOAD) \
+	  --pairs $(PAIRS) --seconds $(SECONDS)
 
 # Behaviour fingerprint (tools/fingerprint.py): one sha256 per scenario of
 # seeds x jitter x {fault-free, faulted}, hashing every send and engine

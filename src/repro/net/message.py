@@ -23,6 +23,13 @@ the supplied size of its ``data``, and the anycast walk supplies the
 arrived size plus what the hop appended.  Every other send is walked
 once, at admission; a ``wire_check`` run compares every supplied size
 with the walk.
+
+A sender may also stamp :attr:`Message.state_version`, the version of its
+own state the payload was built from.  The Pastry leaf-set exchange does:
+a receiver that already ingested a reply built from the same version, and
+whose own state has not moved since, skips it.  Like ``size`` the slot is
+out-of-band — never encoded, not part of ``==`` — so every decoded copy
+(a live socket's, or ``wire_check``'s) reads None and is ingested in full.
 """
 
 from __future__ import annotations
@@ -124,10 +131,14 @@ class Message:
         out-of-band: never encoded, not part of ``==``, and never read as
         the size of a later send of the same object — each send is sized
         afresh or by its caller.
+    state_version:
+        Version of the sender's state the payload was built from, when the
+        sender stamps one (None otherwise).  Out-of-band like ``size``:
+        never encoded, not part of ``==``, None on every decoded copy.
     """
 
     __slots__ = ("kind", "payload", "src", "dst", "hops", "msg_id",
-                 "trace", "trace_ctx", "size")
+                 "trace", "trace_ctx", "size", "state_version")
 
     def __init__(
         self,
@@ -149,6 +160,7 @@ class Message:
         self.trace = trace
         self.trace_ctx = trace_ctx
         self.size: Optional[int] = None
+        self.state_version: Optional[int] = None
 
     def size_bytes(self) -> int:
         """Approximate wire size of this message."""

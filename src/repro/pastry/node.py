@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import cache
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.net.message import Message
 from repro.net.network import Host
@@ -22,6 +22,15 @@ def envelope_size(app_name: str, kind: str) -> int:
     of its ``data`` (the origin is an address, an 8-byte number)."""
     return Message(kind="pastry.direct", payload={
         "app": app_name, "kind": kind, "data": {}, "origin": 0}).size_bytes()
+
+
+#: Wire size of a ``pastry.ls_req`` (its one field is an address).
+_LS_REQ_SIZE = Message(kind="pastry.ls_req", payload={"origin": 0}).size_bytes()
+#: Wire size of a ``pastry.ls_rep`` with no refs, and what each ref adds
+#: (a ref is three numbers): a reply is sized as it is built.
+_LS_REP_BASE = Message(kind="pastry.ls_rep", payload={"refs": []}).size_bytes()
+_LS_REP_PER_REF = Message(kind="pastry.ls_rep",
+                          payload={"refs": [(0, 0, 0)]}).size_bytes() - _LS_REP_BASE
 
 
 class Application:
@@ -81,6 +90,10 @@ class PastryNode(Host):
         # every hit (a peer can crash without mutating our state).
         self._hop_cache: Dict[int, tuple] = {}
         self._site_hop_cache: Dict[int, tuple] = {}
+        # Per leaf-set-exchange sender: the (sender's neighborhood version,
+        # our ingest stamp) its last reply left behind.  A reply matching
+        # both provably changes nothing and is skipped (see on_message).
+        self._exchange_memo: Dict[int, Tuple[int, int]] = {}
 
     # ------------------------------------------------------------------
     # Application registry
@@ -153,19 +166,27 @@ class PastryNode(Host):
         elif kind == "pastry.route":
             self._handle_route(msg, local=False)
         elif kind == "pastry.ls_req":
-            # Leaf-set exchange: reply with our neighborhood (global and
-            # site-scoped, like announce) so the asker can refill holes
-            # left by failed nodes and relearn recovered same-site peers.
-            neighbors = {ref.address: ref for ref in self.leaf_set.members()}
-            if self.site_leaf_set is not None:
-                for ref in self.site_leaf_set.members():
-                    neighbors.setdefault(ref.address, ref)
-            refs = [(r.node_id.value, r.address, r.site_index)
-                    for r in neighbors.values()]
-            refs.append((self.node_id.value, self.address, self.site.index))
-            self.send(msg.payload["origin"], Message(kind="pastry.ls_rep",
-                                                     payload={"refs": refs}))
+            # Leaf-set exchange: reply with our neighborhood so the asker
+            # can refill holes left by failed nodes and relearn recovered
+            # same-site peers.
+            refs, size, version = self.neighborhood()
+            reply = Message(kind="pastry.ls_rep", payload={"refs": refs})
+            reply.state_version = version
+            self.send(msg.payload["origin"], reply, size)
         elif kind == "pastry.ls_rep":
+            # Ingest is idempotent: re-offering the refs of one reply to the
+            # state they produced changes nothing (a leaf-set side keeps the
+            # nearest distinct distances, a routing slot the strictly
+            # smallest proximity, a function of the two sites, and liveness
+            # stands while the epoch does).  So a reply built from the
+            # neighborhood version this sender's last reply carried, met by
+            # the stamp that ingest left, is skipped.  Decoded copies carry
+            # no version and are always ingested.
+            version = msg.state_version
+            if version is not None:
+                key = (version, self._ingest_stamp())
+                if self._exchange_memo.get(msg.src) == key:
+                    return
             believes_alive = self.believes_alive
             host = self.network.host
             nominal_one_way_ms = self.network.latency.nominal_one_way_ms
@@ -178,6 +199,8 @@ class PastryNode(Host):
                     proximity = nominal_one_way_ms(site, host(address).site)
                     add_peer(NodeRef(NodeId(id_value), address, site_index,
                                      proximity))
+            if version is not None:
+                self._exchange_memo[msg.src] = (version, self._ingest_stamp())
         else:
             self.stats["unknown_kind"] += 1
 
@@ -202,7 +225,8 @@ class PastryNode(Host):
         if removed:
             for ref in survivors[:2] + survivors[-2:]:
                 self.send(ref.address, Message(kind="pastry.ls_req",
-                                               payload={"origin": self.address}))
+                                               payload={"origin": self.address}),
+                          _LS_REQ_SIZE)
             self.stats["stabilize_repairs"] += removed
         if survivors:
             # Periodic neighbor exchange, one partner per round.  Removal
@@ -215,7 +239,8 @@ class PastryNode(Host):
             partner = (survivors[0] if self._exchange_round % 2
                        else survivors[-1])
             self.send(partner.address, Message(kind="pastry.ls_req",
-                                               payload={"origin": self.address}))
+                                               payload={"origin": self.address}),
+                      _LS_REQ_SIZE)
             self.stats["stabilize_exchanges"] += 1
         return removed
 
@@ -343,6 +368,25 @@ class PastryNode(Host):
         collects can replace the table without touching a caller."""
         return self.network is not None and self.network.has_host(address)
 
+    def liveness_epoch(self) -> int:
+        """Advances whenever a :meth:`believes_alive` answer may have
+        changed; while it stands, every belief stands.  Today it is the
+        transport's host-table epoch; evidence-fed beliefs must advance it
+        whenever one of them changes."""
+        return -1 if self.network is None else self.network.host_epoch
+
+    def _ingest_stamp(self) -> int:
+        """One number that moves whenever anything a leaf-set reply's
+        ingest reads or writes may have moved: the sum of the monotonic
+        routing-state versions (a site structure not allocated counts -1,
+        so allocating one moves the sum) and the liveness epoch."""
+        stamp = (self.leaf_set.version + self.routing_table.version
+                 + self.liveness_epoch())
+        site_leaf_set, site_table = self.site_leaf_set, self.site_routing_table
+        stamp += -1 if site_leaf_set is None else site_leaf_set.version
+        stamp += -1 if site_table is None else site_table.version
+        return stamp
+
     def closest_neighbors(self, key: NodeId, count: int,
                           scope: str = "global") -> List[NodeRef]:
         """The ``count`` live leaf-set members numerically closest to ``key``.
@@ -412,16 +456,32 @@ class PastryNode(Host):
         handler add_peers every live ref), restoring the links needed for
         routes to reach us again.
         """
-        neighbors = {ref.address: ref for ref in self.leaf_set.members()}
-        if self.site_leaf_set is not None:
-            for ref in self.site_leaf_set.members():
+        refs, size, version = self.neighborhood()
+        for _, address, _ in refs[:-1]:
+            msg = Message(kind="pastry.ls_rep", payload={"refs": refs})
+            msg.state_version = version
+            self.send(address, msg, size)
+
+    def neighborhood(self) -> Tuple[List[Tuple[int, int, int]], int, int]:
+        """What a ``pastry.ls_rep`` from this node carries: ``(refs, size,
+        version)``.
+
+        ``refs`` packs the global and site-scoped leaf-set members, then
+        this node last.  ``size`` is the reply's wire size.  ``version`` is
+        the sum of the two leaf sets' monotonic versions, so an equal sum
+        proves the same refs (the hop cache's argument).
+        """
+        leaf_set, site_leaf_set = self.leaf_set, self.site_leaf_set
+        neighbors = {ref.address: ref for ref in leaf_set.members()}
+        version = leaf_set.version
+        if site_leaf_set is not None:
+            for ref in site_leaf_set.members():
                 neighbors.setdefault(ref.address, ref)
+            version += site_leaf_set.version
         refs = [(r.node_id.value, r.address, r.site_index)
                 for r in neighbors.values()]
         refs.append((self.node_id.value, self.address, self.site.index))
-        for address in neighbors:
-            self.send(address, Message(kind="pastry.ls_rep",
-                                       payload={"refs": refs}))
+        return refs, _LS_REP_BASE + _LS_REP_PER_REF * len(refs), version
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<PastryNode {self.node_id.hex()[:8]}… addr={self.address} site={self.site.name}>"

@@ -183,6 +183,9 @@ class Transport:
         self.processing_ms = processing_ms
         self._hosts: Dict[int, Host] = {}
         self._next_address = 0
+        #: Advances on every attach, detach and reattach: while it stands,
+        #: every ``has_host`` answer stands.
+        self.host_epoch = 0
         self.messages_sent = 0
         self.messages_delivered = 0
         self.messages_dropped = 0
@@ -214,6 +217,7 @@ class Transport:
         host.address = address
         host.network = self
         self._hosts[address] = host
+        self.host_epoch += 1
         self._host_up(host)
         return address
 
@@ -222,6 +226,7 @@ class Transport:
         if host.address in self._hosts:
             del self._hosts[host.address]
         host.alive = False
+        self.host_epoch += 1
         self._host_down(host)
 
     def reattach(self, host: Host) -> None:
@@ -239,6 +244,7 @@ class Transport:
         self._hosts[host.address] = host
         host.network = self
         host.alive = True
+        self.host_epoch += 1
         self._host_up(host)
 
     def _host_up(self, host: Host) -> None:

@@ -8,12 +8,23 @@ read it, and none of them may move.
 """
 
 import math
+import random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.net import message as message_module
+from repro.net.latency import UniformLatencyModel, make_ec2_registry
 from repro.net.message import Message, _estimate_size
+from repro.net.network import Network
+from repro.pastry.leafset import LeafSet
+from repro.pastry.node import (_LS_REP_BASE, _LS_REP_PER_REF, _LS_REQ_SIZE,
+                               PastryNode)
+from repro.pastry.nodeid import NodeId
+from repro.sim.engine import Simulator
+from repro.sim.random_streams import RandomStreams
+from repro.transport.codec import decode_message, encode_message
+from tests.conftest import build_overlay
 from tests.test_transport_wire_golden import CORPUS, _message
 
 
@@ -123,3 +134,100 @@ def test_golden_wire_messages_keep_their_sizes():
         assert sizes[entry["name"]] == (24 + reference_size(msg.kind)
                                         + reference_size(msg.payload))
     assert sizes == GOLDEN_SIZES
+
+
+# ----------------------------------------------------------------------
+# The leaf-set exchange sizes its sends as it builds them: every supplied
+# size must equal the walk (a ``wire_check`` network raises otherwise).
+# ----------------------------------------------------------------------
+
+def test_exchange_size_constants():
+    assert _LS_REQ_SIZE == 51
+    assert _LS_REQ_SIZE == Message(kind="pastry.ls_req",
+                                   payload={"origin": 2**40}).size_bytes()
+    for n in range(41):
+        refs = [(2**127 + k, k, k % 8) for k in range(n)]
+        assert (_LS_REP_BASE + _LS_REP_PER_REF * n
+                == Message(kind="pastry.ls_rep",
+                           payload={"refs": refs}).size_bytes())
+
+
+def _hub(peers):
+    """A node whose leaf set is wide enough to hold ``peers`` others, all
+    of them on one ``wire_check`` network (sites round-robin)."""
+    sim = Simulator()
+    network = Network(sim, UniformLatencyModel(0.5), wire_check=True)
+    sites = list(make_ec2_registry())
+    rng = random.Random(peers)
+    nodes = []
+    for k in range(peers + 1):
+        node = PastryNode(NodeId.random(rng), sites[k % len(sites)])
+        network.attach(node)
+        nodes.append(node)
+    hub = nodes[0]
+    hub.leaf_set = LeafSet(hub.node_id, size=2 * (peers + 1))
+    hub.enable_site_scope()
+    for peer in nodes[1:]:
+        hub.add_peer(peer.ref())
+    return sim, network, nodes
+
+
+def test_every_exchange_send_is_sized_as_the_walk():
+    """Hubs with 0-39 neighbors (1-40 refs): announce, the ls_req repair
+    and exchange sends of stabilize, and the replies they draw."""
+    for peers in range(40):
+        sim, network, nodes = _hub(peers)
+        hub = nodes[0]
+        seen = []
+        network.set_delivery_hook(lambda m: seen.append(
+            (m.kind, m.size, m.size_bytes())))
+        hub.announce()
+        if peers >= 2:
+            nodes[1].fail()  # stabilize then sends its repair requests too
+        hub.stabilize()
+        sim.run()
+        refs, size, _ = hub.neighborhood()
+        assert len(refs) == len(hub.leaf_set) + 1
+        assert size == Message(kind="pastry.ls_rep",
+                               payload={"refs": refs}).size_bytes()
+        kinds = {kind for kind, _, _ in seen}
+        assert kinds == ({"pastry.ls_rep", "pastry.ls_req"} if peers else set())
+        assert all(supplied == walked for _, supplied, walked in seen)
+
+
+def test_crash_recovery_under_wire_check_sizes_every_send():
+    """Crashes, repair rounds and announced recoveries on a site-scoped
+    overlay whose network checks every supplied size (no WireSizeError)."""
+    sim = Simulator()
+    network = Network(sim, UniformLatencyModel(0.5), wire_check=True)
+    overlay = build_overlay(sim, network, RandomStreams(5), make_ec2_registry(),
+                            per_site=4, isolation=True)
+    victims = overlay.nodes[::3]
+    for victim in victims:
+        victim.fail()
+    for _ in range(3):
+        for node in overlay.live_nodes():
+            node.stabilize()
+        sim.run()
+    for victim in victims:
+        network.reattach(victim)
+        victim.announce()
+    for _ in range(3):
+        for node in overlay.live_nodes():
+            node.stabilize()
+        sim.run()
+    assert {"pastry.ls_rep", "pastry.ls_req"} <= network.wire_kinds_seen
+    assert network.wire_checked > 0
+
+
+def test_out_of_band_slots_never_reach_the_wire():
+    """``size`` and ``state_version`` are not encoded and not part of
+    ``==``; a decoded copy carries neither."""
+    for entry in CORPUS:
+        msg = _message(entry["message"])
+        body = encode_message(msg)
+        msg.size, msg.state_version = 4096, 2**40
+        assert encode_message(msg) == body
+        assert msg == _message(entry["message"])
+        decoded = decode_message(body)
+        assert decoded.size is None and decoded.state_version is None

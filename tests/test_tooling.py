@@ -368,6 +368,29 @@ class TestApiChecker:
             "pastry/isolation.py:4", "pastry/overlay.py:5"]
         assert api_checker.liveness_queries() == []
 
+    def test_liveness_epoch_lint(self, tmp_path):
+        """Check 10 also confines reads of the transport's ``host_epoch``
+        to the seam: ``PastryNode.liveness_epoch`` may read it, a stray
+        stamp that reads it past the seam is flagged."""
+        for package in ("pastry", "scribe", "transport"):
+            (tmp_path / package).mkdir()
+        (tmp_path / "pastry" / "node.py").write_text(
+            "class PastryNode:\n"
+            "    def liveness_epoch(self):\n"
+            "        return self.network.host_epoch\n"
+            "    def _ingest_stamp(self):\n"
+            "        return self.leaf_set.version + self.network.host_epoch\n")
+        (tmp_path / "scribe" / "scribe.py").write_text(
+            "def stamp(node):\n    return node.liveness_epoch()\n"
+            "def stray(node):\n    return node.network.host_epoch\n")
+        (tmp_path / "transport" / "base.py").write_text(
+            "class Transport:\n"
+            "    def attach(self, host):\n"
+            "        self.host_epoch += 1\n"
+            "        return self.host_epoch\n")
+        assert api_checker.liveness_queries(tmp_path) == [
+            "pastry/node.py:5", "scribe/scribe.py:4"]
+
     def test_unset_parameter_lint(self, tmp_path):
         """Check 11: a defaulted parameter that no call site passes — by
         keyword, by position, or through ``*`` / ``**`` — is flagged; a
@@ -449,3 +472,41 @@ class TestApiChecker:
             "validate_live_against_sim(seed)", "wait_for_peers(poll_s)",
             "run_serve(dress)", "run_serve(out)",
             "QueryWorkload.make(instance_type)"]
+
+
+class TestPairs:
+    """``tools/pairs.py``: the claim statistics and the exact-metric gate."""
+
+    @pytest.fixture
+    def pairs(self, monkeypatch):
+        monkeypatch.syspath_prepend(str(REPO / "tools"))
+        return load_module("pairs", REPO / "tools" / "pairs.py")
+
+    @staticmethod
+    def _pair(metric, parent, change):
+        return {side: {"metrics": {metric: {"value": value}}}
+                for side, value in (("parent", parent), ("change", change))}
+
+    def test_claim_statistics(self, pairs):
+        runs = [self._pair("ops_per_s", 100 + i, 120 + i) for i in range(10)]
+        runs[0] = self._pair("ops_per_s", 100, 100)  # a tie: no win
+        summary = pairs.summarize(runs, "ops_per_s")
+        assert (summary["wins"], summary["losses"]) == (9, 0)
+        assert summary["parent"] == [102.25, 104.5, 106.75]
+        assert summary["parent_quartile_distance"] == 4.5
+        assert summary["gap"] == 20.0 and summary["holds"]
+
+    def test_lower_is_better_reads_benchmark_json(self, pairs):
+        runs = [self._pair("setup_s", 1.0, 0.5 if i % 2 else 1.5)
+                for i in range(10)]
+        summary = pairs.summarize(runs, "setup_s")
+        assert (summary["wins"], summary["losses"]) == (5, 5)
+        assert not summary["holds"]
+
+    def test_an_exact_metric_that_moves_fails(self, pairs):
+        def run(side, msgs):
+            return {"side": side, "correct": True, "failed": 0,
+                    "attempted": 4, "metrics": {"msgs_per_op": {"value": msgs}}}
+        assert pairs._exact_errors([run("parent", 2.0), run("change", 2.0)]) == []
+        assert pairs._exact_errors([run("parent", 2.0), run("change", 2.5)]) == [
+            "run 1 (change): msgs_per_op 2.5 != 2.0"]

@@ -32,8 +32,10 @@ allowed import.
 
 And liveness has one seam: outside ``repro/transport/`` (which owns the
 host table) and ``repro/check/`` (which audits it), only
-``PastryNode.believes_alive`` and the ``Overlay`` oracle queries may call
-``has_host``; everything else asks ``believes_alive``.
+``PastryNode.believes_alive`` / ``PastryNode.liveness_epoch`` and the
+``Overlay`` oracle queries may call ``has_host`` or read the transport's
+``host_epoch``; everything else asks ``believes_alive`` (and
+``liveness_epoch`` for how long its answers stand).
 
 Nothing is settable that nobody sets: a defaulted parameter of a
 ``src/repro`` function that has call sites in the repository, none of
@@ -89,11 +91,14 @@ DENY_DOC_PATTERNS = (
 #: The docs check 7 scans for retired spellings.
 DENY_DOCS = (DOCS, API_DOCS, REPO / "README.md", REPO / "DESIGN.md")
 
-#: Where ``has_host`` may be called (check 10): whole packages, and the
-#: named functions of single modules (paths relative to ``src/repro``).
+#: The transport's liveness surface: the host-table probe and its epoch.
+LIVENESS_READS = ("has_host", "host_epoch")
+
+#: Where the liveness surface may be read (check 10): whole packages, and
+#: the named functions of single modules (paths relative to ``src/repro``).
 LIVENESS_PACKAGES = ("transport", "check")
 LIVENESS_FUNCTIONS = {
-    "pastry/node.py": ("PastryNode.believes_alive",),
+    "pastry/node.py": ("PastryNode.believes_alive", "PastryNode.liveness_epoch"),
     "pastry/overlay.py": ("Overlay.root_of", "Overlay.live_nodes"),
 }
 
@@ -202,22 +207,22 @@ def telemetry_imports(root: Path = REPO / "src" / "repro"):
     return found
 
 
-def _has_host_calls(node, scope=()):
-    """``(enclosing Class.function, line)`` of every ``.has_host(...)``
-    call under ``node``."""
+def _liveness_reads(node, scope=()):
+    """``(enclosing Class.function, line)`` of every ``.has_host`` /
+    ``.host_epoch`` attribute read under ``node``."""
     for child in ast.iter_child_nodes(node):
         inner = scope
         if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             inner = scope + (child.name,)
-        elif (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
-                and child.func.attr == "has_host"):
+        elif (isinstance(child, ast.Attribute) and isinstance(child.ctx, ast.Load)
+                and child.attr in LIVENESS_READS):
             yield ".".join(scope), child.lineno
-        yield from _has_host_calls(child, inner)
+        yield from _liveness_reads(child, inner)
 
 
 def liveness_queries(root: Path = REPO / "src" / "repro"):
     """``path:line`` (paths relative to ``root``) for every ``has_host``
-    call outside the one liveness seam."""
+    call or ``host_epoch`` read outside the one liveness seam."""
     found = []
     for path, tree in _modules(root):
         relative = path.relative_to(root)
@@ -225,7 +230,7 @@ def liveness_queries(root: Path = REPO / "src" / "repro"):
             continue
         allowed = LIVENESS_FUNCTIONS.get(relative.as_posix(), ())
         found.extend(f"{relative.as_posix()}:{line}"
-                     for where, line in _has_host_calls(tree)
+                     for where, line in _liveness_reads(tree)
                      if where not in allowed)
     return found
 
@@ -405,8 +410,9 @@ def main() -> int:
     errors.extend(f"telemetry class imported outside repro/obs: src/repro/{entry}"
                   for entry in telemetry_imports())
 
-    # 10. One liveness seam: ``has_host`` only behind ``believes_alive``.
-    errors.extend(f"has_host called outside the liveness seam: src/repro/{entry}"
+    # 10. One liveness seam: ``has_host`` / ``host_epoch`` only behind
+    # ``believes_alive`` / ``liveness_epoch``.
+    errors.extend(f"liveness read outside the seam: src/repro/{entry}"
                   for entry in liveness_queries())
 
     # 11. Nothing settable that nobody sets.

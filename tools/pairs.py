@@ -1,0 +1,193 @@
+#!/usr/bin/env python3
+"""Alternating parent/change pairs of one benchmark workload.
+
+A speed claim on this repository is settled by pairs run in one sitting:
+the parent and the change each run the same workload for the same
+seconds, in turn, with the side that goes first flipping every pair.  A
+gain is claimed when the change wins at least nine pairs in ten (ties
+count for neither) and the medians differ by more than the parent's
+quartile distance.  This tool runs them and does the arithmetic:
+
+* REV's ``src/`` is exported with ``git archive`` (as
+  ``tools/fingerprint.py --against`` does: nothing fetched, no worktree)
+  next to a copy of *this* tree's ``bench/`` and ``BENCHMARK.json``, so
+  both sides run identical benchmark code;
+* every run is ``bench/run.py --workload W --seed N --seconds S --trace T``
+  and its last stdout line (one JSON object) is kept;
+* it prints, per metric, each side's median and quartiles and the
+  change's ratio to the parent, and for the claimed ``--metric`` the wins,
+  the median gap and the parent's quartile distance;
+* it exits 1 if any run failed its output check or any exact metric
+  (message counts, bytes, satisfied fraction, simulated latencies,
+  executed events) differs between any two runs, either side.
+
+Usage, from the repository root::
+
+    python tools/pairs.py --against HEAD~1 --workload query_mix --seconds 20
+    python tools/pairs.py --against HEAD~1 --workload market --pairs 6 \\
+        --seconds 6 --json pairs-market.json
+
+``make pairs`` runs the first line (``REV``, ``WORKLOAD``, ``PAIRS`` and
+``SECONDS`` override).
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import shutil
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import Dict, List, Optional, Sequence
+
+from fingerprint import _export
+
+ROOT = Path(__file__).resolve().parent.parent
+
+#: Metrics a behaviour-preserving change must reproduce bit for bit.
+EXACT = ("msgs_per_op", "bytes_per_msg", "satisfied_frac",
+         "sim_latency_ms_p50", "sim_latency_ms_p90", "sim.events_executed",
+         "net.messages_sent", "net.bytes_sent")
+
+
+def _better(metric: str) -> str:
+    """``higher`` or ``lower``, from BENCHMARK.json (``higher`` if unlisted)."""
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())
+    for entry in declared["end_to_end"] + declared["per_layer"]:
+        if entry["name"] == metric:
+            return entry["better"]
+    return "higher"
+
+
+def _run(tree: Path, args: argparse.Namespace) -> dict:
+    argv = [sys.executable, str(tree / "bench" / "run.py"),
+            "--workload", args.workload, "--seed", str(args.seed),
+            "--seconds", str(args.seconds), "--trace", str(args.trace)]
+    out = subprocess.run(argv, check=True, capture_output=True, text=True).stdout
+    return json.loads(out.strip().splitlines()[-1])
+
+
+def _quartiles(values: Sequence[float]) -> List[float]:
+    """``[q1, median, q3]`` (inclusive method; one value is its own)."""
+    if len(values) == 1:
+        return [values[0]] * 3
+    return statistics.quantiles(values, n=4, method="inclusive")
+
+
+def _exact_errors(runs: List[dict]) -> List[str]:
+    errors = [f"run {index} ({run['side']}): correct={run['correct']} "
+              f"failed={run['failed']}"
+              for index, run in enumerate(runs)
+              if not run["correct"] or run["failed"]]
+    first = runs[0]
+    for index, run in enumerate(runs[1:], 1):
+        if run["attempted"] != first["attempted"]:
+            errors.append(f"run {index} ({run['side']}): attempted "
+                          f"{run['attempted']} != {first['attempted']}")
+        for name in EXACT:
+            want = first["metrics"].get(name, {}).get("value")
+            have = run["metrics"].get(name, {}).get("value")
+            if have != want:
+                errors.append(f"run {index} ({run['side']}): {name} "
+                              f"{have} != {want}")
+    return errors
+
+
+def summarize(pairs: List[Dict[str, dict]], metric: str) -> dict:
+    """The claim's statistics for ``metric`` over ``pairs`` (each a
+    ``{"parent": run, "change": run}``)."""
+    sign = 1 if _better(metric) == "higher" else -1
+    parent = [p["parent"]["metrics"][metric]["value"] for p in pairs]
+    change = [p["change"]["metrics"][metric]["value"] for p in pairs]
+    wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+    losses = sum(sign * (c - p) < 0 for p, c in zip(parent, change))
+    q_parent, q_change = _quartiles(parent), _quartiles(change)
+    gap = sign * (q_change[1] - q_parent[1])
+    spread = q_parent[2] - q_parent[0]
+    return {"metric": metric, "pairs": len(pairs), "wins": wins,
+            "losses": losses, "parent": q_parent, "change": q_change,
+            "gap": gap, "parent_quartile_distance": spread,
+            "holds": wins * 10 >= 9 * len(pairs) and gap > spread}
+
+
+def _table(pairs: List[Dict[str, dict]]) -> None:
+    names = sorted(name for name, entry in pairs[0]["parent"]["metrics"].items()
+                   if isinstance(entry.get("value"), (int, float))
+                   and name not in EXACT)
+    print(f"{'metric':34s} {'parent median [q1, q3]':>34s} "
+          f"{'change median [q1, q3]':>34s} {'ratio':>7s}")
+    for name in names:
+        cells = []
+        for side in ("parent", "change"):
+            q1, median, q3 = _quartiles(
+                [p[side]["metrics"][name]["value"] for p in pairs])
+            cells.append((median, f"{median:.4g} [{q1:.4g}, {q3:.4g}]"))
+        ratio = cells[1][0] / cells[0][0] if cells[0][0] else float("nan")
+        print(f"{name:34s} {cells[0][1]:>34s} {cells[1][1]:>34s} {ratio:7.3f}")
+
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    parser = argparse.ArgumentParser(
+        description="Alternating parent/change benchmark pairs "
+                    "(see the module docstring).")
+    parser.add_argument("--against", metavar="REV", required=True,
+                        help="the parent commit")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seconds", type=float, default=20.0)
+    parser.add_argument("--seed", type=int, default=2017)
+    parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
+    parser.add_argument("--metric", default="ops_per_s",
+                        help="the claimed metric (default: ops_per_s)")
+    parser.add_argument("--json", metavar="PATH",
+                        help="also write every run and the summary here")
+    args = parser.parse_args(argv)
+    with tempfile.TemporaryDirectory(prefix="pairs-") as tmp:
+        parent_tree = _export(args.against, Path(tmp) / "rev").parent
+        shutil.copytree(ROOT / "bench", parent_tree / "bench",
+                        ignore=shutil.ignore_patterns("out", "__pycache__"))
+        shutil.copy(ROOT / "BENCHMARK.json", parent_tree)
+        trees = {"parent": parent_tree, "change": ROOT}
+        pairs: List[Dict[str, dict]] = []
+        runs: List[dict] = []
+        for index in range(args.pairs):
+            order = ("change", "parent") if index % 2 else ("parent", "change")
+            pair = {}
+            for side in order:
+                pair[side] = _run(trees[side], args)
+                runs.append(dict(pair[side], side=side))
+            pairs.append(pair)
+            value = {side: pair[side]["metrics"][args.metric]["value"]
+                     for side in order}
+            print(f"pair {index + 1:2d} ({order[0]} first): parent "
+                  f"{value['parent']:.4g}  change {value['change']:.4g}",
+                  flush=True)
+    _table(pairs)
+    summary = summarize(pairs, args.metric)
+    q_parent, q_change = summary["parent"], summary["change"]
+    print(f"{args.metric} on {args.workload} (seed {args.seed}, "
+          f"{args.seconds:g} s, against {args.against}): parent "
+          f"{q_parent[1]:.4g} -> change {q_change[1]:.4g} "
+          f"({q_change[1] / q_parent[1] - 1:+.1%}); wins "
+          f"{summary['wins']}/{summary['pairs']}, losses {summary['losses']}; "
+          f"median gap {summary['gap']:.4g} vs parent quartile distance "
+          f"{summary['parent_quartile_distance']:.4g}: "
+          f"{'gain holds' if summary['holds'] else 'no claimable gain'}")
+    errors = _exact_errors(runs)
+    for error in errors:
+        print(f"pairs: FAIL: {error}")
+    if not errors:
+        print(f"exact metrics identical across all {len(runs)} runs")
+    if args.json:
+        Path(args.json).write_text(json.dumps(
+            {"against": args.against, "workload": args.workload,
+             "seed": args.seed, "seconds": args.seconds, "trace": args.trace,
+             "pairs": pairs, "summary": summary}, indent=1) + "\n")
+    return 1 if errors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
