@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test bench pairs fingerprint ablations chaos sanitize coverage trace planner rebalance market live examples outputs clean
+.PHONY: install test bench pairs gc fingerprint ablations chaos sanitize coverage trace planner rebalance market live examples outputs clean
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -25,6 +25,14 @@ SECONDS ?= 20
 pairs:
 	$(PYTHON) tools/pairs.py --against $(REV) --workload $(WORKLOAD) \
 	  --pairs $(PAIRS) --seconds $(SECONDS)
+
+# What the garbage collector costs one workload (tools/gc_census.py):
+# collections, pause seconds and freed objects per generation, inside the
+# measured slices and elsewhere, and the tracked objects after set-up.
+# publish_storm unless WORKLOAD is given on the command line.
+gc: WORKLOAD = publish_storm
+gc:
+	$(PYTHON) tools/gc_census.py --workload $(WORKLOAD)
 
 # Behaviour fingerprint (tools/fingerprint.py): one sha256 per scenario of
 # seeds x jitter x {fault-free, faulted}, hashing every send and engine

@@ -71,7 +71,8 @@ class ActiveAttribute:
     """One resource attribute with optional procedural handlers.
 
     Built by :meth:`AARuntime.define`, which hands every attribute of a
-    node the runtime's one budget-metered interpreter.
+    node that has handler source the runtime's one budget-metered
+    interpreter (None to the others).
     """
 
     __slots__ = (
@@ -80,7 +81,7 @@ class ActiveAttribute:
     )
 
     def __init__(self, name: str, value: Any, source: Optional[str],
-                 interpreter: Interpreter):
+                 interpreter: Optional[Interpreter]):
         self.name = name
         self.value = value
         self.source = source
@@ -159,17 +160,29 @@ class AARuntime:
     The stdlib environment and the budget-metered interpreter are shared
     across the node's attributes (the stdlib is immutable from inside
     chunks thanks to environment boundaries); each attribute gets its own
-    chunk environment and AA table.
+    chunk environment and AA table.  The sandbox is built when it is first
+    needed — by the first attribute with handler source — so a node whose
+    attributes are all plain values holds none.
     """
 
     def __init__(self, instruction_limit: int = DEFAULT_INSTRUCTION_LIMIT):
-        self.interpreter = Interpreter(make_sandbox_globals(), instruction_limit)
+        self._instruction_limit = instruction_limit
+        self._interpreter: Optional[Interpreter] = None
         self.attributes: Dict[str, ActiveAttribute] = {}
+
+    @property
+    def interpreter(self) -> Interpreter:
+        """This node's budget-metered interpreter over its own sandbox."""
+        if self._interpreter is None:
+            self._interpreter = Interpreter(make_sandbox_globals(),
+                                            self._instruction_limit)
+        return self._interpreter
 
     # ------------------------------------------------------------------
     def define(self, name: str, value: Any, source: Optional[str] = None) -> ActiveAttribute:
         """Create (or replace) an attribute; ``source`` attaches handlers."""
-        attribute = ActiveAttribute(name, value, source, self.interpreter)
+        attribute = ActiveAttribute(name, value, source,
+                                    None if source is None else self.interpreter)
         self.attributes[name] = attribute
         return attribute
 

@@ -25,6 +25,13 @@ from repro.sim.futures import Future, RequestTable
 
 _request_ids = itertools.count(1)
 
+#: Size of an ``agg_push_batch``'s data with no updates (``child`` is three
+#: numbers), and of one update's keys: a batch is sized as it is built,
+#: each update adding these keys plus its topic, aggregate name and
+#: accumulator.
+_PUSH_BATCH_BASE = _estimate_size({"child": (0, 0, 0), "updates": []})
+_PUSH_UPDATE_KEYS = _estimate_size({"topic": "", "agg": "", "acc": ""})
+
 #: Visitor invoked at each member during anycast DFS.  Returns
 #: ``(state, satisfied)``: the state dict the walk carries on — the one it
 #: was given when the member added nothing, else a new dict, never the
@@ -726,13 +733,20 @@ class ScribeApplication(Application):
         self._flush_event = None
         dirty_topics, self._dirty_topics = self._dirty_topics, {}
         batches: Dict[int, List[Dict[str, Any]]] = {}
+        sizes: Dict[int, int] = {}
         believes_alive = node.believes_alive
         for state in dirty_topics.values():
             for agg_name, acc in self._changed_accs(state):
-                if believes_alive(state.parent):
-                    batches.setdefault(state.parent, []).append({
+                parent = state.parent
+                if believes_alive(parent):
+                    batches.setdefault(parent, []).append({
                         "topic": state.topic, "agg": agg_name, "acc": acc,
                     })
+                    sizes[parent] = (sizes.get(parent, _PUSH_BATCH_BASE)
+                                     + _PUSH_UPDATE_KEYS
+                                     + _estimate_size(state.topic)
+                                     + _estimate_size(agg_name)
+                                     + _estimate_size(acc))
             if state.replicas:
                 # Root snapshot coherence: dirty aggregates at a replicated
                 # root re-sync the replicas on the same debounce cadence as
@@ -742,7 +756,7 @@ class ScribeApplication(Application):
         for parent, updates in batches.items():
             node.send_app(parent, self.name, "agg_push_batch", {
                 "child": packed, "updates": updates,
-            })
+            }, sizes[parent])
 
     def _repush_all(self, node: PastryNode, state: TopicState) -> None:
         state.last_pushed.clear()

@@ -12,13 +12,39 @@ never reaches the rest.  A ``post`` keeps its call in the tuple (``handle``
 ``None``); a ``schedule`` keeps it on the cancellable :class:`Event` it
 stores as ``handle``.  :meth:`Simulator._drain` alone pops the heap: ``run``,
 ``run_until`` and ``step`` are that loop under different stops.
+
+While it drains, CPython's generation-0 threshold is
+:data:`DRAIN_GC_THRESHOLD` (see there for why).  Nothing in the simulation
+reads the collector: ``src/`` holds no ``weakref``, no ``__del__`` and no
+``gc`` call besides this one, so the threshold moves wall time only, never
+an event, a message or an outcome.
 """
 
 from __future__ import annotations
 
+import gc
 import heapq
 import itertools
 from typing import Any, Callable, Optional
+
+
+#: CPython's generation-0 threshold while :meth:`Simulator._drain` runs
+#: (the interpreter's default is 700).  A publish wave of the 1,024-node
+#: ``publish_storm`` keeps thousands of tracked objects in flight: at 700
+#: they outlive young passes and are promoted before they die by
+#: refcount, and every eleventh generation-1 pass then starts a full
+#: collection that walks the whole federation (200-300 k long-lived
+#: objects) and frees nothing.  The sweep (``tools/gc_census.py
+#: --threshold N``; generation 0 / 1 / 2 collections in the measured
+#: slices of two repetitions): 700 2,380 / 216 / 20; 5 k 450 / 40 / 4;
+#: 10 k 230 / 22 / 2; 20 k and 50 k 218 / 20 / 2.  From 20 k on, the only
+#: young passes left are the ones a drain's exit triggers when it puts
+#: the caller's threshold back (a 50-ms slice's drain ends with a count
+#: of up to about 15 k), so 20 k is the smallest value tried at which no
+#: collection runs inside a drain.  The price is a bound: at most this many tracked
+#: objects of cyclic garbage wait for the next young pass, and the query
+#: path makes none (EXPERIMENTS.md, "The query path leaves no garbage").
+DRAIN_GC_THRESHOLD = 20_000
 
 
 class SimulationError(RuntimeError):
@@ -195,32 +221,45 @@ class Simulator(EngineBase):
         in this order: ``stop()``; is anything still due by ``until``; have
         ``max_events`` run.  True when it ran out of due work (the caller may
         move the clock to ``until``), False when ``stop()`` or ``max_events``
-        ended it first."""
-        executed = 0
-        heap = self._heap
-        pop = heapq.heappop
-        while True:
-            if stop is not None and stop():
-                return False
-            if not heap:
-                return True
-            time, seq, handle, callback, args = heap[0]
-            if handle is not None:
-                if handle.cancelled:
-                    pop(heap)
-                    continue
-                callback, args = handle.callback, handle.args
-            if until is not None and time > until:
-                return True
-            if max_events is not None and executed >= max_events:
-                return False
-            pop(heap)
-            self._now = time
-            self._events_executed += 1
-            executed += 1
-            if self._step_hook is not None:
-                self._step_hook(time, seq)
-            callback(*args)
+        ended it first.
+
+        The generation-0 threshold is raised to :data:`DRAIN_GC_THRESHOLD`
+        for the loop and put back as it was on every exit; a caller's
+        threshold of 0 (collector off) or above the constant is left alone,
+        so a nested drain inherits its outer drain's and changes nothing."""
+        threshold = gc.get_threshold()
+        raised = 0 < threshold[0] < DRAIN_GC_THRESHOLD
+        if raised:
+            gc.set_threshold(DRAIN_GC_THRESHOLD)
+        try:
+            executed = 0
+            heap = self._heap
+            pop = heapq.heappop
+            while True:
+                if stop is not None and stop():
+                    return False
+                if not heap:
+                    return True
+                time, seq, handle, callback, args = heap[0]
+                if handle is not None:
+                    if handle.cancelled:
+                        pop(heap)
+                        continue
+                    callback, args = handle.callback, handle.args
+                if until is not None and time > until:
+                    return True
+                if max_events is not None and executed >= max_events:
+                    return False
+                pop(heap)
+                self._now = time
+                self._events_executed += 1
+                executed += 1
+                if self._step_hook is not None:
+                    self._step_hook(time, seq)
+                callback(*args)
+        finally:
+            if raised:
+                gc.set_threshold(*threshold)
 
     def step(self) -> bool:
         """Execute the next pending event.  Returns False when queue is empty."""

@@ -189,6 +189,32 @@ class TestAARuntime:
         assert runtime.on_get("A", 0) == "clobbered"
         assert runtime.on_get("B", 0) == 1  # B's math is the real library
 
+    def test_plain_attributes_build_no_sandbox(self):
+        runtime = AARuntime()
+        runtime.define("CPU", "Intel 3.40GHz")
+        runtime.set_value("Load", 0.5)
+        assert runtime._interpreter is None
+        assert all(a.interpreter is None for a in runtime.attributes.values())
+
+    def test_handler_defined_later_runs_under_its_budget(self):
+        runtime = AARuntime(instruction_limit=500)
+        runtime.define("Plain", 1)
+        runtime.define("Spin", 1, "function onTimer() while true do end end")
+        runtime.define("Gate", 41, "function onGet(c, p) return AA.Value + 1 end")
+        assert runtime.on_timer("Spin") is None
+        assert "budget" in runtime.get("Spin").errors[0].message
+        assert runtime.on_get("Gate", 0) == 42
+        assert runtime.interpreter is runtime.get("Gate").interpreter
+
+    def test_stdlib_tables_are_per_node(self):
+        vandal, other = AARuntime(), AARuntime()
+        vandal.define("A", "abc", "string.len = nil\n"
+                                  "function onGet(c, p) return string.len end")
+        other.define("B", "abcd", "function onGet(c, p) return string.len(AA.Value) end")
+        assert vandal.get("A").has_handler("onGet")
+        assert vandal.on_get("A", 0) is None  # the vandal's own library lost it
+        assert other.on_get("B", 0) == 4
+
     def test_error_count_aggregates(self):
         runtime = AARuntime()
         runtime.define("A", 1, "function onGet(c, p) error('x') end")

@@ -2,6 +2,10 @@
 + the open-loop market workload."""
 
 import dataclasses
+import random
+from array import array
+from bisect import bisect_left
+from itertools import accumulate
 
 import pytest
 
@@ -236,8 +240,18 @@ class TestPopulationHelpers:
     def test_zipf_cumulative_is_monotone_and_memoized(self):
         table = zipf_cumulative(100, 1.1)
         assert table is zipf_cumulative(100, 1.1)
+        assert isinstance(table, array) and table.typecode == "d"
         assert len(table) == 100
         assert all(b > a for a, b in zip(table, table[1:]))
+        # Packed doubles draw exactly as the list of floats they replace.
+        count = 50_000
+        packed = zipf_cumulative(count, 1.1)
+        reference = list(accumulate(1.0 / (rank ** 1.1)
+                                    for rank in range(1, count + 1)))
+        rng = random.Random(7)
+        draws = [rng.random() for _ in range(10_000)]
+        assert ([bisect_left(packed, u * packed[-1]) for u in draws]
+                == [bisect_left(reference, u * reference[-1]) for u in draws])
 
     def test_user_credit_is_deterministic_and_bounded(self):
         values = [user_credit(uid) for uid in range(2000)]

@@ -10,6 +10,7 @@ read it, and none of them may move.
 import math
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -21,6 +22,7 @@ from repro.pastry.leafset import LeafSet
 from repro.pastry.node import (_LS_REP_BASE, _LS_REP_PER_REF, _LS_REQ_SIZE,
                                PastryNode)
 from repro.pastry.nodeid import NodeId
+from repro.scribe.scribe import ScribeApplication
 from repro.sim.engine import Simulator
 from repro.sim.random_streams import RandomStreams
 from repro.transport.codec import decode_message, encode_message
@@ -218,6 +220,53 @@ def test_crash_recovery_under_wire_check_sizes_every_send():
         sim.run()
     assert {"pastry.ls_rep", "pastry.ls_req"} <= network.wire_kinds_seen
     assert network.wire_checked > 0
+
+
+#: An aggregate per accumulator type, and the local value it lifts: sum
+#: pushes a float, count an int, avg a tuple; a min with no value left
+#: pushes None.
+_PUSHED_ACCS = (("sum", 2.5), ("count", 7), ("avg", 3.0), ("min", None))
+
+
+@pytest.mark.parametrize("updates", range(1, 7))
+def test_roll_up_batches_are_sized_as_the_walk(updates):
+    """A flush sizes its ``agg_push_batch`` as it builds it: the size it
+    supplies equals the walk of what it sent (a ``wire_check`` network
+    raises otherwise)."""
+    sim = Simulator()
+    network = Network(sim, UniformLatencyModel(0.5), wire_check=True)
+    site = next(iter(make_ec2_registry()))
+    rng = random.Random(updates)
+    child, parent = (PastryNode(NodeId.random(rng), site) for _ in range(2))
+    for node in (child, parent):
+        network.attach(node)
+        node.register_app(ScribeApplication(sim))
+    scribe = child.app("scribe")
+    for k in range(updates):
+        agg, value = _PUSHED_ACCS[k % len(_PUSHED_ACCS)]
+        state = scribe.topic_state(f"Site{k:03d}/load-\u00e9{k}")
+        state.parent = parent.address
+        if value is None:
+            state.last_pushed[agg] = 1.0  # the extremum left
+        else:
+            state.member = True
+            state.local[agg] = value
+        scribe._recompute_and_push(child, state, only=agg)
+    supplied, send_app = [], child.send_app
+    child.send_app = lambda *args: (supplied.append(args[4:]), send_app(*args))
+    sent = []
+    network.set_delivery_hook(sent.append)
+    sim.run()
+    batches = [m for m in sent if m.payload["kind"] == "agg_push_batch"]
+    assert len(batches) == 1
+    data = batches[0].payload["data"]
+    assert len(data["updates"]) == updates
+    if updates >= len(_PUSHED_ACCS):
+        assert ({type(u["acc"]) for u in data["updates"]}
+                == {float, int, tuple, type(None)})
+    assert supplied == [(_estimate_size(data),)]
+    assert batches[0].size == batches[0].size_bytes()
+    assert network.wire_checked == len(sent)
 
 
 def test_out_of_band_slots_never_reach_the_wire():

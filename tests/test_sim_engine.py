@@ -1,12 +1,13 @@
 """Unit tests for the discrete-event engine."""
 
+import gc
 import weakref
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim.engine import SimulationError, Simulator
+from repro.sim.engine import DRAIN_GC_THRESHOLD, SimulationError, Simulator
 
 
 def test_clock_starts_at_zero(sim):
@@ -411,3 +412,68 @@ def test_drain_loop_matches_the_reference_model(program):
             model.now, model.executed, len(model.queue))
         assert fired == model.fired
     assert steps == model.steps
+
+
+# ----------------------------------------------------------------------
+# The drain's collector scope: a raised generation-0 threshold inside,
+# the caller's exact threshold outside.
+# ----------------------------------------------------------------------
+
+@pytest.fixture
+def caller_threshold():
+    """Run a test under a caller threshold of (500, 7, 9), then put the
+    process's own back."""
+    saved = gc.get_threshold()
+    gc.set_threshold(500, 7, 9)
+    yield (500, 7, 9)
+    gc.set_threshold(*saved)
+
+
+def test_callbacks_run_under_the_drain_threshold(sim, caller_threshold):
+    seen = []
+    sim.schedule(1.0, lambda: seen.append(gc.get_threshold()))
+    sim.run()
+    assert seen == [(DRAIN_GC_THRESHOLD, 7, 9)]
+
+
+def test_every_drain_restores_the_caller_threshold(sim, caller_threshold):
+    def boom():
+        raise RuntimeError("handler failed")
+
+    for delay in range(4):
+        sim.schedule(float(delay), lambda: None)
+    sim.run(until=1.0)
+    assert gc.get_threshold() == caller_threshold
+    assert sim.run_until(lambda: sim.now >= 2.0)
+    assert gc.get_threshold() == caller_threshold
+    assert sim.step()
+    assert gc.get_threshold() == caller_threshold
+    sim.schedule(0.0, boom)
+    with pytest.raises(RuntimeError):
+        sim.run()
+    assert gc.get_threshold() == caller_threshold
+
+
+def test_a_nested_step_keeps_the_outer_drain_threshold(sim, caller_threshold):
+    seen = []
+
+    def outer():
+        sim.step()  # runs inner
+        seen.append(("after step", gc.get_threshold()[0]))
+
+    sim.schedule(1.0, outer)
+    sim.schedule(2.0, lambda: seen.append(("inner", gc.get_threshold()[0])))
+    sim.run()
+    assert seen == [("inner", DRAIN_GC_THRESHOLD),
+                    ("after step", DRAIN_GC_THRESHOLD)]
+    assert gc.get_threshold() == caller_threshold
+
+
+@pytest.mark.parametrize("first", [0, DRAIN_GC_THRESHOLD + 1])
+def test_a_disabled_or_higher_threshold_is_left_alone(sim, caller_threshold, first):
+    gc.set_threshold(first, 7, 9)
+    seen = []
+    sim.schedule(1.0, lambda: seen.append(gc.get_threshold()))
+    sim.run()
+    assert seen == [(first, 7, 9)]
+    assert gc.get_threshold() == (first, 7, 9)

@@ -1,5 +1,6 @@
 """Tests for ASCII plotting, query plans, the CLI, and tools/."""
 
+import gc
 import importlib.util
 import io
 import subprocess
@@ -510,3 +511,44 @@ class TestPairs:
         assert pairs._exact_errors([run("parent", 2.0), run("change", 2.0)]) == []
         assert pairs._exact_errors([run("parent", 2.0), run("change", 2.5)]) == [
             "run 1 (change): msgs_per_op 2.5 != 2.0"]
+
+
+class TestGcCensus:
+    """``tools/gc_census.py``: the census of one quick benchmark run."""
+
+    def test_quick_census_books_collections_and_setup(self):
+        out = subprocess.run(
+            [sys.executable, str(REPO / "tools" / "gc_census.py"),
+             "--workload", "publish_storm", "--quick", "--threshold", "700"],
+            capture_output=True, text=True, check=True, timeout=300).stdout
+        lines = out.splitlines()
+        assert lines[0] == "gc census: publish_storm, seed 2017, drain threshold 700"
+        rows = [line.split() for line in lines[3:6]]
+        assert [row[0] for row in rows] == ["0", "1", "2"]
+        # The tiny spec still allocates past a 700 threshold in its slices.
+        assert int(rows[0][1]) > 0
+        tracked = lines[6].split(": ")[1].split(", ")
+        assert len(tracked) == 2 and all(int(n) > 0 for n in tracked)  # 2 reps
+        assert lines[7].startswith("measured slices ")
+
+    def test_census_books_only_what_runs_inside_a_slice(self, monkeypatch):
+        monkeypatch.syspath_prepend(str(REPO / "tools"))
+        census = load_module("gc_census", REPO / "tools" / "gc_census.py").Census()
+
+        class Clock:
+            def time(self, fn, *args):
+                return fn(*args)
+
+        timed = census.wrap(Clock.time)
+        enabled = gc.isenabled()
+        gc.disable()  # only the two explicit collections below
+        gc.callbacks.append(census.on_gc)
+        try:
+            gc.collect()
+            timed(Clock(), gc.collect, 1)
+        finally:
+            gc.callbacks.remove(census.on_gc)
+            if enabled:
+                gc.enable()
+        assert census.collections == {"slices": [0, 1, 0], "elsewhere": [0, 0, 1]}
+        assert len(census.tracked_after_setup) == 1
