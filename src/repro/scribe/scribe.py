@@ -125,9 +125,10 @@ class ScribeApplication(Application):
         self._topics: Dict[str, TopicState] = {}
         # Debounce bookkeeping: topics with dirty aggregates awaiting the
         # node-level flush timer — one timer and one "agg_push_batch"
-        # message per parent per flush interval.
+        # message per parent per flush interval.  The timer is never
+        # cancelled, so it is posted without a handle, behind this flag.
         self._dirty_topics: Dict[str, TopicState] = {}
-        self._flush_event = None
+        self._flush_armed = False
         #: ``agg_get`` and ``anycast`` requests awaiting their reply.
         self.requests = RequestTable(_request_ids)
         self.anycast_visitor: Optional[AnycastVisitor] = None
@@ -221,7 +222,7 @@ class ScribeApplication(Application):
         # from agg_names() and never be re-pushed (stale parent state).
         affected = state.agg_names()
         state.local.clear()
-        self._recompute_and_push(node, state, names=affected)
+        self._mark_dirty(node, state, affected)
         self._maybe_prune(node, state)
 
     def multicast(self, node: PastryNode, topic: str, payload: Dict[str, Any]) -> None:
@@ -287,20 +288,21 @@ class ScribeApplication(Application):
             "request_id": request_id}
 
     def set_local(self, node: PastryNode, topic: str, agg_name: str, value: Any) -> None:
-        """Set this member's contribution to an aggregate and push deltas up."""
+        """Set this member's contribution to an aggregate; the next flush
+        pushes the changed accumulator up."""
         if agg_name not in self.functions:
             raise KeyError(f"unknown aggregate function {agg_name!r}")
         state = self._topics.get(topic)
         if state is None:
             state = self.topic_state(topic)
         state.local[agg_name] = value
-        self._recompute_and_push(node, state, only=agg_name)
+        self._mark_one(node, state, agg_name)
 
     def clear_local(self, node: PastryNode, topic: str, agg_name: str) -> None:
         state = self._topics.get(topic)
         if state and agg_name in state.local:
             del state.local[agg_name]
-            self._recompute_and_push(node, state, only=agg_name)
+            self._mark_dirty(node, state, (agg_name,))
 
     def query_aggregate(
         self,
@@ -550,7 +552,7 @@ class ScribeApplication(Application):
                 del child_map[address]
                 changed = True
         if changed:
-            self._recompute_and_push(node, state)
+            self._mark_dirty(node, state)
 
     def _on_parent_set(self, node: PastryNode, data: Dict[str, Any],
                        parent_addr: int) -> None:
@@ -675,52 +677,35 @@ class ScribeApplication(Application):
     # ------------------------------------------------------------------
     def _own_acc(self, state: TopicState, agg_name: str) -> Any:
         """Roll this node's subtree accumulator up from its own value and
-        its children's pushed accumulators; None for an unknown function."""
+        its children's pushed accumulators (one :meth:`fold`); None for an
+        unknown function."""
         fn = self.functions.get(agg_name)
         if fn is None:
             return None
-        acc = fn.zero()
-        if state.member and agg_name in state.local:
-            acc = fn.combine(acc, fn.lift(state.local[agg_name]))
-        for child_value in state.child_acc.get(agg_name, {}).values():
-            acc = fn.combine(acc, child_value)
-        return acc
+        local = state.local
+        children = state.child_acc.get(agg_name)
+        return fn.fold((local[agg_name],) if state.member and agg_name in local else (),
+                       () if children is None else children.values())
 
-    def _recompute_and_push(self, node: PastryNode, state: TopicState,
-                            only: Optional[str] = None,
-                            names: Optional[List[str]] = None) -> None:
-        """Mark aggregates dirty and arm the flush timer."""
-        if names is None and only is not None:
-            # Hot path (one aggregate per publish): skip the list builds.
-            names = (only,) if only in self.functions else ()
-        else:
-            if names is None:
-                names = state.agg_names()
-            names = [n for n in names if n in self.functions]
-        state.dirty.update(names)
-        if not state.dirty:
-            return
+    def _mark_dirty(self, node: PastryNode, state: TopicState,
+                    names: Optional[List[str]] = None) -> None:
+        """Mark each known one of ``names`` (default: every aggregate the
+        topic carries) dirty."""
+        if names is None:
+            names = state.agg_names()
+        functions = self.functions
+        for name in names:
+            if name in functions:
+                self._mark_one(node, state, name)
+
+    def _mark_one(self, node: PastryNode, state: TopicState, name: str) -> None:
+        """The one dirty-marking step: mark the known aggregate ``name``
+        dirty, list its topic and arm the flush timer unless it is armed."""
+        state.dirty.add(name)
         self._dirty_topics[state.topic] = state
-        flush_event = self._flush_event
-        if flush_event is None or flush_event.cancelled:
-            self._flush_event = self.sim.schedule(
-                self.agg_flush_ms, self._flush_all, node
-            )
-
-    def _changed_accs(self, state: TopicState) -> List[tuple]:
-        """Drain ``state.dirty`` into ``(agg_name, acc)`` pairs that actually
-        changed since the last push (parent-directed dedup applied)."""
-        dirty, state.dirty = state.dirty, set()
-        changed = []
-        for agg_name in sorted(dirty):
-            acc = self._own_acc(state, agg_name)
-            if state.parent is None:
-                continue
-            if state.last_pushed.get(agg_name) == acc:
-                continue
-            state.last_pushed[agg_name] = acc
-            changed.append((agg_name, acc))
-        return changed
+        if not self._flush_armed:
+            self._flush_armed = True
+            self.sim.post(self.agg_flush_ms, self._flush_all, node)
 
     def _flush_all(self, node: PastryNode) -> None:
         """Node-level debounced flush: roll every dirty topic's changed
@@ -728,30 +713,45 @@ class ScribeApplication(Application):
 
         A burst of leaf updates inside the flush window therefore costs
         each interior node one upstream message per interval, however many
-        topics and aggregates changed.
+        topics and aggregates changed.  Each dirty accumulator is folded
+        once and recorded in ``last_pushed`` when it changed; it is sent
+        only when the parent is believed alive.
         """
-        self._flush_event = None
+        self._flush_armed = False
         dirty_topics, self._dirty_topics = self._dirty_topics, {}
         batches: Dict[int, List[Dict[str, Any]]] = {}
         sizes: Dict[int, int] = {}
-        believes_alive = node.believes_alive
+        own_acc = self._own_acc
         for state in dirty_topics.values():
-            for agg_name, acc in self._changed_accs(state):
-                parent = state.parent
-                if believes_alive(parent):
-                    batches.setdefault(parent, []).append({
-                        "topic": state.topic, "agg": agg_name, "acc": acc,
-                    })
-                    sizes[parent] = (sizes.get(parent, _PUSH_BATCH_BASE)
-                                     + _PUSH_UPDATE_KEYS
-                                     + _estimate_size(state.topic)
-                                     + _estimate_size(agg_name)
-                                     + _estimate_size(acc))
+            names = sorted(state.dirty)
+            state.dirty.clear()
+            parent = state.parent
+            if parent is not None:
+                alive = node.believes_alive(parent)
+                topic = state.topic
+                head = _PUSH_UPDATE_KEYS + _estimate_size(topic)
+                last_pushed = state.last_pushed
+                for agg_name in names:
+                    acc = own_acc(state, agg_name)
+                    if last_pushed.get(agg_name) == acc:
+                        continue
+                    last_pushed[agg_name] = acc
+                    if not alive:
+                        continue
+                    updates = batches.get(parent)
+                    if updates is None:
+                        updates = batches[parent] = []
+                        sizes[parent] = _PUSH_BATCH_BASE
+                    updates.append({"topic": topic, "agg": agg_name, "acc": acc})
+                    sizes[parent] += (head + _estimate_size(agg_name)
+                                      + _estimate_size(acc))
             if state.replicas:
                 # Root snapshot coherence: dirty aggregates at a replicated
                 # root re-sync the replicas on the same debounce cadence as
                 # upward pushes (maintain() adds the anti-entropy backstop).
                 self.rebalancer.sync_replicas(node, state)
+        if not batches:
+            return
         packed = self._packed_self(node)
         for parent, updates in batches.items():
             node.send_app(parent, self.name, "agg_push_batch", {
@@ -760,47 +760,47 @@ class ScribeApplication(Application):
 
     def _repush_all(self, node: PastryNode, state: TopicState) -> None:
         state.last_pushed.clear()
-        self._recompute_and_push(node, state)
-
-    def _apply_push(self, node: PastryNode, topic: str, agg_name: str,
-                    acc: Any, child: Any, child_addr: int) -> None:
-        """Install one child accumulator (one entry of a roll-up batch)."""
-        state = self.topic_state(topic)
-        if isinstance(acc, list):
-            acc = tuple(acc)  # tuples survive payload round-trips as lists
-        if child_addr not in state.children:
-            if not state.in_tree():
-                # Pruned vestige: _maybe_prune dissolved this branch and we
-                # hold no live role in the topic.  Re-adopting would
-                # resurrect an empty tree nothing can prune again (and the
-                # pusher would keep feeding a dead branch).  Tell it the
-                # parent is gone so maintain() re-joins it at the live
-                # rendezvous instead.
-                node.send_app(child_addr, self.name, "parent_gone",
-                              {"topic": state.topic})
-                return
-            # A pusher we do not list as a child: it kept its parent
-            # pointer across our crash-recovery (or we pruned it while it
-            # was down).  Re-adopt it so pruning and child probes see it
-            # again.
-            child_id, _, child_site = child
-            self._add_child(node, state,
-                            NodeRef(NodeId(child_id), child_addr, child_site))
-        per_child = state.child_acc.get(agg_name)
-        if per_child is None:
-            per_child = state.child_acc[agg_name] = {}
-        per_child[child_addr] = acc
-        self._recompute_and_push(node, state, only=agg_name)
+        self._mark_dirty(node, state)
 
     def _on_agg_push_batch(self, node: PastryNode, data: Dict[str, Any],
                            child_addr: int) -> None:
-        """Unpack a debounced batch: each update gets the full treatment
-        (re-adoption, accumulator install, upward re-dirtying)."""
+        """Install a child's debounced batch, one update at a time: adopt
+        the pusher where it is not a listed child, store its accumulator
+        and mark the aggregate dirty here."""
         child = data["child"]
-        apply_push = self._apply_push
+        topics = self._topics
+        functions = self.functions
+        mark_one = self._mark_one
         for update in data["updates"]:
-            apply_push(node, update["topic"], update["agg"], update["acc"],
-                       child, child_addr)
+            topic = update["topic"]
+            state = topics.get(topic)
+            if state is None:
+                state = self.topic_state(topic)
+            if child_addr not in state.children:
+                if not state.in_tree():
+                    # Pruned vestige: _maybe_prune dissolved this branch and
+                    # we hold no live role in the topic.  Re-adopting would
+                    # resurrect an empty tree nothing can prune again (and
+                    # the pusher would keep feeding a dead branch).  Tell it
+                    # the parent is gone so maintain() re-joins it at the
+                    # live rendezvous instead.
+                    node.send_app(child_addr, self.name, "parent_gone",
+                                  {"topic": state.topic})
+                    continue
+                # A pusher we do not list as a child: it kept its parent
+                # pointer across our crash-recovery (or we pruned it while
+                # it was down).  Re-adopt it so pruning and child probes see
+                # it again.
+                child_id, _, child_site = child
+                self._add_child(node, state,
+                                NodeRef(NodeId(child_id), child_addr, child_site))
+            agg_name = update["agg"]
+            per_child = state.child_acc.get(agg_name)
+            if per_child is None:
+                per_child = state.child_acc[agg_name] = {}
+            per_child[child_addr] = update["acc"]
+            if agg_name in functions:
+                mark_one(node, state, agg_name)
 
     def _on_parent_gone(self, node: PastryNode, data: Dict[str, Any],
                         origin: int) -> None:

@@ -223,16 +223,18 @@ def test_crash_recovery_under_wire_check_sizes_every_send():
 
 
 #: An aggregate per accumulator type, and the local value it lifts: sum
-#: pushes a float, count an int, avg a tuple; a min with no value left
-#: pushes None.
-_PUSHED_ACCS = (("sum", 2.5), ("count", 7), ("avg", 3.0), ("min", None))
+#: pushes a float, count an int, avg a tuple, any and all a bool (1 byte,
+#: not an 8-byte int); a min with no value left pushes None.
+_PUSHED_ACCS = (("sum", 2.5), ("count", 7), ("avg", 3.0), ("any", 1),
+                ("min", None), ("all", 0))
 
 
-@pytest.mark.parametrize("updates", range(1, 7))
+@pytest.mark.parametrize("updates", range(1, 9))
 def test_roll_up_batches_are_sized_as_the_walk(updates):
     """A flush sizes its ``agg_push_batch`` as it builds it: the size it
     supplies equals the walk of what it sent (a ``wire_check`` network
-    raises otherwise)."""
+    raises otherwise).  Topics carry up to three aggregates each, so one
+    batch holds several updates of one topic."""
     sim = Simulator()
     network = Network(sim, UniformLatencyModel(0.5), wire_check=True)
     site = next(iter(make_ec2_registry()))
@@ -244,14 +246,14 @@ def test_roll_up_batches_are_sized_as_the_walk(updates):
     scribe = child.app("scribe")
     for k in range(updates):
         agg, value = _PUSHED_ACCS[k % len(_PUSHED_ACCS)]
-        state = scribe.topic_state(f"Site{k:03d}/load-\u00e9{k}")
+        state = scribe.topic_state(f"Site{k // 3:03d}/load-\u00e9{k // 3}")
         state.parent = parent.address
+        state.member = True
         if value is None:
             state.last_pushed[agg] = 1.0  # the extremum left
         else:
-            state.member = True
             state.local[agg] = value
-        scribe._recompute_and_push(child, state, only=agg)
+        scribe._mark_dirty(child, state, [agg])
     supplied, send_app = [], child.send_app
     child.send_app = lambda *args: (supplied.append(args[4:]), send_app(*args))
     sent = []
@@ -261,9 +263,10 @@ def test_roll_up_batches_are_sized_as_the_walk(updates):
     assert len(batches) == 1
     data = batches[0].payload["data"]
     assert len(data["updates"]) == updates
+    assert len({u["topic"] for u in data["updates"]}) == -(-updates // 3)
     if updates >= len(_PUSHED_ACCS):
         assert ({type(u["acc"]) for u in data["updates"]}
-                == {float, int, tuple, type(None)})
+                == {float, int, tuple, bool, type(None)})
     assert supplied == [(_estimate_size(data),)]
     assert batches[0].size == batches[0].size_bytes()
     assert network.wire_checked == len(sent)

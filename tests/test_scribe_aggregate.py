@@ -1,10 +1,15 @@
 """Unit tests for aggregation functions and in-tree aggregation."""
 
+import struct
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.scribe.aggregate import (
     AGGREGATE_FACTORIES,
     AGGREGATE_FUNCTIONS,
+    AggregateFunction,
     AllFunction,
     AnyFunction,
     AvgFunction,
@@ -100,6 +105,60 @@ class TestFunctions:
         a, b, c = fn.lift(1), fn.lift(2), fn.lift(3)
         assert fn.combine(fn.combine(a, b), c) == fn.combine(a, fn.combine(b, c))
         assert fn.combine(a, b) == fn.combine(b, a)
+
+
+#: Every built-in, plus a parameterized filter (NaN fails its predicate).
+_FOLDED = {**AGGREGATE_FUNCTIONS,
+           "filter_count": make_aggregate("filter_count", lambda v: v > 1.0)}
+
+_FLOATS = st.one_of(st.floats(), st.sampled_from(
+    (0.0, -0.0, float("inf"), float("-inf"), float("nan"))))
+_LOCALS = st.one_of(_FLOATS, st.integers(-2**60, 2**60))
+_COUNTS = st.integers(0, 2**62)
+
+#: The accumulators each function's children push.
+_CHILD_ACCS = {
+    "count": _COUNTS, "filter_count": _COUNTS, "sum": _FLOATS,
+    "min": st.one_of(st.none(), _FLOATS), "max": st.one_of(st.none(), _FLOATS),
+    "avg": st.tuples(_FLOATS, _COUNTS),
+    "any": st.booleans(), "all": st.booleans(),
+}
+
+
+def _exact(value):
+    """``value`` as exact types and raw bits: ``0.0`` and ``-0.0`` differ,
+    a NaN equals itself, ``1`` and ``1.0`` and ``True`` all differ."""
+    if type(value) is float:
+        return float, struct.pack(">d", value)
+    if type(value) is tuple:
+        return tuple, tuple(_exact(item) for item in value)
+    return type(value), value
+
+
+_NAN, _INF = float("nan"), float("inf")
+
+
+@settings(max_examples=400, deadline=None)
+@example(("min", [0.0, -0.0], []))  # a tie keeps the first zero
+@example(("min", [0.0], [-0.0]))
+@example(("min", [], [-0.0, None, 0.0]))
+@example(("max", [-0.0, 0.0], []))
+@example(("max", [-0.0], [0.0]))
+@example(("max", [], [0.0, None, -0.0]))
+@example(("min", [1.0], [_NAN, 0.5]))  # NaN compares false either way
+@example(("max", [], [None, _NAN, 2.5]))
+@example(("sum", [1.0], [1e16, -1e16]))  # own value first: 1.0, not 0.0
+@example(("avg", [1.0], [(1e16, 1), (-1e16, 1)]))
+@given(st.sampled_from(sorted(_FOLDED)).flatmap(lambda name: st.tuples(
+    st.just(name), st.lists(_LOCALS, max_size=2),
+    st.lists(_CHILD_ACCS[name], max_size=6))))
+def test_fold_is_the_generic_fold_bit_for_bit(case):
+    """Every ``fold`` override does what ``zero``/``lift``/``combine`` do,
+    in the same order: the result has the same type and the same bits."""
+    name, values, accs = case
+    fn = _FOLDED[name]
+    assert _exact(fn.fold(values, accs)) == _exact(
+        AggregateFunction.fold(fn, values, accs))
 
 
 class TestInTreeAggregation:

@@ -512,6 +512,60 @@ class TestPairs:
         assert pairs._exact_errors([run("parent", 2.0), run("change", 2.5)]) == [
             "run 1 (change): msgs_per_op 2.5 != 2.0"]
 
+    #: As BENCHMARK.json declares them.
+    OPS = {"name": "ops_per_s", "better": "higher", "bound": 0.25}
+    SETUP = {"name": "setup_s", "better": "lower", "bound": 0.25}
+
+    def test_verdict_ok_within_the_bound(self, pairs):
+        # 20 % slower, 20 % longer set-up: no worse than the 25 % bound.
+        runs = [self._pair("ops_per_s", 100 + i, 80 + i) for i in range(10)]
+        assert pairs.verdict(runs, self.OPS)["verdict"] == "ok"
+        runs = [self._pair("setup_s", 1.0 + i / 100, 1.2 + i / 100)
+                for i in range(10)]
+        assert pairs.verdict(runs, self.SETUP)["verdict"] == "ok"
+
+    def test_verdict_worse_beyond_the_bound(self, pairs):
+        runs = [self._pair("ops_per_s", 100 + i, 70 + i) for i in range(10)]
+        got = pairs.verdict(runs, self.OPS)
+        assert got["verdict"] == "worse"
+        assert got["worse_by"] == pytest.approx(0.287, abs=1e-3)
+        runs = [self._pair("setup_s", 1.0, 1.3) for i in range(10)]
+        assert pairs.verdict(runs, self.SETUP)["verdict"] == "worse"
+
+    def test_verdict_unresolved_when_the_parent_spreads_past_the_bound(self, pairs):
+        # The parent's quartiles run 60 - 140 (spread 80 % of its median).
+        parent = [40, 60, 60, 60, 100, 100, 140, 140, 140, 160]
+        change = [value * 0.9 for value in parent]
+        runs = [self._pair("ops_per_s", p, c) for p, c in zip(parent, change)]
+        assert pairs.verdict(runs, self.OPS)["verdict"] == "unresolved"
+        # Even a median 40 % lower is unresolved on such a parent.
+        runs = [self._pair("ops_per_s", p, p * 0.6) for p in parent]
+        assert pairs.verdict(runs, self.OPS)["verdict"] == "unresolved"
+        # Unless every change run beats every parent run.
+        runs = [self._pair("ops_per_s", p, 200 + p) for p in parent]
+        assert pairs.verdict(runs, self.OPS)["verdict"] == "ok"
+
+    def test_a_worse_verdict_fails_the_run(self, pairs, monkeypatch, capsys):
+        def run(tree, args):
+            # The change (this tree) runs 40 % slower; all else is equal.
+            metrics = {entry["name"]: {"value": 1.0}
+                       for entry in pairs._declared()["end_to_end"]}
+            metrics["ops_per_s"] = {"value": 60.0 if tree == pairs.ROOT else 100.0}
+            return {"correct": True, "failed": 0, "attempted": 4,
+                    "metrics": metrics}
+        monkeypatch.setattr(pairs, "_export", lambda rev, dest: dest / "src")
+        monkeypatch.setattr(pairs.shutil, "copytree", lambda *a, **k: None)
+        monkeypatch.setattr(pairs.shutil, "copy", lambda *a, **k: None)
+        monkeypatch.setattr(pairs, "_run", run)
+        assert pairs.main(["--against", "HEAD", "--workload", "market",
+                           "--pairs", "2"]) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert out[-1] == ("pairs: FAIL: ops_per_s is worse than the "
+                           "parent's beyond its bound")
+        assert [line.split()[1:3] for line in out if line.startswith("verdict")] == [
+            [entry["name"], "worse" if entry["name"] == "ops_per_s" else "ok"]
+            for entry in pairs._declared()["end_to_end"]]
+
 
 class TestGcCensus:
     """``tools/gc_census.py``: the census of one quick benchmark run."""

@@ -17,9 +17,13 @@ quartile distance.  This tool runs them and does the arithmetic:
 * it prints, per metric, each side's median and quartiles and the
   change's ratio to the parent, and for the claimed ``--metric`` the wins,
   the median gap and the parent's quartile distance;
-* it exits 1 if any run failed its output check or any exact metric
+* it prints one no-regression verdict per end-to-end metric of
+  ``BENCHMARK.json`` (:func:`verdict`; an untraced run reports them
+  all): ``ok``, ``worse`` or ``unresolved``;
+* it exits 1 if any run failed its output check, any exact metric
   (message counts, bytes, satisfied fraction, simulated latencies,
-  executed events) differs between any two runs, either side.
+  executed events) differs between any two runs, either side, or any
+  verdict is ``worse``.
 
 Usage, from the repository root::
 
@@ -35,6 +39,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import shutil
 import statistics
 import subprocess
@@ -53,9 +58,13 @@ EXACT = ("msgs_per_op", "bytes_per_msg", "satisfied_frac",
          "net.messages_sent", "net.bytes_sent")
 
 
+def _declared() -> dict:
+    return json.loads((ROOT / "BENCHMARK.json").read_text())
+
+
 def _better(metric: str) -> str:
     """``higher`` or ``lower``, from BENCHMARK.json (``higher`` if unlisted)."""
-    declared = json.loads((ROOT / "BENCHMARK.json").read_text())
+    declared = _declared()
     for entry in declared["end_to_end"] + declared["per_layer"]:
         if entry["name"] == metric:
             return entry["better"]
@@ -111,6 +120,45 @@ def summarize(pairs: List[Dict[str, dict]], metric: str) -> dict:
             "losses": losses, "parent": q_parent, "change": q_change,
             "gap": gap, "parent_quartile_distance": spread,
             "holds": wins * 10 >= 9 * len(pairs) and gap > spread}
+
+
+def _relative(delta: float, base: float) -> float:
+    """``delta`` as a fraction of ``base``; any change from 0 is infinite."""
+    if base:
+        return delta / abs(base) + 0.0  # no "-0.0 %" for an equal pair
+    return 0.0 if delta == 0 else math.copysign(math.inf, delta)
+
+
+def verdict(pairs: List[Dict[str, dict]], entry: dict) -> dict:
+    """The no-regression verdict on one end-to-end metric (``entry`` as
+    declared in BENCHMARK.json: ``name``, ``better``, relative ``bound``).
+
+    ``worse`` when the change's median is worse than the parent's by more
+    than ``bound`` (a fraction of the parent's median), else ``ok`` —
+    unless the parent's own quartile distance exceeds ``bound`` times its
+    median and not every change run beats every parent run: then the runs
+    spread too widely to tell, and the verdict is ``unresolved``.
+    """
+    metric, bound = entry["name"], entry["bound"]
+    sign = 1 if entry["better"] == "higher" else -1
+    parent = [p["parent"]["metrics"][metric]["value"] for p in pairs]
+    change = [p["change"]["metrics"][metric]["value"] for p in pairs]
+    q_parent, q_change = _quartiles(parent), _quartiles(change)
+    worse_by = _relative(sign * (q_parent[1] - q_change[1]), q_parent[1])
+    spread = _relative(q_parent[2] - q_parent[0], q_parent[1])
+    if sign > 0:
+        dominates = min(change) > max(parent)
+    else:
+        dominates = max(change) < min(parent)
+    if spread > bound and not dominates:
+        outcome = "unresolved"
+    elif worse_by > bound:
+        outcome = "worse"
+    else:
+        outcome = "ok"
+    return {"metric": metric, "verdict": outcome, "bound": bound,
+            "parent": q_parent, "change": q_change, "worse_by": worse_by,
+            "parent_spread": spread}
 
 
 def _table(pairs: List[Dict[str, dict]]) -> None:
@@ -176,7 +224,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
           f"median gap {summary['gap']:.4g} vs parent quartile distance "
           f"{summary['parent_quartile_distance']:.4g}: "
           f"{'gain holds' if summary['holds'] else 'no claimable gain'}")
+    # A traced run (``--trace 1``) reports per-layer rows only.
+    verdicts = [verdict(pairs, entry) for entry in _declared()["end_to_end"]
+                if entry["name"] in pairs[0]["parent"]["metrics"]]
+    for v in verdicts:
+        print(f"verdict {v['metric']:20s} {v['verdict']:10s} parent "
+              f"{v['parent'][1]:.4g} -> change {v['change'][1]:.4g}: worse by "
+              f"{v['worse_by']:+.1%} (bound {v['bound']:.0%}), parent spread "
+              f"{v['parent_spread']:.1%}")
     errors = _exact_errors(runs)
+    errors += [f"{v['metric']} is worse than the parent's beyond its bound"
+               for v in verdicts if v["verdict"] == "worse"]
     for error in errors:
         print(f"pairs: FAIL: {error}")
     if not errors:
@@ -185,7 +243,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         Path(args.json).write_text(json.dumps(
             {"against": args.against, "workload": args.workload,
              "seed": args.seed, "seconds": args.seconds, "trace": args.trace,
-             "pairs": pairs, "summary": summary}, indent=1) + "\n")
+             "pairs": pairs, "summary": summary, "verdicts": verdicts},
+            indent=1) + "\n")
     return 1 if errors else 0
 
 
