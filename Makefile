@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test bench pairs gc fingerprint ablations chaos sanitize coverage trace planner rebalance market live examples outputs clean
+.PHONY: install test bench pairs gc floor fingerprint ablations chaos sanitize coverage trace planner rebalance market live examples outputs clean
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -33,6 +33,12 @@ pairs:
 gc: WORKLOAD = publish_storm
 gc:
 	$(PYTHON) tools/gc_census.py --workload $(WORKLOAD)
+
+# The sim's per-message floor (tools/msg_floor.py): microseconds per
+# message of a two-host send->deliver ping-pong, jitter on/off x size
+# supplied/walked, the median of 5 runs.
+floor:
+	$(PYTHON) tools/msg_floor.py
 
 # Behaviour fingerprint (tools/fingerprint.py): one sha256 per scenario of
 # seeds x jitter x {fault-free, faulted}, hashing every send and engine

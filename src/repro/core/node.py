@@ -10,7 +10,7 @@ AA authorization, and reservations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.aa.runtime import AARuntime
 from repro.core.reservation import ReservationTable
@@ -222,18 +222,20 @@ class RBayNode(PastryNode):
         self,
         query_id: int,
         caller: Any,
-        predicates: List[Predicate],
+        checks: Sequence[Tuple[Tuple[str, str, Any], bool]],
         payload: Optional[Dict[str, Any]],
-        implied: Sequence[Predicate] = (),
     ) -> Optional[Dict[str, Any]]:
-        """Full step-4 check: predicates, AA authorization, reservation.
+        """Full step-4 check: hold, predicates, AA authorization, reservation.
 
+        ``checks`` are the plan's packed ``(predicate, implied)`` pairs;
+        a node another query holds refuses before they are unpacked.
         Returns the candidate entry to put in the anycast buffer, or None.
         """
         self.stats["query_considered"] += 1
         if not self.reservation.is_free() and self.reservation.holder() != query_id:
             return None
-        if not self.check_predicates(predicates, implied):
+        strict, implied = Predicate.unpack_checks(checks)
+        if not self.check_predicates(strict, implied):
             return None
         exposed = self.authorize(caller, payload)
         if exposed is None:

@@ -121,6 +121,10 @@ class TableIILatencyModel(LatencyModel):
         self._rng = rng
         self._jitter_cv = jitter_cv
         self._unstable_jitter_cv = unstable_jitter_cv
+        #: ``(base, mu, sigma)`` per site pair, keyed by both sites' names
+        #: and regions (all a draw depends on); ``sigma`` None = no jitter.
+        self._pairs: Dict[Tuple[str, str, str, str],
+                          Tuple[float, float, Optional[float]]] = {}
 
     def base_rtt_ms(self, src: Site, dst: Site) -> float:
         """The jitter-free Table II RTT for a site pair."""
@@ -137,21 +141,29 @@ class TableIILatencyModel(LatencyModel):
         """Half the Table II RTT: the deterministic one-way estimate."""
         return self.base_rtt_ms(src, dst) / 2.0
 
-    def one_way_delay_ms(self, src: Site, dst: Site) -> float:
-        """RTT/2 with region-dependent lognormal jitter applied."""
-        base = self.base_rtt_ms(src, dst) / 2.0
-        if self._rng is None:
-            return base
+    def _pair(self, src: Site, dst: Site) -> Tuple[float, float, Optional[float]]:
+        """A pair's one-way base and the lognormal's ``mu`` / ``sigma``
+        (mean 1, coefficient of variation the pair's region CV)."""
+        base = self.nominal_one_way_ms(src, dst)
         cv = (
             self._unstable_jitter_cv
             if src.region in UNSTABLE_REGIONS or dst.region in UNSTABLE_REGIONS
             else self._jitter_cv
         )
-        if cv <= 0:
-            return base
-        # Lognormal with mean 1 and coefficient of variation cv.
+        if self._rng is None or cv <= 0:
+            return base, 0.0, None
         sigma = math.sqrt(math.log(1.0 + cv * cv))
-        mu = -0.5 * sigma * sigma
+        return base, -0.5 * sigma * sigma, sigma
+
+    def one_way_delay_ms(self, src: Site, dst: Site) -> float:
+        """RTT/2 with region-dependent lognormal jitter applied."""
+        key = (src.name, src.region, dst.name, dst.region)
+        params = self._pairs.get(key)
+        if params is None:
+            params = self._pairs[key] = self._pair(src, dst)
+        base, mu, sigma = params
+        if sigma is None:
+            return base
         return base * self._rng.lognormvariate(mu, sigma)
 
 
@@ -176,25 +188,39 @@ class SyntheticLatencyModel(LatencyModel):
         self._hop = hop_ms
         self._rng = rng
         self._jitter_cv = jitter_cv
+        #: Nominal delay by ``(src.index - dst.index) % n``: the n×n delay
+        #: table is circulant (a function of that offset alone), so this
+        #: one row of it is the whole table.
+        self._by_offset = [self._ring_delay(offset, 0)
+                           for offset in range(n_sites)]
+        #: The lognormal's ``mu`` / ``sigma`` (mean 1, CV ``jitter_cv``),
+        #: the same for every pair; ``sigma`` None = no jitter.
+        self._sigma: Optional[float] = None
+        self._mu = 0.0
+        if rng is not None and jitter_cv > 0:
+            self._sigma = math.sqrt(math.log(1.0 + jitter_cv**2))
+            self._mu = -0.5 * self._sigma * self._sigma
 
-    def nominal_one_way_ms(self, src: Site, dst: Site) -> float:
-        """Deterministic one-way delay from ring distance between sites."""
-        if src.index == dst.index:
+    def _ring_delay(self, src_index: int, dst_index: int) -> float:
+        """Intra-site delay, plus ``hop_ms`` per step of ring distance."""
+        if src_index == dst_index:
             return self._intra
         ring = min(
-            (src.index - dst.index) % self._n,
-            (dst.index - src.index) % self._n,
+            (src_index - dst_index) % self._n,
+            (dst_index - src_index) % self._n,
         )
         return self._intra + self._hop * ring
 
+    def nominal_one_way_ms(self, src: Site, dst: Site) -> float:
+        """Deterministic one-way delay from ring distance between sites."""
+        return self._by_offset[(src.index - dst.index) % self._n]
+
     def one_way_delay_ms(self, src: Site, dst: Site) -> float:
         """One-way delay, with optional lognormal jitter applied."""
-        base = self.nominal_one_way_ms(src, dst)
-        if self._rng is None or self._jitter_cv <= 0:
+        base = self._by_offset[(src.index - dst.index) % self._n]
+        if self._sigma is None:
             return base
-        sigma = math.sqrt(math.log(1.0 + self._jitter_cv**2))
-        mu = -0.5 * sigma * sigma
-        return base * self._rng.lognormvariate(mu, sigma)
+        return base * self._rng.lognormvariate(self._mu, self._sigma)
 
 
 def mean_rtt_ms(model: LatencyModel, sites: Sequence[Site], samples: int = 32) -> Dict[Tuple[str, str], float]:

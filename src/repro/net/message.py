@@ -14,15 +14,16 @@ a memo of string byte lengths.  Payloads are plain builtins (the wire codec
 rejects everything else), so any other value is an opaque 16 bytes.
 
 A message is a copy: no handler mutates a payload it received or sent, so
-a size measured once holds for as long as the message is in flight.  The
-transport records the size each copy arrived with on :attr:`Message.size`,
-and a sender that knows its payload's size supplies it instead of walking
-the payload again: :meth:`repro.pastry.node.PastryNode.send_app` then
-sizes the direct message as a per-``(app, kind)`` envelope constant plus
-the supplied size of its ``data``, and the anycast walk supplies the
-arrived size plus what the hop appended.  Every other send is walked
-once, at admission; a ``wire_check`` run compares every supplied size
-with the walk.
+a size measured once holds for as long as the message is in flight.
+Every send Pastry builds names its size where it is built:
+:meth:`repro.pastry.node.PastryNode.send_app` sizes a direct message as a
+per-``(app, kind)`` envelope constant plus the caller's size of its
+``data`` (the anycast walk supplies the arrived size plus what the hop
+appended) or the walk of the ``data`` alone; ``route()`` sizes a routed
+message once, at its origin, and every hop re-sends it with the size it
+arrived with (:attr:`Message.size`).  The transport walks only a send
+that names no size, at admission; a ``wire_check`` run compares every
+supplied size with the walk.
 
 A sender may also stamp :attr:`Message.state_version`, the version of its
 own state the payload was built from.  The Pastry leaf-set exchange does:
@@ -127,10 +128,12 @@ class Message:
         never perturbs protocol behaviour.
     size:
         Wire size in bytes this copy arrived with, recorded by the
-        transport before the handler runs (None before delivery).  Also
-        out-of-band: never encoded, not part of ``==``, and never read as
-        the size of a later send of the same object — each send is sized
-        afresh or by its caller.
+        transport before the handler runs; on a routed message at its
+        origin, the size ``route()`` built it with (else None before
+        delivery).  Also out-of-band: never encoded, not part of ``==``.
+        Pastry's forward re-sends a routed message with it (no hop
+        changes a routed payload's size); the transport itself never
+        reads it for a send — a send is sized by its caller or walked.
     state_version:
         Version of the sender's state the payload was built from, when the
         sender stamps one (None otherwise).  Out-of-band like ``size``:

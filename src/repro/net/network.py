@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.net.latency import LatencyModel
 from repro.net.message import Message
@@ -20,8 +20,9 @@ class Network(Transport):
     The reference :class:`~repro.transport.base.Transport`: delivery is a
     simulated heap event, which makes this backend the deterministic
     oracle the live socket transport is validated against.  This class
-    adds only the carriage: the latency draw, same-instant coalescing
-    and the optional codec shadow (``wire_check``).
+    adds only the carriage (:meth:`_carry`): the latency draw,
+    same-instant coalescing and the optional codec shadow
+    (``wire_check``); admission and arrival are the base class's.
     """
 
     def __init__(
@@ -37,75 +38,82 @@ class Network(Transport):
         #: sends to a host costs one heap operation instead of N.
         #: Per-message accounting (counters, hooks, trace contexts) is
         #: unchanged — only the scheduling is shared.
-        self._pending_batches: Dict[Tuple[int, float], List[Tuple[Message, int]]] = {}
-        #: Codec shadow mode: every delivered message is pushed through the
-        #: wire codec (encode → decode → re-encode, asserting byte identity)
-        #: and the *decoded copy* is handed to the receiver, exactly as a
-        #: real socket would.  A deterministic run then doubles as a
-        #: wire-safety lint: a payload carrying unserializable state raises
-        #: :class:`~repro.transport.codec.CodecError` at the precise
-        #: delivery, and a protocol that relied on sender and receiver
-        #: sharing one Python object diverges from the sim-as-oracle run.
+        self._pending_batches: Dict[Tuple[int, float], List[Tuple[Any, int]]] = {}
+        #: Codec shadow mode: every sent copy is encoded at the send and
+        #: decoded at its delivery (then re-encoded, asserting byte
+        #: identity), and the *decoded copy* is handed to the receiver,
+        #: exactly as a real socket would.  A deterministic run then
+        #: doubles as a wire-safety lint: a payload carrying
+        #: unserializable state raises
+        #: :class:`~repro.transport.codec.CodecError` at the precise send,
+        #: and a protocol that relied on sender and receiver sharing one
+        #: Python object — or that changed a payload after sending it —
+        #: diverges from the sim-as-oracle run.
         self.wire_check = wire_check
         #: Protocol kinds observed crossing the (shadow) wire, labeled as
         #: ``route/<app>/<op>`` / ``direct/<app>/<kind>`` — the universe
         #: the wire-safety suite checks for coverage.
         self.wire_kinds_seen: Set[str] = set()
-        #: Messages round-tripped through the codec so far.
+        #: Copies decoded at delivery so far.
         self.wire_checked = 0
 
     # ------------------------------------------------------------------
-    # Delivery
+    # Carriage
     # ------------------------------------------------------------------
-    def send(self, src: Host, dst_address: int, msg: Message,
-             size: Optional[int] = None) -> None:
-        """Schedule delivery of ``msg`` from ``src`` to ``dst_address``."""
-        admitted = self._admit(src, dst_address, msg, size=size)
-        if admitted is None:
-            return
-        dst_host, size, extra_delay, copies = admitted
-        for _ in range(copies):
-            delay = (self.latency.one_way_delay_ms(src.site, dst_host.site)
-                     + self.processing_ms + extra_delay)
-            self.messages_in_flight += 1
-            # Exact float equality on the delivery instant is intended:
-            # post() stamps the event with sim.now + delay, so two sends
-            # coalesce iff they would have fired at the identical time.
-            key = (dst_address, self.sim.now + delay)
-            batch = self._pending_batches.get(key)
-            if batch is None:
-                self._pending_batches[key] = [(msg, size)]
-                self.sim.post(delay, self._deliver_batch, key)
-            else:
-                batch.append((msg, size))
+    #: The shared admission (:meth:`Transport.send`), bound in this class
+    #: too, so ``Network.send`` is an entry point of its own (the
+    #: benchmark's per-layer trace wraps it here as the ``net`` layer).
+    send = Transport.send
+
+    def _carry(self, src: Host, dst_host: Host, msg: Message, size: int,
+               extra_delay: float) -> None:
+        """One admitted copy: draw its latency and queue it on the heap,
+        coalesced with whatever else reaches ``dst_host`` at that instant.
+        Under ``wire_check`` the queued copy is the encoded body a socket
+        would have written now, not the object."""
+        delay = (self.latency.one_way_delay_ms(src.site, dst_host.site)
+                 + self.processing_ms + extra_delay)
+        # Exact float equality on the delivery instant is intended:
+        # post() stamps the event with sim.now + delay, so two sends
+        # coalesce iff they would have fired at the identical time.
+        key = (dst_host.address, self.sim.now + delay)
+        sent = (self._wire_encode(msg) if self.wire_check else msg, size)
+        batch = self._pending_batches.get(key)
+        if batch is None:
+            self._pending_batches[key] = [sent]
+            self.sim.post(delay, self._deliver_batch, key)
+        else:
+            batch.append(sent)
 
     def _deliver_batch(self, key: Tuple[int, float]) -> None:
-        """Deliver every message coalesced under ``key``, in send order.
+        """Hand every copy coalesced under ``key`` to arrival, in send
+        order (the batch only shares the heap event)."""
+        batch = self._pending_batches.pop(key)
+        if self.wire_check:
+            batch = [(self._wire_decode(sent), size) for sent, size in batch]
+        self._arrive(key[0], batch)
 
-        The batch only shares the heap event: counter updates stay exact
-        per message (a handler may crash the destination mid-batch, and
-        the sanitizer's conservation invariant must hold at every instant).
-        """
-        dst_address = key[0]
-        arrive = self._arrive
-        wire_check = self.wire_check
-        for msg, size in self._pending_batches.pop(key):
-            if wire_check:
-                msg = self._wire_copy(msg)
-            self.messages_in_flight -= 1
-            arrive(dst_address, msg, size)
+    @staticmethod
+    def _wire_encode(msg: Message) -> Tuple[bytes, Optional[list]]:
+        """``wire_check`` at the send: the bytes a socket would write (a
+        payload the codec cannot carry raises here), plus the trace list."""
+        from repro.transport.codec import encode_message
 
-    def _wire_copy(self, msg: Message) -> Message:
-        """``wire_check``: round-trip ``msg`` through the codec and return
-        the decoded copy — receivers see what a socket would give them."""
+        return encode_message(msg), msg.trace
+
+    def _wire_decode(self, sent: Tuple[bytes, Optional[list]]) -> Message:
+        """``wire_check`` at the delivery: the decoded copy of the bytes
+        written at the send (re-encoded byte-identical, or CodecError) —
+        receivers see what a socket would give them."""
         from repro.faults.injector import protocol_kind
-        from repro.transport.codec import roundtrip_check
+        from repro.transport.codec import decode_checked
 
-        decoded, _body = roundtrip_check(msg)
-        self.wire_kinds_seen.add(protocol_kind(msg))
+        body, trace = sent
+        decoded = decode_checked(body)
+        self.wire_kinds_seen.add(protocol_kind(decoded))
         self.wire_checked += 1
         # The trace list is shared mutable state *by design* in the sim
         # (the sender observes appended hops); keep that contract while
         # still type-checking it through the codec.
-        decoded.trace = msg.trace
+        decoded.trace = trace
         return decoded

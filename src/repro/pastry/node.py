@@ -6,8 +6,8 @@ from collections import Counter
 from functools import cache
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.net.message import Message
-from repro.net.network import Host
+from repro.net.message import Message, _estimate_size
+from repro.net.network import Host, NetworkError
 from repro.net.site import Site
 from repro.obs.spans import NULL_RECORDER
 from repro.pastry.leafset import LeafSet
@@ -22,6 +22,16 @@ def envelope_size(app_name: str, kind: str) -> int:
     of its ``data`` (the origin is an address, an 8-byte number)."""
     return Message(kind="pastry.direct", payload={
         "app": app_name, "kind": kind, "data": {}, "origin": 0}).size_bytes()
+
+
+@cache
+def route_envelope_size(app_name: str, scope: str) -> int:
+    """Wire size of a ``pastry.route`` message for ``(app, scope)``
+    without its ``data``: a routed message's size is this plus the size
+    of its ``data`` (the key and the origin are 8-byte numbers)."""
+    return Message(kind="pastry.route", payload={
+        "key": 0, "app": app_name, "data": {}, "origin": 0,
+        "scope": scope}).size_bytes()
 
 
 #: Wire size of a ``pastry.ls_req`` (its one field is an address).
@@ -115,7 +125,9 @@ class PastryNode(Host):
 
         ``scope`` selects the routing state: ``"global"`` crosses sites,
         ``"site"`` uses the site-scoped state so the message converges inside
-        the local site (administrative isolation, paper §III-E).
+        the local site (administrative isolation, paper §III-E).  The
+        message is sized here, once (:attr:`Message.size`): every hop
+        re-sends it with the size it arrived with.
         """
         msg = Message(
             kind="pastry.route",
@@ -127,15 +139,16 @@ class PastryNode(Host):
                 "scope": scope,
             },
         )
+        msg.size = route_envelope_size(app_name, scope) + _estimate_size(payload)
         self._handle_route(msg, local=True)
 
     def send_app(self, dst_address: int, app_name: str, kind: str,
                  payload: Dict[str, Any], size: Optional[int] = None) -> None:
         """Direct point-to-point message to an application on a known host.
 
-        ``size`` is the size of ``payload`` when the caller knows it (the
-        anycast walk does): the message is then sized as its
-        ``(app, kind)`` envelope plus ``size``, and nothing is walked.
+        The message is sized as its ``(app, kind)`` envelope plus the size
+        of ``payload``: ``size`` when the caller knows it (the anycast
+        walk does), else the walk of ``payload`` alone.
         """
         msg = Message(kind="pastry.direct", payload={
             "app": app_name,
@@ -143,9 +156,11 @@ class PastryNode(Host):
             "data": payload,
             "origin": self.address,
         })
-        if size is not None:
-            size += envelope_size(app_name, kind)
-        self.send(dst_address, msg, size)
+        network = self.network
+        if network is None:
+            raise NetworkError("host not attached to a network")
+        network.send(self, dst_address, msg, envelope_size(app_name, kind)
+                     + (_estimate_size(payload) if size is None else size))
 
     # ------------------------------------------------------------------
     # Message handling
@@ -245,6 +260,10 @@ class PastryNode(Host):
         return removed
 
     def _handle_route(self, msg: Message, local: bool) -> None:
+        """One routing step.  The forward re-sends ``msg`` with
+        :attr:`Message.size`, the size its origin measured: no hop changes
+        a payload's size (Scribe's mid-route JOIN adoption swaps one
+        packed ref, three numbers, for another)."""
         key = NodeId(msg.payload["key"])
         app = self.apps.get(msg.payload["app"])
         if app is None:
@@ -267,7 +286,10 @@ class PastryNode(Host):
             return
         msg.hops += 1
         self.stats["route_forwarded"] += 1
-        self.send(next_hop.address, msg)
+        network = self.network
+        if network is None:
+            raise NetworkError("host not attached to a network")
+        network.send(self, next_hop.address, msg, msg.size)
 
     # ------------------------------------------------------------------
     # Next-hop resolution

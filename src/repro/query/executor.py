@@ -676,14 +676,11 @@ class QueryApplication(Application):
         """
         if state.get("kind") not in ("query", "gquery"):
             return state, False
-        strict: List[Predicate] = []
-        implied: List[Predicate] = []
-        for packed, is_implied in state["predicates"]:
-            (implied if is_implied else strict).append(Predicate.unpack(packed))
         entry = None
         if state["kind"] == "gquery":
             from repro.query.plan import group_label  # lazy: avoids cycle
 
+            strict, implied = Predicate.unpack_checks(state["predicates"])
             group_attr = state["group_by"]
             if (node.check_predicates(strict, implied=implied)
                     and node.has_attribute(group_attr)):
@@ -694,9 +691,8 @@ class QueryApplication(Application):
                 }
         else:
             entry = node.consider_for_query(
-                state["query_id"], state.get("caller"), strict,
-                state.get("payload"), implied=implied,
-            )
+                state["query_id"], state.get("caller"), state["predicates"],
+                state.get("payload"))
             if entry is not None:
                 order_by = state.get("order_by")
                 if order_by:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Tuple
+from typing import Any, List, Sequence, Tuple
 
 _OPS = ("=", "==", "<>", "!=", "<", "<=", ">", ">=", "between")
 
@@ -81,6 +81,17 @@ class Predicate:
         if op == "between" and isinstance(value, list):
             value = tuple(value)
         return cls(attribute, op, value)
+
+    @classmethod
+    def unpack_checks(cls, checks: Sequence[Tuple[Tuple[str, str, Any], bool]],
+                      ) -> Tuple[List["Predicate"], List["Predicate"]]:
+        """A plan's packed ``(predicate, implied)`` checks as ``(strict,
+        implied)`` predicate lists, in order."""
+        strict: List[Predicate] = []
+        implied: List[Predicate] = []
+        for packed, is_implied in checks:
+            (implied if is_implied else strict).append(cls.unpack(packed))
+        return strict, implied
 
     def __str__(self) -> str:
         if self.op == "between":

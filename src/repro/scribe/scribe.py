@@ -15,7 +15,8 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.net.message import Message, _estimate_size
 from repro.obs import Observability
-from repro.pastry.node import Application, PastryNode, envelope_size
+from repro.pastry.node import (Application, PastryNode, envelope_size,
+                               route_envelope_size)
 from repro.pastry.nodeid import NodeId
 from repro.pastry.routing_table import NodeRef
 from repro.scribe.aggregate import AGGREGATE_FUNCTIONS, AggregateFunction
@@ -401,7 +402,11 @@ class ScribeApplication(Application):
             if state is not None and state.in_tree():
                 if self.rebalancer is not None:
                     self.rebalancer.record(data["topic"])
-                self._anycast_visit(node, data)
+                size = msg.size
+                if size is not None:  # the routed message's data
+                    size -= route_envelope_size(self.name,
+                                                msg.payload["scope"])
+                self._anycast_visit(node, data, size=size)
                 return False
         return True
 
@@ -439,7 +444,7 @@ class ScribeApplication(Application):
             # The walk carries its measured size: the next hop's data is
             # what arrived plus what this hop appends.
             self._anycast_visit(node, data, payload["origin"],
-                                msg.size - envelope_size(self.name, kind))
+                                msg.size - _WALK_ENVELOPE)
             return
         handler = self.direct_handlers.get(kind)
         if handler is not None:
@@ -819,3 +824,7 @@ class ScribeApplication(Application):
         for state in list(self._topics.values()):
             if state.detached():
                 self._route_join(node, state)
+
+
+#: The ``anycast_walk`` envelope: an arrived walk's data is its size less this.
+_WALK_ENVELOPE = envelope_size(ScribeApplication.name, "anycast_walk")

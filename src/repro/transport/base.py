@@ -27,7 +27,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import partial
 from typing import (TYPE_CHECKING, Any, Callable, Dict, Iterable, Optional,
-                    Tuple)
+                    Set, Tuple)
 
 from repro.obs.spans import NULL_RECORDER
 
@@ -144,11 +144,12 @@ class Transport:
 
     holds at every instant (the chaos suite and the sanitizer check it);
     sends from detached (crashed) hosts are suppressed *outside* the
-    equation via ``messages_suppressed``.  This class moves every term
-    but the ``messages_in_flight`` gauge, which belongs to carriage: a
-    backend's :meth:`send` is :meth:`_admit`, then the gauge up once per
-    admitted copy put on its wire, and down again just before the copy
-    reaches :meth:`_arrive` (or the backend's own wire-failure drop).
+    equation via ``messages_suppressed``.  This class moves every term:
+    :meth:`send` (admission) counts each admitted copy sent and in
+    flight and hands it to the backend's :meth:`_carry`; the backend
+    passes what comes off its wire to :meth:`_arrive`, which settles the
+    gauge and delivers.  A backend adds only carriage, and its own
+    wire-failure drops.
 
     Attributes the protocol layers read directly:
 
@@ -206,6 +207,12 @@ class Transport:
     #: Verify every sender-supplied size against the walk at admission
     #: (the sim's codec shadow mode turns it on with the round trip).
     wire_check = False
+    #: Addresses this process sends for; None = every attached host (a
+    #: partitioned live process only shadows the rest).
+    _served: Optional[Set[int]] = None
+    #: Does a copy leave the in-flight gauge as it arrives?  (A
+    #: partitioned live process settles a frame once TCP has it.)
+    _track_inflight = True
 
     # ------------------------------------------------------------------
     # Membership
@@ -283,34 +290,32 @@ class Transport:
         is expressed to the sender only through its own protocol
         timeouts, which is what maps live connect/write failures onto
         the typed ``QueryError``/``QueryTimeout`` machinery unchanged.
-        ``size`` is the message's wire size when the sender knows it;
-        otherwise admission walks the message.
-        """
-        raise NotImplementedError
 
-    def _admit(self, src: Host, dst_address: int, msg: Message,
-               served: bool = True, size: Optional[int] = None,
-               ) -> Optional[Tuple[Host, int, float, int]]:
-        """Send-side admission: stamp, count, and decide ``msg``'s fate.
-
-        Returns ``(dst_host, size, extra_delay_ms, copies)`` for the
-        backend to carry, every copy already counted as sent — or ``None``
-        when the message goes nowhere and is fully accounted (suppressed,
-        unknown destination, dropped by the fault filter).  ``served``
-        is False for a host this backend only shadows: its owner sends.
-        ``size`` is the sender's own measure of this send; admission
-        never reads the size an earlier send recorded on ``msg``, since
-        Pastry re-sends the object it received.  Under ``wire_check`` a
-        supplied size must equal the walk (:class:`WireSizeError`).
+        This is send-side admission, the one send body of every backend
+        (each binds it as its own ``send``): stamp, count and decide
+        ``msg``'s fate, then hand every admitted copy to the backend's
+        :meth:`_carry`.  A message that goes nowhere is fully accounted
+        here (suppressed, unknown destination, dropped by the fault
+        filter).  A host the backend only shadows (``_served``) is
+        suppressed: its owner sends.  ``size`` is the sender's own
+        measure of this send, else the message is walked; admission never
+        reads the size an earlier send recorded on ``msg``.  Under
+        ``wire_check`` a supplied size must equal the walk
+        (:class:`WireSizeError`).
         """
-        if not (served and src.alive) or self._hosts.get(src.address) is not src:
+        address = src.address
+        served = self._served
+        if (not src.alive or self._hosts.get(address) is not src
+                or (served is not None and address not in served)):
             # A crashed host sends nothing: callbacks it scheduled before
             # the crash (flush timers, retries) must not leak onto the wire.
             self.messages_suppressed += 1
-            return None
-        msg.src = src.address
+            return
+        msg.src = address
         msg.dst = dst_address
-        stamp_trace_ctx(self.recorder, msg)
+        recorder = self.recorder
+        if recorder.enabled:
+            stamp_trace_ctx(recorder, msg)
         self.messages_sent += 1
         if size is None:
             size = msg.size_bytes()
@@ -319,13 +324,13 @@ class Transport:
                 f"{msg.kind} {msg.payload.get('kind', '')}: supplied size "
                 f"{size} != walked size {msg.size_bytes()}")
         self.bytes_sent += size
-        self.per_host_sent[src.address] += 1
+        self.per_host_sent[address] += 1
         dst_host = self._hosts.get(dst_address)
         if dst_host is None:
             # Destination unknown at send time: model as a dropped packet
             # (the sender learns via its own timeouts, as on a real network).
             self.messages_dropped += 1
-            return None
+            return
         extra_delay = 0.0
         copies = 1
         if self.fault_filter is not None:
@@ -333,43 +338,66 @@ class Transport:
             if decision is not None:
                 if decision.drop:
                     self.messages_dropped += 1
-                    return None
+                    return
                 extra_delay = decision.extra_delay_ms
                 extra = decision.duplicates  # extra wire packets: account them
                 copies += extra
                 self.messages_sent += extra
                 self.bytes_sent += size * extra
-                self.per_host_sent[src.address] += extra
-        return dst_host, size, extra_delay, copies
+                self.per_host_sent[address] += extra
+        self.messages_in_flight += copies
+        while copies:
+            self._carry(src, dst_host, msg, size, extra_delay)
+            copies -= 1
 
-    def _arrive(self, address: int, msg: Message, size: int) -> None:
-        """Receive side: one copy of ``msg`` came off the wire at ``address``."""
-        host = self._hosts.get(address)
-        if host is None or not host.alive:
-            # In-flight to a host that crashed mid-transit: dropped
-            # exactly once here, mirroring the send-time
-            # unknown-destination path.
-            self.messages_dropped += 1
-            return
-        self.messages_delivered += 1
-        self.per_host_received[address] += 1
-        self.per_host_bytes_in[address] += size
-        # Handlers read the size this copy arrived with (out-of-band).
-        msg.size = size
-        if msg.trace is not None:
-            msg.trace.append(address)
-        # Restore the sender's causal context for the duration of the
-        # handler, so spans it opens parent under the causing span.  The
-        # tracing-off hot path (nothing stamped) is ``_dispatch`` inlined,
-        # saving a call frame per message.
-        if msg.trace_ctx is None or not self.recorder.enabled:
-            hook = self._delivery_hook
-            if hook is not None:
-                hook(msg)
-            host.on_message(msg)
-        else:
-            deliver_traced(self.recorder, msg,
-                           partial(self._dispatch, host, msg))
+    def _carry(self, src: Host, dst_host: Host, msg: Message, size: int,
+               extra_delay: float) -> None:
+        """Backend carriage: put one admitted copy of ``msg`` on the wire
+        toward ``dst_host``, ``extra_delay`` ms late (the fault filter's).
+        The copy is already counted as sent and in flight."""
+        raise NotImplementedError
+
+    def _arrive(self, address: int,
+                arrivals: Iterable[Tuple[Message, int]]) -> None:
+        """Receive side, the one arrival loop of every backend: each
+        ``(msg, size)`` copy came off the wire at ``address``, in order.
+
+        Counters move per copy (a handler may crash the destination
+        mid-batch, and the conservation identity must hold at every
+        instant): the in-flight gauge settles as each copy arrives, on a
+        backend that settles it there (``_track_inflight``).
+        """
+        hosts = self._hosts
+        settle = self._track_inflight
+        for msg, size in arrivals:
+            if settle:
+                self.messages_in_flight -= 1
+            host = hosts.get(address)
+            if host is None or not host.alive:
+                # In flight to a host that crashed mid-transit: dropped
+                # exactly once here, mirroring the send-time
+                # unknown-destination path.
+                self.messages_dropped += 1
+                continue
+            self.messages_delivered += 1
+            self.per_host_received[address] += 1
+            self.per_host_bytes_in[address] += size
+            # Handlers read the size this copy arrived with (out-of-band).
+            msg.size = size
+            if msg.trace is not None:
+                msg.trace.append(address)
+            # Restore the sender's causal context for the duration of the
+            # handler, so spans it opens parent under the causing span.
+            # The tracing-off path (nothing stamped) is ``_dispatch``
+            # inlined, saving a call frame per message.
+            if msg.trace_ctx is None or not self.recorder.enabled:
+                hook = self._delivery_hook
+                if hook is not None:
+                    hook(msg)
+                host.on_message(msg)
+            else:
+                deliver_traced(self.recorder, msg,
+                               partial(self._dispatch, host, msg))
 
     def _dispatch(self, host: Host, msg: Message) -> None:
         if self._delivery_hook is not None:

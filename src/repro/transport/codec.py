@@ -296,17 +296,19 @@ def split_frames(buffer: bytearray) -> List[bytes]:
     return bodies
 
 
-def roundtrip_check(msg: Message) -> Tuple[Message, bytes]:
-    """Encode → decode → re-encode ``msg``; raise unless byte-identical.
-
-    The sim transport's ``wire_check`` shadow mode runs every delivery
-    through this, making the DES a continuous lint for wire safety.
-    """
-    body = encode_message(msg)
+def decode_checked(body: bytes) -> Message:
+    """Decode ``body`` and re-encode the copy; raise unless the two bodies
+    are byte-identical (a value the codec cannot carry faithfully)."""
     decoded = decode_message(body)
     again = encode_message(decoded)
     if again != body:
         raise CodecError(
-            f"codec round trip not byte-identical for kind={msg.kind!r} "
+            f"codec round trip not byte-identical for kind={decoded.kind!r} "
             f"({len(body)} vs {len(again)} bytes)")
-    return decoded, body
+    return decoded
+
+
+def roundtrip_check(msg: Message) -> Tuple[Message, bytes]:
+    """Encode → decode → re-encode ``msg``; raise unless byte-identical."""
+    body = encode_message(msg)
+    return decode_checked(body), body

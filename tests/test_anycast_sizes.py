@@ -90,11 +90,11 @@ def test_every_walk_send_costs_what_it_weighs(seed, per_site, members,
 
     network.fault_filter = faults
     checked = []
-    admit = network._admit
+    admit = network.send
 
-    def checked_admit(src, dst_address, msg, served=True, size=None):
+    def checked_admit(src, dst_address, msg, size=None):
         sent, sent_bytes = network.messages_sent, network.bytes_sent
-        result = admit(src, dst_address, msg, served, size)
+        result = admit(src, dst_address, msg, size)
         copies = network.messages_sent - sent
         if copies:
             weight = 24 + reference_size(msg.kind) + reference_size(msg.payload)
@@ -103,7 +103,7 @@ def test_every_walk_send_costs_what_it_weighs(seed, per_site, members,
             checked.append(protocol_kind(msg))
         return result
 
-    network._admit = checked_admit
+    network.send = checked_admit
     asker = site_nodes[-1]
     future = asker.app("scribe").anycast(
         asker, TOPIC, {"entries": []}, timeout=2_000.0, scope="site")
@@ -133,14 +133,14 @@ def test_walk_hops_supply_their_size():
     for node in overlay.nodes:
         node.app("scribe").anycast_visitor = visitor
     supplied = []
-    admit = network._admit
+    admit = network.send
 
-    def recording_admit(src, dst_address, msg, served=True, size=None):
+    def recording_admit(src, dst_address, msg, size=None):
         if protocol_kind(msg) == WALK:
             supplied.append(size)
-        return admit(src, dst_address, msg, served, size)
+        return admit(src, dst_address, msg, size)
 
-    network._admit = recording_admit
+    network.send = recording_admit
     asker = site_nodes[-1]
     result = asker.app("scribe").anycast(
         asker, TOPIC, {"entries": []}, scope="site").result()

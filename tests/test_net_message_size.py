@@ -8,12 +8,15 @@ read it, and none of them may move.
 """
 
 import math
+import os
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.faults.injector import protocol_kind
 from repro.net import message as message_module
 from repro.net.latency import UniformLatencyModel, make_ec2_registry
 from repro.net.message import Message, _estimate_size
@@ -28,6 +31,11 @@ from repro.sim.random_streams import RandomStreams
 from repro.transport.codec import decode_message, encode_message
 from tests.conftest import build_overlay
 from tests.test_transport_wire_golden import CORPUS, _message
+
+
+#: Where admission lives: a size walk called from this file is one made
+#: at admission.
+ADMISSION_FILE = os.path.join("repro", "transport", "base.py")
 
 
 def reference_size(value) -> int:
@@ -283,3 +291,81 @@ def test_out_of_band_slots_never_reach_the_wire():
         assert msg == _message(entry["message"])
         decoded = decode_message(body)
         assert decoded.size is None and decoded.state_version is None
+
+
+def _dressed_federation(wire_check):
+    """A faulted, rebalancing federation at work: roll-ups, multi-hop
+    Pastry joins, an admin multicast and queries, crashes, a partition
+    and lost, duplicated and late messages."""
+    from repro.core.plane import RBay, RBayConfig
+    from repro.faults import FaultSchedule
+    from repro.query.options import QueryOptions
+    from repro.scribe.rebalance import RebalanceConfig
+    from repro.workloads.generator import FederationWorkload, WorkloadSpec
+
+    plane = RBay(RBayConfig(
+        seed=11, synthetic_sites=3, nodes_per_site=8, jitter=True,
+        maintenance_interval_ms=500.0, reservation_hold_ms=1_000.0,
+        wire_check=wire_check,
+        rebalance=RebalanceConfig(hot_threshold=10, cool_threshold=2,
+                                  window_ms=500.0, hot_windows=2,
+                                  cool_windows=4, max_replicas=2,
+                                  min_children=2))).build()
+    FederationWorkload(plane, WorkloadSpec(password="rbay")).apply()
+    plane.register_buckets("CPU_utilization", 0.0, 100.0, buckets=4)
+    plane.sim.run()
+    plane.start_maintenance()
+    sites = [site.name for site in plane.registry]
+    for site in plane.registry:
+        plane.add_node(site, join_via=plane.site_nodes(site.name)[0])
+    admin = plane.admin(sites[0])
+    for node in plane.site_nodes(sites[0])[:4]:
+        admin.post_resource(node, "for_rent", True, tree="for_rent")
+    plane.settle(1_000.0)
+    admin.broadcast_command(plane.site_nodes(sites[0])[0], "for_rent",
+                            "for_rent", {"note": "ü"})
+    plane.install_faults(FaultSchedule.randomized(
+        random.Random(8), duration_ms=4_000.0, node_count=len(plane.nodes),
+        crash_fraction=0.3, mean_downtime_ms=1_500.0, site_names=sites,
+        partitions=1, mean_partition_ms=1_500.0, drop_prob=0.1,
+        duplicate_prob=0.05, extra_delay_ms=3.0).shifted(plane.sim.now))
+    for index, sql in enumerate((
+            "SELECT 2 FROM * WHERE CPU_utilization BETWEEN 10 AND 60;",
+            f"SELECT * FROM {sites[1]} GROUP BY CPU_utilization;",
+            "SELECT 1 FROM * WHERE CPU_utilization < 30%;") * 3):
+        options = QueryOptions(origin=sites[index % 3],
+                               payload={"password": "rbay"})
+        plane.sim.schedule(400.0 * index,
+                           lambda sql=sql, options=options:
+                           plane.submit(sql, options=options))
+    plane.settle(6_000.0)
+    plane.stop_maintenance()
+    plane.sim.run()
+    return plane
+
+
+def test_no_pastry_built_send_is_walked_at_admission(monkeypatch):
+    """Every send Pastry builds names its size, so admission walks none of
+    them (it walks only a send that names no size); under ``wire_check``
+    every named size is compared with the walk, and none differs."""
+    walked = []
+    size_bytes = Message.size_bytes
+
+    def counted(msg):
+        if sys._getframe(1).f_code.co_filename.endswith(ADMISSION_FILE):
+            walked.append(protocol_kind(msg))
+        return size_bytes(msg)
+
+    monkeypatch.setattr(Message, "size_bytes", counted)
+    net = _dressed_federation(wire_check=False).network
+    assert net.messages_sent > 2_000 and net.messages_dropped > 0
+    assert walked == []
+    # Under wire_check admission walks every send to check its named
+    # size (a wrong one raises WireSizeError at its send).
+    checked = _dressed_federation(wire_check=True).network
+    assert set(walked) == checked.wire_kinds_seen
+    assert {"route/join/", "route/scribe/join", "route/scribe/mcast",
+            "route/scribe/anycast", "direct/scribe/anycast_walk",
+            "direct/scribe/mcast_down", "direct/scribe/agg_push_batch",
+            "direct/join/state", "direct/query/site_query",
+            "pastry.ls_req", "pastry.ls_rep"} <= set(walked)

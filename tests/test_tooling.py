@@ -606,3 +606,40 @@ class TestGcCensus:
                 gc.enable()
         assert census.collections == {"slices": [0, 1, 0], "elsewhere": [0, 0, 1]}
         assert len(census.tracked_after_setup) == 1
+
+
+class TestMsgFloor:
+    """``tools/msg_floor.py``: the sim's send→deliver ping-pong."""
+
+    @pytest.fixture
+    def floor(self):
+        return load_module("msg_floor", REPO / "tools" / "msg_floor.py")
+
+    def test_every_arm_delivers_its_messages(self, floor):
+        results = floor.measure(messages=200, runs=2)
+        assert len(results) == 4
+        assert {arm.split()[1] for arm in results} == {"on", "off"}
+        assert {arm.split()[-1] for arm in results} == {"supplied", "walked"}
+        for values in results.values():
+            assert len(values) == 2 and all(v > 0 for v in values)
+
+    def test_a_ping_pong_is_one_send_and_one_delivery_per_message(
+            self, floor, monkeypatch):
+        from repro.net.network import Network
+
+        counts = []
+        deliver = Network._deliver_batch
+
+        def counting(net, key):
+            counts.append(len(net._pending_batches[key]))
+            deliver(net, key)
+
+        monkeypatch.setattr(Network, "_deliver_batch", counting)
+        floor.ping_pong_us(50, jitter=True, supplied=False)
+        assert counts == [1] * 50
+
+    def test_cli_prints_one_row_per_arm(self, floor, capsys):
+        assert floor.main(["--messages", "100", "--runs", "1",
+                           "--src", str(REPO / "src")]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].split()[0] == "arm" and len(lines) == 5

@@ -98,6 +98,31 @@ def test_unserializable_payload_fails_loudly_under_wire_check():
     b = Silent(sites[1])
     net.attach(a)
     net.attach(b)
-    a.send(b.address, Message(kind="evil", payload={"fn": lambda: None}))
+    # Encoded at the send, as a socket would: the send itself raises.
     with pytest.raises(CodecError, match="fn"):
+        a.send(b.address, Message(kind="evil", payload={"fn": lambda: None}))
+
+
+def test_wire_check_delivers_what_was_sent_not_what_it_became():
+    """A payload changed after its send (a message is a copy: nothing may
+    change it) reaches a ``wire_check`` receiver as it was sent — the
+    bytes are taken at the send — while the plain run shows the change."""
+    seen = {}
+    for wire_check in (False, True):
+        sim = Simulator()
+        registry = SiteRegistry()
+        registry.add("A", "r")
+        net = Network(sim, wire_check=wire_check)
+
+        class Keeper(Host):
+            def on_message(self, msg):
+                seen[wire_check] = msg.payload["value"]
+
+        a, b = Keeper(registry[0]), Keeper(registry[0])
+        net.attach(a)
+        net.attach(b)
+        payload = {"value": 1}
+        a.send(b.address, Message(kind="note", payload=payload))
+        payload["value"] = 2  # a sender that breaks the copy rule
         sim.run()
+    assert seen == {False: 2, True: 1}

@@ -1,0 +1,110 @@
+#!/usr/bin/env python3
+"""The sim's per-message floor: a two-host send→deliver ping-pong.
+
+Two hosts on one :class:`repro.net.network.Network` bounce one message
+back and forth: each delivery's handler sends the next message, so a run
+of N messages is N admissions, N latency draws, N heap events and N
+arrivals with no protocol work around them.  The tool prints the wall
+microseconds per message, the median of ``--runs`` runs, for each arm:
+
+* ``jitter``: the Table II model with a jitter stream (one lognormal
+  draw per message) or without one (the plain Table II delay);
+* ``size``: the sender supplies the message's size, or the transport
+  walks the message at admission.
+
+The bench's ``net.message_build_ns`` times ``Message`` construction only;
+this is the whole carriage around a hop, the net layer's own micro.
+
+Usage, from the repository root::
+
+    python tools/msg_floor.py
+    python tools/msg_floor.py --messages 50000 --runs 7
+    python tools/msg_floor.py --src path/to/other/src   # another tree
+
+``make floor`` runs the first line.
+"""
+
+from __future__ import annotations
+
+import argparse
+import random
+import statistics
+import sys
+from pathlib import Path
+from time import perf_counter
+from typing import Dict, List, Optional, Sequence
+
+ROOT = Path(__file__).resolve().parent.parent
+
+#: The payload every ping carries: a few keys, like a small direct message.
+PAYLOAD = {"topic": "Site000/CPU_utilization", "request_id": 7, "hops": [1, 2]}
+
+
+def ping_pong_us(messages: int, jitter: bool, supplied: bool) -> float:
+    """Wall microseconds per message of one ``messages``-long ping-pong."""
+    from repro.net.latency import TableIILatencyModel, make_ec2_registry
+    from repro.net.message import Message
+    from repro.net.network import Host, Network
+    from repro.sim.engine import Simulator
+
+    sim = Simulator()
+    model = TableIILatencyModel(rng=random.Random(1) if jitter else None)
+    network = Network(sim, model)
+    size = Message("ping", PAYLOAD).size_bytes() if supplied else None
+    left = [messages]
+
+    class Player(Host):
+        peer = 0
+
+        def on_message(self, msg: Message) -> None:
+            left[0] -= 1
+            if left[0] > 0:
+                network.send(self, self.peer, Message("ping", PAYLOAD), size)
+
+    sites = list(make_ec2_registry())
+    a, b = Player(sites[0]), Player(sites[5])
+    network.attach(a)
+    network.attach(b)
+    a.peer, b.peer = b.address, a.address
+    start = perf_counter()
+    network.send(a, b.address, Message("ping", PAYLOAD), size)
+    sim.run()
+    elapsed = perf_counter() - start
+    assert network.messages_delivered == messages
+    return elapsed / messages * 1e6
+
+
+def measure(messages: int, runs: int) -> Dict[str, List[float]]:
+    """``{arm: [µs per message per run]}`` over the four arms, the runs of
+    every arm interleaved so a slow stretch of the machine hits them all."""
+    arms = {(jitter, supplied): [] for jitter in (True, False)
+            for supplied in (True, False)}
+    for _ in range(runs):
+        for (jitter, supplied), values in arms.items():
+            values.append(ping_pong_us(messages, jitter, supplied))
+    return {f"jitter {'on ' if jitter else 'off'}  size "
+            f"{'supplied' if supplied else 'walked  '}": values
+            for (jitter, supplied), values in arms.items()}
+
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    parser = argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--messages", type=int, default=20_000,
+                        help="messages per ping-pong run (default 20000)")
+    parser.add_argument("--runs", type=int, default=5,
+                        help="runs per arm; the median is reported (default 5)")
+    parser.add_argument("--src", default=str(ROOT / "src"),
+                        help="the src/ whose repro is measured (default: this tree's)")
+    args = parser.parse_args(argv)
+    sys.path.insert(0, args.src)
+    results = measure(args.messages, args.runs)
+    print(f"{'arm':32s} {'us/msg median':>14s} {'min':>7s} {'max':>7s}")
+    for arm, values in results.items():
+        print(f"{arm:32s} {statistics.median(values):14.2f} "
+              f"{min(values):7.2f} {max(values):7.2f}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
