@@ -34,9 +34,10 @@ gc: WORKLOAD = publish_storm
 gc:
 	$(PYTHON) tools/gc_census.py --workload $(WORKLOAD)
 
-# The sim's per-message floor (tools/msg_floor.py): microseconds per
-# message of a two-host send->deliver ping-pong, jitter on/off x size
-# supplied/walked, the median of 5 runs.
+# The per-message floor (tools/msg_floor.py): microseconds per message of
+# a two-host send->deliver ping-pong, jitter on/off x size supplied/walked,
+# then the live arm (the same ping-pong over loopback TCP, and encode /
+# decode per frame over the golden wire corpus), the median of 5 runs.
 floor:
 	$(PYTHON) tools/msg_floor.py
 

@@ -42,9 +42,21 @@ _msg_ids = itertools.count(1)
 
 #: Memo of UTF-8 byte lengths for hot strings (kinds, topic and aggregate
 #: names, payload keys).  Bounded so adversarial workloads with unbounded
-#: distinct strings cannot grow it without limit.
+#: distinct strings cannot grow it without limit; the wire encoder's memo
+#: of tagged strings has the same bound.
 _str_sizes: Dict[str, int] = {}
-_STR_MEMO_LIMIT = 65_536
+STR_MEMO_LIMIT = 65_536
+
+#: The estimator's per-type rules: a number (int or float) is 8 bytes,
+#: None or a bool 1, a value of no wire type 16, and a message 24 more
+#: than its kind and payload; a string counts its UTF-8 bytes, bytes
+#: their length, a container the sum of its items.  The wire decoder
+#: sizes what it decodes by the same constants, from the lengths it reads
+#: (:func:`repro.transport.codec.decode_message`).
+NUMBER_SIZE = 8
+SCALAR_SIZE = 1
+OPAQUE_SIZE = 16
+MESSAGE_OVERHEAD = 24
 
 
 def _estimate_size(value: Any) -> int:
@@ -62,11 +74,11 @@ def _estimate_size(value: Any) -> int:
             # ASCII strings (the overwhelming majority) encode 1:1, so the
             # C-level isascii() check avoids allocating a bytes object.
             size = len(value) if value.isascii() else len(value.encode("utf-8"))
-            if len(_str_sizes) < _STR_MEMO_LIMIT:
+            if len(_str_sizes) < STR_MEMO_LIMIT:
                 _str_sizes[value] = size
         return size
     if t is float or t is int:
-        return 8
+        return NUMBER_SIZE
     # Containers size numbers and memoized strings in place; every other
     # value goes through the call (which memoizes a new string).
     if t is dict:
@@ -76,7 +88,7 @@ def _estimate_size(value: Any) -> int:
             total += _estimate_size(k) if size is None else size
             t = type(v)
             if t is int or t is float:
-                total += 8
+                total += NUMBER_SIZE
                 continue
             size = _str_sizes.get(v) if t is str else None
             total += _estimate_size(v) if size is None else size
@@ -86,13 +98,13 @@ def _estimate_size(value: Any) -> int:
         for v in value:
             t = type(v)
             if t is int or t is float:
-                total += 8
+                total += NUMBER_SIZE
                 continue
             size = _str_sizes.get(v) if t is str else None
             total += _estimate_size(v) if size is None else size
         return total
     if value is None or t is bool:
-        return 1
+        return SCALAR_SIZE
     if t is bytes:
         return len(value)
     if t is set or t is frozenset:
@@ -100,7 +112,7 @@ def _estimate_size(value: Any) -> int:
         for v in value:
             total += _estimate_size(v)
         return total
-    return 16
+    return OPAQUE_SIZE
 
 
 class Message:
@@ -129,8 +141,9 @@ class Message:
     size:
         Wire size in bytes this copy arrived with, recorded by the
         transport before the handler runs; on a routed message at its
-        origin, the size ``route()`` built it with (else None before
-        delivery).  Also out-of-band: never encoded, not part of ``==``.
+        origin, the size ``route()`` built it with; on a decoded copy,
+        the size its decode measured (else None before delivery).  Also
+        out-of-band: never encoded, not part of ``==``.
         Pastry's forward re-sends a routed message with it (no hop
         changes a routed payload's size); the transport itself never
         reads it for a send — a send is sized by its caller or walked.
@@ -167,7 +180,8 @@ class Message:
 
     def size_bytes(self) -> int:
         """Approximate wire size of this message."""
-        return 24 + _estimate_size(self.kind) + _estimate_size(self.payload)
+        return (MESSAGE_OVERHEAD + _estimate_size(self.kind)
+                + _estimate_size(self.payload))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Message):

@@ -262,8 +262,8 @@ class PastryNode(Host):
     def _handle_route(self, msg: Message, local: bool) -> None:
         """One routing step.  The forward re-sends ``msg`` with
         :attr:`Message.size`, the size its origin measured: no hop changes
-        a payload's size (Scribe's mid-route JOIN adoption swaps one
-        packed ref, three numbers, for another)."""
+        a payload's size (Scribe's mid-route JOIN adoption forwards a copy
+        that swaps one packed ref, three numbers, for another)."""
         key = NodeId(msg.payload["key"])
         app = self.apps.get(msg.payload["app"])
         if app is None:
@@ -284,12 +284,30 @@ class PastryNode(Host):
             return
         if not app.forward(self, key, msg, next_hop):
             return
+        self._forward(msg, next_hop)
+
+    def _forward(self, msg: Message, next_hop: NodeRef) -> None:
         msg.hops += 1
         self.stats["route_forwarded"] += 1
         network = self.network
         if network is None:
             raise NetworkError("host not attached to a network")
         network.send(self, next_hop.address, msg, msg.size)
+
+    def forward_copy(self, msg: Message, next_hop: NodeRef,
+                     data: Dict[str, Any]) -> None:
+        """Route on, to ``next_hop``, a copy of the routed ``msg`` that
+        carries ``data`` in place of its own: an application whose
+        ``forward`` changes a message in flight sends this and consumes
+        the original, which stays as it arrived.  The copy keeps the id,
+        hops, trace and size (``data`` must be the size of the data it
+        replaces)."""
+        copy = Message(msg.kind, {**msg.payload, "data": data}, hops=msg.hops,
+                       msg_id=msg.msg_id,
+                       trace=None if msg.trace is None else list(msg.trace),
+                       trace_ctx=msg.trace_ctx)
+        copy.size = msg.size
+        self._forward(copy, next_hop)
 
     # ------------------------------------------------------------------
     # Next-hop resolution

@@ -138,7 +138,8 @@ class ScribeApplication(Application):
         #: ``handler(node, data, origin)``.  :meth:`host_message` serves
         #: ``direct_handlers``; :meth:`deliver` serves ``routed_handlers``
         #: at the rendezvous (:meth:`forward` intercepts ``join`` and
-        #: ``anycast`` mid-route).  docs/protocol.md lists every kind.
+        #: ``anycast`` mid-route, and both start an ``anycast`` walk with
+        #: the size it arrived with).  docs/protocol.md lists every kind.
         self.direct_handlers: Dict[str, Callable[..., None]] = {
             "agg_push_batch": self._on_agg_push_batch,
             "parent_set": self._on_parent_set,
@@ -396,17 +397,21 @@ class ScribeApplication(Application):
         if op == "join":
             if self.rebalancer is not None:
                 self.rebalancer.record(data["topic"])
-            return self._adopt_joiner(node, data)
+            if not self._adopt_joiner(node, data):
+                return False  # adopted by a node already in the tree
+            if data["child"][1] == node.address:
+                return True  # our own join routes on as built
+            # We adopted the joiner and are not in the tree ourselves: the
+            # join continues on our behalf, in a copy that names us.
+            node.forward_copy(msg, next_hop,
+                              {**data, "child": self._packed_self(node)})
+            return False
         if op == "anycast":
             state = self._topics.get(data["topic"])
             if state is not None and state.in_tree():
                 if self.rebalancer is not None:
                     self.rebalancer.record(data["topic"])
-                size = msg.size
-                if size is not None:  # the routed message's data
-                    size -= route_envelope_size(self.name,
-                                                msg.payload["scope"])
-                self._anycast_visit(node, data, size=size)
+                self._anycast_visit(node, data, size=self._data_size(msg))
                 return False
         return True
 
@@ -417,9 +422,21 @@ class ScribeApplication(Application):
         if self.rebalancer is not None:
             self.rebalancer.record(data["topic"])
         state.is_root = True
-        handler = self.routed_handlers.get(data["op"])
+        op = data["op"]
+        if op == "anycast":  # the walk starts here, sized as it arrived
+            self._anycast_visit(node, data, size=self._data_size(msg))
+            return
+        handler = self.routed_handlers.get(op)
         if handler is not None:
             handler(node, data, msg.payload["origin"])
+
+    def _data_size(self, msg: Message) -> Optional[int]:
+        """The size of a routed message's ``data``: its size less the
+        route envelope (None when it carries no size)."""
+        size = msg.size
+        if size is not None:
+            size -= route_envelope_size(self.name, msg.payload["scope"])
+        return size
 
     # ------------------------------------------------------------------
     # Direct messages
@@ -528,18 +545,17 @@ class ScribeApplication(Application):
     def _adopt_joiner(self, node: PastryNode, data: Dict[str, Any],
                       origin: Optional[int] = None) -> bool:
         """A JOIN reached us — mid-route or, at the root, as the ``join``
-        handler: adopt its sender; True means keep routing it."""
+        handler: adopt its sender.  True means the join goes on: we are
+        its origin, or a forwarder not yet in the tree, which continues
+        joining on its own behalf (``forward``).  ``data`` is not
+        changed."""
         topic = data["topic"]
         child_id, child_addr, child_site = data["child"]
         state = self.topic_state(topic, data.get("scope"))
         if child_addr == node.address:
             return True  # we are the origin; nothing to adopt
         self._add_child(node, state, NodeRef(NodeId(child_id), child_addr, child_site))
-        if state.parent is not None or state.is_root:
-            return False  # already wired in: the join stops here
-        # Become a forwarder and continue joining on our own behalf.
-        data["child"] = self._packed_self(node)
-        return True
+        return state.parent is None and not state.is_root
 
     def _add_child(self, node: PastryNode, state: TopicState, ref: NodeRef) -> None:
         if ref.address == node.address:

@@ -3,14 +3,17 @@
 Each *served* host gets its own listening socket, read by an
 :class:`asyncio.BufferedProtocol` (``recv_into`` one reused buffer →
 ``codec.split_frames``, which enforces ``MAX_FRAME_BYTES`` → the total
-decoder: whatever arrives ends as a delivery or a counted drop).  Sends
-encode the message through the wire codec and queue the frame for a
-resident per-destination sender (lazy connect, bounded retries with
-backoff, timeouts) that writes each burst as one ``write`` + ``drain``;
-a full queue is a counted drop.  Membership, admission, arrival and the
-traffic accounting are inherited from :class:`~repro.transport.base.
-Transport` — the same code the DES network runs — so this file holds only
-sockets, and the whole protocol stack runs on top unchanged, driven by a
+decoder, which also sizes the message: whatever arrives ends as a
+delivery or a counted drop).  Sends encode the message through the wire
+codec; a frame toward a connected peer whose socket holds nothing unsent
+is written there and then.  Any other frame queues for a resident
+per-destination sender (lazy connect, bounded retries with backoff,
+timeouts, backpressure) that writes each burst as one ``write`` +
+``drain``; a full queue is a counted drop.  Membership, admission,
+arrival and the traffic accounting are inherited from
+:class:`~repro.transport.base.Transport` — the same code the DES network
+runs — so this file holds only sockets, and the whole protocol stack runs
+on top unchanged, driven by a
 :class:`~repro.transport.realtime.RealtimeScheduler`.
 
 Failure mapping: the interface keeps datagram semantics, so a refused
@@ -212,7 +215,7 @@ class AsyncioTransport(Transport):
             self._reject(exc)
             return
         try:
-            self._arrive(address, ((msg, msg.size_bytes()),))
+            self._arrive(address, ((msg, msg.size),))  # sized by the decode
         except BaseException as exc:  # handler bug: fail the pump loudly
             self.sim.report_error(exc)
         self.sim.kick()  # a handler ran: the pump re-checks its predicate
@@ -249,6 +252,17 @@ class AsyncioTransport(Transport):
         if peer is None:
             peer = self._peers[dst_address] = _Peer()
             peer.task = self.loop.create_task(self._sender(dst_address, peer))
+        writer = peer.writer
+        if writer is not None and not peer.frames:
+            wire = writer.transport
+            if not wire.is_closing() and not wire.get_write_buffer_size():
+                # Connected, nothing queued or unsent: the frame leaves
+                # now, behind every earlier one, without waking the sender.
+                wire.write(body)
+                if not wire.is_closing():  # else the send failed: queue it
+                    if not self._track_inflight:
+                        self.messages_in_flight -= 1  # handed to TCP
+                    return
         if len(peer.frames) >= _PEER_QUEUE_FRAMES:
             self._account_drop()
             return
@@ -260,8 +274,10 @@ class AsyncioTransport(Transport):
         self.messages_dropped += frames
 
     async def _sender(self, dst_address: int, peer: _Peer) -> None:
-        """Resident writer for one destination: everything queued since
-        the last pass leaves as one ``write`` + one ``drain``."""
+        """Resident writer for one destination, for what ``_enqueue``
+        cannot write at once (no connection yet, a dead one, unsent bytes
+        in the socket): everything queued since the last pass leaves as
+        one ``write`` + one ``drain``."""
         while True:
             if not peer.frames:
                 peer.ready.clear()

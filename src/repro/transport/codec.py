@@ -52,9 +52,10 @@ for speed *within* it; a change that moves a byte bumps the version.
 from __future__ import annotations
 
 import struct
-from typing import Any, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.net.message import Message
+from repro.net.message import (MESSAGE_OVERHEAD, NUMBER_SIZE, SCALAR_SIZE,
+                               STR_MEMO_LIMIT, Message)
 
 #: Bump on any change to the frame/body layout; decoders reject mismatches.
 WIRE_VERSION = 1
@@ -79,6 +80,7 @@ _TAG_DICT = 0x4D   # 'M'
 _pack_counted = struct.Struct(">BI").pack      # S / B / L / U / M + 4-byte count
 _pack_int_head = struct.Struct(">BH").pack     # I + 2-byte length
 _pack_float = struct.Struct(">Bd").pack        # D + the double
+_pack_int16 = struct.Struct(">BHh").pack       # I + length 2 + the value
 _unpack_u32 = struct.Struct(">I").unpack_from
 _unpack_u16 = struct.Struct(">H").unpack_from
 _unpack_double = struct.Struct(">d").unpack_from
@@ -99,12 +101,12 @@ class CodecError(ValueError):
 # ----------------------------------------------------------------------
 def _encode_value(parts: List[bytes], value: Any,
                   path: Optional[str] = None) -> None:
-    """Append ``value``'s encoding to ``parts`` (hot types first).
+    """Append ``value``'s encoding to ``parts``: the reference walk.
 
-    ``path`` names where ``value`` sits, for error messages.  Without one
-    none is built for the children either (``path and f"…"``):
-    :func:`encode_message` asks for paths only on a second walk, after
-    encoding has actually failed.
+    :func:`encode_message` runs it only after its fast walk has failed,
+    with ``path`` set, to raise the error that names where the first
+    offending value sits (``path and f"…"`` builds no path without one).
+    The fast walk must produce this walk's bytes exactly.
     """
     # Exact type checks on purpose: bool subclasses int, and subclasses
     # of the wire types (e.g. a dict-like node object) must not slip
@@ -148,18 +150,119 @@ def _encode_value(parts: List[bytes], value: Any,
             f"({value!r:.80}) — carry an address/topic reference instead")
 
 
+#: Memo of hot strings' tagged encodings (tag, 4-byte length, UTF-8): a
+#: few hundred kinds, keys, topic and aggregate names make up nearly every
+#: string on the wire.  Bounded like the size estimator's memo.
+_str_frames: Dict[str, bytes] = {}
+
+
+def _tagged_str(value: str) -> bytes:
+    """``value``'s tagged encoding, memoized (a surrogate raises
+    ``UnicodeEncodeError``, which sends the encoder to its error walk)."""
+    data = value.encode()  # UTF-8, strict
+    tagged = _pack_counted(_TAG_STR, len(data)) + data
+    if len(_str_frames) < STR_MEMO_LIMIT:
+        _str_frames[value] = tagged
+    return tagged
+
+
+def _tagged_int(value: int) -> bytes:
+    """``value``'s tagged encoding (the containers' loops look a one-byte
+    int up in the table themselves)."""
+    if -0x80 <= value < 0x80:
+        return _SMALL_INTS[value]
+    if -0x8000 < value < 0x8000:
+        return _pack_int16(_TAG_INT, 2, value)
+    return _tagged_wide_int(value)
+
+
+def _tagged_wide_int(value: int) -> bytes:
+    """Any int's tagged encoding: a length of ``bit_length + 1`` bits,
+    rounded up to bytes, then the two's-complement value."""
+    length = (value.bit_length() + 8) // 8
+    if length > 0xFFFF:
+        raise CodecError("integer too large for the wire")
+    return _pack_int_head(_TAG_INT, length) + value.to_bytes(
+        length, "big", signed=True)
+
+
+#: The tagged encodings of -128..127, indexed by value (a negative one
+#: counts from the end): addresses, counts and flags are most of the ints
+#: on the wire.  (-128 takes two bytes: the length is bit_length + 1.)
+_SMALL_INTS = tuple(_tagged_wide_int(value)
+                    for value in (*range(0x80), *range(-0x80, 0)))
+
+
+def _encode_fast(append: Callable[[bytes], None], value: Any) -> None:
+    """Append ``value``'s encoding, byte for byte :func:`_encode_value`'s:
+    strings come from the memo, and a container's strings, ints and Nones
+    are encoded in its own loop.  Any failure raises, unnamed."""
+    vtype = type(value)
+    if vtype is dict:
+        append(_pack_counted(_TAG_DICT, len(value)))
+        for key, item in value.items():
+            if type(key) is str:
+                append(_str_frames.get(key) or _tagged_str(key))
+            else:
+                _encode_fast(append, key)
+            vtype = type(item)
+            if vtype is str:
+                append(_str_frames.get(item) or _tagged_str(item))
+            elif vtype is int:
+                append(_SMALL_INTS[item] if -0x80 <= item < 0x80
+                       else _tagged_int(item))
+            elif item is None:
+                append(_NONE)
+            else:
+                _encode_fast(append, item)
+    elif vtype is list or vtype is tuple:
+        append(_pack_counted(
+            _TAG_LIST if vtype is list else _TAG_TUPLE, len(value)))
+        for item in value:
+            vtype = type(item)
+            if vtype is str:
+                append(_str_frames.get(item) or _tagged_str(item))
+            elif vtype is int:
+                append(_SMALL_INTS[item] if -0x80 <= item < 0x80
+                       else _tagged_int(item))
+            elif item is None:
+                append(_NONE)
+            else:
+                _encode_fast(append, item)
+    elif vtype is str:
+        append(_str_frames.get(value) or _tagged_str(value))
+    elif vtype is int:
+        append(_tagged_int(value))
+    elif value is None:
+        append(_NONE)
+    elif vtype is bool:
+        append(_TRUE if value else _FALSE)
+    elif vtype is float:
+        append(_pack_float(_TAG_FLOAT, value))
+    elif vtype is bytes:
+        append(_pack_counted(_TAG_BYTES, len(value)))
+        append(value)
+    else:
+        raise CodecError(f"unserializable payload: {vtype.__name__}")
+
+
 def encode_message(msg: Message) -> bytes:
     """Serialize ``msg`` to a canonical (unframed) wire body."""
-    parts = [_VERSION_BYTE]
+    parts: List[bytes] = []
+    fields = (msg.kind, msg.payload, msg.src, msg.dst, msg.hops, msg.msg_id,
+              msg.trace, msg.trace_ctx)
     try:
-        for name in _FIELDS:
-            _encode_value(parts, getattr(msg, name))
-    except CodecError:
-        # The rare path: walk again, tracking paths this time, to raise
-        # the error that names where the offending value sits.
-        for name in _FIELDS:
-            _encode_value([], getattr(msg, name), name)
+        # The fields encode as a tuple's items would (its loop encodes
+        # the scalar ones in place); the body opens with the version byte
+        # where the tuple's header went.
+        _encode_fast(parts.append, fields)
+    except (CodecError, UnicodeEncodeError):
+        # The rare path: the reference walk, tracking paths this time,
+        # raises the error that names where the offending value sits.
+        for name, value in zip(_FIELDS, fields):
+            _encode_value([], value, name)
         raise
+    parts[0] = _VERSION_BYTE
     return b"".join(parts)
 
 
@@ -179,9 +282,12 @@ def encode_frame(msg: Message) -> bytes:
 # ----------------------------------------------------------------------
 # Decoding
 # ----------------------------------------------------------------------
-def _decode_value(data: bytes, pos: int) -> Tuple[Any, int]:
-    """Decode the value tagged at ``data[pos]``; return it and the offset
-    just past it, reading by position (hot tags first).
+def _decode_value(data: bytes, pos: int) -> Tuple[Any, int, int]:
+    """Decode the value tagged at ``data[pos]``; return it, the offset
+    just past it and its size by the estimator's rules
+    (:func:`repro.net.message._estimate_size`), summed from the lengths
+    read.  A container decodes its strings, ints and Nones in its own
+    loop; anything else is one recursive call.
 
     Bounds are :func:`decode_message`'s job, once: a tag or fixed-width
     header cut off by the end raises ``IndexError`` / ``struct.error``,
@@ -189,73 +295,138 @@ def _decode_value(data: bytes, pos: int) -> Tuple[Any, int]:
     slice and an offset *past* the end, which no later read survives.
     """
     tag = data[pos]
-    pos += 1
-    if tag == _TAG_STR or tag == _TAG_BYTES:
-        start = pos + 4
-        end = start + _unpack_u32(data, pos)[0]
-        if tag == _TAG_BYTES:
-            return data[start:end], end
-        try:
-            return data[start:end].decode(), end  # UTF-8, strict
-        except UnicodeDecodeError as exc:
-            raise CodecError(f"invalid UTF-8 in the string at offset "
-                             f"{start}: {exc}") from None
-    if tag == _TAG_INT:
-        start = pos + 2
-        end = start + _unpack_u16(data, pos)[0]
-        return int.from_bytes(data[start:end], "big", signed=True), end
     if tag == _TAG_DICT:
-        count = _unpack_u32(data, pos)[0]
-        pos += 4
+        count = _unpack_u32(data, pos + 1)[0]
+        pos += 5
         result = {}
+        size = 0
         for _ in range(count):
-            key, pos = _decode_value(data, pos)
-            value, pos = _decode_value(data, pos)
+            if data[pos] == _TAG_STR:
+                start = pos + 5
+                pos = start + _unpack_u32(data, pos + 1)[0]
+                key = data[start:pos].decode()  # UTF-8, strict
+                size += pos - start
+            else:
+                key, pos, n = _decode_value(data, pos)
+                size += n
+            tag = data[pos]
+            if tag == _TAG_STR:
+                start = pos + 5
+                pos = start + _unpack_u32(data, pos + 1)[0]
+                value = data[start:pos].decode()
+                size += pos - start
+            elif tag == _TAG_INT:
+                start = pos + 3
+                pos = start + _unpack_u16(data, pos + 1)[0]
+                value = (_SIGNED_BYTES[data[start]] if pos - start == 1 else
+                         _int_from_bytes(data[start:pos], "big", signed=True))
+                size += NUMBER_SIZE
+            elif tag == _TAG_NONE:
+                value = None
+                pos += 1
+                size += SCALAR_SIZE
+            else:
+                value, pos, n = _decode_value(data, pos)
+                size += n
             try:
                 result[key] = value
             except TypeError:
                 raise CodecError(f"unhashable dict key before offset {pos}: "
                                  f"{type(key).__name__}") from None
-        return result, pos
-    if tag == _TAG_NONE:
-        return None, pos
+        return result, pos, size
     if tag == _TAG_LIST or tag == _TAG_TUPLE:
-        count = _unpack_u32(data, pos)[0]
-        pos += 4
-        items = []
+        is_list = tag == _TAG_LIST
+        count = _unpack_u32(data, pos + 1)[0]
+        pos += 5
+        items: List[Any] = []
+        append = items.append
+        size = 0
         for _ in range(count):
-            item, pos = _decode_value(data, pos)
-            items.append(item)
-        return (items if tag == _TAG_LIST else tuple(items)), pos
-    if tag == _TAG_TRUE:
-        return True, pos
-    if tag == _TAG_FALSE:
-        return False, pos
+            tag = data[pos]
+            if tag == _TAG_STR:
+                start = pos + 5
+                pos = start + _unpack_u32(data, pos + 1)[0]
+                append(data[start:pos].decode())
+                size += pos - start
+            elif tag == _TAG_INT:
+                start = pos + 3
+                pos = start + _unpack_u16(data, pos + 1)[0]
+                append(_SIGNED_BYTES[data[start]] if pos - start == 1 else
+                       _int_from_bytes(data[start:pos], "big", signed=True))
+                size += NUMBER_SIZE
+            elif tag == _TAG_NONE:
+                append(None)
+                pos += 1
+                size += SCALAR_SIZE
+            else:
+                value, pos, n = _decode_value(data, pos)
+                append(value)
+                size += n
+        return (items if is_list else tuple(items)), pos, size
+    if tag == _TAG_STR or tag == _TAG_BYTES:
+        start = pos + 5
+        pos = start + _unpack_u32(data, pos + 1)[0]
+        if tag == _TAG_BYTES:
+            return data[start:pos], pos, pos - start
+        return data[start:pos].decode(), pos, pos - start
+    if tag == _TAG_INT:
+        start = pos + 3
+        pos = start + _unpack_u16(data, pos + 1)[0]
+        return (_int_from_bytes(data[start:pos], "big", signed=True), pos,
+                NUMBER_SIZE)
+    if tag == _TAG_NONE:
+        return None, pos + 1, SCALAR_SIZE
+    if tag == _TAG_TRUE or tag == _TAG_FALSE:
+        return tag == _TAG_TRUE, pos + 1, SCALAR_SIZE
     if tag == _TAG_FLOAT:
-        return _unpack_double(data, pos)[0], pos + 8
-    raise CodecError(f"unknown value tag 0x{tag:02x} at offset {pos - 1}")
+        return _unpack_double(data, pos + 1)[0], pos + 9, NUMBER_SIZE
+    raise CodecError(f"unknown value tag 0x{tag:02x} at offset {pos}")
+
+
+#: The value of a one-byte int, by its unsigned byte: most ints on the
+#: wire (addresses, counts, flags) are one byte.
+_SIGNED_BYTES = (*range(0x80), *range(-0x80, 0))
+_int_from_bytes = int.from_bytes  # bound once: the lookup costs a call
 
 
 def decode_message(body: bytes) -> Message:
-    """Parse one wire body back into a :class:`Message`.
+    """Parse one wire body back into a :class:`Message`, sized.
 
-    Total: every ``body`` decodes or raises :class:`CodecError` (version
-    mismatch, truncation, unknown tag, invalid UTF-8, unhashable dict
-    key, runaway nesting, trailing garbage) and nothing else.  Never
-    consumes a fresh ``msg_id`` (the sender's travels on the wire).
+    The copy's :attr:`Message.size` is its estimator size
+    (:meth:`Message.size_bytes`), summed from the lengths the decode
+    reads: a receiver needs no walk.  Total: every ``body`` decodes or
+    raises :class:`CodecError` (version mismatch, truncation, unknown
+    tag, invalid UTF-8, unhashable dict key, runaway nesting, trailing
+    garbage) and nothing else.  Never consumes a fresh ``msg_id`` (the
+    sender's travels on the wire).
     """
     try:
         version = body[0]
         if version != WIRE_VERSION:
             raise CodecError(f"wire version mismatch: got {version}, "
                              f"this codec speaks {WIRE_VERSION}")
-        fields = []
-        pos = 1
-        for _ in _FIELDS:
-            value, pos = _decode_value(body, pos)
-            fields.append(value)
+        # The estimator sizes kind and payload only.
+        kind, pos, kind_size = _decode_value(body, 1)
+        payload, pos, payload_size = _decode_value(body, pos)
+        fields = [kind, payload]
+        append = fields.append
+        for _ in range(len(_FIELDS) - 2):  # addresses, counts, Nones
+            tag = body[pos]
+            if tag == _TAG_INT:
+                start = pos + 3
+                pos = start + _unpack_u16(body, pos + 1)[0]
+                append(_SIGNED_BYTES[body[start]] if pos - start == 1 else
+                       _int_from_bytes(body[start:pos], "big", signed=True))
+            elif tag == _TAG_NONE:
+                append(None)
+                pos += 1
+            else:
+                value, pos, _ = _decode_value(body, pos)
+                append(value)
     except (IndexError, struct.error):
         pos = len(body) + 1  # cut inside a tag or a length field
+    except UnicodeDecodeError as exc:
+        raise CodecError(f"invalid UTF-8 in a string: {exc}") from None
     except RecursionError:
         raise CodecError("containers nested too deeply to decode") from None
     if pos > len(body):
@@ -264,9 +435,11 @@ def decode_message(body: bytes) -> Message:
     if pos < len(body):
         raise CodecError(f"{len(body) - pos} trailing bytes after a "
                          f"complete message")
-    if type(fields[0]) is not str:
+    if type(kind) is not str:
         raise CodecError("message kind must decode to a string")
-    return Message(*fields)
+    msg = Message(*fields)
+    msg.size = MESSAGE_OVERHEAD + kind_size + payload_size
+    return msg
 
 
 def split_frames(buffer: bytearray) -> List[bytes]:

@@ -282,7 +282,8 @@ def test_roll_up_batches_are_sized_as_the_walk(updates):
 
 def test_out_of_band_slots_never_reach_the_wire():
     """``size`` and ``state_version`` are not encoded and not part of
-    ``==``; a decoded copy carries neither."""
+    ``==``; a decoded copy carries neither of the sender's: its size is
+    the one its decode measured, and it has no state version."""
     for entry in CORPUS:
         msg = _message(entry["message"])
         body = encode_message(msg)
@@ -290,7 +291,8 @@ def test_out_of_band_slots_never_reach_the_wire():
         assert encode_message(msg) == body
         assert msg == _message(entry["message"])
         decoded = decode_message(body)
-        assert decoded.size is None and decoded.state_version is None
+        assert decoded.size == decoded.size_bytes() != 4096
+        assert decoded.state_version is None
 
 
 def _dressed_federation(wire_check):
@@ -347,7 +349,9 @@ def _dressed_federation(wire_check):
 def test_no_pastry_built_send_is_walked_at_admission(monkeypatch):
     """Every send Pastry builds names its size, so admission walks none of
     them (it walks only a send that names no size); under ``wire_check``
-    every named size is compared with the walk, and none differs."""
+    every named size is compared with the walk, and none differs.  Every
+    hop of an anycast walk is sized by its sender, the first hop of a walk
+    that starts at the tree's root included: ``send_app`` walks none."""
     walked = []
     size_bytes = Message.size_bytes
 
@@ -356,10 +360,28 @@ def test_no_pastry_built_send_is_walked_at_admission(monkeypatch):
             walked.append(protocol_kind(msg))
         return size_bytes(msg)
 
+    walk_hops = []  # (what ran the walk step, sized by it) per hop
+    send_app = PastryNode.send_app
+
+    def sized_by_caller(node, dst_address, app_name, kind, payload,
+                        size=None):
+        if kind == "anycast_walk":  # sent by _anycast_visit: who ran it?
+            walk_hops.append((sys._getframe(2).f_code.co_name,
+                              size is not None))
+        send_app(node, dst_address, app_name, kind, payload, size)
+
     monkeypatch.setattr(Message, "size_bytes", counted)
+    monkeypatch.setattr(PastryNode, "send_app", sized_by_caller)
     net = _dressed_federation(wire_check=False).network
     assert net.messages_sent > 2_000 and net.messages_dropped > 0
     assert walked == []
+    # A walk's step runs where the walk starts (mid-route in ``forward``,
+    # at the root in ``deliver``) and where a hop arrives; a diverted
+    # walk (rebalancing) starts unsized.
+    steps = {(step, sized) for step, sized in walk_hops
+             if step != "_on_anycast_divert"}
+    assert steps == {("forward", True), ("deliver", True),
+                     ("host_message", True)}
     # Under wire_check admission walks every send to check its named
     # size (a wrong one raises WireSizeError at its send).
     checked = _dressed_federation(wire_check=True).network

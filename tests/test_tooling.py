@@ -609,7 +609,8 @@ class TestGcCensus:
 
 
 class TestMsgFloor:
-    """``tools/msg_floor.py``: the sim's send→deliver ping-pong."""
+    """``tools/msg_floor.py``: the sim's send→deliver ping-pong, and the
+    live arm (loopback TCP ping-pong, codec over the golden corpus)."""
 
     @pytest.fixture
     def floor(self):
@@ -642,4 +643,29 @@ class TestMsgFloor:
         assert floor.main(["--messages", "100", "--runs", "1",
                            "--src", str(REPO / "src")]) == 0
         lines = capsys.readouterr().out.splitlines()
-        assert lines[0].split()[0] == "arm" and len(lines) == 5
+        assert lines[0].split()[0] == "arm" and len(lines) == 8
+        assert [line.rsplit(None, 3)[0] for line in lines[5:]] == [
+            "live ping-pong", "encode golden", "decode golden"]
+
+    def test_the_live_arm_times_every_row(self, floor):
+        results = floor.measure_live(messages=40, runs=2)
+        assert list(results) == ["live ping-pong", "encode golden",
+                                 "decode golden"]
+        for values in results.values():
+            assert len(values) == 2 and all(v > 0 for v in values)
+
+    def test_a_live_ping_pong_is_one_frame_per_message(self, floor,
+                                                       monkeypatch):
+        from repro.transport.asyncio_transport import AsyncioTransport
+
+        frames = []
+        deliver = AsyncioTransport._deliver_body
+
+        def counting(net, address, body):
+            frames.append(address)
+            deliver(net, address, body)
+
+        monkeypatch.setattr(AsyncioTransport, "_deliver_body", counting)
+        assert floor.live_ping_pong_us(30) > 0
+        # The warm-up round trip, then the run: a → b, b → a, ...
+        assert frames == [1, 0] * 16

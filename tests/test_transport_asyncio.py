@@ -1,7 +1,9 @@
 """AsyncioTransport carriage tests: sockets, ports, cut/heal, codec
 errors, the receive-side frame cap, the bounded per-peer queue, pump
-wake-ups, partitioned mode.  Everything shared with the DES network runs
-in ``tests/test_transport_conformance.py``."""
+wake-ups, partitioned mode, and the send path (direct writes to a
+connected peer, the sender for connects and backpressure).  Everything
+shared with the DES network runs in
+``tests/test_transport_conformance.py``."""
 
 import asyncio
 import socket
@@ -403,3 +405,114 @@ def test_partitioned_connect_failure_becomes_drop(rig):
         assert ghost.received == []
     finally:
         net.close()
+
+
+# ----------------------------------------------------------------------
+# The send path: a frame to a connected, unbuffered peer is written as it
+# is sent; the resident sender connects, absorbs backpressure and retries.
+# ----------------------------------------------------------------------
+def _connected_pair(rig):
+    """Two hosts whose a → b connection is up and idle."""
+    sched, sites, net = rig
+    a = Recorder(sites[0])
+    b = Recorder(sites[1])
+    net.attach(a)
+    net.attach(b)
+    a.send(b.address, Message(kind="hello", payload={}))
+    assert sched.run_until(lambda: b.received, timeout=20_000.0)
+    peer = net._peers[b.address]
+    assert peer.writer is not None and not peer.frames
+    return a, b, peer
+
+
+def test_send_order_holds_across_the_connect(rig):
+    """Frames sent while the connection is being made queue behind the
+    sender; once it is up, later frames leave directly — and b reads them
+    all in send order."""
+    sched, sites, net = rig
+    a = Recorder(sites[0])
+    b = Recorder(sites[1])
+    net.attach(a)
+    net.attach(b)
+    for n in range(5):  # no connection yet: all five queue
+        a.send(b.address, Message(kind="x", payload={"n": n}))
+    peer = net._peers[b.address]
+    assert len(peer.frames) == 5 and peer.writer is None
+    assert sched.run_until(lambda: len(b.received) == 5, timeout=20_000.0)
+    for n in range(5, 10):  # connected and idle: written as sent
+        a.send(b.address, Message(kind="x", payload={"n": n}))
+        assert not peer.frames and not peer.ready.is_set()
+    assert sched.run_until(lambda: len(b.received) == 10, timeout=20_000.0)
+    assert [m.payload["n"] for m in b.received] == list(range(10))
+    assert net.messages_in_flight == 0 and conserve(net)
+
+
+@pytest.mark.parametrize("blocked", ("buffered", "closing"))
+def test_a_busy_connection_queues_and_the_bound_drops(rig, monkeypatch,
+                                                      blocked):
+    """While the transport holds unsent bytes (or is closing) a frame
+    queues for the sender instead; the queue's bound still drops and
+    counts, and what queued arrives in order behind what went before."""
+    sched, sites, net = rig
+    a, b, peer = _connected_pair(rig)
+    bound = 8
+    monkeypatch.setattr(asyncio_transport, "_PEER_QUEUE_FRAMES", bound)
+    wire = peer.writer.transport
+    if blocked == "buffered":
+        monkeypatch.setattr(wire, "get_write_buffer_size", lambda: 1)
+    else:
+        monkeypatch.setattr(wire, "is_closing", lambda: True)
+    for n in range(bound + 3):
+        a.send(b.address, Message(kind="x", payload={"n": n}))
+        assert conserve(net)
+    assert len(peer.frames) == bound
+    assert net.messages_dropped == 3
+    monkeypatch.undo()
+    if blocked == "closing":
+        net._drop_writer(b.address)  # it was closing: the sender reconnects
+    a.send(b.address, Message(kind="x", payload={"n": bound + 3}))
+    assert len(peer.frames) == bound + 1  # still behind the queue
+    assert sched.run_until(lambda: len(b.received) == bound + 2,
+                           timeout=20_000.0)
+    assert ([m.payload["n"] for m in b.received[1:]]
+            == [*range(bound), bound + 3])
+    assert net.messages_in_flight == 0 and conserve(net)
+
+
+def test_partitioned_direct_write_settles_in_flight(rig):
+    """In partitioned mode a frame leaves the in-flight gauge when TCP has
+    it: a direct write settles it at once, before anything runs."""
+    import json
+    import os
+
+    from repro.transport.serve import PeerPlan
+
+    sched, sites, _net = rig
+    doc = serve_plan(55_000 + (os.getpid() % 2_000) * 4)
+    nets = [AsyncioTransport(sched, connect_timeout_s=0.5, connect_retries=1,
+                             connect_backoff_s=0.02,
+                             peer_plan=PeerPlan.from_json(json.dumps(doc),
+                                                          owned={owned}))
+            for owned in ("A", "B")]
+    try:
+        a_real, b_shadow = Recorder(sites[0]), Recorder(sites[1])
+        nets[0].attach(a_real)
+        nets[0].attach(b_shadow)
+        a_shadow, b_real = Recorder(sites[0]), Recorder(sites[1])
+        nets[1].attach(a_shadow)
+        nets[1].attach(b_real)
+        a_real.send(b_shadow.address, Message(kind="x", payload={"n": 0}))
+        assert nets[0].messages_in_flight == 1  # queued: not yet handed over
+        assert sched.run_until(lambda: b_real.received, timeout=20_000.0)
+        assert nets[0].messages_in_flight == 0
+        peer = nets[0]._peers[b_shadow.address]
+        for n in range(1, 4):
+            a_real.send(b_shadow.address, Message(kind="x", payload={"n": n}))
+            assert not peer.frames and nets[0].messages_in_flight == 0
+        assert sched.run_until(lambda: len(b_real.received) == 4,
+                               timeout=20_000.0)
+        assert [m.payload["n"] for m in b_real.received] == [0, 1, 2, 3]
+        assert nets[0].messages_sent == 4 and nets[0].messages_dropped == 0
+    finally:
+        for net in nets:
+            net.close()

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""The sim's per-message floor: a two-host send→deliver ping-pong.
+"""The per-message floor: a two-host ping-pong, in the sim and live.
 
 Two hosts on one :class:`repro.net.network.Network` bounce one message
 back and forth: each delivery's handler sends the next message, so a run
@@ -15,6 +15,15 @@ microseconds per message, the median of ``--runs`` runs, for each arm:
 The bench's ``net.message_build_ns`` times ``Message`` construction only;
 this is the whole carriage around a hop, the net layer's own micro.
 
+The live arm is the transport layer's own micro, in three rows:
+
+* ``live ping-pong``: the same bounce between two hosts of one
+  :class:`~repro.transport.asyncio_transport.AsyncioTransport`, over
+  loopback TCP (connected before the clock starts): per frame one
+  encode, one socket write, one read, one decode and one delivery;
+* ``encode golden`` / ``decode golden``: the codec alone, per frame,
+  over every message of ``tests/data/wire_golden.json``.
+
 Usage, from the repository root::
 
     python tools/msg_floor.py
@@ -27,6 +36,7 @@ Usage, from the repository root::
 from __future__ import annotations
 
 import argparse
+import json
 import random
 import statistics
 import sys
@@ -74,6 +84,87 @@ def ping_pong_us(messages: int, jitter: bool, supplied: bool) -> float:
     return elapsed / messages * 1e6
 
 
+def live_ping_pong_us(messages: int) -> float:
+    """Wall microseconds per frame of one ``messages``-long ping-pong over
+    loopback TCP, after a warm-up round trip has connected both ways."""
+    from repro.net.message import Message
+    from repro.net.network import Host
+    from repro.net.site import SiteRegistry
+    from repro.transport.asyncio_transport import AsyncioTransport
+    from repro.transport.realtime import RealtimeScheduler
+
+    sched = RealtimeScheduler()
+    network = AsyncioTransport(sched)
+    size = Message("ping", PAYLOAD).size_bytes()
+    left = [2]
+
+    class Player(Host):
+        peer = 0
+
+        def on_message(self, msg: Message) -> None:
+            left[0] -= 1
+            if left[0] > 0:
+                network.send(self, self.peer, Message("ping", PAYLOAD), size)
+
+    registry = SiteRegistry()
+    registry.add("A", "r")
+    registry.add("B", "r")
+    a, b = (Player(site) for site in registry)
+    try:
+        network.attach(a)
+        network.attach(b)
+        a.peer, b.peer = b.address, a.address
+        for count in (2, messages):  # the warm-up connects both ways
+            left[0] = count
+            start = perf_counter()
+            network.send(a, b.address, Message("ping", PAYLOAD), size)
+            assert sched.run_until(lambda: left[0] == 0, timeout=600_000.0)
+            elapsed = perf_counter() - start
+        assert network.messages_delivered == 2 + messages
+    finally:
+        network.close()
+        sched.close()
+    return elapsed / messages * 1e6
+
+
+def codec_us(frames: int) -> Dict[str, float]:
+    """Encode and decode microseconds per frame over the golden corpus,
+    cycled through until ``frames`` frames have been timed."""
+    from repro.transport.codec import decode_message, encode_frame
+
+    with open(ROOT / "tests" / "data" / "wire_golden.json",
+              encoding="utf-8") as handle:
+        corpus = json.load(handle)["messages"]
+    bodies = [bytes.fromhex(entry["hex"])[4:] for entry in corpus]
+    messages = [decode_message(body) for body in bodies]
+    rounds = max(1, frames // len(bodies))
+    start = perf_counter()
+    for _ in range(rounds):
+        for msg in messages:
+            encode_frame(msg)
+    encode_s = perf_counter() - start
+    start = perf_counter()
+    for _ in range(rounds):
+        for body in bodies:
+            decode_message(body)
+    decode_s = perf_counter() - start
+    timed = rounds * len(bodies)
+    return {"encode golden": encode_s / timed * 1e6,
+            "decode golden": decode_s / timed * 1e6}
+
+
+def measure_live(messages: int, runs: int) -> Dict[str, List[float]]:
+    """``{row: [µs per frame per run]}`` for the live arm's three rows,
+    the runs interleaved like :func:`measure`'s."""
+    rows: Dict[str, List[float]] = {"live ping-pong": [], "encode golden": [],
+                                    "decode golden": []}
+    for _ in range(runs):
+        rows["live ping-pong"].append(live_ping_pong_us(messages))
+        for row, value in codec_us(messages).items():
+            rows[row].append(value)
+    return rows
+
+
 def measure(messages: int, runs: int) -> Dict[str, List[float]]:
     """``{arm: [µs per message per run]}`` over the four arms, the runs of
     every arm interleaved so a slow stretch of the machine hits them all."""
@@ -98,7 +189,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         help="the src/ whose repro is measured (default: this tree's)")
     args = parser.parse_args(argv)
     sys.path.insert(0, args.src)
-    results = measure(args.messages, args.runs)
+    results = {**measure(args.messages, args.runs),
+               **measure_live(args.messages, args.runs)}
     print(f"{'arm':32s} {'us/msg median':>14s} {'min':>7s} {'max':>7s}")
     for arm, values in results.items():
         print(f"{arm:32s} {statistics.median(values):14.2f} "
