@@ -89,7 +89,8 @@ class LeafSet:
     # Queries
     # ------------------------------------------------------------------
     def members(self) -> List[NodeRef]:
-        return list(self._ccw) + list(self._cw)
+        """Every member, predecessors first: a new list on every call."""
+        return self._ccw + self._cw
 
     def covers(self, key: NodeId) -> bool:
         """True if ``key`` falls within the leaf-set arc around the owner.

@@ -104,6 +104,8 @@ class PastryNode(Host):
         # our ingest stamp) its last reply left behind.  A reply matching
         # both provably changes nothing and is skipped (see on_message).
         self._exchange_memo: Dict[int, Tuple[int, int]] = {}
+        # The last neighborhood() built, keyed by the leaf sets' versions.
+        self._neighborhood_memo: Optional[tuple] = None
 
     # ------------------------------------------------------------------
     # Application registry
@@ -232,12 +234,13 @@ class PastryNode(Host):
         which converges to the same state in the simulator.
         """
         removed = 0
-        for ref in list(self.leaf_set.members()):
+        survivors = self.leaf_set.members()  # a fresh list: safe to remove
+        for ref in survivors:
             if not self.believes_alive(ref.address):
                 self.remove_peer(ref.address)
                 removed += 1
-        survivors = self.leaf_set.members()
         if removed:
+            survivors = self.leaf_set.members()
             for ref in survivors[:2] + survivors[-2:]:
                 self.send(ref.address, Message(kind="pastry.ls_req",
                                                payload={"origin": self.address}),
@@ -510,8 +513,15 @@ class PastryNode(Host):
         this node last.  ``size`` is the reply's wire size.  ``version`` is
         the sum of the two leaf sets' monotonic versions, so an equal sum
         proves the same refs (the hop cache's argument).
+        It is a pure function of the two leaf sets: built once per pair of
+        versions, its ``refs`` shared read-only by every reply until then.
         """
         leaf_set, site_leaf_set = self.leaf_set, self.site_leaf_set
+        key = (leaf_set.version,
+               None if site_leaf_set is None else site_leaf_set.version)
+        memo = self._neighborhood_memo
+        if memo is not None and memo[0] == key:
+            return memo[1]
         neighbors = {ref.address: ref for ref in leaf_set.members()}
         version = leaf_set.version
         if site_leaf_set is not None:
@@ -521,7 +531,9 @@ class PastryNode(Host):
         refs = [(r.node_id.value, r.address, r.site_index)
                 for r in neighbors.values()]
         refs.append((self.node_id.value, self.address, self.site.index))
-        return refs, _LS_REP_BASE + _LS_REP_PER_REF * len(refs), version
+        result = refs, _LS_REP_BASE + _LS_REP_PER_REF * len(refs), version
+        self._neighborhood_memo = (key, result)
+        return result
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<PastryNode {self.node_id.hex()[:8]}… addr={self.address} site={self.site.name}>"

@@ -9,6 +9,7 @@ spanning tree rooted at the node closest to the TopicId.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from sys import intern as _intern
 from typing import Any, Callable, Dict, List, Optional, Tuple
@@ -32,6 +33,17 @@ _request_ids = itertools.count(1)
 #: accumulator.
 _PUSH_BATCH_BASE = _estimate_size({"child": (0, 0, 0), "updates": []})
 _PUSH_UPDATE_KEYS = _estimate_size({"topic": "", "agg": "", "acc": ""})
+
+
+@functools.cache
+def _named(topic: str) -> Tuple[Dict[str, str], int]:
+    """``{"topic": topic}`` and its size: the data of the tree-upkeep sends
+    (``child_probe``, ``leave``, ``parent_set``, ``parent_gone``) about a
+    topic this process holds state for, built once per topic and shared
+    read-only (a message is a copy)."""
+    data = {"topic": topic}
+    return data, _estimate_size(data)
+
 
 #: Visitor invoked at each member during anycast DFS.  Returns
 #: ``(state, satisfied)``: the state dict the walk carries on — the one it
@@ -351,38 +363,48 @@ class ScribeApplication(Application):
         root"); it doubles as anti-entropy, recovering aggregate state lost
         to dropped messages.
         """
+        believes_alive = node.believes_alive
+        send_app = node.send_app
         for state in list(self._topics.values()):
-            for address in [a for a in state.children if not node.believes_alive(a)]:
-                self._drop_child(node, state, address)
-            for address in list(state.children):
-                # Child-link anti-entropy: a child that re-homed while we
-                # were unreachable answers with "leave", evicting its stale
-                # accumulator here.  Repeating every tick makes the check
-                # robust to message loss (a lost probe retries next tick).
-                node.send_app(address, self.name, "child_probe",
-                              {"topic": state.topic})
-            if state.parent is not None and not node.believes_alive(state.parent):
+            children = state.children
+            if children:
+                for address in [a for a in children if not believes_alive(a)]:
+                    self._drop_child(node, state, address)
+                named, size = _named(state.topic)
+                for address in list(children):
+                    # Child-link anti-entropy: a child that re-homed while we
+                    # were unreachable answers with "leave", evicting its stale
+                    # accumulator here.  Repeating every tick makes the check
+                    # robust to message loss (a lost probe retries next tick).
+                    send_app(address, self.name, "child_probe", named, size)
+            if state.parent is not None and not believes_alive(state.parent):
                 self._goodbye(node, state)  # deferred: the parent is down
                 state.parent = None
             if state.former_parent is not None:
                 if state.former_parent == state.parent:
                     state.former_parent = None
-                elif node.believes_alive(state.former_parent):
-                    node.send_app(state.former_parent, self.name, "leave",
-                                  {"topic": state.topic})
+                elif believes_alive(state.former_parent):
+                    send_app(state.former_parent, self.name, "leave",
+                             *_named(state.topic))
                     state.former_parent = None
             if state.detached():
                 # The parent died, or the original JOIN/parent_set message
                 # was lost.  Re-route a JOIN toward the rendezvous.
                 self._route_join(node, state)
-            if state.is_root and (state.member or state.children):
-                # Root re-anchor: while this node is the true rendezvous the
-                # join delivers locally (a no-op); after a crash-recovery
-                # race left a second root in the tree, the join routes to
-                # the rendezvous, which adopts us and demotes us to child.
-                self._route_join(node, state)
-            if state.parent is not None and state.agg_names():
-                self._repush_all(node, state)
+            if state.is_root and (state.member or children):
+                # Root re-anchor: after a crash-recovery race left a second
+                # root in the tree, the join routes to the rendezvous, which
+                # adopts us and demotes us to child.  At the true rendezvous
+                # (no next hop, the route's own memoized resolution) it would
+                # deliver here and change nothing but the load count.
+                if node._next_hop(state.key, state.scope) is not None:
+                    self._route_join(node, state)
+                elif self.rebalancer is not None:
+                    self.rebalancer.record(state.topic)
+            if state.parent is not None:
+                names = state.agg_names()
+                if names:
+                    self._repush_all(node, state, names)
         if self.rebalancer is not None:
             self.rebalancer.replica_maintain(node)
             self.rebalancer.tick(node)
@@ -457,11 +479,16 @@ class ScribeApplication(Application):
                 for update in data.get("updates", ()):
                     self.rebalancer.record(update["topic"])
         kind = payload["kind"]
-        if kind == "anycast_walk" and msg.size is not None:
+        if msg.size is not None and (kind == "anycast_walk" or (
+                kind == "anycast_divert" and self.rebalancer is not None
+                and (state := self._topics.get(data["topic"])) is not None
+                and state.in_tree())):
             # The walk carries its measured size: the next hop's data is
-            # what arrived plus what this hop appends.
+            # what arrived plus what this hop appends.  A diverted walk
+            # starts here, at a replica in the tree (elsewhere the
+            # rebalancer re-routes it).
             self._anycast_visit(node, data, payload["origin"],
-                                msg.size - _WALK_ENVELOPE)
+                                msg.size - _WALK_ENVELOPES[kind])
             return
         handler = self.direct_handlers.get(kind)
         if handler is not None:
@@ -561,7 +588,7 @@ class ScribeApplication(Application):
         if ref.address == node.address:
             return
         state.children[ref.address] = ref
-        node.send_app(ref.address, self.name, "parent_set", {"topic": state.topic})
+        node.send_app(ref.address, self.name, "parent_set", *_named(state.topic))
 
     def _drop_child(self, node: PastryNode, state: TopicState, address: int) -> None:
         state.children.pop(address, None)
@@ -589,7 +616,7 @@ class ScribeApplication(Application):
             state.former_parent = None
         state.parent = parent_addr
         state.is_root = False
-        self._repush_all(node, state)
+        self._repush_all(node, state, state.agg_names())
 
     def _maybe_prune(self, node: PastryNode, state: TopicState) -> None:
         """Detach from parent if we are a childless, memberless non-root."""
@@ -606,8 +633,7 @@ class ScribeApplication(Application):
         goodbye is deferred: maintain() sends the leave once
         ``former_parent`` is reachable."""
         if node.believes_alive(state.parent):
-            node.send_app(state.parent, self.name, "leave",
-                          {"topic": state.topic})
+            node.send_app(state.parent, self.name, "leave", *_named(state.topic))
         else:
             state.former_parent = state.parent
 
@@ -779,9 +805,10 @@ class ScribeApplication(Application):
                 "child": packed, "updates": updates,
             }, sizes[parent])
 
-    def _repush_all(self, node: PastryNode, state: TopicState) -> None:
+    def _repush_all(self, node: PastryNode, state: TopicState, names: List[str]) -> None:
+        """Push ``names``, all of ``state.agg_names()``, changed or not."""
         state.last_pushed.clear()
-        self._mark_dirty(node, state)
+        self._mark_dirty(node, state, names)
 
     def _on_agg_push_batch(self, node: PastryNode, data: Dict[str, Any],
                            child_addr: int) -> None:
@@ -806,7 +833,7 @@ class ScribeApplication(Application):
                     # the parent is gone so maintain() re-joins it at the
                     # live rendezvous instead.
                     node.send_app(child_addr, self.name, "parent_gone",
-                                  {"topic": state.topic})
+                                  *_named(state.topic))
                     continue
                 # A pusher we do not list as a child: it kept its parent
                 # pointer across our crash-recovery (or we pruned it while
@@ -842,5 +869,7 @@ class ScribeApplication(Application):
                 self._route_join(node, state)
 
 
-#: The ``anycast_walk`` envelope: an arrived walk's data is its size less this.
-_WALK_ENVELOPE = envelope_size(ScribeApplication.name, "anycast_walk")
+#: The envelopes of the two kinds that carry a walk: an arrived walk's data
+#: is its size less its kind's.
+_WALK_ENVELOPES = {kind: envelope_size(ScribeApplication.name, kind)
+                   for kind in ("anycast_walk", "anycast_divert")}

@@ -376,10 +376,9 @@ def test_no_pastry_built_send_is_walked_at_admission(monkeypatch):
     assert net.messages_sent > 2_000 and net.messages_dropped > 0
     assert walked == []
     # A walk's step runs where the walk starts (mid-route in ``forward``,
-    # at the root in ``deliver``) and where a hop arrives; a diverted
-    # walk (rebalancing) starts unsized.
-    steps = {(step, sized) for step, sized in walk_hops
-             if step != "_on_anycast_divert"}
+    # at the root in ``deliver``, at a replica a rebalanced read was
+    # diverted to in ``host_message``) and where a hop arrives.
+    steps = set(walk_hops)
     assert steps == {("forward", True), ("deliver", True),
                      ("host_message", True)}
     # Under wire_check admission walks every send to check its named

@@ -317,3 +317,59 @@ def test_skipping_equals_ingesting_everything(ops):
         plain, decoded = ([_state(n) for n in _ring(twin[2])] for twin in twins)
         assert plain == decoded, (op, i, j)
     assert twins[1][1].wire_checked > 0
+
+
+# ----------------------------------------------------------------------
+# A leaf-set reply is built once per version: neighborhood() is a pure
+# function of the two leaf sets, memoized on their versions.
+# ----------------------------------------------------------------------
+
+def _fresh_neighborhood(node):
+    """``neighborhood()`` rebuilt from the leaf sets, with no memo."""
+    neighbors = {ref.address: ref for ref in node.leaf_set.members()}
+    version = node.leaf_set.version
+    if node.site_leaf_set is not None:
+        for ref in node.site_leaf_set.members():
+            neighbors.setdefault(ref.address, ref)
+        version += node.site_leaf_set.version
+    refs = [(r.node_id.value, r.address, r.site_index)
+            for r in neighbors.values()]
+    refs.append((node.node_id.value, node.address, node.site.index))
+    size = Message(kind="pastry.ls_rep", payload={"refs": refs}).size_bytes()
+    return refs, size, version
+
+
+_PEER_OPS = st.lists(st.tuples(st.sampled_from(("add", "remove", "site")),
+                               st.integers(0, 23)), max_size=60)
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**16), ops=_PEER_OPS)
+@example(seed=1, ops=[("add", 0), ("site", 0), ("add", 0)])  # site set only
+def test_a_memoized_neighborhood_equals_a_fresh_build(seed, ops):
+    """After any sequence of ``add_peer`` / ``remove_peer`` /
+    ``enable_site_scope``, ``neighborhood()`` equals a build from scratch;
+    asked again with nothing changed, it hands out the same refs."""
+    import random
+
+    from repro.pastry.node import PastryNode
+    from repro.pastry.routing_table import NodeRef
+
+    rng = random.Random(seed)
+    sites = list(make_ec2_registry())[:3]
+    network = Network(Simulator(), UniformLatencyModel(0.5))
+    node = PastryNode(NodeId.random(rng), sites[0])
+    network.attach(node)
+    peers = [NodeRef(NodeId.random(rng), 100 + k, sites[k % 3].index)
+             for k in range(24)]
+    assert node.neighborhood() == _fresh_neighborhood(node)
+    for op, k in ops:
+        if op == "add":
+            node.add_peer(peers[k])
+        elif op == "remove":
+            node.remove_peer(peers[k].address)
+        else:
+            node.enable_site_scope()
+        built = node.neighborhood()
+        assert built == _fresh_neighborhood(node)
+        assert node.neighborhood()[0] is built[0]

@@ -249,12 +249,72 @@ class TestChurnRepair:
         node.believes_alive = lambda address: address != child
         probed = set()
         send_app = node.send_app
-        node.send_app = lambda dst, app, kind, payload: (
+        node.send_app = lambda dst, app, kind, payload, size=None: (
             probed.add(dst) if kind == "child_probe" else None,
-            send_app(dst, app, kind, payload))
+            send_app(dst, app, kind, payload, size))
         scribe(node).maintain(node)
         assert child not in state.children
         assert probed == set(others)  # every other child, never the disbelieved one
+
+
+def _count_routes(node):
+    """Wrap ``node.route``: the ``op`` of every message it routes."""
+    ops = []
+    route = node.route
+    node.route = lambda key, app, payload, scope="global": (
+        ops.append(payload.get("op")), route(key, app, payload, scope=scope))
+    return ops
+
+
+class TestRootReanchor:
+    """A root re-anchors on every tick.  The true rendezvous has no next
+    hop for its key, so its JOIN would deliver to itself and change
+    nothing: it routes none.  A second root routes its JOIN as ever."""
+
+    def test_a_true_roots_tick_routes_no_join(self, sim, members):
+        overlay, _ = members
+        root = overlay.root_of(topic_id("GPU"))
+        state = scribe(root).topics()["GPU"]
+        assert state.is_root and state.children
+        routed = _count_routes(root)
+        scribe(root).maintain(root)
+        sim.run()
+        assert routed == []
+        assert state.is_root and state.parent is None
+
+    def test_a_second_root_routes_its_join_and_is_demoted(self, sim, members):
+        """A crash-recovery race left a member believing it is a root:
+        its next hop toward the key is another node, so its tick routes
+        the JOIN, and the tree adopts it as a child again."""
+        overlay, chosen = members
+        root = overlay.root_of(topic_id("GPU"))
+        node = next(n for n in chosen if n is not root)
+        state = scribe(node).topics()["GPU"]
+        state.parent, state.is_root = None, True
+        assert node._next_hop(state.key, state.scope) is not None
+        routed = _count_routes(node)
+        scribe(node).maintain(node)
+        assert routed == ["join"]
+        sim.run()
+        assert not state.is_root and state.parent is not None
+        asker = overlay.nodes[0]
+        assert scribe(asker).tree_size(asker, "GPU").result() == 30
+
+    def test_with_rebalancing_the_reanchor_still_counts_its_load(self, sim,
+                                                                 members):
+        """The delivery a true root's JOIN made counted one message
+        against the topic's window; skipping the JOIN keeps that count."""
+        from repro.scribe.rebalance import RebalanceConfig, Rebalancer
+
+        overlay, _ = members
+        root = overlay.root_of(topic_id("GPU"))
+        app = scribe(root)
+        app.rebalancer = Rebalancer(app, RebalanceConfig())
+        routed = _count_routes(root)
+        app.maintain(root)
+        assert routed == []
+        assert app.rebalancer.window_load("GPU") == 1
+        assert app.counters.counter("scribe.topic_load").get(topic="GPU") == 1
 
 
 class TestRequestTable:

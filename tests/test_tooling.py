@@ -3,6 +3,7 @@
 import gc
 import importlib.util
 import io
+import json
 import subprocess
 import sys
 import tarfile
@@ -292,6 +293,22 @@ class TestApiChecker:
 
     def test_docs_table_parser_missing_section(self):
         assert api_checker._docs_table_names("no section here") is None
+
+    def test_growth_report_names_only_unexplained_growth(self, tmp_path):
+        root = tmp_path / "repro"
+        (root / "sub").mkdir(parents=True)
+        (root / "same.py").write_text("A = 1\n")
+        (root / "sub" / "grown.py").write_text("A = 1\nB = 2\nC = 3\n")
+        (root / "explained.py").write_text("A = 1\nB = 2\n")
+        (root / "new.py").write_text("A = 1\n")
+        baseline = tmp_path / "lines.json"
+        baseline.write_text(json.dumps({
+            "repro/same.py": 1, "repro/sub/grown.py": 2,
+            "repro/explained.py": 1, "repro/gone.py": 9}))
+        changes = tmp_path / "CHANGES.md"
+        changes.write_text("- `src/repro/explained.py` grew: a reason.\n")
+        assert api_checker.grown_modules(root, baseline, changes) == [
+            ("repro/new.py", 0, 1), ("repro/sub/grown.py", 2, 3)]
 
     def test_unused_import_lint(self, tmp_path):
         (tmp_path / "__init__.py").write_text("from os import path\n")
@@ -641,11 +658,30 @@ class TestMsgFloor:
 
     def test_cli_prints_one_row_per_arm(self, floor, capsys):
         assert floor.main(["--messages", "100", "--runs", "1",
+                           "--quiet-seconds", "1",
                            "--src", str(REPO / "src")]) == 0
         lines = capsys.readouterr().out.splitlines()
-        assert lines[0].split()[0] == "arm" and len(lines) == 8
+        assert lines[0].split()[0] == "arm" and len(lines) == 10
         assert [line.rsplit(None, 3)[0] for line in lines[5:]] == [
-            "live ping-pong", "encode golden", "decode golden"]
+            "live ping-pong", "encode golden", "decode golden",
+            "quiet tick", "quiet sim second"]
+
+    def test_the_quiet_arm_times_every_tick(self, floor):
+        """Per tick and per simulated second of one plane: their ratio is
+        the ticks per simulated second, one per node per 2-s interval."""
+        results = floor.measure_quiet(sim_seconds=4, runs=2, nodes_per_site=2)
+        assert list(results) == ["quiet tick", "quiet sim second"]
+        for tick, second in zip(*results.values()):
+            assert tick > 0 and 16 * 0.45 <= second / tick <= 16 * 0.55
+
+    def test_the_quiet_arm_asks_no_query(self, floor, monkeypatch):
+        from repro.core.plane import RBay
+
+        asked = []
+        monkeypatch.setattr(RBay, "submit", lambda *a, **k: asked.append(a))
+        monkeypatch.setattr(RBay, "query", lambda *a, **k: asked.append(a))
+        floor.quiet_plane_us(1, nodes_per_site=2)
+        assert asked == []
 
     def test_the_live_arm_times_every_row(self, floor):
         results = floor.measure_live(messages=40, runs=2)

@@ -41,12 +41,18 @@ Nothing is settable that nobody sets: a defaulted parameter of a
 ``src/repro`` function that has call sites in the repository, none of
 which passes it, is a constant in disguise (only the
 :data:`UNSET_ALLOWED` few are kept, each with its reason).
+
+Last, a report that never fails: every ``src/repro`` module longer than
+its count in :data:`LINE_BASELINE` (the counts at the last re-anchor)
+whose path (``repro/...``) ``CHANGES.md`` does not name: growth that no
+line there explains.
 """
 
 from __future__ import annotations
 
 import ast
 import dataclasses
+import json
 import re
 import sys
 from pathlib import Path
@@ -102,6 +108,10 @@ LIVENESS_FUNCTIONS = {
     "pastry/overlay.py": ("Overlay.root_of", "Overlay.live_nodes"),
 }
 
+
+#: Line counts of every ``src/repro`` module at the last re-anchor, by
+#: path relative to ``src/`` (the growth report's baseline).
+LINE_BASELINE = REPO / "tools" / "src_lines.json"
 
 #: Where check 11 looks for call sites (relative to the repository).
 CALL_ROOTS = ("src", "bench", "benchmarks", "examples", "tools", "tests")
@@ -308,6 +318,23 @@ def unset_parameters(root: Path = REPO / "src" / "repro",
     return found
 
 
+def grown_modules(root: Path = REPO / "src" / "repro",
+                  baseline: Path = LINE_BASELINE,
+                  changes: Path = REPO / "CHANGES.md"):
+    """``(path, baseline lines, lines now)`` of every module under ``root``
+    longer than its baseline count (a new module's is 0) whose path, as
+    ``repro/...``, the ``changes`` file does not name."""
+    counts = json.loads(baseline.read_text(encoding="utf-8"))
+    named = changes.read_text(encoding="utf-8")
+    grown = []
+    for path in sorted(root.rglob("*.py")):
+        module = path.relative_to(root.parent).as_posix()
+        lines = len(path.read_text(encoding="utf-8").splitlines())
+        if lines > counts.get(module, 0) and module not in named:
+            grown.append((module, counts.get(module, 0), lines))
+    return grown
+
+
 def main() -> int:
     import repro
     import repro.check as check_pkg
@@ -419,6 +446,11 @@ def main() -> int:
     errors.extend(f"defaulted parameter no call site passes: src/repro/{entry}"
                   for entry in unset_parameters()
                   if entry.split(": ", 1)[1] not in UNSET_ALLOWED)
+
+    # A report, not a check: growth that CHANGES.md does not explain.
+    for module, was, now in grown_modules():
+        print(f"check_api: report: src/{module} grew {was} -> {now} lines "
+              f"since the baseline and CHANGES.md does not name it")
 
     if errors:
         return _fail(errors)

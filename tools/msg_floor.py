@@ -24,11 +24,19 @@ The live arm is the transport layer's own micro, in three rows:
 * ``encode golden`` / ``decode golden``: the codec alone, per frame,
   over every message of ``tests/data/wire_golden.json``.
 
+The quiet-plane arm is the maintenance micro: ``query_mix``'s plane (the
+8 EC2 sites × 25 nodes, dressed and bucketed as ``bench/workloads.py``
+builds it) runs ``--quiet-seconds`` simulated seconds with maintenance on
+and no queries.  Its two rows are the host microseconds per maintenance
+tick (everything the tick sends and its receivers do included) and per
+simulated second.
+
 Usage, from the repository root::
 
     python tools/msg_floor.py
     python tools/msg_floor.py --messages 50000 --runs 7
     python tools/msg_floor.py --src path/to/other/src   # another tree
+    python tools/msg_floor.py --quiet-seconds 60        # a longer quiet arm
 
 ``make floor`` runs the first line.
 """
@@ -165,6 +173,44 @@ def measure_live(messages: int, runs: int) -> Dict[str, List[float]]:
     return rows
 
 
+def quiet_plane_us(sim_seconds: float, nodes_per_site: int = 25) -> Dict[str, float]:
+    """Host microseconds per maintenance tick and per simulated second of
+    ``query_mix``'s plane left to its maintenance for ``sim_seconds``.
+    Every tick runs one ``stabilize`` exchange: their count is the ticks."""
+    from repro import RBay, RBayConfig
+    from repro.workloads.generator import FederationWorkload, WorkloadSpec
+
+    plane = RBay(RBayConfig(seed=2017, nodes_per_site=nodes_per_site,
+                            lease_ms=500.0)).build()
+    FederationWorkload(plane, WorkloadSpec(
+        password="rbay", active_subscriptions=False)).apply()
+    plane.register_buckets("CPU_utilization", 0.0, 100.0, buckets=8)
+    plane.sim.run()
+    plane.start_maintenance()
+    plane.settle(1_000.0)
+
+    def ticks() -> int:
+        return sum(node.stats["stabilize_exchanges"] for node in plane.nodes)
+
+    before = ticks()
+    start = perf_counter()
+    plane.settle(sim_seconds * 1_000.0)
+    elapsed = perf_counter() - start
+    plane.stop_maintenance()
+    return {"quiet tick": elapsed / (ticks() - before) * 1e6,
+            "quiet sim second": elapsed / sim_seconds * 1e6}
+
+
+def measure_quiet(sim_seconds: float, runs: int,
+                  nodes_per_site: int = 25) -> Dict[str, List[float]]:
+    """``{row: [µs per run]}`` for the quiet-plane arm's two rows."""
+    rows: Dict[str, List[float]] = {"quiet tick": [], "quiet sim second": []}
+    for _ in range(runs):
+        for row, value in quiet_plane_us(sim_seconds, nodes_per_site).items():
+            rows[row].append(value)
+    return rows
+
+
 def measure(messages: int, runs: int) -> Dict[str, List[float]]:
     """``{arm: [µs per message per run]}`` over the four arms, the runs of
     every arm interleaved so a slow stretch of the machine hits them all."""
@@ -185,16 +231,20 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         help="messages per ping-pong run (default 20000)")
     parser.add_argument("--runs", type=int, default=5,
                         help="runs per arm; the median is reported (default 5)")
+    parser.add_argument("--quiet-seconds", type=float, default=20.0,
+                        help="simulated seconds per quiet-plane run (default 20)")
     parser.add_argument("--src", default=str(ROOT / "src"),
                         help="the src/ whose repro is measured (default: this tree's)")
     args = parser.parse_args(argv)
     sys.path.insert(0, args.src)
     results = {**measure(args.messages, args.runs),
-               **measure_live(args.messages, args.runs)}
-    print(f"{'arm':32s} {'us/msg median':>14s} {'min':>7s} {'max':>7s}")
+               **measure_live(args.messages, args.runs),
+               **measure_quiet(args.quiet_seconds, args.runs)}
+    print(f"{'arm (us per message, frame, tick or sim second)':48s} "
+          f"{'median':>10s} {'min':>10s} {'max':>10s}")
     for arm, values in results.items():
-        print(f"{arm:32s} {statistics.median(values):14.2f} "
-              f"{min(values):7.2f} {max(values):7.2f}")
+        print(f"{arm:48s} {statistics.median(values):10.2f} "
+              f"{min(values):10.2f} {max(values):10.2f}")
     return 0
 
 
