@@ -111,10 +111,9 @@ class RBayNode(PastryNode):
         same event rather than at the next maintenance tick.
         """
         self.aa.set_value(name, value)
-        eager = [spec for spec in self.subscriptions.values()
-                 if spec.eager and spec.attribute == name]
-        if eager:
-            self._evaluate_subscriptions(eager)
+        for spec in list(self.subscriptions.values()):
+            if spec.eager and spec.attribute == name:
+                self._evaluate_subscription(spec)
 
     def has_attribute(self, name: str) -> bool:
         return name in self.aa.attributes
@@ -125,40 +124,35 @@ class RBayNode(PastryNode):
     def subscribe(self, spec: SubscriptionSpec) -> None:
         """Register a membership rule and evaluate it immediately."""
         self.subscriptions[spec.topic] = spec
-        self._evaluate_subscriptions((spec,))
+        self._evaluate_subscription(spec)
 
     def unsubscribe(self, topic: str) -> None:
         self.subscriptions.pop(topic, None)
         if self.scribe.is_member(topic):
             self.scribe.leave(self, topic)
 
-    def _evaluate_subscriptions(self, specs: Sequence[SubscriptionSpec]) -> None:
-        """Join or leave each spec's tree as its rule says now, in order.
-        The topic and attribute maps, bound once, are the live dicts."""
+    def _evaluate_subscription(self, spec: SubscriptionSpec) -> None:
+        """Join or leave ``spec``'s tree as its rule says now."""
         scribe = self.scribe
-        topics = scribe.topics()
-        attributes = self.aa.attributes
-        for spec in specs:
-            topic = spec.topic
-            state = topics.get(topic)
-            member = state is not None and state.member
-            attribute = attributes.get(spec.attribute) if spec.attribute else None
-            if spec.default_predicate is not None:
-                want = bool(spec.default_predicate(
-                    None if attribute is None else attribute.value))
-            else:
-                handlers = () if attribute is None else attribute.handlers
-                if "onSubscribe" in handlers or "onUnsubscribe" in handlers:
-                    if not member and self.aa.should_subscribe(spec.attribute, self.address, topic):
-                        scribe.join(self, topic, scope=spec.scope)
-                    elif member and self.aa.should_unsubscribe(spec.attribute, self.address, topic):
-                        scribe.leave(self, topic)
-                    continue
-                want = True
-            if want and not member:
-                scribe.join(self, topic, scope=spec.scope)
-            elif not want and member:
-                scribe.leave(self, topic)
+        member = scribe.is_member(spec.topic)
+        attribute = self.aa.get(spec.attribute) if spec.attribute else None
+        if spec.default_predicate is not None:
+            want = bool(spec.default_predicate(
+                None if attribute is None else attribute.value))
+        else:
+            if attribute is not None and (
+                attribute.has_handler("onSubscribe") or attribute.has_handler("onUnsubscribe")
+            ):
+                if not member and self.aa.should_subscribe(spec.attribute, self.address, spec.topic):
+                    scribe.join(self, spec.topic, scope=spec.scope)
+                elif member and self.aa.should_unsubscribe(spec.attribute, self.address, spec.topic):
+                    scribe.leave(self, spec.topic)
+                return
+            want = True
+        if want and not member:
+            scribe.join(self, spec.topic, scope=spec.scope)
+        elif not want and member:
+            scribe.leave(self, spec.topic)
 
     def on_recover(self) -> None:
         """Crash-recovery re-wiring (called by the fault injector after the
@@ -166,22 +160,24 @@ class RBayNode(PastryNode):
 
         Two things are lost while a host is down: joins the network
         suppressed, and eager re-bucketing driven by attribute updates the
-        node applied while detached.  ``_evaluate_subscriptions`` alone
+        node applied while detached.  ``_evaluate_subscription`` alone
         cannot repair the first — the member flag already matches the
         desired state, so it no-ops — hence the explicit re-join of every
         detached member tree.
         """
-        self._evaluate_subscriptions([spec for spec in self.subscriptions.values()
-                                      if spec.eager])
+        for spec in list(self.subscriptions.values()):
+            if spec.eager:
+                self._evaluate_subscription(spec)
         self.scribe.rejoin_detached(self)
 
     def maintenance_tick(self) -> None:
         """One onTimer cycle: attribute timers, membership, overlay and
         tree repair."""
         for name, attribute in list(self.aa.attributes.items()):
-            if "onTimer" in attribute.handlers:
+            if attribute.has_handler("onTimer"):
                 self.aa.on_timer(name)
-        self._evaluate_subscriptions(list(self.subscriptions.values()))
+        for spec in list(self.subscriptions.values()):
+            self._evaluate_subscription(spec)
         self.stabilize()
         self.scribe.maintain(self)
 

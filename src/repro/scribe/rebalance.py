@@ -381,8 +381,6 @@ class Rebalancer:
 
     def _on_anycast_divert(self, node: "PastryNode", data: Dict[str, Any],
                            origin: int) -> None:
-        state = self.scribe.topics().get(data["topic"])
-        if state is not None and state.in_tree():
-            self.scribe._anycast_visit(node, data)
-        else:
-            self._reroute(node, data)
+        """A diverted walk at a node out of the tree (one in the tree starts
+        the walk in ``ScribeApplication.host_message``)."""
+        self._reroute(node, data)

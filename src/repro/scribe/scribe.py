@@ -401,10 +401,8 @@ class ScribeApplication(Application):
                     self._route_join(node, state)
                 elif self.rebalancer is not None:
                     self.rebalancer.record(state.topic)
-            if state.parent is not None:
-                names = state.agg_names()
-                if names:
-                    self._repush_all(node, state, names)
+            if state.parent is not None and (state.local or state.child_acc):
+                self._repush_all(node, state)
         if self.rebalancer is not None:
             self.rebalancer.replica_maintain(node)
             self.rebalancer.tick(node)
@@ -479,16 +477,17 @@ class ScribeApplication(Application):
                 for update in data.get("updates", ()):
                     self.rebalancer.record(update["topic"])
         kind = payload["kind"]
-        if msg.size is not None and (kind == "anycast_walk" or (
+        if kind == "anycast_walk" or (
                 kind == "anycast_divert" and self.rebalancer is not None
                 and (state := self._topics.get(data["topic"])) is not None
-                and state.in_tree())):
+                and state.in_tree()):
             # The walk carries its measured size: the next hop's data is
             # what arrived plus what this hop appends.  A diverted walk
             # starts here, at a replica in the tree (elsewhere the
             # rebalancer re-routes it).
-            self._anycast_visit(node, data, payload["origin"],
-                                msg.size - _WALK_ENVELOPES[kind])
+            size = msg.size
+            self._anycast_visit(node, data, payload["origin"], None if size is None
+                                else size - _WALK_ENVELOPES[kind])
             return
         handler = self.direct_handlers.get(kind)
         if handler is not None:
@@ -616,7 +615,7 @@ class ScribeApplication(Application):
             state.former_parent = None
         state.parent = parent_addr
         state.is_root = False
-        self._repush_all(node, state, state.agg_names())
+        self._repush_all(node, state)
 
     def _maybe_prune(self, node: PastryNode, state: TopicState) -> None:
         """Detach from parent if we are a childless, memberless non-root."""
@@ -805,10 +804,9 @@ class ScribeApplication(Application):
                 "child": packed, "updates": updates,
             }, sizes[parent])
 
-    def _repush_all(self, node: PastryNode, state: TopicState, names: List[str]) -> None:
-        """Push ``names``, all of ``state.agg_names()``, changed or not."""
+    def _repush_all(self, node: PastryNode, state: TopicState) -> None:
         state.last_pushed.clear()
-        self._mark_dirty(node, state, names)
+        self._mark_dirty(node, state)
 
     def _on_agg_push_batch(self, node: PastryNode, data: Dict[str, Any],
                            child_addr: int) -> None:

@@ -86,7 +86,7 @@ def test_agg_push_does_not_resurrect_pruned_state(sim, scribe_overlay):
     state_m.member = True
     state_m.local["count"] = 1
     state_m.parent = f.address
-    sm._repush_all(m, state_m, state_m.agg_names())
+    sm._repush_all(m, state_m)
     sim.run()
 
     assert not state_f.in_tree(), "pruned state was resurrected"

@@ -44,8 +44,8 @@ which passes it, is a constant in disguise (only the
 
 Last, a report that never fails: every ``src/repro`` module longer than
 its count in :data:`LINE_BASELINE` (the counts at the last re-anchor)
-whose path (``repro/...``) ``CHANGES.md`` does not name: growth that no
-line there explains.
+whose path (``repro/...``) no ``CHANGES.md`` line written since then
+names: growth that no line there explains.
 """
 
 from __future__ import annotations
@@ -109,8 +109,9 @@ LIVENESS_FUNCTIONS = {
 }
 
 
-#: Line counts of every ``src/repro`` module at the last re-anchor, by
-#: path relative to ``src/`` (the growth report's baseline).
+#: The growth report's baseline, taken at the last re-anchor: ``modules``,
+#: the line count of every ``src/repro`` module by path relative to
+#: ``src/``, and ``changes_lines``, the lines ``CHANGES.md`` had then.
 LINE_BASELINE = REPO / "tools" / "src_lines.json"
 
 #: Where check 11 looks for call sites (relative to the repository).
@@ -323,9 +324,11 @@ def grown_modules(root: Path = REPO / "src" / "repro",
                   changes: Path = REPO / "CHANGES.md"):
     """``(path, baseline lines, lines now)`` of every module under ``root``
     longer than its baseline count (a new module's is 0) whose path, as
-    ``repro/...``, the ``changes`` file does not name."""
-    counts = json.loads(baseline.read_text(encoding="utf-8"))
-    named = changes.read_text(encoding="utf-8")
+    ``repro/...``, no line of ``changes`` past the baseline's names."""
+    recorded = json.loads(baseline.read_text(encoding="utf-8"))
+    counts = recorded["modules"]
+    named = "\n".join(changes.read_text(encoding="utf-8")
+                      .splitlines()[recorded["changes_lines"]:])
     grown = []
     for path in sorted(root.rglob("*.py")):
         module = path.relative_to(root.parent).as_posix()

@@ -26,8 +26,8 @@ The live arm is the transport layer's own micro, in three rows:
 
 The quiet-plane arm is the maintenance micro: ``query_mix``'s plane (the
 8 EC2 sites × 25 nodes, dressed and bucketed as ``bench/workloads.py``
-builds it) runs ``--quiet-seconds`` simulated seconds with maintenance on
-and no queries.  Its two rows are the host microseconds per maintenance
+builds it) runs :data:`QUIET_SECONDS` simulated seconds with maintenance
+on and no queries.  Its two rows are the host microseconds per maintenance
 tick (everything the tick sends and its receivers do included) and per
 simulated second.
 
@@ -36,7 +36,6 @@ Usage, from the repository root::
     python tools/msg_floor.py
     python tools/msg_floor.py --messages 50000 --runs 7
     python tools/msg_floor.py --src path/to/other/src   # another tree
-    python tools/msg_floor.py --quiet-seconds 60        # a longer quiet arm
 
 ``make floor`` runs the first line.
 """
@@ -56,6 +55,9 @@ ROOT = Path(__file__).resolve().parent.parent
 
 #: The payload every ping carries: a few keys, like a small direct message.
 PAYLOAD = {"topic": "Site000/CPU_utilization", "request_id": 7, "hops": [1, 2]}
+
+#: Simulated seconds of one quiet-plane run (about 0.6 s of host time).
+QUIET_SECONDS = 20.0
 
 
 def ping_pong_us(messages: int, jitter: bool, supplied: bool) -> float:
@@ -173,14 +175,14 @@ def measure_live(messages: int, runs: int) -> Dict[str, List[float]]:
     return rows
 
 
-def quiet_plane_us(sim_seconds: float, nodes_per_site: int = 25) -> Dict[str, float]:
+def quiet_plane_us(sim_seconds: float) -> Dict[str, float]:
     """Host microseconds per maintenance tick and per simulated second of
     ``query_mix``'s plane left to its maintenance for ``sim_seconds``.
     Every tick runs one ``stabilize`` exchange: their count is the ticks."""
     from repro import RBay, RBayConfig
     from repro.workloads.generator import FederationWorkload, WorkloadSpec
 
-    plane = RBay(RBayConfig(seed=2017, nodes_per_site=nodes_per_site,
+    plane = RBay(RBayConfig(seed=2017, nodes_per_site=25,
                             lease_ms=500.0)).build()
     FederationWorkload(plane, WorkloadSpec(
         password="rbay", active_subscriptions=False)).apply()
@@ -201,12 +203,11 @@ def quiet_plane_us(sim_seconds: float, nodes_per_site: int = 25) -> Dict[str, fl
             "quiet sim second": elapsed / sim_seconds * 1e6}
 
 
-def measure_quiet(sim_seconds: float, runs: int,
-                  nodes_per_site: int = 25) -> Dict[str, List[float]]:
+def measure_quiet(sim_seconds: float, runs: int) -> Dict[str, List[float]]:
     """``{row: [µs per run]}`` for the quiet-plane arm's two rows."""
     rows: Dict[str, List[float]] = {"quiet tick": [], "quiet sim second": []}
     for _ in range(runs):
-        for row, value in quiet_plane_us(sim_seconds, nodes_per_site).items():
+        for row, value in quiet_plane_us(sim_seconds).items():
             rows[row].append(value)
     return rows
 
@@ -231,15 +232,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         help="messages per ping-pong run (default 20000)")
     parser.add_argument("--runs", type=int, default=5,
                         help="runs per arm; the median is reported (default 5)")
-    parser.add_argument("--quiet-seconds", type=float, default=20.0,
-                        help="simulated seconds per quiet-plane run (default 20)")
     parser.add_argument("--src", default=str(ROOT / "src"),
                         help="the src/ whose repro is measured (default: this tree's)")
     args = parser.parse_args(argv)
     sys.path.insert(0, args.src)
     results = {**measure(args.messages, args.runs),
                **measure_live(args.messages, args.runs),
-               **measure_quiet(args.quiet_seconds, args.runs)}
+               **measure_quiet(QUIET_SECONDS, args.runs)}
     print(f"{'arm (us per message, frame, tick or sim second)':48s} "
           f"{'median':>10s} {'min':>10s} {'max':>10s}")
     for arm, values in results.items():
