@@ -36,7 +36,7 @@ from repro.workloads.queries import QueryWorkload
 
 
 def _load_fault_schedule(args):
-    if getattr(args, "fault_schedule", None) is None:
+    if args.fault_schedule is None:
         return None
     from repro.faults import FaultSchedule
 
@@ -45,10 +45,9 @@ def _load_fault_schedule(args):
 
 
 def _build_plane(args) -> tuple:
-    tracing = bool(getattr(args, "trace_out", None)) or bool(
-        getattr(args, "force_tracing", False))
+    tracing = bool(args.trace_out) or args.force_tracing
     rebalance = None
-    if getattr(args, "rebalance", False):
+    if args.rebalance:
         from repro.scribe.rebalance import RebalanceConfig
 
         rebalance = RebalanceConfig()
@@ -59,18 +58,18 @@ def _build_plane(args) -> tuple:
         jitter=not args.no_jitter,
         fault_schedule=_load_fault_schedule(args),
         tracing=tracing,
-        sanitize=getattr(args, "sanitize", False),
-        sanitize_sweep_events=getattr(args, "sanitize_sweep", 5_000),
-        sanitize_fail_fast=getattr(args, "sanitize_fail_fast", False),
+        sanitize=args.sanitize,
+        sanitize_sweep_events=args.sanitize_sweep,
+        sanitize_fail_fast=args.sanitize_fail_fast,
         rebalance=rebalance,
-        transport=getattr(args, "transport", "sim"),
-        wire_check=getattr(args, "wire_check", False),
-        time_scale=getattr(args, "time_scale", 1.0),
+        transport=args.transport,
+        wire_check=args.wire_check,
+        time_scale=args.time_scale,
     )
     plane = RBay(config).build()
     args._plane = plane  # closed by main() (live transport teardown)
     workload = FederationWorkload(plane, WorkloadSpec(password=args.password)).apply()
-    if getattr(args, "buckets", 0):
+    if args.buckets:
         plane.register_buckets("CPU_utilization", 0.0, 100.0, args.buckets)
     plane.sim.run()
     return plane, workload
@@ -79,8 +78,8 @@ def _build_plane(args) -> tuple:
 def _query_options(args, **fields) -> QueryOptions:
     """Options for one query of this run: ``fields`` plus what the run's
     ``--no-planner`` / ``--site-retries`` flags select."""
-    return QueryOptions(planner=not getattr(args, "no_planner", False),
-                        retries=getattr(args, "site_retries", None), **fields)
+    return QueryOptions(planner=not args.no_planner,
+                        retries=args.site_retries, **fields)
 
 
 def _finish_sanitize(plane) -> int:
@@ -105,12 +104,11 @@ def _finish_tracing(plane, args) -> None:
     print()
     print("per-step latency (critical-path spans):")
     print(plane.obs.step_summary())
-    trace_out = getattr(args, "trace_out", None)
-    if trace_out:
+    if args.trace_out:
         from repro.obs import write_chrome_trace
 
-        write_chrome_trace(trace_out, plane.obs.recorder.spans())
-        print(f"\nwrote Chrome trace_event export to {trace_out} "
+        write_chrome_trace(args.trace_out, plane.obs.recorder.spans())
+        print(f"\nwrote Chrome trace_event export to {args.trace_out} "
               f"({len(plane.obs.recorder)} spans; open in Perfetto)")
 
 
@@ -168,6 +166,7 @@ def _common_parser() -> argparse.ArgumentParser:
                         help="sim transport only: round-trip every delivered "
                              "message through the wire codec (wire-safety "
                              "lint; behaviour must stay identical)")
+    common.set_defaults(force_tracing=False)  # only ``trace`` forces it
     return common
 
 
@@ -279,7 +278,6 @@ def cmd_trace(args) -> int:
     """Trace one query end-to-end and print its critical-path breakdown."""
     from repro.obs import critical_path, format_breakdown, format_path, write_json
 
-    args.force_tracing = True
     plane, _ = _build_plane(args)
     if not _known_sites(plane, [args.origin]):
         return 2
@@ -591,7 +589,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--origin", help="customer's home site (default: the first)")
     p.add_argument("--json-out", default=None, metavar="PATH",
                    help="also write the raw JSON span export to PATH")
-    p.set_defaults(fn=cmd_trace)
+    p.set_defaults(fn=cmd_trace, force_tracing=True)
 
     p = sub.add_parser("scale", parents=[common],
                        help="scale benchmark: publish storm + concurrent "

@@ -60,12 +60,11 @@ class RBayNode(PastryNode):
         node_id: NodeId,
         site: Site,
         sim: Simulator,
-        instruction_limit: int = 100_000,
         reservation_hold_ms: float = 2_000.0,
     ):
         super().__init__(node_id, site)
         self.sim = sim
-        self.aa = AARuntime(instruction_limit=instruction_limit)
+        self.aa = AARuntime()
         self.reservation = ReservationTable(sim, hold_ms=reservation_hold_ms)
         self.subscriptions: Dict[str, SubscriptionSpec] = {}
         self._maintenance_task = None

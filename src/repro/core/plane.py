@@ -62,7 +62,6 @@ class RBayConfig:
     synthetic_sites: Optional[int] = None
     jitter: bool = True
     maintenance_interval_ms: float = 2_000.0
-    instruction_limit: int = 100_000
     reservation_hold_ms: float = 2_000.0
     lease_ms: float = 60_000.0
     #: Receiver-side processing delay per message (ms).  0 = pure network
@@ -224,14 +223,8 @@ class RBay:
                                      jitter_cv=0.05)
 
     def _make_node(self, node_id: NodeId, site: Site) -> RBayNode:
-        cfg = self.config
-        return RBayNode(
-            node_id,
-            site,
-            self.sim,
-            instruction_limit=cfg.instruction_limit,
-            reservation_hold_ms=cfg.reservation_hold_ms,
-        )
+        return RBayNode(node_id, site, self.sim,
+                        reservation_hold_ms=self.config.reservation_hold_ms)
 
     def build(self, nodes_per_site: Optional[int] = None) -> "RBay":
         """Create the node population, bootstrap routing, wire applications."""

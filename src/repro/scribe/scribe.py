@@ -150,13 +150,14 @@ class ScribeApplication(Application):
         #: ``handler(node, data, origin)``.  :meth:`host_message` serves
         #: ``direct_handlers``; :meth:`deliver` serves ``routed_handlers``
         #: at the rendezvous (:meth:`forward` intercepts ``join`` and
-        #: ``anycast`` mid-route, and both start an ``anycast`` walk with
-        #: the size it arrived with).  docs/protocol.md lists every kind.
+        #: ``anycast`` mid-route).  A walk is no table entry: it needs the
+        #: size it arrived with, so :meth:`deliver`, :meth:`forward` and
+        #: :meth:`host_message` start it themselves, before the table.
+        #: docs/protocol.md lists every kind.
         self.direct_handlers: Dict[str, Callable[..., None]] = {
             "agg_push_batch": self._on_agg_push_batch,
             "parent_set": self._on_parent_set,
             "mcast_down": self._on_mcast,
-            "anycast_walk": self._anycast_visit,
             "anycast_result": self._on_anycast_result,
             "agg_value": self._on_agg_value,
             "leave": self._on_leave,
@@ -166,7 +167,6 @@ class ScribeApplication(Application):
         self.routed_handlers: Dict[str, Callable[..., None]] = {
             "join": self._adopt_joiner,
             "mcast": self._on_mcast,
-            "anycast": self._anycast_visit,
             "agg_get": self._on_agg_get,
         }
         #: Hot-tree balancer (None = rebalancing off: the module is never
@@ -431,7 +431,7 @@ class ScribeApplication(Application):
             if state is not None and state.in_tree():
                 if self.rebalancer is not None:
                     self.rebalancer.record(data["topic"])
-                self._anycast_visit(node, data, size=self._data_size(msg))
+                self._anycast_visit(node, data, self._data_size(msg))
                 return False
         return True
 
@@ -444,19 +444,16 @@ class ScribeApplication(Application):
         state.is_root = True
         op = data["op"]
         if op == "anycast":  # the walk starts here, sized as it arrived
-            self._anycast_visit(node, data, size=self._data_size(msg))
+            self._anycast_visit(node, data, self._data_size(msg))
             return
         handler = self.routed_handlers.get(op)
         if handler is not None:
             handler(node, data, msg.payload["origin"])
 
-    def _data_size(self, msg: Message) -> Optional[int]:
+    def _data_size(self, msg: Message) -> int:
         """The size of a routed message's ``data``: its size less the
-        route envelope (None when it carries no size)."""
-        size = msg.size
-        if size is not None:
-            size -= route_envelope_size(self.name, msg.payload["scope"])
-        return size
+        route envelope."""
+        return msg.size - route_envelope_size(self.name, msg.payload["scope"])
 
     # ------------------------------------------------------------------
     # Direct messages
@@ -485,9 +482,7 @@ class ScribeApplication(Application):
             # what arrived plus what this hop appends.  A diverted walk
             # starts here, at a replica in the tree (elsewhere the
             # rebalancer re-routes it).
-            size = msg.size
-            self._anycast_visit(node, data, payload["origin"], None if size is None
-                                else size - _WALK_ENVELOPES[kind])
+            self._anycast_visit(node, data, msg.size - _WALK_ENVELOPES[kind])
             return
         handler = self.direct_handlers.get(kind)
         if handler is not None:
@@ -657,15 +652,14 @@ class ScribeApplication(Application):
     # Anycast (distributed DFS, paper §II-B3 and §III-D step 4)
     # ------------------------------------------------------------------
     def _anycast_visit(self, node: PastryNode, data: Dict[str, Any],
-                       origin: Optional[int] = None,
-                       size: Optional[int] = None) -> None:
-        """One DFS step; also the handler for ``anycast``/``anycast_walk``.
+                       size: int) -> None:
+        """One DFS step, for an ``anycast`` at its first in-tree node and
+        for every ``anycast_walk`` (or in-tree ``anycast_divert``) hop.
 
         ``data`` is never mutated: a hop that adds itself forwards a new
-        dict.  ``size`` is the size of ``data`` as it arrived (None: not
-        known, the transport walks what is sent); it travels on as the
-        next hop's size, grown by 8 per appended address and by the
-        visitor's change to the state when it replaced it.
+        dict.  ``size`` is the size of ``data`` as it arrived; it travels
+        on as the next hop's size, grown by 8 per appended address and by
+        the visitor's change to the state when it replaced it.
         """
         topic = data["topic"]
         state = self.topic_state(topic)
@@ -684,11 +678,10 @@ class ScribeApplication(Application):
                         "scribe.anycast_visit", category="scribe", topic=topic,
                         site=node.site.name, addr=node.address,
                         satisfied=satisfied, step="member_search")
-            if size is not None:
-                size += 8  # the appended address
-                if carried is not data["state"]:
-                    size += (_estimate_size(carried)
-                             - _estimate_size(data["state"]))
+            size += 8  # the appended address
+            if carried is not data["state"]:
+                size += (_estimate_size(carried)
+                         - _estimate_size(data["state"]))
             data = {**data, "visited": visited + [node.address],
                     "visited_members": members, "state": carried}
             if satisfied:

@@ -57,24 +57,21 @@ INSTANCE_SPECS: Dict[str, Dict[str, object]] = {
 }
 
 
-def gaussian_tree_weights(sigma_fraction: float = 0.25) -> List[float]:
-    """Popularity weight per instance type: a Gaussian over list position."""
+def gaussian_tree_weights() -> List[float]:
+    """Popularity weight per instance type: a Gaussian over list position,
+    a quarter of the list wide."""
     n = len(EC2_INSTANCE_TYPES)
     center = (n - 1) / 2.0
-    sigma = max(n * sigma_fraction, 1e-9)
+    sigma = n * 0.25
     weights = [math.exp(-((i - center) ** 2) / (2 * sigma * sigma)) for i in range(n)]
     total = sum(weights)
     return [w / total for w in weights]
 
 
-def gaussian_tree_assignment(
-    rng: random.Random,
-    count: int,
-    sigma_fraction: float = 0.25,
-) -> List[str]:
+def gaussian_tree_assignment(rng: random.Random, count: int) -> List[str]:
     """Assign ``count`` nodes to instance types with Gaussian popularity."""
-    weights = gaussian_tree_weights(sigma_fraction)
-    return rng.choices(EC2_INSTANCE_TYPES, weights=weights, k=count)
+    return rng.choices(EC2_INSTANCE_TYPES, weights=gaussian_tree_weights(),
+                       k=count)
 
 
 def instance_attributes(instance_type: str) -> Dict[str, object]:

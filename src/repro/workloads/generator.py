@@ -33,8 +33,6 @@ class WorkloadSpec:
     filler_attributes: int = 0
     #: CPU-utilization threshold trees to maintain, in percent.
     utilization_thresholds: Sequence[float] = (10.0,)
-    #: Width of the Gaussian popularity curve over instance types.
-    sigma_fraction: float = 0.25
     #: Install the password gate policy on every node.
     gate_policies: bool = True
     #: Use AA handlers (onSubscribe/onUnsubscribe) for threshold trees;
@@ -58,7 +56,7 @@ class FederationWorkload:
         for site in self.plane.registry:
             nodes = self.plane.site_nodes(site.name)
             admin = self.plane.admins[site.name]
-            types = gaussian_tree_assignment(rng, len(nodes), spec.sigma_fraction)
+            types = gaussian_tree_assignment(rng, len(nodes))
             for node, itype in zip(nodes, types):
                 self.instance_of[node.address] = itype
                 self._configure_node(admin, node, itype, rng)

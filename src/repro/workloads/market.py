@@ -39,7 +39,7 @@ from array import array
 from bisect import bisect_left
 from dataclasses import asdict, dataclass
 from itertools import accumulate
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, ClassVar, Dict, List, Optional, Tuple
 
 from repro.core.naming import predicate_tree_name
 from repro.core.plane import RBay, RBayConfig
@@ -58,6 +58,9 @@ MARKET_TREE = predicate_tree_name(MARKET_ATTRIBUTE, "=", True)
 SCALE_INTERVAL_MS = 500.0
 #: Repricing evaluation period per site (ms).
 REPRICE_INTERVAL_MS = 1_000.0
+#: Per-request budget presented to the gates (the wallet is re-funded each
+#: arrival: budgets are per-purchase, not cumulative).
+REQUEST_BUDGET = 60.0
 
 #: Memoized zipf cumulative weights per (population, exponent): building
 #: the table is O(population) and the 20-seed sweeps reuse it.
@@ -92,7 +95,7 @@ class MarketSpec:
     """Parameters for one marketplace arm.
 
     The defaults describe the benchmark configuration: 4 sites x 10
-    nodes, a million-user zipf population, and a 3x demand spike in the
+    nodes, a million-user zipf population, and a 4x demand spike in the
     middle of the window.
     """
 
@@ -102,8 +105,6 @@ class MarketSpec:
     #: Synthetic customer population sampled by zipf rank (rank 1 = the
     #: heaviest user).  Only users that arrive materialize any state.
     users: int = 1_048_576
-    #: Zipf exponent over user arrival popularity.
-    user_zipf_s: float = 1.1
     #: Open-loop base arrival rate (arrivals per simulated second).
     arrival_rate_per_s: float = 30.0
     #: Demand-spike window start (ms into the measured window) ...
@@ -112,33 +113,10 @@ class MarketSpec:
     spike_ms: float = 2_500.0
     #: ... and the arrival-rate multiplier inside it.
     spike_multiplier: float = 4.0
-    #: Units (instances) per request: 1 + a clamped pareto tail.
-    demand_max: int = 4
-    demand_alpha: float = 1.4
-    #: Per-request budget presented to the gates (the wallet is re-funded
-    #: each arrival: budgets are per-purchase, not cumulative).
-    request_budget: float = 60.0
-    #: Credit floor baked into every posted gate; users whose
-    #: :func:`user_credit` falls below are denied owner-side.
-    min_credit: float = 0.05
-    #: Over-ask factor of the cost-aware buyers.
-    overask: float = 2.0
     #: Instances each site posts before the window opens.
-    initial_instances: int = 2
-    #: Initial (and, with repricing off, permanent) asking price.
-    initial_price: float = 4.0
-    #: Lease length for committed purchases (short: capacity recycles).
-    lease_ms: float = 1_500.0
-    #: Uncommitted reservation hold window (ms).
-    hold_ms: float = 800.0
+    initial_instances: ClassVar[int] = 2
     #: Measured window of simulated time (ms).
     duration_ms: float = 7_000.0
-    #: Settle time after the initial postings, before the window (ms).
-    warmup_ms: float = 800.0
-    #: Drain budget after the window for still-in-flight buys (ms).
-    drain_ms: float = 15_000.0
-    #: Admission window (``RBayConfig.query_window``).
-    query_window: int = 24
     #: DEPAS auto-scaling on (the elastic arm) or off (fixed capacity).
     autoscale: bool = True
     #: Spot repricing on or off.
@@ -162,9 +140,9 @@ def _build_plane(spec: MarketSpec) -> RBay:
         nodes_per_site=spec.nodes_per_site,
         synthetic_sites=spec.sites,
         jitter=False,
-        lease_ms=spec.lease_ms,
-        reservation_hold_ms=spec.hold_ms,
-        query_window=spec.query_window,
+        lease_ms=1_500.0,  # short leases: capacity recycles
+        reservation_hold_ms=800.0,
+        query_window=24,
         sanitize=spec.sanitize,
         sanitize_sweep_events=spec.sanitize_sweep_events,
         fault_schedule=spec.fault_schedule,
@@ -198,7 +176,7 @@ def run_market(spec: Optional[MarketSpec] = None) -> Dict[str, Any]:
         gateway, pool = nodes[0], nodes[1:]
         pricer = SpotPricer(
             plane.admin(name), gateway, MARKET_TREE, plane.obs.metrics,
-            price=spec.initial_price,
+            price=4.0,  # the asking price; permanent with repricing off
         )
         scaler = SiteAutoscaler(
             plane.admin(name), pool,
@@ -208,7 +186,7 @@ def run_market(spec: Optional[MarketSpec] = None) -> Dict[str, Any]:
             attribute=MARKET_ATTRIBUTE,
             value=True,
             price_of=lambda p=pricer: p.price,
-            min_credit=spec.min_credit,
+            min_credit=0.05,  # users whose user_credit falls below are denied
             enabled=spec.autoscale,
         )
         scaler.start(spec.initial_instances)
@@ -216,7 +194,7 @@ def run_market(spec: Optional[MarketSpec] = None) -> Dict[str, Any]:
         scalers[name] = scaler
     plane.sim.run()
     plane.start_maintenance()
-    plane.settle(spec.warmup_ms)
+    plane.settle(800.0)
 
     window_start = sim.now
     window_end = window_start + spec.duration_ms
@@ -240,7 +218,7 @@ def run_market(spec: Optional[MarketSpec] = None) -> Dict[str, Any]:
     # Open-loop heavy-tailed arrivals.
     arr_rng = plane.streams.stream("market-arrivals")
     cust_rng = plane.streams.stream("market-customers")
-    zipf_cum = zipf_cumulative(spec.users, spec.user_zipf_s)
+    zipf_cum = zipf_cumulative(spec.users, 1.1)  # zipf s over user popularity
     zipf_total = zipf_cum[-1]
 
     class _User:
@@ -267,7 +245,7 @@ def run_market(spec: Optional[MarketSpec] = None) -> Dict[str, Any]:
             origin = site_names[uid % len(site_names)]
             customer = CostAwareCustomer(
                 f"u{uid}", plane.site_nodes(origin)[0], cust_rng,
-                wallet=0.0, ledger=ledger, overask=spec.overask,
+                wallet=0.0, ledger=ledger, overask=2.0,
                 credit=user_credit(uid))
             user = _User(customer, sim.now)
             users[uid] = user
@@ -277,12 +255,12 @@ def run_market(spec: Optional[MarketSpec] = None) -> Dict[str, Any]:
         seq = arrival_seq[0]
         arrival_seq[0] += 1
         uid = bisect_left(zipf_cum, arr_rng.random() * zipf_total)
-        wanted = 1 + min(spec.demand_max - 1,
-                         int(arr_rng.paretovariate(spec.demand_alpha)) - 1)
+        # Units per request: 1 + a pareto tail clamped at 4.
+        wanted = 1 + min(3, int(arr_rng.paretovariate(1.4)) - 1)
         user = _user_for(uid)
         user.arrivals += 1
         user.demanded += wanted
-        user.customer.wallet = spec.request_budget  # per-request budget
+        user.customer.wallet = REQUEST_BUDGET
         origin = user.customer.home.site.name
         sql = f"SELECT {wanted} FROM * WHERE {MARKET_ATTRIBUTE} = true;"
         outstanding[0] += 1
@@ -295,7 +273,7 @@ def run_market(spec: Optional[MarketSpec] = None) -> Dict[str, Any]:
                                 type(value).__name__))
                 return
             got = len(value.entries) if isinstance(value, QueryResult) else 0
-            paid = spec.request_budget - user.customer.wallet
+            paid = REQUEST_BUDGET - user.customer.wallet
             user.got += got
             user.spend += paid
             if got:
@@ -324,7 +302,7 @@ def run_market(spec: Optional[MarketSpec] = None) -> Dict[str, Any]:
     sim.schedule(REPRICE_INTERVAL_MS / 2.0, price_tick)
     schedule_next()
     sim.run(until=window_end)
-    guard = window_end + spec.drain_ms
+    guard = window_end + 15_000.0  # drain budget for in-flight buys
     while outstanding[0] > 0 and sim.now < guard:
         sim.run(until=min(sim.now + 500.0, guard))
     plane.stop_maintenance()

@@ -40,6 +40,8 @@ from repro.workloads.queries import composite_query
 
 #: Site-scoped aggregate tree every node publishes its load sample into.
 LOAD_TREE = "load"
+#: Publish-storm tick: every node re-publishes each tick (ms).
+PUBLISH_INTERVAL_MS = 50.0
 
 
 @dataclass(frozen=True)
@@ -55,31 +57,15 @@ class ScaleSpec:
     #: Servers per site (total nodes = ``sites * nodes_per_site``).
     nodes_per_site: int = 32
     seed: int = 2017
-    #: Settle time after dressing, before the measured window (ms).
-    warmup_ms: float = 1_000.0
     #: Measured window of simulated time (ms).
     duration_ms: float = 5_000.0
-    #: Publish-storm tick: every node re-publishes each tick (ms).
-    publish_interval_ms: float = 50.0
-    #: Aggregates each node refreshes per tick (1..3 of sum/max/min); a
-    #: tick's refreshes fold into one roll-up.
-    publish_aggregates: int = 3
     #: Total composite queries submitted inside the window.
     queries: int = 96
     #: Queries submitted per burst (bursts are spread over the window).
     query_burst: int = 32
-    #: SELECT k of each composite query.
-    query_k: int = 2
-    #: Sites named in each query's location predicate.
-    query_span: int = 3
     #: Admission window (``RBayConfig.query_window``) — smaller than a
     #: burst so the FIFO queue is actually exercised.
     query_window: int = 16
-    #: Roll-up debounce (``RBayConfig.agg_flush_ms``): two publish ticks
-    #: per flush at the defaults.
-    agg_flush_ms: float = 100.0
-    #: Drain budget after the window for still-in-flight queries (ms).
-    drain_ms: float = 20_000.0
     #: Attach the runtime invariant sanitizer (:mod:`repro.check`).  The
     #: metrics dict gains a ``"sanitizer"`` entry; the run ``signature``
     #: is computed before the sanitizer's quiescent drain, so it stays
@@ -104,7 +90,7 @@ def _build_plane(spec: ScaleSpec) -> RBay:
         synthetic_sites=spec.sites,
         jitter=False,  # deterministic latencies -> coalescible deliveries
         query_window=spec.query_window,
-        agg_flush_ms=spec.agg_flush_ms,
+        agg_flush_ms=100.0,  # two publish ticks per roll-up flush
         sanitize=spec.sanitize,
         sanitize_sweep_events=spec.sanitize_sweep_events,
         sanitize_fail_fast=spec.sanitize_fail_fast,
@@ -140,12 +126,13 @@ def run_scale(spec: Optional[ScaleSpec] = None) -> Dict[str, Any]:
     site_names = [site.name for site in plane.registry]
 
     plane.start_maintenance()
-    plane.settle(spec.warmup_ms)
+    plane.settle(1_000.0)
 
     # ------------------------------------------------------------------
-    # Publish storm: every node re-publishes on a shared tick.
+    # Publish storm: every node re-publishes on a shared tick, refreshing
+    # all three aggregates (a tick's refreshes fold into one roll-up).
     load_rng = plane.streams.stream("scale-load")
-    aggs = ("sum", "max", "min")[:max(1, min(3, spec.publish_aggregates))]
+    aggs = ("sum", "max", "min")
     publishes = 0
     # Hoisted per-wave plan: the node set is fixed for the whole run, so
     # the topic strings and scribe lookups are computed once, not once per
@@ -162,8 +149,8 @@ def run_scale(spec: Optional[ScaleSpec] = None) -> Dict[str, Any]:
             for agg in aggs:
                 scribe.set_local(node, topic, agg, uniform(0.0, 100.0))
         publishes += len(publish_plan) * len(aggs)
-        if sim.now + spec.publish_interval_ms <= window_end:
-            sim.schedule(spec.publish_interval_ms, publish_wave)
+        if sim.now + PUBLISH_INTERVAL_MS <= window_end:
+            sim.schedule(PUBLISH_INTERVAL_MS, publish_wave)
 
     # ------------------------------------------------------------------
     # Concurrent query stream: bursts through the admission window.
@@ -173,12 +160,12 @@ def run_scale(spec: Optional[ScaleSpec] = None) -> Dict[str, Any]:
     planned: List[Dict[str, Any]] = []
     for i in range(spec.queries):
         origin = query_rng.choice(site_names)
-        span = min(spec.query_span, len(site_names))
+        span = min(3, len(site_names))  # sites named per query
         others = [s for s in site_names if s != origin]
         froms = [origin] + query_rng.sample(others, span - 1)
         planned.append({
             "at": (i // spec.query_burst) * burst_gap,
-            "sql": composite_query(query_rng, froms, k=spec.query_k),
+            "sql": composite_query(query_rng, froms, k=2),
             "options": QueryOptions(origin=origin, caller=f"scale-{i}"),
         })
 
@@ -218,7 +205,7 @@ def run_scale(spec: Optional[ScaleSpec] = None) -> Dict[str, Any]:
 
     wall_start = time.perf_counter()
     sim.run(until=window_end)
-    guard = window_end + spec.drain_ms
+    guard = window_end + 20_000.0  # drain budget for in-flight queries
     while len(records) < spec.queries and sim.now < guard:
         sim.run(until=min(sim.now + 500.0, guard))
     wall_seconds = time.perf_counter() - wall_start

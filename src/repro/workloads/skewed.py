@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import ClassVar, List, Tuple
 
 from repro.core.plane import RBay
 from repro.scribe.buckets import BucketSpec
@@ -26,13 +26,13 @@ from repro.scribe.buckets import BucketSpec
 class SkewedSpec:
     """Parameters of the zipfian bucketed-attribute workload."""
 
-    attribute: str = "CPU_utilization"
-    lo: float = 0.0
-    hi: float = 100.0
+    attribute: ClassVar[str] = "CPU_utilization"
+    lo: ClassVar[float] = 0.0
+    hi: ClassVar[float] = 100.0
     buckets: int = 8
     #: Zipf exponent over bucket popularity: bucket rank r (1-based) gets
-    #: weight ``1 / r**zipf_s``.  0 degenerates to uniform.
-    zipf_s: float = 1.2
+    #: weight ``1 / r**zipf_s``.
+    zipf_s: ClassVar[float] = 1.2
 
 
 def zipf_weights(count: int, s: float) -> List[float]:

@@ -9,7 +9,7 @@ from repro.net.latency import TableIILatencyModel, UniformLatencyModel, make_ec2
 from repro.net.network import Network
 from repro.pastry.overlay import Overlay
 from repro.query.executor import QueryApplication, _QueryContext
-from repro.scribe.scribe import ScribeApplication
+from repro.scribe.scribe import _WALK_ENVELOPES, ScribeApplication
 from repro.sim.engine import Simulator
 from repro.sim.random_streams import RandomStreams
 
@@ -71,14 +71,23 @@ def small_plane():
 def registered_wire_kinds(rebalance=None):
     """``{wire kind: handler}`` read off the dispatch tables of a fresh
     Scribe (with a balancer when ``rebalance`` is given) and query app —
-    keyed like ``Network.wire_kinds_seen`` and the docs/protocol.md table."""
+    keyed like ``Network.wire_kinds_seen`` and the docs/protocol.md table.
+
+    A walk has no table entry: ``deliver`` / ``forward`` start a routed
+    ``anycast`` and ``host_message`` every kind in ``_WALK_ENVELOPES``
+    (a diverted one only on a plane with a balancer, whose own entry
+    serves a divert that is not in the tree) before the table."""
     sim = Simulator()
     scribe = ScribeApplication(sim, rebalance=rebalance)
     query = QueryApplication(_QueryContext(sim, []))
-    kinds = {}
+    walk = ScribeApplication._anycast_visit
+    kinds = {"route/scribe/anycast": walk}
     for prefix, table in (("route/scribe/", scribe.routed_handlers),
                           ("direct/scribe/", scribe.direct_handlers),
                           ("direct/query/", query.direct_handlers)):
         for kind, handler in table.items():
             kinds[prefix + kind] = handler
+    for kind in _WALK_ENVELOPES:
+        if kind == "anycast_walk" or rebalance is not None:
+            kinds.setdefault("direct/scribe/" + kind, walk)
     return kinds

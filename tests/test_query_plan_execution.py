@@ -15,13 +15,12 @@ executor plans each branch) and on every range shape under a per-query
 ``planner=False`` (``plan_query`` never saw the query's options).
 """
 
-import argparse
 import re
 from collections import Counter
 
 import pytest
 
-from repro.cli import _query_options
+from repro.cli import _query_options, build_parser
 from repro.core.plane import RBay, RBayConfig
 from repro.query.options import QueryOptions
 from repro.query.plan import plan_query
@@ -58,7 +57,8 @@ CORPUS = {
 #: ``--no-planner``, and an explicit ``planner=False``.
 SETTINGS = {
     "plane-default": QueryOptions(),
-    "config-off": _query_options(argparse.Namespace(no_planner=True)),
+    "config-off": _query_options(build_parser().parse_args(
+        ["explain", "SELECT 1 FROM *", "--no-planner"])),
     "query-off": QueryOptions(planner=False),
 }
 

@@ -10,6 +10,8 @@ from repro.net.network import FaultDecision
 from repro.pastry.nodeid import NodeId
 from repro.query.executor import QueryApplication, _QueryContext
 from repro.query.options import QueryOptions
+from repro.scribe.rebalance import RebalanceConfig
+from repro.scribe.scribe import ScribeApplication
 from repro.scribe.topic import topic_id
 from repro.sim.futures import FutureTimeout
 
@@ -389,6 +391,44 @@ class TestRequestTable:
         assert overlay.network.messages_sent == sent
         assert not scribe(root).requests and not scribe(peer).requests
         assert scribe(peer).tree_size(peer, "GPU").result() == 30
+
+
+class TestDispatchTables:
+    """Every table entry is what its entry point calls: a message of each
+    kind reaches exactly that kind's handler, never an entry the entry
+    point bypasses (a walk starts before the table, so it has none)."""
+
+    @staticmethod
+    def spied(sim, rebalance):
+        app = ScribeApplication(sim, rebalance=rebalance)
+        calls = []
+        for table in (app.direct_handlers, app.routed_handlers):
+            for kind in table:
+                table[kind] = (lambda node, data, origin, kind=kind:
+                               calls.append(kind))
+        app._anycast_visit = lambda *args: calls.append("walk")
+        return app, calls
+
+    @pytest.mark.parametrize("rebalance", [None, RebalanceConfig()])
+    def test_every_direct_kind_reaches_its_handler(self, sim, rebalance):
+        app, calls = self.spied(sim, rebalance)
+        for kind in list(app.direct_handlers):
+            calls.clear()
+            app.host_message(None, Message(kind="pastry.direct", payload={
+                "app": "scribe", "kind": kind, "origin": 1,
+                "data": {"topic": "GPU"}}))
+            assert calls == [kind]
+
+    @pytest.mark.parametrize("rebalance", [None, RebalanceConfig()])
+    def test_every_routed_kind_reaches_its_handler(self, sim, rebalance):
+        app, calls = self.spied(sim, rebalance)
+        for op in list(app.routed_handlers):
+            calls.clear()
+            app.deliver(None, topic_id("GPU"), Message(
+                kind="pastry.route", payload={
+                    "app": "scribe", "scope": "global", "origin": 1,
+                    "data": {"op": op, "topic": "GPU"}}))
+            assert calls == [op]
 
 
 class TestSiteScopedTrees:

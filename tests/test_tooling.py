@@ -444,11 +444,132 @@ class TestApiChecker:
             "mod.py:2: Box(d)", "mod.py:4: Box.put(y)"]
 
     def test_unset_parameter_lint_on_this_tree(self):
-        """Only the allow-listed parameters, each kept for a stated reason."""
+        """Only the allow-listed parameters and config fields, each kept
+        for a stated reason."""
         found = [entry.split(": ", 1)[1]
-                 for entry in api_checker.unset_parameters()]
+                 for entry in (api_checker.unset_parameters()
+                               + api_checker.unset_fields())]
         assert sorted(found) == sorted(api_checker.UNSET_ALLOWED)
         assert all(api_checker.UNSET_ALLOWED.values())
+
+    def test_unset_field_lint(self, tmp_path):
+        """Check 11 on dataclass fields: a defaulted field is set by a call
+        (keyword, position, a subclass's call, ``cls(...)``), by a ``**``
+        whose keys it can resolve (a ``dict`` bound in the function, its
+        ``update``, the function's own ``**kwargs`` read off its call
+        sites), by ``dataclasses.replace`` or by an assignment; an
+        unresolvable ``**`` sets every field.  A mutated record is not
+        listed; a ``self.<field>`` assignment in an unrelated class does
+        not count; factory fields, class constants and classes nobody
+        constructs are not judged."""
+        src, calls = tmp_path / "src", tmp_path / "calls"
+        src.mkdir()
+        calls.mkdir()
+        (src / "mod.py").write_text(
+            "from dataclasses import dataclass, field\n"
+            "from typing import ClassVar\n"
+            "@dataclass\n"
+            "class Spec:\n"
+            "    a: int\n"
+            "    b: int = 1\n"
+            "    c: int = 2\n"
+            "    d: int = 3\n"
+            "    e: list = field(default_factory=list)\n"
+            "    K: ClassVar[int] = 9\n"
+            "@dataclass\n"
+            "class Base:\n"
+            "    p: int = 0\n"
+            "    q: int = 0\n"
+            "    r: int = 0\n"
+            "    @classmethod\n"
+            "    def make(cls):\n"
+            "        return cls(q=1)\n"
+            "@dataclass\n"
+            "class Child(Base):\n"
+            "    s: int = 0\n"
+            "@dataclass\n"
+            "class Record:\n"
+            "    done: bool = False\n"
+            "    status: str = 'ok'\n"
+            "    note: str = ''\n"
+            "    def finish(self):\n"
+            "        self.note = 'x'\n"
+            "class Unrelated:\n"
+            "    def __init__(self):\n"
+            "        self.status = 'x'\n"
+            "@dataclass\n"
+            "class Spread:\n"
+            "    u: int = 0\n"
+            "    v: int = 0\n"
+            "    w: int = 0\n"
+            "    x: int = 0\n"
+            "    y: int = 0\n"
+            "    z: int = 0\n"
+            "@dataclass\n"
+            "class Opaque:\n"
+            "    o: int = 0\n"
+            "@dataclass(frozen=True)\n"
+            "class Replaced:\n"
+            "    m: int = 0\n"
+            "@dataclass\n"
+            "class Lonely:\n"
+            "    lone: int = 0\n")
+        (calls / "use.py").write_text(
+            "from dataclasses import replace\n"
+            "Spec(0, 5)\n"
+            "Spec(a=0, c=1)\n"
+            "Child(p=1)\n"
+            "def build(**kwargs):\n"
+            "    cfg = dict(u=1)\n"
+            "    cfg.update(w=2)\n"
+            "    return Spread(**cfg, **kwargs)\n"
+            "def build_plane(**overrides):\n"
+            "    cfg = {'v': 1}\n"
+            "    cfg.update(overrides)\n"
+            "    return Spread(**cfg)\n"
+            "build(x=1)\n"
+            "build_plane(y=2)\n"
+            "def opaque(options):\n"
+            "    return Opaque(**options)\n"
+            "record = Record()\n"
+            "record.done = True\n"
+            "replace(Replaced(), m=1)\n")
+        assert api_checker.unset_fields(src, (src, calls)) == [
+            "mod.py:8: Spec.d", "mod.py:15: Base.r", "mod.py:21: Child.s",
+            "mod.py:25: Record.status", "mod.py:39: Spread.z"]
+
+    def test_unset_field_lint_on_the_tree_it_was_written_for(self, tmp_path):
+        """On the commit before the config fields were folded in, the
+        census lists these 27: the kept deployment address and the 26 that
+        became constants."""
+        parent = "351c3e7566925c53c61b45726f74e6dae07391d6"
+        if subprocess.run(["git", "-C", str(REPO), "cat-file", "-e",
+                           f"{parent}^{{commit}}"],
+                          capture_output=True).returncode != 0:
+            pytest.skip("the commit is not in this checkout's history")
+        archive = subprocess.run(["git", "-C", str(REPO), "archive", parent],
+                                 capture_output=True, check=True).stdout
+        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+            tar.extractall(tmp_path, filter="data")
+        found = api_checker.unset_fields(
+            tmp_path / "src" / "repro",
+            tuple(tmp_path / root for root in api_checker.CALL_ROOTS))
+        assert [entry.split(": ", 1)[1] for entry in found] == [
+            "RBayConfig.instruction_limit", "RBayConfig.live_bind_host",
+            "WorkloadSpec.sigma_fraction",
+            "MarketSpec.user_zipf_s", "MarketSpec.demand_max",
+            "MarketSpec.demand_alpha", "MarketSpec.request_budget",
+            "MarketSpec.min_credit", "MarketSpec.overask",
+            "MarketSpec.initial_instances", "MarketSpec.initial_price",
+            "MarketSpec.lease_ms", "MarketSpec.hold_ms",
+            "MarketSpec.warmup_ms", "MarketSpec.drain_ms",
+            "MarketSpec.query_window",
+            "ScaleSpec.warmup_ms", "ScaleSpec.publish_interval_ms",
+            "ScaleSpec.publish_aggregates", "ScaleSpec.query_k",
+            "ScaleSpec.query_span", "ScaleSpec.agg_flush_ms",
+            "ScaleSpec.drain_ms",
+            "SkewedSpec.attribute", "SkewedSpec.lo", "SkewedSpec.hi",
+            "SkewedSpec.zipf_s"]
 
     def test_unset_parameter_lint_on_the_tree_it_was_written_for(self, tmp_path):
         """On the commit before the constants were folded in, the lint

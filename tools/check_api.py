@@ -39,8 +39,10 @@ host table) and ``repro/check/`` (which audits it), only
 
 Nothing is settable that nobody sets: a defaulted parameter of a
 ``src/repro`` function that has call sites in the repository, none of
-which passes it, is a constant in disguise (only the
-:data:`UNSET_ALLOWED` few are kept, each with its reason).
+which passes it, is a constant in disguise, and so is a defaulted field
+of a ``src/repro`` dataclass that no construction, ``replace`` or
+assignment sets (only the :data:`UNSET_ALLOWED` few are kept, each with
+its reason).
 
 Last, a report that never fails: every ``src/repro`` module longer than
 its count in :data:`LINE_BASELINE` (the counts at the last re-anchor)
@@ -52,6 +54,7 @@ from __future__ import annotations
 
 import ast
 import dataclasses
+import functools
 import json
 import re
 import sys
@@ -117,7 +120,8 @@ LINE_BASELINE = REPO / "tools" / "src_lines.json"
 #: Where check 11 looks for call sites (relative to the repository).
 CALL_ROOTS = ("src", "bench", "benchmarks", "examples", "tools", "tests")
 
-#: Defaulted parameters that no call passes, kept on purpose (check 11).
+#: Defaulted parameters that no call passes and dataclass fields that no
+#: call sets, kept on purpose (check 11).
 UNSET_ALLOWED = {
     "ScribeApplication._adopt_joiner(origin)":
         "a handler-table entry: every handler takes (node, data, origin)",
@@ -126,6 +130,8 @@ UNSET_ALLOWED = {
     "run_serve(out)": "an I/O sink: stdout unless a caller captures it",
     "Sanitizer(grace_ms)":
         "liveness stage 2 (ROADMAP) turns it into a checked bound",
+    "RBayConfig.live_bind_host":
+        "a deployment address: the interface is the operator's to choose",
 }
 
 
@@ -162,10 +168,17 @@ def _module_level(body):
                 yield from _module_level(block)
 
 
+@functools.lru_cache(maxsize=None)
+def _parse(source: str) -> ast.Module:
+    """A module's tree, parsed once per source text: checks 8 to 11 walk
+    the same modules, and parsing is most of their time."""
+    return ast.parse(source)
+
+
 def _modules(root: Path):
     """``(path, parsed tree)`` for every module under ``root``, sorted."""
     for path in sorted(root.rglob("*.py")):
-        yield path, ast.parse(path.read_text(encoding="utf-8"))
+        yield path, _parse(path.read_text(encoding="utf-8"))
 
 
 def unused_imports(root: Path = REPO / "src" / "repro"):
@@ -287,21 +300,59 @@ def _passes(call, index, name):
     return index is not None and len(call.args) > index
 
 
+def _simple_name(node):
+    return (node.id if isinstance(node, ast.Name) else
+            node.attr if isinstance(node, ast.Attribute) else None)
+
+
+def _call_index(call_roots):
+    """``(calls, assigned, bases)`` over every module under ``call_roots``:
+    each call as ``(call, enclosing class, scope)`` by the callee's simple
+    name; for each assigned attribute name, the classes whose methods
+    assign ``self.<name>`` (None for an assignment to anything else); and
+    each class's base names."""
+    return _index(tuple(path.read_text(encoding="utf-8")
+                        for root in call_roots
+                        for path in sorted(root.rglob("*.py"))))
+
+
+@functools.lru_cache(maxsize=4)
+def _index(sources):
+    """One walk of every tree that keeps, for each node, its innermost
+    enclosing class (None outside one) and function or lambda (the
+    module itself outside one)."""
+    calls, assigned, bases = {}, {}, {}
+    scopes = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+    for source in sources:
+        tree = _parse(source)
+        stack = [(tree, None, tree)]
+        while stack:
+            node, cls, scope = stack.pop()
+            for child in ast.iter_child_nodes(node):
+                kind = type(child)
+                if kind is ast.Call:
+                    calls.setdefault(_simple_name(child.func), []).append(
+                        (child, cls, scope))
+                elif kind is ast.Attribute and type(child.ctx) is ast.Store:
+                    self_store = (type(child.value) is ast.Name
+                                  and child.value.id == "self")
+                    assigned.setdefault(child.attr, set()).add(
+                        cls if self_store else None)
+                elif kind is ast.ClassDef:
+                    bases[child.name] = [_simple_name(b) for b in child.bases]
+                    stack.append((child, child.name, scope))
+                    continue
+                stack.append((child, cls, child if kind in scopes else scope))
+    return calls, assigned, bases
+
+
 def unset_parameters(root: Path = REPO / "src" / "repro",
                      call_roots=tuple(REPO / r for r in CALL_ROOTS)):
     """``path:line: Name(param)`` (paths relative to ``root``) for every
     defaulted parameter of a function under ``root`` that has call sites
     under ``call_roots`` — matched by simple name, the class name for
     ``__init__`` — none of which passes it."""
-    calls = {}
-    for call_root in call_roots:
-        for _, tree in _modules(call_root):
-            for node in ast.walk(tree):
-                if isinstance(node, ast.Call):
-                    func = node.func
-                    name = (func.id if isinstance(func, ast.Name) else
-                            func.attr if isinstance(func, ast.Attribute) else None)
-                    calls.setdefault(name, []).append(node)
+    calls = _call_index(call_roots)[0]
     found = []
     for path, tree in _modules(root):
         for cls, function in _functions(tree):
@@ -315,7 +366,181 @@ def unset_parameters(root: Path = REPO / "src" / "repro",
                 f"{path.relative_to(root).as_posix()}:{function.lineno}: "
                 f"{label}({name})"
                 for index, name in _defaulted(cls, function)
-                if not any(_passes(call, index, name) for call in sites))
+                if not any(_passes(call, index, name) for call, _, _ in sites))
+    return found
+
+
+def _literal_keys(value):
+    """The keys of a ``dict(k=...)`` call or a dict literal with string
+    keys; None for anything else."""
+    if isinstance(value, ast.Dict):
+        if all(isinstance(k, ast.Constant) and isinstance(k.value, str)
+               for k in value.keys):
+            return {k.value for k in value.keys}
+    elif (isinstance(value, ast.Call) and _simple_name(value.func) == "dict"
+            and not value.args and all(k.arg for k in value.keywords)):
+        return {k.arg for k in value.keywords}
+    return None
+
+
+def _passed_keywords(sites):
+    """The keywords any of ``sites`` passes; None when one passes ``**``."""
+    keys = set()
+    for call, _, _ in sites:
+        for keyword in call.keywords:
+            if keyword.arg is None:
+                return None
+            keys.add(keyword.arg)
+    return keys
+
+
+def _spread_keys(value, cls, scope, calls):
+    """The keys a ``**value`` in ``scope`` can carry, or None for any: a
+    dict literal's, a name bound in the scope to ``dict(...)`` or a dict
+    literal (plus its ``.update`` keys), or the scope's own ``**kwargs``,
+    whose keys are the keywords its call sites pass."""
+    kwarg = getattr(getattr(scope, "args", None), "kwarg", None)
+
+    def keys_of(node):
+        if (isinstance(node, ast.Name) and kwarg is not None
+                and node.id == kwarg.arg):
+            if isinstance(scope, ast.Lambda):
+                return None
+            name = cls if scope.name == "__init__" else scope.name
+            return _passed_keywords(calls.get(name, ()))
+        return _literal_keys(node)
+
+    if not isinstance(value, ast.Name) or (kwarg and value.id == kwarg.arg):
+        return keys_of(value)
+    keys, updates = None, set()
+    for node in ast.walk(scope):
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == value.id for t in node.targets):
+            bound = _literal_keys(node.value)
+            if bound is None:
+                return None
+            keys = bound | (keys or set())
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "update"
+                and isinstance(node.func.value, ast.Name)
+                and node.func.value.id == value.id):
+            for extra in [_passed_keywords([(node, None, None)]),
+                          *map(keys_of, node.args)]:
+                if extra is None:
+                    return None
+                updates |= extra
+    return None if keys is None else keys | updates
+
+
+def _statements(body):
+    """Every statement in ``body`` and, recursively, in the blocks of
+    those statements (class and function bodies included)."""
+    for stmt in body:
+        yield stmt
+        for block in ("body", "orelse", "finalbody", "handlers"):
+            inner = getattr(stmt, block, None)
+            if isinstance(inner, list):
+                yield from _statements(inner)
+
+
+def _dataclass_fields(node):
+    """``(name, line, judged, keyword-only)`` for each field a dataclass
+    body declares, in order; ``judged`` marks a default that is not a
+    ``default_factory``."""
+    kw_only = any(k.arg == "kw_only" and getattr(k.value, "value", False)
+                  for d in node.decorator_list if isinstance(d, ast.Call)
+                  for k in d.keywords)
+    for stmt in node.body:
+        if (not isinstance(stmt, ast.AnnAssign)
+                or not isinstance(stmt.target, ast.Name)
+                or "ClassVar" in ast.unparse(stmt.annotation)):
+            continue
+        options = {}
+        if (isinstance(stmt.value, ast.Call)
+                and _simple_name(stmt.value.func) == "field"):
+            options = {k.arg: getattr(k.value, "value", None)
+                       for k in stmt.value.keywords}
+        judged = stmt.value is not None and (
+            not options or "default" in options)
+        yield (stmt.target.id, stmt.lineno, judged,
+               options.get("kw_only", kw_only))
+
+
+def unset_fields(root: Path = REPO / "src" / "repro",
+                 call_roots=tuple(REPO / r for r in CALL_ROOTS)):
+    """``path:line: Class.field`` (paths relative to ``root``) for every
+    defaulted field a dataclass under ``root`` declares, when the class has
+    call sites under ``call_roots`` (its own, a subclass's, or ``cls(...)``
+    inside either) and no call passes the field (by keyword, by position,
+    by ``*``, or by a ``**`` that may carry it), no ``dataclasses.replace``
+    names it, and no code assigns ``x.field`` (``self.field`` counts only
+    inside a related class).  ``default_factory`` fields are not judged."""
+    calls, assigned, bases = _call_index(call_roots)
+
+    def family(name, up):
+        """``name`` and its ancestors (``up``) or descendants."""
+        found, todo = {name}, [name]
+        while todo:
+            current = todo.pop()
+            step = (bases.get(current, ()) if up else
+                    [c for c, bs in bases.items() if current in bs])
+            todo += [c for c in step if c not in found]
+            found.update(step)
+        return found
+
+    def spread(call, cls, scope):
+        """The keywords ``call`` may pass; ``"*"`` stands for any."""
+        keys = {k.arg for k in call.keywords if k.arg}
+        for keyword in call.keywords:
+            if keyword.arg is None:
+                spread_keys = _spread_keys(keyword.value, cls, scope, calls)
+                keys |= {"*"} if spread_keys is None else spread_keys
+        return keys
+
+    replaced = set()
+    for call, cls, scope in calls.get("replace", ()):
+        if call.args:
+            replaced |= spread(call, cls, scope)
+
+    classes = {}
+    for path, tree in _modules(root):
+        for node in _statements(tree.body):
+            if isinstance(node, ast.ClassDef) and any(
+                    _simple_name(getattr(d, "func", d)) == "dataclass"
+                    for d in node.decorator_list):
+                classes[node.name] = (path, node)
+
+    def ordered_fields(name):
+        fields = {}
+        for base in bases.get(name, ()):
+            if base in classes and base != name:
+                fields.update((f[0], f) for f in ordered_fields(base))
+        fields.update((f[0], f) for f in _dataclass_fields(classes[name][1]))
+        return list(fields.values())
+
+    found = []
+    for name, (path, node) in classes.items():
+        below = family(name, up=False)
+        sites = [site for sub in below for site in calls.get(sub, ())]
+        sites += [site for site in calls.get("cls", ()) if site[1] in below]
+        if not sites:
+            continue
+        related = below | family(name, up=True)
+        passed = set().union(*(spread(*site) for site in sites))
+        positional = [f[0] for f in ordered_fields(name) if not f[3]]
+        for field_name, line, judged, _ in _dataclass_fields(node):
+            if not judged or {field_name, "*"} & (passed | replaced):
+                continue
+            if field_name in positional and any(
+                    len(call.args) > positional.index(field_name)
+                    or any(isinstance(a, ast.Starred) for a in call.args)
+                    for call, _, _ in sites):
+                continue
+            writers = assigned.get(field_name, set())
+            if None in writers or writers & related:
+                continue
+            found.append(f"{path.relative_to(root).as_posix()}:{line}: "
+                         f"{name}.{field_name}")
     return found
 
 
@@ -446,9 +671,15 @@ def main() -> int:
                   for entry in liveness_queries())
 
     # 11. Nothing settable that nobody sets.
-    errors.extend(f"defaulted parameter no call site passes: src/repro/{entry}"
-                  for entry in unset_parameters()
-                  if entry.split(": ", 1)[1] not in UNSET_ALLOWED)
+    for what, entries in (("defaulted parameter no call site passes",
+                           unset_parameters()),
+                          ("config field no call site sets", unset_fields())):
+        errors.extend(f"{what}: src/repro/{entry}" for entry in entries
+                      if entry.split(": ", 1)[1] not in UNSET_ALLOWED)
+    # The parsed trees are done with: dropping them here costs far less
+    # than the interpreter's teardown of them at exit.
+    _parse.cache_clear()
+    _index.cache_clear()
 
     # A report, not a check: growth that CHANGES.md does not explain.
     for module, was, now in grown_modules():
