@@ -37,7 +37,9 @@ gc:
 # The per-message floor (tools/msg_floor.py): microseconds per message of
 # a two-host send->deliver ping-pong, jitter on/off x size supplied/walked,
 # then the live arm (the same ping-pong over loopback TCP, and encode /
-# decode per frame over the golden wire corpus), the median of 5 runs.
+# decode per frame over the golden wire corpus), the quiet-plane arm and
+# the bootstrap arm (ms per Overlay.bootstrap at 32x32 and 1x4096), the
+# median of 5 runs.
 floor:
 	$(PYTHON) tools/msg_floor.py
 

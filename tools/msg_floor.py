@@ -31,6 +31,12 @@ on and no queries.  Its two rows are the host microseconds per maintenance
 tick (everything the tick sends and its receivers do included) and per
 simulated second.
 
+The bootstrap arm is the Pastry layer's set-up micro, beside its per-hop
+one: the wall milliseconds of one ``Overlay.bootstrap`` (leaf sets and
+routing tables, both scopes) at each of :data:`BOOTSTRAP_SHAPES`, sites ×
+nodes per site: ``publish_storm``'s isolated 32 × 32 plane on the
+synthetic ring, and fig 8a's single 4,096-node site on one uniform delay.
+
 Usage, from the repository root::
 
     python tools/msg_floor.py
@@ -43,6 +49,7 @@ Usage, from the repository root::
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import random
 import statistics
@@ -58,6 +65,9 @@ PAYLOAD = {"topic": "Site000/CPU_utilization", "request_id": 7, "hops": [1, 2]}
 
 #: Simulated seconds of one quiet-plane run (about 0.6 s of host time).
 QUIET_SECONDS = 20.0
+
+#: The bootstrap arm's planes, row name -> (sites, nodes per site).
+BOOTSTRAP_SHAPES = {"bootstrap 32x32": (32, 32), "bootstrap 1x4096": (1, 4096)}
 
 
 def ping_pong_us(messages: int, jitter: bool, supplied: bool) -> float:
@@ -212,6 +222,41 @@ def measure_quiet(sim_seconds: float, runs: int) -> Dict[str, List[float]]:
     return rows
 
 
+def bootstrap_ms(sites: int, per_site: int) -> float:
+    """Wall milliseconds of one ``Overlay.bootstrap`` of ``sites`` ×
+    ``per_site`` nodes: isolated on the synthetic ring as a plane builds
+    it, or, for one site, unisolated on a uniform delay as fig 8a does."""
+    from repro.net.latency import SyntheticLatencyModel, UniformLatencyModel
+    from repro.net.network import Network
+    from repro.net.site import SiteRegistry
+    from repro.pastry.overlay import Overlay
+    from repro.sim.engine import Simulator
+    from repro.sim.random_streams import RandomStreams
+
+    registry = SiteRegistry()
+    for index in range(sites):
+        registry.add(f"Site{index:03d}", "Synthetic")
+    latency = (SyntheticLatencyModel(sites) if sites > 1
+               else UniformLatencyModel(0.25))
+    sim = Simulator()
+    overlay = Overlay(sim, Network(sim, latency), RandomStreams(2017),
+                      registry, isolation=sites > 1)
+    overlay.create_population(per_site)
+    gc.collect()  # earlier runs' planes are cyclic garbage: not this run's cost
+    start = perf_counter()
+    overlay.bootstrap()
+    return (perf_counter() - start) * 1e3
+
+
+def measure_bootstrap(runs: int) -> Dict[str, List[float]]:
+    """``{row: [ms per run]}`` for the bootstrap arm's rows."""
+    rows: Dict[str, List[float]] = {row: [] for row in BOOTSTRAP_SHAPES}
+    for _ in range(runs):
+        for row, shape in BOOTSTRAP_SHAPES.items():
+            rows[row].append(bootstrap_ms(*shape))
+    return rows
+
+
 def measure(messages: int, runs: int) -> Dict[str, List[float]]:
     """``{arm: [µs per message per run]}`` over the four arms, the runs of
     every arm interleaved so a slow stretch of the machine hits them all."""
@@ -238,8 +283,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     sys.path.insert(0, args.src)
     results = {**measure(args.messages, args.runs),
                **measure_live(args.messages, args.runs),
-               **measure_quiet(QUIET_SECONDS, args.runs)}
-    print(f"{'arm (us per message, frame, tick or sim second)':48s} "
+               **measure_quiet(QUIET_SECONDS, args.runs),
+               **measure_bootstrap(args.runs)}
+    print(f"{'arm (us per msg, frame, tick, sim s; ms per boot)':48s} "
           f"{'median':>10s} {'min':>10s} {'max':>10s}")
     for arm, values in results.items():
         print(f"{arm:48s} {statistics.median(values):10.2f} "

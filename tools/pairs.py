@@ -8,10 +8,12 @@ gain is claimed when the change wins at least nine pairs in ten (ties
 count for neither) and the medians differ by more than the parent's
 quartile distance.  This tool runs them and does the arithmetic:
 
-* REV's ``src/`` is exported with ``git archive`` (as
-  ``tools/fingerprint.py --against`` does: nothing fetched, no worktree)
-  next to a copy of *this* tree's ``bench/`` and ``BENCHMARK.json``, so
-  both sides run identical benchmark code;
+* both sides run from temporary trees that :func:`_tree` builds alike:
+  a ``src/`` (REV's exported with ``git archive``, as
+  ``tools/fingerprint.py --against`` does: nothing fetched, no worktree;
+  the change's copied from this tree) next to a copy of *this* tree's
+  ``bench/`` and ``BENCHMARK.json``, so only the source differs — not the
+  benchmark code, nor where or how the files were laid down;
 * every run is ``bench/run.py --workload W --seed N --seconds S --trace T``
   and its last stdout line (one JSON object) is kept;
 * it prints, per metric, each side's median and quartiles and the
@@ -69,6 +71,19 @@ def _better(metric: str) -> str:
         if entry["name"] == metric:
             return entry["better"]
     return "higher"
+
+
+def _tree(into: Path, rev: Optional[str]) -> Path:
+    """A run tree at ``into``: REV's ``src/`` (this tree's when REV is
+    None) beside copies of this tree's ``bench/`` and ``BENCHMARK.json``."""
+    ignore = shutil.ignore_patterns("out", "__pycache__")
+    if rev is None:
+        shutil.copytree(ROOT / "src", into / "src", ignore=ignore)
+    else:
+        _export(rev, into)
+    shutil.copytree(ROOT / "bench", into / "bench", ignore=ignore)
+    shutil.copy(ROOT / "BENCHMARK.json", into)
+    return into
 
 
 def _run(tree: Path, args: argparse.Namespace) -> dict:
@@ -194,11 +209,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         help="also write every run and the summary here")
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory(prefix="pairs-") as tmp:
-        parent_tree = _export(args.against, Path(tmp) / "rev").parent
-        shutil.copytree(ROOT / "bench", parent_tree / "bench",
-                        ignore=shutil.ignore_patterns("out", "__pycache__"))
-        shutil.copy(ROOT / "BENCHMARK.json", parent_tree)
-        trees = {"parent": parent_tree, "change": ROOT}
+        trees = {"parent": _tree(Path(tmp) / "parent", args.against),
+                 "change": _tree(Path(tmp) / "change", None)}
         pairs: List[Dict[str, dict]] = []
         runs: List[dict] = []
         for index in range(args.pairs):
